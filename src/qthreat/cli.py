@@ -167,7 +167,13 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--subset-size", type=int, default=100)
     ps.add_argument("--full-test", action="store_true", help="stream every test row")
     ps.add_argument("--audit", default=None, help="audit CSV path")
-    ps.add_argument("--reference-limit", type=int, default=harness.REFERENCE_LIMIT)
+    ps.add_argument(
+        "--reference-limit",
+        type=int,
+        default=harness.REFERENCE_LIMIT,
+        help="QSVM support vectors each row is compared with, shot mode only "
+        "(exact mode scores through every support vector)",
+    )
     _execution_args(ps)
     ps.add_argument("--sampling-seed", type=int, default=None)
 

@@ -373,6 +373,22 @@ def apportion(counts: Mapping[str, int], size: int) -> Dict[str, int]:
     return {c: int(a) for c, a in zip(names, alloc)}
 
 
+def stratified_indices(labels, size: int, seed: int) -> np.ndarray:
+    """Sorted indices of a label-stratified sample of `size` rows (every
+    row when there are no more). Each label's rows are shuffled by their
+    own generator, seeded by (seed, label), and the first apportioned
+    slots are kept."""
+    y = np.asarray(labels, dtype=int).reshape(-1)
+    if y.size <= size:
+        return np.arange(y.size)
+    alloc = apportion({str(c): int((y == c).sum()) for c in np.unique(y)}, size)
+    picked = []
+    for name, take in sorted(alloc.items()):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, int(name)]))
+        picked.append(rng.permutation(np.flatnonzero(y == int(name)))[:take])
+    return np.sort(np.concatenate(picked))
+
+
 def select_eval_subset(split: DatasetSplit, size: int = 100, seed: int = 0) -> np.ndarray:
     """Stratified test-set sample by original category; sorted indices.
 

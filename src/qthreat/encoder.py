@@ -301,17 +301,6 @@ def backward_from_embedding(model: EncoderModel, cache: dict, de: np.ndarray) ->
     return grads
 
 
-def balanced_class_weights(y: np.ndarray) -> Tuple[float, float]:
-    """w_c = n / (2 n_c)."""
-    y = np.asarray(y, dtype=int)
-    n = y.size
-    n1 = int(y.sum())
-    n0 = n - n1
-    if n0 == 0 or n1 == 0:
-        raise ValueError("both classes must be present")
-    return n / (2.0 * n0), n / (2.0 * n1)
-
-
 _DECAYED_SUFFIX = ".W"
 
 

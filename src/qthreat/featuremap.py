@@ -11,7 +11,7 @@ The convention tag travels with every persisted artifact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -216,6 +216,8 @@ def fidelity_kernel_shots(
 @dataclass(frozen=True)
 class GramBundle:
     train_gram: np.ndarray
+    # Out-of-sample rows are scored through the QSVM observable
+    # (qsvm.observable_scorer), never as Gram blocks; these stay None.
     val_block: Optional[np.ndarray] = None
     test_block: Optional[np.ndarray] = None
     centering_row_means: Optional[np.ndarray] = None
@@ -240,9 +242,6 @@ class GramBundle:
             means = np.abs(k.mean(axis=0))
             if means.max() > 1e-9:
                 raise ValueError("centered Gram column means exceed 1e-9")
-        for block in (self.val_block, self.test_block):
-            if block is not None and block.shape[1] != n:
-                raise ValueError("out-of-sample block width must equal n")
 
     @property
     def n_train(self) -> int:
@@ -257,61 +256,37 @@ def gram_from_states(states_a: np.ndarray, states_b: Optional[np.ndarray] = None
     return np.abs(overlaps) ** 2
 
 
-def psd_clamp(k: np.ndarray) -> np.ndarray:
-    """Clamp negative eigenvalues to 0 when the minimum falls below -1e-10."""
-    mineig = float(np.linalg.eigvalsh(k).min())
-    if mineig >= -1e-10:
-        return k
-    w, v = np.linalg.eigh(k)
-    w[w < 0] = 0.0
-    fixed = (v * w) @ v.T
-    return (fixed + fixed.T) / 2.0
-
-
 def build_gram(
     train_angles: Sequence[AngleVector],
     spec: FeatureMapSpec,
-    val_angles: Optional[Sequence[AngleVector]] = None,
-    test_angles: Optional[Sequence[AngleVector]] = None,
     max_train: int = 4000,
 ) -> GramBundle:
     """Uncentered kernel Gram over cached statevectors.
 
     Caching every train statevector once replaces the n(n+1)/2 pairwise
     circuit evaluations with a single conjugate inner-product product;
-    the results are identical entrywise.
+    the results are identical entrywise. The Gram is PSD by construction:
+    k(a, b) = Tr(rho_a rho_b), so K = Phi Phi^T with Phi of width 4^q
+    (equivalently, K is the entrywise product of G and conj(G), with G the
+    PSD overlap matrix, and the Schur product theorem applies).
     """
     if not len(train_angles):
         raise ValueError("train set must be nonempty")
     if len(train_angles) > max_train:
         raise ValueError(f"train set exceeds the n={max_train} memory cap")
-
-    def stack(vs):
-        return np.stack([v.angles for v in vs])
-
-    train_states = feature_statevectors(stack(train_angles), spec)
-    k = gram_from_states(train_states)
+    states = feature_statevectors(np.stack([v.angles for v in train_angles]), spec)
+    k = gram_from_states(states)
     k = (k + k.T) / 2.0
     np.clip(k, 0.0, 1.0, out=k)
-    k = psd_clamp(k)
-    k = (k + k.T) / 2.0
-    np.clip(k, 0.0, 1.0, out=k)
-
-    def block(vs):
-        if vs is None or not len(vs):
-            return None
-        states = feature_statevectors(stack(vs), spec)
-        b = gram_from_states(states, train_states)
-        return np.clip(b, 0.0, 1.0)
-
-    return GramBundle(k, val_block=block(val_angles), test_block=block(test_angles))
+    return GramBundle(k)
 
 
 def center_gram(bundle: GramBundle) -> GramBundle:
-    """Double-center the train Gram (HKH) and out-of-sample blocks.
+    """Double-center the train Gram (HKH).
 
-    An out-of-sample row r becomes r - colmeans(K) - rowmean(r) + grandmean(K).
-    The stats are stored so later single rows can be centered consistently.
+    The column means and grand mean are stored so out-of-sample rows can
+    be centred consistently: a row r becomes
+    r - colmeans(K) - rowmean(r) + grandmean(K).
     """
     if bundle.centered:
         raise ValueError("bundle already centered")
@@ -319,27 +294,12 @@ def center_gram(bundle: GramBundle) -> GramBundle:
     col_means = k.mean(axis=0)
     grand = float(k.mean())
     centered_k = k - col_means[None, :] - col_means[:, None] + grand
-
-    def center_block(b):
-        if b is None:
-            return None
-        return b - col_means[None, :] - b.mean(axis=1)[:, None] + grand
-
     return GramBundle(
         train_gram=(centered_k + centered_k.T) / 2.0,
-        val_block=center_block(bundle.val_block),
-        test_block=center_block(bundle.test_block),
         centering_row_means=col_means.copy(),
         centering_grand_mean=grand,
         centered=True,
     )
-
-
-def center_test_row(row: np.ndarray, row_means: np.ndarray, grand_mean: float) -> np.ndarray:
-    r = np.asarray(row, dtype=float).reshape(-1)
-    if r.size != row_means.size:
-        raise ValueError(f"row length {r.size} != n {row_means.size}")
-    return r - row_means - r.mean() + grand_mean
 
 
 # ------------------------------------------------------------- persistence
@@ -347,20 +307,13 @@ def center_test_row(row: np.ndarray, row_means: np.ndarray, grand_mean: float) -
 
 def save_gram_bundle(bundle: GramBundle, directory, spec: Optional[FeatureMapSpec] = None) -> dict:
     d = persist.ensure_dir(directory)
+    sha = persist.save_array_f64(d / "train.f64", bundle.train_gram)
     header = {
         "n_train": bundle.n_train,
         "centered": bundle.centered,
-        "blocks": {},
+        "train": {"shape": list(bundle.train_gram.shape), "sha256": sha},
         "spec": spec.as_dict() if spec else None,
     }
-    arrays = {"train": bundle.train_gram}
-    if bundle.val_block is not None:
-        arrays["val"] = bundle.val_block
-    if bundle.test_block is not None:
-        arrays["test"] = bundle.test_block
-    for name, arr in arrays.items():
-        sha = persist.save_array_f64(d / f"{name}.f64", arr)
-        header["blocks"][name] = {"shape": list(arr.shape), "sha256": sha}
     if bundle.centered:
         header["centering"] = {
             "row_means": [float(x) for x in bundle.centering_row_means],
@@ -370,24 +323,23 @@ def save_gram_bundle(bundle: GramBundle, directory, spec: Optional[FeatureMapSpe
     return header
 
 
+def load_centering_means(directory) -> np.ndarray:
+    """The centred train Gram's column means from gram.json, without
+    reading the Gram itself."""
+    header = persist.load_json(persist.ensure_dir(directory) / "gram.json")
+    return np.array(header["centering"]["row_means"])
+
+
 def load_gram_bundle(directory) -> GramBundle:
     d = persist.ensure_dir(directory)
     header = persist.load_json(d / "gram.json")
-
-    def arr(name):
-        meta = header["blocks"].get(name)
-        if meta is None:
-            return None
-        data = persist.load_array_f64(d / f"{name}.f64", tuple(meta["shape"]))
-        if persist.sha256_file(d / f"{name}.f64") != meta["sha256"]:
-            raise ValueError(f"{name}.f64 hash mismatch")
-        return data
-
+    meta = header["train"]
+    train = persist.load_array_f64(d / "train.f64", tuple(meta["shape"]))
+    if persist.sha256_file(d / "train.f64") != meta["sha256"]:
+        raise ValueError("train.f64 hash mismatch")
     stats = header.get("centering")
     return GramBundle(
-        train_gram=arr("train"),
-        val_block=arr("val"),
-        test_block=arr("test"),
+        train_gram=train,
         centering_row_means=np.array(stats["row_means"]) if stats else None,
         centering_grand_mean=stats["grand_mean"] if stats else None,
         centered=header["centered"],

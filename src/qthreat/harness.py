@@ -281,21 +281,6 @@ def _source_hashes(config: ExperimentConfig) -> List[str]:
     return [persist.sha256_bytes(persist.canonical_json(entries).encode())]
 
 
-def _stratified_limit(y: np.ndarray, limit: int, seed: int) -> np.ndarray:
-    """Indices of a stratified subsample of exactly `limit` rows (sorted)."""
-    y = np.asarray(y, dtype=int)
-    if y.size <= limit:
-        return np.arange(y.size)
-    counts = {str(c): int((y == c).sum()) for c in np.unique(y)}
-    alloc = datapipe.apportion(counts, limit)
-    picked = []
-    for name, take in sorted(alloc.items()):
-        pos = np.flatnonzero(y == int(name))
-        rng = np.random.default_rng(np.random.SeedSequence([seed, int(name)]))
-        picked.append(np.sort(rng.permutation(pos)[:take]))
-    return np.sort(np.concatenate(picked))
-
-
 def _stage_preprocess(config: ExperimentConfig, root: Path):
     slice_ = {
         "dataset": config.dataset,
@@ -331,7 +316,7 @@ def _stage_preprocess(config: ExperimentConfig, root: Path):
     if n > config.max_train:
         # transformer statistics stay fitted on the full pre-carve train set;
         # only the rows the models see are capped
-        idx = _stratified_limit(split.y_train, config.max_train, config.seeds.data)
+        idx = datapipe.stratified_indices(split.y_train, config.max_train, config.seeds.data)
         split = dataclasses.replace(
             split,
             x_train=split.x_train[idx],
@@ -377,26 +362,21 @@ def _angles(config: ExperimentConfig, enc_model, scaler, x: np.ndarray) -> np.nd
     return vqc.angles_from_features(x, enc_model, scaler, config.qubits)
 
 
+def _qsvm_scorer(config: ExperimentConfig, split, svm, enc_model, scaler, row_means):
+    """The QSVM's exact scorer over angle rows (qsvm.observable_scorer)."""
+    support_angles = _angles(config, enc_model, scaler, split.x_train[svm.support])
+    return qsvm.observable_scorer(svm, support_angles, row_means, config.feature_spec())
+
+
 def _stage_gram(config: ExperimentConfig, root: Path, split, enc_model, scaler, enc_key: str):
     fspec = config.feature_spec()
     key = persist.stage_key("gram", fspec.as_dict(), [enc_key])
     d = _stage_path(root, "gram")
     if _stage_fresh(d, key):
         return featuremap.load_gram_bundle(d), key
-    rows = {
-        name: _angles(config, enc_model, scaler, x)
-        for name, x in (("train", split.x_train), ("val", split.x_val), ("test", split.x_test))
-    }
-
-    def vectors(name):
-        return [AngleVector(r) for r in rows[name]]
-
+    train_angles = _angles(config, enc_model, scaler, split.x_train)
     bundle = featuremap.build_gram(
-        vectors("train"),
-        fspec,
-        val_angles=vectors("val"),
-        test_angles=vectors("test"),
-        max_train=config.max_train,
+        [AngleVector(r) for r in train_angles], fspec, max_train=config.max_train
     )
     bundle = featuremap.center_gram(bundle)
     featuremap.save_gram_bundle(bundle, d, fspec)
@@ -404,7 +384,9 @@ def _stage_gram(config: ExperimentConfig, root: Path, split, enc_model, scaler, 
     return bundle, key
 
 
-def _stage_svm(config: ExperimentConfig, root: Path, split, bundle, gram_key: str):
+def _stage_svm(
+    config: ExperimentConfig, root: Path, split, bundle, enc_model, scaler, gram_key: str
+):
     slice_ = {
         "c_grid": list(config.c_grid),
         "cv_folds": config.cv_folds,
@@ -423,10 +405,11 @@ def _stage_svm(config: ExperimentConfig, root: Path, split, bundle, gram_key: st
     model = qsvm.solve_dual(
         bundle.train_gram, split.y_train, best_c, class_weights=split.class_weights
     )
-    model = qsvm.with_alignment(model, bundle.val_block, split.y_val)
-    val_scores = qsvm.decision_scores(model, bundle.val_block)
-    threshold = qsvm.tune_threshold(val_scores, split.y_val, config.beta)
-    model = replace(model, threshold=threshold)
+    score = _qsvm_scorer(config, split, model, enc_model, scaler, bundle.centering_row_means)
+    raw = score(_angles(config, enc_model, scaler, split.x_val))
+    sign = qsvm.align_sign(raw, split.y_val)
+    threshold = qsvm.tune_threshold(sign * raw, split.y_val, config.beta)
+    model = replace(model, sign=sign, threshold=threshold)
     qsvm.save_svm(model, d / "svm.json", cv_table=cv_table, extra={"best_c": best_c})
     _mark_stage(d, key)
     return model, key
@@ -585,12 +568,15 @@ def run_experiment(config: ExperimentConfig, workdir, through: Optional[str] = N
         extras: dict = {}
         if config.model == "qsvm":
             svm, stages["svm"] = run_stage(
-                "svm", _stage_svm, split, bundle, stages["gram"]
+                "svm", _stage_svm, split, bundle, enc_model, scaler, stages["gram"]
             )
             threshold = svm.threshold
 
             def evaluate():
-                scores = qsvm.decision_scores(svm, bundle.test_block)
+                score = _qsvm_scorer(
+                    config, split, svm, enc_model, scaler, bundle.centering_row_means
+                )
+                scores = score(_angles(config, enc_model, scaler, split.x_test))
                 return metrics.report(split.y_test, scores, threshold, config.beta)
 
         elif config.model == "vqc":
@@ -753,9 +739,11 @@ def evaluate_bundle(
         scores = _classifier_margin(enc_model, split.x_test)
     elif config.model == "qsvm":
         if backend == "exact":
-            gram = featuremap.load_gram_bundle(root / "gram")
+            enc_model, scaler = load_encoder(root / "encoder")
             svm = qsvm.load_svm(root / "svm" / "svm.json")
-            scores = qsvm.decision_scores(svm, gram.test_block)
+            row_means = featuremap.load_centering_means(root / "gram")
+            score = _qsvm_scorer(config, split, svm, enc_model, scaler, row_means)
+            scores = score(_angles(config, enc_model, scaler, split.x_test))
         else:
             ex = vqc.Execution("shots", ex_shots, noise, ex_mitigate, ex_seed)
             streamed = evaluate_streaming(
@@ -787,22 +775,6 @@ def evaluate_bundle(
 # -------------------------------------------------------------- streaming
 
 
-def _reference_indices(svm: qsvm.SvmModel, y_train: np.ndarray, limit: int, seed: int):
-    """Support vectors, stratified-subsampled by label when over the cap."""
-    support = np.asarray(svm.support, dtype=int)
-    if support.size <= limit:
-        return support
-    labels = np.asarray(y_train, dtype=int)[support]
-    counts = {str(c): int((labels == c).sum()) for c in np.unique(labels)}
-    alloc = datapipe.apportion(counts, limit)
-    picked = []
-    for name, take in sorted(alloc.items()):
-        pos = np.flatnonzero(labels == int(name))
-        rng = np.random.default_rng(np.random.SeedSequence([seed, int(name)]))
-        picked.append(pos[np.sort(rng.permutation(pos.size)[:take])])
-    return support[np.sort(np.concatenate(picked))]
-
-
 def _pair_seed(base: int, sample: int, ref: int) -> int:
     return int(np.random.SeedSequence([base, sample, ref]).generate_state(1)[0])
 
@@ -817,11 +789,14 @@ def evaluate_streaming(
 ) -> dict:
     """Score test rows one at a time, emitting one audit line per sample.
 
-    QSVM rows are scored against a reference set of support vectors
-    (stratified-subsampled to `reference_limit` when necessary) using the
-    identity sum_i coef_i * (k(x, i) - mu_i) + b, which matches the batch
-    decision because the dual coefficients sum to zero. Kernel circuit
-    evaluations run in groups of STREAM_BATCH samples.
+    In exact mode QSVM rows go through the model's observable
+    (qsvm.observable_scorer), which folds in every support vector, so the
+    scores equal batch scoring. In shot mode each row's kernel against a
+    reference set of support vectors (stratified-subsampled to
+    `reference_limit` when necessary) is estimated with compute-uncompute
+    circuits and combined by the identity sum_i coef_i * (k(x, i) - mu_i) + b,
+    which matches the batch decision because the dual coefficients sum to
+    zero. Rows are scored in groups of STREAM_BATCH samples.
     """
     bundle = load_bundle(workdir)
     if not bundle.complete:
@@ -843,16 +818,20 @@ def evaluate_streaming(
     enc_model, scaler = load_encoder(root / "encoder")
     if config.model == "qsvm":
         svm = qsvm.load_svm(root / "svm" / "svm.json")
-        gram = featuremap.load_gram_bundle(root / "gram")
-        if reference_limit < 1 or reference_limit > gram.n_train:
+        if reference_limit < 1 or reference_limit > svm.n_train:
             raise ValueError("reference set larger than the stored Gram")
-        fspec = config.feature_spec()
-        train_angles = _angles(config, enc_model, scaler, split.x_train)
-        refs = _reference_indices(svm, split.y_train, reference_limit, config.seeds.sampling)
-        ref_pos = {int(t): i for i, t in enumerate(svm.support)}
-        coef = svm.coef[[ref_pos[int(t)] for t in refs]]
-        mu = gram.centering_row_means[refs]
-        ref_states = featuremap.feature_statevectors(train_angles[refs], fspec)
+        row_means = featuremap.load_centering_means(root / "gram")
+        if execution.mode == "exact":
+            exact_score = _qsvm_scorer(config, split, svm, enc_model, scaler, row_means)
+            refs = svm.support
+        else:
+            fspec = config.feature_spec()
+            train_angles = _angles(config, enc_model, scaler, split.x_train)
+            picked = datapipe.stratified_indices(
+                split.y_train[svm.support], reference_limit, config.seeds.sampling
+            )
+            refs, coef = svm.support[picked], svm.coef[picked]
+            mu = row_means[refs]
         score_source = "qsvm"
     elif config.model == "vqc":
         enc_dir = root / "vqc" / "encoder" if config.fine_tune else root / "encoder"
@@ -873,8 +852,7 @@ def evaluate_streaming(
             chunk = test_angles[start:stop]
             if score_source == "qsvm":
                 if execution.mode == "exact":
-                    states = featuremap.feature_statevectors(chunk, fspec)
-                    kernels = np.clip(featuremap.gram_from_states(states, ref_states), 0.0, 1.0)
+                    chunk_scores = exact_score(chunk)
                 else:
                     kernels = np.empty((chunk.shape[0], refs.size))
                     for i, row in enumerate(chunk):
@@ -889,7 +867,7 @@ def evaluate_streaming(
                                 mitigate=execution.mitigate,
                                 seed=_pair_seed(execution.seed, start + i, j),
                             )
-                chunk_scores = svm.sign * ((kernels - mu[None, :]) @ coef + svm.bias)
+                    chunk_scores = svm.sign * ((kernels - mu[None, :]) @ coef + svm.bias)
             else:
                 if execution.mode == "exact":
                     chunk_scores = vqc.decision_logits(chunk, model)

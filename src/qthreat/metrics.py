@@ -185,22 +185,6 @@ def report(labels, scores, threshold: float, beta: float = 2.0) -> MetricsReport
     )
 
 
-def best_threshold_f_beta(labels, scores, beta: float = 2.0) -> Tuple[float, float]:
-    """Threshold from the candidate set of unique scores maximizing F_beta.
-
-    Ties resolve to the smallest threshold, keeping the choice deterministic.
-    """
-    y = _as_binary(labels, "labels")
-    s = np.asarray(scores, dtype=float).reshape(-1)
-    best_t, best_v = float("-inf"), -1.0
-    for t in np.unique(s):
-        counts = confusion(y, (s >= t).astype(int))
-        v = f_beta(counts, beta)
-        if v > best_v + 1e-15:
-            best_t, best_v = float(t), v
-    return best_t, best_v
-
-
 class StreamingConfusion:
     """Single-writer running tally that emits one audit line per sample.
 

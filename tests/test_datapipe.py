@@ -19,11 +19,13 @@ from qthreat.datapipe import (
     load_split,
     save_split,
     select_eval_subset,
+    stratified_indices,
     stratified_take,
     tokenize,
     transform_tfidf,
 )
 from conftest import make_record, write_nslkdd_pair
+from oracles import reference_indices, stratified_limit
 
 N_NUM = len(NUMERIC_COLUMNS)
 
@@ -151,8 +153,33 @@ def test_class_weights_formula():
     w = class_weights([0] * 90 + [1] * 10)
     assert abs(w[0] - 100 / 180) < 1e-12 and w[1] == 5.0
     assert abs(w[0] * 90 + w[1] * 10 - 100) < 1e-9  # balancing identity
+    assert class_weights(np.array([0, 0, 0, 1])) == pytest.approx((4 / 6, 4 / 2))
     with pytest.raises(ValueError):
         class_weights([1, 1, 1])
+    with pytest.raises(ValueError):
+        class_weights(np.array([0, 0]))
+
+
+def test_stratified_indices_match_both_former_pickers():
+    rng = np.random.default_rng(16)
+    for trial in range(40):
+        n = int(rng.integers(2, 300))
+        y = (rng.random(n) < rng.uniform(0.05, 0.95)).astype(int)
+        y[0] = 1 - y[-1]
+        limit = int(rng.integers(2, n + 5))
+        seed = int(rng.integers(0, 2**31))
+        # the preprocess carve of the training rows
+        assert np.array_equal(stratified_indices(y, limit, seed), stratified_limit(y, limit, seed))
+        # the shot-mode reference sample, drawn among support vectors
+        support = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+        if np.unique(y[support]).size < 2:
+            continue
+        picked = support[stratified_indices(y[support], limit, seed)]
+        assert np.array_equal(picked, reference_indices(support, y, limit, seed))
+    y = np.array([0] * 30 + [1] * 10)
+    idx = stratified_indices(y, 8, seed=1)
+    assert idx.size == 8 and np.all(np.diff(idx) > 0)
+    assert np.sum(y[idx] == 1) == 2
 
 
 def test_stratified_take_bounds():

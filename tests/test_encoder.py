@@ -8,7 +8,6 @@ from qthreat.encoder import (
     EncoderModel,
     EmbeddingScaler,
     TrainSchedule,
-    balanced_class_weights,
     embeddings,
     fit_scaler,
     forward,
@@ -193,13 +192,6 @@ def test_loss_rejects_bad_batches():
         loss_and_gradients(model, np.zeros((0, 5)), np.zeros(0))
     with pytest.raises(ValueError):
         loss_and_gradients(model, np.zeros((2, 5)), np.array([0, 2]))
-
-
-def test_balanced_weights():
-    w0, w1 = balanced_class_weights(np.array([0, 0, 0, 1]))
-    assert (w0, w1) == pytest.approx((4 / 6, 4 / 2))
-    with pytest.raises(ValueError):
-        balanced_class_weights(np.array([1, 1]))
 
 
 # --------------------------------------------------------------- training

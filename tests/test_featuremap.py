@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qthreat.featuremap import (
     AngleVector,
@@ -10,17 +12,20 @@ from qthreat.featuremap import (
     build_feature_map,
     build_gram,
     center_gram,
-    center_test_row,
     compute_uncompute_program,
     encode_angles,
     feature_state,
     feature_statevectors,
     fidelity_kernel,
     fidelity_kernel_shots,
+    gram_from_states,
+    load_centering_means,
     load_gram_bundle,
     save_gram_bundle,
 )
 from qthreat.qsim import CircuitProgram, GateOp, NoiseSpec, apply_circuit, zero_state
+
+from oracles import center_test_row
 
 SPEC2 = FeatureMapSpec(num_qubits=2, reps=1)
 
@@ -294,7 +299,11 @@ def test_gram_matches_pairwise_kernel():
     spec = FeatureMapSpec(3, reps=2)
     points = [random_angles(rng, 3) for _ in range(3)]
     others = [random_angles(rng, 3) for _ in range(2)]
-    bundle = build_gram(points, spec, val_angles=others)
+    bundle = build_gram(points, spec)
+    cross = gram_from_states(
+        feature_statevectors(np.stack([p.angles for p in others]), spec),
+        feature_statevectors(np.stack([p.angles for p in points]), spec),
+    )
     for i in range(3):
         for j in range(3):
             want = fidelity_kernel(points[i], points[j], spec)
@@ -302,7 +311,7 @@ def test_gram_matches_pairwise_kernel():
     for i in range(2):
         for j in range(3):
             want = fidelity_kernel(others[i], points[j], spec)
-            assert bundle.val_block[i, j] == pytest.approx(want, abs=1e-10)
+            assert cross[i, j] == pytest.approx(want, abs=1e-10)
 
 
 def test_gram_psd_after_clamp():
@@ -313,6 +322,29 @@ def test_gram_psd_after_clamp():
     assert np.linalg.eigvalsh((raw + raw.T) / 2).min() >= -1e-8
     bundle = build_gram(points, SPEC2)
     assert np.linalg.eigvalsh(bundle.train_gram).min() >= -1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    q=st.integers(2, 4),
+    reps=st.sampled_from([1, 2]),
+    entanglement=st.sampled_from(["full", "linear"]),
+    convention=st.sampled_from(["pi_minus", "product"]),
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    duplicates=st.booleans(),
+)
+def test_gram_psd_by_construction(q, reps, entanglement, convention, n, seed, duplicates):
+    # k(a, b) = Tr(rho_a rho_b) makes K = Phi Phi^T: after symmetrising and
+    # clipping to [0, 1], as build_gram does, it stays PSD within rounding
+    spec = FeatureMapSpec(q, reps, entanglement, convention)
+    angles = np.random.default_rng(seed).uniform(-math.pi, math.pi, size=(n, q))
+    if duplicates:
+        angles[n // 2:] = angles[: n - n // 2]
+    k = gram_from_states(feature_statevectors(angles, spec))
+    k = (k + k.T) / 2.0
+    np.clip(k, 0.0, 1.0, out=k)
+    assert np.linalg.eigvalsh(k).min() >= -1e-10
 
 
 def test_gram_permutation_equivariance():
@@ -408,34 +440,19 @@ def test_center_row_rejects_bad_length():
         )
 
 
-def test_val_block_centering_consistency():
-    rng = np.random.default_rng(13)
-    points = [random_angles(rng, 2) for _ in range(5)]
-    others = [random_angles(rng, 2) for _ in range(3)]
-    bundle = build_gram(points, SPEC2, val_angles=others)
-    centered = center_gram(bundle)
-    for i in range(3):
-        row = center_test_row(
-            bundle.val_block[i],
-            centered.centering_row_means,
-            centered.centering_grand_mean,
-        )
-        np.testing.assert_allclose(row, centered.val_block[i], atol=1e-12)
-
-
 # ------------------------------------------------------------- persistence
 
 
 def test_gram_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(14)
     points = [random_angles(rng, 2) for _ in range(5)]
-    others = [random_angles(rng, 2) for _ in range(2)]
-    bundle = center_gram(build_gram(points, SPEC2, val_angles=others, test_angles=others))
+    bundle = center_gram(build_gram(points, SPEC2))
     save_gram_bundle(bundle, tmp_path, spec=SPEC2)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gram.json", "train.f64"]
     loaded = load_gram_bundle(tmp_path)
     assert np.array_equal(loaded.train_gram, bundle.train_gram)
-    assert np.array_equal(loaded.val_block, bundle.val_block)
-    assert np.array_equal(loaded.test_block, bundle.test_block)
+    assert loaded.val_block is None and loaded.test_block is None
     assert np.array_equal(loaded.centering_row_means, bundle.centering_row_means)
+    assert np.array_equal(load_centering_means(tmp_path), bundle.centering_row_means)
     assert loaded.centering_grand_mean == bundle.centering_grand_mean
     assert loaded.centered

@@ -8,10 +8,12 @@ import pytest
 
 from qthreat import datapipe, featuremap, harness, persist, qsvm, vqc
 from qthreat.cli import main
+from qthreat.encoder import load_encoder
 from qthreat.harness import ExperimentConfig, PipelineError, Seeds
 from qthreat.qsim import NoiseSpec
 
 from conftest import write_nslkdd_pair
+from oracles import block_scores
 
 
 def _cdict(c):
@@ -123,16 +125,33 @@ def test_qsvm_pipeline_completes(qsvm_bundle):
     # every recorded file hash verifies
     bundle = harness.load_bundle(d)
     assert bundle.complete and bundle.config == config
+    # no out-of-sample Gram blocks: val and test rows go through the observable
+    assert sorted(p.name for p in (d / "gram").iterdir()) == ["gram.json", "stage.json", "train.f64"]
 
 
 def test_threshold_comes_from_validation(qsvm_bundle):
-    _, d, manifest = qsvm_bundle
+    config, d, manifest = qsvm_bundle
     split = datapipe.load_split(d / "preprocess")
     gram = featuremap.load_gram_bundle(d / "gram")
     svm = qsvm.load_svm(d / "svm" / "svm.json")
-    val_scores = qsvm.decision_scores(svm, gram.val_block)
+    enc_model, scaler = load_encoder(d / "encoder")
+
+    def angles(x):
+        return vqc.angles_from_features(x, enc_model, scaler, config.qubits)
+
+    spec = config.feature_spec()
+    score = qsvm.observable_scorer(
+        svm, angles(split.x_train[svm.support]), gram.centering_row_means, spec
+    )
+    val_scores = score(angles(split.x_val))
     assert qsvm.tune_threshold(val_scores, split.y_val, 2.0) == manifest["threshold"]
     assert svm.threshold == manifest["threshold"]
+    # the observable reproduces scoring through centred Gram rows
+    oracle = block_scores(
+        svm, angles(split.x_train), angles(split.x_val), spec,
+        gram.centering_row_means, gram.centering_grand_mean,
+    )
+    np.testing.assert_allclose(val_scores, oracle, rtol=0.0, atol=1e-9)
 
 
 def test_rerun_is_memoized_and_stages_resume(qsvm_bundle, make_config, tmp_path):
@@ -186,14 +205,13 @@ def test_replacing_test_rows_keeps_fitted_artifacts(make_config, tmp_path):
         "encoder/encoder.f64",
         "encoder/encoder.json",
         "gram/train.f64",
-        "gram/val.f64",
         "svm/svm.json",
         "preprocess/x_train.f64",
     ]
     for name in fitted:
         assert m1["files"][name] == m2["files"][name], name
     assert m1["threshold"] == m2["threshold"]
-    assert m1["files"]["gram/test.f64"] != m2["files"]["gram/test.f64"]
+    assert m1["files"]["preprocess/x_test.f64"] != m2["files"]["preprocess/x_test.f64"]
 
 
 def test_vqc_pipeline_completes(vqc_bundle):
@@ -304,9 +322,7 @@ def test_streaming_full_test_matches_batch(qsvm_bundle):
     _, d, manifest = qsvm_bundle
     split = datapipe.load_split(d / "preprocess")
     n = split.y_test.size
-    out = harness.evaluate_streaming(
-        d, subset=np.arange(n), reference_limit=split.y_train.size
-    )
+    out = harness.evaluate_streaming(d, subset=np.arange(n))
     rep = out["report"]
     batch = manifest["metrics"]
     assert _cdict(rep.confusion) == batch["confusion"]
@@ -321,7 +337,8 @@ def test_streaming_subset_audit_and_reference_cap(qsvm_bundle):
     _, d, _ = qsvm_bundle
     out = harness.evaluate_streaming(d, subset_size=50)
     assert len(out["lines"]) == 50
-    assert out["reference_size"] <= harness.REFERENCE_LIMIT
+    # exact streaming folds every support vector into the observable
+    assert out["reference_size"] == qsvm.load_svm(d / "svm" / "svm.json").support.size
     split = datapipe.load_split(d / "preprocess")
     cats = {split.test_categories[i] for i in out["indices"]}
     assert cats == set(split.test_categories)
@@ -351,6 +368,7 @@ def test_streaming_shot_mode_tracks_exact(qsvm_bundle):
     )
     assert np.array_equal(exact["indices"], noisy["indices"])
     assert abs(exact["report"].accuracy - noisy["report"].accuracy) <= 0.10
+    assert noisy["reference_size"] == min(exact["reference_size"], harness.REFERENCE_LIMIT)
 
 
 def test_streaming_reference_limit_errors(qsvm_bundle):

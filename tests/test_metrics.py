@@ -10,7 +10,6 @@ from qthreat.metrics import (
     accuracy,
     auprc,
     auroc,
-    best_threshold_f_beta,
     confusion,
     f_beta,
     macro_f1,
@@ -255,24 +254,3 @@ def test_report_fields_and_threshold():
 def test_report_validation():
     with pytest.raises(ValueError):
         MetricsReport(1.2, 0.5, 0.5, 0.5, 0.5, ConfusionCounts(tp=1), 0.0)
-
-
-def test_best_threshold_maximizes_f_beta():
-    rng = np.random.default_rng(12)
-    y = rng.integers(0, 2, size=60)
-    y[:2] = [0, 1]
-    s = np.round(rng.normal(size=60) + 0.8 * y, 1)
-    t_star, v_star = best_threshold_f_beta(y, s, beta=2.0)
-    for t in np.unique(s):
-        counts = confusion(y, (s >= t).astype(int))
-        assert f_beta(counts, 2.0) <= v_star + 1e-12
-    counts = confusion(y, (s >= t_star).astype(int))
-    assert f_beta(counts, 2.0) == pytest.approx(v_star)
-
-
-def test_best_threshold_tie_breaks_low():
-    # both thresholds achieve identical F_beta; lowest wins
-    y = [1, 1]
-    s = [0.2, 0.7]
-    t_star, _ = best_threshold_f_beta(y, s, beta=1.0)
-    assert t_star == 0.2

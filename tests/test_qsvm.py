@@ -1,31 +1,36 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qthreat.datapipe import class_weights
 from qthreat.featuremap import (
     AngleVector,
     FeatureMapSpec,
     build_gram,
     center_gram,
+    feature_statevectors,
+    gram_from_states,
 )
 from qthreat.metrics import confusion, f_beta
 from qthreat.qsvm import (
     CvPlan,
     SvmModel,
     align_sign,
-    balanced_weights,
-    decision_scores,
     load_svm,
-    predict,
+    observable_scorer,
     raw_decision_scores,
     save_svm,
     select_c,
     solve_dual,
     stratified_folds,
     tune_threshold,
-    with_alignment,
 )
+
+from oracles import block_scores, tune_threshold_loop
 
 SPEC2 = FeatureMapSpec(num_qubits=2, reps=1)
 
@@ -89,7 +94,7 @@ def test_separable_linear_kernel():
 
 def test_dual_feasibility():
     x, y = separable_points(60, seed=1, margin=0.6)  # some overlap pressure
-    weights = balanced_weights(y)
+    weights = class_weights(y)
     model = solve_dual(linear_gram(x), y, c=1.0, class_weights=weights)
     alpha, box = reconstruct_alpha_box(model)
     assert np.all(alpha >= 0)
@@ -118,16 +123,15 @@ def test_permutation_invariance():
     others = [AngleVector(a) for a in rng.uniform(-math.pi, math.pi, size=(5, 2))]
     # tight tolerance: the converged dual optimum is unique, so scores are
     # order-independent; the default 1e-3 stop leaves visible solver slack
-    bundle = center_gram(build_gram(points, SPEC2, test_angles=others))
-    model = solve_dual(bundle.train_gram, labels, c=1.0, tol=1e-10)
-    scores = raw_decision_scores(model, bundle.test_block)
+    def fit_and_score(order):
+        bundle = center_gram(build_gram([points[i] for i in order], SPEC2))
+        model = solve_dual(bundle.train_gram, labels[order], c=1.0, tol=1e-10)
+        support = angles[order][model.support]
+        score = observable_scorer(model, support, bundle.centering_row_means, SPEC2)
+        return score(np.stack([p.angles for p in others]))
 
-    perm = rng.permutation(20)
-    bundle_p = center_gram(
-        build_gram([points[i] for i in perm], SPEC2, test_angles=others)
-    )
-    model_p = solve_dual(bundle_p.train_gram, labels[perm], c=1.0, tol=1e-10)
-    scores_p = raw_decision_scores(model_p, bundle_p.test_block)
+    scores = fit_and_score(np.arange(20))
+    scores_p = fit_and_score(rng.permutation(20))
     np.testing.assert_allclose(scores, scores_p, atol=1e-8)
 
 
@@ -136,7 +140,7 @@ def test_kkt_on_centered_quantum_kernel():
     angles = rng.uniform(-math.pi, math.pi, size=(30, 2))
     labels = (np.sin(angles[:, 0]) + 0.3 * rng.normal(size=30) > 0).astype(int)
     bundle = center_gram(build_gram([AngleVector(a) for a in angles], SPEC2))
-    weights = balanced_weights(labels)
+    weights = class_weights(labels)
     for c in (0.1, 1.0, 10.0):
         model = solve_dual(bundle.train_gram, labels, c=c, class_weights=weights)
         assert_kkt(model, bundle.train_gram, labels)
@@ -190,9 +194,9 @@ def test_zero_row_scores_bias():
     model = solve_dual(np.eye(2), [1, 0], c=10.0)
     row = np.zeros((1, 2))
     assert raw_decision_scores(model, row)[0] == pytest.approx(model.bias)
-    flipped = with_alignment(model, np.eye(2), np.array([0, 1]))
-    assert flipped.sign == -1
-    assert decision_scores(flipped, row)[0] == pytest.approx(-model.bias)
+    sign = align_sign(raw_decision_scores(model, np.eye(2)), np.array([0, 1]))
+    assert sign == -1
+    assert sign * raw_decision_scores(model, row)[0] == pytest.approx(-model.bias)
 
 
 def test_score_row_width_check():
@@ -214,9 +218,58 @@ def test_aligned_scores_order_validation_means():
     x, y = separable_points(40, seed=7)
     gram = linear_gram(x)
     model = solve_dual(gram, y, c=10.0)
-    model = with_alignment(model, gram, y)
-    s = decision_scores(model, gram)
+    raw = raw_decision_scores(model, gram)
+    s = align_sign(raw, y) * raw
     assert s[y == 1].mean() >= s[y == 0].mean()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    q=st.integers(2, 4),
+    reps=st.sampled_from([1, 2]),
+    entanglement=st.sampled_from(["full", "linear"]),
+    convention=st.sampled_from(["pi_minus", "product"]),
+    n=st.integers(6, 30),
+    m=st.integers(1, 8),
+    c=st.sampled_from([0.1, 1.0, 10.0]),
+    sign=st.sampled_from([-1, 1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_observable_scorer_matches_centred_block_oracle(
+    q, reps, entanglement, convention, n, m, c, sign, seed
+):
+    spec = FeatureMapSpec(q, reps, entanglement, convention)
+    rng = np.random.default_rng(seed)
+    train = rng.uniform(-math.pi, math.pi, size=(n, q))
+    labels = rng.integers(0, 2, size=n)
+    labels[:2] = [0, 1]
+    probe = rng.uniform(-math.pi, math.pi, size=(m, q))
+    bundle = center_gram(build_gram([AngleVector(a) for a in train], spec))
+    model = solve_dual(bundle.train_gram, labels, c, class_weights(labels))
+    model = replace(model, sign=sign)
+    score = observable_scorer(model, train[model.support], bundle.centering_row_means, spec)
+    want = block_scores(
+        model, train, probe, spec, bundle.centering_row_means, bundle.centering_grand_mean
+    )
+    np.testing.assert_allclose(score(probe), want, rtol=0.0, atol=1e-9)
+
+
+def test_observable_scorer_is_row_independent():
+    # streaming scores rows in chunks; each row's score must not depend on
+    # which other rows share its batch
+    rng = np.random.default_rng(15)
+    spec = FeatureMapSpec(3, 2)
+    train = rng.uniform(-math.pi, math.pi, size=(24, 3))
+    labels = (train[:, 0] > 0).astype(int)
+    bundle = center_gram(build_gram([AngleVector(a) for a in train], spec))
+    model = solve_dual(bundle.train_gram, labels, 1.0)
+    score = observable_scorer(model, train[model.support], bundle.centering_row_means, spec)
+    probe = rng.uniform(-math.pi, math.pi, size=(70, 3))
+    whole = score(probe)
+    chunked = np.concatenate([score(probe[i : i + 32]) for i in range(0, 70, 32)])
+    assert np.array_equal(whole, chunked)
+    with pytest.raises(ValueError, match="support vector"):
+        observable_scorer(model, train[:1], bundle.centering_row_means, spec)
 
 
 # --------------------------------------------------------------- threshold
@@ -271,6 +324,27 @@ def test_threshold_matches_bruteforce_oracle():
         assert got == pytest.approx(best_v)
 
 
+_SCORE_KINDS = {
+    "float": st.floats(-1e6, 1e6, allow_nan=False),
+    "integer": st.integers(-4, 4).map(float),
+    "tied": st.sampled_from([-1.0, 0.0, 0.0, 2.5]),
+    # neighbouring doubles: their midpoint rounds onto one of them
+    "adjacent": st.integers(0, 3).map(lambda k: 1.0 + k * 2.0**-52),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_threshold_equals_loop_oracle(data):
+    kind = data.draw(st.sampled_from(sorted(_SCORE_KINDS)))
+    n = data.draw(st.integers(2, 40))
+    scores = np.array(data.draw(st.lists(_SCORE_KINDS[kind], min_size=n, max_size=n)))
+    labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    labels[:2] = [0, 1]
+    beta = data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.7]))
+    assert tune_threshold(scores, labels, beta) == tune_threshold_loop(scores, labels, beta)
+
+
 def test_threshold_needs_both_classes():
     with pytest.raises(ValueError):
         tune_threshold(np.array([0.1, 0.2]), np.array([1, 1]))
@@ -315,15 +389,14 @@ def test_fold_submatrix_bookkeeping():
     all_idx = np.arange(15)
     for held in folds:
         tr = np.setdiff1d(all_idx, held)
-        rebuilt = build_gram(
-            [points[i] for i in tr], SPEC2, val_angles=[points[i] for i in held]
-        )
+        rebuilt = build_gram([points[i] for i in tr], SPEC2)
         np.testing.assert_allclose(
             full[np.ix_(tr, tr)], rebuilt.train_gram, atol=1e-12
         )
-        np.testing.assert_allclose(
-            full[np.ix_(held, tr)], rebuilt.val_block, atol=1e-12
+        cross = gram_from_states(
+            feature_statevectors(angles[held], SPEC2), feature_statevectors(angles[tr], SPEC2)
         )
+        np.testing.assert_allclose(full[np.ix_(held, tr)], cross, atol=1e-12)
 
 
 def test_select_c_prefers_smaller_on_tie():
@@ -350,11 +423,8 @@ def test_cv_plan_validation():
 def test_svm_roundtrip(tmp_path):
     x, y = separable_points(26, seed=14)
     gram = linear_gram(x)
-    model = solve_dual(gram, y, c=10.0, class_weights=balanced_weights(y))
-    model = with_alignment(model, gram, y)
-    from dataclasses import replace
-
-    model = replace(model, threshold=0.25)
+    model = solve_dual(gram, y, c=10.0, class_weights=class_weights(y))
+    model = replace(model, sign=align_sign(raw_decision_scores(model, gram), y), threshold=0.25)
     path = tmp_path / "svm.json"
     save_svm(model, path, cv_table=[{"c": 10.0, "mean_f_beta": 1.0}])
     loaded = load_svm(path)
@@ -367,4 +437,6 @@ def test_svm_roundtrip(tmp_path):
         model.threshold,
     )
     assert loaded.class_weights == model.class_weights
-    np.testing.assert_array_equal(predict(loaded, gram), predict(model, gram))
+    np.testing.assert_array_equal(
+        raw_decision_scores(loaded, gram), raw_decision_scores(model, gram)
+    )
