@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qthreat.datapipe import class_weights
 from qthreat.encoder import (
     EncoderConfig,
     EncoderModel,
@@ -192,6 +193,14 @@ def test_loss_rejects_bad_batches():
         loss_and_gradients(model, np.zeros((0, 5)), np.zeros(0))
     with pytest.raises(ValueError):
         loss_and_gradients(model, np.zeros((2, 5)), np.array([0, 2]))
+
+
+def test_balanced_weights():
+    # the balanced weights the encoder's TrainSchedule is given
+    w0, w1 = class_weights(np.array([0, 0, 0, 1]))
+    assert (w0, w1) == pytest.approx((4 / 6, 4 / 2))
+    with pytest.raises(ValueError):
+        class_weights(np.array([1, 1]))
 
 
 # --------------------------------------------------------------- training
