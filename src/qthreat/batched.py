@@ -12,6 +12,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .qsim import z_signs
+
 
 def zero_batch(m: int, num_qubits: int) -> np.ndarray:
     psi = np.zeros((m, 1 << num_qubits), dtype=complex)
@@ -101,10 +103,4 @@ def cz_chain_diag(num_qubits: int) -> np.ndarray:
 
 def z_all_expectation(psi: np.ndarray, num_qubits: int) -> np.ndarray:
     """<Z tensor ... tensor Z> per row."""
-    dim = 1 << num_qubits
-    idx = np.arange(dim)
-    parity = np.zeros(dim, dtype=np.int64)
-    for t in range(num_qubits):
-        parity ^= (idx >> t) & 1
-    signs = 1.0 - 2.0 * parity
-    return (np.abs(psi) ** 2) @ signs
+    return (np.abs(psi) ** 2) @ z_signs(num_qubits)

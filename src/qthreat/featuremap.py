@@ -7,7 +7,11 @@ convention because published variants differ:
   pi_minus  phi_ij = (pi - theta_i)(pi - theta_j)   (default)
   product   phi_ij = theta_i * theta_j
 
-The convention tag travels with every persisted artifact.
+The convention tag travels with every persisted artifact. Shot-mode
+kernels come from compute-uncompute circuits U(b)^dagger U(a): a stack of
+pairs runs through the shot engine (qsim.evolve_density, then
+qsim.shot_estimates with readout error folded in), and k(a, b) is the
+sampled frequency of |0...0>.
 """
 from __future__ import annotations
 
@@ -19,17 +23,12 @@ import numpy as np
 from . import batched, persist
 from .qsim import (
     CircuitProgram,
-    DensityState,
     GateOp,
     NoiseSpec,
     PureState,
     apply_circuit,
-    apply_circuit_noisy,
-    apply_readout_error,
-    density_from_pure,
-    mitigate_readout,
-    sample_shots,
-    sample_shots_density,
+    outcome_probabilities,
+    shot_estimates,
     zero_state,
 )
 
@@ -108,20 +107,24 @@ def pair_phases(theta: np.ndarray, spec: FeatureMapSpec) -> np.ndarray:
     return out[0] if squeeze else out
 
 
-def build_feature_map(theta: AngleVector, spec: FeatureMapSpec) -> CircuitProgram:
-    if len(theta) != spec.num_qubits:
+def build_feature_map(theta, spec: FeatureMapSpec) -> CircuitProgram:
+    """The feature-map circuit of one AngleVector (float angles), or of a
+    stack of m angle rows (m, q), whose parametric gates then carry (m,)
+    angle arrays for `qsim.evolve_density`."""
+    t = theta.angles if isinstance(theta, AngleVector) else np.asarray(theta, dtype=float)
+    if t.shape[-1] != spec.num_qubits:
         raise ValueError(
-            f"angle vector length {len(theta)} != num_qubits {spec.num_qubits}"
+            f"angle vector length {t.shape[-1]} != num_qubits {spec.num_qubits}"
         )
-    phis = pair_phases(theta.angles, spec)
+    phis = pair_phases(t, spec)
     ops = []
     for _ in range(spec.reps):
-        for t in range(spec.num_qubits):
-            ops.append(GateOp("H", (t,)))
-        for t in range(spec.num_qubits):
-            ops.append(GateOp("RZ", (t,), 2.0 * float(theta.angles[t])))
+        for q in range(spec.num_qubits):
+            ops.append(GateOp("H", (q,)))
+        for q in range(spec.num_qubits):
+            ops.append(GateOp("RZ", (q,), 2.0 * t[..., q]))
         for p, (i, j) in enumerate(spec.pairs):
-            ops.append(GateOp("RZZ", (i, j), 2.0 * float(phis[p])))
+            ops.append(GateOp("RZZ", (i, j), 2.0 * phis[..., p]))
     return CircuitProgram(spec.num_qubits, ops)
 
 
@@ -157,10 +160,9 @@ def fidelity_kernel(theta_a: AngleVector, theta_b: AngleVector, spec: FeatureMap
     return float(min(1.0, max(0.0, k)))
 
 
-def compute_uncompute_program(
-    theta_a: AngleVector, theta_b: AngleVector, spec: FeatureMapSpec
-) -> CircuitProgram:
-    """U(theta_b)^dagger U(theta_a); P(all zeros) estimates the kernel."""
+def compute_uncompute_program(theta_a, theta_b, spec: FeatureMapSpec) -> CircuitProgram:
+    """U(theta_b)^dagger U(theta_a); P(all zeros) estimates the kernel.
+    Either side may be a stack of angle rows (see `build_feature_map`)."""
     fwd = build_feature_map(theta_a, spec)
     bwd = build_feature_map(theta_b, spec)
     inv = []
@@ -172,6 +174,24 @@ def compute_uncompute_program(
     return CircuitProgram(spec.num_qubits, fwd.ops + tuple(inv))
 
 
+def kernel_shot_estimates(
+    theta_a, theta_b, spec: FeatureMapSpec, shots: int, noise: Optional[NoiseSpec], mitigate: bool, seeds
+) -> np.ndarray:
+    """Shot estimates of k(a, b) for a stack of pairs, one seed per pair.
+
+    The compute-uncompute circuits of every pair (either side a single
+    AngleVector or a stack of rows) run as one stacked density evolution,
+    with depolarizing noise when `noise` has it; each pair's estimate is
+    its sampled, readout-folded and optionally mitigated frequency of
+    |0...0>. Estimator variance is k(1-k)/shots in the noiseless case.
+    """
+    noise = noise or NoiseSpec()
+    probs = outcome_probabilities(compute_uncompute_program(theta_a, theta_b, spec), noise)
+    zeros = np.zeros(probs.shape[1])
+    zeros[0] = 1.0
+    return shot_estimates(probs, zeros, shots, seeds, noise, mitigate)
+
+
 def fidelity_kernel_shots(
     theta_a: AngleVector,
     theta_b: AngleVector,
@@ -181,33 +201,9 @@ def fidelity_kernel_shots(
     mitigate: bool = False,
     seed: int = 0,
 ) -> float:
-    """Shot-based kernel estimate via the compute-uncompute circuit.
-
-    Depolarizing noise routes through the density-matrix simulator; readout
-    error corrupts sampled counts and is optionally inverted. Estimator
-    variance is k(1-k)/shots in the noiseless case.
-    """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    noise = noise or NoiseSpec()
-    prog = compute_uncompute_program(theta_a, theta_b, spec)
-    seeds = np.random.SeedSequence(seed).generate_state(2)
-    if noise.depol_1q > 0 or noise.depol_2q > 0:
-        rho = apply_circuit_noisy(
-            density_from_pure(zero_state(spec.num_qubits)), prog, noise
-        )
-        result = sample_shots_density(rho, shots, int(seeds[0]))
-    else:
-        state = apply_circuit(zero_state(spec.num_qubits), prog)
-        result = sample_shots(state, shots, int(seeds[0]))
-    if noise.any_readout:
-        result = apply_readout_error(result, noise, int(seeds[1]))
-    zeros = "0" * spec.num_qubits
-    if mitigate:
-        est = mitigate_readout(result, noise)[zeros]
-    else:
-        est = result.frequency(zeros)
-    return float(min(1.0, max(0.0, est)))
+    """Shot-based kernel estimate of one pair via the compute-uncompute
+    circuit (`kernel_shot_estimates` on one pair)."""
+    return float(kernel_shot_estimates(theta_a, theta_b, spec, shots, noise, mitigate, [seed])[0])
 
 
 # ----------------------------------------------------------------- Gram

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import RNG_KIND, __version__, datapipe, featuremap, metrics, persist, qsvm, vqc
+from . import RNG_KIND, __version__, datapipe, featuremap, metrics, persist, qsim, qsvm, vqc
 from .encoder import (
     EncoderConfig,
     EncoderModel,
@@ -642,14 +642,16 @@ def _finish(manifest, mpath, root, stages, complete: bool) -> dict:
 
 
 def _vqc_consistency(angle_rows: np.ndarray, model: vqc.VqcModel, cap: int = 16) -> float:
-    """Max gap between the per-sample circuit path and the vectorized
-    batch path on a prefix of rows; the two must agree to 1e-9."""
+    """Max gap, on a prefix of rows, between the exact statevector logits and
+    the parity of the shot engine's noiseless outcome distributions (the
+    stacked density evolution); the two must agree to 1e-9."""
     rows = angle_rows[:cap]
-    batch = vqc.decision_logits(rows, model)
-    single = np.array(
-        [vqc.forward_logit(AngleVector(r), model) for r in rows]
-    )
-    gap = float(np.max(np.abs(batch - single))) if rows.shape[0] else 0.0
+    if not rows.shape[0]:
+        return 0.0
+    exact = vqc.decision_logits(rows, model)
+    probs = qsim.outcome_probabilities(vqc.build_vqc_circuit(rows, model), NoiseSpec())
+    engine = model.scale * (probs @ qsim.z_signs(model.spec.num_qubits)) + model.bias
+    gap = float(np.max(np.abs(exact - engine)))
     if gap > 1e-9:
         raise ValueError(f"exact evaluators disagree by {gap:.3e}")
     return gap
@@ -791,12 +793,13 @@ def evaluate_streaming(
 
     In exact mode QSVM rows go through the model's observable
     (qsvm.observable_scorer), which folds in every support vector, so the
-    scores equal batch scoring. In shot mode each row's kernel against a
+    scores equal batch scoring. In shot mode each row's kernels against a
     reference set of support vectors (stratified-subsampled to
-    `reference_limit` when necessary) is estimated with compute-uncompute
-    circuits and combined by the identity sum_i coef_i * (k(x, i) - mu_i) + b,
-    which matches the batch decision because the dual coefficients sum to
-    zero. Rows are scored in groups of STREAM_BATCH samples.
+    `reference_limit` when necessary) come from one stacked call of the shot
+    engine (featuremap.kernel_shot_estimates, one _pair_seed per pair) and
+    are combined by the identity sum_i coef_i * (k(x, i) - mu_i) + b, which
+    matches the batch decision because the dual coefficients sum to zero.
+    Rows are scored in groups of STREAM_BATCH samples.
     """
     bundle = load_bundle(workdir)
     if not bundle.complete:
@@ -831,7 +834,7 @@ def evaluate_streaming(
                 split.y_train[svm.support], reference_limit, config.seeds.sampling
             )
             refs, coef = svm.support[picked], svm.coef[picked]
-            mu = row_means[refs]
+            ref_angles, mu = train_angles[refs], row_means[refs]
         score_source = "qsvm"
     elif config.model == "vqc":
         enc_dir = root / "vqc" / "encoder" if config.fine_tune else root / "encoder"
@@ -854,19 +857,14 @@ def evaluate_streaming(
                 if execution.mode == "exact":
                     chunk_scores = exact_score(chunk)
                 else:
-                    kernels = np.empty((chunk.shape[0], refs.size))
-                    for i, row in enumerate(chunk):
-                        a = AngleVector(row)
-                        for j, t in enumerate(refs):
-                            kernels[i, j] = featuremap.fidelity_kernel_shots(
-                                a,
-                                AngleVector(train_angles[t]),
-                                fspec,
-                                execution.shots,
-                                noise=execution.noise,
-                                mitigate=execution.mitigate,
-                                seed=_pair_seed(execution.seed, start + i, j),
-                            )
+                    kernels = np.stack([
+                        featuremap.kernel_shot_estimates(
+                            row, ref_angles, fspec, execution.shots, execution.noise,
+                            execution.mitigate,
+                            [_pair_seed(execution.seed, start + i, j) for j in range(refs.size)],
+                        )
+                        for i, row in enumerate(chunk)
+                    ])
                     chunk_scores = svm.sign * ((kernels - mu[None, :]) @ coef + svm.bias)
             else:
                 if execution.mode == "exact":

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import IO, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 @dataclass(frozen=True)
@@ -85,6 +84,21 @@ def macro_f1(counts: ConfusionCounts) -> float:
     return (neg + pos) / 2.0
 
 
+def midranks(values) -> np.ndarray:
+    """1-based ranks with each group of ties given its mean rank (exact
+    half-integers); all NaN when any value is NaN."""
+    v = np.asarray(values, dtype=float).reshape(-1)
+    if np.isnan(v).any():
+        return np.full(v.size, np.nan)
+    order = np.argsort(v, kind="stable")
+    sv = v[order]
+    starts = np.flatnonzero(np.r_[True, sv[1:] != sv[:-1]])
+    ends = np.r_[starts[1:], v.size]
+    ranks = np.empty(v.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def auroc(labels, scores) -> float:
     """Mann-Whitney AUROC: P(score+ > score-) + 0.5 P(tie), via midranks."""
     y = _as_binary(labels, "labels")
@@ -95,7 +109,7 @@ def auroc(labels, scores) -> float:
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUROC needs both classes present")
-    ranks = rankdata(s, method="average")
+    ranks = midranks(s)
     rank_sum_pos = float(ranks[y == 1].sum())
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

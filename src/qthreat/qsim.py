@@ -1,7 +1,14 @@
 """Exact simulation of small qubit registers.
 
-Statevector evolution for pure states, density matrices for depolarizing
-noise, Born-rule shot sampling, and readout error injection/mitigation.
+Statevector evolution for single pure states, and the one shot engine:
+`evolve_density` takes a stack of m densities (m, 2^q, 2^q) through one
+`CircuitProgram` whose gate angles are floats or (m,) arrays, with the
+depolarizing channel rho -> (1 - 4p/3) rho + (4p/3) (I/2 (x) Tr_t rho)
+after every gate (skipped when p = 0); `shot_estimates` samples the
+outcome distributions (sample -> readout -> mitigate). Readout error is
+folded into each distribution with the tensor-product confusion matrix,
+the same law as flipping each shot's bits, so one multinomial per row
+draws the measured counts.
 
 Conventions, used everywhere downstream:
   * qubit 0 is the least-significant bit of the basis index;
@@ -12,35 +19,40 @@ Conventions, used everywhere downstream:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 GATE_KINDS = ("H", "X", "Z", "RY", "RZ", "RZZ", "CX", "CZ")
 _PARAMETRIC = ("RY", "RZ", "RZZ")
 _TWO_QUBIT = ("RZZ", "CX", "CZ")
+_DIAGONAL = ("Z", "RZ", "RZZ", "CZ")
 
 _SQ2 = 1.0 / math.sqrt(2.0)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_H = np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
+_FIXED = {
+    "H": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "CX": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+}
+# diagonal gates: fixed diagonals, and the signs s of the phases exp(-i angle s / 2)
+_FIXED_DIAGONAL = {"Z": np.array([1, -1], dtype=complex), "CZ": np.array([1, 1, 1, -1], dtype=complex)}
+_PHASE_SIGNS = {"RZ": np.array([1.0, -1.0]), "RZZ": np.array([1.0, -1.0, -1.0, 1.0])}
 
 
 def bitstring(index: int, num_qubits: int) -> str:
     return format(index, f"0{num_qubits}b")
 
 
-def bit_index(bits: str) -> int:
-    return int(bits, 2)
-
-
 @dataclass(frozen=True)
 class GateOp:
+    """One gate. A parametric gate's angle is a float, or an (m,) array
+    giving one angle per circuit of a stack of m (see `evolve_density`)."""
+
     kind: str
     targets: Tuple[int, ...]
-    angle: Optional[float] = None
+    angle: Optional[object] = None
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
@@ -56,6 +68,12 @@ class GateOp:
         if self.kind in _PARAMETRIC:
             if self.angle is None:
                 raise ValueError(f"{self.kind} requires an angle")
+            if not isinstance(self.angle, float):
+                a = np.array(self.angle, dtype=float)
+                if a.ndim > 1:
+                    raise ValueError(f"{self.kind} angle must be a float or a 1-D array")
+                a.setflags(write=False)
+                object.__setattr__(self, "angle", float(a) if a.ndim == 0 else a)
         elif self.angle is not None:
             raise ValueError(f"{self.kind} takes no angle")
 
@@ -73,69 +91,27 @@ class CircuitProgram:
             if max(op.targets) >= self.num_qubits:
                 raise ValueError(f"gate {op.kind} targets {op.targets} out of range")
 
-    def extended(self, more: Iterable[GateOp]) -> "CircuitProgram":
-        return CircuitProgram(self.num_qubits, self.ops + tuple(more))
+
+def _diagonal(op: GateOp) -> np.ndarray:
+    """Diagonal of a diagonal gate, (k,) or (m, k) for an (m,) angle array."""
+    if op.kind in _FIXED_DIAGONAL:
+        return _FIXED_DIAGONAL[op.kind]
+    # RZZ: phase exp(-i*angle/2 * (-1)^(za xor zb))
+    return np.exp(-0.5j * np.multiply.outer(op.angle, _PHASE_SIGNS[op.kind]))
 
 
 def gate_matrix(op: GateOp) -> np.ndarray:
     """Dense unitary for one gate: 2x2, or 4x4 in the (targets[0], targets[1])
-    basis with targets[0] as the high bit."""
-    k = op.kind
-    if k == "H":
-        return _H.copy()
-    if k == "X":
-        return _X.copy()
-    if k == "Z":
-        return _Z.copy()
-    if k == "RY":
-        c, s = math.cos(op.angle / 2), math.sin(op.angle / 2)
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    if k == "RZ":
-        return np.diag([np.exp(-0.5j * op.angle), np.exp(0.5j * op.angle)])
-    if k == "RZZ":
-        # phase exp(-i*angle/2 * (-1)^(za xor zb))
-        e0, e1 = np.exp(-0.5j * op.angle), np.exp(0.5j * op.angle)
-        return np.diag([e0, e1, e1, e0])
-    if k == "CX":
-        return np.array(
-            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-        )
-    if k == "CZ":
-        return np.diag([1, 1, 1, -1]).astype(complex)
-    raise ValueError(k)
-
-
-def _apply_1q(u: np.ndarray, arr: np.ndarray, target: int, num_qubits: int) -> np.ndarray:
-    """Apply a 2x2 matrix on `target` along axis 0 of arr (dim 2^q first)."""
-    tail = arr.shape[1:]
-    a = arr.reshape(1 << (num_qubits - 1 - target), 2, -1)
-    out = np.empty_like(a)
-    out[:, 0] = u[0, 0] * a[:, 0] + u[0, 1] * a[:, 1]
-    out[:, 1] = u[1, 0] * a[:, 0] + u[1, 1] * a[:, 1]
-    return out.reshape((1 << num_qubits,) + tail)
-
-
-def _apply_2q(u: np.ndarray, arr: np.ndarray, ta: int, tb: int, num_qubits: int) -> np.ndarray:
-    """Apply a 4x4 matrix on qubits (ta, tb), ta the high bit of its basis."""
-    dim = 1 << num_qubits
-    idx = np.arange(dim)
-    pair_mask = (1 << ta) | (1 << tb)
-    base = idx[(idx & pair_mask) == 0]
-    rows = np.stack(
-        [base, base + (1 << tb), base + (1 << ta), base + pair_mask]
-    )
-    sub = arr[rows]  # (4, dim/4, tail...)
-    mixed = np.tensordot(u, sub, axes=(1, 0))
-    out = np.empty_like(arr)
-    out[rows] = mixed
-    return out
-
-
-def _apply_op(arr: np.ndarray, op: GateOp, num_qubits: int) -> np.ndarray:
-    u = gate_matrix(op)
-    if len(op.targets) == 1:
-        return _apply_1q(u, arr, op.targets[0], num_qubits)
-    return _apply_2q(u, arr, op.targets[0], op.targets[1], num_qubits)
+    basis with targets[0] as the high bit; (m, 2, 2) or (m, 4, 4) for an
+    (m,) angle array."""
+    if op.kind in _FIXED:
+        return _FIXED[op.kind].copy()
+    if op.kind in _DIAGONAL:
+        diag = _diagonal(op)
+        return diag[..., None] * np.eye(diag.shape[-1])
+    half = 0.5 * np.asarray(op.angle)
+    c, s = np.cos(half), np.sin(half)
+    return np.moveaxis(np.array([[c, -s], [s, c]], dtype=complex), (0, 1), (-2, -1))
 
 
 @dataclass(frozen=True)
@@ -186,9 +162,7 @@ class DensityState:
         object.__setattr__(self, "matrix", rho)
 
     def diagonal_probabilities(self) -> np.ndarray:
-        p = np.real(np.diag(self.matrix)).copy()
-        p[p < 0] = 0.0
-        return p / p.sum()
+        return _diagonal_probabilities(self.matrix[None])[0]
 
 
 def density_from_pure(state: PureState) -> DensityState:
@@ -229,91 +203,36 @@ class NoiseSpec:
         )
 
 
-@dataclass(frozen=True)
-class ShotResult:
-    counts: Dict[str, int]
-    shots: int
-
-    def __post_init__(self):
-        total = sum(self.counts.values())
-        if total != self.shots:
-            raise ValueError(f"counts sum to {total}, declared shots {self.shots}")
-        widths = {len(k) for k in self.counts}
-        if len(widths) > 1:
-            raise ValueError("inconsistent bitstring lengths in counts")
-        for k, v in self.counts.items():
-            if v < 0 or set(k) - {"0", "1"}:
-                raise ValueError(f"bad counts entry {k!r}: {v}")
-
-    def frequency(self, bits: str) -> float:
-        return self.counts.get(bits, 0) / self.shots
-
-
 def apply_circuit(state: PureState, program: CircuitProgram) -> PureState:
     if state.num_qubits != program.num_qubits:
         raise ValueError("state/program qubit counts differ")
-    amps = state.amplitudes.copy()
+    amps = state.amplitudes[None, :, None]
     for op in program.ops:
-        amps = _apply_op(amps, op, program.num_qubits)
-    return PureState(program.num_qubits, amps)
+        amps = _left(gate_matrix(op), amps, _target_rows(op.targets, program.num_qubits))
+    return PureState(program.num_qubits, amps[0, :, 0])
+
+
+def z_signs(num_qubits: int, qubits: Optional[Sequence[int]] = None) -> np.ndarray:
+    """Diagonal of the Z string on `qubits` (every qubit when None): the
+    sign (-1)^(parity of those bits) per basis index."""
+    qubits = range(num_qubits) if qubits is None else sorted(set(int(t) for t in qubits))
+    if not qubits:
+        raise ValueError("empty qubit set")
+    if qubits[-1] >= num_qubits or qubits[0] < 0:
+        raise ValueError(f"qubit set {list(qubits)} out of range")
+    idx = np.arange(1 << num_qubits)
+    parity = np.zeros(idx.size, dtype=np.int64)
+    for t in qubits:
+        parity ^= (idx >> t) & 1
+    return 1.0 - 2.0 * parity
 
 
 def expectation_pauli_z(state: PureState, qubits: Sequence[int]) -> float:
-    qubits = sorted(set(int(t) for t in qubits))
-    if not qubits:
-        raise ValueError("empty qubit set")
-    if qubits[-1] >= state.num_qubits or qubits[0] < 0:
-        raise ValueError(f"qubit set {qubits} out of range")
-    dim = 1 << state.num_qubits
-    idx = np.arange(dim)
-    parity = np.zeros(dim, dtype=np.int64)
-    for t in qubits:
-        parity ^= (idx >> t) & 1
-    signs = 1.0 - 2.0 * parity
-    return float(np.dot(signs, state.probabilities()))
+    return float(np.dot(z_signs(state.num_qubits, qubits), state.probabilities()))
 
 
 def expectation_pauli_z_density(state: DensityState, qubits: Sequence[int]) -> float:
-    qubits = sorted(set(int(t) for t in qubits))
-    if not qubits:
-        raise ValueError("empty qubit set")
-    dim = 1 << state.num_qubits
-    idx = np.arange(dim)
-    parity = np.zeros(dim, dtype=np.int64)
-    for t in qubits:
-        parity ^= (idx >> t) & 1
-    signs = 1.0 - 2.0 * parity
-    return float(np.dot(signs, np.real(np.diag(state.matrix))))
-
-
-def _counts_from_draws(draws: np.ndarray, num_qubits: int, shots: int) -> ShotResult:
-    values, reps = np.unique(draws, return_counts=True)
-    counts = {bitstring(int(v), num_qubits): int(c) for v, c in zip(values, reps)}
-    return ShotResult(counts, shots)
-
-
-def sample_shots(state: PureState, shots: int, seed: int) -> ShotResult:
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    rng = np.random.default_rng(seed)
-    probs = state.probabilities()
-    probs = probs / probs.sum()
-    reps = rng.multinomial(shots, probs)
-    counts = {
-        bitstring(i, state.num_qubits): int(c) for i, c in enumerate(reps) if c > 0
-    }
-    return ShotResult(counts, shots)
-
-
-def sample_shots_density(state: DensityState, shots: int, seed: int) -> ShotResult:
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    rng = np.random.default_rng(seed)
-    reps = rng.multinomial(shots, state.diagonal_probabilities())
-    counts = {
-        bitstring(i, state.num_qubits): int(c) for i, c in enumerate(reps) if c > 0
-    }
-    return ShotResult(counts, shots)
+    return float(np.dot(z_signs(state.num_qubits, qubits), np.real(np.diag(state.matrix))))
 
 
 def required_shots(epsilon: float, delta: float) -> int:
@@ -325,42 +244,199 @@ def required_shots(epsilon: float, delta: float) -> int:
     return max(1, math.ceil(math.log(2.0 / delta) / (2.0 * epsilon * epsilon)))
 
 
-def _conjugate(arr, op: GateOp, num_qubits: int) -> np.ndarray:
-    """rho -> U rho U_dagger using the statevector kernels on columns."""
-    a = _apply_op(arr, op, num_qubits)  # U rho
-    b = _apply_op(a.conj().T.copy(), op, num_qubits)  # U (U rho)^dagger
-    return b.conj().T
+# ------------------------------------------------------ stacked densities
 
 
-def _depolarize(rho: np.ndarray, target: int, p: float, num_qubits: int) -> np.ndarray:
-    if p == 0.0:
-        return rho
-    mix = np.zeros_like(rho)
-    for pauli in (_X, _Y, _Z):
-        a = _apply_1q(pauli, rho, target, num_qubits)
-        b = _apply_1q(pauli, a.conj().T.copy(), target, num_qubits)
-        mix += b.conj().T
-    return (1.0 - p) * rho + (p / 3.0) * mix
+@lru_cache(maxsize=None)
+def _target_value(targets: Tuple[int, ...], num_qubits: int) -> np.ndarray:
+    """For each basis index, the value of its target bits (targets[0] high)."""
+    idx = np.arange(1 << num_qubits)
+    return sum(((idx >> t) & 1) << (len(targets) - 1 - i) for i, t in enumerate(targets))
+
+
+@lru_cache(maxsize=None)
+def _target_rows(targets: Tuple[int, ...], num_qubits: int) -> np.ndarray:
+    """(2^k, 2^(q-k)) basis indices: row v holds, ascending, the indices
+    whose target bits read v."""
+    value = _target_value(targets, num_qubits)
+    return np.argsort(value, kind="stable").reshape(1 << len(targets), -1)
+
+
+def _left(u: np.ndarray, arr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """U (k x k, or one per row) on the target bits of axis 1 of an (m, d, n)
+    stack of registers or densities; `rows` from `_target_rows`."""
+    m, d = arr.shape[:2]
+    k = rows.shape[0]
+    out = np.empty(arr.shape, dtype=complex)
+    out[:, rows] = np.matmul(u, arr[:, rows].reshape(m, k, -1)).reshape(m, k, d // k, -1)
+    return out
+
+
+def _depolarize(rho: np.ndarray, target: int, p: float) -> np.ndarray:
+    """(1 - 4p/3) rho + (4p/3) (I/2 (x) Tr_target rho) on an (m, d, d) stack."""
+    m, d = rho.shape[:2]
+    hi, lo = d >> (target + 1), 1 << target
+    r = rho.reshape(m, hi, 2, lo, hi, 2, lo)
+    mixed = (2.0 * p / 3.0) * (r[:, :, 0, :, :, 0] + r[:, :, 1, :, :, 1])
+    out = (1.0 - 4.0 * p / 3.0) * r
+    out[:, :, 0, :, :, 0] += mixed
+    out[:, :, 1, :, :, 1] += mixed
+    return out.reshape(m, d, d)
+
+
+def evolve_density(rho: np.ndarray, program: CircuitProgram, noise: NoiseSpec) -> np.ndarray:
+    """Take a stack of density matrices (m, 2^q, 2^q) through `program`.
+
+    Each gate acts as rho -> U rho U^dagger, with U one matrix or one per row
+    when the gate's angle is an (m,) array; a single starting state (m = 1)
+    is broadcast over the program's rows. After each gate every target gets
+    the depolarizing channel at rate depol_1q (one-qubit gates) or depol_2q
+    (two-qubit gates, independently on each target); a zero rate skips it.
+    """
+    q = program.num_qubits
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 3 or rho.shape[1:] != (1 << q, 1 << q):
+        raise ValueError(f"expected an (m, {1 << q}, {1 << q}) stack, got {rho.shape}")
+    m = max([rho.shape[0]] + [np.size(op.angle) for op in program.ops if op.angle is not None])
+    rho = np.broadcast_to(rho, (m,) + rho.shape[1:])
+    for op in program.ops:
+        if op.kind in _DIAGONAL:
+            phase = _diagonal(op)[..., _target_value(op.targets, q)]
+            rho = rho * (phase[..., :, None] * phase.conj()[..., None, :])
+        else:
+            u = gate_matrix(op)
+            rows = _target_rows(op.targets, q)
+            # U rho U^dagger = (conj(U) (U rho)^T)^T
+            rho = _left(u.conj(), _left(u, rho, rows).swapaxes(1, 2), rows).swapaxes(1, 2)
+        p = noise.depol_1q if len(op.targets) == 1 else noise.depol_2q
+        if p:
+            for t in op.targets:
+                rho = _depolarize(rho, t, p)
+    return rho
 
 
 def apply_circuit_noisy(
     state: DensityState, program: CircuitProgram, noise: NoiseSpec
 ) -> DensityState:
-    """Unitary evolution with a depolarizing channel after every gate.
-
-    Two-qubit gates are followed by independent single-qubit channels at
-    rate depol_2q on each target.
-    """
+    """`evolve_density` on one state: unitary evolution with a depolarizing
+    channel after every gate."""
     if state.num_qubits != program.num_qubits:
         raise ValueError("state/program qubit counts differ")
-    rho = state.matrix.copy()
-    q = program.num_qubits
-    for op in program.ops:
-        rho = _conjugate(rho, op, q)
-        p = noise.depol_1q if len(op.targets) == 1 else noise.depol_2q
-        for t in op.targets:
-            rho = _depolarize(rho, t, p, q)
-    return DensityState(q, rho)
+    return DensityState(state.num_qubits, evolve_density(state.matrix[None], program, noise)[0])
+
+
+def _diagonal_probabilities(rho: np.ndarray) -> np.ndarray:
+    p = np.clip(np.real(np.diagonal(rho, axis1=-2, axis2=-1)), 0.0, None)
+    return p / p.sum(axis=-1, keepdims=True)
+
+
+def outcome_probabilities(program: CircuitProgram, noise: NoiseSpec) -> np.ndarray:
+    """Exact outcome distributions (m, 2^q) of the program's m circuits run
+    from |0...0> through `evolve_density`."""
+    dim = 1 << program.num_qubits
+    rho = np.zeros((1, dim, dim), dtype=complex)
+    rho[0, 0, 0] = 1.0
+    return _diagonal_probabilities(evolve_density(rho, program, noise))
+
+
+# ---------------------------------------------------------------- readout
+
+
+def confusion_matrix_1q(p01: float, p10: float) -> np.ndarray:
+    """Column = true bit, row = measured bit."""
+    return np.array([[1.0 - p01, p10], [p01, 1.0 - p10]])
+
+
+def fold_readout(probs: np.ndarray, noise: NoiseSpec, invert: bool = False) -> np.ndarray:
+    """Apply the tensor-product readout confusion matrix, or its inverse, to
+    outcome distributions over the last axis, shape (..., 2^q).
+
+    Raises on inverting a singular per-qubit confusion matrix (p01 + p10 = 1).
+    """
+    p = np.asarray(probs, dtype=float)
+    shape, dim = p.shape, p.shape[-1]
+    q = dim.bit_length() - 1
+    p01, p10 = noise.flips_for(q)
+    for j in range(q):
+        c = confusion_matrix_1q(p01[j], p10[j])
+        if invert:
+            if abs(1.0 - p01[j] - p10[j]) < 1e-12:
+                raise ValueError(f"qubit {j} confusion matrix singular (p01 + p10 = 1)")
+            c = np.linalg.inv(c)
+        p = np.matmul(c, p.reshape(-1, dim >> (j + 1), 2, 1 << j))
+    return p.reshape(shape)
+
+
+def mitigate(frequencies: np.ndarray, noise: NoiseSpec) -> np.ndarray:
+    """Invert the readout confusion on frequencies (..., 2^q), then clip to
+    [0, 1] and renormalize."""
+    freq = np.clip(fold_readout(frequencies, noise, invert=True), 0.0, 1.0)
+    return freq / freq.sum(axis=-1, keepdims=True)
+
+
+def shot_estimates(
+    probs: np.ndarray,
+    observable: np.ndarray,
+    shots: int,
+    seeds: Sequence[int],
+    noise: Optional[NoiseSpec] = None,
+    mitigated: bool = False,
+) -> np.ndarray:
+    """Sample -> readout -> mitigate for each row of exact outcome
+    distributions (m, 2^q): fold the readout error in, draw one multinomial
+    of `shots` from the generator seeded with
+    SeedSequence(seeds[i]).generate_state(1)[0], optionally `mitigate`, and
+    return the estimate of a diagonal observable (2^q,), or of several
+    given as columns (2^q, k)."""
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    noise = noise or NoiseSpec()
+    folded = fold_readout(np.atleast_2d(probs), noise)
+    seeds = np.asarray(seeds).reshape(-1)
+    if seeds.size != folded.shape[0]:
+        raise ValueError(f"{seeds.size} seeds for {folded.shape[0]} distributions")
+    counts = np.stack([
+        np.random.default_rng(np.random.SeedSequence(int(s)).generate_state(1)[0])
+        .multinomial(shots, row)
+        for s, row in zip(seeds, folded)
+    ])
+    freq = counts / shots
+    if mitigated:
+        freq = mitigate(freq, noise)
+    # einsum, not a BLAS product, so a row's estimate is the same in any stack
+    return np.einsum("md,d...->m...", freq, observable)
+
+
+def _vector(frequencies: Dict[str, float], num_qubits: int) -> np.ndarray:
+    freq = np.zeros(1 << num_qubits)
+    for bits, c in frequencies.items():
+        freq[int(bits, 2)] = c
+    return freq
+
+
+def _as_dict(freq: np.ndarray, num_qubits: int) -> Dict[str, float]:
+    return {bitstring(i, num_qubits): float(v) for i, v in enumerate(freq)}
+
+
+def mitigate_frequencies(
+    frequencies: Dict[str, float], noise: NoiseSpec, num_qubits: int
+) -> Dict[str, float]:
+    """`mitigate` on a bitstring-keyed distribution.
+
+    Applied to an analytically corrupted exact distribution this recovers
+    the original to numerical precision.
+    """
+    return _as_dict(mitigate(_vector(frequencies, num_qubits), noise), num_qubits)
+
+
+def corrupt_frequencies(
+    frequencies: Dict[str, float], noise: NoiseSpec, num_qubits: int
+) -> Dict[str, float]:
+    """Forward application of the tensor-product readout confusion model."""
+    return _as_dict(fold_readout(_vector(frequencies, num_qubits), noise), num_qubits)
+
+
+# ------------------------------------------------------------ introspection
 
 
 def partial_trace(state: DensityState, keep: Sequence[int]) -> DensityState:
@@ -396,88 +472,6 @@ def is_separable_two_qubit(state: PureState) -> Tuple[bool, float]:
     a = state.amplitudes
     det = abs(a[0] * a[3] - a[1] * a[2])
     return det <= 1e-10, float(det)
-
-
-def apply_readout_error(result: ShotResult, noise: NoiseSpec, seed: int) -> ShotResult:
-    """Flip each measured bit independently with its asymmetric probability."""
-    if not result.counts:
-        return result
-    q = len(next(iter(result.counts)))
-    p01, p10 = noise.flips_for(q)
-    rng = np.random.default_rng(seed)
-    out_draws = []
-    for bits in sorted(result.counts):
-        c = result.counts[bits]
-        value = bit_index(bits)
-        # bit j of `value` is qubit j; flip with p01 when 0, p10 when 1
-        bitmat = (value >> np.arange(q)) & 1  # (q,)
-        flip_p = np.where(bitmat == 1, p10, p01)
-        flips = rng.random((c, q)) < flip_p
-        flipped = np.bitwise_xor(bitmat, flips.astype(np.int64))
-        out_draws.append(flipped @ (1 << np.arange(q)))
-    draws = np.concatenate(out_draws)
-    return _counts_from_draws(draws, q, result.shots)
-
-
-def confusion_matrix_1q(p01: float, p10: float) -> np.ndarray:
-    """Column = true bit, row = measured bit."""
-    return np.array([[1.0 - p01, p10], [p01, 1.0 - p10]])
-
-
-def mitigate_readout(result: ShotResult, noise: NoiseSpec) -> Dict[str, float]:
-    """Invert the tensor-product readout confusion matrix on empirical
-    frequencies, then clamp to [0, 1] and renormalize.
-
-    Raises on a singular per-qubit confusion matrix (p01 + p10 = 1).
-    """
-    if not result.counts:
-        raise ValueError("empty counts")
-    q = len(next(iter(result.counts)))
-    return mitigate_frequencies(
-        {bits: c / result.shots for bits, c in result.counts.items()}, noise, q
-    )
-
-
-def mitigate_frequencies(
-    frequencies: Dict[str, float], noise: NoiseSpec, num_qubits: int
-) -> Dict[str, float]:
-    """Same inversion on an arbitrary outcome distribution.
-
-    Applied to an analytically corrupted exact distribution this recovers
-    the original to numerical precision; on finite-shot frequencies it
-    returns the clamped-and-renormalized quasi-distribution.
-    """
-    q = num_qubits
-    p01, p10 = noise.flips_for(q)
-    dim = 1 << q
-    freq = np.zeros(dim)
-    for bits, c in frequencies.items():
-        freq[bit_index(bits)] = c
-    for j in range(q):
-        det = 1.0 - p01[j] - p10[j]
-        if abs(det) < 1e-12:
-            raise ValueError(
-                f"qubit {j} confusion matrix singular (p01 + p10 = 1)"
-            )
-        inv = np.linalg.inv(confusion_matrix_1q(p01[j], p10[j]))
-        freq = _apply_1q(inv, freq, j, q)
-    freq = np.clip(freq, 0.0, 1.0)
-    freq = freq / freq.sum()
-    return {bitstring(i, q): float(v) for i, v in enumerate(freq)}
-
-
-def corrupt_frequencies(
-    frequencies: Dict[str, float], noise: NoiseSpec, num_qubits: int
-) -> Dict[str, float]:
-    """Forward application of the tensor-product readout confusion model."""
-    q = num_qubits
-    p01, p10 = noise.flips_for(q)
-    freq = np.zeros(1 << q)
-    for bits, c in frequencies.items():
-        freq[bit_index(bits)] = c
-    for j in range(q):
-        freq = _apply_1q(confusion_matrix_1q(p01[j], p10[j]), freq, j, q)
-    return {bitstring(i, q): float(v) for i, v in enumerate(freq)}
 
 
 def circuit_depth(program: CircuitProgram) -> int:

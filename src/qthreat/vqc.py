@@ -4,14 +4,17 @@ The circuit interleaves L copies of a single-rep, linearly entangled
 feature layer with trainable RY/RZ rotations and a CZ chain, so the input
 angles enter the state L times. Readout is the full-register parity
 expectation <Z...Z>, mapped to a logit by a trainable affine pair
-(scale, bias). Training is exact statevector simulation; shot noise,
-depolarizing noise, and readout error apply at evaluation time through
-the same simulator channels the kernel estimator uses.
+(scale, bias). Training is exact statevector simulation. Shot-mode
+evaluation goes through the shot engine the kernel estimator uses: the
+rows' circuits run SHOT_BLOCK at a time as one stacked density evolution
+with depolarizing noise (qsim.evolve_density), then each row's outcome
+distribution is sampled with readout error folded in and optionally
+mitigated (qsim.shot_estimates) and read out as its parity.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -28,22 +31,13 @@ from .encoder import (
     scale_with_grad,
 )
 from .featuremap import AngleVector, FeatureMapSpec, build_feature_map, pair_phases
-from .qsim import (
-    CircuitProgram,
-    GateOp,
-    NoiseSpec,
-    apply_circuit,
-    apply_circuit_noisy,
-    apply_readout_error,
-    density_from_pure,
-    mitigate_readout,
-    sample_shots,
-    sample_shots_density,
-    zero_state,
-)
+from .qsim import CircuitProgram, GateOp, NoiseSpec, outcome_probabilities, shot_estimates, z_signs
 
 MAX_QUBITS = 6
 MAX_LAYERS = 4
+# Rows per stacked density evolution in shot mode: at q = 6 a block of
+# 64 x 64 x 64 complex densities is 4 MiB, so memory stays bounded.
+SHOT_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -137,7 +131,9 @@ class Execution:
 # ----------------------------------------------------------- circuit build
 
 
-def build_vqc_circuit(angles: AngleVector, model: VqcModel) -> CircuitProgram:
+def build_vqc_circuit(angles, model: VqcModel) -> CircuitProgram:
+    """The circuit of one AngleVector, or of a stack of angle rows (m, q)
+    whose data gates then carry (m,) angle arrays."""
     spec = model.spec
     q = spec.num_qubits
     fm_ops = build_feature_map(angles, spec.feature_spec()).ops
@@ -192,57 +188,51 @@ def _batch_expectations(
     return batched.z_all_expectation(psi, q)
 
 
-def _parity_from_frequencies(freqs: Mapping[str, float]) -> float:
-    total = 0.0
-    for bits, f in freqs.items():
-        total += f * (1.0 - 2.0 * (bits.count("1") % 2))
-    return total
-
-
-def _shot_expectation(angles: AngleVector, model: VqcModel, execution: Execution) -> float:
-    prog = build_vqc_circuit(angles, model)
+def _shot_parities(
+    angle_rows: np.ndarray, model: VqcModel, execution: Execution, seeds
+) -> np.ndarray:
+    """Shot estimates of <Z...Z> per row, one seed per row, simulated
+    SHOT_BLOCK rows at a time; a row's estimate depends only on its angles
+    and its seed."""
     noise = execution.noise or NoiseSpec()
-    q = model.spec.num_qubits
-    seeds = np.random.SeedSequence(execution.seed).generate_state(2)
-    if noise.depol_1q > 0 or noise.depol_2q > 0:
-        rho = apply_circuit_noisy(density_from_pure(zero_state(q)), prog, noise)
-        result = sample_shots_density(rho, execution.shots, int(seeds[0]))
-    else:
-        state = apply_circuit(zero_state(q), prog)
-        result = sample_shots(state, execution.shots, int(seeds[0]))
-    if noise.any_readout:
-        result = apply_readout_error(result, noise, int(seeds[1]))
-    if execution.mitigate:
-        freqs: Mapping[str, float] = mitigate_readout(result, noise)
-    else:
-        freqs = {b: c / result.shots for b, c in result.counts.items()}
-    return _parity_from_frequencies(freqs)
+    parity = z_signs(model.spec.num_qubits)
+    seeds = np.asarray(seeds).reshape(-1)
+    out = np.empty(angle_rows.shape[0])
+    for start in range(0, angle_rows.shape[0], SHOT_BLOCK):
+        block = slice(start, start + SHOT_BLOCK)
+        probs = outcome_probabilities(build_vqc_circuit(angle_rows[block], model), noise)
+        out[block] = shot_estimates(
+            probs, parity, execution.shots, seeds[block], noise, execution.mitigate
+        )
+    return out
 
 
 def forward_logit(
     angles: AngleVector, model: VqcModel, execution: Execution = Execution()
 ) -> float:
-    """scale * <Z...Z> + bias for one angle-encoded sample."""
+    """scale * <Z...Z> + bias for one angle-encoded sample; in shot mode the
+    row is sampled with execution.seed."""
+    row = angles.angles[None, :]
     if execution.mode == "exact":
-        zhat = float(_batch_expectations(angles.angles[None, :], model)[0])
+        zhat = _batch_expectations(row, model)[0]
     else:
-        zhat = _shot_expectation(angles, model, execution)
-    return model.scale * zhat + model.bias
+        zhat = _shot_parities(row, model, execution, [execution.seed])[0]
+    return model.scale * float(zhat) + model.bias
 
 
 def decision_logits(
     angle_rows: np.ndarray, model: VqcModel, execution: Execution = Execution()
 ) -> np.ndarray:
-    """Logits for a stack of angle rows; exact mode is fully vectorized."""
+    """Logits for a stack of angle rows. Exact mode is one vectorized
+    statevector pass; shot mode gives row i the seed
+    SeedSequence(execution.seed).generate_state(n)[i]."""
     rows = np.atleast_2d(np.asarray(angle_rows, dtype=float))
     if execution.mode == "exact":
-        return model.scale * _batch_expectations(rows, model) + model.bias
-    seeds = np.random.SeedSequence(execution.seed).generate_state(rows.shape[0])
-    out = np.empty(rows.shape[0])
-    for i, row in enumerate(rows):
-        ex = replace(execution, seed=int(seeds[i]))
-        out[i] = forward_logit(AngleVector(row), model, ex)
-    return out
+        zhat = _batch_expectations(rows, model)
+    else:
+        seeds = np.random.SeedSequence(execution.seed).generate_state(rows.shape[0])
+        zhat = _shot_parities(rows, model, execution, seeds)
+    return model.scale * zhat + model.bias
 
 
 # --------------------------------------------------------------- gradients
@@ -276,10 +266,8 @@ def parameter_shift_grad(
         if not stochastic:
             return _batch_expectations(rows, model, theta=theta)
         shifted = VqcModel(model.spec, theta, model.scale, model.bias)
-        vals = np.empty(rows.shape[0])
-        for i, row in enumerate(rows):
-            vals[i] = _shot_expectation(AngleVector(row), shifted, execution)
-        return vals
+        seeds = np.full(rows.shape[0], execution.seed)
+        return _shot_parities(rows, shifted, execution, seeds)
 
     zhat = evaluate(model.theta)
     grad_theta = np.empty(model.spec.num_params)

@@ -19,6 +19,7 @@ from qthreat.featuremap import (
     fidelity_kernel,
     fidelity_kernel_shots,
     gram_from_states,
+    kernel_shot_estimates,
     load_centering_means,
     load_gram_bundle,
     save_gram_bundle,
@@ -231,6 +232,25 @@ def test_shot_kernel_concentration():
         if abs(fidelity_kernel_shots(a, b, SPEC2, shots, seed=seed) - exact) > bound
     )
     assert bad <= 2  # >= 99% of seeds inside a 4-sigma band
+
+
+def test_stacked_kernel_estimates_match_one_pair_calls():
+    rng = np.random.default_rng(12)
+    spec = FeatureMapSpec(3, reps=2)
+    a = random_angles(rng, 3)
+    refs = rng.uniform(-math.pi, math.pi, size=(5, 3))
+    seeds = [101, 7, 7, 55, 3]
+    for noise, mitigate in [
+        (None, False),
+        (NoiseSpec(depol_1q=1e-3, depol_2q=1e-2), False),
+        (NoiseSpec(depol_1q=1e-3, depol_2q=1e-2, readout_flip_01=0.03, readout_flip_10=0.05), True),
+    ]:
+        stacked = kernel_shot_estimates(a, refs, spec, 512, noise, mitigate, seeds)
+        singles = [
+            fidelity_kernel_shots(a, AngleVector(r), spec, 512, noise, mitigate, seed=s)
+            for r, s in zip(refs, seeds)
+        ]
+        np.testing.assert_array_equal(stacked, singles)
 
 
 def test_compute_uncompute_structure():

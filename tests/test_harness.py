@@ -371,6 +371,49 @@ def test_streaming_shot_mode_tracks_exact(qsvm_bundle):
     assert noisy["reference_size"] == min(exact["reference_size"], harness.REFERENCE_LIMIT)
 
 
+def test_streaming_shot_scores_match_per_pair_kernels(qsvm_bundle):
+    # one stacked call per row equals the one-pair estimator, pair by pair
+    config, d, _ = qsvm_bundle
+    ex = vqc.Execution("shots", 256, noise=NoiseSpec(1e-3, 1e-2, 0.02, 0.04), mitigate=True, seed=3)
+    split = datapipe.load_split(d / "preprocess")
+    subset = np.concatenate([np.flatnonzero(split.y_test == c)[:2] for c in (1, 0)])
+    out = harness.evaluate_streaming(d, subset=subset, execution=ex)
+    enc, scaler = load_encoder(d / "encoder")
+    svm = qsvm.load_svm(d / "svm" / "svm.json")
+    picked = datapipe.stratified_indices(
+        split.y_train[svm.support], harness.REFERENCE_LIMIT, config.seeds.sampling
+    )
+    refs, coef = svm.support[picked], svm.coef[picked]
+    mu = featuremap.load_centering_means(d / "gram")[refs]
+    train = harness._angles(config, enc, scaler, split.x_train)
+    test = harness._angles(config, enc, scaler, split.x_test[subset])
+    for i, row in enumerate(test):
+        k = np.array([
+            featuremap.fidelity_kernel_shots(
+                featuremap.AngleVector(row), featuremap.AngleVector(train[t]),
+                config.feature_spec(), ex.shots, ex.noise, ex.mitigate,
+                seed=harness._pair_seed(ex.seed, i, j),
+            )
+            for j, t in enumerate(refs)
+        ])
+        want = svm.sign * ((k - mu) @ coef + svm.bias)
+        assert out["scores"][i] == pytest.approx(want, abs=1e-12)
+
+
+def test_vqc_consistency_compares_two_simulators(vqc_bundle, monkeypatch):
+    # the check reads the stacked density engine, not the statevector path twice
+    _, d, _ = vqc_bundle
+    model = vqc.load_vqc(d / "vqc")
+    rows = np.random.default_rng(0).uniform(-np.pi, np.pi, (5, model.spec.num_qubits))
+    assert harness._vqc_consistency(rows, model) <= 1e-9
+    real = harness.qsim.outcome_probabilities
+    monkeypatch.setattr(
+        harness.qsim, "outcome_probabilities", lambda prog, noise: np.roll(real(prog, noise), 1, axis=1)
+    )
+    with pytest.raises(ValueError, match="disagree"):
+        harness._vqc_consistency(rows, model)
+
+
 def test_streaming_reference_limit_errors(qsvm_bundle):
     _, d, _ = qsvm_bundle
     with pytest.raises(ValueError, match="reference set"):

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qthreat.metrics import (
     ConfusionCounts,
@@ -13,6 +15,7 @@ from qthreat.metrics import (
     confusion,
     f_beta,
     macro_f1,
+    midranks,
     report,
 )
 
@@ -131,6 +134,39 @@ def test_auroc_matches_pair_oracle():
         # quantized scores force ties regularly
         s = np.round(rng.normal(size=n), 1)
         assert auroc(y, s) == pytest.approx(pair_oracle_auroc(y, s), abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    scores=st.one_of(
+        st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=2, max_size=60),
+        # heavy ties: a few distinct values repeated
+        st.lists(st.sampled_from([-2.0, 0.0, 0.5, 3.0]), min_size=2, max_size=60),
+        # constant scores
+        st.integers(2, 40).map(lambda n: [1.25] * n),
+    ),
+    data=st.data(),
+)
+def test_midranks_match_scipy_rankdata(scores, data):
+    from scipy.stats import rankdata
+
+    s = np.array(scores)
+    np.testing.assert_array_equal(midranks(s), rankdata(s, method="average"))
+    # labels with both classes, including a single positive
+    n = s.size
+    positives = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    if data.draw(st.booleans()):
+        positives = {min(positives)}
+    y = np.zeros(n, dtype=int)
+    y[sorted(positives)] = 1
+    ranks = rankdata(s, method="average")
+    n_pos = int(y.sum())
+    want = (float(ranks[y == 1].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * (n - n_pos))
+    assert auroc(y, s) == want  # bit-identical to the rankdata form
+
+
+def test_midranks_nan_propagates_like_rankdata():
+    assert np.isnan(midranks([1.0, np.nan, 2.0])).all()
 
 
 def test_auroc_requires_both_classes():

@@ -2,32 +2,38 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qthreat.featuremap import AngleVector, FeatureMapSpec, compute_uncompute_program
 from qthreat.qsim import (
     CircuitProgram,
-    DensityState,
     GateOp,
     NoiseSpec,
     PureState,
-    ShotResult,
     apply_circuit,
     apply_circuit_noisy,
-    apply_readout_error,
-    bitstring,
     circuit_depth,
+    confusion_matrix_1q,
     density_from_pure,
+    evolve_density,
     expectation_pauli_z,
     expectation_pauli_z_density,
+    fold_readout,
     gate_counts,
     gate_matrix,
     is_separable_two_qubit,
-    mitigate_readout,
+    mitigate,
+    outcome_probabilities,
     partial_trace,
     required_shots,
-    sample_shots,
-    sample_shots_density,
+    shot_estimates,
+    z_signs,
     zero_state,
 )
+from qthreat.vqc import VqcModel, VqcSpec, build_vqc_circuit
+
+from oracles import apply_readout_error, noisy_density
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -37,12 +43,10 @@ def bell_state():
     return apply_circuit(zero_state(2), prog)
 
 
-def z_mean_from_counts(result, qubits):
-    total = 0.0
-    for bits, c in result.counts.items():
-        parity = sum(int(bits[-1 - t]) for t in qubits) % 2
-        total += (1 - 2 * parity) * c
-    return total / result.shots
+def sampled(probs, shots, seed, noise=None, mitigated=False):
+    """Frequencies of every outcome of one distribution, from the one sampler."""
+    p = np.asarray(probs, dtype=float)
+    return shot_estimates(p[None], np.eye(p.size), shots, [seed], noise, mitigated)[0]
 
 
 # ---------------------------------------------------------------- circuits
@@ -193,8 +197,8 @@ def test_expectation_rejects_empty_or_invalid():
 
 
 def test_deterministic_state_sampling():
-    res = sample_shots(zero_state(1), 100, seed=0)
-    assert res.counts == {"0": 100}
+    freq = sampled(zero_state(1).probabilities(), 100, seed=0)
+    np.testing.assert_array_equal(freq * 100, [100, 0])
 
 
 def test_sampling_concentration():
@@ -203,36 +207,35 @@ def test_sampling_concentration():
     bound = 5.0 / math.sqrt(shots)
     bad = 0
     for seed in range(50):
-        res = sample_shots(plus, shots, seed)
-        if abs(res.frequency("0") - 0.5) > bound:
+        if abs(sampled(plus.probabilities(), shots, seed)[0] - 0.5) > bound:
             bad += 1
     assert bad == 0
 
 
 def test_bell_sampling_support():
-    res = sample_shots(bell_state(), 5000, seed=3)
-    assert set(res.counts) <= {"00", "11"}
+    freq = sampled(bell_state().probabilities(), 5000, seed=3)
+    assert set(np.flatnonzero(freq)) <= {0, 3}
 
 
 def test_sampling_is_seed_deterministic():
     state = apply_circuit(
         zero_state(3), CircuitProgram(3, [GateOp("H", (0,)), GateOp("RY", (2,), 1.0)])
     )
-    a = sample_shots(state, 512, seed=42)
-    b = sample_shots(state, 512, seed=42)
-    assert a.counts == b.counts
+    a = sampled(state.probabilities(), 512, seed=42)
+    b = sampled(state.probabilities(), 512, seed=42)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_sample_rejects_zero_shots():
     with pytest.raises(ValueError):
-        sample_shots(zero_state(1), 0, seed=0)
+        sampled(zero_state(1).probabilities(), 0, seed=0)
 
 
-def test_shot_result_validation():
-    with pytest.raises(ValueError):
-        ShotResult({"0": 3}, 5)
-    with pytest.raises(ValueError):
-        ShotResult({"0": 2, "01": 3}, 5)
+def test_shot_estimates_validation():
+    probs = np.stack([zero_state(1).probabilities()] * 2)
+    with pytest.raises(ValueError, match="seeds"):
+        shot_estimates(probs, z_signs(1), 10, [0])
+    np.testing.assert_array_equal(shot_estimates(probs, z_signs(1), 10, [0, 1]), [1.0, 1.0])
 
 
 def test_required_shots_values():
@@ -263,8 +266,7 @@ def test_born_consistency_hoeffding():
     hits_mean = 0
     trials = 40
     for seed in range(trials):
-        res = sample_shots(state, shots, seed)
-        est = z_mean_from_counts(res, [0, 1])
+        est = shot_estimates(state.probabilities()[None], z_signs(2), shots, [seed])[0]
         if abs((1.0 + est) / 2.0 - p_even) <= eps:
             hits_p += 1
         if abs(est - exact) <= 2 * eps:
@@ -341,14 +343,82 @@ def test_channel_output_is_valid_density():
 
 
 def test_density_sampling_seeded():
-    rho = apply_circuit_noisy(
-        density_from_pure(zero_state(2)),
+    probs = outcome_probabilities(
         CircuitProgram(2, [GateOp("H", (0,)), GateOp("CX", (0, 1))]),
         NoiseSpec(depol_1q=0.05, depol_2q=0.05),
     )
-    a = sample_shots_density(rho, 2048, seed=1)
-    b = sample_shots_density(rho, 2048, seed=1)
-    assert a.counts == b.counts and a.shots == 2048
+    a = sampled(probs[0], 2048, seed=1)
+    b = sampled(probs[0], 2048, seed=1)
+    np.testing.assert_array_equal(a, b)
+    assert (a * 2048).sum() == 2048
+
+
+def random_angle_rows(data, q, m):
+    return np.array(
+        data.draw(
+            st.lists(
+                st.lists(st.floats(-math.pi, math.pi), min_size=q, max_size=q),
+                min_size=m,
+                max_size=m,
+            )
+        )
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    q=st.integers(2, 4),
+    reps=st.integers(1, 2),
+    entanglement=st.sampled_from(["full", "linear"]),
+    convention=st.sampled_from(["pi_minus", "product"]),
+    depol_1q=st.floats(0.0, 0.1),
+    depol_2q=st.floats(0.0, 0.1),
+    circuit=st.sampled_from(["compute_uncompute", "vqc"]),
+    m=st.integers(1, 3),
+)
+def test_stacked_evolution_matches_pauli_oracle(
+    data, q, reps, entanglement, convention, depol_1q, depol_2q, circuit, m
+):
+    noise = NoiseSpec(depol_1q=depol_1q, depol_2q=depol_2q)
+    rows_a = random_angle_rows(data, q, m)
+    if circuit == "compute_uncompute":
+        spec = FeatureMapSpec(q, reps, entanglement, convention)
+        rows_b = random_angle_rows(data, q, m)
+
+        def program(i):
+            if i is None:
+                return compute_uncompute_program(rows_a, rows_b, spec)
+            return compute_uncompute_program(AngleVector(rows_a[i]), AngleVector(rows_b[i]), spec)
+
+    else:
+        vspec = VqcSpec(q, reps, convention)
+        theta = np.random.default_rng(q * 10 + reps).uniform(-math.pi, math.pi, vspec.num_params)
+        model = VqcModel(vspec, theta)
+
+        def program(i):
+            if i is None:
+                return build_vqc_circuit(rows_a, model)
+            return build_vqc_circuit(AngleVector(rows_a[i]), model)
+
+    start = density_from_pure(zero_state(q)).matrix
+    stacked = evolve_density(start[None], program(None), noise)
+    assert stacked.shape == (m, 1 << q, 1 << q)
+    for i in range(m):
+        one_row = evolve_density(start[None], program(i), noise)
+        np.testing.assert_array_equal(stacked[i], one_row[0])
+        oracle = noisy_density(start, program(i), noise)
+        assert np.max(np.abs(stacked[i] - oracle)) <= 1e-12
+
+
+def test_apply_circuit_noisy_is_the_one_row_evolution():
+    rng = np.random.default_rng(10)
+    prog = random_program(rng, 3, 40)
+    noise = NoiseSpec(depol_1q=0.03, depol_2q=0.07)
+    start = density_from_pure(zero_state(3))
+    out = apply_circuit_noisy(start, prog, noise)
+    np.testing.assert_array_equal(out.matrix, evolve_density(start.matrix[None], prog, noise)[0])
+    assert np.max(np.abs(out.matrix - noisy_density(start.matrix, prog, noise))) <= 1e-12
 
 
 # ----------------------------------------------------------- partial trace
@@ -403,36 +473,68 @@ def test_separability_cases():
 
 
 def test_zero_flip_readout_is_identity():
-    res = sample_shots(bell_state(), 1000, seed=2)
-    out = apply_readout_error(res, NoiseSpec(), seed=0)
-    assert out.counts == res.counts
+    probs = bell_state().probabilities()
+    np.testing.assert_array_equal(fold_readout(probs, NoiseSpec()), probs)
+    counts = np.rint(sampled(probs, 1000, seed=2) * 1000).astype(int)
+    np.testing.assert_array_equal(apply_readout_error(counts, NoiseSpec(), seed=0), counts)
+
+
+def test_fold_readout_is_tensor_confusion():
+    p01, p10 = np.array([0.02, 0.1, 0.05]), np.array([0.07, 0.01, 0.2])
+    noise = NoiseSpec(readout_flip_01=p01, readout_flip_10=p10)
+    probs = np.random.default_rng(3).dirichlet(np.ones(8))
+    # qubit 2 is the high bit of the basis index, so its factor comes first
+    full = np.kron(
+        confusion_matrix_1q(p01[2], p10[2]),
+        np.kron(confusion_matrix_1q(p01[1], p10[1]), confusion_matrix_1q(p01[0], p10[0])),
+    )
+    np.testing.assert_allclose(fold_readout(probs, noise), full @ probs, atol=1e-15)
+    np.testing.assert_allclose(fold_readout(full @ probs, noise, invert=True), probs, atol=1e-14)
+
+
+def test_folded_readout_matches_per_shot_flips_in_law():
+    # Sampling the folded distribution and flipping each sampled shot's bits
+    # are the same law: a multinomial of `shots` over C p. Fixed seeds.
+    probs = np.array([0.5, 0.1, 0.15, 0.25])
+    noise = NoiseSpec(readout_flip_01=[0.08, 0.03], readout_flip_10=[0.12, 0.2])
+    shots, trials = 2000, 300
+    folded = np.array([sampled(probs, shots, seed, noise) * shots for seed in range(trials)])
+    rng = np.random.default_rng(77)
+    flipped = np.array([
+        apply_readout_error(rng.multinomial(shots, probs), noise, seed=1000 + t)
+        for t in range(trials)
+    ])
+    law = fold_readout(probs, noise)
+    for counts in (folded, flipped):
+        assert np.all(counts.sum(axis=1) == shots)
+        se = np.sqrt(shots * law * (1 - law) / trials)
+        assert np.all(np.abs(counts.mean(axis=0) - shots * law) <= 5 * se)
+        var_ratio = counts.var(axis=0) / (shots * law * (1 - law))
+        assert np.all(np.abs(var_ratio - 1.0) <= 0.3)
+    # two-sample chi-square homogeneity test on the pooled counts, df = 3
+    table = np.stack([folded.sum(axis=0), flipped.sum(axis=0)])
+    expected = table.sum(axis=1, keepdims=True) * table.sum(axis=0) / table.sum()
+    assert float(((table - expected) ** 2 / expected).sum()) < 16.27  # p = 0.001
 
 
 def test_readout_flip_rate():
     shots = 100000
-    res = ShotResult({"0": shots}, shots)
-    out = apply_readout_error(
-        res, NoiseSpec(readout_flip_01=0.1, readout_flip_10=0.0), seed=12
-    )
-    assert out.shots == shots
-    assert abs(out.frequency("1") - 0.1) <= 3.0 / math.sqrt(shots)
+    freq = sampled([1.0, 0.0], shots, 12, NoiseSpec(readout_flip_01=0.1, readout_flip_10=0.0))
+    assert freq.sum() == pytest.approx(1.0, abs=1e-12)
+    assert abs(freq[1] - 0.1) <= 3.0 / math.sqrt(shots)
 
 
 def test_fully_random_readout():
     shots = 200000
-    out = apply_readout_error(
-        ShotResult({"0": shots}, shots),
-        NoiseSpec(readout_flip_01=0.5, readout_flip_10=0.5),
-        seed=9,
-    )
-    assert abs(out.frequency("0") - 0.5) <= 3.0 / math.sqrt(shots)
+    freq = sampled([1.0, 0.0], shots, 9, NoiseSpec(readout_flip_01=0.5, readout_flip_10=0.5))
+    assert abs(freq[0] - 0.5) <= 3.0 / math.sqrt(shots)
 
 
 def test_mitigation_identity_without_error():
-    res = sample_shots(bell_state(), 4096, seed=4)
-    quasi = mitigate_readout(res, NoiseSpec())
-    for bits, prob in quasi.items():
-        assert prob == pytest.approx(res.frequency(bits), abs=1e-12)
+    probs = bell_state().probabilities()
+    raw = sampled(probs, 4096, seed=4)
+    quasi = sampled(probs, 4096, seed=4, noise=NoiseSpec(), mitigated=True)
+    np.testing.assert_allclose(quasi, raw, atol=1e-12)
 
 
 def test_mitigation_inverts_exact_corruption():
@@ -444,13 +546,8 @@ def test_mitigation_inverts_exact_corruption():
     shots = 10000
     raw = np.rint(corrupted * shots).astype(int)
     assert raw.sum() == shots  # exact decimal products by construction
-    counts = {bitstring(i, 2): int(c) for i, c in enumerate(raw) if c}
-    quasi = mitigate_readout(
-        ShotResult(counts, shots),
-        NoiseSpec(readout_flip_01=p01, readout_flip_10=p10),
-    )
-    for i, want in enumerate(true):
-        assert quasi[bitstring(i, 2)] == pytest.approx(want, abs=1e-12)
+    quasi = mitigate(raw / shots, NoiseSpec(readout_flip_01=p01, readout_flip_10=p10))
+    np.testing.assert_allclose(quasi, true, atol=1e-12)
 
 
 def test_mitigation_reduces_error_on_average():
@@ -464,26 +561,24 @@ def test_mitigation_reduces_error_on_average():
     fix_err = 0.0
     trials = 120
     for seed in range(trials):
-        res = sample_shots(state, 4096, seed)
-        noisy = apply_readout_error(res, noise, seed + 10_000)
-        raw_err += abs(noisy.frequency("00") - truth)
-        fix_err += abs(mitigate_readout(noisy, noise)["00"] - truth)
+        raw_err += abs(sampled(state.probabilities(), 4096, seed, noise)[0] - truth)
+        fix_err += abs(sampled(state.probabilities(), 4096, seed, noise, True)[0] - truth)
     assert fix_err / trials < raw_err / trials
 
 
 def test_mitigation_rejects_singular_confusion():
-    res = ShotResult({"0": 10}, 10)
-    with pytest.raises(ValueError):
-        mitigate_readout(res, NoiseSpec(readout_flip_01=0.4, readout_flip_10=0.6))
+    noise = NoiseSpec(readout_flip_01=0.4, readout_flip_10=0.6)
+    with pytest.raises(ValueError, match="singular"):
+        mitigate(np.array([1.0, 0.0]), noise)
+    with pytest.raises(ValueError, match="singular"):
+        sampled([1.0, 0.0], 10, 0, noise, mitigated=True)
 
 
 def test_mitigated_output_is_distribution():
-    res = sample_shots(bell_state(), 64, seed=8)
     noise = NoiseSpec(readout_flip_01=0.08, readout_flip_10=0.05)
-    quasi = mitigate_readout(apply_readout_error(res, noise, 1), noise)
-    vals = np.array(list(quasi.values()))
-    assert np.all(vals >= 0) and np.all(vals <= 1)
-    assert vals.sum() == pytest.approx(1.0, abs=1e-12)
+    quasi = sampled(bell_state().probabilities(), 64, 8, noise, mitigated=True)
+    assert np.all(quasi >= 0) and np.all(quasi <= 1)
+    assert quasi.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 # ------------------------------------------------------------ introspection

@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+
+from qthreat import vqc
 
 from qthreat.encoder import (
     EmbeddingScaler,
@@ -194,6 +197,22 @@ def test_readout_error_contracts_parity_and_mitigation_recovers():
     assert abs(raw - (1 - 0.2) ** 3 * exact) < 0.02
     assert abs(mit - exact) < 0.02
     assert abs(mit - exact) < abs(raw - exact)
+
+
+def test_shot_logits_do_not_depend_on_block_or_stack(monkeypatch):
+    model = random_model(3, 2, seed=5, scale=1.3, bias=-0.2)
+    rows = np.random.default_rng(31).uniform(-np.pi, np.pi, (7, 3))
+    noise = NoiseSpec(depol_1q=1e-3, depol_2q=1e-2, readout_flip_01=0.02, readout_flip_10=0.04)
+    ex = Execution("shots", 256, noise, mitigate=True, seed=11)
+    whole = decision_logits(rows, model, ex)
+    for block in (1, 3, 64):
+        monkeypatch.setattr(vqc, "SHOT_BLOCK", block)
+        np.testing.assert_array_equal(decision_logits(rows, model, ex), whole)
+    # a prefix keeps its rows' seeds, so it keeps their logits
+    np.testing.assert_array_equal(decision_logits(rows[:4], model, ex), whole[:4])
+    # one row scored alone with the seed it had in the stack
+    seed = int(np.random.SeedSequence(11).generate_state(7)[5])
+    assert forward_logit(AngleVector(rows[5]), model, replace(ex, seed=seed)) == whole[5]
 
 
 def test_depolarizing_noise_contracts_logit():
