@@ -231,7 +231,7 @@ def test_sample_rejects_zero_shots():
         sampled(zero_state(1).probabilities(), 0, seed=0)
 
 
-def test_shot_estimates_validation():
+def test_shot_result_validation():
     probs = np.stack([zero_state(1).probabilities()] * 2)
     with pytest.raises(ValueError, match="seeds"):
         shot_estimates(probs, z_signs(1), 10, [0])
