@@ -463,13 +463,14 @@ def save_split(split: DatasetSplit, directory) -> dict:
 
 
 def load_split(directory) -> DatasetSplit:
-    d = persist.ensure_dir(directory)
+    d = Path(directory)
     header = persist.load_json(d / "split.json")
     arrays = {}
     for name, meta in header["arrays"].items():
-        if persist.sha256_file(d / f"{name}.f64") != meta["sha256"]:
-            raise ValueError(f"{name}.f64 does not match its recorded sha256")
-        arrays[name] = persist.load_array_f64(d / f"{name}.f64", tuple(meta["shape"]))
+        arrays[name] = persist.load_verified_f64(
+            d / f"{name}.f64", tuple(meta["shape"]), meta["sha256"],
+            f"{name}.f64 does not match its recorded sha256",
+        )
     t = header["transformer"]
     if t["kind"] == "tabular":
         transformer: object = TabularTransformer(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -485,7 +486,7 @@ def save_encoder(
 
 
 def load_encoder(directory) -> Tuple[EncoderModel, Optional[EmbeddingScaler]]:
-    d = persist.ensure_dir(directory)
+    d = Path(directory)
     header = persist.load_json(d / "encoder.json")
     config = EncoderConfig(
         input_dim=header["config"]["input_dim"],

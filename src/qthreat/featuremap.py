@@ -16,6 +16,7 @@ sampled frequency of |0...0>.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,6 +35,8 @@ from .qsim import (
 
 CONVENTIONS = ("pi_minus", "product")
 ENTANGLEMENTS = ("full", "linear")
+# rows per block (at least 2) of the blockwise Gram passes
+GRAM_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -225,7 +228,7 @@ class GramBundle:
         n = k.shape[0]
         if k.shape != (n, n) or n == 0:
             raise ValueError("train_gram must be square and nonempty")
-        if np.max(np.abs(k - k.T)) > 1e-10:
+        if max_asymmetry(k) > 1e-10:
             raise ValueError("train_gram not symmetric within 1e-10")
         if not self.centered:
             if np.max(np.abs(np.diag(k) - 1.0)) > 1e-9:
@@ -252,6 +255,34 @@ def gram_from_states(states_a: np.ndarray, states_b: Optional[np.ndarray] = None
     return np.abs(overlaps) ** 2
 
 
+def _block_pairs(k: np.ndarray):
+    """Views (k[I, J], k[J, I]) of each GRAM_BLOCK-square block pair I <= J."""
+    n, b = k.shape[0], GRAM_BLOCK
+    for i in range(0, n, b):
+        for j in range(i, n, b):
+            yield k[i:i + b, j:j + b], k[j:j + b, i:i + b]
+
+
+def max_asymmetry(k: np.ndarray) -> float:
+    """max |k - k.T| of a square matrix, one block pair at a time; NaN
+    propagates as in np.max."""
+    worst = 0.0
+    for upper, lower in _block_pairs(k):
+        worst = np.maximum(worst, np.abs(upper - lower.T).max())
+    return float(worst)
+
+
+def _symmetrize(k: np.ndarray) -> np.ndarray:
+    """k <- (k + k.T) / 2 in place, one block pair at a time: each entry is
+    (k_ij + k_ji) / 2 and IEEE addition commutes, so the bits equal the
+    whole-matrix expression's."""
+    for upper, lower in _block_pairs(k):
+        s = (upper + lower.T) / 2.0
+        upper[...] = s
+        lower[...] = s.T
+    return k
+
+
 def build_gram(
     train_angles: Sequence[AngleVector],
     spec: FeatureMapSpec,
@@ -265,34 +296,48 @@ def build_gram(
     k(a, b) = Tr(rho_a rho_b), so K = Phi Phi^T with Phi of width 4^q
     (equivalently, K is the entrywise product of G and conj(G), with G the
     PSD overlap matrix, and the Schur product theorem applies).
+
+    Memory: one n x n float64 array, filled GRAM_BLOCK rows at a time and
+    symmetrised and clipped in place (O(GRAM_BLOCK * n) scratch).
     """
     if not len(train_angles):
         raise ValueError("train set must be nonempty")
     if len(train_angles) > max_train:
         raise ValueError(f"train set exceeds the n={max_train} memory cap")
     states = feature_statevectors(np.stack([v.angles for v in train_angles]), spec)
-    k = gram_from_states(states)
-    k = (k + k.T) / 2.0
-    np.clip(k, 0.0, 1.0, out=k)
+    n = states.shape[0]
+    k = np.empty((n, n))
+    # blocks start below n - 1, so none is one row: numpy sends a one-row
+    # product to gemv, whose bits differ from the whole matrix's gemm
+    cuts = list(range(0, max(n - 1, 1), GRAM_BLOCK)) + [n]
+    for start, stop in zip(cuts, cuts[1:]):
+        k[start:stop] = gram_from_states(states[start:stop], states)
+    np.clip(_symmetrize(k), 0.0, 1.0, out=k)
     return GramBundle(k)
 
 
 def center_gram(bundle: GramBundle) -> GramBundle:
-    """Double-center the train Gram (HKH).
+    """Double-center the train Gram (HKH) into a new bundle; the input
+    bundle's Gram is left untouched.
 
     The column means and grand mean are stored so out-of-sample rows can
     be centred consistently: a row r becomes
     r - colmeans(K) - rowmean(r) + grandmean(K).
+
+    Memory: one new n x n float64 array, centred and symmetrised in place
+    by the whole-matrix expression's operations in order (same bits).
     """
     if bundle.centered:
         raise ValueError("bundle already centered")
     k = bundle.train_gram
     col_means = k.mean(axis=0)
     grand = float(k.mean())
-    centered_k = k - col_means[None, :] - col_means[:, None] + grand
+    centered_k = np.subtract(k, col_means[None, :], dtype=float)
+    centered_k -= col_means[:, None]
+    centered_k += grand
     return GramBundle(
-        train_gram=(centered_k + centered_k.T) / 2.0,
-        centering_row_means=col_means.copy(),
+        train_gram=_symmetrize(centered_k),
+        centering_row_means=col_means,
         centering_grand_mean=grand,
         centered=True,
     )
@@ -322,17 +367,17 @@ def save_gram_bundle(bundle: GramBundle, directory, spec: Optional[FeatureMapSpe
 def load_centering_means(directory) -> np.ndarray:
     """The centred train Gram's column means from gram.json, without
     reading the Gram itself."""
-    header = persist.load_json(persist.ensure_dir(directory) / "gram.json")
+    header = persist.load_json(Path(directory) / "gram.json")
     return np.array(header["centering"]["row_means"])
 
 
 def load_gram_bundle(directory) -> GramBundle:
-    d = persist.ensure_dir(directory)
+    d = Path(directory)
     header = persist.load_json(d / "gram.json")
     meta = header["train"]
-    train = persist.load_array_f64(d / "train.f64", tuple(meta["shape"]))
-    if persist.sha256_file(d / "train.f64") != meta["sha256"]:
-        raise ValueError("train.f64 hash mismatch")
+    train = persist.load_verified_f64(
+        d / "train.f64", tuple(meta["shape"]), meta["sha256"], "train.f64 hash mismatch"
+    )
     stats = header.get("centering")
     return GramBundle(
         train_gram=train,

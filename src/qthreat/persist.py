@@ -20,7 +20,7 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def sha256_bytes(data: bytes) -> str:
+def sha256_bytes(data) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
@@ -40,7 +40,7 @@ def stage_key(stage: str, config_slice, input_hashes) -> str:
     return sha256_bytes(payload.encode("utf-8"))
 
 
-def _write_atomic(path, data: bytes) -> None:
+def _write_atomic(path, data) -> None:
     """Write `data` to a temp file beside `path`, then rename it over
     `path`: readers see the old file or the new one, never a torn write.
     A failed write removes its temp file."""
@@ -57,22 +57,42 @@ def _write_atomic(path, data: bytes) -> None:
 
 
 def save_array_f64(path, arr: np.ndarray) -> str:
-    """Write a float64 array as raw little-endian bytes; returns its sha256."""
-    data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    """Write a float64 array as raw little-endian bytes; returns its sha256.
+
+    Memory: the bytes are hashed and written from a view of the array, so
+    a C-contiguous `<f8` array (such as a Gram) is never copied.
+    """
+    data = memoryview(np.ascontiguousarray(arr, dtype="<f8").reshape(-1).view(np.uint8))
     _write_atomic(path, data)
     return sha256_bytes(data)
 
 
-def load_array_f64(path, shape) -> np.ndarray:
+def _read_f64(path, shape, sha256=None, mismatch=None) -> np.ndarray:
+    """One read of the file into one writable buffer; when `sha256` is
+    given, exactly those bytes are hashed before being parsed in place."""
     with open(path, "rb") as f:
-        data = f.read()
-    arr = np.frombuffer(data, dtype="<f8").astype(np.float64)
+        data = bytearray(os.fstat(f.fileno()).st_size)
+        f.readinto(data)
+    if sha256 is not None and sha256_bytes(data) != sha256:
+        raise ValueError(mismatch)
+    arr = np.frombuffer(data, dtype="<f8").astype(np.float64, copy=False)
     expected = int(np.prod(shape)) if shape else arr.size
     if arr.size != expected:
         raise ValueError(
             f"{path}: expected {expected} float64 values, found {arr.size}"
         )
     return arr.reshape(shape)
+
+
+def load_array_f64(path, shape) -> np.ndarray:
+    return _read_f64(path, shape)
+
+
+def load_verified_f64(path, shape, sha256: str, mismatch: str) -> np.ndarray:
+    """The array of a file whose bytes must have this sha256, else
+    ValueError(mismatch); the file is read once, and the bytes hashed are
+    the bytes parsed."""
+    return _read_f64(path, shape, sha256, mismatch)
 
 
 def save_json(path, obj) -> str:

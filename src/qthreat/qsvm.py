@@ -15,7 +15,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from . import datapipe, persist
-from .featuremap import FeatureMapSpec, feature_statevectors
+from .featuremap import FeatureMapSpec, feature_statevectors, max_asymmetry
 from .metrics import confusion, f_beta
 
 DUAL_TOL = 1e-3
@@ -86,7 +86,7 @@ def solve_dual(
     n = y01.size
     if k.shape != (n, n):
         raise ValueError(f"gram shape {k.shape} does not match {n} labels")
-    if np.max(np.abs(k - k.T)) > 1e-8:
+    if max_asymmetry(k) > 1e-8:
         raise ValueError("gram matrix must be symmetric")
     if set(np.unique(y01)) != {0, 1}:
         raise ValueError("labels must contain both classes (0 and 1)")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -513,10 +514,11 @@ def save_vqc(model: VqcModel, directory, extra: Optional[dict] = None) -> dict:
 
 
 def load_vqc(directory) -> VqcModel:
-    d = persist.ensure_dir(directory)
+    d = Path(directory)
     header = persist.load_json(d / "vqc.json")
     spec = VqcSpec(**header["spec"])
-    if persist.sha256_file(d / "vqc.f64") != header["params_sha256"]:
-        raise ValueError("vqc.f64 does not match its recorded sha256")
-    packed = persist.load_array_f64(d / "vqc.f64", (header["packed_length"],))
+    packed = persist.load_verified_f64(
+        d / "vqc.f64", (header["packed_length"],), header["params_sha256"],
+        "vqc.f64 does not match its recorded sha256",
+    )
     return VqcModel(spec, packed[:-2], float(packed[-2]), float(packed[-1]))

@@ -26,6 +26,28 @@ def center_test_row(row: np.ndarray, row_means: np.ndarray, grand_mean: float) -
     return r - row_means - r.mean() + grand_mean
 
 
+def whole_gram(angles, spec):
+    """The train Gram as whole-matrix expressions: the n x n overlaps,
+    |.|^2, (K + K^T) / 2, then clipping to [0, 1]."""
+    k = gram_from_states(feature_statevectors(angles, spec))
+    k = (k + k.T) / 2.0
+    np.clip(k, 0.0, 1.0, out=k)
+    return k
+
+
+def whole_centering(k):
+    """HKH as whole-matrix expressions: (centred Gram, column means, grand mean)."""
+    col_means = k.mean(axis=0)
+    grand = float(k.mean())
+    centered = k - col_means[None, :] - col_means[:, None] + grand
+    return (centered + centered.T) / 2.0, col_means, grand
+
+
+def whole_asymmetry(k):
+    """max |K - K^T| through two n x n temporaries."""
+    return float(np.max(np.abs(k - k.T)))
+
+
 def block_scores(model, train_angles, angles, spec, row_means, grand_mean):
     """QSVM scores through full out-of-sample Gram rows: kernel rows against
     every training point, centred row by row, then the dual expansion."""

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qthreat import featuremap
 from qthreat.featuremap import (
     AngleVector,
     FeatureMapSpec,
@@ -22,11 +24,12 @@ from qthreat.featuremap import (
     kernel_shot_estimates,
     load_centering_means,
     load_gram_bundle,
+    max_asymmetry,
     save_gram_bundle,
 )
 from qthreat.qsim import CircuitProgram, GateOp, NoiseSpec, apply_circuit, zero_state
 
-from oracles import center_test_row
+from oracles import center_test_row, whole_asymmetry, whole_centering, whole_gram
 
 SPEC2 = FeatureMapSpec(num_qubits=2, reps=1)
 
@@ -361,10 +364,70 @@ def test_gram_psd_by_construction(q, reps, entanglement, convention, n, seed, du
     angles = np.random.default_rng(seed).uniform(-math.pi, math.pi, size=(n, q))
     if duplicates:
         angles[n // 2:] = angles[: n - n // 2]
-    k = gram_from_states(feature_statevectors(angles, spec))
-    k = (k + k.T) / 2.0
-    np.clip(k, 0.0, 1.0, out=k)
-    assert np.linalg.eigvalsh(k).min() >= -1e-10
+    assert np.linalg.eigvalsh(whole_gram(angles, spec)).min() >= -1e-10
+
+
+def same_bits(a, b):
+    a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+BLOCK = 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    # one point, under a block, one block, one block plus one row, and
+    # sizes that are not a multiple of the block
+    n=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 3 * BLOCK - 1])
+    | st.integers(1, 30),
+    q=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blockwise_gram_is_bit_identical_to_whole_matrix_oracle(n, q, seed):
+    spec = FeatureMapSpec(q, reps=2)
+    angles = np.random.default_rng(seed).uniform(-math.pi, math.pi, size=(n, q))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(featuremap, "GRAM_BLOCK", BLOCK)
+        bundle = build_gram([AngleVector(a) for a in angles], spec)
+        before = bundle.train_gram.copy()
+        centred = center_gram(bundle)
+    k = whole_gram(angles, spec)
+    assert same_bits(bundle.train_gram, k)
+    want, means, grand = whole_centering(k)
+    assert same_bits(centred.train_gram, want)
+    assert same_bits(centred.centering_row_means, means)
+    assert same_bits(centred.centering_grand_mean, grand)
+    # centring builds a new bundle and leaves its input untouched
+    assert same_bits(bundle.train_gram, before)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 11])
+def test_max_asymmetry_matches_whole_matrix_oracle(monkeypatch, n):
+    monkeypatch.setattr(featuremap, "GRAM_BLOCK", 4)
+    k = np.random.default_rng(n).normal(size=(n, n))
+    assert max_asymmetry(k) == whole_asymmetry(k)
+    assert max_asymmetry((k + k.T) / 2.0) == 0.0
+    if n > 1:
+        k[n - 1, 0] = np.nan
+        assert math.isnan(max_asymmetry(k)) and math.isnan(whole_asymmetry(k))
+
+
+def test_gram_and_centring_hold_two_matrices_plus_blocks():
+    # the uncentred and the centred Gram, plus O(GRAM_BLOCK * n) scratch;
+    # whole-matrix temporaries put this near 5 n^2 * 8 bytes
+    n = 1500
+    angles = np.random.default_rng(15).uniform(-math.pi, math.pi, size=(n, 4))
+    points = [AngleVector(a) for a in angles]
+    spec = FeatureMapSpec(4, reps=2)
+    tracemalloc.start()
+    try:
+        centred = center_gram(build_gram(points, spec))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert centred.n_train == n
+    assert peak <= 2.5 * n * n * 8, peak / (n * n * 8)
 
 
 def test_gram_permutation_equivariance():

@@ -3,7 +3,7 @@ import builtins
 import numpy as np
 import pytest
 
-from qthreat import persist
+from qthreat import datapipe, encoder, featuremap, persist, vqc
 
 
 class _TornFile:
@@ -56,3 +56,45 @@ def test_saves_return_hash_of_written_bytes(tmp_path):
     assert sha == persist.sha256_file(tmp_path / "sub" / "x.f64")
     assert np.array_equal(persist.load_array_f64(tmp_path / "sub" / "x.f64", (3, 4)), arr)
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["a.json", "sub", "x.f64"]
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [
+        np.arange(12, dtype=np.float32).reshape(3, 4),
+        np.asfortranarray(np.linspace(-1.0, 1.0, 12).reshape(3, 4)),
+        np.linspace(0.0, 2.0, 7).astype(">f8"),
+        np.arange(20.0)[::3],
+        np.zeros((0, 3)),
+    ],
+    ids=["float32", "fortran", "big-endian", "strided", "empty"],
+)
+def test_save_array_f64_writes_contiguous_little_endian_bytes(tmp_path, arr):
+    sha = persist.save_array_f64(tmp_path / "a.f64", arr)
+    assert (tmp_path / "a.f64").read_bytes() == np.ascontiguousarray(arr, "<f8").tobytes()
+    assert sha == persist.sha256_file(tmp_path / "a.f64")
+
+
+def test_verified_load_checks_the_bytes_it_parses(tmp_path):
+    arr = np.arange(6.0).reshape(2, 3)
+    sha = persist.save_array_f64(tmp_path / "a.f64", arr)
+    loaded = persist.load_verified_f64(tmp_path / "a.f64", (2, 3), sha, "a.f64 tampered")
+    assert np.array_equal(loaded, arr) and loaded.dtype == np.float64
+    assert loaded.flags.writeable
+    raw = bytearray((tmp_path / "a.f64").read_bytes())
+    raw[0] ^= 1
+    (tmp_path / "a.f64").write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="a.f64 tampered"):
+        persist.load_verified_f64(tmp_path / "a.f64", (2, 3), sha, "a.f64 tampered")
+
+
+@pytest.mark.parametrize(
+    "load",
+    [datapipe.load_split, encoder.load_encoder, vqc.load_vqc,
+     featuremap.load_gram_bundle, featuremap.load_centering_means],
+)
+def test_loaders_do_not_create_missing_directories(tmp_path, load):
+    missing = tmp_path / "bundle" / "stage"
+    with pytest.raises(FileNotFoundError):
+        load(missing)
+    assert list(tmp_path.iterdir()) == []

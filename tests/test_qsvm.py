@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -153,6 +154,23 @@ def test_solver_input_validation():
         solve_dual(np.eye(2), [1, 1], 1.0)  # single class
     with pytest.raises(ValueError):
         solve_dual(np.eye(3), [0, 1], 1.0)  # shape mismatch
+
+
+def test_solve_dual_allocates_no_matrix_sized_scratch():
+    # the symmetry check runs block by block, so a fit's scratch is O(n)
+    # vectors and one block, not the two n x n temporaries of |K - K^T|
+    n = 1500
+    x = np.random.default_rng(16).normal(size=(n, 6))
+    gram = linear_gram(x)
+    gram = (gram + gram.T) / 2.0
+    labels = (x[:, 0] > 0).astype(int)
+    tracemalloc.start()
+    try:
+        solve_dual(gram, labels, 1.0, max_iter=200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * n * n * 8, peak / (n * n * 8)
 
 
 def test_model_validation():
