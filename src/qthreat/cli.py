@@ -137,10 +137,16 @@ def _config_from(args, model: str) -> ExperimentConfig:
     )
 
 
-def _noise_from(args):
-    if any(v > 0 for v in (args.depol1, args.depol2, args.readout01, args.readout10)):
-        return NoiseSpec(args.depol1, args.depol2, args.readout01, args.readout10)
-    return None
+def _shot_overrides(args) -> dict:
+    """The shot settings `evaluate` and `stream-eval` put in place of the
+    bundle's config; unset flags (None) keep the config's value."""
+    noise = NoiseSpec(args.depol1, args.depol2, args.readout01, args.readout10)
+    return {
+        "shots": args.shots,
+        "noise": noise if noise != NoiseSpec() else None,
+        "mitigate": args.mitigate or None,
+        "sampling_seed": args.sampling_seed,
+    }
 
 
 def _print_metrics(metrics_dict: dict):
@@ -211,14 +217,7 @@ def _run_stage_command(args) -> int:
 
 
 def _run_evaluate(args) -> int:
-    result = harness.evaluate_bundle(
-        args.workdir,
-        backend=args.backend,
-        shots=args.shots,
-        noise=_noise_from(args),
-        mitigate=args.mitigate or None,
-        sampling_seed=args.sampling_seed,
-    )
+    result = harness.evaluate_bundle(args.workdir, backend=args.backend, **_shot_overrides(args))
     _print_metrics(result["metrics"])
     return 0
 
@@ -226,16 +225,14 @@ def _run_evaluate(args) -> int:
 def _run_stream(args) -> int:
     import numpy as np
 
-    from . import datapipe, vqc
+    from . import datapipe
 
     subset = None
     if args.full_test:
         split = datapipe.load_split(Path(args.workdir) / "preprocess")
         subset = np.arange(split.y_test.size)
-    execution = None
-    if args.backend == "shots":
-        seed = args.sampling_seed if args.sampling_seed is not None else 0
-        execution = vqc.Execution("shots", args.shots, _noise_from(args), args.mitigate, seed)
+    config = harness.load_bundle(args.workdir, verify=False).config
+    execution = harness.bundle_execution(config, args.backend, **_shot_overrides(args))
     result = harness.evaluate_streaming(
         args.workdir,
         subset=subset,

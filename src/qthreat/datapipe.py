@@ -484,8 +484,14 @@ def load_split(directory) -> DatasetSplit:
         terms = t["terms"]
         transformer = TfidfModel(
             {term: i for i, term in enumerate(terms)},
-            persist.load_array_f64(d / "idf.f64", (len(terms),)),
-            persist.load_array_f64(d / "doc_freq.f64", (len(terms),)),
+            persist.load_verified_f64(
+                d / "idf.f64", (len(terms),), t["idf_sha256"],
+                "idf.f64 does not match its recorded sha256",
+            ),
+            persist.load_verified_f64(
+                d / "doc_freq.f64", (len(terms),), t["doc_freq_sha256"],
+                "doc_freq.f64 does not match its recorded sha256",
+            ),
             int(t["num_train_docs"]),
             int(t["min_df"]),
             float(t["max_df"]),

@@ -496,7 +496,10 @@ def load_encoder(directory) -> Tuple[EncoderModel, Optional[EmbeddingScaler]]:
         seed=header["config"]["seed"],
     )
     total = sum(int(np.prod(s)) for s in header["param_shapes"].values())
-    flat = persist.load_array_f64(d / "encoder.f64", (total,))
+    flat = persist.load_verified_f64(
+        d / "encoder.f64", (total,), header["params_sha256"],
+        "encoder.f64 does not match its recorded sha256",
+    )
     params = {}
     pos = 0
     for name in header["param_order"]:

@@ -228,8 +228,8 @@ class GramBundle:
         n = k.shape[0]
         if k.shape != (n, n) or n == 0:
             raise ValueError("train_gram must be square and nonempty")
-        if max_asymmetry(k) > 1e-10:
-            raise ValueError("train_gram not symmetric within 1e-10")
+        if not max_asymmetry(k) <= 1e-10:  # NaN, or inf - inf, fails too
+            raise ValueError("train_gram not finite and symmetric within 1e-10")
         if not self.centered:
             if np.max(np.abs(np.diag(k) - 1.0)) > 1e-9:
                 raise ValueError("uncentered Gram diagonal must be 1 within 1e-9")

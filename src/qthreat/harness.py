@@ -1,5 +1,5 @@
-"""Experiment configuration, staged pipelines, the run matrix, and
-streaming evaluation.
+"""Experiment configuration, staged pipelines, one scorer shared by
+train-time evaluation, rescoring and streaming, and the run matrix.
 
 A bundle directory is the unit of persistence. Each stage writes its
 artifacts plus a ``stage.json`` carrying a content key (hash of stage
@@ -197,11 +197,6 @@ class ExperimentConfig:
     def noise(self) -> NoiseSpec:
         return NoiseSpec(self.depol_1q, self.depol_2q, self.readout_01, self.readout_10)
 
-    def has_noise(self) -> bool:
-        return any(
-            v > 0 for v in (self.depol_1q, self.depol_2q, self.readout_01, self.readout_10)
-        )
-
     def feature_spec(self) -> FeatureMapSpec:
         return FeatureMapSpec(
             self.qubits, self.reps, self.entanglement, self.second_order_coeff
@@ -230,26 +225,18 @@ class ExperimentConfig:
         )
 
     def execution(self) -> vqc.Execution:
+        """How this config's test rows are scored; a noiseless config gets
+        noise None."""
         if self.backend == "exact":
-            return vqc.Execution(mode="exact")
+            return vqc.Execution()
+        noise = self.noise()
         return vqc.Execution(
-            mode="shots",
-            shots=self.shots,
-            noise=self.noise() if self.has_noise() else None,
-            mitigate=self.mitigate,
-            seed=self.seeds.sampling,
+            "shots", self.shots, noise if noise != NoiseSpec() else None, self.mitigate,
+            self.seeds.sampling,
         )
 
 
-def load_config(path) -> ExperimentConfig:
-    return ExperimentConfig.from_dict(persist.load_json(path))
-
-
 # ---------------------------------------------------------------- stages
-
-
-def _stage_path(root: Path, name: str) -> Path:
-    return root / name
 
 
 def _stage_fresh(d: Path, key: str) -> bool:
@@ -294,7 +281,7 @@ def _stage_preprocess(config: ExperimentConfig, root: Path):
         "seed": config.seeds.data,
     }
     key = persist.stage_key("preprocess", slice_, _source_hashes(config))
-    d = _stage_path(root, "preprocess")
+    d = root / "preprocess"
     if _stage_fresh(d, key):
         return datapipe.load_split(d), key
     if config.dataset == "nslkdd":
@@ -342,7 +329,7 @@ def _stage_encoder(config: ExperimentConfig, root: Path, split, pre_key: str):
         "seed": config.seeds.encoder,
     }
     key = persist.stage_key("encoder", slice_, [pre_key])
-    d = _stage_path(root, "encoder")
+    d = root / "encoder"
     if _stage_fresh(d, key):
         model, scaler = load_encoder(d)
         return model, scaler, key
@@ -362,16 +349,109 @@ def _angles(config: ExperimentConfig, enc_model, scaler, x: np.ndarray) -> np.nd
     return vqc.angles_from_features(x, enc_model, scaler, config.qubits)
 
 
-def _qsvm_scorer(config: ExperimentConfig, split, svm, enc_model, scaler, row_means):
-    """The QSVM's exact scorer over angle rows (qsvm.observable_scorer)."""
-    support_angles = _angles(config, enc_model, scaler, split.x_train[svm.support])
-    return qsvm.observable_scorer(svm, support_angles, row_means, config.feature_spec())
+# --------------------------------------------------------------- scoring
+
+
+@dataclass(frozen=True)
+class _Model:
+    """A trained model as scoring reads it: the encoder it reads through
+    (the fine-tuned copy for a fine-tuned VQC) and the scaler, plus the
+    SVM and the train Gram's centring means (qsvm) or the circuit (vqc)."""
+
+    config: ExperimentConfig
+    encoder: EncoderModel
+    scaler: object
+    svm: Optional[qsvm.SvmModel] = None
+    row_means: Optional[np.ndarray] = None
+    circuit: Optional[vqc.VqcModel] = None
+
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        """Feature rows as the scorer reads them: angles, or the features (baseline)."""
+        if self.config.model == "classical-baseline":
+            return x
+        return _angles(self.config, self.encoder, self.scaler, x)
+
+
+def _load_model(config: ExperimentConfig, root: Path) -> _Model:
+    """A bundle's model files, each read once: encoder/ (vqc/encoder, saved
+    with the same scaler, for a fine-tuned VQC), then svm/svm.json and the
+    centring means in gram/gram.json, or vqc/. The baseline needs only encoder/."""
+    if config.model == "vqc":
+        enc_dir = root / "vqc" / "encoder" if config.fine_tune else root / "encoder"
+        return _Model(config, *load_encoder(enc_dir), circuit=vqc.load_vqc(root / "vqc"))
+    enc_model, scaler = load_encoder(root / "encoder")
+    if config.model == "qsvm":
+        return _Model(
+            config, enc_model, scaler,
+            svm=qsvm.load_svm(root / "svm" / "svm.json"),
+            row_means=featuremap.load_centering_means(root / "gram"),
+        )
+    return _Model(config, enc_model, scaler)
+
+
+def _scorer(model: _Model, split, execution: vqc.Execution, reference_limit=REFERENCE_LIMIT):
+    """(score, refs): score(rows, positions) maps rows (model.rows of test
+    features) to decision values; refs are the train rows a QSVM compares with.
+
+    Exact QSVM rows go through the observable (qsvm.observable_scorer) over
+    every support vector. Shot QSVM rows estimate their kernels against at
+    most `reference_limit` stratified support vectors (only those train rows
+    are encoded), pair (position, j) seeded with _pair_seed(seed, position, j),
+    and combine them as sum_i coef_i (k(x, i) - mu_i) + b, the batch decision
+    because the dual coefficients sum to zero. Shot VQC rows take the seed
+    SeedSequence(seed).generate_state(n)[position], as vqc.decision_logits
+    does. A row's score depends on its position, not on how rows are grouped.
+    """
+    config = model.config
+    shots = execution.mode == "shots"
+    no_refs = np.array([], dtype=int)
+    if config.model == "classical-baseline":
+        if shots:
+            raise ValueError("the classical baseline has no shot backend")
+        return (lambda x, positions: _classifier_margin(model.encoder, x)), no_refs
+    if config.model == "vqc":
+        circuit = model.circuit
+        if not shots:
+            return (lambda rows, positions: vqc.decision_logits(rows, circuit)), no_refs
+
+        def score(rows, positions):
+            state = np.random.SeedSequence(execution.seed).generate_state(
+                int(np.max(positions, initial=-1)) + 1
+            )
+            return vqc.shot_logits(rows, circuit, execution, state[positions])
+
+        return score, no_refs
+    svm, fspec = model.svm, config.feature_spec()
+    if not shots:
+        observable = qsvm.observable_scorer(
+            svm, model.rows(split.x_train[svm.support]), model.row_means, fspec
+        )
+        return (lambda rows, positions: observable(rows)), svm.support
+    if reference_limit < 1 or reference_limit > svm.n_train:
+        raise ValueError("reference set larger than the stored Gram")
+    picked = datapipe.stratified_indices(
+        split.y_train[svm.support], reference_limit, config.seeds.sampling
+    )
+    refs, coef = svm.support[picked], svm.coef[picked]
+    ref_angles, mu = model.rows(split.x_train[refs]), model.row_means[refs]
+
+    def score(rows, positions):
+        kernels = np.stack([
+            featuremap.kernel_shot_estimates(
+                row, ref_angles, fspec, execution.shots, execution.noise, execution.mitigate,
+                [_pair_seed(execution.seed, p, j) for j in range(refs.size)],
+            )
+            for row, p in zip(rows, positions)
+        ])
+        return svm.sign * ((kernels - mu[None, :]) @ coef + svm.bias)
+
+    return score, refs
 
 
 def _stage_gram(config: ExperimentConfig, root: Path, split, enc_model, scaler, enc_key: str):
     fspec = config.feature_spec()
     key = persist.stage_key("gram", fspec.as_dict(), [enc_key])
-    d = _stage_path(root, "gram")
+    d = root / "gram"
     if _stage_fresh(d, key):
         return featuremap.load_gram_bundle(d), key
     train_angles = _angles(config, enc_model, scaler, split.x_train)
@@ -395,7 +475,7 @@ def _stage_svm(
         "class_weights": list(split.class_weights),
     }
     key = persist.stage_key("svm", slice_, [gram_key])
-    d = _stage_path(root, "svm")
+    d = root / "svm"
     if _stage_fresh(d, key):
         return qsvm.load_svm(d / "svm.json"), key
     plan = qsvm.CvPlan(
@@ -405,8 +485,9 @@ def _stage_svm(
     model = qsvm.solve_dual(
         bundle.train_gram, split.y_train, best_c, class_weights=split.class_weights
     )
-    score = _qsvm_scorer(config, split, model, enc_model, scaler, bundle.centering_row_means)
-    raw = score(_angles(config, enc_model, scaler, split.x_val))
+    fitted = _Model(config, enc_model, scaler, svm=model, row_means=bundle.centering_row_means)
+    score, _ = _scorer(fitted, split, vqc.Execution())
+    raw = score(fitted.rows(split.x_val), np.arange(split.y_val.size))
     sign = qsvm.align_sign(raw, split.y_val)
     threshold = qsvm.tune_threshold(sign * raw, split.y_val, config.beta)
     model = replace(model, sign=sign, threshold=threshold)
@@ -430,7 +511,7 @@ def _stage_vqc(config: ExperimentConfig, root: Path, split, enc_model, scaler, e
         "seed": config.seeds.encoder,
     }
     key = persist.stage_key("vqc", slice_, [enc_key])
-    d = _stage_path(root, "vqc")
+    d = root / "vqc"
     if _stage_fresh(d, key):
         model = vqc.load_vqc(d)
         header = persist.load_json(d / "vqc.json")
@@ -477,7 +558,7 @@ def _classifier_margin(enc_model: EncoderModel, x: np.ndarray) -> np.ndarray:
 
 def _stage_baseline(config: ExperimentConfig, root: Path, split, enc_model, enc_key: str):
     key = persist.stage_key("baseline", {"beta": config.beta}, [enc_key])
-    d = _stage_path(root, "baseline")
+    d = root / "baseline"
     if _stage_fresh(d, key):
         return float(persist.load_json(d / "baseline.json")["threshold"]), key
     val_scores = _classifier_margin(enc_model, split.x_val)
@@ -565,50 +646,41 @@ def run_experiment(config: ExperimentConfig, workdir, through: Optional[str] = N
         if through == "gram":
             return _finish(manifest, mpath, root, stages, complete=False)
 
-        extras: dict = {}
         if config.model == "qsvm":
             svm, stages["svm"] = run_stage(
                 "svm", _stage_svm, split, bundle, enc_model, scaler, stages["gram"]
             )
             threshold = svm.threshold
-
-            def evaluate():
-                score = _qsvm_scorer(
-                    config, split, svm, enc_model, scaler, bundle.centering_row_means
-                )
-                scores = score(_angles(config, enc_model, scaler, split.x_test))
-                return metrics.report(split.y_test, scores, threshold, config.beta)
-
+            model = _Model(
+                config, enc_model, scaler, svm=svm, row_means=bundle.centering_row_means
+            )
         elif config.model == "vqc":
-            vqc_model, enc_used, threshold, stages["vqc"] = run_stage(
+            circuit, enc_used, threshold, stages["vqc"] = run_stage(
                 "vqc", _stage_vqc, split, enc_model, scaler, stages["encoder"]
             )
-
-            def evaluate():
-                ang = _angles(config, enc_used, scaler, split.x_test)
-                logits = vqc.decision_logits(ang, vqc_model)
-                extras["consistency"] = {
-                    "exact_vs_analytic_max_abs": _vqc_consistency(ang, vqc_model)
-                }
-                if config.backend == "shots":
-                    extras["shot_eval"] = _vqc_shot_eval(
-                        config, ang, vqc_model, split.y_test, threshold
-                    )
-                return metrics.report(split.y_test, logits, threshold, config.beta)
-
+            model = _Model(config, enc_used, scaler, circuit=circuit)
         else:
             threshold, stages["baseline"] = run_stage(
                 "baseline", _stage_baseline, split, enc_model, stages["encoder"]
             )
+            model = _Model(config, enc_model, scaler)
 
-            def evaluate():
-                scores = _classifier_margin(enc_model, split.x_test)
-                return metrics.report(split.y_test, scores, threshold, config.beta)
-
+        extras: dict = {}
         try:
-            rep = evaluate()
-        except PipelineError:
-            raise
+            rows, positions = model.rows(split.x_test), np.arange(split.y_test.size)
+            score, _ = _scorer(model, split, vqc.Execution())
+            rep = metrics.report(split.y_test, score(rows, positions), threshold, config.beta)
+            if config.model == "vqc":
+                extras["consistency"] = {
+                    "exact_vs_analytic_max_abs": _vqc_consistency(rows, circuit)
+                }
+            if config.model == "vqc" and config.backend == "shots":
+                extras["shot_eval"] = {}
+                for tag, mitigate in (("raw", False), ("mitigated", True)):
+                    shot, _ = _scorer(model, split, replace(config.execution(), mitigate=mitigate))
+                    extras["shot_eval"][tag] = metrics.report(
+                        split.y_test, shot(rows, positions), threshold, config.beta
+                    ).as_dict()
         except Exception as exc:
             raise PipelineError("evaluate", str(exc)) from exc
     except PipelineError as err:
@@ -657,22 +729,6 @@ def _vqc_consistency(angle_rows: np.ndarray, model: vqc.VqcModel, cap: int = 16)
     return gap
 
 
-def _vqc_shot_eval(config, angle_rows, model, y, threshold) -> dict:
-    noise = config.noise() if config.has_noise() else None
-    out = {}
-    for tag, mitigate in (("raw", False), ("mitigated", True)):
-        ex = vqc.Execution(
-            mode="shots",
-            shots=config.shots,
-            noise=noise,
-            mitigate=mitigate,
-            seed=config.seeds.sampling,
-        )
-        logits = vqc.decision_logits(angle_rows, model, ex)
-        out[tag] = metrics.report(y, logits, threshold, config.beta).as_dict()
-    return out
-
-
 # ---------------------------------------------------------------- bundles
 
 
@@ -705,6 +761,32 @@ def load_bundle(workdir, verify: bool = True) -> ArtifactBundle:
     return ArtifactBundle(root=root, manifest=manifest)
 
 
+def _open_complete(workdir):
+    """A complete bundle, every file hash-checked once, and its split."""
+    bundle = load_bundle(workdir)
+    if not bundle.complete:
+        raise ValueError("bundle is incomplete; rerun the pipeline first")
+    return bundle, datapipe.load_split(bundle.root / "preprocess")
+
+
+def bundle_execution(
+    config: ExperimentConfig,
+    backend: str,
+    shots: Optional[int] = None,
+    noise: Optional[NoiseSpec] = None,
+    mitigate: Optional[bool] = None,
+    sampling_seed: Optional[int] = None,
+) -> vqc.Execution:
+    """The Execution `config.execution()` gives for `backend`; in shot mode
+    each override that is not None replaces the config's shots, noise,
+    mitigation or sampling seed."""
+    execution = replace(config, backend=backend).execution()
+    if execution.mode == "exact":
+        return execution
+    given = {"shots": shots, "noise": noise, "mitigate": mitigate, "seed": sampling_seed}
+    return replace(execution, **{k: v for k, v in given.items() if v is not None})
+
+
 def evaluate_bundle(
     workdir,
     backend: Optional[str] = None,
@@ -714,64 +796,26 @@ def evaluate_bundle(
     sampling_seed: Optional[int] = None,
     reference_limit: int = REFERENCE_LIMIT,
 ) -> dict:
-    """Re-evaluate a complete bundle's test split.
+    """Re-evaluate a complete bundle's test split in one scorer call.
 
     With no overrides this reproduces the manifest metrics bit-exactly.
-    Overrides switch the quantum evaluation to shot/noise mode; the stored
-    validation threshold is applied unchanged.
+    backend="shots" takes shots, noise, mitigation and sampling seed from the
+    bundle's config unless overridden (bundle_execution); test row i takes
+    position i of the scorer's seed rule (_scorer), so the result equals
+    evaluate_streaming over every test row with the same Execution. The stored
+    validation threshold is applied unchanged; nothing is written to the bundle.
     """
-    bundle = load_bundle(workdir)
-    if not bundle.complete:
-        raise ValueError("bundle is incomplete; rerun the pipeline first")
+    bundle, split = _open_complete(workdir)
     config = bundle.config
-    root = bundle.root
-    split = datapipe.load_split(root / "preprocess")
+    execution = bundle_execution(
+        config, backend or "exact", shots, noise, mitigate, sampling_seed
+    )
+    model = _load_model(config, bundle.root)
+    score, _ = _scorer(model, split, execution, reference_limit)
+    scores = score(model.rows(split.x_test), np.arange(split.y_test.size))
     threshold = float(bundle.manifest["threshold"])
-    backend = backend or "exact"
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}")
-    ex_shots = shots if shots is not None else config.shots
-    ex_seed = sampling_seed if sampling_seed is not None else config.seeds.sampling
-    ex_mitigate = config.mitigate if mitigate is None else mitigate
-
-    if config.model == "classical-baseline":
-        if backend != "exact":
-            raise ValueError("the classical baseline has no shot backend")
-        enc_model, _ = load_encoder(root / "encoder")
-        scores = _classifier_margin(enc_model, split.x_test)
-    elif config.model == "qsvm":
-        if backend == "exact":
-            enc_model, scaler = load_encoder(root / "encoder")
-            svm = qsvm.load_svm(root / "svm" / "svm.json")
-            row_means = featuremap.load_centering_means(root / "gram")
-            score = _qsvm_scorer(config, split, svm, enc_model, scaler, row_means)
-            scores = score(_angles(config, enc_model, scaler, split.x_test))
-        else:
-            ex = vqc.Execution("shots", ex_shots, noise, ex_mitigate, ex_seed)
-            streamed = evaluate_streaming(
-                workdir,
-                subset=np.arange(split.y_test.size),
-                execution=ex,
-                reference_limit=reference_limit,
-            )
-            return {
-                "metrics": streamed["report"].as_dict(),
-                "threshold": threshold,
-                "backend": backend,
-            }
-    else:
-        enc_dir = root / "vqc" / "encoder" if config.fine_tune else root / "encoder"
-        enc_used = load_encoder(enc_dir)[0]
-        scaler = load_encoder(root / "encoder")[1]
-        model = vqc.load_vqc(root / "vqc")
-        ang = _angles(config, enc_used, scaler, split.x_test)
-        if backend == "exact":
-            scores = vqc.decision_logits(ang, model)
-        else:
-            ex = vqc.Execution("shots", ex_shots, noise, ex_mitigate, ex_seed)
-            scores = vqc.decision_logits(ang, model, ex)
     rep = metrics.report(split.y_test, scores, threshold, config.beta)
-    return {"metrics": rep.as_dict(), "threshold": threshold, "backend": backend}
+    return {"metrics": rep.as_dict(), "threshold": threshold, "backend": execution.mode}
 
 
 # -------------------------------------------------------------- streaming
@@ -789,24 +833,17 @@ def evaluate_streaming(
     audit_path=None,
     reference_limit: int = REFERENCE_LIMIT,
 ) -> dict:
-    """Score test rows one at a time, emitting one audit line per sample.
+    """Score test rows in groups of STREAM_BATCH, one scorer call per
+    group, emitting one audit line per sample.
 
-    In exact mode QSVM rows go through the model's observable
-    (qsvm.observable_scorer), which folds in every support vector, so the
-    scores equal batch scoring. In shot mode each row's kernels against a
-    reference set of support vectors (stratified-subsampled to
-    `reference_limit` when necessary) come from one stacked call of the shot
-    engine (featuremap.kernel_shot_estimates, one _pair_seed per pair) and
-    are combined by the identity sum_i coef_i * (k(x, i) - mu_i) + b, which
-    matches the batch decision because the dual coefficients sum to zero.
-    Rows are scored in groups of STREAM_BATCH samples.
+    The k-th row of `subset` takes position k of the scorer's seed rule
+    (_scorer), so streaming every test row in order gives the scores of
+    evaluate_bundle, in exact and in shot mode. QSVM rows are scored
+    through every support vector in exact mode and through a reference
+    set of at most `reference_limit` support vectors in shot mode.
     """
-    bundle = load_bundle(workdir)
-    if not bundle.complete:
-        raise ValueError("bundle is incomplete; rerun the pipeline first")
+    bundle, split = _open_complete(workdir)
     config = bundle.config
-    root = bundle.root
-    split = datapipe.load_split(root / "preprocess")
     n_test = split.y_test.size
     if subset is None:
         subset = datapipe.select_eval_subset(split, subset_size, seed=config.seeds.sampling)
@@ -815,66 +852,24 @@ def evaluate_streaming(
         raise ValueError("subset is empty")
     if subset.min() < 0 or subset.max() >= n_test:
         raise ValueError("subset index out of range for the test split")
-    execution = execution or vqc.Execution(mode="exact")
+    if config.model not in ("qsvm", "vqc"):
+        raise ValueError("streaming evaluation needs a quantum model bundle")
+    execution = execution or vqc.Execution()
     threshold = float(bundle.manifest["threshold"])
 
-    enc_model, scaler = load_encoder(root / "encoder")
-    if config.model == "qsvm":
-        svm = qsvm.load_svm(root / "svm" / "svm.json")
-        if reference_limit < 1 or reference_limit > svm.n_train:
-            raise ValueError("reference set larger than the stored Gram")
-        row_means = featuremap.load_centering_means(root / "gram")
-        if execution.mode == "exact":
-            exact_score = _qsvm_scorer(config, split, svm, enc_model, scaler, row_means)
-            refs = svm.support
-        else:
-            fspec = config.feature_spec()
-            train_angles = _angles(config, enc_model, scaler, split.x_train)
-            picked = datapipe.stratified_indices(
-                split.y_train[svm.support], reference_limit, config.seeds.sampling
-            )
-            refs, coef = svm.support[picked], svm.coef[picked]
-            ref_angles, mu = train_angles[refs], row_means[refs]
-        score_source = "qsvm"
-    elif config.model == "vqc":
-        enc_dir = root / "vqc" / "encoder" if config.fine_tune else root / "encoder"
-        enc_model = load_encoder(enc_dir)[0]
-        model = vqc.load_vqc(root / "vqc")
-        refs = np.array([], dtype=int)
-        score_source = "vqc"
-    else:
-        raise ValueError("streaming evaluation needs a quantum model bundle")
-
-    test_angles = _angles(config, enc_model, scaler, split.x_test[subset])
-    path = Path(audit_path) if audit_path is not None else root / "stream_audit.csv"
+    model = _load_model(config, bundle.root)
+    if model.svm is not None and not 1 <= reference_limit <= model.svm.n_train:
+        raise ValueError("reference set larger than the stored Gram")
+    score, refs = _scorer(model, split, execution, reference_limit)
+    rows, positions = model.rows(split.x_test[subset]), np.arange(subset.size)
+    path = Path(audit_path) if audit_path is not None else bundle.root / "stream_audit.csv"
     scores = np.empty(subset.size)
     with open(path, "w", encoding="utf-8") as sink:
         stream = metrics.StreamingConfusion(sink=sink)
         for start in range(0, subset.size, STREAM_BATCH):
-            stop = min(start + STREAM_BATCH, subset.size)
-            chunk = test_angles[start:stop]
-            if score_source == "qsvm":
-                if execution.mode == "exact":
-                    chunk_scores = exact_score(chunk)
-                else:
-                    kernels = np.stack([
-                        featuremap.kernel_shot_estimates(
-                            row, ref_angles, fspec, execution.shots, execution.noise,
-                            execution.mitigate,
-                            [_pair_seed(execution.seed, start + i, j) for j in range(refs.size)],
-                        )
-                        for i, row in enumerate(chunk)
-                    ])
-                    chunk_scores = svm.sign * ((kernels - mu[None, :]) @ coef + svm.bias)
-            else:
-                if execution.mode == "exact":
-                    chunk_scores = vqc.decision_logits(chunk, model)
-                else:
-                    ex = replace(execution, seed=_pair_seed(execution.seed, start, 0))
-                    chunk_scores = vqc.decision_logits(chunk, model, ex)
-            for i, s in enumerate(chunk_scores):
-                idx = subset[start + i]
-                scores[start + i] = s
+            chunk = slice(start, start + STREAM_BATCH)
+            scores[chunk] = score(rows[chunk], positions[chunk])
+            for idx, s in zip(subset[chunk], scores[chunk]):
                 stream.update(int(split.y_test[idx]), int(s >= threshold))
     rep = metrics.report(split.y_test[subset], scores, threshold, config.beta)
     return {

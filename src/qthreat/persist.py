@@ -67,13 +67,14 @@ def save_array_f64(path, arr: np.ndarray) -> str:
     return sha256_bytes(data)
 
 
-def _read_f64(path, shape, sha256=None, mismatch=None) -> np.ndarray:
-    """One read of the file into one writable buffer; when `sha256` is
-    given, exactly those bytes are hashed before being parsed in place."""
+def load_verified_f64(path, shape, sha256: str, mismatch: str) -> np.ndarray:
+    """The array of a file whose bytes must have this sha256, else
+    ValueError(mismatch). The file is read once into one writable buffer,
+    and the bytes hashed are the bytes parsed in place."""
     with open(path, "rb") as f:
         data = bytearray(os.fstat(f.fileno()).st_size)
         f.readinto(data)
-    if sha256 is not None and sha256_bytes(data) != sha256:
+    if sha256_bytes(data) != sha256:
         raise ValueError(mismatch)
     arr = np.frombuffer(data, dtype="<f8").astype(np.float64, copy=False)
     expected = int(np.prod(shape)) if shape else arr.size
@@ -82,17 +83,6 @@ def _read_f64(path, shape, sha256=None, mismatch=None) -> np.ndarray:
             f"{path}: expected {expected} float64 values, found {arr.size}"
         )
     return arr.reshape(shape)
-
-
-def load_array_f64(path, shape) -> np.ndarray:
-    return _read_f64(path, shape)
-
-
-def load_verified_f64(path, shape, sha256: str, mismatch: str) -> np.ndarray:
-    """The array of a file whose bytes must have this sha256, else
-    ValueError(mismatch); the file is read once, and the bytes hashed are
-    the bytes parsed."""
-    return _read_f64(path, shape, sha256, mismatch)
 
 
 def save_json(path, obj) -> str:

@@ -195,13 +195,6 @@ class NoiseSpec:
         ).copy()
         return p01, p10
 
-    @property
-    def any_readout(self) -> bool:
-        return bool(
-            np.any(np.asarray(self.readout_flip_01, dtype=float) > 0)
-            or np.any(np.asarray(self.readout_flip_10, dtype=float) > 0)
-        )
-
 
 def apply_circuit(state: PureState, program: CircuitProgram) -> PureState:
     if state.num_qubits != program.num_qubits:

@@ -86,8 +86,8 @@ def solve_dual(
     n = y01.size
     if k.shape != (n, n):
         raise ValueError(f"gram shape {k.shape} does not match {n} labels")
-    if max_asymmetry(k) > 1e-8:
-        raise ValueError("gram matrix must be symmetric")
+    if not max_asymmetry(k) <= 1e-8:  # NaN, or inf - inf, fails too
+        raise ValueError("gram matrix must be finite and symmetric")
     if set(np.unique(y01)) != {0, 1}:
         raise ValueError("labels must contain both classes (0 and 1)")
     y = np.where(y01 == 1, 1.0, -1.0)

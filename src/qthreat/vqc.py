@@ -229,11 +229,18 @@ def decision_logits(
     SeedSequence(execution.seed).generate_state(n)[i]."""
     rows = np.atleast_2d(np.asarray(angle_rows, dtype=float))
     if execution.mode == "exact":
-        zhat = _batch_expectations(rows, model)
-    else:
-        seeds = np.random.SeedSequence(execution.seed).generate_state(rows.shape[0])
-        zhat = _shot_parities(rows, model, execution, seeds)
-    return model.scale * zhat + model.bias
+        return model.scale * _batch_expectations(rows, model) + model.bias
+    seeds = np.random.SeedSequence(execution.seed).generate_state(rows.shape[0])
+    return shot_logits(rows, model, execution, seeds)
+
+
+def shot_logits(
+    angle_rows: np.ndarray, model: VqcModel, execution: Execution, seeds
+) -> np.ndarray:
+    """Shot-mode logits for a stack of angle rows, row i sampled with
+    seeds[i] (execution.seed is not read)."""
+    rows = np.atleast_2d(np.asarray(angle_rows, dtype=float))
+    return model.scale * _shot_parities(rows, model, execution, seeds) + model.bias
 
 
 # --------------------------------------------------------------- gradients

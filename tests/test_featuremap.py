@@ -454,6 +454,22 @@ def test_bundle_validation():
         GramBundle(np.array([[0.5, 0.0], [0.0, 1.0]]))  # bad diagonal
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [[[1.0, np.nan], [np.nan, 1.0]], [[np.nan, 0.0], [0.0, 1.0]],
+     [[1.0, np.inf], [np.inf, 1.0]], [[1.0, -np.inf], [-np.inf, 1.0]]],
+    ids=["nan", "nan-diagonal", "inf", "minus-inf"],
+)
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_bundle_rejects_non_finite_gram(bad):
+    for centered in (False, True):
+        with pytest.raises(ValueError, match="symmetric"):
+            GramBundle(
+                np.array(bad), centering_row_means=np.zeros(2), centering_grand_mean=0.0,
+                centered=centered,
+            )
+
+
 # -------------------------------------------------------------- centering
 
 

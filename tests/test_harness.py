@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from qthreat import datapipe, featuremap, harness, persist, qsvm, vqc
+from qthreat import datapipe, featuremap, harness, metrics, persist, qsvm, vqc
 from qthreat.cli import main
 from qthreat.encoder import load_encoder
 from qthreat.harness import ExperimentConfig, PipelineError, Seeds
@@ -432,6 +432,96 @@ def test_streaming_vqc_matches_batch_logits(vqc_bundle):
     assert out["report"].accuracy == manifest["metrics"]["accuracy"]
 
 
+SHOT_OVERRIDES = dict(shots=64, noise=NoiseSpec(1e-3, 1e-2, 0.02, 0.04), mitigate=True, sampling_seed=3)
+
+
+@pytest.mark.parametrize("backend", ["exact", "shots"])
+@pytest.mark.parametrize("fixture", ["qsvm_bundle", "vqc_bundle"])
+def test_full_stream_equals_rescore(request, fixture, backend, tmp_path):
+    config, d, _ = request.getfixturevalue(fixture)
+    over = SHOT_OVERRIDES if backend == "shots" else {}
+    batch = harness.evaluate_bundle(d, backend=backend, **over)
+    n = datapipe.load_split(d / "preprocess").y_test.size
+    assert n > harness.STREAM_BATCH
+    streamed = harness.evaluate_streaming(
+        d, subset=np.arange(n), execution=harness.bundle_execution(config, backend, **over),
+        audit_path=tmp_path / "audit.csv",
+    )
+    assert streamed["report"].as_dict() == batch["metrics"]
+
+
+def test_vqc_shot_stream_seeds_rows_by_position(vqc_bundle, tmp_path):
+    # chunks of STREAM_BATCH rows take the seeds of one decision_logits call
+    config, d, _ = vqc_bundle
+    ex = vqc.Execution("shots", 64, NoiseSpec(1e-3, 1e-2), seed=5)
+    split = datapipe.load_split(d / "preprocess")
+    out = harness.evaluate_streaming(
+        d, subset=np.arange(split.y_test.size), execution=ex, audit_path=tmp_path / "a.csv"
+    )
+    enc, scaler = load_encoder(d / "encoder")
+    angles = harness._angles(config, enc, scaler, split.x_test)
+    assert np.array_equal(out["scores"], vqc.decision_logits(angles, vqc.load_vqc(d / "vqc"), ex))
+
+
+def test_qsvm_shot_rescore_matches_the_chunked_stream_oracle(qsvm_bundle):
+    # the former route of a shot rescore: every train row encoded, then
+    # STREAM_BATCH rows per stacked product with the reference coefficients
+    config, d, manifest = qsvm_bundle
+    ex = harness.bundle_execution(config, "shots", **SHOT_OVERRIDES)
+    split = datapipe.load_split(d / "preprocess")
+    enc, scaler = load_encoder(d / "encoder")
+    svm = qsvm.load_svm(d / "svm" / "svm.json")
+    picked = datapipe.stratified_indices(
+        split.y_train[svm.support], harness.REFERENCE_LIMIT, config.seeds.sampling
+    )
+    refs, coef = svm.support[picked], svm.coef[picked]
+    mu = featuremap.load_centering_means(d / "gram")[refs]
+    train = harness._angles(config, enc, scaler, split.x_train)[refs]
+    test = harness._angles(config, enc, scaler, split.x_test)
+    scores = []
+    for start in range(0, len(test), harness.STREAM_BATCH):
+        kernels = np.stack([
+            featuremap.kernel_shot_estimates(
+                row, train, config.feature_spec(), ex.shots, ex.noise, ex.mitigate,
+                [harness._pair_seed(ex.seed, start + i, j) for j in range(refs.size)],
+            )
+            for i, row in enumerate(test[start:start + harness.STREAM_BATCH])
+        ])
+        scores.extend(svm.sign * ((kernels - mu[None, :]) @ coef + svm.bias))
+    want = metrics.report(split.y_test, np.array(scores), manifest["threshold"], config.beta)
+    got = harness.evaluate_bundle(d, backend="shots", **SHOT_OVERRIDES)
+    assert got["metrics"] == want.as_dict()
+
+
+def test_shot_rescore_hashes_each_file_once_and_writes_nothing(qsvm_bundle, monkeypatch):
+    _, d, manifest = qsvm_bundle
+    before = {p: p.stat().st_mtime_ns for p in d.rglob("*")}
+    hashed = []
+    real = persist.sha256_file
+    monkeypatch.setattr(persist, "sha256_file", lambda path: hashed.append(path) or real(path))
+    harness.evaluate_bundle(d, backend="shots", shots=32)
+    assert len(hashed) == len(manifest["files"])
+    assert {p: p.stat().st_mtime_ns for p in d.rglob("*")} == before
+
+
+def test_shot_rescore_takes_noise_from_the_bundle(make_config, tmp_path):
+    config = make_config(
+        experiment_id="t-vqc-noisy", model="vqc", epochs=2, backend="shots", shots=64,
+        readout_01=0.2, readout_10=0.1, mitigate=True,
+    )
+    manifest = harness.run_experiment(config, tmp_path)
+    assert harness.bundle_execution(config, "shots") == vqc.Execution(
+        "shots", 64, config.noise(), True, config.seeds.sampling
+    )
+    # no overrides: the train-time shot evaluation, noise and mitigation included
+    rescored = harness.evaluate_bundle(tmp_path, backend="shots")
+    assert rescored["metrics"] == manifest["shot_eval"]["mitigated"]
+    raw = harness.evaluate_bundle(tmp_path, backend="shots", mitigate=False)
+    assert raw["metrics"] == manifest["shot_eval"]["raw"]
+    noiseless = harness.evaluate_bundle(tmp_path, backend="shots", noise=NoiseSpec())
+    assert noiseless["metrics"] != rescored["metrics"]
+
+
 # ------------------------------------------------------------------ matrix
 
 
@@ -537,6 +627,25 @@ def test_cli_full_qsvm_run_then_evaluate_and_stream(nslkdd_dir, tmp_path, capsys
     assert main(["stream-eval", "--workdir", work, "--subset-size", "20"]) == 0
     out = capsys.readouterr().out
     assert "audit lines: 20" in out
+
+
+def test_cli_shot_stream_uses_the_bundle_sampling_seed(nslkdd_dir, tmp_path, capsys):
+    work = str(tmp_path / "cli-seed")
+    train = ["train-vqc", "--workdir", work, *_cli_common(nslkdd_dir), "--sampling-seed", "7"]
+    assert main(train) == 0
+    capsys.readouterr()
+    shots = ["--backend", "shots", "--shots", "32"]
+
+    def stream(*extra):
+        audit = str(tmp_path / "audit.csv")
+        assert main(["stream-eval", "--workdir", work, "--full-test", "--audit", audit, *shots, *extra]) == 0
+        out = capsys.readouterr().out
+        return json.loads(out[: out.rindex("}") + 1])
+
+    assert main(["evaluate", "--workdir", work, *shots]) == 0
+    evaluated = json.loads(capsys.readouterr().out)
+    assert stream() == evaluated == stream("--sampling-seed", "7")
+    assert stream("--sampling-seed", "0") != evaluated
 
 
 def test_cli_stage_commands_share_a_workdir(nslkdd_dir, tmp_path, capsys):

@@ -54,7 +54,8 @@ def test_saves_return_hash_of_written_bytes(tmp_path):
     arr = np.arange(12.0).reshape(3, 4)
     sha = persist.save_array_f64(tmp_path / "sub" / "x.f64", arr)
     assert sha == persist.sha256_file(tmp_path / "sub" / "x.f64")
-    assert np.array_equal(persist.load_array_f64(tmp_path / "sub" / "x.f64", (3, 4)), arr)
+    loaded = persist.load_verified_f64(tmp_path / "sub" / "x.f64", (3, 4), sha, "x.f64 tampered")
+    assert np.array_equal(loaded, arr)
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["a.json", "sub", "x.f64"]
 
 
@@ -86,6 +87,23 @@ def test_verified_load_checks_the_bytes_it_parses(tmp_path):
     (tmp_path / "a.f64").write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="a.f64 tampered"):
         persist.load_verified_f64(tmp_path / "a.f64", (2, 3), sha, "a.f64 tampered")
+
+
+@pytest.mark.parametrize("name", ["encoder.f64", "idf.f64", "doc_freq.f64"])
+def test_loaders_reject_a_flipped_byte(tmp_path, lingspam_dir, name):
+    if name == "encoder.f64":
+        config = encoder.EncoderConfig(input_dim=4, hidden_sizes=(3,), embed_dim=2, seed=0)
+        encoder.save_encoder(encoder.init_encoder(config), tmp_path)
+        load = encoder.load_encoder
+    else:
+        datapipe.save_split(datapipe.load_lingspam(lingspam_dir, seed=0), tmp_path)
+        load = datapipe.load_split
+    load(tmp_path)
+    raw = bytearray((tmp_path / name).read_bytes())
+    raw[0] ^= 1
+    (tmp_path / name).write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=f"{name} does not match its recorded sha256"):
+        load(tmp_path)
 
 
 @pytest.mark.parametrize(

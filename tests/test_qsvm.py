@@ -147,6 +147,18 @@ def test_kkt_on_centered_quantum_kernel():
         assert_kkt(model, bundle.train_gram, labels)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [[[1.0, np.nan], [np.nan, 1.0]], [[np.nan, 0.0], [0.0, 1.0]],
+     [[1.0, np.inf], [np.inf, 1.0]], [[1.0, -np.inf], [-np.inf, 1.0]]],
+    ids=["nan", "nan-diagonal", "inf", "minus-inf"],
+)
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_solver_rejects_non_finite_gram(bad):
+    with pytest.raises(ValueError, match="symmetric"):
+        solve_dual(np.array(bad), [0, 1], 1.0)
+
+
 def test_solver_input_validation():
     with pytest.raises(ValueError):
         solve_dual(np.array([[1.0, 0.5], [0.4, 1.0]]), [0, 1], 1.0)  # asymmetric
