@@ -56,9 +56,9 @@ def _quantum_args(p: argparse.ArgumentParser):
     p.add_argument("--convention", choices=("pi_minus", "product"), default="pi_minus")
 
 
-def _execution_args(p: argparse.ArgumentParser):
+def _execution_args(p: argparse.ArgumentParser, shots_default=1024):
     p.add_argument("--backend", choices=harness.BACKENDS, default="exact")
-    p.add_argument("--shots", type=int, default=1024)
+    p.add_argument("--shots", type=int, default=shots_default)
     p.add_argument("--depol1", type=float, default=0.0)
     p.add_argument("--depol2", type=float, default=0.0)
     p.add_argument("--readout01", type=float, default=0.0)
@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("evaluate", help="re-evaluate a finished bundle on its test split")
     pe.add_argument("--workdir", required=True)
-    _execution_args(pe)
+    _execution_args(pe, shots_default=None)  # unset: the bundle's shots
     pe.add_argument("--sampling-seed", type=int, default=None)
 
     ps = sub.add_parser("stream-eval", help="stream test rows one at a time with audit lines")
@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="QSVM support vectors each row is compared with, shot mode only "
         "(exact mode scores through every support vector)",
     )
-    _execution_args(ps)
+    _execution_args(ps, shots_default=None)
     ps.add_argument("--sampling-seed", type=int, default=None)
 
     pm = sub.add_parser("matrix", help="run a set of experiment configs with repeats")

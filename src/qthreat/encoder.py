@@ -22,6 +22,11 @@ from .metrics import confusion, f_beta, macro_f1
 
 LN_EPS = 1e-12  # keeps the pre-scale output variance 1 within 1e-6
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# Elements per pass of the in-place Adam step: each float64 operand of a pass
+# is 128 KiB, so the moments, parameter, gradient and both scratch buffers
+# stay in L2 through the dozen element-wise passes of one chunk.
+ADAM_CHUNK = 16384
+SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -83,27 +88,13 @@ class TrainSchedule:
         }
 
 
-def gelu(t: np.ndarray) -> np.ndarray:
-    """Exact GELU, t * Phi(t)."""
-    return t * ndtr(t)
-
-
-def gelu_grad(t: np.ndarray) -> np.ndarray:
-    pdf = np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
-    return ndtr(t) + t * pdf
-
-
-def gelu_tanh(t: np.ndarray) -> np.ndarray:
-    """Published tanh approximation; agrees with the exact form within 1e-3."""
-    return 0.5 * t * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (t + 0.044715 * t**3)))
-
-
 def layer_norm(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pre-scale normalized activations with cached (mean, inv_std)."""
     mu = z.mean(axis=-1, keepdims=True)
-    var = ((z - mu) ** 2).mean(axis=-1, keepdims=True)
+    centred = z - mu
+    var = (centred**2).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    return (z - mu) * inv_std, mu, inv_std
+    return centred * inv_std, mu, inv_std
 
 
 class EncoderModel:
@@ -157,7 +148,7 @@ def _forward_batch(model: EncoderModel, x: np.ndarray, training: bool, rng) -> T
     cfg = model.config
     p = model.params
     a = np.asarray(x, dtype=float)
-    cache = {"inputs": [], "xhat": [], "inv_std": [], "pre_gelu": [], "masks": []}
+    cache = {"inputs": [], "xhat": [], "inv_std": [], "phi": [], "masks": []}
     drop = cfg.dropout
     for i in range(model.num_blocks):
         cache["inputs"].append(a)
@@ -165,9 +156,10 @@ def _forward_batch(model: EncoderModel, x: np.ndarray, training: bool, rng) -> T
         xhat, _, inv_std = layer_norm(z)
         cache["xhat"].append(xhat)
         cache["inv_std"].append(inv_std)
-        h = p[f"block{i}.gamma"] * xhat + p[f"block{i}.beta"]
-        cache["pre_gelu"].append(h)
-        a = gelu(h)
+        a = p[f"block{i}.gamma"] * xhat + p[f"block{i}.beta"]  # h, the GELU input
+        phi = ndtr(a)
+        cache["phi"].append(phi)
+        a *= phi  # exact GELU, h * Phi(h); backward reuses Phi and recomputes h
         if training and drop > 0.0:
             mask = (rng.random(a.shape) >= drop).astype(float)
             a = a * mask / (1.0 - drop)
@@ -214,11 +206,6 @@ def forward(
     if single:
         return logits[0], e[0]
     return logits, e
-
-
-def embeddings(model: EncoderModel, x: np.ndarray) -> np.ndarray:
-    _, e = forward(model, x, training=False)
-    return e
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -271,12 +258,15 @@ def loss_and_gradients(
 def backward_from_embedding(model: EncoderModel, cache: dict, de: np.ndarray) -> Dict[str, np.ndarray]:
     """Backprop an upstream gradient on the unit-norm embedding.
 
-    Returns gradients for every parameter; classifier entries stay zero so
+    Returns gradients for every parameter; classifier entries are zero so
     callers that bypass the logit head (kernel or variational pipelines) can
-    feed the result straight into the optimizer.
+    feed the result straight into the optimizer. `cache` must come from a
+    forward pass with the current parameters: GELU's derivative reuses the
+    Phi(h) it cached and recomputes h from the cached xhat. The gradient with
+    respect to the input rows is not formed, since no caller reads it.
     """
     p = model.params
-    grads = {k: np.zeros_like(v) for k, v in p.items()}
+    grads = {"clf.W": np.zeros_like(p["clf.W"]), "clf.b": np.zeros_like(p["clf.b"])}
     # through the normalization e = v / ||v||
     dv = (de - (de * cache["e"]).sum(axis=-1, keepdims=True) * cache["e"]) / cache["norms"]
     grads["embed.W"] = dv.T @ cache["embed_in"]
@@ -288,8 +278,9 @@ def backward_from_embedding(model: EncoderModel, cache: dict, de: np.ndarray) ->
         mask = cache["masks"][i]
         if mask is not None:
             da = da * mask / (1.0 - drop)
-        dh = da * gelu_grad(cache["pre_gelu"][i])
         xhat = cache["xhat"][i]
+        h = p[f"block{i}.gamma"] * xhat + p[f"block{i}.beta"]  # forward's h, bit for bit
+        dh = da * (cache["phi"][i] + h * (np.exp(-0.5 * h * h) / SQRT_2PI))
         grads[f"block{i}.gamma"] = (dh * xhat).sum(axis=0)
         grads[f"block{i}.beta"] = dh.sum(axis=0)
         dxhat = dh * p[f"block{i}.gamma"]
@@ -298,30 +289,77 @@ def backward_from_embedding(model: EncoderModel, cache: dict, de: np.ndarray) ->
         dz = (dxhat - m1 - xhat * m2) * cache["inv_std"][i]
         grads[f"block{i}.W"] = dz.T @ cache["inputs"][i]
         grads[f"block{i}.b"] = dz.sum(axis=0)
-        da = dz @ p[f"block{i}.W"]
+        if i:  # block 0's input gradient would be d loss / d x, which nothing reads
+            da = dz @ p[f"block{i}.W"]
     return grads
 
 
 _DECAYED_SUFFIX = ".W"
 
 
+def _flat_inplace(a: np.ndarray, name: str) -> np.ndarray:
+    """A flat view of `a`; refuses arrays that reshape would copy or that
+    cannot be written, since an in-place update of either would be lost."""
+    if a.dtype != np.float64 or not (a.flags.c_contiguous and a.flags.writeable):
+        raise ValueError(f"{name} must be a C-contiguous, writable float64 array for the in-place Adam step")
+    return a.reshape(-1)
+
+
 class AdamState:
+    """Adam with decoupled weight decay on the `.W` matrices.
+
+    `step` updates the moments m, v and the model's parameters in place,
+    through flat views, ADAM_CHUNK elements at a time, with two scratch
+    buffers allocated once here. Every value is computed by the same
+    operations in the same order as the textbook update, so steps are
+    bit-identical to it. Parameters, m and v must therefore be C-contiguous
+    and writable float64 arrays; `step` raises ValueError otherwise.
+    """
+
     def __init__(self, model: EncoderModel):
         self.m = {k: np.zeros_like(v) for k, v in model.params.items()}
         self.v = {k: np.zeros_like(v) for k, v in model.params.items()}
         self.t = 0
+        width = min(ADAM_CHUNK, max(v.size for v in model.params.values()))
+        self._scratch = np.empty((2, width))
 
     def step(self, model: EncoderModel, grads, lr: float, weight_decay: float):
+        views = []  # every array is checked before any is written
+        for k, g in grads.items():
+            p = _flat_inplace(model.params[k], f"parameter {k}")
+            g = np.ravel(g)
+            if g.size != p.size:
+                raise ValueError(f"gradient {k} has {g.size} elements, parameter has {p.size}")
+            decay = weight_decay if weight_decay and k.endswith(_DECAYED_SUFFIX) else 0.0
+            views.append((p, _flat_inplace(self.m[k], f"Adam m[{k}]"),
+                          _flat_inplace(self.v[k], f"Adam v[{k}]"), g, decay))
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
-        for k, g in grads.items():
-            self.m[k] = ADAM_BETA1 * self.m[k] + (1 - ADAM_BETA1) * g
-            self.v[k] = ADAM_BETA2 * self.v[k] + (1 - ADAM_BETA2) * g * g
-            update = (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + ADAM_EPS)
-            if weight_decay and k.endswith(_DECAYED_SUFFIX):
-                update = update + weight_decay * model.params[k]
-            model.params[k] = model.params[k] - lr * update
+        for p, m, v, g, decay in views:
+            for lo in range(0, p.size, ADAM_CHUNK):
+                hi = lo + ADAM_CHUNK
+                self._chunk(p[lo:hi], m[lo:hi], v[lo:hi], g[lo:hi], bc1, bc2, lr, decay)
+
+    def _chunk(self, p, m, v, g, bc1, bc2, lr, decay):
+        a, b = self._scratch[0, : p.size], self._scratch[1, : p.size]
+        m *= ADAM_BETA1  # m = beta1 * m + (1 - beta1) * g
+        np.multiply(g, 1 - ADAM_BETA1, out=a)
+        m += a
+        v *= ADAM_BETA2  # v = beta2 * v + ((1 - beta2) * g) * g
+        np.multiply(g, 1 - ADAM_BETA2, out=a)
+        a *= g
+        v += a
+        np.divide(m, bc1, out=a)  # update = (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        a /= b
+        if decay:  # update + decay * p
+            np.multiply(p, decay, out=b)
+            a += b
+        a *= lr
+        p -= a
 
 
 def _selection_value(metric: str, beta: float, y_true, y_pred) -> float:

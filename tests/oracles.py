@@ -2,9 +2,13 @@
 checked against. Each one is the straightforward form of a computation the
 package now does another way; none of them is used by the package itself.
 """
+import math
+
 import numpy as np
+from scipy.special import ndtr
 
 from qthreat import datapipe
+from qthreat.encoder import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LN_EPS
 from qthreat.featuremap import feature_statevectors, gram_from_states
 from qthreat.metrics import confusion, f_beta
 from qthreat.qsim import gate_matrix
@@ -179,3 +183,124 @@ def apply_readout_error(counts, noise, seed):
         flipped = np.bitwise_xor(bitmat, flips.astype(np.int64)) @ (1 << np.arange(q))
         out += np.bincount(flipped, minlength=counts.size)
     return out
+
+
+# ------------------------------------------------------------------ encoder
+
+
+def gelu(t):
+    """Exact GELU, t * Phi(t)."""
+    return t * ndtr(t)
+
+
+def gelu_grad(t):
+    """d/dt of t * Phi(t), with Phi evaluated afresh."""
+    pdf = np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+    return ndtr(t) + t * pdf
+
+
+def encoder_forward(model, x, training, rng):
+    """The encoder forward pass as whole-array expressions, caching each
+    block's pre-GELU h: (logits, cache) with the keys the backward oracle
+    reads."""
+    p = model.params
+    a = np.asarray(x, dtype=float)
+    cache = {"inputs": [], "xhat": [], "inv_std": [], "pre_gelu": [], "masks": []}
+    drop = model.config.dropout
+    for i in range(model.num_blocks):
+        cache["inputs"].append(a)
+        z = a @ p[f"block{i}.W"].T + p[f"block{i}.b"]
+        mu = z.mean(axis=-1, keepdims=True)
+        var = ((z - mu) ** 2).mean(axis=-1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(var + LN_EPS)
+        xhat = (z - mu) * inv_std
+        cache["xhat"].append(xhat)
+        cache["inv_std"].append(inv_std)
+        h = p[f"block{i}.gamma"] * xhat + p[f"block{i}.beta"]
+        cache["pre_gelu"].append(h)
+        a = gelu(h)
+        if training and drop > 0.0:
+            mask = (rng.random(a.shape) >= drop).astype(float)
+            a = a * mask / (1.0 - drop)
+            cache["masks"].append(mask)
+        else:
+            cache["masks"].append(None)
+    cache["embed_in"] = a
+    v = a @ p["embed.W"].T + p["embed.b"]
+    norms = np.maximum(np.linalg.norm(v, axis=-1, keepdims=True), 1e-12)
+    cache["e"] = v / norms
+    cache["norms"] = norms
+    return cache["e"] @ p["clf.W"].T + p["clf.b"], cache
+
+
+def encoder_backward(model, cache, de):
+    """Backprop from the embedding with every gradient zero-filled first,
+    Phi(h) recomputed, and the input gradient of every block formed:
+    (gradients, d loss / d input rows)."""
+    p = model.params
+    grads = {k: np.zeros_like(v) for k, v in p.items()}
+    dv = (de - (de * cache["e"]).sum(axis=-1, keepdims=True) * cache["e"]) / cache["norms"]
+    grads["embed.W"] = dv.T @ cache["embed_in"]
+    grads["embed.b"] = dv.sum(axis=0)
+    da = dv @ p["embed.W"]
+    drop = model.config.dropout
+    for i in reversed(range(model.num_blocks)):
+        mask = cache["masks"][i]
+        if mask is not None:
+            da = da * mask / (1.0 - drop)
+        dh = da * gelu_grad(cache["pre_gelu"][i])
+        xhat = cache["xhat"][i]
+        grads[f"block{i}.gamma"] = (dh * xhat).sum(axis=0)
+        grads[f"block{i}.beta"] = dh.sum(axis=0)
+        dxhat = dh * p[f"block{i}.gamma"]
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        dz = (dxhat - m1 - xhat * m2) * cache["inv_std"][i]
+        grads[f"block{i}.W"] = dz.T @ cache["inputs"][i]
+        grads[f"block{i}.b"] = dz.sum(axis=0)
+        da = dz @ p[f"block{i}.W"]
+    return grads, da
+
+
+def encoder_loss_and_gradients(model, x, y, class_weights=(1.0, 1.0), dropout_seed=None):
+    """Weighted cross-entropy and its gradients through the two oracles above."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.asarray(y, dtype=int).reshape(-1)
+    training = dropout_seed is not None
+    rng = np.random.default_rng(dropout_seed) if training else None
+    logits, cache = encoder_forward(model, x, training, rng)
+    w = np.asarray(class_weights, dtype=float)[y]
+    wsum = w.sum()
+    ex = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    probs = ex / ex.sum(axis=-1, keepdims=True)
+    ce = -np.log(np.maximum(probs[np.arange(y.size), y], 1e-300))
+    loss = float((w * ce).sum() / wsum)
+    dlogits = probs.copy()
+    dlogits[np.arange(y.size), y] -= 1.0
+    dlogits *= (w / wsum)[:, None]
+    grads, _ = encoder_backward(model, cache, dlogits @ model.params["clf.W"])
+    grads["clf.W"] = dlogits.T @ cache["e"]
+    grads["clf.b"] = dlogits.sum(axis=0)
+    return loss, grads
+
+
+class AllocatingAdam:
+    """Adam with decoupled weight decay on `.W` keys, one whole-array
+    expression per quantity; rebinds m, v and every parameter each step."""
+
+    def __init__(self, params):
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.t = 0
+
+    def step(self, params, grads, lr, weight_decay):
+        self.t += 1
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
+        for k, g in grads.items():
+            self.m[k] = ADAM_BETA1 * self.m[k] + (1 - ADAM_BETA1) * g
+            self.v[k] = ADAM_BETA2 * self.v[k] + (1 - ADAM_BETA2) * g * g
+            update = (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + ADAM_EPS)
+            if weight_decay and k.endswith(".W"):
+                update = update + weight_decay * params[k]
+            params[k] = params[k] - lr * update

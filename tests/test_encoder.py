@@ -2,18 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import AllocatingAdam, encoder_backward, encoder_forward, encoder_loss_and_gradients, gelu
 from qthreat.datapipe import class_weights
 from qthreat.encoder import (
+    ADAM_CHUNK,
+    AdamState,
     EncoderConfig,
     EncoderModel,
     EmbeddingScaler,
     TrainSchedule,
-    embeddings,
+    backward_from_embedding,
     fit_scaler,
     forward,
-    gelu,
-    gelu_tanh,
+    forward_with_cache,
     init_encoder,
     layer_norm,
     load_encoder,
@@ -32,6 +36,15 @@ def toy_separable(n, seed):
     x = rng.normal(scale=0.3, size=(n, 2))
     x[:, 0] += np.where(y == 1, 2.0, -2.0)  # wide margin on feature 0
     return x, y
+
+
+def gelu_tanh(t):
+    """Published tanh approximation of GELU."""
+    return 0.5 * t * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (t + 0.044715 * t**3)))
+
+
+def embeddings(model, x):
+    return forward(model, x, training=False)[1]
 
 
 # ----------------------------------------------------------- activations
@@ -201,6 +214,141 @@ def test_balanced_weights():
     assert (w0, w1) == pytest.approx((4 / 6, 4 / 2))
     with pytest.raises(ValueError):
         class_weights(np.array([1, 1]))
+
+
+# ---------------------------------------------- fast paths against oracles
+
+
+def _model(hidden, embed_dim, dropout, seed):
+    cfg = EncoderConfig(input_dim=7, hidden_sizes=hidden, embed_dim=embed_dim, dropout=dropout, seed=seed)
+    return init_encoder(cfg)
+
+
+def _assert_same_arrays(got, expected):
+    assert got.keys() == expected.keys()
+    for k in expected:
+        np.testing.assert_array_equal(got[k], expected[k], err_msg=k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    hidden=st.sampled_from([(6,), (9, 5)]),
+    embed_dim=st.integers(3, 6),
+    dropout=st.sampled_from([0.0, 0.3]),
+    dropout_seed=st.one_of(st.none(), st.integers(0, 2**31 - 2)),
+    rows=st.integers(1, 12),
+    seed=st.integers(0, 2**16),
+)
+def test_loss_and_gradients_match_oracle_bit_for_bit(hidden, embed_dim, dropout, dropout_seed, rows, seed):
+    model = _model(hidden, embed_dim, dropout, seed)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, 7))
+    y = rng.integers(0, 2, rows)
+    loss, grads = loss_and_gradients(model, x, y, (0.7, 1.6), dropout_seed)
+    expected_loss, expected = encoder_loss_and_gradients(model, x, y, (0.7, 1.6), dropout_seed)
+    assert loss == expected_loss
+    _assert_same_arrays(grads, expected)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    hidden=st.sampled_from([(6,), (9, 5)]),
+    embed_dim=st.integers(3, 6),
+    rows=st.integers(1, 12),
+    seed=st.integers(0, 2**16),
+)
+def test_backward_from_embedding_matches_oracle_bit_for_bit(hidden, embed_dim, rows, seed):
+    model = _model(hidden, embed_dim, 0.0, seed)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, 7))
+    de = rng.normal(size=(rows, embed_dim))
+    logits, e, cache = forward_with_cache(model, x)
+    expected_logits, expected_cache = encoder_forward(model, x, False, None)
+    np.testing.assert_array_equal(logits, expected_logits)
+    np.testing.assert_array_equal(e, expected_cache["e"])
+    grads = backward_from_embedding(model, cache, de)
+    expected, _ = encoder_backward(model, expected_cache, de)
+    _assert_same_arrays(grads, expected)
+    assert not grads["clf.W"].any() and not grads["clf.b"].any()
+
+
+_ADAM_SIZES = st.sampled_from([1, 7, ADAM_CHUNK - 1, ADAM_CHUNK, ADAM_CHUNK + 1, 2 * ADAM_CHUNK + 37])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    w_size=_ADAM_SIZES,
+    b_size=_ADAM_SIZES,
+    weight_decay=st.sampled_from([0.0, 1e-4, 0.05]),
+    lr=st.sampled_from([1e-3, 0.1]),
+    steps=st.integers(3, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_adam_step_matches_allocating_oracle_bit_for_bit(w_size, b_size, weight_decay, lr, steps, seed):
+    rng = np.random.default_rng(seed)
+    params = {"layer.W": rng.normal(size=(w_size, 1)), "layer.b": rng.normal(size=b_size),
+              "head.W": rng.normal(size=(2, 3))}
+    model = EncoderModel(TINY, {k: v.copy() for k, v in params.items()})
+    adam = AdamState(model)
+    oracle = AllocatingAdam(params)
+    for _ in range(steps):
+        # gradients over eight decades, some exactly zero; head.W gets none
+        grads = {k: rng.normal(size=v.shape) * 10.0 ** rng.uniform(-6, 2, v.shape)
+                 * (rng.random(v.shape) > 0.1) for k, v in params.items()}
+        grads["head.W"] = np.zeros((2, 3))
+        adam.step(model, grads, lr, weight_decay)
+        oracle.step(params, grads, lr, weight_decay)
+        _assert_same_arrays(model.params, params)
+        _assert_same_arrays(adam.m, oracle.m)
+        _assert_same_arrays(adam.v, oracle.v)
+
+
+def test_training_steps_match_oracles_bit_for_bit():
+    model = _model((9, 5), 4, 0.2, 31)
+    params = model.copy_params()
+    oracle_model = EncoderModel(model.config, params)
+    adam, oracle = AdamState(model), AllocatingAdam(params)
+    rng = np.random.default_rng(32)
+    for step in range(6):
+        x = rng.normal(size=(10, 7))
+        y = rng.integers(0, 2, 10)
+        _, grads = loss_and_gradients(model, x, y, (0.8, 1.3), dropout_seed=step)
+        _, expected = encoder_loss_and_gradients(oracle_model, x, y, (0.8, 1.3), dropout_seed=step)
+        adam.step(model, grads, 1e-2, 1e-3)
+        oracle.step(params, expected, 1e-2, 1e-3)
+    _assert_same_arrays(model.params, params)
+
+
+@pytest.mark.parametrize("spoil", ["fortran", "strided", "read_only", "moment"])
+def test_adam_step_rejects_arrays_it_cannot_update_in_place(spoil):
+    model = init_encoder(EncoderConfig(input_dim=5, hidden_sizes=(4,), embed_dim=3, seed=3))
+    adam = AdamState(model)
+    before = model.copy_params()
+    w = model.params["block0.W"]
+    if spoil == "fortran":
+        model.params["block0.W"] = np.asfortranarray(w)
+    elif spoil == "strided":
+        model.params["block0.W"] = np.repeat(w, 2, axis=1)[:, ::2]
+    elif spoil == "read_only":
+        w.setflags(write=False)
+    else:
+        adam.m["block0.W"] = np.zeros((5, 4)).T
+    grads = {k: np.ones_like(v) for k, v in before.items()}
+    with pytest.raises(ValueError, match="C-contiguous"):
+        adam.step(model, grads, 1e-3, 1e-4)
+    # the refused step changed nothing
+    assert adam.t == 0
+    _assert_same_arrays(model.copy_params(), before)
+
+
+def test_loaded_parameters_can_be_updated_in_place(tmp_path):
+    model = init_encoder(TINY)
+    model.load_params({k: np.asfortranarray(v) for k, v in model.params.items()})
+    save_encoder(model, tmp_path)
+    loaded, _ = load_encoder(tmp_path)
+    for m in (model, loaded):
+        assert all(v.flags.c_contiguous and v.flags.writeable for v in m.params.values())
+        AdamState(m).step(m, {k: np.ones_like(v) for k, v in m.params.items()}, 1e-3, 1e-4)
 
 
 # --------------------------------------------------------------- training

@@ -648,6 +648,16 @@ def test_cli_shot_stream_uses_the_bundle_sampling_seed(nslkdd_dir, tmp_path, cap
     assert stream("--sampling-seed", "0") != evaluated
 
 
+def test_cli_shot_evaluate_keeps_the_bundle_shots(nslkdd_dir, tmp_path, capsys):
+    work = str(tmp_path / "cli-bundle-shots")
+    shots = ["--backend", "shots", "--shots", "64", "--readout01", "0.2", "--readout10", "0.1", "--mitigate"]
+    assert main(["train-vqc", "--workdir", work, *_cli_common(nslkdd_dir), "--vqc-reps", "1", *shots]) == 0
+    capsys.readouterr()
+    manifest = persist.load_json(tmp_path / "cli-bundle-shots" / "manifest.json")
+    assert main(["evaluate", "--workdir", work, "--backend", "shots"]) == 0
+    assert json.loads(capsys.readouterr().out) == manifest["shot_eval"]["mitigated"]
+
+
 def test_cli_stage_commands_share_a_workdir(nslkdd_dir, tmp_path, capsys):
     work = str(tmp_path / "cli-stages")
     common = _cli_common(nslkdd_dir)
