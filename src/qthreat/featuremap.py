@@ -84,18 +84,6 @@ class AngleVector:
         return self.angles.size
 
 
-def encode_angles(embedding: np.ndarray, q: int) -> AngleVector:
-    """First q coordinates of a unit-norm embedding, clipped to [-1, 1],
-    scaled by pi."""
-    e = np.asarray(embedding, dtype=float).reshape(-1)
-    if q > e.size:
-        raise ValueError(f"need {q} coordinates, embedding has {e.size}")
-    norm = float(np.linalg.norm(e))
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError(f"embedding norm {norm} is not 1 within 1e-6")
-    return AngleVector(np.pi * np.clip(e[:q], -1.0, 1.0))
-
-
 def pair_phases(theta: np.ndarray, spec: FeatureMapSpec) -> np.ndarray:
     """phi_ij for each entangled pair; theta may be (q,) or (m, q)."""
     t = np.asarray(theta, dtype=float)

@@ -220,14 +220,6 @@ def z_signs(num_qubits: int, qubits: Optional[Sequence[int]] = None) -> np.ndarr
     return 1.0 - 2.0 * parity
 
 
-def expectation_pauli_z(state: PureState, qubits: Sequence[int]) -> float:
-    return float(np.dot(z_signs(state.num_qubits, qubits), state.probabilities()))
-
-
-def expectation_pauli_z_density(state: DensityState, qubits: Sequence[int]) -> float:
-    return float(np.dot(z_signs(state.num_qubits, qubits), np.real(np.diag(state.matrix))))
-
-
 def required_shots(epsilon: float, delta: float) -> int:
     """Hoeffding shot budget: ceil(ln(2/delta) / (2 eps^2)) for +-1 outcomes."""
     if not 0.0 < epsilon < 1.0:
@@ -427,60 +419,3 @@ def corrupt_frequencies(
 ) -> Dict[str, float]:
     """Forward application of the tensor-product readout confusion model."""
     return _as_dict(fold_readout(_vector(frequencies, num_qubits), noise), num_qubits)
-
-
-# ------------------------------------------------------------ introspection
-
-
-def partial_trace(state: DensityState, keep: Sequence[int]) -> DensityState:
-    """Reduced state over `keep`. Kept qubits preserve their relative order:
-    the highest kept index stays the most-significant bit."""
-    keep = sorted(set(int(t) for t in keep))
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    q = state.num_qubits
-    if keep[0] < 0 or keep[-1] >= q:
-        raise ValueError(f"keep set {keep} out of range")
-    arr = state.matrix.reshape([2] * (2 * q))
-    # axis i is row bit of qubit q-1-i; axis q+i the matching column bit
-    letters = "abcdefghijklmnop"
-    row = list(letters[:q])
-    col = list(letters[q : 2 * q])
-    for t in range(q):
-        if t not in keep:
-            col[q - 1 - t] = row[q - 1 - t]
-    out_axes = [row[q - 1 - t] for t in reversed(keep)] + [
-        col[q - 1 - t] for t in reversed(keep)
-    ]
-    sub = "".join(row) + "".join(col) + "->" + "".join(out_axes)
-    k = len(keep)
-    reduced = np.einsum(sub, arr).reshape(1 << k, 1 << k)
-    return DensityState(k, reduced)
-
-
-def is_separable_two_qubit(state: PureState) -> Tuple[bool, float]:
-    """Product-state test on 2 qubits via |a00*a11 - a01*a10|."""
-    if state.num_qubits != 2:
-        raise ValueError("separability test defined for exactly 2 qubits")
-    a = state.amplitudes
-    det = abs(a[0] * a[3] - a[1] * a[2])
-    return det <= 1e-10, float(det)
-
-
-def circuit_depth(program: CircuitProgram) -> int:
-    """Greedy ASAP layering depth."""
-    level = [0] * program.num_qubits
-    depth = 0
-    for op in program.ops:
-        layer = 1 + max(level[t] for t in op.targets)
-        for t in op.targets:
-            level[t] = layer
-        depth = max(depth, layer)
-    return depth
-
-
-def gate_counts(program: CircuitProgram) -> Dict[str, int]:
-    out: Dict[str, int] = {}
-    for op in program.ops:
-        out[op.kind] = out.get(op.kind, 0) + 1
-    return out

@@ -4,19 +4,22 @@ The circuit interleaves L copies of a single-rep, linearly entangled
 feature layer with trainable RY/RZ rotations and a CZ chain, so the input
 angles enter the state L times. Readout is the full-register parity
 expectation <Z...Z>, mapped to a logit by a trainable affine pair
-(scale, bias). Training is exact statevector simulation. Shot-mode
-evaluation goes through the shot engine the kernel estimator uses: the
-rows' circuits run SHOT_BLOCK at a time as one stacked density evolution
-with depolarizing noise (qsim.evolve_density), then each row's outcome
-distribution is sampled with readout error folded in and optionally
-mitigated (qsim.shot_estimates) and read out as its parity.
+(scale, bias). Training is exact statevector simulation, with gradients
+from one forward and one adjoint sweep per step (_adjoint); the
+parameter-shift rule (parameter_shift_grad) is the shot-mode protocol,
+where a circuit can only be sampled. Shot-mode evaluation goes through
+the shot engine the kernel estimator uses: the rows' circuits run
+SHOT_BLOCK at a time as one stacked density evolution with depolarizing
+noise (qsim.evolve_density), then each row's outcome distribution is
+sampled with readout error folded in and optionally mitigated
+(qsim.shot_estimates) and read out as its parity.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -31,7 +34,7 @@ from .encoder import (
     forward_with_cache,
     scale_with_grad,
 )
-from .featuremap import AngleVector, FeatureMapSpec, build_feature_map, pair_phases
+from .featuremap import FeatureMapSpec, build_feature_map, pair_phases
 from .qsim import CircuitProgram, GateOp, NoiseSpec, outcome_probabilities, shot_estimates, z_signs
 
 MAX_QUBITS = 6
@@ -151,18 +154,10 @@ def build_vqc_circuit(angles, model: VqcModel) -> CircuitProgram:
     return CircuitProgram(q, ops)
 
 
-def _batch_expectations(
-    angle_rows: np.ndarray,
-    model: VqcModel,
-    theta: Optional[np.ndarray] = None,
-    block_extra: Optional[Mapping[int, np.ndarray]] = None,
-) -> np.ndarray:
-    """<Z...Z> per row, vectorized over samples.
-
-    theta overrides the model parameters (for shift evaluations);
-    block_extra maps a block index to an extra diagonal multiplied into
-    that block's feature layer (for data-angle shift evaluations).
-    """
+def _evolve(angle_rows, model: VqcModel, theta: Optional[np.ndarray] = None):
+    """Final statevectors (m, 2^q) of the circuit on each angle row, with
+    the per-row data diagonal every feature layer multiplies in. theta
+    overrides the model parameters (for shift evaluations)."""
     spec = model.spec
     q = spec.num_qubits
     rows = np.atleast_2d(np.asarray(angle_rows, dtype=float))
@@ -181,12 +176,19 @@ def _batch_expectations(
     for l in range(spec.reupload_layers):
         psi = batched.h_layer(psi, q)
         psi = psi * diag
-        if block_extra is not None and l in block_extra:
-            psi = psi * block_extra[l][None, :]
         psi = batched.ry_layer(psi, th[l, 0], q)
         psi = batched.rz_layer_shared(psi, th[l, 1], s1)
         psi = psi * czd[None, :]
-    return batched.z_all_expectation(psi, q)
+    return psi, diag
+
+
+def _batch_expectations(
+    angle_rows: np.ndarray, model: VqcModel, theta: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """<Z...Z> per row, vectorized over samples; theta overrides the model
+    parameters (for shift evaluations)."""
+    psi, _ = _evolve(angle_rows, model, theta)
+    return batched.z_all_expectation(psi, model.spec.num_qubits)
 
 
 def _shot_parities(
@@ -206,19 +208,6 @@ def _shot_parities(
             probs, parity, execution.shots, seeds[block], noise, execution.mitigate
         )
     return out
-
-
-def forward_logit(
-    angles: AngleVector, model: VqcModel, execution: Execution = Execution()
-) -> float:
-    """scale * <Z...Z> + bias for one angle-encoded sample; in shot mode the
-    row is sampled with execution.seed."""
-    row = angles.angles[None, :]
-    if execution.mode == "exact":
-        zhat = _batch_expectations(row, model)[0]
-    else:
-        zhat = _shot_parities(row, model, execution, [execution.seed])[0]
-    return model.scale * float(zhat) + model.bias
 
 
 def decision_logits(
@@ -292,45 +281,72 @@ def parameter_shift_grad(
     return out
 
 
-def _angle_gradients(angle_rows: np.ndarray, model: VqcModel, upstream) -> np.ndarray:
-    """d(sum_i upstream_i * logit_i) / d(angle_rows), exact mode.
+def _adjoint(angle_rows: np.ndarray, model: VqcModel):
+    """Exact <Z...Z> per row, and the backward sweep of the adjoint method
+    (Jones & Gacon, arXiv:2009.02823) that differentiates it.
 
-    Every occurrence of a data angle (one RZ per block, plus the two chain
-    RZZ phases it feeds) is shifted separately and combined by the chain
-    rule with the phase's sensitivity to the angle.
+    Returns (zhat, backward). zhat comes from _batch_expectations' forward
+    pass, so it has the same bits. backward(upstream) returns the gradient
+    of sum_i upstream_i * logit_i as a dict: "theta", "scale", "bias" (as
+    parameter_shift_grad gives them) and "angles", the (m, q) data-angle
+    gradient. upstream is taken after the forward pass because it depends
+    on the logits.
+
+    The sweep starts from |lambda_i> = upstream_i Z...Z|psi_i> and
+    un-applies each gate to |phi> and |lambda> together. A rotation
+    exp(-i theta G / 2) has derivative Im<lambda|G|phi>, summed over rows.
+    A data diagonal exp(-i (alpha . s1 + phi . s2)) has derivative
+    2 Im(conj(lambda) phi) per basis state, contracted with the sign
+    tables and chained through the pair phases phi_ij(alpha). Y_t commutes
+    with the RY gates on other qubits and a diagonal generator with every
+    diagonal gate, so each layer is read at two points: between its RY and
+    RZ layers (every RY and RZ angle) and just after its data diagonal.
     """
     spec = model.spec
     q = spec.num_qubits
     rows = np.atleast_2d(np.asarray(angle_rows, dtype=float))
-    up = np.broadcast_to(np.asarray(upstream, dtype=float).reshape(-1), (rows.shape[0],))
-    fspec = spec.feature_spec()
-    s1 = batched.sign_table(q)
-    s2 = batched.pair_sign_table(q, fspec.pairs)
-    grads = np.zeros_like(rows)
+    psi, diag = _evolve(rows, model)
+    zhat = batched.z_all_expectation(psi, q)
 
-    def shifted_pair(extra_col: np.ndarray, block: int) -> np.ndarray:
-        plus = np.exp(-0.25j * math.pi * extra_col)
-        zp = _batch_expectations(rows, model, block_extra={block: plus})
-        zm = _batch_expectations(rows, model, block_extra={block: np.conj(plus)})
-        return 0.5 * (zp - zm)
-
-    for l in range(spec.reupload_layers):
-        for t in range(q):
-            # RZ(2 alpha_t): d(gate angle)/d(alpha) = 2
-            dz = shifted_pair(s1[:, t], l)
-            grads[:, t] += 2.0 * up * model.scale * dz
+    def backward(upstream) -> Dict[str, object]:
+        m, dim = psi.shape
+        up = np.broadcast_to(np.asarray(upstream, dtype=float).reshape(-1), (m,))
+        fspec = spec.feature_spec()
+        s1 = batched.sign_table(q)
+        czd = batched.cz_chain_diag(q)
+        th = model.theta_blocks()
+        dth = np.empty_like(th)
+        grow = np.zeros((m, dim))  # sum over layers of Im(conj(lambda) phi) at the data diagonal
+        pair = np.stack([psi, (up[:, None] * z_signs(q)[None, :]) * psi])  # |phi>, |lambda>
+        for l in reversed(range(spec.reupload_layers)):
+            pair *= czd * np.exp(0.5j * (s1 @ th[l, 1]))  # un-apply the CZ chain and RZ layer
+            dth[l, 1] = np.imag(np.conj(pair[1]) * pair[0]).sum(axis=0) @ s1
+            for t in range(q):
+                phi, lam = pair.reshape(2, m, 1 << (q - 1 - t), 2, -1)
+                # Im<lambda|Y_t|phi> = Re(<lambda_1|phi_0> - <lambda_0|phi_1>)
+                dth[l, 0, t] = (np.vdot(lam[:, :, 1], phi[:, :, 0])
+                                - np.vdot(lam[:, :, 0], phi[:, :, 1])).real
+            pair = batched.ry_layer(pair.reshape(2 * m, dim), -th[l, 0], q).reshape(2, m, dim)
+            grow += np.imag(np.conj(pair[1]) * pair[0])
+            if l:
+                pair *= np.conj(diag)
+                pair = batched.h_layer(pair.reshape(2 * m, dim), q).reshape(2, m, dim)
+        grow *= 2.0
+        dangles = grow @ s1
+        dphase = grow @ batched.pair_sign_table(q, fspec.pairs)
+        # d phi_ij / d alpha_i: -(pi - alpha_j) for pi_minus, alpha_j for product
+        slope = rows - math.pi if spec.second_order_coeff == "pi_minus" else rows
         for p, (i, j) in enumerate(fspec.pairs):
-            # RZZ(2 phi_ij): d(gate angle)/d(alpha) = 2 dphi/dalpha
-            dz = shifted_pair(s2[:, p], l)
-            if spec.second_order_coeff == "pi_minus":
-                di = -(math.pi - rows[:, j])
-                dj = -(math.pi - rows[:, i])
-            else:
-                di = rows[:, j]
-                dj = rows[:, i]
-            grads[:, i] += 2.0 * di * up * model.scale * dz
-            grads[:, j] += 2.0 * dj * up * model.scale * dz
-    return grads
+            dangles[:, i] += slope[:, j] * dphase[:, p]
+            dangles[:, j] += slope[:, i] * dphase[:, p]
+        return {
+            "theta": model.scale * dth.reshape(-1),
+            "scale": float(np.dot(up, zhat)),
+            "bias": float(up.sum()),
+            "angles": model.scale * dangles,
+        }
+
+    return zhat, backward
 
 
 # ---------------------------------------------------------------- training
@@ -390,9 +406,12 @@ def train_vqc(
     """Minimize weighted BCE-with-logits by Adam over (theta, scale, bias).
 
     Inputs are angle rows when no encoder is given, otherwise raw feature
-    rows pushed through the frozen encoder + scaler. With fine_tune=True
-    the encoder weights receive gradients through the data angles and are
-    updated alongside the circuit parameters; the classifier head and
+    rows pushed through the frozen encoder + scaler; a frozen encoder runs
+    once per split, before the first epoch. Each step takes its logits and
+    exact gradients from one forward and one adjoint sweep (_adjoint). With
+    fine_tune=True the encoder weights receive gradients through the data
+    angles of the same sweep and are updated alongside the circuit
+    parameters, so each batch is embedded afresh; the classifier head and
     dropout stay off during fine-tuning. Validation loss picks the best
     checkpoint, restored at the end; patience counts consecutive epochs
     without improvement.
@@ -427,12 +446,18 @@ def train_vqc(
         if fine_tune:
             enc_adam = AdamState(tuned)
 
-    def embed_angles(x: np.ndarray, with_cache: bool):
+    def embed_angles(x: np.ndarray):
+        """Angle rows of x, the encoder's backprop cache and the scaler's slopes."""
         if not use_encoder:
             return x[:, : spec.num_qubits], None, None
         _, e, cache = forward_with_cache(tuned, x, training=False)
         scaled, live = scale_with_grad(e, scaler)
-        return math.pi * scaled[:, : spec.num_qubits], (cache if with_cache else None), live
+        return math.pi * scaled[:, : spec.num_qubits], cache, live
+
+    if not fine_tune:
+        # fixed angles: embed each split once and index the rows per batch
+        ang_tr = embed_angles(x_tr)[0]
+        ang_va = embed_angles(x_va)[0]
 
     adam = _FlatAdam(spec.num_params + 2)
     best = {"loss": math.inf, "epoch": -1, "theta": model.theta.copy(),
@@ -447,28 +472,31 @@ def train_vqc(
         epoch_loss = 0.0
         for start in range(0, n, schedule.batch_size):
             idx = perm[start : start + schedule.batch_size]
-            xb, yb = x_tr[idx], y_tr[idx]
-            ang, cache, live = embed_angles(xb, with_cache=fine_tune)
-            zhat = _batch_expectations(ang, model)
+            yb = y_tr[idx]
+            if fine_tune:
+                ang, cache, live = embed_angles(x_tr[idx])
+            else:
+                ang = ang_tr[idx]
+            zhat, backward = _adjoint(ang, model)
             logits = model.scale * zhat + model.bias
             wb = w[yb]
             loss = bce_with_logits(logits, yb, wb)
             epoch_loss += loss * idx.size
             dlogit = wb * (1.0 / (1.0 + np.exp(-logits)) - yb) / idx.size
 
-            g = parameter_shift_grad(ang, model, dlogit)
+            g = backward(dlogit)
             flat = np.concatenate([model.theta, [model.scale, model.bias]])
             gflat = np.concatenate([g["theta"], [g["scale"], g["bias"]]])
             flat = adam.step(flat, gflat, schedule.learning_rate)
-            if fine_tune and cache is not None:
-                dang = _angle_gradients(ang, model, dlogit)
+            if fine_tune:
                 de = np.zeros((idx.size, tuned.config.embed_dim))
-                de[:, : spec.num_qubits] = dang * math.pi * live[:, : spec.num_qubits]
+                de[:, : spec.num_qubits] = g["angles"] * math.pi * live[:, : spec.num_qubits]
                 enc_grads = backward_from_embedding(tuned, cache, de)
                 enc_adam.step(tuned, enc_grads, schedule.learning_rate, schedule.weight_decay)
             model = VqcModel(spec, flat[:-2], float(flat[-2]), float(flat[-1]))
 
-        ang_va, _, _ = embed_angles(x_va, with_cache=False)
+        if fine_tune:
+            ang_va = embed_angles(x_va)[0]
         z_va = _batch_expectations(ang_va, model)
         logits_va = model.scale * z_va + model.bias
         val_loss = bce_with_logits(logits_va, y_va, w[y_va])

