@@ -1,106 +1,126 @@
-"""Vectorized statevector evolution for many samples at once.
+"""The exact engine: stacked statevectors through one `qsim.CircuitProgram`.
 
-Arrays hold one register per row: shape (m, 2^q), qubit 0 the least
-significant bit of the column index. Used by the Gram builder and the
-variational classifier, where thousands of small circuits share a layout
-and differ only in their angles. Semantics are pinned to qsim's per-state
-kernels by tests.
+Each circuit is built once, by featuremap.build_feature_map or
+vqc.build_vqc_circuit, and run by either engine: `evolve` here for exact
+states, or qsim.evolve_density for shots and noise. Arrays hold one
+register per row, shape (m, 2^q), qubit 0 the least significant bit of the
+column index; a gate angle is a float shared by every row or an (m,)
+array, one angle per row. `adjoint` is the reverse sweep of the adjoint
+method (Jones & Gacon, arXiv:2009.02823) over the same program. Tests pin
+`evolve` to the per-state reference, qsim.apply_circuit, and `adjoint` to
+central differences.
 """
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
-from .qsim import z_signs
+from .qsim import (_DIAGONAL, _FIXED_DIAGONAL, _GENERATORS, _PHASE_SIGNS, CircuitProgram, GateOp,
+                   _left, _target_rows, _target_value, gate_matrix)
 
 
-def zero_batch(m: int, num_qubits: int) -> np.ndarray:
-    psi = np.zeros((m, 1 << num_qubits), dtype=complex)
-    psi[:, 0] = 1.0
-    return psi
+def _run_phase(run: Sequence[GateOp], num_qubits: int):
+    """The diagonal of a run of diagonal gates, (2^q,) or (m, 2^q): the fixed
+    gates' signs times one exp of the summed phase arguments; and the
+    (k, 2^q) generator diagonals of its k parametric gates."""
+    sign = np.ones(1 << num_qubits)
+    arg = np.zeros(1 << num_qubits)
+    signs, stacked, stacked_signs = [], [], []
+    for op in run:
+        value = _target_value(op.targets, num_qubits)
+        if op.kind in _FIXED_DIAGONAL:
+            sign = sign * _FIXED_DIAGONAL[op.kind].real[value]
+            continue
+        s = _PHASE_SIGNS[op.kind][value]
+        signs.append(s)
+        if isinstance(op.angle, float):
+            arg = arg + (0.5 * op.angle) * s
+        else:
+            stacked.append(op.angle)
+            stacked_signs.append(s)
+    if stacked:
+        arg = arg + 0.5 * (np.stack(stacked, axis=1) @ np.stack(stacked_signs))
+    return sign * np.exp(-1j * arg), np.array(signs).reshape(-1, 1 << num_qubits)
 
 
-def apply_1q_batch(u: np.ndarray, psi: np.ndarray, target: int, num_qubits: int) -> np.ndarray:
-    """Same 2x2 matrix on one qubit of every row."""
-    m = psi.shape[0]
-    a = psi.reshape(m, 1 << (num_qubits - 1 - target), 2, -1)
+def _steps(program: CircuitProgram) -> List[tuple]:
+    """The program as steps (op, matrix, signs): (None, diagonal, signs) from
+    `_run_phase` for each run of consecutive diagonal gates, (op,
+    gate_matrix(op), None) for every other gate. A run made of the same
+    GateOp objects as an earlier one reuses its diagonal."""
+    steps, run, phases = [], [], {}
+    for op in program.ops + (None,):
+        if op is not None and op.kind in _DIAGONAL:
+            run.append(op)
+            continue
+        if run:
+            key = tuple(map(id, run))
+            if key not in phases:
+                phases[key] = _run_phase(run, program.num_qubits)
+            steps.append((None,) + phases[key])
+            run = []
+        if op is not None:
+            steps.append((op, gate_matrix(op), None))
+    return steps
+
+
+def _apply(op: GateOp, u: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """The non-diagonal gate matrix u on op's targets of stacked registers
+    (..., m, 2^q); a one-qubit u may be one matrix per row, (m, 2, 2)."""
+    shape = psi.shape
+    if len(op.targets) == 2:
+        rows = _target_rows(op.targets, shape[-1].bit_length() - 1)
+        return _left(u, psi.reshape(-1, shape[-1], 1), rows).reshape(shape)
+    t = op.targets[0]
+    a = psi.reshape(shape[:-1] + (shape[-1] >> (t + 1), 2, 1 << t))
+    if u.ndim == 3:
+        u = u[:, None, None]  # u[..., i, j] is then (m, 1, 1), one entry per row
     out = np.empty_like(a)
-    out[:, :, 0] = u[0, 0] * a[:, :, 0] + u[0, 1] * a[:, :, 1]
-    out[:, :, 1] = u[1, 0] * a[:, :, 0] + u[1, 1] * a[:, :, 1]
-    return out.reshape(m, 1 << num_qubits)
+    out[..., 0, :] = u[..., 0, 0] * a[..., 0, :] + u[..., 0, 1] * a[..., 1, :]
+    out[..., 1, :] = u[..., 1, 0] * a[..., 0, :] + u[..., 1, 1] * a[..., 1, :]
+    return out.reshape(shape)
 
 
-def h_layer(psi: np.ndarray, num_qubits: int) -> np.ndarray:
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-    for t in range(num_qubits):
-        psi = apply_1q_batch(h, psi, t, num_qubits)
+def evolve(program: CircuitProgram) -> np.ndarray:
+    """Statevectors (m, 2^q) of the program's m circuits run from |0...0>:
+    row i sees the i-th angle of each (m,) angle array. Each run of
+    consecutive diagonal gates is one multiply by one exp."""
+    psi = np.zeros((program.m, 1 << program.num_qubits), dtype=complex)
+    psi[:, 0] = 1.0
+    for op, u, _ in _steps(program):
+        psi = psi * u if op is None else _apply(op, u, psi)
     return psi
 
 
-def ry_layer(psi: np.ndarray, angles: Sequence[float], num_qubits: int) -> np.ndarray:
-    """RY(angles[t]) on each qubit t; angles shared across rows."""
-    for t in range(num_qubits):
-        half = 0.5 * float(angles[t])
-        c, s = np.cos(half), np.sin(half)
-        u = np.array([[c, -s], [s, c]], dtype=complex)
-        psi = apply_1q_batch(u, psi, t, num_qubits)
-    return psi
+def adjoint(program: CircuitProgram, psi: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The reverse sweep of the adjoint method over `program`.
 
-
-def sign_table(num_qubits: int) -> np.ndarray:
-    """(dim, q) matrix of (-1)^{z_t} for each basis index."""
-    dim = 1 << num_qubits
-    idx = np.arange(dim)
-    bits = (idx[:, None] >> np.arange(num_qubits)[None, :]) & 1
-    return 1.0 - 2.0 * bits
-
-
-def pair_list(num_qubits: int, entanglement: str) -> List[Tuple[int, int]]:
-    if entanglement == "full":
-        return [(i, j) for i in range(num_qubits) for j in range(i + 1, num_qubits)]
-    if entanglement == "linear":
-        return [(i, i + 1) for i in range(num_qubits - 1)]
-    raise ValueError(f"unknown entanglement {entanglement!r}")
-
-
-def pair_sign_table(num_qubits: int, pairs: Sequence[Tuple[int, int]]) -> np.ndarray:
-    """(dim, #pairs) matrix of (-1)^{z_i xor z_j}."""
-    s1 = sign_table(num_qubits)
-    return np.stack([s1[:, i] * s1[:, j] for i, j in pairs], axis=1)
-
-
-def rz_layer_shared(psi: np.ndarray, angles: Sequence[float], s1: np.ndarray) -> np.ndarray:
-    """RZ(angles[t]) on each qubit, angles shared across rows."""
-    phase = np.exp(-0.5j * (s1 @ np.asarray(angles, dtype=float)))
-    return psi * phase[None, :]
-
-
-def diag_phase_per_sample(
-    theta: np.ndarray, phi: np.ndarray, s1: np.ndarray, s2: np.ndarray
-) -> np.ndarray:
-    """Per-row diagonal for [RZ(2 theta_t) each qubit; RZZ(2 phi_p) each pair].
-
-    theta: (m, q) single-qubit phases, phi: (m, #pairs) pair phases.
-    RZ(2a) multiplies basis z by exp(-i a (-1)^{z_t}); RZZ likewise on parity.
+    psi is `evolve(program)` (m, 2^q) and lam the adjoint states, for an
+    objective sum_i <psi_i|O_i|psi_i> weighted by upstream u_i the rows
+    lam_i = u_i O_i psi_i. The sweep un-applies each gate to the stacked
+    pair (phi, lam), starting from (psi, lam), and returns a (p, m) array:
+    row j holds, per register, Im<lam|G_j|phi> just after the j-th
+    parametric gate (program order) with generator G_j, the derivative of
+    the objective by that gate's angle on that row. Diagonal gates commute,
+    so each run of them is read once, before it is un-applied; the sweep
+    stops at the first parametric gate.
     """
-    arg = theta @ s1.T
-    if phi.shape[1]:
-        arg = arg + phi @ s2.T
-    return np.exp(-1j * arg)
-
-
-def cz_chain_diag(num_qubits: int) -> np.ndarray:
-    """Diagonal of CZ on (0,1),(1,2),...,(q-2,q-1); -1 where both bits set."""
-    dim = 1 << num_qubits
-    idx = np.arange(dim)
-    sign = np.ones(dim)
-    for i in range(num_qubits - 1):
-        both = ((idx >> i) & 1) & ((idx >> (i + 1)) & 1)
-        sign *= 1.0 - 2.0 * both
-    return sign.astype(complex)
-
-
-def z_all_expectation(psi: np.ndarray, num_qubits: int) -> np.ndarray:
-    """<Z tensor ... tensor Z> per row."""
-    return (np.abs(psi) ** 2) @ z_signs(num_qubits)
+    pair = np.array([psi, lam], dtype=complex)  # (2, m, 2^q)
+    j = sum(op.angle is not None for op in program.ops)
+    out = np.empty((j, pair.shape[1]))
+    for op, u, signs in reversed(_steps(program)):
+        if not j:
+            break
+        if op is None:
+            if signs.shape[0]:
+                out[j - signs.shape[0]:j] = signs @ np.imag(pair[1].conj() * pair[0]).T
+                j -= signs.shape[0]
+            pair *= u.conj()
+            continue
+        if op.angle is not None:
+            j -= 1
+            out[j] = np.einsum("md,md->m", pair[1].conj(),
+                               _apply(op, _GENERATORS[op.kind], pair[0])).imag
+        pair = _apply(op, np.conj(np.swapaxes(u, -1, -2)), pair)
+    return out

@@ -7,11 +7,12 @@ convention because published variants differ:
   pi_minus  phi_ij = (pi - theta_i)(pi - theta_j)   (default)
   product   phi_ij = theta_i * theta_j
 
-The convention tag travels with every persisted artifact. Shot-mode
-kernels come from compute-uncompute circuits U(b)^dagger U(a): a stack of
-pairs runs through the shot engine (qsim.evolve_density, then
-qsim.shot_estimates with readout error folded in), and k(a, b) is the
-sampled frequency of |0...0>.
+The convention tag travels with every persisted artifact. The circuit is
+built once, by `build_feature_map`, and run by either engine: exact
+statevectors come from batched.evolve, and shot-mode kernels from
+compute-uncompute circuits U(b)^dagger U(a): a stack of pairs runs through
+the shot engine (qsim.evolve_density, then qsim.shot_estimates with
+readout error folded in), and k(a, b) is the sampled frequency of |0...0>.
 """
 from __future__ import annotations
 
@@ -58,7 +59,11 @@ class FeatureMapSpec:
 
     @property
     def pairs(self) -> List[Tuple[int, int]]:
-        return batched.pair_list(self.num_qubits, self.entanglement)
+        """The entangled pairs (i, j), i < j: every pair, or neighbours."""
+        q = self.num_qubits
+        if self.entanglement == "full":
+            return [(i, j) for i in range(q) for j in range(i + 1, q)]
+        return [(i, i + 1) for i in range(q - 1)]
 
     def as_dict(self) -> dict:
         return {
@@ -101,22 +106,18 @@ def pair_phases(theta: np.ndarray, spec: FeatureMapSpec) -> np.ndarray:
 def build_feature_map(theta, spec: FeatureMapSpec) -> CircuitProgram:
     """The feature-map circuit of one AngleVector (float angles), or of a
     stack of m angle rows (m, q), whose parametric gates then carry (m,)
-    angle arrays for `qsim.evolve_density`."""
+    angle arrays. Every rep is the same GateOp objects, so batched.evolve
+    computes their diagonal once."""
     t = theta.angles if isinstance(theta, AngleVector) else np.asarray(theta, dtype=float)
     if t.shape[-1] != spec.num_qubits:
         raise ValueError(
             f"angle vector length {t.shape[-1]} != num_qubits {spec.num_qubits}"
         )
     phis = pair_phases(t, spec)
-    ops = []
-    for _ in range(spec.reps):
-        for q in range(spec.num_qubits):
-            ops.append(GateOp("H", (q,)))
-        for q in range(spec.num_qubits):
-            ops.append(GateOp("RZ", (q,), 2.0 * t[..., q]))
-        for p, (i, j) in enumerate(spec.pairs):
-            ops.append(GateOp("RZZ", (i, j), 2.0 * phis[..., p]))
-    return CircuitProgram(spec.num_qubits, ops)
+    rep = [GateOp("H", (q,)) for q in range(spec.num_qubits)]
+    rep += [GateOp("RZ", (q,), 2.0 * t[..., q]) for q in range(spec.num_qubits)]
+    rep += [GateOp("RZZ", (i, j), 2.0 * phis[..., p]) for p, (i, j) in enumerate(spec.pairs)]
+    return CircuitProgram(spec.num_qubits, rep * spec.reps)
 
 
 def feature_state(theta: AngleVector, spec: FeatureMapSpec) -> PureState:
@@ -124,23 +125,9 @@ def feature_state(theta: AngleVector, spec: FeatureMapSpec) -> PureState:
 
 
 def feature_statevectors(angles: np.ndarray, spec: FeatureMapSpec) -> np.ndarray:
-    """Statevectors for a stack of angle rows, shape (m, q) -> (m, 2^q).
-
-    Vectorized over rows; one H layer plus one diagonal multiply per rep.
-    """
-    t = np.atleast_2d(np.asarray(angles, dtype=float))
-    if t.shape[1] != spec.num_qubits:
-        raise ValueError("angle rows must have num_qubits columns")
-    q = spec.num_qubits
-    s1 = batched.sign_table(q)
-    s2 = batched.pair_sign_table(q, spec.pairs)
-    phis = np.atleast_2d(pair_phases(t, spec))
-    diag = batched.diag_phase_per_sample(t, phis, s1, s2)
-    psi = batched.zero_batch(t.shape[0], q)
-    for _ in range(spec.reps):
-        psi = batched.h_layer(psi, q)
-        psi = psi * diag
-    return psi
+    """Statevectors for a stack of angle rows, shape (m, q) -> (m, 2^q): the
+    feature map of the stack run by batched.evolve."""
+    return batched.evolve(build_feature_map(np.atleast_2d(np.asarray(angles, dtype=float)), spec))
 
 
 def fidelity_kernel(theta_a: AngleVector, theta_b: AngleVector, spec: FeatureMapSpec) -> float:

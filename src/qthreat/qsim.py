@@ -1,14 +1,17 @@
 """Exact simulation of small qubit registers.
 
-Statevector evolution for single pure states, and the one shot engine:
-`evolve_density` takes a stack of m densities (m, 2^q, 2^q) through one
-`CircuitProgram` whose gate angles are floats or (m,) arrays, with the
-depolarizing channel rho -> (1 - 4p/3) rho + (4p/3) (I/2 (x) Tr_t rho)
-after every gate (skipped when p = 0); `shot_estimates` samples the
-outcome distributions (sample -> readout -> mitigate). Readout error is
-folded into each distribution with the tensor-product confusion matrix,
-the same law as flipping each shot's bits, so one multinomial per row
-draws the measured counts.
+Each circuit is one `CircuitProgram`, built once and run by either of two
+engines: `batched.evolve` takes stacked statevectors through it (exact
+mode), and `evolve_density` here takes a stack of m densities
+(m, 2^q, 2^q) through it with the depolarizing channel
+rho -> (1 - 4p/3) rho + (4p/3) (I/2 (x) Tr_t rho) after every gate (skipped
+when p = 0), for shots and noise. A program's gate angles are floats or
+(m,) arrays, one angle per circuit of a stack of m. `shot_estimates`
+samples the outcome distributions (sample -> readout -> mitigate). Readout
+error is folded into each distribution with the tensor-product confusion
+matrix, the same law as flipping each shot's bits, so one multinomial per
+row draws the measured counts. `apply_circuit` evolves a single pure state
+gate by gate: it is the per-state reference the engines are tested against.
 
 Conventions, used everywhere downstream:
   * qubit 0 is the least-significant bit of the basis index;
@@ -19,7 +22,7 @@ Conventions, used everywhere downstream:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -39,6 +42,9 @@ _FIXED = {
 # diagonal gates: fixed diagonals, and the signs s of the phases exp(-i angle s / 2)
 _FIXED_DIAGONAL = {"Z": np.array([1, -1], dtype=complex), "CZ": np.array([1, 1, 1, -1], dtype=complex)}
 _PHASE_SIGNS = {"RZ": np.array([1.0, -1.0]), "RZZ": np.array([1.0, -1.0, -1.0, 1.0])}
+# the generator G of each non-diagonal parametric gate, exp(-i angle G / 2);
+# a diagonal gate's generator is the diagonal _PHASE_SIGNS gives
+_GENERATORS = {"RY": np.array([[0, -1j], [1j, 0]])}
 
 
 def bitstring(index: int, num_qubits: int) -> str:
@@ -48,7 +54,7 @@ def bitstring(index: int, num_qubits: int) -> str:
 @dataclass(frozen=True)
 class GateOp:
     """One gate. A parametric gate's angle is a float, or an (m,) array
-    giving one angle per circuit of a stack of m (see `evolve_density`)."""
+    giving one angle per circuit of a stack of m (see `CircuitProgram`)."""
 
     kind: str
     targets: Tuple[int, ...]
@@ -80,16 +86,29 @@ class GateOp:
 
 @dataclass(frozen=True)
 class CircuitProgram:
+    """A gate list on num_qubits qubits. `m` is the number of circuits it
+    stands for: the common length of its (m,) angle arrays, 1 if it has none."""
+
     num_qubits: int
     ops: Tuple[GateOp, ...] = ()
+    m: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
         if not (1 <= self.num_qubits <= 8):
             raise ValueError("num_qubits must be in [1, 8]")
+        m = None
         for op in self.ops:
             if max(op.targets) >= self.num_qubits:
                 raise ValueError(f"gate {op.kind} targets {op.targets} out of range")
+            if isinstance(op.angle, np.ndarray):
+                if not op.angle.size:
+                    raise ValueError(f"gate {op.kind} on {op.targets} has an empty angle stack")
+                if m is not None and op.angle.size != m:
+                    raise ValueError(f"gate {op.kind} on {op.targets} has {op.angle.size} "
+                                     f"angles where earlier gates have {m}")
+                m = op.angle.size
+        object.__setattr__(self, "m", m or 1)
 
 
 def _diagonal(op: GateOp) -> np.ndarray:
@@ -111,7 +130,8 @@ def gate_matrix(op: GateOp) -> np.ndarray:
         return diag[..., None] * np.eye(diag.shape[-1])
     half = 0.5 * np.asarray(op.angle)
     c, s = np.cos(half), np.sin(half)
-    return np.moveaxis(np.array([[c, -s], [s, c]], dtype=complex), (0, 1), (-2, -1))
+    u = np.array([[c, -s], [s, c]], dtype=complex)
+    return u if u.ndim == 2 else np.moveaxis(u, (0, 1), (-2, -1))
 
 
 @dataclass(frozen=True)
@@ -282,7 +302,7 @@ def evolve_density(rho: np.ndarray, program: CircuitProgram, noise: NoiseSpec) -
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 3 or rho.shape[1:] != (1 << q, 1 << q):
         raise ValueError(f"expected an (m, {1 << q}, {1 << q}) stack, got {rho.shape}")
-    m = max([rho.shape[0]] + [np.size(op.angle) for op in program.ops if op.angle is not None])
+    m = max(rho.shape[0], program.m)
     rho = np.broadcast_to(rho, (m,) + rho.shape[1:])
     for op in program.ops:
         if op.kind in _DIAGONAL:

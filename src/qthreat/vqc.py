@@ -4,8 +4,10 @@ The circuit interleaves L copies of a single-rep, linearly entangled
 feature layer with trainable RY/RZ rotations and a CZ chain, so the input
 angles enter the state L times. Readout is the full-register parity
 expectation <Z...Z>, mapped to a logit by a trainable affine pair
-(scale, bias). Training is exact statevector simulation, with gradients
-from one forward and one adjoint sweep per step (_adjoint); the
+(scale, bias). The circuit is built once, by `build_vqc_circuit`, and run
+by either engine. Exact mode takes stacked statevectors through it
+(batched.evolve), and training takes its gradients from one forward and
+one adjoint sweep per step (_adjoint, on batched.adjoint); the
 parameter-shift rule (parameter_shift_grad) is the shot-mode protocol,
 where a circuit can only be sampled. Shot-mode evaluation goes through
 the shot engine the kernel estimator uses: the rows' circuits run
@@ -34,7 +36,7 @@ from .encoder import (
     forward_with_cache,
     scale_with_grad,
 )
-from .featuremap import FeatureMapSpec, build_feature_map, pair_phases
+from .featuremap import FeatureMapSpec, build_feature_map
 from .qsim import CircuitProgram, GateOp, NoiseSpec, outcome_probabilities, shot_estimates, z_signs
 
 MAX_QUBITS = 6
@@ -144,51 +146,23 @@ def build_vqc_circuit(angles, model: VqcModel) -> CircuitProgram:
     blocks = model.theta_blocks()
     ops = []
     for l in range(spec.reupload_layers):
-        ops.extend(fm_ops)
-        for t in range(q):
-            ops.append(GateOp("RY", (t,), float(blocks[l, 0, t])))
-        for t in range(q):
-            ops.append(GateOp("RZ", (t,), float(blocks[l, 1, t])))
-        for i in range(q - 1):
-            ops.append(GateOp("CZ", (i, i + 1)))
+        ops += fm_ops
+        ops += [GateOp("RY", (t,), float(blocks[l, 0, t])) for t in range(q)]
+        ops += [GateOp("RZ", (t,), float(blocks[l, 1, t])) for t in range(q)]
+        ops += [GateOp("CZ", (i, i + 1)) for i in range(q - 1)]
     return CircuitProgram(q, ops)
-
-
-def _evolve(angle_rows, model: VqcModel, theta: Optional[np.ndarray] = None):
-    """Final statevectors (m, 2^q) of the circuit on each angle row, with
-    the per-row data diagonal every feature layer multiplies in. theta
-    overrides the model parameters (for shift evaluations)."""
-    spec = model.spec
-    q = spec.num_qubits
-    rows = np.atleast_2d(np.asarray(angle_rows, dtype=float))
-    if rows.shape[1] != q:
-        raise ValueError("angle rows must have num_qubits columns")
-    fspec = spec.feature_spec()
-    s1 = batched.sign_table(q)
-    s2 = batched.pair_sign_table(q, fspec.pairs)
-    phis = np.atleast_2d(pair_phases(rows, fspec))
-    diag = batched.diag_phase_per_sample(rows, phis, s1, s2)
-    czd = batched.cz_chain_diag(q)
-    th = (model.theta if theta is None else np.asarray(theta, dtype=float)).reshape(
-        spec.reupload_layers, 2, q
-    )
-    psi = batched.zero_batch(rows.shape[0], q)
-    for l in range(spec.reupload_layers):
-        psi = batched.h_layer(psi, q)
-        psi = psi * diag
-        psi = batched.ry_layer(psi, th[l, 0], q)
-        psi = batched.rz_layer_shared(psi, th[l, 1], s1)
-        psi = psi * czd[None, :]
-    return psi, diag
 
 
 def _batch_expectations(
     angle_rows: np.ndarray, model: VqcModel, theta: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """<Z...Z> per row, vectorized over samples; theta overrides the model
-    parameters (for shift evaluations)."""
-    psi, _ = _evolve(angle_rows, model, theta)
-    return batched.z_all_expectation(psi, model.spec.num_qubits)
+    """<Z...Z> per row, from one batched.evolve of the rows' circuit; theta
+    overrides the model parameters (for shift evaluations)."""
+    if theta is not None:
+        model = VqcModel(model.spec, theta, model.scale, model.bias)
+    rows = np.atleast_2d(np.asarray(angle_rows, dtype=float))
+    psi = batched.evolve(build_vqc_circuit(rows, model))
+    return (np.abs(psi) ** 2) @ z_signs(model.spec.num_qubits)
 
 
 def _shot_parities(
@@ -285,62 +259,47 @@ def _adjoint(angle_rows: np.ndarray, model: VqcModel):
     """Exact <Z...Z> per row, and the backward sweep of the adjoint method
     (Jones & Gacon, arXiv:2009.02823) that differentiates it.
 
-    Returns (zhat, backward). zhat comes from _batch_expectations' forward
-    pass, so it has the same bits. backward(upstream) returns the gradient
-    of sum_i upstream_i * logit_i as a dict: "theta", "scale", "bias" (as
-    parameter_shift_grad gives them) and "angles", the (m, q) data-angle
-    gradient. upstream is taken after the forward pass because it depends
-    on the logits.
+    Returns (zhat, backward). zhat comes from the forward pass
+    _batch_expectations makes, so it has the same bits. backward(upstream)
+    returns the gradient of sum_i upstream_i * logit_i as a dict: "theta",
+    "scale", "bias" (as parameter_shift_grad gives them) and "angles", the
+    (m, q) data-angle gradient. upstream is taken after the forward pass
+    because it depends on the logits.
 
-    The sweep starts from |lambda_i> = upstream_i Z...Z|psi_i> and
-    un-applies each gate to |phi> and |lambda> together. A rotation
-    exp(-i theta G / 2) has derivative Im<lambda|G|phi>, summed over rows.
-    A data diagonal exp(-i (alpha . s1 + phi . s2)) has derivative
-    2 Im(conj(lambda) phi) per basis state, contracted with the sign
-    tables and chained through the pair phases phi_ij(alpha). Y_t commutes
-    with the RY gates on other qubits and a diagonal generator with every
-    diagonal gate, so each layer is read at two points: between its RY and
-    RZ layers (every RY and RZ angle) and just after its data diagonal.
+    batched.adjoint sweeps the circuit back from |lambda_i> = upstream_i
+    Z...Z|psi_i> and gives each parametric gate's derivative per row. The
+    float-angle gates are theta in program order, summed over rows; the
+    (m,) data gates RZ(2 alpha_t) and RZZ(2 phi_ij) chain to the data
+    angles through the pair phases phi_ij(alpha).
     """
     spec = model.spec
-    q = spec.num_qubits
     rows = np.atleast_2d(np.asarray(angle_rows, dtype=float))
-    psi, diag = _evolve(rows, model)
-    zhat = batched.z_all_expectation(psi, q)
+    program = build_vqc_circuit(rows, model)
+    psi = batched.evolve(program)
+    parity = z_signs(spec.num_qubits)
+    zhat = (np.abs(psi) ** 2) @ parity
 
     def backward(upstream) -> Dict[str, object]:
-        m, dim = psi.shape
-        up = np.broadcast_to(np.asarray(upstream, dtype=float).reshape(-1), (m,))
-        fspec = spec.feature_spec()
-        s1 = batched.sign_table(q)
-        czd = batched.cz_chain_diag(q)
-        th = model.theta_blocks()
-        dth = np.empty_like(th)
-        grow = np.zeros((m, dim))  # sum over layers of Im(conj(lambda) phi) at the data diagonal
-        pair = np.stack([psi, (up[:, None] * z_signs(q)[None, :]) * psi])  # |phi>, |lambda>
-        for l in reversed(range(spec.reupload_layers)):
-            pair *= czd * np.exp(0.5j * (s1 @ th[l, 1]))  # un-apply the CZ chain and RZ layer
-            dth[l, 1] = np.imag(np.conj(pair[1]) * pair[0]).sum(axis=0) @ s1
-            for t in range(q):
-                phi, lam = pair.reshape(2, m, 1 << (q - 1 - t), 2, -1)
-                # Im<lambda|Y_t|phi> = Re(<lambda_1|phi_0> - <lambda_0|phi_1>)
-                dth[l, 0, t] = (np.vdot(lam[:, :, 1], phi[:, :, 0])
-                                - np.vdot(lam[:, :, 0], phi[:, :, 1])).real
-            pair = batched.ry_layer(pair.reshape(2 * m, dim), -th[l, 0], q).reshape(2, m, dim)
-            grow += np.imag(np.conj(pair[1]) * pair[0])
-            if l:
-                pair *= np.conj(diag)
-                pair = batched.h_layer(pair.reshape(2 * m, dim), q).reshape(2, m, dim)
-        grow *= 2.0
-        dangles = grow @ s1
-        dphase = grow @ batched.pair_sign_table(q, fspec.pairs)
+        up = np.broadcast_to(np.asarray(upstream, dtype=float).reshape(-1), (rows.shape[0],))
+        grads = batched.adjoint(program, psi, (up[:, None] * parity) * psi)
+        gates = [op for op in program.ops if op.angle is not None]
+        shared = np.array([isinstance(op.angle, float) for op in gates])
+        data = {}  # data gate targets -> derivative by its angle, summed over layers
+        for op, g, is_shared in zip(gates, grads, shared):
+            if not is_shared:
+                data[op.targets] = data.get(op.targets, 0.0) + g
         # d phi_ij / d alpha_i: -(pi - alpha_j) for pi_minus, alpha_j for product
         slope = rows - math.pi if spec.second_order_coeff == "pi_minus" else rows
-        for p, (i, j) in enumerate(fspec.pairs):
-            dangles[:, i] += slope[:, j] * dphase[:, p]
-            dangles[:, j] += slope[:, i] * dphase[:, p]
+        dangles = np.zeros_like(rows)
+        for targets, g in data.items():
+            if len(targets) == 1:  # RZ(2 alpha_t)
+                dangles[:, targets[0]] += 2.0 * g
+            else:  # RZZ(2 phi_ij)
+                i, j = targets
+                dangles[:, i] += 2.0 * g * slope[:, j]
+                dangles[:, j] += 2.0 * g * slope[:, i]
         return {
-            "theta": model.scale * dth.reshape(-1),
+            "theta": model.scale * grads[shared].sum(axis=1),
             "scale": float(np.dot(up, zhat)),
             "bias": float(up.sum()),
             "angles": model.scale * dangles,

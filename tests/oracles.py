@@ -8,7 +8,7 @@ import math
 import numpy as np
 from scipy.special import ndtr
 
-from qthreat import batched, datapipe
+from qthreat import datapipe
 from qthreat.encoder import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LN_EPS
 from qthreat.featuremap import feature_statevectors, gram_from_states, pair_phases
 from qthreat.metrics import confusion, f_beta
@@ -222,26 +222,41 @@ def gate_counts(program):
 # --------------------------------------------------------------------- vqc
 
 
+def _sign_tables(num_qubits, pairs):
+    """(2^q, q) signs (-1)^{z_t} and (2^q, #pairs) signs (-1)^{z_i xor z_j}."""
+    idx = np.arange(1 << num_qubits)
+    s1 = 1.0 - 2.0 * ((idx[:, None] >> np.arange(num_qubits)[None, :]) & 1)
+    return s1, np.stack([s1[:, i] * s1[:, j] for i, j in pairs], axis=1)
+
+
 def _expectations_with_extra(rows, model, block, extra):
-    """vqc._batch_expectations with one more diagonal, `extra`, multiplied
-    into the feature layer of re-upload block `block`."""
+    """<Z...Z> per row of the re-uploading circuit, simulated layer by layer
+    with basis states on axis 0 (H layer, data diagonal, RY layer, RZ layer,
+    CZ chain per block), with one more diagonal, `extra`, multiplied into the
+    feature layer of re-upload block `block`."""
     spec = model.spec
     q = spec.num_qubits
     fspec = spec.feature_spec()
-    s1 = batched.sign_table(q)
-    s2 = batched.pair_sign_table(q, fspec.pairs)
-    diag = batched.diag_phase_per_sample(rows, np.atleast_2d(pair_phases(rows, fspec)), s1, s2)
-    czd = batched.cz_chain_diag(q)
+    s1, s2 = _sign_tables(q, fspec.pairs)
+    data = np.exp(-1j * (rows @ s1.T + np.atleast_2d(pair_phases(rows, fspec)) @ s2.T)).T
+    cz = np.ones(1 << q)
+    for i in range(q - 1):
+        cz[(s1[:, i] < 0) & (s1[:, i + 1] < 0)] *= -1.0
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
     th = model.theta_blocks()
-    psi = batched.zero_batch(rows.shape[0], q)
+    psi = np.zeros((1 << q, rows.shape[0]), dtype=complex)
+    psi[0] = 1.0
     for l in range(spec.reupload_layers):
-        psi = batched.h_layer(psi, q) * diag
+        for t in range(q):
+            psi = _apply_1q(h, psi, t, q)
+        psi = psi * data
         if l == block:
-            psi = psi * extra[None, :]
-        psi = batched.ry_layer(psi, th[l, 0], q)
-        psi = batched.rz_layer_shared(psi, th[l, 1], s1)
-        psi = psi * czd[None, :]
-    return batched.z_all_expectation(psi, q)
+            psi = psi * extra[:, None]
+        for t in range(q):
+            c, s = math.cos(0.5 * th[l, 0, t]), math.sin(0.5 * th[l, 0, t])
+            psi = _apply_1q(np.array([[c, -s], [s, c]]), psi, t, q)
+        psi = psi * np.exp(-0.5j * (s1 @ th[l, 1]))[:, None] * cz[:, None]
+    return (np.abs(psi) ** 2).T @ z_signs(q)
 
 
 def angle_gradients(angle_rows, model, upstream):
@@ -256,8 +271,7 @@ def angle_gradients(angle_rows, model, upstream):
     rows = np.atleast_2d(np.asarray(angle_rows, dtype=float))
     up = np.broadcast_to(np.asarray(upstream, dtype=float).reshape(-1), (rows.shape[0],))
     fspec = spec.feature_spec()
-    s1 = batched.sign_table(q)
-    s2 = batched.pair_sign_table(q, fspec.pairs)
+    s1, s2 = _sign_tables(q, fspec.pairs)
     grads = np.zeros_like(rows)
 
     def shifted_pair(extra_col, block):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qthreat.batched import evolve
 from qthreat.featuremap import AngleVector, FeatureMapSpec, compute_uncompute_program
 from qthreat.qsim import (
     CircuitProgram,
@@ -164,6 +165,20 @@ def test_gate_validation_errors():
         CircuitProgram(2, [GateOp("H", (5,))])
     with pytest.raises(ValueError):
         apply_circuit(zero_state(2), CircuitProgram(3, []))
+
+
+def test_program_checks_its_stack_size():
+    assert CircuitProgram(2, [GateOp("H", (0,)), GateOp("RY", (1,), 0.3)]).m == 1
+    prog = CircuitProgram(2, [GateOp("RY", (0,), [0.1, 0.2, 0.3]), GateOp("RZ", (1,), 0.4)])
+    assert prog.m == 3
+    with pytest.raises(ValueError, match=r"RZ on \(1,\) has 5 angles where earlier gates have 3"):
+        CircuitProgram(2, [GateOp("RY", (0,), [0.1, 0.2, 0.3]), GateOp("RZ", (1,), np.zeros(5))])
+    with pytest.raises(ValueError, match=r"RZZ on \(0, 1\) has an empty angle stack"):
+        CircuitProgram(2, [GateOp("H", (0,)), GateOp("RZZ", (0, 1), [])])
+    # both engines take the stack size from the program
+    start = density_from_pure(zero_state(2)).matrix[None]
+    assert evolve_density(start, prog, NoiseSpec()).shape == (3, 4, 4)
+    assert evolve(prog).shape == (3, 4)
 
 
 # ------------------------------------------------------------ expectations
