@@ -291,14 +291,14 @@ def load_lingspam(
     val_fraction: float = 0.2,
     seed: int = 0,
     ngram_max: int = 1,
-    variant: str = "bare",
 ) -> DatasetSplit:
-    """Message tree: filenames starting with "spmsg" are spam. TF-IDF is
-    fitted on the training documents only; val_fraction applies to what
-    remains after the test carve."""
+    """Message tree (its bare/ subdirectory when present): filenames
+    starting with "spmsg" are spam. TF-IDF is fitted on the training
+    documents only; val_fraction applies to what remains after the test
+    carve."""
     base = Path(root_path)
-    if (base / variant).is_dir():
-        base = base / variant
+    if (base / "bare").is_dir():
+        base = base / "bare"
     files = sorted(p for p in base.rglob("*") if p.is_file())
     docs: List[str] = []
     labels: List[int] = []
@@ -334,7 +334,7 @@ def load_lingspam(
         ["spam" if v else "ham" for v in y_test],
         meta={
             "dataset": "lingspam",
-            "variant": variant,
+            "variant": "bare",
             "test_fraction": test_fraction,
             "val_fraction": val_fraction,
             "ngram_max": ngram_max,

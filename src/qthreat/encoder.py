@@ -3,7 +3,7 @@
 Blocks are Linear -> LayerNorm -> GELU -> Dropout; a projection head emits a
 unit-norm embedding and a 2-way linear classifier rides on it. Training is
 class-weighted softmax cross-entropy under Adam with decoupled weight decay
-and early stopping on a validation metric. Everything is float64 numpy; all
+and early stopping on validation macro-F1. Everything is float64 numpy; all
 randomness flows through explicit seeds.
 """
 from __future__ import annotations
@@ -17,8 +17,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import persist
-from .metrics import accuracy as _accuracy_metric
-from .metrics import confusion, f_beta, macro_f1
+from .metrics import confusion, macro_f1
 
 LN_EPS = 1e-12  # keeps the pre-scale output variance 1 within 1e-6
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -26,6 +25,8 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # is 128 KiB, so the moments, parameter, gradient and both scratch buffers
 # stay in L2 through the dozen element-wise passes of one chunk.
 ADAM_CHUNK = 16384
+# the scaler maps these quantiles of the train embeddings to -1 and +1
+SCALER_QUANTILES = (0.05, 0.95)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -362,26 +363,13 @@ class AdamState:
         p -= a
 
 
-def _selection_value(metric: str, beta: float, y_true, y_pred) -> float:
-    counts = confusion(y_true, y_pred)
-    if metric == "macro_f1":
-        return macro_f1(counts)
-    if metric == "f_beta":
-        return f_beta(counts, beta)
-    if metric == "accuracy":
-        return _accuracy_metric(counts)
-    raise ValueError(f"unknown selection metric {metric!r}")
-
-
 def train_encoder(
     config: EncoderConfig,
     schedule: TrainSchedule,
     train: Tuple[np.ndarray, np.ndarray],
     val: Tuple[np.ndarray, np.ndarray],
-    selection_metric: str = "macro_f1",
-    selection_beta: float = 1.0,
 ) -> Tuple[EncoderModel, dict]:
-    """Adam training with early stopping on the validation metric.
+    """Adam training with early stopping on validation macro-F1.
 
     Stops once `patience` consecutive epochs fail to improve the best value
     (patience=0 stops at the first non-improving epoch) and restores the
@@ -399,7 +387,7 @@ def train_encoder(
     best_params = model.copy_params()
     best_epoch = -1
     bad_epochs = 0
-    history = {"epochs": [], "selection_metric": selection_metric}
+    history = {"epochs": [], "selection_metric": "macro_f1"}
 
     for epoch in range(schedule.epochs):
         order = rng.permutation(x_train.shape[0])
@@ -416,7 +404,7 @@ def train_encoder(
             batches += 1
         logits, _ = forward(model, x_val, training=False)
         preds = np.argmax(logits, axis=-1)
-        value = _selection_value(selection_metric, selection_beta, y_val, preds)
+        value = macro_f1(confusion(y_val, preds))
         history["epochs"].append(
             {"epoch": epoch, "train_loss": epoch_loss / batches, "val_metric": value}
         )
@@ -443,8 +431,6 @@ def train_encoder(
 class EmbeddingScaler:
     low: np.ndarray
     high: np.ndarray
-    q_low: float = 0.05
-    q_high: float = 0.95
 
     def __post_init__(self):
         lo = np.asarray(self.low, dtype=float).reshape(-1).copy()
@@ -461,15 +447,14 @@ class EmbeddingScaler:
         return ~(self.low < self.high)
 
 
-def fit_scaler(train_embeddings: np.ndarray, q_low: float = 0.05, q_high: float = 0.95) -> EmbeddingScaler:
+def fit_scaler(train_embeddings: np.ndarray) -> EmbeddingScaler:
     e = np.atleast_2d(np.asarray(train_embeddings, dtype=float))
-    lo = np.quantile(e, q_low, axis=0)
-    hi = np.quantile(e, q_high, axis=0)
-    return EmbeddingScaler(lo, hi, q_low, q_high)
+    q_low, q_high = SCALER_QUANTILES
+    return EmbeddingScaler(np.quantile(e, q_low, axis=0), np.quantile(e, q_high, axis=0))
 
 
 def scale(embedding: np.ndarray, scaler: EmbeddingScaler) -> np.ndarray:
-    """Map [q_low, q_high] -> [-1, 1] per dimension, clip, zero the
+    """Map [low, high] -> [-1, 1] per dimension, clip, zero the
     degenerate dimensions."""
     return scale_with_grad(embedding, scaler)[0]
 
@@ -516,8 +501,8 @@ def save_encoder(
         header["scaler"] = {
             "low": [float(v) for v in scaler.low],
             "high": [float(v) for v in scaler.high],
-            "q_low": scaler.q_low,
-            "q_high": scaler.q_high,
+            "q_low": SCALER_QUANTILES[0],
+            "q_high": SCALER_QUANTILES[1],
         }
     persist.save_json(d / "encoder.json", header)
     return header
@@ -549,7 +534,5 @@ def load_encoder(directory) -> Tuple[EncoderModel, Optional[EmbeddingScaler]]:
     scaler = None
     if "scaler" in header:
         s = header["scaler"]
-        scaler = EmbeddingScaler(
-            np.array(s["low"]), np.array(s["high"]), s["q_low"], s["q_high"]
-        )
+        scaler = EmbeddingScaler(np.array(s["low"]), np.array(s["high"]))
     return model, scaler

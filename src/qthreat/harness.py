@@ -5,9 +5,13 @@ A bundle directory is the unit of persistence. Each stage writes its
 artifacts plus a ``stage.json`` carrying a content key (hash of stage
 name, the config slice it depends on, and the upstream stage keys), so
 reruns skip finished work and any upstream change invalidates everything
-downstream. The manifest embeds the full config, per-file hashes, and
-the test metrics; it is written with status "incomplete" first and
-flipped to "complete" only after evaluation succeeds.
+downstream. One function (_stage) runs this protocol for every stage: the
+marker is removed before a stage writes anything and saved after its files
+are written, so an interrupted stage is rebuilt, never resumed. A resumed
+model stage is read back by _load_model. The manifest embeds the full
+config, per-file hashes, and the test metrics; it is written with status
+"incomplete" first and flipped to "complete" only after evaluation
+succeeds.
 """
 from __future__ import annotations
 
@@ -239,18 +243,31 @@ class ExperimentConfig:
 # ---------------------------------------------------------------- stages
 
 
-def _stage_fresh(d: Path, key: str) -> bool:
+def _stage(root: Path, stages: Dict[str, str], name: str, slice_, inputs, build, load):
+    """The resume-by-hash protocol every stage shares; returns the stage's result.
+
+    The key hashes `name`, the config slice and `inputs` (upstream stage keys,
+    or source file hashes). When root/name/stage.json holds this key, load(d)
+    reads the stage back. Otherwise the marker is removed before build(d)
+    writes anything and saved only after it returns, so a stage that fails
+    mid-build leaves no marker over its files. The key is recorded in
+    `stages` once the stage has its result.
+    """
+    key = persist.stage_key(name, slice_, inputs)
+    d = root / name
     marker = d / "stage.json"
-    if not marker.exists():
-        return False
     try:
-        return persist.load_json(marker).get("key") == key
+        fresh = persist.load_json(marker).get("key") == key
     except (OSError, ValueError):
-        return False
-
-
-def _mark_stage(d: Path, key: str):
-    persist.save_json(persist.ensure_dir(d) / "stage.json", {"key": key})
+        fresh = False
+    if fresh:
+        result = load(d)
+    else:
+        marker.unlink(missing_ok=True)
+        result = build(d)
+        persist.save_json(marker, {"key": key})
+    stages[name] = key
+    return result
 
 
 def _source_hashes(config: ExperimentConfig) -> List[str]:
@@ -268,7 +285,7 @@ def _source_hashes(config: ExperimentConfig) -> List[str]:
     return [persist.sha256_bytes(persist.canonical_json(entries).encode())]
 
 
-def _stage_preprocess(config: ExperimentConfig, root: Path):
+def _stage_preprocess(config: ExperimentConfig, root: Path, stages: Dict[str, str]):
     slice_ = {
         "dataset": config.dataset,
         "train_path": config.train_path,
@@ -280,43 +297,44 @@ def _stage_preprocess(config: ExperimentConfig, root: Path):
         "max_train": config.max_train,
         "seed": config.seeds.data,
     }
-    key = persist.stage_key("preprocess", slice_, _source_hashes(config))
-    d = root / "preprocess"
-    if _stage_fresh(d, key):
-        return datapipe.load_split(d), key
-    if config.dataset == "nslkdd":
-        split = datapipe.load_nslkdd(
-            config.train_path,
-            config.test_path,
-            val_fraction=config.val_fraction,
-            seed=config.seeds.data,
-        )
-    else:
-        split = datapipe.load_lingspam(
-            config.corpus_path,
-            test_fraction=config.test_fraction,
-            val_fraction=config.val_fraction,
-            seed=config.seeds.data,
-            ngram_max=config.ngram_max,
-        )
-    n = split.x_train.shape[0]
-    if n > config.max_train:
-        # transformer statistics stay fitted on the full pre-carve train set;
-        # only the rows the models see are capped
-        idx = datapipe.stratified_indices(split.y_train, config.max_train, config.seeds.data)
-        split = dataclasses.replace(
-            split,
-            x_train=split.x_train[idx],
-            y_train=split.y_train[idx],
-            class_weights=datapipe.class_weights(split.y_train[idx]),
-            meta={**split.meta, "max_train": config.max_train, "train_rows_full": n},
-        )
-    datapipe.save_split(split, d)
-    _mark_stage(d, key)
-    return split, key
+
+    def build(d):
+        if config.dataset == "nslkdd":
+            split = datapipe.load_nslkdd(
+                config.train_path,
+                config.test_path,
+                val_fraction=config.val_fraction,
+                seed=config.seeds.data,
+            )
+        else:
+            split = datapipe.load_lingspam(
+                config.corpus_path,
+                test_fraction=config.test_fraction,
+                val_fraction=config.val_fraction,
+                seed=config.seeds.data,
+                ngram_max=config.ngram_max,
+            )
+        n = split.x_train.shape[0]
+        if n > config.max_train:
+            # transformer statistics stay fitted on the full pre-carve train set;
+            # only the rows the models see are capped
+            idx = datapipe.stratified_indices(split.y_train, config.max_train, config.seeds.data)
+            split = dataclasses.replace(
+                split,
+                x_train=split.x_train[idx],
+                y_train=split.y_train[idx],
+                class_weights=datapipe.class_weights(split.y_train[idx]),
+                meta={**split.meta, "max_train": config.max_train, "train_rows_full": n},
+            )
+        datapipe.save_split(split, d)
+        return split
+
+    return _stage(
+        root, stages, "preprocess", slice_, _source_hashes(config), build, datapipe.load_split
+    )
 
 
-def _stage_encoder(config: ExperimentConfig, root: Path, split, pre_key: str):
+def _stage_encoder(config: ExperimentConfig, root: Path, stages: Dict[str, str], split):
     slice_ = {
         "hidden_sizes": list(config.hidden_sizes),
         "embed_dim": config.embed_dim,
@@ -328,21 +346,19 @@ def _stage_encoder(config: ExperimentConfig, root: Path, split, pre_key: str):
         "patience": config.patience,
         "seed": config.seeds.encoder,
     }
-    key = persist.stage_key("encoder", slice_, [pre_key])
-    d = root / "encoder"
-    if _stage_fresh(d, key):
-        model, scaler = load_encoder(d)
-        return model, scaler, key
-    enc_cfg = config.encoder_config(split.x_train.shape[1])
-    sched = config.schedule(split.class_weights)
-    model, history = train_encoder(
-        enc_cfg, sched, (split.x_train, split.y_train), (split.x_val, split.y_val)
-    )
-    _, train_embed = forward(model, split.x_train, training=False)
-    scaler = fit_scaler(train_embed)
-    save_encoder(model, d, scaler, extra={"history": history})
-    _mark_stage(d, key)
-    return model, scaler, key
+
+    def build(d):
+        enc_cfg = config.encoder_config(split.x_train.shape[1])
+        sched = config.schedule(split.class_weights)
+        model, history = train_encoder(
+            enc_cfg, sched, (split.x_train, split.y_train), (split.x_val, split.y_val)
+        )
+        _, train_embed = forward(model, split.x_train, training=False)
+        scaler = fit_scaler(train_embed)
+        save_encoder(model, d, scaler, extra={"history": history})
+        return model, scaler
+
+    return _stage(root, stages, "encoder", slice_, [stages["preprocess"]], build, load_encoder)
 
 
 def _angles(config: ExperimentConfig, enc_model, scaler, x: np.ndarray) -> np.ndarray:
@@ -356,7 +372,8 @@ def _angles(config: ExperimentConfig, enc_model, scaler, x: np.ndarray) -> np.nd
 class _Model:
     """A trained model as scoring reads it: the encoder it reads through
     (the fine-tuned copy for a fine-tuned VQC) and the scaler, plus the
-    SVM and the train Gram's centring means (qsvm) or the circuit (vqc)."""
+    SVM and the train Gram's centring means (qsvm) or the circuit (vqc),
+    and the validation threshold its stage tuned (_with_threshold)."""
 
     config: ExperimentConfig
     encoder: EncoderModel
@@ -364,6 +381,7 @@ class _Model:
     svm: Optional[qsvm.SvmModel] = None
     row_means: Optional[np.ndarray] = None
     circuit: Optional[vqc.VqcModel] = None
+    threshold: Optional[float] = None
 
     def rows(self, x: np.ndarray) -> np.ndarray:
         """Feature rows as the scorer reads them: angles, or the features (baseline)."""
@@ -373,20 +391,36 @@ class _Model:
 
 
 def _load_model(config: ExperimentConfig, root: Path) -> _Model:
-    """A bundle's model files, each read once: encoder/ (vqc/encoder, saved
+    """A bundle's model files, each array file read once: encoder/ (vqc/encoder, saved
     with the same scaler, for a fine-tuned VQC), then svm/svm.json and the
-    centring means in gram/gram.json, or vqc/. The baseline needs only encoder/."""
+    centring means in gram/gram.json, vqc/, or baseline/baseline.json. The
+    threshold is the one the model stage saved."""
     if config.model == "vqc":
         enc_dir = root / "vqc" / "encoder" if config.fine_tune else root / "encoder"
-        return _Model(config, *load_encoder(enc_dir), circuit=vqc.load_vqc(root / "vqc"))
+        threshold = float(persist.load_json(root / "vqc" / "vqc.json")["extra"]["threshold"])
+        circuit = vqc.load_vqc(root / "vqc")
+        return _Model(config, *load_encoder(enc_dir), circuit=circuit, threshold=threshold)
     enc_model, scaler = load_encoder(root / "encoder")
     if config.model == "qsvm":
+        svm = qsvm.load_svm(root / "svm" / "svm.json")
         return _Model(
-            config, enc_model, scaler,
-            svm=qsvm.load_svm(root / "svm" / "svm.json"),
-            row_means=featuremap.load_centering_means(root / "gram"),
+            config, enc_model, scaler, svm=svm,
+            row_means=featuremap.load_centering_means(root / "gram"), threshold=svm.threshold,
         )
-    return _Model(config, enc_model, scaler)
+    threshold = persist.load_json(root / "baseline" / "baseline.json")["threshold"]
+    return _Model(config, enc_model, scaler, threshold=float(threshold))
+
+
+def _with_threshold(model: _Model, split) -> _Model:
+    """`model` with the F_beta-best threshold of _scorer's exact validation
+    scores. A QSVM first takes the sign under which positive rows score
+    higher; its SvmModel carries that sign and the threshold."""
+    score, _ = _scorer(model, split, vqc.Execution())
+    val = score(model.rows(split.x_val), np.arange(split.y_val.size))
+    sign = qsvm.align_sign(val, split.y_val) if model.svm is not None else 1
+    threshold = qsvm.tune_threshold(sign * val, split.y_val, model.config.beta)
+    svm = replace(model.svm, sign=sign, threshold=threshold) if model.svm is not None else None
+    return replace(model, svm=svm, threshold=threshold)
 
 
 def _scorer(model: _Model, split, execution: vqc.Execution, reference_limit=REFERENCE_LIMIT):
@@ -448,24 +482,26 @@ def _scorer(model: _Model, split, execution: vqc.Execution, reference_limit=REFE
     return score, refs
 
 
-def _stage_gram(config: ExperimentConfig, root: Path, split, enc_model, scaler, enc_key: str):
+def _stage_gram(config: ExperimentConfig, root: Path, stages: Dict[str, str], split, encoded):
     fspec = config.feature_spec()
-    key = persist.stage_key("gram", fspec.as_dict(), [enc_key])
-    d = root / "gram"
-    if _stage_fresh(d, key):
-        return featuremap.load_gram_bundle(d), key
-    train_angles = _angles(config, enc_model, scaler, split.x_train)
-    bundle = featuremap.build_gram(
-        [AngleVector(r) for r in train_angles], fspec, max_train=config.max_train
+
+    def build(d):
+        train_angles = _angles(config, *encoded, split.x_train)
+        bundle = featuremap.build_gram(
+            [AngleVector(r) for r in train_angles], fspec, max_train=config.max_train
+        )
+        bundle = featuremap.center_gram(bundle)
+        featuremap.save_gram_bundle(bundle, d, fspec)
+        return bundle
+
+    return _stage(
+        root, stages, "gram", fspec.as_dict(), [stages["encoder"]], build,
+        featuremap.load_gram_bundle,
     )
-    bundle = featuremap.center_gram(bundle)
-    featuremap.save_gram_bundle(bundle, d, fspec)
-    _mark_stage(d, key)
-    return bundle, key
 
 
 def _stage_svm(
-    config: ExperimentConfig, root: Path, split, bundle, enc_model, scaler, gram_key: str
+    config: ExperimentConfig, root: Path, stages: Dict[str, str], split, encoded, bundle
 ):
     slice_ = {
         "c_grid": list(config.c_grid),
@@ -474,29 +510,27 @@ def _stage_svm(
         "seed": config.seeds.data,
         "class_weights": list(split.class_weights),
     }
-    key = persist.stage_key("svm", slice_, [gram_key])
-    d = root / "svm"
-    if _stage_fresh(d, key):
-        return qsvm.load_svm(d / "svm.json"), key
-    plan = qsvm.CvPlan(
-        folds=config.cv_folds, c_grid=config.c_grid, beta=config.beta, seed=config.seeds.data
+
+    def build(d):
+        plan = qsvm.CvPlan(
+            folds=config.cv_folds, c_grid=config.c_grid, beta=config.beta, seed=config.seeds.data
+        )
+        best_c, cv_table = qsvm.select_c(bundle.train_gram, split.y_train, plan)
+        svm = qsvm.solve_dual(
+            bundle.train_gram, split.y_train, best_c, class_weights=split.class_weights
+        )
+        model = _with_threshold(
+            _Model(config, *encoded, svm=svm, row_means=bundle.centering_row_means), split
+        )
+        qsvm.save_svm(model.svm, d / "svm.json", cv_table=cv_table, extra={"best_c": best_c})
+        return model
+
+    return _stage(
+        root, stages, "svm", slice_, [stages["gram"]], build, lambda d: _load_model(config, root)
     )
-    best_c, cv_table = qsvm.select_c(bundle.train_gram, split.y_train, plan)
-    model = qsvm.solve_dual(
-        bundle.train_gram, split.y_train, best_c, class_weights=split.class_weights
-    )
-    fitted = _Model(config, enc_model, scaler, svm=model, row_means=bundle.centering_row_means)
-    score, _ = _scorer(fitted, split, vqc.Execution())
-    raw = score(fitted.rows(split.x_val), np.arange(split.y_val.size))
-    sign = qsvm.align_sign(raw, split.y_val)
-    threshold = qsvm.tune_threshold(sign * raw, split.y_val, config.beta)
-    model = replace(model, sign=sign, threshold=threshold)
-    qsvm.save_svm(model, d / "svm.json", cv_table=cv_table, extra={"best_c": best_c})
-    _mark_stage(d, key)
-    return model, key
 
 
-def _stage_vqc(config: ExperimentConfig, root: Path, split, enc_model, scaler, enc_key: str):
+def _stage_vqc(config: ExperimentConfig, root: Path, stages: Dict[str, str], split, encoded):
     slice_ = {
         "qubits": config.qubits,
         "reupload": config.reupload,
@@ -510,45 +544,39 @@ def _stage_vqc(config: ExperimentConfig, root: Path, split, enc_model, scaler, e
         "beta": config.beta,
         "seed": config.seeds.encoder,
     }
-    key = persist.stage_key("vqc", slice_, [enc_key])
-    d = root / "vqc"
-    if _stage_fresh(d, key):
-        model = vqc.load_vqc(d)
-        header = persist.load_json(d / "vqc.json")
-        threshold = float(header["extra"]["threshold"])
-        enc_used = load_encoder(d / "encoder")[0] if config.fine_tune else enc_model
-        return model, enc_used, threshold, key
-    spec = config.vqc_spec()
-    sched = config.schedule(split.class_weights)
-    result = vqc.train_vqc(
-        spec,
-        sched,
-        (split.x_train, split.y_train),
-        (split.x_val, split.y_val),
-        seed=config.seeds.encoder,
-        encoder_model=enc_model,
-        scaler=scaler,
-        fine_tune=config.fine_tune,
+
+    def build(d):
+        enc_model, scaler = encoded
+        result = vqc.train_vqc(
+            config.vqc_spec(),
+            config.schedule(split.class_weights),
+            (split.x_train, split.y_train),
+            (split.x_val, split.y_val),
+            seed=config.seeds.encoder,
+            encoder_model=enc_model,
+            scaler=scaler,
+            fine_tune=config.fine_tune,
+        )
+        enc_used = result.encoder if result.encoder is not None else enc_model
+        model = _with_threshold(_Model(config, enc_used, scaler, circuit=result.model), split)
+        vqc.save_vqc(
+            result.model,
+            d,
+            extra={
+                "threshold": model.threshold,
+                "fine_tune": config.fine_tune,
+                "best_epoch": result.history["best_epoch"],
+                "best_val_loss": result.history["best_val_loss"],
+            },
+        )
+        if config.fine_tune:
+            save_encoder(enc_used, d / "encoder", scaler)
+        return model
+
+    return _stage(
+        root, stages, "vqc", slice_, [stages["encoder"]], build,
+        lambda d: _load_model(config, root),
     )
-    enc_used = result.encoder if result.encoder is not None else enc_model
-    val_logits = vqc.decision_logits(
-        _angles(config, enc_used, scaler, split.x_val), result.model
-    )
-    threshold = qsvm.tune_threshold(val_logits, split.y_val, config.beta)
-    vqc.save_vqc(
-        result.model,
-        d,
-        extra={
-            "threshold": threshold,
-            "fine_tune": config.fine_tune,
-            "best_epoch": result.history["best_epoch"],
-            "best_val_loss": result.history["best_val_loss"],
-        },
-    )
-    if config.fine_tune:
-        save_encoder(enc_used, d / "encoder", scaler)
-    _mark_stage(d, key)
-    return result.model, enc_used, threshold, key
 
 
 def _classifier_margin(enc_model: EncoderModel, x: np.ndarray) -> np.ndarray:
@@ -556,19 +584,18 @@ def _classifier_margin(enc_model: EncoderModel, x: np.ndarray) -> np.ndarray:
     return logits[:, 1] - logits[:, 0]
 
 
-def _stage_baseline(config: ExperimentConfig, root: Path, split, enc_model, enc_key: str):
-    key = persist.stage_key("baseline", {"beta": config.beta}, [enc_key])
-    d = root / "baseline"
-    if _stage_fresh(d, key):
-        return float(persist.load_json(d / "baseline.json")["threshold"]), key
-    val_scores = _classifier_margin(enc_model, split.x_val)
-    threshold = qsvm.tune_threshold(val_scores, split.y_val, config.beta)
-    persist.save_json(
-        d / "baseline.json",
-        {"threshold": threshold, "beta": config.beta, "score": "classifier_logit_margin"},
+def _stage_baseline(config: ExperimentConfig, root: Path, stages: Dict[str, str], split, encoded):
+    def build(d):
+        model = _with_threshold(_Model(config, *encoded), split)
+        persist.save_json(d / "baseline.json", {
+            "threshold": model.threshold, "beta": config.beta, "score": "classifier_logit_margin"
+        })
+        return model
+
+    return _stage(
+        root, stages, "baseline", {"beta": config.beta}, [stages["encoder"]], build,
+        lambda d: _load_model(config, root),
     )
-    _mark_stage(d, key)
-    return threshold, key
 
 
 # ------------------------------------------------------------ run pipeline
@@ -621,65 +648,49 @@ def run_experiment(config: ExperimentConfig, workdir, through: Optional[str] = N
 
     def run_stage(name, fn, *args):
         try:
-            return fn(config, root, *args)
+            return fn(config, root, stages, *args)
         except PipelineError:
             raise
         except Exception as exc:
             raise PipelineError(name, str(exc)) from exc
 
     try:
-        split, stages["preprocess"] = run_stage("preprocess", _stage_preprocess)
+        split = run_stage("preprocess", _stage_preprocess)
         if through == "preprocess":
             return _finish(manifest, mpath, root, stages, complete=False)
 
-        enc_model, scaler, stages["encoder"] = run_stage(
-            "encoder", _stage_encoder, split, stages["preprocess"]
-        )
+        encoded = run_stage("encoder", _stage_encoder, split)
         if through == "encoder":
             return _finish(manifest, mpath, root, stages, complete=False)
 
-        bundle = None
         if config.model == "qsvm":
-            bundle, stages["gram"] = run_stage(
-                "gram", _stage_gram, split, enc_model, scaler, stages["encoder"]
-            )
+            bundle = run_stage("gram", _stage_gram, split, encoded)
         if through == "gram":
             return _finish(manifest, mpath, root, stages, complete=False)
 
         if config.model == "qsvm":
-            svm, stages["svm"] = run_stage(
-                "svm", _stage_svm, split, bundle, enc_model, scaler, stages["gram"]
-            )
-            threshold = svm.threshold
-            model = _Model(
-                config, enc_model, scaler, svm=svm, row_means=bundle.centering_row_means
-            )
+            model = run_stage("svm", _stage_svm, split, encoded, bundle)
         elif config.model == "vqc":
-            circuit, enc_used, threshold, stages["vqc"] = run_stage(
-                "vqc", _stage_vqc, split, enc_model, scaler, stages["encoder"]
-            )
-            model = _Model(config, enc_used, scaler, circuit=circuit)
+            model = run_stage("vqc", _stage_vqc, split, encoded)
         else:
-            threshold, stages["baseline"] = run_stage(
-                "baseline", _stage_baseline, split, enc_model, stages["encoder"]
-            )
-            model = _Model(config, enc_model, scaler)
+            model = run_stage("baseline", _stage_baseline, split, encoded)
 
         extras: dict = {}
         try:
             rows, positions = model.rows(split.x_test), np.arange(split.y_test.size)
             score, _ = _scorer(model, split, vqc.Execution())
-            rep = metrics.report(split.y_test, score(rows, positions), threshold, config.beta)
+            scores = score(rows, positions)
+            rep = metrics.report(split.y_test, scores, model.threshold, config.beta)
             if config.model == "vqc":
                 extras["consistency"] = {
-                    "exact_vs_analytic_max_abs": _vqc_consistency(rows, circuit)
+                    "exact_vs_analytic_max_abs": _vqc_consistency(rows, model.circuit)
                 }
             if config.model == "vqc" and config.backend == "shots":
                 extras["shot_eval"] = {}
                 for tag, mitigate in (("raw", False), ("mitigated", True)):
                     shot, _ = _scorer(model, split, replace(config.execution(), mitigate=mitigate))
                     extras["shot_eval"][tag] = metrics.report(
-                        split.y_test, shot(rows, positions), threshold, config.beta
+                        split.y_test, shot(rows, positions), model.threshold, config.beta
                     ).as_dict()
         except Exception as exc:
             raise PipelineError("evaluate", str(exc)) from exc
@@ -697,7 +708,7 @@ def run_experiment(config: ExperimentConfig, workdir, through: Optional[str] = N
                 "stopwords": STOPWORDS_VERSION,
             },
             "conventions": _conventions(config),
-            "threshold": float(threshold),
+            "threshold": float(model.threshold),
             "metrics": rep.as_dict(),
             **extras,
         }
@@ -858,8 +869,6 @@ def evaluate_streaming(
     threshold = float(bundle.manifest["threshold"])
 
     model = _load_model(config, bundle.root)
-    if model.svm is not None and not 1 <= reference_limit <= model.svm.n_train:
-        raise ValueError("reference set larger than the stored Gram")
     score, refs = _scorer(model, split, execution, reference_limit)
     rows, positions = model.rows(split.x_test[subset]), np.arange(subset.size)
     path = Path(audit_path) if audit_path is not None else bundle.root / "stream_audit.csv"

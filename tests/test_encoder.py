@@ -359,7 +359,7 @@ def test_training_solves_separable_toy():
     xv, yv = toy_separable(80, seed=12)
     cfg = EncoderConfig(input_dim=2, hidden_sizes=(8,), embed_dim=4, dropout=0.0, seed=13)
     sched = TrainSchedule(epochs=25, batch_size=32, patience=25)
-    model, history = train_encoder(cfg, sched, (x, y), (xv, yv), "accuracy")
+    model, history = train_encoder(cfg, sched, (x, y), (xv, yv))
     assert history["best_value"] == 1.0
     logits, _ = forward(model, xv)
     assert np.mean(np.argmax(logits, axis=-1) == yv) == 1.0
@@ -370,8 +370,8 @@ def test_training_is_seed_deterministic():
     xv, yv = toy_separable(40, seed=15)
     cfg = EncoderConfig(input_dim=2, hidden_sizes=(6,), embed_dim=3, dropout=0.15, seed=16)
     sched = TrainSchedule(epochs=5, batch_size=32, patience=5)
-    m1, h1 = train_encoder(cfg, sched, (x, y), (xv, yv), "macro_f1")
-    m2, h2 = train_encoder(cfg, sched, (x, y), (xv, yv), "macro_f1")
+    m1, h1 = train_encoder(cfg, sched, (x, y), (xv, yv))
+    m2, h2 = train_encoder(cfg, sched, (x, y), (xv, yv))
     assert h1 == h2
     for k in m1.params:
         np.testing.assert_array_equal(m1.params[k], m2.params[k])
@@ -385,7 +385,7 @@ def test_patience_zero_stops_at_first_plateau():
     yv = rng.integers(0, 2, size=30)
     cfg = EncoderConfig(input_dim=3, hidden_sizes=(4,), embed_dim=2, dropout=0.0, seed=18)
     sched = TrainSchedule(epochs=25, batch_size=16, patience=0)
-    _, history = train_encoder(cfg, sched, (x, y), (xv, yv), "accuracy")
+    _, history = train_encoder(cfg, sched, (x, y), (xv, yv))
     epochs = history["epochs"]
     # every epoch before the stop strictly improved the running best
     best = -1.0
@@ -401,11 +401,11 @@ def test_restored_model_matches_best_epoch():
     xv, yv = toy_separable(60, seed=20)
     cfg = EncoderConfig(input_dim=2, hidden_sizes=(6,), embed_dim=3, dropout=0.1, seed=21)
     sched = TrainSchedule(epochs=8, batch_size=32, patience=3)
-    model, history = train_encoder(cfg, sched, (x, y), (xv, yv), "f_beta", selection_beta=1.0)
-    from qthreat.metrics import confusion, f_beta
+    model, history = train_encoder(cfg, sched, (x, y), (xv, yv))
+    from qthreat.metrics import confusion, macro_f1
 
     logits, _ = forward(model, xv)
-    value = f_beta(confusion(yv, np.argmax(logits, axis=-1)), 1.0)
+    value = macro_f1(confusion(yv, np.argmax(logits, axis=-1)))
     assert value == pytest.approx(history["best_value"], abs=1e-12)
     assert all(rec["val_metric"] <= history["best_value"] for rec in history["epochs"])
 
@@ -473,7 +473,7 @@ def test_encoder_roundtrip(tmp_path):
     x, y = toy_separable(100, seed=22)
     cfg = EncoderConfig(input_dim=2, hidden_sizes=(5,), embed_dim=3, dropout=0.1, seed=23)
     sched = TrainSchedule(epochs=3, batch_size=32, patience=3)
-    model, _ = train_encoder(cfg, sched, (x, y), (x, y), "accuracy")
+    model, _ = train_encoder(cfg, sched, (x, y), (x, y))
     scaler = fit_scaler(embeddings(model, x))
     save_encoder(model, tmp_path, scaler=scaler, extra={"note": "test"})
     loaded, loaded_scaler = load_encoder(tmp_path)

@@ -173,6 +173,50 @@ def test_rerun_is_memoized_and_stages_resume(qsvm_bundle, make_config, tmp_path)
     assert redo["stages"]["svm"] != manifest["stages"]["svm"]
 
 
+def test_failed_rebuild_leaves_no_stale_marker(make_config, tmp_path, monkeypatch):
+    # a rebuild that dies before its marker is written must not leave the
+    # previous key's marker over its own files
+    first = make_config(epochs=2, max_train=160)
+    harness.run_experiment(first, tmp_path, through="encoder")
+    enc = tmp_path / "encoder"
+    want = {name: (enc / name).read_bytes() for name in ("encoder.f64", "encoder.json")}
+    real = persist.save_json
+
+    def no_markers(path, obj):
+        if str(path).endswith("stage.json"):
+            raise OSError("marker write failed")
+        return real(path, obj)
+
+    with monkeypatch.context() as m:
+        m.setattr(persist, "save_json", no_markers)
+        with pytest.raises(PipelineError) as err:
+            harness.run_experiment(
+                make_config(epochs=2, max_train=160, seeds=Seeds(encoder=1)), tmp_path,
+                through="encoder",
+            )
+    assert err.value.stage == "encoder"
+    assert (enc / "encoder.f64").read_bytes() != want["encoder.f64"]
+    harness.run_experiment(first, tmp_path, through="encoder")
+    assert {name: (enc / name).read_bytes() for name in want} == want
+
+
+@pytest.mark.parametrize(
+    "model,fine_tune",
+    [("qsvm", False), ("vqc", False), ("vqc", True), ("classical-baseline", False)],
+)
+def test_resumed_model_stage_gives_the_fresh_manifest(make_config, tmp_path, model, fine_tune):
+    config = make_config(
+        experiment_id="t-resume", model=model, fine_tune=fine_tune, epochs=2, max_train=160
+    )
+    harness.run_experiment(config, tmp_path)
+    fresh = (tmp_path / "manifest.json").read_bytes()
+    markers = {p: p.stat().st_mtime_ns for p in tmp_path.rglob("stage.json")}
+    (tmp_path / "manifest.json").unlink()
+    harness.run_experiment(config, tmp_path)
+    assert {p: p.stat().st_mtime_ns for p in tmp_path.rglob("stage.json")} == markers
+    assert (tmp_path / "manifest.json").read_bytes() == fresh
+
+
 def test_identical_configs_give_bit_identical_manifests(make_config, tmp_path):
     config = make_config(epochs=2, max_train=160)
     harness.run_experiment(config, tmp_path / "a")
@@ -416,12 +460,23 @@ def test_vqc_consistency_compares_two_simulators(vqc_bundle, monkeypatch):
 
 def test_streaming_reference_limit_errors(qsvm_bundle):
     _, d, _ = qsvm_bundle
+    shots = vqc.Execution("shots", 32)
     with pytest.raises(ValueError, match="reference set"):
-        harness.evaluate_streaming(d, subset_size=10, reference_limit=0)
+        harness.evaluate_streaming(d, subset_size=10, execution=shots, reference_limit=0)
     with pytest.raises(ValueError, match="larger than the stored Gram"):
-        harness.evaluate_streaming(d, subset_size=10, reference_limit=10**6)
+        harness.evaluate_streaming(d, subset_size=10, execution=shots, reference_limit=10**6)
     with pytest.raises(ValueError, match="out of range"):
         harness.evaluate_streaming(d, subset=np.array([10**9]))
+
+
+def test_exact_stream_of_a_qsvm_with_fewer_train_rows_than_the_reference_limit(
+    make_config, tmp_path
+):
+    # the reference limit bounds shot-mode reference sets only
+    harness.run_experiment(make_config(epochs=2, max_train=40), tmp_path)
+    assert qsvm.load_svm(tmp_path / "svm" / "svm.json").n_train < harness.REFERENCE_LIMIT
+    out = harness.evaluate_streaming(tmp_path, subset_size=20)
+    assert len(out["lines"]) == 20
 
 
 def test_streaming_vqc_matches_batch_logits(vqc_bundle):
