@@ -4,7 +4,9 @@ Tabular connection records (41 features, three categorical columns) and a
 spam/ham message tree share the same contract: every transformer is fitted
 on training rows only, splits are stratified and seeded, and the resulting
 bundles carry source-file hashes for audit. Feature matrices are dense
-float32; numerical kernels promote to float64 where it matters.
+float32; numerical kernels promote to float64 where it matters. On disk a
+tf-idf split's feature matrices are CSR (about 2% of their entries are
+nonzero), and load_split expands them back to the same dense float32.
 """
 from __future__ import annotations
 
@@ -414,19 +416,63 @@ def select_eval_subset(split: DatasetSplit, size: int = 100, seed: int = 0) -> n
 # ------------------------------------------------------------ persistence
 
 
+def _csr_f64(x: np.ndarray) -> np.ndarray:
+    """A 2-D matrix as one float64 vector: indptr (n+1) || column indices
+    (nnz) || values (nnz), rows in order and columns increasing in each row.
+    Every entry but +0.0 is stored, so the values come back bit for bit."""
+    stored = (x != 0) | np.signbit(x)
+    rows, cols = np.nonzero(stored)
+    indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=1))])
+    return np.concatenate([indptr, cols, x[rows, cols]], dtype=np.float64)
+
+
+def _dense_from_csr(flat: np.ndarray, shape, nnz: int, name: str) -> np.ndarray:
+    """The float32 matrix of a _csr_f64 vector; ValueError unless indptr
+    holds integers that start at 0, never decrease and end at nnz, and the
+    column indices are integers in [0, d), strictly increasing in each row."""
+    n, d = shape
+    indptr, cols, values = flat[: n + 1], flat[n + 1 : n + 1 + nnz], flat[n + 1 + nnz :]
+    steps = np.diff(indptr)
+    if not (np.array_equal(indptr, np.trunc(indptr)) and indptr[0] == 0
+            and indptr[-1] == nnz and np.all(steps >= 0)):
+        raise ValueError(f"{name}: indptr must be integers from 0 to nnz that never decrease")
+    if not (np.array_equal(cols, np.trunc(cols)) and np.all((cols >= 0) & (cols < d))):
+        raise ValueError(f"{name}: column indices must be integers in [0, {d})")
+    cells = np.repeat(np.arange(n, dtype=np.int64) * d, steps.astype(np.int64)) + cols.astype(np.int64)
+    if np.any(np.diff(cells) <= 0):
+        raise ValueError(f"{name}: column indices must increase strictly within each row")
+    out = np.zeros(n * d, dtype=np.float32)
+    out[cells] = values
+    return out.reshape(n, d)
+
+
 def save_split(split: DatasetSplit, directory) -> dict:
+    """Write the split under `directory`: split.json plus one float64 file
+    per array. A tf-idf split's x_* files are CSR (x_*.csr.f64, _csr_f64),
+    every other array is dense (name.f64)."""
     d = persist.ensure_dir(directory)
     arrays = {
         "x_train": split.x_train, "y_train": split.y_train,
         "x_val": split.x_val, "y_val": split.y_val,
         "x_test": split.x_test, "y_test": split.y_test,
     }
+    sparse = isinstance(split.transformer, TfidfModel)
     manifest = {}
     for name, arr in arrays.items():
-        manifest[name] = {
-            "shape": list(np.asarray(arr).shape),
-            "sha256": persist.save_array_f64(d / f"{name}.f64", np.asarray(arr, dtype=float)),
-        }
+        arr = np.asarray(arr)
+        if sparse and name.startswith("x_"):
+            flat = _csr_f64(arr)
+            manifest[name] = {
+                "shape": list(arr.shape),
+                "nnz": (flat.size - arr.shape[0] - 1) // 2,
+                "layout": "csr",
+                "sha256": persist.save_array_f64(d / f"{name}.csr.f64", flat),
+            }
+        else:
+            manifest[name] = {
+                "shape": list(arr.shape),
+                "sha256": persist.save_array_f64(d / f"{name}.f64", np.asarray(arr, dtype=float)),
+            }
     tr = split.transformer
     if isinstance(tr, TabularTransformer):
         transformer = {
@@ -462,15 +508,22 @@ def save_split(split: DatasetSplit, directory) -> dict:
     return header
 
 
-def load_split(directory) -> DatasetSplit:
+def load_split(directory, unverified=None) -> DatasetSplit:
+    """The split save_split wrote; each file is hash-checked on its read
+    (persist.load_json, persist.load_verified_f64), and a CSR entry is
+    checked for structure (_dense_from_csr)."""
     d = Path(directory)
-    header = persist.load_json(d / "split.json")
+    header = persist.load_json(d / "split.json", unverified)
     arrays = {}
     for name, meta in header["arrays"].items():
-        arrays[name] = persist.load_verified_f64(
-            d / f"{name}.f64", tuple(meta["shape"]), meta["sha256"],
-            f"{name}.f64 does not match its recorded sha256",
+        shape = tuple(meta["shape"])
+        csr = meta.get("layout") == "csr"
+        fname = f"{name}.csr.f64" if csr else f"{name}.f64"
+        flat = persist.load_verified_f64(
+            d / fname, (shape[0] + 1 + 2 * meta["nnz"],) if csr else shape, meta["sha256"],
+            f"{fname} does not match its recorded sha256", unverified,
         )
+        arrays[name] = _dense_from_csr(flat, shape, meta["nnz"], fname) if csr else flat
     t = header["transformer"]
     if t["kind"] == "tabular":
         transformer: object = TabularTransformer(
@@ -486,11 +539,11 @@ def load_split(directory) -> DatasetSplit:
             {term: i for i, term in enumerate(terms)},
             persist.load_verified_f64(
                 d / "idf.f64", (len(terms),), t["idf_sha256"],
-                "idf.f64 does not match its recorded sha256",
+                "idf.f64 does not match its recorded sha256", unverified,
             ),
             persist.load_verified_f64(
                 d / "doc_freq.f64", (len(terms),), t["doc_freq_sha256"],
-                "doc_freq.f64 does not match its recorded sha256",
+                "doc_freq.f64 does not match its recorded sha256", unverified,
             ),
             int(t["num_train_docs"]),
             int(t["min_df"]),
@@ -498,9 +551,9 @@ def load_split(directory) -> DatasetSplit:
             int(t["ngram_max"]),
         )
     return DatasetSplit(
-        arrays["x_train"].astype(np.float32), arrays["y_train"].astype(int),
-        arrays["x_val"].astype(np.float32), arrays["y_val"].astype(int),
-        arrays["x_test"].astype(np.float32), arrays["y_test"].astype(int),
+        arrays["x_train"].astype(np.float32, copy=False), arrays["y_train"].astype(int),
+        arrays["x_val"].astype(np.float32, copy=False), arrays["y_val"].astype(int),
+        arrays["x_test"].astype(np.float32, copy=False), arrays["y_test"].astype(int),
         tuple(header["class_weights"]), int(header["seed"]),
         transformer, list(header["test_categories"]), dict(header["meta"]),
     )

@@ -508,9 +508,12 @@ def save_encoder(
     return header
 
 
-def load_encoder(directory) -> Tuple[EncoderModel, Optional[EmbeddingScaler]]:
+def load_encoder(directory, unverified=None) -> Tuple[EncoderModel, Optional[EmbeddingScaler]]:
+    """The model and scaler save_encoder wrote; encoder.json and encoder.f64
+    are each hash-checked on their read when `unverified` holds them
+    (persist.load_json, persist.load_verified_f64)."""
     d = Path(directory)
-    header = persist.load_json(d / "encoder.json")
+    header = persist.load_json(d / "encoder.json", unverified)
     config = EncoderConfig(
         input_dim=header["config"]["input_dim"],
         hidden_sizes=tuple(header["config"]["hidden_sizes"]),
@@ -521,7 +524,7 @@ def load_encoder(directory) -> Tuple[EncoderModel, Optional[EmbeddingScaler]]:
     total = sum(int(np.prod(s)) for s in header["param_shapes"].values())
     flat = persist.load_verified_f64(
         d / "encoder.f64", (total,), header["params_sha256"],
-        "encoder.f64 does not match its recorded sha256",
+        "encoder.f64 does not match its recorded sha256", unverified,
     )
     params = {}
     pos = 0

@@ -339,10 +339,10 @@ def save_gram_bundle(bundle: GramBundle, directory, spec: Optional[FeatureMapSpe
     return header
 
 
-def load_centering_means(directory) -> np.ndarray:
+def load_centering_means(directory, unverified=None) -> np.ndarray:
     """The centred train Gram's column means from gram.json, without
     reading the Gram itself."""
-    header = persist.load_json(Path(directory) / "gram.json")
+    header = persist.load_json(Path(directory) / "gram.json", unverified)
     return np.array(header["centering"]["row_means"])
 
 

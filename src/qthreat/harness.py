@@ -6,17 +6,22 @@ artifacts plus a ``stage.json`` carrying a content key (hash of stage
 name, the config slice it depends on, and the upstream stage keys), so
 reruns skip finished work and any upstream change invalidates everything
 downstream. One function (_stage) runs this protocol for every stage: the
-marker is removed before a stage writes anything and saved after its files
-are written, so an interrupted stage is rebuilt, never resumed. A resumed
-model stage is read back by _load_model. The manifest embeds the full
-config, per-file hashes, and the test metrics; it is written with status
-"incomplete" first and flipped to "complete" only after evaluation
-succeeds.
+marker is removed and the stage directory emptied before a stage writes
+anything, and the marker is saved after its files are written, so an
+interrupted stage is rebuilt, never resumed, and a rebuilt stage holds only
+its own files. A resumed model stage is read back by _load_model. The
+manifest embeds the full config, the hashes of config.json and of every file
+under the directories of the stages the run recorded, and the test metrics;
+it is written with status "incomplete" first and flipped to "complete" only
+after evaluation succeeds. Opening a complete bundle (_open_complete) hashes
+each of those files once: on the read that parses it, or in one streaming
+pass over the files nothing parses.
 """
 from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import shutil
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -248,10 +253,11 @@ def _stage(root: Path, stages: Dict[str, str], name: str, slice_, inputs, build,
 
     The key hashes `name`, the config slice and `inputs` (upstream stage keys,
     or source file hashes). When root/name/stage.json holds this key, load(d)
-    reads the stage back. Otherwise the marker is removed before build(d)
-    writes anything and saved only after it returns, so a stage that fails
-    mid-build leaves no marker over its files. The key is recorded in
-    `stages` once the stage has its result.
+    reads the stage back. Otherwise the marker is removed and the directory
+    emptied before build(d) writes anything, and the marker is saved only
+    after it returns, so a stage that fails mid-build leaves no marker over
+    its files, and a rebuilt stage keeps no file of an earlier key. The key
+    is recorded in `stages` once the stage has its result.
     """
     key = persist.stage_key(name, slice_, inputs)
     d = root / name
@@ -264,6 +270,8 @@ def _stage(root: Path, stages: Dict[str, str], name: str, slice_, inputs, build,
         result = load(d)
     else:
         marker.unlink(missing_ok=True)
+        if d.exists():
+            shutil.rmtree(d)
         result = build(d)
         persist.save_json(marker, {"key": key})
     stages[name] = key
@@ -390,24 +398,28 @@ class _Model:
         return _angles(self.config, self.encoder, self.scaler, x)
 
 
-def _load_model(config: ExperimentConfig, root: Path) -> _Model:
-    """A bundle's model files, each array file read once: encoder/ (vqc/encoder, saved
-    with the same scaler, for a fine-tuned VQC), then svm/svm.json and the
-    centring means in gram/gram.json, vqc/, or baseline/baseline.json. The
-    threshold is the one the model stage saved."""
+def _load_model(config: ExperimentConfig, root: Path, unverified=None) -> _Model:
+    """A bundle's model files, each read once and, when `unverified` holds it,
+    hash-checked on that read: encoder/ (vqc/encoder, saved with the same
+    scaler, for a fine-tuned VQC), then svm/svm.json and the centring means
+    in gram/gram.json, vqc/, or baseline/baseline.json. The threshold is the
+    one the model stage saved."""
     if config.model == "vqc":
         enc_dir = root / "vqc" / "encoder" if config.fine_tune else root / "encoder"
-        threshold = float(persist.load_json(root / "vqc" / "vqc.json")["extra"]["threshold"])
-        circuit = vqc.load_vqc(root / "vqc")
-        return _Model(config, *load_encoder(enc_dir), circuit=circuit, threshold=threshold)
-    enc_model, scaler = load_encoder(root / "encoder")
+        circuit, extra = vqc.load_checkpoint(root / "vqc", unverified)
+        return _Model(
+            config, *load_encoder(enc_dir, unverified), circuit=circuit,
+            threshold=float(extra["threshold"]),
+        )
+    enc_model, scaler = load_encoder(root / "encoder", unverified)
     if config.model == "qsvm":
-        svm = qsvm.load_svm(root / "svm" / "svm.json")
+        svm = qsvm.load_svm(root / "svm" / "svm.json", unverified)
         return _Model(
             config, enc_model, scaler, svm=svm,
-            row_means=featuremap.load_centering_means(root / "gram"), threshold=svm.threshold,
+            row_means=featuremap.load_centering_means(root / "gram", unverified),
+            threshold=svm.threshold,
         )
-    threshold = persist.load_json(root / "baseline" / "baseline.json")["threshold"]
+    threshold = persist.load_json(root / "baseline" / "baseline.json", unverified)["threshold"]
     return _Model(config, enc_model, scaler, threshold=float(threshold))
 
 
@@ -483,6 +495,9 @@ def _scorer(model: _Model, split, execution: vqc.Execution, reference_limit=REFE
 
 
 def _stage_gram(config: ExperimentConfig, root: Path, stages: Dict[str, str], split, encoded):
+    """A callable that gives the centred train GramBundle: the one just
+    built, or, when the stage resumes, a read of gram/ on the call, which
+    only a rebuilt svm stage makes."""
     fspec = config.feature_spec()
 
     def build(d):
@@ -492,16 +507,16 @@ def _stage_gram(config: ExperimentConfig, root: Path, stages: Dict[str, str], sp
         )
         bundle = featuremap.center_gram(bundle)
         featuremap.save_gram_bundle(bundle, d, fspec)
-        return bundle
+        return lambda: bundle
 
     return _stage(
         root, stages, "gram", fspec.as_dict(), [stages["encoder"]], build,
-        featuremap.load_gram_bundle,
+        lambda d: lambda: featuremap.load_gram_bundle(d),
     )
 
 
 def _stage_svm(
-    config: ExperimentConfig, root: Path, stages: Dict[str, str], split, encoded, bundle
+    config: ExperimentConfig, root: Path, stages: Dict[str, str], split, encoded, gram
 ):
     slice_ = {
         "c_grid": list(config.c_grid),
@@ -512,6 +527,7 @@ def _stage_svm(
     }
 
     def build(d):
+        bundle = gram()
         plan = qsvm.CvPlan(
             folds=config.cv_folds, c_grid=config.c_grid, beta=config.beta, seed=config.seeds.data
         )
@@ -601,11 +617,13 @@ def _stage_baseline(config: ExperimentConfig, root: Path, stages: Dict[str, str]
 # ------------------------------------------------------------ run pipeline
 
 
-def _bundle_files(root: Path) -> List[str]:
-    names = []
-    for p in sorted(root.rglob("*")):
-        if p.is_file() and p.name != "manifest.json":
-            names.append(p.relative_to(root).as_posix())
+def _bundle_files(root: Path, stages: Dict[str, str]) -> List[str]:
+    """config.json and every file under the directories of `stages`."""
+    names = ["config.json"]
+    for stage in stages:
+        names.extend(
+            p.relative_to(root).as_posix() for p in sorted((root / stage).rglob("*")) if p.is_file()
+        )
     return names
 
 
@@ -664,12 +682,12 @@ def run_experiment(config: ExperimentConfig, workdir, through: Optional[str] = N
             return _finish(manifest, mpath, root, stages, complete=False)
 
         if config.model == "qsvm":
-            bundle = run_stage("gram", _stage_gram, split, encoded)
+            gram = run_stage("gram", _stage_gram, split, encoded)
         if through == "gram":
             return _finish(manifest, mpath, root, stages, complete=False)
 
         if config.model == "qsvm":
-            model = run_stage("svm", _stage_svm, split, encoded, bundle)
+            model = run_stage("svm", _stage_svm, split, encoded, gram)
         elif config.model == "vqc":
             model = run_stage("vqc", _stage_vqc, split, encoded)
         else:
@@ -719,7 +737,7 @@ def run_experiment(config: ExperimentConfig, workdir, through: Optional[str] = N
 def _finish(manifest, mpath, root, stages, complete: bool) -> dict:
     manifest["stages"] = stages
     manifest["status"] = "complete" if complete else "incomplete"
-    manifest["files"] = persist.relative_file_map(root, _bundle_files(root))
+    manifest["files"] = persist.relative_file_map(root, _bundle_files(root, stages))
     persist.save_json(mpath, manifest)
     return manifest
 
@@ -756,6 +774,10 @@ class ArtifactBundle:
     def complete(self) -> bool:
         return self.manifest.get("status") == "complete"
 
+    def unverified(self) -> Dict[Path, str]:
+        """path -> manifest sha256 of every bundle file, for persist's readers."""
+        return {self.root / name: sha for name, sha in self.manifest.get("files", {}).items()}
+
 
 def load_bundle(workdir, verify: bool = True) -> ArtifactBundle:
     """Open a bundle, checking every recorded file hash by default."""
@@ -763,21 +785,25 @@ def load_bundle(workdir, verify: bool = True) -> ArtifactBundle:
     mpath = root / "manifest.json"
     if not mpath.exists():
         raise FileNotFoundError(f"no manifest under {root}")
-    manifest = persist.load_json(mpath)
+    bundle = ArtifactBundle(root=root, manifest=persist.load_json(mpath))
     if verify:
-        for name, sha in manifest.get("files", {}).items():
-            actual = persist.sha256_file(root / name)
-            if actual != sha:
-                raise ValueError(f"bundle file {name} fails its hash check")
-    return ArtifactBundle(root=root, manifest=manifest)
+        persist.check_files(bundle.unverified())
+    return bundle
 
 
 def _open_complete(workdir):
-    """A complete bundle, every file hash-checked once, and its split."""
-    bundle = load_bundle(workdir)
+    """(bundle, split, model) of a complete bundle, each manifest file
+    hashed once: the split's and the model's files on the reads that parse
+    them, where each hash must match the manifest's entry and the one its
+    header recorded, and every other file in one streaming pass."""
+    bundle = load_bundle(workdir, verify=False)
     if not bundle.complete:
         raise ValueError("bundle is incomplete; rerun the pipeline first")
-    return bundle, datapipe.load_split(bundle.root / "preprocess")
+    unverified = bundle.unverified()
+    split = datapipe.load_split(bundle.root / "preprocess", unverified)
+    model = _load_model(bundle.config, bundle.root, unverified)
+    persist.check_files(unverified)
+    return bundle, split, model
 
 
 def bundle_execution(
@@ -816,12 +842,11 @@ def evaluate_bundle(
     evaluate_streaming over every test row with the same Execution. The stored
     validation threshold is applied unchanged; nothing is written to the bundle.
     """
-    bundle, split = _open_complete(workdir)
+    bundle, split, model = _open_complete(workdir)
     config = bundle.config
     execution = bundle_execution(
         config, backend or "exact", shots, noise, mitigate, sampling_seed
     )
-    model = _load_model(config, bundle.root)
     score, _ = _scorer(model, split, execution, reference_limit)
     scores = score(model.rows(split.x_test), np.arange(split.y_test.size))
     threshold = float(bundle.manifest["threshold"])
@@ -853,7 +878,7 @@ def evaluate_streaming(
     through every support vector in exact mode and through a reference
     set of at most `reference_limit` support vectors in shot mode.
     """
-    bundle, split = _open_complete(workdir)
+    bundle, split, model = _open_complete(workdir)
     config = bundle.config
     n_test = split.y_test.size
     if subset is None:
@@ -868,7 +893,6 @@ def evaluate_streaming(
     execution = execution or vqc.Execution()
     threshold = float(bundle.manifest["threshold"])
 
-    model = _load_model(config, bundle.root)
     score, refs = _scorer(model, split, execution, reference_limit)
     rows, positions = model.rows(split.x_test[subset]), np.arange(subset.size)
     path = Path(audit_path) if audit_path is not None else bundle.root / "stream_audit.csv"

@@ -3,6 +3,12 @@
 All array files are little-endian float64, row-major, no header; shapes live
 in the accompanying JSON. JSON floats are written with Python's repr, which
 round-trips float64 bit-exactly.
+
+Readers take an optional `unverified` map (path -> sha256) of bundle files
+whose manifest hashes are still unchecked. A read of a file in that map
+hashes the bytes it parses against the entry and takes the entry out, so a
+caller that opens a bundle hashes each file once: on its loader's read, or
+in `check_files` for what no loader read.
 """
 from __future__ import annotations
 
@@ -11,6 +17,7 @@ import json
 import os
 import uuid
 from pathlib import Path
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -67,15 +74,41 @@ def save_array_f64(path, arr: np.ndarray) -> str:
     return sha256_bytes(data)
 
 
-def load_verified_f64(path, shape, sha256: str, mismatch: str) -> np.ndarray:
-    """The array of a file whose bytes must have this sha256, else
-    ValueError(mismatch). The file is read once into one writable buffer,
-    and the bytes hashed are the bytes parsed in place."""
+def _read_file(path, unverified: Optional[Dict[Path, str]] = None,
+               sha256: Optional[str] = None, mismatch: str = "") -> bytearray:
+    """The bytes of a file, read once into one writable buffer and hashed
+    at most once. When `unverified` holds `path`, its entry is taken out and
+    the bytes must hash to it, else ValueError; when `sha256` is given (the
+    hash a header recorded), they must hash to it too, else
+    ValueError(mismatch)."""
     with open(path, "rb") as f:
         data = bytearray(os.fstat(f.fileno()).st_size)
         f.readinto(data)
-    if sha256_bytes(data) != sha256:
+    entry = unverified.pop(Path(path), None) if unverified is not None else None
+    if entry is None and sha256 is None:
+        return data
+    actual = sha256_bytes(data)
+    if entry is not None and actual != entry:
+        raise ValueError(f"bundle file {path} fails its hash check")
+    if sha256 is not None and actual != sha256:
         raise ValueError(mismatch)
+    return data
+
+
+def check_files(unverified: Dict[Path, str]) -> None:
+    """Stream each file of `unverified` through sha256 against its entry,
+    emptying the map; ValueError on the first mismatch."""
+    for path in list(unverified):
+        if sha256_file(path) != unverified.pop(path):
+            raise ValueError(f"bundle file {path} fails its hash check")
+
+
+def load_verified_f64(path, shape, sha256: str, mismatch: str,
+                      unverified: Optional[Dict[Path, str]] = None) -> np.ndarray:
+    """The array of a file whose bytes must have this sha256, else
+    ValueError(mismatch), and its `unverified` entry if it has one
+    (_read_file). The bytes hashed are the bytes parsed in place."""
+    data = _read_file(path, unverified, sha256, mismatch)
     arr = np.frombuffer(data, dtype="<f8").astype(np.float64, copy=False)
     expected = int(np.prod(shape)) if shape else arr.size
     if arr.size != expected:
@@ -91,9 +124,9 @@ def save_json(path, obj) -> str:
     return sha256_bytes(data)
 
 
-def load_json(path):
-    with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+def load_json(path, unverified: Optional[Dict[Path, str]] = None):
+    """A JSON file, hash-checked on this read when `unverified` holds it."""
+    return json.loads(_read_file(path, unverified))
 
 
 def ensure_dir(path) -> Path:

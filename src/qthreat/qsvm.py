@@ -301,8 +301,8 @@ def save_svm(model: SvmModel, path, cv_table: Optional[list] = None, extra: Opti
     return header
 
 
-def load_svm(path) -> SvmModel:
-    h = persist.load_json(path)
+def load_svm(path, unverified=None) -> SvmModel:
+    h = persist.load_json(path, unverified)
     return SvmModel(
         support=np.array(h["support"], dtype=int),
         coef=np.array(h["coef"], dtype=float),

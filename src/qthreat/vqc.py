@@ -507,12 +507,20 @@ def save_vqc(model: VqcModel, directory, extra: Optional[dict] = None) -> dict:
     return header
 
 
-def load_vqc(directory) -> VqcModel:
+def load_checkpoint(directory, unverified=None) -> Tuple[VqcModel, dict]:
+    """The model save_vqc wrote and the `extra` its header carries; vqc.json
+    and vqc.f64 are each hash-checked on their read when `unverified` holds
+    them (persist.load_json, persist.load_verified_f64)."""
     d = Path(directory)
-    header = persist.load_json(d / "vqc.json")
+    header = persist.load_json(d / "vqc.json", unverified)
     spec = VqcSpec(**header["spec"])
     packed = persist.load_verified_f64(
         d / "vqc.f64", (header["packed_length"],), header["params_sha256"],
-        "vqc.f64 does not match its recorded sha256",
+        "vqc.f64 does not match its recorded sha256", unverified,
     )
-    return VqcModel(spec, packed[:-2], float(packed[-2]), float(packed[-1]))
+    return VqcModel(spec, packed[:-2], float(packed[-2]), float(packed[-1])), header.get("extra", {})
+
+
+def load_vqc(directory) -> VqcModel:
+    """The model save_vqc wrote (load_checkpoint without the extra)."""
+    return load_checkpoint(directory)[0]

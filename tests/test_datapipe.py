@@ -1,8 +1,15 @@
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from qthreat import persist
 from qthreat.datapipe import (
     CATEGORICAL_COLUMNS,
     FEATURE_NAMES,
@@ -355,7 +362,126 @@ def test_split_roundtrip_text(tmp_path, spam_split):
 
 def test_split_rejects_tampering(tmp_path, spam_split):
     save_split(spam_split, tmp_path)
-    blob = (tmp_path / "x_test.f64").read_bytes()
-    (tmp_path / "x_test.f64").write_bytes(blob[:-1] + bytes([blob[-1] ^ 1]))
+    blob = (tmp_path / "x_test.csr.f64").read_bytes()
+    (tmp_path / "x_test.csr.f64").write_bytes(blob[:-1] + bytes([blob[-1] ^ 1]))
     with pytest.raises(ValueError, match="sha256"):
         load_split(tmp_path)
+
+
+def _tfidf_split(x_train, x_val, x_test):
+    """A split whose transformer is tf-idf, so save_split writes CSR."""
+    d = x_train.shape[1]
+    model = TfidfModel({f"t{i}": i for i in range(d)}, np.ones(d), np.ones(d), x_train.shape[0])
+    ys = [np.zeros(x.shape[0], dtype=int) for x in (x_train, x_val, x_test)]
+    return DatasetSplit(x_train, ys[0], x_val, ys[1], x_test, ys[2], (1.0, 1.0), 0, model,
+                        ["ham"] * x_test.shape[0])
+
+
+def _save_dense_x(split, directory):
+    """Rewrite a saved tf-idf split's x_* arrays in the dense layout
+    (name.f64, {"shape", "sha256"}) of bundles written before CSR."""
+    d = Path(directory)
+    header = json.loads((d / "split.json").read_text())
+    for name in ("x_train", "x_val", "x_test"):
+        (d / f"{name}.csr.f64").unlink()
+        x = getattr(split, name)
+        header["arrays"][name] = {
+            "shape": list(x.shape),
+            "sha256": persist.save_array_f64(d / f"{name}.f64", np.asarray(x, dtype=float)),
+        }
+    persist.save_json(d / "split.json", header)
+
+
+@st.composite
+def _sparse_matrices(draw):
+    d = draw(st.integers(1, 9))
+    out = []
+    for _ in range(3):
+        n = draw(st.integers(1, 6))
+        shape = (n, d)
+        keep = draw(arrays(bool, shape, elements=st.booleans()))
+        values = draw(arrays(np.float32, shape, elements=st.floats(width=32, allow_nan=False)))
+        out.append(np.where(keep, values, np.float32(0.0)))
+    return out
+
+
+_ALL_ZERO = np.zeros((3, 4), dtype=np.float32)
+_ONE_ROW = np.array([[0.0, 0.5, 0.0, -0.25]], dtype=np.float32)
+_EMPTY_ROWS_LAST_COLUMN = np.array(
+    [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.5], [0.0, 0.0, 0.0, 0.0], [2.0, -0.0, 0.0, 3.0]],
+    dtype=np.float32,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sparse_matrices())
+@example([_ALL_ZERO, _ONE_ROW, _EMPTY_ROWS_LAST_COLUMN])
+@example([_EMPTY_ROWS_LAST_COLUMN, _ALL_ZERO, _ONE_ROW])
+def test_csr_split_roundtrip_is_bit_exact(xs):
+    split = _tfidf_split(*xs)
+    with tempfile.TemporaryDirectory() as tmp:
+        header = save_split(split, tmp)
+        back = load_split(tmp)
+        names = sorted(p.name for p in Path(tmp).iterdir())
+    for name, x in zip(("x_train", "x_val", "x_test"), xs):
+        entry = header["arrays"][name]
+        assert f"{name}.csr.f64" in names and f"{name}.f64" not in names
+        assert entry["layout"] == "csr"
+        assert entry["nnz"] == int(np.count_nonzero((x != 0) | np.signbit(x)))
+        got = getattr(back, name)
+        assert got.dtype == np.float32 and got.shape == x.shape
+        assert np.array_equal(got.view(np.uint32), x.view(np.uint32))
+
+
+def _corrupt(flat, n, d, nnz, kind):
+    indptr, cols = flat[: n + 1], flat[n + 1 : n + 1 + nnz]
+    if kind == "indptr starts above 0":
+        indptr[0] = 1
+    elif kind == "indptr ends below nnz":
+        indptr[-1] = nnz - 1
+    elif kind == "indptr decreases":
+        r = int(np.flatnonzero(np.diff(indptr) > 0)[0])
+        indptr[r + 1] = indptr[r] - 1
+    elif kind == "fractional indptr":
+        indptr[1] += 0.5
+    elif kind == "column index d":
+        cols[0] = d
+    elif kind == "negative column index":
+        cols[0] = -1
+    elif kind == "fractional column index":
+        cols[0] += 0.5
+    else:  # two columns of one row swapped
+        r = int(np.flatnonzero(np.diff(indptr) >= 2)[0])
+        a = int(indptr[r])
+        cols[a], cols[a + 1] = cols[a + 1], cols[a]
+
+
+@pytest.mark.parametrize("kind,message", [
+    ("indptr starts above 0", "indptr"), ("indptr ends below nnz", "indptr"),
+    ("indptr decreases", "indptr"), ("fractional indptr", "indptr"),
+    ("column index d", "column indices must be integers"),
+    ("negative column index", "column indices must be integers"),
+    ("fractional column index", "column indices must be integers"),
+    ("columns out of order", "increase strictly"),
+])
+def test_structurally_bad_csr_with_a_correct_hash_is_rejected(tmp_path, spam_split, kind, message):
+    header = save_split(spam_split, tmp_path)
+    entry = header["arrays"]["x_train"]
+    path = tmp_path / "x_train.csr.f64"
+    flat = np.frombuffer(path.read_bytes(), dtype="<f8").copy()
+    _corrupt(flat, *entry["shape"], entry["nnz"], kind)
+    entry["sha256"] = persist.save_array_f64(path, flat)
+    persist.save_json(tmp_path / "split.json", header)
+    with pytest.raises(ValueError, match=f"x_train.csr.f64: .*{message}"):
+        load_split(tmp_path)
+
+
+def test_dense_layout_tfidf_split_still_loads(tmp_path, spam_split):
+    save_split(spam_split, tmp_path)
+    _save_dense_x(spam_split, tmp_path)
+    assert not list(tmp_path.glob("*.csr.f64"))
+    back = load_split(tmp_path)
+    for name in ("x_train", "x_val", "x_test"):
+        got = getattr(back, name)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, getattr(spam_split, name))

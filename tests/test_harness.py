@@ -1,7 +1,10 @@
 """End-to-end pipeline, bundle, streaming, matrix, and CLI tests on the
 synthetic corpora from conftest."""
+import hashlib
 import json
 import shutil
+import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,6 +67,51 @@ def vqc_bundle(make_config, tmp_path_factory):
     config = make_config(experiment_id="t-vqc", model="vqc", epochs=3)
     manifest = harness.run_experiment(config, d)
     return config, d, manifest
+
+
+@pytest.fixture(scope="module")
+def spam_vqc_bundle(make_config, lingspam_dir, tmp_path_factory):
+    d = tmp_path_factory.mktemp("bundle-spam-vqc")
+    config = make_config(
+        experiment_id="t-spam-vqc", dataset="lingspam", corpus_path=str(lingspam_dir),
+        model="vqc", epochs=2,
+    )
+    manifest = harness.run_experiment(config, d)
+    return config, d, manifest
+
+
+class _CountingSha256:
+    """hashlib.sha256 that adds every byte it is given to counter[0]."""
+
+    def __init__(self, counter, data=b""):
+        self._counter, self._h = counter, hashlib.sha256()
+        self.update(data)
+
+    def update(self, data):
+        self._counter[0] += memoryview(data).nbytes
+        self._h.update(data)
+
+    def hexdigest(self):
+        return self._h.hexdigest()
+
+
+def _count_hashed_bytes(monkeypatch):
+    """A one-item list that counts the bytes persist hashes from now on."""
+    counter = [0]
+    monkeypatch.setattr(persist, "hashlib", types.SimpleNamespace(
+        sha256=lambda data=b"": _CountingSha256(counter, data)
+    ))
+    return counter
+
+
+def _manifest_bytes(d, manifest):
+    return sum((d / name).stat().st_size for name in manifest["files"])
+
+
+def _two_class_subset(d):
+    """The first two test rows of each class, for streams that report AUROC."""
+    y = datapipe.load_split(d / "preprocess").y_test
+    return np.sort(np.concatenate([np.flatnonzero(y == c)[:2] for c in (0, 1)]))
 
 
 # ----------------------------------------------------------------- config
@@ -215,6 +263,34 @@ def test_resumed_model_stage_gives_the_fresh_manifest(make_config, tmp_path, mod
     harness.run_experiment(config, tmp_path)
     assert {p: p.stat().st_mtime_ns for p in tmp_path.rglob("stage.json")} == markers
     assert (tmp_path / "manifest.json").read_bytes() == fresh
+
+
+@pytest.mark.parametrize(
+    "earlier", [{"fine_tune": True}, {"model": "classical-baseline"}], ids=["fine-tuned", "baseline"]
+)
+def test_rerun_as_another_model_lists_the_files_of_a_fresh_run(make_config, tmp_path, earlier):
+    config = make_config(experiment_id="t-rerun", model="vqc", epochs=2, max_train=160)
+    harness.run_experiment(replace(config, **earlier), tmp_path / "rerun")
+    rerun = harness.run_experiment(config, tmp_path / "rerun")
+    fresh = harness.run_experiment(config, tmp_path / "fresh")
+    assert sorted(rerun["files"]) == sorted(fresh["files"])
+    assert rerun == fresh
+    assert not (tmp_path / "rerun" / "vqc" / "encoder").exists()
+
+
+def test_resumed_qsvm_does_not_read_the_train_gram(qsvm_bundle, tmp_path, monkeypatch):
+    config, d, manifest = qsvm_bundle
+    copy = tmp_path / "copy"
+    shutil.copytree(d, copy)
+
+    def no_gram(directory):
+        raise AssertionError("the train Gram was read")
+
+    monkeypatch.setattr(featuremap, "load_gram_bundle", no_gram)
+    # backend lies outside every stage slice: every stage resumes
+    rerun = harness.run_experiment(replace(config, backend="shots"), copy)
+    assert rerun["stages"] == manifest["stages"]
+    assert rerun["metrics"] == manifest["metrics"]
 
 
 def test_identical_configs_give_bit_identical_manifests(make_config, tmp_path):
@@ -551,12 +627,45 @@ def test_qsvm_shot_rescore_matches_the_chunked_stream_oracle(qsvm_bundle):
 def test_shot_rescore_hashes_each_file_once_and_writes_nothing(qsvm_bundle, monkeypatch):
     _, d, manifest = qsvm_bundle
     before = {p: p.stat().st_mtime_ns for p in d.rglob("*")}
-    hashed = []
-    real = persist.sha256_file
-    monkeypatch.setattr(persist, "sha256_file", lambda path: hashed.append(path) or real(path))
+    hashed = _count_hashed_bytes(monkeypatch)
     harness.evaluate_bundle(d, backend="shots", shots=32)
-    assert len(hashed) == len(manifest["files"])
+    assert hashed[0] == _manifest_bytes(d, manifest)
     assert {p: p.stat().st_mtime_ns for p in d.rglob("*")} == before
+
+
+@pytest.mark.parametrize("fixture", ["qsvm_bundle", "spam_vqc_bundle"])
+def test_rescore_and_stream_hash_each_manifest_byte_once(request, fixture, monkeypatch, tmp_path):
+    _, d, manifest = request.getfixturevalue(fixture)
+    size, subset = _manifest_bytes(d, manifest), _two_class_subset(d)
+    hashed = _count_hashed_bytes(monkeypatch)
+    harness.evaluate_bundle(d)
+    assert hashed[0] == size
+    hashed[0] = 0
+    harness.evaluate_streaming(d, subset=subset, audit_path=tmp_path / "audit.csv")
+    assert hashed[0] == size
+    # opened on its own, a bundle still streams every file through sha256
+    hashed[0] = 0
+    harness.load_bundle(d)
+    assert hashed[0] == size
+
+
+@pytest.mark.parametrize("fixture", ["qsvm_bundle", "spam_vqc_bundle"])
+def test_rescore_and_stream_reject_a_flipped_byte_in_any_bundle_file(request, fixture, tmp_path):
+    _, d, manifest = request.getfixturevalue(fixture)
+    copy, subset = tmp_path / "copy", _two_class_subset(d)
+    shutil.copytree(d, copy)
+    for name in manifest["files"]:
+        path = copy / name
+        blob = path.read_bytes()
+        flipped = bytearray(blob)
+        flipped[len(blob) // 2] ^= 1
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(ValueError, match="fails its hash check"):
+            harness.evaluate_bundle(copy)
+        with pytest.raises(ValueError, match="fails its hash check"):
+            harness.evaluate_streaming(copy, subset=subset, audit_path=tmp_path / "a.csv")
+        path.write_bytes(blob)
+    assert harness.evaluate_bundle(copy)["metrics"] == manifest["metrics"]
 
 
 def test_shot_rescore_takes_noise_from_the_bundle(make_config, tmp_path):
