@@ -203,6 +203,7 @@ def transform_tfidf(model: TfidfModel, docs: Sequence[str]) -> np.ndarray:
 
 @dataclass
 class DatasetSplit:
+    # load_split leaves a feature matrix it was not asked for as None
     x_train: np.ndarray
     y_train: np.ndarray
     x_val: np.ndarray
@@ -508,14 +509,18 @@ def save_split(split: DatasetSplit, directory) -> dict:
     return header
 
 
-def load_split(directory, unverified=None) -> DatasetSplit:
+def load_split(directory, unverified=None, features=("x_train", "x_val", "x_test")) -> DatasetSplit:
     """The split save_split wrote; each file is hash-checked on its read
     (persist.load_json, persist.load_verified_f64), and a CSR entry is
-    checked for structure (_dense_from_csr)."""
+    checked for structure (_dense_from_csr). Only the feature matrices
+    named in `features` are read; the others are None, and their files
+    stay in `unverified` for the caller's persist.check_files."""
     d = Path(directory)
     header = persist.load_json(d / "split.json", unverified)
     arrays = {}
     for name, meta in header["arrays"].items():
+        if name.startswith("x_") and name not in features:
+            continue
         shape = tuple(meta["shape"])
         csr = meta.get("layout") == "csr"
         fname = f"{name}.csr.f64" if csr else f"{name}.f64"
@@ -523,7 +528,10 @@ def load_split(directory, unverified=None) -> DatasetSplit:
             d / fname, (shape[0] + 1 + 2 * meta["nnz"],) if csr else shape, meta["sha256"],
             f"{fname} does not match its recorded sha256", unverified,
         )
-        arrays[name] = _dense_from_csr(flat, shape, meta["nnz"], fname) if csr else flat
+        if csr:
+            arrays[name] = _dense_from_csr(flat, shape, meta["nnz"], fname)
+        else:
+            arrays[name] = flat.astype(np.float32) if name.startswith("x_") else flat
     t = header["transformer"]
     if t["kind"] == "tabular":
         transformer: object = TabularTransformer(
@@ -551,9 +559,9 @@ def load_split(directory, unverified=None) -> DatasetSplit:
             int(t["ngram_max"]),
         )
     return DatasetSplit(
-        arrays["x_train"].astype(np.float32, copy=False), arrays["y_train"].astype(int),
-        arrays["x_val"].astype(np.float32, copy=False), arrays["y_val"].astype(int),
-        arrays["x_test"].astype(np.float32, copy=False), arrays["y_test"].astype(int),
+        arrays.get("x_train"), arrays["y_train"].astype(int),
+        arrays.get("x_val"), arrays["y_val"].astype(int),
+        arrays.get("x_test"), arrays["y_test"].astype(int),
         tuple(header["class_weights"]), int(header["seed"]),
         transformer, list(header["test_categories"]), dict(header["meta"]),
     )

@@ -511,7 +511,8 @@ def save_encoder(
 def load_encoder(directory, unverified=None) -> Tuple[EncoderModel, Optional[EmbeddingScaler]]:
     """The model and scaler save_encoder wrote; encoder.json and encoder.f64
     are each hash-checked on their read when `unverified` holds them
-    (persist.load_json, persist.load_verified_f64)."""
+    (persist.load_json, persist.load_verified_f64). The parameters are
+    views of the one buffer encoder.f64 was read into."""
     d = Path(directory)
     header = persist.load_json(d / "encoder.json", unverified)
     config = EncoderConfig(
@@ -531,7 +532,7 @@ def load_encoder(directory, unverified=None) -> Tuple[EncoderModel, Optional[Emb
     for name in header["param_order"]:
         shape = tuple(header["param_shapes"][name])
         size = int(np.prod(shape))
-        params[name] = flat[pos : pos + size].reshape(shape).copy()
+        params[name] = flat[pos : pos + size].reshape(shape)
         pos += size
     model = EncoderModel(config, params)
     scaler = None

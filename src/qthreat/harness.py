@@ -800,7 +800,9 @@ def _open_complete(workdir):
     if not bundle.complete:
         raise ValueError("bundle is incomplete; rerun the pipeline first")
     unverified = bundle.unverified()
-    split = datapipe.load_split(bundle.root / "preprocess", unverified)
+    # scoring reads x_test, and a QSVM the support rows of x_train
+    features = ("x_train", "x_test") if bundle.config.model == "qsvm" else ("x_test",)
+    split = datapipe.load_split(bundle.root / "preprocess", unverified, features)
     model = _load_model(bundle.config, bundle.root, unverified)
     persist.check_files(unverified)
     return bundle, split, model

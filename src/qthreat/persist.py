@@ -75,15 +75,16 @@ def save_array_f64(path, arr: np.ndarray) -> str:
 
 
 def _read_file(path, unverified: Optional[Dict[Path, str]] = None,
-               sha256: Optional[str] = None, mismatch: str = "") -> bytearray:
-    """The bytes of a file, read once into one writable buffer and hashed
-    at most once. When `unverified` holds `path`, its entry is taken out and
-    the bytes must hash to it, else ValueError; when `sha256` is given (the
-    hash a header recorded), they must hash to it too, else
-    ValueError(mismatch)."""
+               sha256: Optional[str] = None, mismatch: str = "") -> np.ndarray:
+    """The bytes of a file as uint8, read once into one writable buffer (not
+    zero-filled first) and hashed at most once. When `unverified` holds
+    `path`, its entry is taken out and the bytes must hash to it, else
+    ValueError; when `sha256` is given (the hash a header recorded), they
+    must hash to it too, else ValueError(mismatch)."""
     with open(path, "rb") as f:
-        data = bytearray(os.fstat(f.fileno()).st_size)
-        f.readinto(data)
+        data = np.empty(os.fstat(f.fileno()).st_size, dtype=np.uint8)
+        if f.readinto(data) != data.size:
+            raise ValueError(f"{path} changed size while it was read")
     entry = unverified.pop(Path(path), None) if unverified is not None else None
     if entry is None and sha256 is None:
         return data
@@ -126,7 +127,7 @@ def save_json(path, obj) -> str:
 
 def load_json(path, unverified: Optional[Dict[Path, str]] = None):
     """A JSON file, hash-checked on this read when `unverified` holds it."""
-    return json.loads(_read_file(path, unverified))
+    return json.loads(_read_file(path, unverified).tobytes())
 
 
 def ensure_dir(path) -> Path:

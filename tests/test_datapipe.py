@@ -485,3 +485,17 @@ def test_dense_layout_tfidf_split_still_loads(tmp_path, spam_split):
         got = getattr(back, name)
         assert got.dtype == np.float32
         np.testing.assert_array_equal(got, getattr(spam_split, name))
+
+
+@pytest.mark.parametrize("fixture", ["kdd_split", "spam_split"])
+def test_load_split_reads_only_the_named_feature_matrices(request, fixture, tmp_path):
+    split = request.getfixturevalue(fixture)
+    save_split(split, tmp_path)
+    unverified = {p: persist.sha256_file(p) for p in tmp_path.iterdir()}
+    back = load_split(tmp_path, unverified, features=("x_test",))
+    assert back.x_train is None and back.x_val is None
+    assert back.x_test.dtype == np.float32
+    np.testing.assert_array_equal(back.x_test, split.x_test)
+    np.testing.assert_array_equal(back.y_train, split.y_train)
+    # the skipped matrices' files are left for the caller's check_files
+    assert sorted(p.name.split(".")[0] for p in unverified) == ["x_train", "x_val"]

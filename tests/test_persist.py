@@ -89,6 +89,31 @@ def test_verified_load_checks_the_bytes_it_parses(tmp_path):
         persist.load_verified_f64(tmp_path / "a.f64", (2, 3), sha, "a.f64 tampered")
 
 
+def test_a_file_shorter_than_its_stat_is_rejected(tmp_path, monkeypatch):
+    sha = persist.save_array_f64(tmp_path / "a.f64", np.arange(4.0))
+    real_fstat = persist.os.fstat
+
+    class _Grown:
+        def __init__(self, st):
+            self.st_size = st.st_size + 8
+
+    monkeypatch.setattr(persist.os, "fstat", lambda fd: _Grown(real_fstat(fd)))
+    with pytest.raises(ValueError, match="changed size while it was read"):
+        persist.load_verified_f64(tmp_path / "a.f64", (4,), sha, "a.f64 tampered")
+
+
+def test_loaded_encoder_params_are_writable_views_of_one_buffer(tmp_path):
+    config = encoder.EncoderConfig(input_dim=4, hidden_sizes=(3,), embed_dim=2, seed=0)
+    saved = encoder.init_encoder(config)
+    encoder.save_encoder(saved, tmp_path)
+    model, _ = encoder.load_encoder(tmp_path)
+    bases = {id(p.base) for p in model.params.values()}
+    assert len(bases) == 1
+    for name, p in model.params.items():
+        assert p.flags.writeable and p.flags.c_contiguous
+        np.testing.assert_array_equal(p, saved.params[name])
+
+
 @pytest.mark.parametrize("name", ["encoder.f64", "idf.f64", "doc_freq.f64"])
 def test_loaders_reject_a_flipped_byte(tmp_path, lingspam_dir, name):
     if name == "encoder.f64":
