@@ -48,7 +48,15 @@ def _steps(program: CircuitProgram) -> List[tuple]:
     """The program as steps (op, matrix, signs): (None, diagonal, signs) from
     `_run_phase` for each run of consecutive diagonal gates, (op,
     gate_matrix(op), None) for every other gate. A run made of the same
-    GateOp objects as an earlier one reuses its diagonal."""
+    GateOp objects as an earlier one reuses its diagonal. Compiled once per
+    program and kept in program.steps, so `evolve` and `adjoint` of one
+    program compile it once between them."""
+    if program.steps is None:
+        object.__setattr__(program, "steps", _compile(program))
+    return program.steps
+
+
+def _compile(program: CircuitProgram) -> List[tuple]:
     steps, run, phases = [], [], {}
     for op in program.ops + (None,):
         if op is not None and op.kind in _DIAGONAL:

@@ -225,12 +225,12 @@ def _run_evaluate(args) -> int:
 def _run_stream(args) -> int:
     import numpy as np
 
-    from . import datapipe
-
     subset = None
     if args.full_test:
-        split = datapipe.load_split(Path(args.workdir) / "preprocess")
-        subset = np.arange(split.y_test.size)
+        # the row count from the split header alone: evaluate_streaming reads
+        # the split once, hash-checked, and range-checks the subset against it
+        header = persist.load_json(Path(args.workdir) / "preprocess" / "split.json")
+        subset = np.arange(header["arrays"]["y_test"]["shape"][0])
     config = harness.load_bundle(args.workdir, verify=False).config
     execution = harness.bundle_execution(config, args.backend, **_shot_overrides(args))
     result = harness.evaluate_streaming(

@@ -291,23 +291,29 @@ def build_gram(
     return GramBundle(k)
 
 
-def center_gram(bundle: GramBundle) -> GramBundle:
-    """Double-center the train Gram (HKH) into a new bundle; the input
-    bundle's Gram is left untouched.
+def center_gram(bundle: GramBundle, out: Optional[np.ndarray] = None) -> GramBundle:
+    """Double-center the train Gram (HKH) into a new bundle.
 
     The column means and grand mean are stored so out-of-sample rows can
     be centred consistently: a row r becomes
     r - colmeans(K) - rowmean(r) + grandmean(K).
 
-    Memory: one new n x n float64 array, centred and symmetrised in place
-    by the whole-matrix expression's operations in order (same bits).
+    Memory: by default one new n x n float64 array, and the input bundle's
+    Gram is left untouched. With `out` (numpy's idiom: an n x n float64
+    array, which may be bundle.train_gram itself) the centred Gram is
+    written there and no n x n array is allocated; centring into the
+    input's own Gram overwrites it, so that bundle must not be used
+    afterwards. Either way the centring and symmetrising run in place by
+    the whole-matrix expression's operations in order (same bits).
     """
     if bundle.centered:
         raise ValueError("bundle already centered")
     k = bundle.train_gram
+    if out is not None and (out.shape != k.shape or out.dtype != np.float64):
+        raise ValueError(f"out must be a {k.shape} float64 array")
     col_means = k.mean(axis=0)
     grand = float(k.mean())
-    centered_k = np.subtract(k, col_means[None, :], dtype=float)
+    centered_k = np.subtract(k, col_means[None, :], out=out, dtype=float)
     centered_k -= col_means[:, None]
     centered_k += grand
     return GramBundle(

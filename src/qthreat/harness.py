@@ -505,7 +505,8 @@ def _stage_gram(config: ExperimentConfig, root: Path, stages: Dict[str, str], sp
         bundle = featuremap.build_gram(
             [AngleVector(r) for r in train_angles], fspec, max_train=config.max_train
         )
-        bundle = featuremap.center_gram(bundle)
+        # in place: the stage holds one n x n array from here to the svm fit
+        bundle = featuremap.center_gram(bundle, out=bundle.train_gram)
         featuremap.save_gram_bundle(bundle, d, fspec)
         return lambda: bundle
 

@@ -92,6 +92,9 @@ class CircuitProgram:
     num_qubits: int
     ops: Tuple[GateOp, ...] = ()
     m: int = field(init=False, repr=False, compare=False)
+    # the exact engine's compiled steps, made by batched on first use; the
+    # program is immutable, so every batched call on it shares them
+    steps: Optional[list] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))

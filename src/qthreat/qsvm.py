@@ -81,15 +81,44 @@ def solve_dual(
     Box is per-sample: 0 <= a_i <= C * w_{y_i}. Deterministic: ties in pair
     selection resolve to the lowest index, and there is no randomness.
     """
-    k = np.asarray(gram, dtype=float)
     y01 = np.asarray(labels, dtype=int).reshape(-1)
-    n = y01.size
+    return _smo(_checked_gram(gram, y01.size), None, y01, c, class_weights, tol, max_iter)
+
+
+def _checked_gram(gram: np.ndarray, n: int) -> np.ndarray:
+    """gram as a float array, checked to be n x n, finite and symmetric
+    within 1e-8; one blockwise pass, which covers every principal
+    submatrix."""
+    k = np.asarray(gram, dtype=float)
     if k.shape != (n, n):
         raise ValueError(f"gram shape {k.shape} does not match {n} labels")
     if not max_asymmetry(k) <= 1e-8:  # NaN, or inf - inf, fails too
         raise ValueError("gram matrix must be finite and symmetric")
+    return k
+
+
+def _smo(
+    k: np.ndarray,
+    rows: Optional[np.ndarray],
+    y01: np.ndarray,
+    c: float,
+    class_weights: Tuple[float, float],
+    tol: float = DUAL_TOL,
+    max_iter: Optional[int] = None,
+) -> SvmModel:
+    """`solve_dual` on the principal submatrix k[rows][:, rows] (all of k
+    when rows is None), never copied: each step reads two Gram rows, k[i]
+    or k[rows[i], rows]. k comes through `_checked_gram`; the stored Gram
+    is exactly symmetric, so a row has the bits of the column the SMO
+    update needs.
+    """
+    n = y01.size
     if set(np.unique(y01)) != {0, 1}:
         raise ValueError("labels must contain both classes (0 and 1)")
+
+    def row(i):
+        return k[i] if rows is None else k[rows[i], rows]
+
     y = np.where(y01 == 1, 1.0, -1.0)
     box = np.where(y01 == 1, c * class_weights[1], c * class_weights[0])
     if max_iter is None:
@@ -110,7 +139,8 @@ def solve_dual(
         m_up, m_low = v[i], v[j]
         if m_up - m_low <= tol:
             break
-        eta = max(k[i, i] + k[j, j] - 2.0 * k[i, j], 1e-12)
+        k_i, k_j = row(i), row(j)
+        eta = max(k_i[i] + k_j[j] - 2.0 * k_i[j], 1e-12)
         t = (m_up - m_low) / eta
         # alpha_i += y_i t, alpha_j -= y_j t, clipped to both boxes
         t_hi = min(
@@ -123,7 +153,7 @@ def solve_dual(
         alpha[i] += y[i] * t
         alpha[j] -= y[j] * t
         # delta(alpha_i y_i) = +t and delta(alpha_j y_j) = -t
-        f += t * (k[:, i] - k[:, j])
+        f += t * (k_i - k_j)
 
     v = y - f
     free = (alpha > SUPPORT_EPS) & (alpha < box - SUPPORT_EPS)
@@ -146,15 +176,6 @@ def solve_dual(
         class_weights=(float(class_weights[0]), float(class_weights[1])),
         n_train=n,
     )
-
-
-def raw_decision_scores(model: SvmModel, kernel_rows: np.ndarray) -> np.ndarray:
-    rows = np.atleast_2d(np.asarray(kernel_rows, dtype=float))
-    if rows.shape[1] != model.n_train:
-        raise ValueError(
-            f"kernel rows have width {rows.shape[1]}, expected {model.n_train}"
-        )
-    return rows[:, model.support] @ model.coef + model.bias
 
 
 def observable_scorer(
@@ -255,11 +276,18 @@ def stratified_folds(labels: np.ndarray, k: int, seed: int) -> List[np.ndarray]:
 def select_c(gram: np.ndarray, labels: np.ndarray, plan: CvPlan) -> Tuple[float, List[dict]]:
     """Stratified k-fold CV over the C grid, scoring F_beta at threshold 0.
 
-    Fold models train on the row/column submatrix and score held-out rows
-    against training columns only. Ties break toward the smaller C.
+    Fold models train on the train rows' principal submatrix and score
+    held-out rows against their support columns only. Ties break toward
+    the smaller C.
+
+    Memory: no submatrix is copied. The symmetry check covers every
+    fold's submatrix in one blockwise pass, fold fits read Gram rows
+    through the fold's index array (`_smo`), and scoring copies one
+    held-out x support block, so the scratch is O(n) vectors plus that
+    block, not the fold's n_train^2 submatrix.
     """
-    k = np.asarray(gram, dtype=float)
     y = np.asarray(labels, dtype=int).reshape(-1)
+    k = _checked_gram(gram, y.size)
     folds = stratified_folds(y, plan.folds, plan.seed)
     all_idx = np.arange(y.size)
     table = []
@@ -268,11 +296,10 @@ def select_c(gram: np.ndarray, labels: np.ndarray, plan: CvPlan) -> Tuple[float,
         fold_scores = []
         for held in folds:
             train_idx = np.setdiff1d(all_idx, held)
-            sub = k[np.ix_(train_idx, train_idx)]
             weights = datapipe.class_weights(y[train_idx])
-            model = solve_dual(sub, y[train_idx], c, weights)
-            rows = k[np.ix_(held, train_idx)]
-            preds = (raw_decision_scores(model, rows) >= 0.0).astype(int)
+            model = _smo(k, train_idx, y[train_idx], c, weights)
+            scores = k[np.ix_(held, train_idx[model.support])] @ model.coef + model.bias
+            preds = (scores >= 0.0).astype(int)
             fold_scores.append(f_beta(confusion(y[held], preds), plan.beta))
         mean_v = float(np.mean(fold_scores))
         table.append({"c": c, "mean_f_beta": mean_v, "fold_f_beta": fold_scores})

@@ -10,10 +10,10 @@ from scipy.special import ndtr
 
 from qthreat import datapipe
 from qthreat.encoder import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LN_EPS
-from qthreat.featuremap import feature_statevectors, gram_from_states, pair_phases
+from qthreat.featuremap import feature_statevectors, gram_from_states, max_asymmetry, pair_phases
 from qthreat.metrics import confusion, f_beta
 from qthreat.qsim import gate_matrix, z_signs
-from qthreat.qsvm import raw_decision_scores
+from qthreat.qsvm import DUAL_TOL, SUPPORT_EPS, SvmModel, stratified_folds
 
 _PAULIS = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -51,6 +51,101 @@ def whole_centering(k):
 def whole_asymmetry(k):
     """max |K - K^T| through two n x n temporaries."""
     return float(np.max(np.abs(k - k.T)))
+
+
+def raw_decision_scores(model, kernel_rows):
+    """SVM decision values of full kernel rows, each as wide as the train set."""
+    rows = np.atleast_2d(np.asarray(kernel_rows, dtype=float))
+    if rows.shape[1] != model.n_train:
+        raise ValueError(f"kernel rows have width {rows.shape[1]}, expected {model.n_train}")
+    return rows[:, model.support] @ model.coef + model.bias
+
+
+def solve_dual_columns(gram, labels, c, class_weights=(1.0, 1.0), tol=DUAL_TOL, max_iter=None):
+    """qsvm.solve_dual with the update read from Gram columns k[:, i], as it
+    was before the solver read rows."""
+    k = np.asarray(gram, dtype=float)
+    y01 = np.asarray(labels, dtype=int).reshape(-1)
+    n = y01.size
+    if k.shape != (n, n):
+        raise ValueError(f"gram shape {k.shape} does not match {n} labels")
+    if not max_asymmetry(k) <= 1e-8:
+        raise ValueError("gram matrix must be finite and symmetric")
+    if set(np.unique(y01)) != {0, 1}:
+        raise ValueError("labels must contain both classes (0 and 1)")
+    y = np.where(y01 == 1, 1.0, -1.0)
+    box = np.where(y01 == 1, c * class_weights[1], c * class_weights[0])
+    if max_iter is None:
+        max_iter = max(200_000, 50 * n)
+
+    def bounds(alpha):
+        lower = ((y > 0) & (alpha < box - SUPPORT_EPS)) | ((y < 0) & (alpha > SUPPORT_EPS))
+        upper = ((y > 0) & (alpha > SUPPORT_EPS)) | ((y < 0) & (alpha < box - SUPPORT_EPS))
+        return lower, upper
+
+    alpha = np.zeros(n)
+    f = np.zeros(n)
+    for _ in range(max_iter):
+        v = y - f
+        lower, upper = bounds(alpha)
+        if not lower.any() or not upper.any():
+            break
+        i = int(np.argmax(np.where(lower, v, -np.inf)))
+        j = int(np.argmin(np.where(upper, v, np.inf)))
+        m_up, m_low = v[i], v[j]
+        if m_up - m_low <= tol:
+            break
+        eta = max(k[i, i] + k[j, j] - 2.0 * k[i, j], 1e-12)
+        t_hi = min(
+            box[i] - alpha[i] if y[i] > 0 else alpha[i],
+            alpha[j] if y[j] > 0 else box[j] - alpha[j],
+        )
+        t = min((m_up - m_low) / eta, t_hi)
+        if t <= 0:
+            break
+        alpha[i] += y[i] * t
+        alpha[j] -= y[j] * t
+        f += t * (k[:, i] - k[:, j])
+
+    v = y - f
+    free = (alpha > SUPPORT_EPS) & (alpha < box - SUPPORT_EPS)
+    if free.any():
+        bias = float(v[free].mean())
+    else:
+        lower, upper = bounds(alpha)
+        lo = v[lower].max() if lower.any() else 0.0
+        hi = v[upper].min() if upper.any() else 0.0
+        bias = float((lo + hi) / 2.0)
+    support = np.where(alpha > SUPPORT_EPS)[0]
+    return SvmModel(support=support, coef=alpha[support] * y[support], bias=bias, c=float(c),
+                    class_weights=(float(class_weights[0]), float(class_weights[1])), n_train=n)
+
+
+def select_c_copying(gram, labels, plan):
+    """qsvm.select_c through np.ix_ copies: each fold fits on a copy of its
+    train submatrix (solve_dual_columns) and scores a copy of its held-out
+    rows against every train column."""
+    k = np.asarray(gram, dtype=float)
+    y = np.asarray(labels, dtype=int).reshape(-1)
+    folds = stratified_folds(y, plan.folds, plan.seed)
+    all_idx = np.arange(y.size)
+    table = []
+    best_c, best_v = None, -1.0
+    for c in plan.c_grid:
+        fold_scores = []
+        for held in folds:
+            train_idx = np.setdiff1d(all_idx, held)
+            sub = k[np.ix_(train_idx, train_idx)]
+            weights = datapipe.class_weights(y[train_idx])
+            model = solve_dual_columns(sub, y[train_idx], c, weights)
+            rows = k[np.ix_(held, train_idx)]
+            preds = (raw_decision_scores(model, rows) >= 0.0).astype(int)
+            fold_scores.append(f_beta(confusion(y[held], preds), plan.beta))
+        mean_v = float(np.mean(fold_scores))
+        table.append({"c": c, "mean_f_beta": mean_v, "fold_f_beta": fold_scores})
+        if mean_v > best_v + 1e-12:
+            best_c, best_v = c, mean_v
+    return best_c, table
 
 
 def block_scores(model, train_angles, angles, spec, row_means, grand_mean):

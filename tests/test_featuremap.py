@@ -403,6 +403,8 @@ def test_blockwise_gram_is_bit_identical_to_whole_matrix_oracle(n, q, seed):
         bundle = build_gram([AngleVector(a) for a in angles], spec)
         before = bundle.train_gram.copy()
         centred = center_gram(bundle)
+        again = build_gram([AngleVector(a) for a in angles], spec)
+        in_place = center_gram(again, out=again.train_gram)
     k = whole_gram(angles, spec)
     assert same_bits(bundle.train_gram, k)
     want, means, grand = whole_centering(k)
@@ -411,6 +413,18 @@ def test_blockwise_gram_is_bit_identical_to_whole_matrix_oracle(n, q, seed):
     assert same_bits(centred.centering_grand_mean, grand)
     # centring builds a new bundle and leaves its input untouched
     assert same_bits(bundle.train_gram, before)
+    # unless it centres into the input's own buffer, with the same bits
+    assert in_place.train_gram is again.train_gram
+    assert same_bits(in_place.train_gram, want)
+    assert same_bits(in_place.centering_row_means, means)
+    assert same_bits(in_place.centering_grand_mean, grand)
+
+
+def test_center_gram_rejects_a_mismatched_out():
+    bundle = build_gram([AngleVector(np.array([0.2, 0.4])), AngleVector(np.zeros(2))], SPEC2)
+    for out in (np.empty((3, 3)), np.empty((2, 2), dtype=np.float32)):
+        with pytest.raises(ValueError):
+            center_gram(bundle, out=out)
 
 
 @pytest.mark.parametrize("n", [1, 3, 4, 5, 11])
@@ -439,6 +453,22 @@ def test_gram_and_centring_hold_two_matrices_plus_blocks():
         tracemalloc.stop()
     assert centred.n_train == n
     assert peak <= 2.5 * n * n * 8, peak / (n * n * 8)
+
+
+def test_in_place_centring_allocates_no_matrix():
+    # centring into the uncentred Gram's own buffer needs the column means
+    # and O(GRAM_BLOCK^2) symmetrising scratch, no second n x n array
+    n = 1500
+    angles = np.random.default_rng(15).uniform(-math.pi, math.pi, size=(n, 4))
+    bundle = build_gram([AngleVector(a) for a in angles], FeatureMapSpec(4, reps=2))
+    tracemalloc.start()
+    try:
+        centred = center_gram(bundle, out=bundle.train_gram)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert centred.n_train == n
+    assert peak <= 0.1 * n * n * 8, peak / (n * n * 8)
 
 
 def test_gram_permutation_equivariance():

@@ -650,6 +650,17 @@ def test_rescore_and_stream_hash_each_manifest_byte_once(request, fixture, monke
 
 
 @pytest.mark.parametrize("fixture", ["qsvm_bundle", "spam_vqc_bundle"])
+def test_cli_full_test_stream_hashes_each_manifest_byte_once(request, fixture, monkeypatch, capsys, tmp_path):
+    _, d, manifest = request.getfixturevalue(fixture)
+    hashed = _count_hashed_bytes(monkeypatch)
+    audit = str(tmp_path / "audit.csv")
+    assert main(["stream-eval", "--workdir", str(d), "--full-test", "--audit", audit]) == 0
+    assert hashed[0] == _manifest_bytes(d, manifest)
+    n_test = datapipe.load_split(d / "preprocess", features=()).y_test.size
+    assert f"audit lines: {n_test}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fixture", ["qsvm_bundle", "spam_vqc_bundle"])
 def test_rescore_and_stream_reject_a_flipped_byte_in_any_bundle_file(request, fixture, tmp_path):
     _, d, manifest = request.getfixturevalue(fixture)
     copy, subset = tmp_path / "copy", _two_class_subset(d)

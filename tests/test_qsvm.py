@@ -23,7 +23,6 @@ from qthreat.qsvm import (
     align_sign,
     load_svm,
     observable_scorer,
-    raw_decision_scores,
     save_svm,
     select_c,
     solve_dual,
@@ -31,7 +30,13 @@ from qthreat.qsvm import (
     tune_threshold,
 )
 
-from oracles import block_scores, tune_threshold_loop
+from oracles import (
+    block_scores,
+    raw_decision_scores,
+    select_c_copying,
+    solve_dual_columns,
+    tune_threshold_loop,
+)
 
 SPEC2 = FeatureMapSpec(num_qubits=2, reps=1)
 
@@ -183,6 +188,82 @@ def test_solve_dual_allocates_no_matrix_sized_scratch():
     finally:
         tracemalloc.stop()
     assert peak <= 0.1 * n * n * 8, peak / (n * n * 8)
+
+
+def test_select_c_allocates_no_fold_sized_copies():
+    # fold fits read Gram rows through index arrays and held-out rows are
+    # scored against support columns only; np.ix_ copies of a fold's train
+    # block and held-out rows put this near 0.5 n^2 * 8 bytes for 2 folds
+    n = 1500
+    x, labels = separable_points(n, seed=17)
+    gram = linear_gram(x)
+    gram = (gram + gram.T) / 2.0
+    tracemalloc.start()
+    try:
+        select_c(gram, labels, CvPlan(folds=2, c_grid=(1.0,), seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * n * n * 8, peak / (n * n * 8)
+
+
+def _quantum_cv_case(n, folds, positive_share, seed):
+    """A centred fidelity Gram of random angles (q = 2) with noisy,
+    imbalanced labels: the top positive_share of a smooth score, at least
+    `folds` rows of each class."""
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(-math.pi, math.pi, size=(n, 2))
+    score = np.sin(angles[:, 0]) + 0.5 * np.cos(angles[:, 1]) + 0.3 * rng.normal(size=n)
+    positives = min(max(folds, int(positive_share * n)), n - folds)
+    labels = np.zeros(n, dtype=int)
+    labels[np.argsort(score)[n - positives:]] = 1
+    gram = center_gram(build_gram([AngleVector(a) for a in angles], SPEC2)).train_gram
+    return gram, labels
+
+
+def _same_model(a, b):
+    return (a.support.tobytes() == b.support.tobytes() and a.coef.tobytes() == b.coef.tobytes()
+            and a.bias == b.bias and a.n_train == b.n_train)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(12, 200),
+    folds=st.integers(2, 5),
+    grid=st.lists(st.sampled_from([0.01, 0.1, 1.0, 10.0]), min_size=1, max_size=4, unique=True),
+    positive_share=st.floats(0.1, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_select_c_equals_copying_oracle(n, folds, grid, positive_share, seed):
+    gram, labels = _quantum_cv_case(n, folds, positive_share, seed)
+    plan = CvPlan(folds=folds, c_grid=tuple(grid), seed=seed % 97)
+    best, table = select_c(gram, labels, plan)
+    want_best, want_table = select_c_copying(gram, labels, plan)
+    assert best == want_best
+    assert table == want_table  # floats compared with ==
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 150),
+    c=st.sampled_from([0.01, 0.1, 1.0, 10.0, 100.0]),
+    positive_share=st.floats(0.05, 0.5),
+    quantum=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solve_dual_rows_equal_column_oracle(n, c, positive_share, quantum, seed):
+    # the stored Gram is exactly symmetric, so a row read has a column's bits
+    if quantum:
+        gram, labels = _quantum_cv_case(max(n, 4), 1, positive_share, seed)
+    else:
+        x = np.random.default_rng(seed).normal(size=(n, 3))
+        gram = linear_gram(x)
+        gram = (gram + gram.T) / 2.0
+        labels = np.zeros(n, dtype=int)
+        labels[: max(1, int(positive_share * n))] = 1
+    weights = class_weights(labels)
+    model = solve_dual(gram, labels, c, weights)
+    assert _same_model(model, solve_dual_columns(gram, labels, c, weights))
 
 
 def test_model_validation():
