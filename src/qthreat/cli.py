@@ -9,11 +9,12 @@ running train-qsvm after preprocess reuses the stored split.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
-from . import harness, persist
+from . import featuremap, harness, persist, vqc
 from .harness import ExperimentConfig, PipelineError, Seeds
 from .qsim import NoiseSpec
 
@@ -26,127 +27,109 @@ def _float_list(text: str):
     return tuple(float(v) for v in text.split(",") if v.strip())
 
 
+# Every flag that sets an ExperimentConfig field has that field as its dest
+# (a seed flag: "seeds" for all three, "seeds.<name>" for one) and no default
+# of its own: the parsers' argument_default is SUPPRESS, so an absent flag
+# leaves its setting to ExperimentConfig and Seeds.
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"seeds"}
+
+
 def _dataset_args(p: argparse.ArgumentParser):
     p.add_argument("--dataset", required=True, choices=harness.DATASETS)
-    p.add_argument("--train-path", default="", help="NSL-KDD train file")
-    p.add_argument("--test-path", default="", help="NSL-KDD test file")
-    p.add_argument("--corpus-path", default="", help="Ling-Spam corpus root")
-    p.add_argument("--val-fraction", type=float, default=0.2)
-    p.add_argument("--test-fraction", type=float, default=0.2)
-    p.add_argument("--ngram-max", type=int, default=1)
-    p.add_argument("--max-train", type=int, default=4000)
+    p.add_argument("--train-path", help="NSL-KDD train file")
+    p.add_argument("--test-path", help="NSL-KDD test file")
+    p.add_argument("--corpus-path", help="Ling-Spam corpus root")
+    p.add_argument("--val-fraction", type=float)
+    p.add_argument("--test-fraction", type=float)
+    p.add_argument("--ngram-max", type=int)
+    p.add_argument("--max-train", type=int)
 
 
 def _encoder_args(p: argparse.ArgumentParser):
-    p.add_argument("--hidden", type=_int_list, default=(256, 64), metavar="H1,H2")
-    p.add_argument("--embed-dim", type=int, default=12)
-    p.add_argument("--dropout", type=float, default=0.15)
-    p.add_argument("--epochs", type=int, default=25)
-    p.add_argument("--batch-size", type=int, default=256)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--weight-decay", type=float, default=1e-4)
-    p.add_argument("--patience", type=int, default=8)
+    p.add_argument("--hidden", dest="hidden_sizes", type=_int_list, metavar="H1,H2")
+    p.add_argument("--embed-dim", type=int)
+    p.add_argument("--dropout", type=float)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--lr", dest="learning_rate", type=float)
+    p.add_argument("--weight-decay", type=float)
+    p.add_argument("--patience", type=int)
 
 
 def _quantum_args(p: argparse.ArgumentParser):
-    p.add_argument("--qubits", type=int, default=4)
-    p.add_argument("--reps", type=int, default=2)
-    p.add_argument("--vqc-reps", type=int, default=2, help="re-uploading layers")
-    p.add_argument("--entanglement", choices=("full", "linear"), default="full")
-    p.add_argument("--convention", choices=("pi_minus", "product"), default="pi_minus")
+    p.add_argument("--qubits", type=int)
+    p.add_argument("--reps", type=int)
+    p.add_argument("--vqc-reps", dest="reupload", type=int, help="re-uploading layers")
+    p.add_argument("--entanglement", choices=featuremap.ENTANGLEMENTS)
+    p.add_argument("--convention", dest="second_order_coeff", choices=featuremap.CONVENTIONS)
 
 
-def _execution_args(p: argparse.ArgumentParser, shots_default=1024):
-    p.add_argument("--backend", choices=harness.BACKENDS, default="exact")
-    p.add_argument("--shots", type=int, default=shots_default)
-    p.add_argument("--depol1", type=float, default=0.0)
-    p.add_argument("--depol2", type=float, default=0.0)
-    p.add_argument("--readout01", type=float, default=0.0)
-    p.add_argument("--readout10", type=float, default=0.0)
+def _execution_args(p: argparse.ArgumentParser):
+    p.add_argument("--backend", choices=harness.BACKENDS)
+    p.add_argument("--shots", type=int)
+    p.add_argument("--depol1", dest="depol_1q", type=float)
+    p.add_argument("--depol2", dest="depol_2q", type=float)
+    p.add_argument("--readout01", dest="readout_01", type=float)
+    p.add_argument("--readout10", dest="readout_10", type=float)
     p.add_argument("--mitigate", action="store_true")
-
-
-def _seed_args(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0, help="sets all three seeds")
-    p.add_argument("--data-seed", type=int, default=None)
-    p.add_argument("--encoder-seed", type=int, default=None)
-    p.add_argument("--sampling-seed", type=int, default=None)
+    p.add_argument("--sampling-seed", dest="seeds.sampling", type=int)
 
 
 def _pipeline_parser(sub, name: str, help_text: str) -> argparse.ArgumentParser:
-    p = sub.add_parser(name, help=help_text)
+    p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
     p.add_argument("--workdir", required=True)
-    p.add_argument("--id", default=None, help="experiment id (defaults to the subcommand)")
+    p.add_argument(
+        "--id", dest="experiment_id",
+        help="experiment id (defaults to <dataset>-<model>, e.g. nslkdd-qsvm)",
+    )
     _dataset_args(p)
     _encoder_args(p)
     _quantum_args(p)
     _execution_args(p)
-    _seed_args(p)
-    p.add_argument("--c-grid", type=_float_list, default=(0.1, 1.0, 10.0, 100.0))
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--beta", type=float, default=2.0)
+    p.add_argument("--seed", dest="seeds", type=int, help="sets all three seeds")
+    p.add_argument("--data-seed", dest="seeds.data", type=int)
+    p.add_argument("--encoder-seed", dest="seeds.encoder", type=int)
+    p.add_argument("--c-grid", type=_float_list)
+    p.add_argument("--folds", dest="cv_folds", type=int)
+    p.add_argument("--beta", type=float)
     p.add_argument("--fine-tune", action="store_true")
     return p
 
 
-def _seeds_from(args) -> Seeds:
-    return Seeds(
-        data=args.data_seed if args.data_seed is not None else args.seed,
-        encoder=args.encoder_seed if args.encoder_seed is not None else args.seed,
-        sampling=args.sampling_seed if args.sampling_seed is not None else args.seed,
-    )
-
-
 def _config_from(args, model: str) -> ExperimentConfig:
+    """The config of the flags given; every other setting keeps its default.
+    --seed sets all three seeds, and each --<name>-seed then replaces one."""
+    given = vars(args)
+    seeds = {
+        n: given.get(f"seeds.{n}", given.get("seeds")) for n in ("data", "encoder", "sampling")
+    }
+    fields = {k: v for k, v in given.items() if k in _CONFIG_FIELDS}
+    fields["experiment_id"] = fields.get("experiment_id") or f"{args.dataset}-{model}"
     return ExperimentConfig(
-        experiment_id=args.id or f"{args.dataset}-{model}",
-        dataset=args.dataset,
-        model=model,
-        train_path=args.train_path,
-        test_path=args.test_path,
-        corpus_path=args.corpus_path,
-        qubits=args.qubits,
-        reps=args.reps,
-        reupload=args.vqc_reps,
-        entanglement=args.entanglement,
-        second_order_coeff=args.convention,
-        backend=args.backend,
-        shots=args.shots,
-        depol_1q=args.depol1,
-        depol_2q=args.depol2,
-        readout_01=args.readout01,
-        readout_10=args.readout10,
-        mitigate=args.mitigate,
-        fine_tune=args.fine_tune,
-        max_train=args.max_train,
-        val_fraction=args.val_fraction,
-        test_fraction=args.test_fraction,
-        ngram_max=args.ngram_max,
-        hidden_sizes=args.hidden,
-        embed_dim=args.embed_dim,
-        dropout=args.dropout,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        learning_rate=args.lr,
-        weight_decay=args.weight_decay,
-        patience=args.patience,
-        c_grid=args.c_grid,
-        cv_folds=args.folds,
-        beta=args.beta,
-        seeds=_seeds_from(args),
+        model=model, seeds=Seeds(**{n: v for n, v in seeds.items() if v is not None}), **fields
     )
 
 
-def _shot_overrides(args) -> dict:
-    """The shot settings `evaluate` and `stream-eval` put in place of the
-    bundle's config; unset flags (None) keep the config's value."""
-    noise = NoiseSpec(args.depol1, args.depol2, args.readout01, args.readout10)
-    return {
-        "shots": args.shots,
-        "noise": noise if noise != NoiseSpec() else None,
-        "mitigate": args.mitigate or None,
-        "sampling_seed": args.sampling_seed,
-    }
+_NOISE_FIELDS = {  # ExperimentConfig field -> NoiseSpec field
+    "depol_1q": "depol_1q", "depol_2q": "depol_2q",
+    "readout_01": "readout_flip_01", "readout_10": "readout_flip_10",
+}
+
+
+def _bundle_execution(args) -> vqc.Execution:
+    """The Execution `evaluate` and `stream-eval` score with: exact unless
+    --backend shots; in shot mode the bundle's settings, each replaced by
+    its flag when given (noise flags replace the noise when not all zero)."""
+    given = vars(args)
+    noise = NoiseSpec(**{_NOISE_FIELDS[k]: v for k, v in given.items() if k in _NOISE_FIELDS})
+    return harness.bundle_execution(
+        harness.load_bundle(args.workdir, verify=False).config,
+        given.get("backend", "exact"),
+        shots=given.get("shots"),
+        noise=noise if noise != NoiseSpec() else None,
+        mitigate=given.get("mitigate"),
+        sampling_seed=given.get("seeds.sampling"),
+    )
 
 
 def _print_metrics(metrics_dict: dict):
@@ -163,15 +146,20 @@ def build_parser() -> argparse.ArgumentParser:
     _pipeline_parser(sub, "train-qsvm", "run the full kernel-SVM pipeline")
     _pipeline_parser(sub, "train-vqc", "run the full variational-classifier pipeline")
 
-    pe = sub.add_parser("evaluate", help="re-evaluate a finished bundle on its test split")
+    pe = sub.add_parser(
+        "evaluate", help="re-evaluate a finished bundle on its test split",
+        argument_default=argparse.SUPPRESS,
+    )
     pe.add_argument("--workdir", required=True)
-    _execution_args(pe, shots_default=None)  # unset: the bundle's shots
-    pe.add_argument("--sampling-seed", type=int, default=None)
+    _execution_args(pe)
 
-    ps = sub.add_parser("stream-eval", help="stream test rows one at a time with audit lines")
+    ps = sub.add_parser(
+        "stream-eval", help="stream test rows one at a time with audit lines",
+        argument_default=argparse.SUPPRESS,
+    )
     ps.add_argument("--workdir", required=True)
     ps.add_argument("--subset-size", type=int, default=100)
-    ps.add_argument("--full-test", action="store_true", help="stream every test row")
+    ps.add_argument("--full-test", action="store_true", default=False, help="stream every test row")
     ps.add_argument("--audit", default=None, help="audit CSV path")
     ps.add_argument(
         "--reference-limit",
@@ -180,8 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="QSVM support vectors each row is compared with, shot mode only "
         "(exact mode scores through every support vector)",
     )
-    _execution_args(ps, shots_default=None)
-    ps.add_argument("--sampling-seed", type=int, default=None)
+    _execution_args(ps)
 
     pm = sub.add_parser("matrix", help="run a set of experiment configs with repeats")
     pm.add_argument("--config", required=True, help="JSON file with an experiments list")
@@ -217,7 +204,7 @@ def _run_stage_command(args) -> int:
 
 
 def _run_evaluate(args) -> int:
-    result = harness.evaluate_bundle(args.workdir, backend=args.backend, **_shot_overrides(args))
+    result = harness.evaluate_bundle(args.workdir, _bundle_execution(args))
     _print_metrics(result["metrics"])
     return 0
 
@@ -231,13 +218,11 @@ def _run_stream(args) -> int:
         # the split once, hash-checked, and range-checks the subset against it
         header = persist.load_json(Path(args.workdir) / "preprocess" / "split.json")
         subset = np.arange(header["arrays"]["y_test"]["shape"][0])
-    config = harness.load_bundle(args.workdir, verify=False).config
-    execution = harness.bundle_execution(config, args.backend, **_shot_overrides(args))
     result = harness.evaluate_streaming(
         args.workdir,
         subset=subset,
         subset_size=args.subset_size,
-        execution=execution,
+        execution=_bundle_execution(args),
         audit_path=args.audit,
         reference_limit=args.reference_limit,
     )

@@ -526,7 +526,7 @@ def load_split(directory, unverified=None, features=("x_train", "x_val", "x_test
         fname = f"{name}.csr.f64" if csr else f"{name}.f64"
         flat = persist.load_verified_f64(
             d / fname, (shape[0] + 1 + 2 * meta["nnz"],) if csr else shape, meta["sha256"],
-            f"{fname} does not match its recorded sha256", unverified,
+            unverified,
         )
         if csr:
             arrays[name] = _dense_from_csr(flat, shape, meta["nnz"], fname)
@@ -545,13 +545,9 @@ def load_split(directory, unverified=None, features=("x_train", "x_val", "x_test
         terms = t["terms"]
         transformer = TfidfModel(
             {term: i for i, term in enumerate(terms)},
+            persist.load_verified_f64(d / "idf.f64", (len(terms),), t["idf_sha256"], unverified),
             persist.load_verified_f64(
-                d / "idf.f64", (len(terms),), t["idf_sha256"],
-                "idf.f64 does not match its recorded sha256", unverified,
-            ),
-            persist.load_verified_f64(
-                d / "doc_freq.f64", (len(terms),), t["doc_freq_sha256"],
-                "doc_freq.f64 does not match its recorded sha256", unverified,
+                d / "doc_freq.f64", (len(terms),), t["doc_freq_sha256"], unverified
             ),
             int(t["num_train_docs"]),
             int(t["min_df"]),

@@ -145,7 +145,9 @@ def init_encoder(config: EncoderConfig) -> EncoderModel:
     return EncoderModel(config, params)
 
 
-def _forward_batch(model: EncoderModel, x: np.ndarray, training: bool, rng) -> Tuple[np.ndarray, np.ndarray, dict]:
+def _forward_batch(model: EncoderModel, x: np.ndarray, rng) -> Tuple[np.ndarray, np.ndarray, dict]:
+    """Forward with backprop cache; dropout masks are drawn from `rng`, and
+    rng None is eval mode."""
     cfg = model.config
     p = model.params
     a = np.asarray(x, dtype=float)
@@ -161,7 +163,7 @@ def _forward_batch(model: EncoderModel, x: np.ndarray, training: bool, rng) -> T
         phi = ndtr(a)
         cache["phi"].append(phi)
         a *= phi  # exact GELU, h * Phi(h); backward reuses Phi and recomputes h
-        if training and drop > 0.0:
+        if rng is not None and drop > 0.0:
             mask = (rng.random(a.shape) >= drop).astype(float)
             a = a * mask / (1.0 - drop)
             cache["masks"].append(mask)
@@ -178,32 +180,22 @@ def _forward_batch(model: EncoderModel, x: np.ndarray, training: bool, rng) -> T
     return logits, e, cache
 
 
-def forward_with_cache(
-    model: EncoderModel,
-    x: np.ndarray,
-    training: bool = False,
-    dropout_seed: Optional[int] = None,
-) -> Tuple[np.ndarray, np.ndarray, dict]:
-    """Batched forward that also returns the backprop cache."""
+def forward_with_cache(model: EncoderModel, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, dict]:
+    """Batched eval-mode forward (no dropout) that also returns the backprop
+    cache; dropout runs only in loss_and_gradients."""
     batch = np.atleast_2d(np.asarray(x, dtype=float))
     if batch.shape[-1] != model.config.input_dim:
         raise ValueError(
             f"expected {model.config.input_dim} features, got {batch.shape[-1]}"
         )
-    rng = np.random.default_rng(dropout_seed) if training else None
-    return _forward_batch(model, batch, training, rng)
+    return _forward_batch(model, batch, None)
 
 
-def forward(
-    model: EncoderModel,
-    x: np.ndarray,
-    training: bool = False,
-    dropout_seed: Optional[int] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(logits, unit-norm embedding) for one sample or a batch."""
+def forward(model: EncoderModel, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Eval-mode (logits, unit-norm embedding) for one sample or a batch."""
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
-    logits, e, _ = forward_with_cache(model, arr, training, dropout_seed)
+    logits, e, _ = forward_with_cache(model, arr)
     if single:
         return logits[0], e[0]
     return logits, e
@@ -234,10 +226,9 @@ def loss_and_gradients(
         raise ValueError("empty batch")
     if set(np.unique(y)) - {0, 1}:
         raise ValueError("labels must be 0/1")
-    training = dropout_seed is not None
-    rng = np.random.default_rng(dropout_seed) if training else None
+    rng = np.random.default_rng(dropout_seed) if dropout_seed is not None else None
     p = model.params
-    logits, e, cache = _forward_batch(model, x, training, rng)
+    logits, e, cache = _forward_batch(model, x, rng)
 
     w = np.asarray(class_weights, dtype=float)[y]
     wsum = w.sum()
@@ -402,7 +393,7 @@ def train_encoder(
             opt.step(model, grads, schedule.learning_rate, schedule.weight_decay)
             epoch_loss += loss
             batches += 1
-        logits, _ = forward(model, x_val, training=False)
+        logits, _ = forward(model, x_val)
         preds = np.argmax(logits, axis=-1)
         value = macro_f1(confusion(y_val, preds))
         history["epochs"].append(
@@ -524,8 +515,7 @@ def load_encoder(directory, unverified=None) -> Tuple[EncoderModel, Optional[Emb
     )
     total = sum(int(np.prod(s)) for s in header["param_shapes"].values())
     flat = persist.load_verified_f64(
-        d / "encoder.f64", (total,), header["params_sha256"],
-        "encoder.f64 does not match its recorded sha256", unverified,
+        d / "encoder.f64", (total,), header["params_sha256"], unverified
     )
     params = {}
     pos = 0

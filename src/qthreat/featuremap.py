@@ -356,9 +356,7 @@ def load_gram_bundle(directory) -> GramBundle:
     d = Path(directory)
     header = persist.load_json(d / "gram.json")
     meta = header["train"]
-    train = persist.load_verified_f64(
-        d / "train.f64", tuple(meta["shape"]), meta["sha256"], "train.f64 hash mismatch"
-    )
+    train = persist.load_verified_f64(d / "train.f64", tuple(meta["shape"]), meta["sha256"])
     stats = header.get("centering")
     return GramBundle(
         train_gram=train,

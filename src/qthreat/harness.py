@@ -49,8 +49,8 @@ BACKENDS = ("exact", "shots")
 REFERENCE_LIMIT = 64
 STREAM_BATCH = 32
 
-# evaluation stages in dependency order; run_experiment can stop early
-STAGE_ORDER = ("preprocess", "encoder", "gram", "model", "evaluate")
+# the stages run_experiment(through=...) can stop after, in dependency order
+EARLY_STOPS = ("preprocess", "encoder", "gram")
 
 
 class PipelineError(RuntimeError):
@@ -157,22 +157,15 @@ class ExperimentConfig:
             raise ValueError("nslkdd needs train_path and test_path")
         if self.dataset == "lingspam" and not self.corpus_path:
             raise ValueError("lingspam needs corpus_path")
-        if not 2 <= self.qubits <= 6:
-            raise ValueError("qubits must be in [2, 6]")
+        # the specs own the ranges of qubits, reps, reupload, entanglement,
+        # convention and noise, for every model
+        self.feature_spec(), self.vqc_spec(), self.noise()
         if self.qubits > self.embed_dim:
             raise ValueError(
                 f"qubits {self.qubits} exceeds embed_dim {self.embed_dim}"
             )
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
-        if not 1 <= self.reupload <= vqc.MAX_LAYERS:
-            raise ValueError(f"reupload must be in [1, {vqc.MAX_LAYERS}]")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
-        for name in ("depol_1q", "depol_2q", "readout_01", "readout_10"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
         for name in ("val_fraction", "test_fraction"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
@@ -361,7 +354,7 @@ def _stage_encoder(config: ExperimentConfig, root: Path, stages: Dict[str, str],
         model, history = train_encoder(
             enc_cfg, sched, (split.x_train, split.y_train), (split.x_val, split.y_val)
         )
-        _, train_embed = forward(model, split.x_train, training=False)
+        _, train_embed = forward(model, split.x_train)
         scaler = fit_scaler(train_embed)
         save_encoder(model, d, scaler, extra={"history": history})
         return model, scaler
@@ -597,7 +590,7 @@ def _stage_vqc(config: ExperimentConfig, root: Path, stages: Dict[str, str], spl
 
 
 def _classifier_margin(enc_model: EncoderModel, x: np.ndarray) -> np.ndarray:
-    logits, _ = forward(enc_model, x, training=False)
+    logits, _ = forward(enc_model, x)
     return logits[:, 1] - logits[:, 0]
 
 
@@ -641,13 +634,13 @@ def _conventions(config: ExperimentConfig) -> dict:
 def run_experiment(config: ExperimentConfig, workdir, through: Optional[str] = None) -> dict:
     """Run the pipeline for one config, resuming finished stages.
 
-    `through` stops after an early stage ("preprocess", "encoder", "gram")
-    leaving the manifest incomplete; the default runs to test evaluation
-    and writes a complete manifest. A complete manifest whose config
-    matches is returned as-is without recomputing anything.
+    `through` stops after an early stage (one of EARLY_STOPS) leaving the
+    manifest incomplete; the default runs to test evaluation and writes a
+    complete manifest. A complete manifest whose config matches is returned
+    as-is without recomputing anything.
     """
-    if through is not None and through not in STAGE_ORDER:
-        raise ValueError(f"unknown stage {through!r}")
+    if through is not None and through not in EARLY_STOPS:
+        raise ValueError(f"through must be None or one of {EARLY_STOPS}, not {through!r}")
     root = persist.ensure_dir(workdir)
     mpath = root / "manifest.json"
     if through is None and mpath.exists():
@@ -828,28 +821,20 @@ def bundle_execution(
 
 
 def evaluate_bundle(
-    workdir,
-    backend: Optional[str] = None,
-    shots: Optional[int] = None,
-    noise: Optional[NoiseSpec] = None,
-    mitigate: Optional[bool] = None,
-    sampling_seed: Optional[int] = None,
-    reference_limit: int = REFERENCE_LIMIT,
+    workdir, execution: Optional[vqc.Execution] = None, reference_limit: int = REFERENCE_LIMIT
 ) -> dict:
     """Re-evaluate a complete bundle's test split in one scorer call.
 
-    With no overrides this reproduces the manifest metrics bit-exactly.
-    backend="shots" takes shots, noise, mitigation and sampling seed from the
-    bundle's config unless overridden (bundle_execution); test row i takes
-    position i of the scorer's seed rule (_scorer), so the result equals
-    evaluate_streaming over every test row with the same Execution. The stored
-    validation threshold is applied unchanged; nothing is written to the bundle.
+    With no execution (exact mode) this reproduces the manifest metrics
+    bit-exactly; bundle_execution gives the bundle's own shot settings, with
+    overrides. Test row i takes position i of the scorer's seed rule
+    (_scorer), so the result equals evaluate_streaming over every test row
+    with the same Execution. The stored validation threshold is applied
+    unchanged; nothing is written to the bundle.
     """
     bundle, split, model = _open_complete(workdir)
     config = bundle.config
-    execution = bundle_execution(
-        config, backend or "exact", shots, noise, mitigate, sampling_seed
-    )
+    execution = execution or vqc.Execution()
     score, _ = _scorer(model, split, execution, reference_limit)
     scores = score(model.rows(split.x_test), np.arange(split.y_test.size))
     threshold = float(bundle.manifest["threshold"])

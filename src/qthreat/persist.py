@@ -75,12 +75,12 @@ def save_array_f64(path, arr: np.ndarray) -> str:
 
 
 def _read_file(path, unverified: Optional[Dict[Path, str]] = None,
-               sha256: Optional[str] = None, mismatch: str = "") -> np.ndarray:
+               sha256: Optional[str] = None) -> np.ndarray:
     """The bytes of a file as uint8, read once into one writable buffer (not
     zero-filled first) and hashed at most once. When `unverified` holds
     `path`, its entry is taken out and the bytes must hash to it, else
     ValueError; when `sha256` is given (the hash a header recorded), they
-    must hash to it too, else ValueError(mismatch)."""
+    must hash to it too, else ValueError naming the file."""
     with open(path, "rb") as f:
         data = np.empty(os.fstat(f.fileno()).st_size, dtype=np.uint8)
         if f.readinto(data) != data.size:
@@ -92,7 +92,7 @@ def _read_file(path, unverified: Optional[Dict[Path, str]] = None,
     if entry is not None and actual != entry:
         raise ValueError(f"bundle file {path} fails its hash check")
     if sha256 is not None and actual != sha256:
-        raise ValueError(mismatch)
+        raise ValueError(f"{Path(path).name} does not match its recorded sha256")
     return data
 
 
@@ -104,12 +104,13 @@ def check_files(unverified: Dict[Path, str]) -> None:
             raise ValueError(f"bundle file {path} fails its hash check")
 
 
-def load_verified_f64(path, shape, sha256: str, mismatch: str,
+def load_verified_f64(path, shape, sha256: str,
                       unverified: Optional[Dict[Path, str]] = None) -> np.ndarray:
     """The array of a file whose bytes must have this sha256, else
-    ValueError(mismatch), and its `unverified` entry if it has one
-    (_read_file). The bytes hashed are the bytes parsed in place."""
-    data = _read_file(path, unverified, sha256, mismatch)
+    ValueError("<name> does not match its recorded sha256"), and its
+    `unverified` entry if it has one (_read_file). The bytes hashed are the
+    bytes parsed in place."""
+    data = _read_file(path, unverified, sha256)
     arr = np.frombuffer(data, dtype="<f8").astype(np.float64, copy=False)
     expected = int(np.prod(shape)) if shape else arr.size
     if arr.size != expected:

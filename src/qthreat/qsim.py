@@ -201,13 +201,11 @@ class NoiseSpec:
     readout_flip_10: object = 0.0  # scalar or per-qubit sequence, P(read 0 | true 1)
 
     def __post_init__(self):
-        for p in (self.depol_1q, self.depol_2q):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"depolarizing probability {p} outside [0, 1]")
-        for v in (self.readout_flip_01, self.readout_flip_10):
-            arr = np.atleast_1d(np.asarray(v, dtype=float))
-            if np.any(arr < 0) or np.any(arr > 1):
-                raise ValueError(f"readout flip probability {v} outside [0, 1]")
+        for name in ("depol_1q", "depol_2q", "readout_flip_01", "readout_flip_10"):
+            v = getattr(self, name)
+            arr = np.asarray(v, dtype=float)
+            if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails too
+                raise ValueError(f"{name} = {v} outside [0, 1]")
 
     def flips_for(self, num_qubits: int) -> Tuple[np.ndarray, np.ndarray]:
         p01 = np.broadcast_to(

@@ -36,7 +36,7 @@ from .encoder import (
     forward_with_cache,
     scale_with_grad,
 )
-from .featuremap import FeatureMapSpec, build_feature_map
+from .featuremap import CONVENTIONS, FeatureMapSpec, build_feature_map
 from .qsim import CircuitProgram, GateOp, NoiseSpec, outcome_probabilities, shot_estimates, z_signs
 
 MAX_QUBITS = 6
@@ -57,8 +57,8 @@ class VqcSpec:
             raise ValueError(f"num_qubits must lie in [2, {MAX_QUBITS}]")
         if not 1 <= self.reupload_layers <= MAX_LAYERS:
             raise ValueError(f"reupload_layers must lie in [1, {MAX_LAYERS}]")
-        if self.second_order_coeff not in ("pi_minus", "product"):
-            raise ValueError(f"unknown second_order_coeff {self.second_order_coeff!r}")
+        if self.second_order_coeff not in CONVENTIONS:
+            raise ValueError(f"second_order_coeff must be one of {CONVENTIONS}")
 
     @property
     def num_params(self) -> int:
@@ -409,7 +409,7 @@ def train_vqc(
         """Angle rows of x, the encoder's backprop cache and the scaler's slopes."""
         if not use_encoder:
             return x[:, : spec.num_qubits], None, None
-        _, e, cache = forward_with_cache(tuned, x, training=False)
+        _, e, cache = forward_with_cache(tuned, x)
         scaled, live = scale_with_grad(e, scaler)
         return math.pi * scaled[:, : spec.num_qubits], cache, live
 
@@ -515,8 +515,7 @@ def load_checkpoint(directory, unverified=None) -> Tuple[VqcModel, dict]:
     header = persist.load_json(d / "vqc.json", unverified)
     spec = VqcSpec(**header["spec"])
     packed = persist.load_verified_f64(
-        d / "vqc.f64", (header["packed_length"],), header["params_sha256"],
-        "vqc.f64 does not match its recorded sha256", unverified,
+        d / "vqc.f64", (header["packed_length"],), header["params_sha256"], unverified
     )
     return VqcModel(spec, packed[:-2], float(packed[-2]), float(packed[-1])), header.get("extra", {})
 

@@ -44,7 +44,7 @@ def gelu_tanh(t):
 
 
 def embeddings(model, x):
-    return forward(model, x, training=False)[1]
+    return forward(model, x)[1]
 
 
 # ----------------------------------------------------------- activations
@@ -96,8 +96,8 @@ def test_embedding_unit_norm():
 def test_eval_forward_is_deterministic():
     model = init_encoder(TINY)
     x = np.arange(5.0)
-    a = forward(model, x, training=False)
-    b = forward(model, x, training=False)
+    a = forward(model, x)
+    b = forward(model, x)
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1], b[1])
 
@@ -105,12 +105,17 @@ def test_eval_forward_is_deterministic():
 def test_dropout_only_in_training():
     cfg = EncoderConfig(input_dim=5, hidden_sizes=(64,), embed_dim=3, dropout=0.5, seed=4)
     model = init_encoder(cfg)
-    x = np.ones(5)
-    eval_logits, _ = forward(model, x, training=False)
-    train_logits, _ = forward(model, x, training=True, dropout_seed=11)
-    assert not np.allclose(eval_logits, train_logits)
-    again, _ = forward(model, x, training=True, dropout_seed=11)
-    np.testing.assert_array_equal(train_logits, again)  # seed fixes the mask
+    x, y = np.ones((1, 5)), np.array([1])
+    # no dropout seed is eval mode: the loss of forward's logits
+    eval_loss, _ = loss_and_gradients(model, x, y)
+    logits, _ = forward(model, x)
+    probs = np.exp(logits - logits.max()) / np.exp(logits - logits.max()).sum()
+    assert eval_loss == pytest.approx(-math.log(probs[0, 1]), rel=1e-12)
+    train_loss, train_grads = loss_and_gradients(model, x, y, dropout_seed=11)
+    assert not np.isclose(eval_loss, train_loss)
+    again, again_grads = loss_and_gradients(model, x, y, dropout_seed=11)
+    assert again == train_loss  # seed fixes the mask
+    np.testing.assert_array_equal(train_grads["block0.W"], again_grads["block0.W"])
 
 
 def test_forward_rejects_bad_width():

@@ -1,5 +1,6 @@
 """End-to-end pipeline, bundle, streaming, matrix, and CLI tests on the
 synthetic corpora from conftest."""
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from qthreat import datapipe, featuremap, harness, metrics, persist, qsvm, vqc
+from qthreat import cli
 from qthreat.cli import main
 from qthreat.encoder import load_encoder
 from qthreat.harness import ExperimentConfig, PipelineError, Seeds
@@ -405,6 +407,30 @@ def test_qubits_over_embed_dim_rejected_before_compute():
         )
 
 
+@pytest.mark.parametrize("model", harness.MODELS)
+@pytest.mark.parametrize(
+    "setting,message",
+    [
+        ({"entanglement": "ring"}, "entanglement"),
+        ({"second_order_coeff": "bogus"}, "second_order_coeff"),
+        ({"qubits": 7}, "num_qubits"),
+        ({"reps": 0}, "reps"),
+        ({"reupload": vqc.MAX_LAYERS + 1}, "reupload_layers"),
+        ({"depol_2q": 1.5}, "depol_2q"),
+        ({"readout_10": float("nan")}, "readout_flip_10"),
+    ],
+    ids=["ring", "bogus-convention", "qubits-7", "reps-0", "reupload-max+1", "depol2-1.5", "readout10-nan"],
+)
+def test_spec_settings_are_rejected_at_config_time_for_every_model(model, setting, message):
+    # the feature-map, VQC and noise specs own these ranges; the config
+    # builds all three, so a setting no stage of this model reads still fails
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(
+            experiment_id="x", dataset="nslkdd", model=model, train_path="t", test_path="t",
+            **setting,
+        )
+
+
 # ----------------------------------------------------------------- bundles
 
 
@@ -433,6 +459,13 @@ def test_incomplete_bundle_rejected_for_evaluation(make_config, tmp_path):
     assert set(manifest["stages"]) == {"preprocess", "encoder"}
     with pytest.raises(ValueError, match="incomplete"):
         harness.evaluate_bundle(tmp_path)
+
+
+@pytest.mark.parametrize("through", ["model", "evaluate", "svm", "vqc"])
+def test_run_experiment_stops_only_after_an_early_stage(make_config, tmp_path, through):
+    with pytest.raises(ValueError, match="through must be"):
+        harness.run_experiment(make_config(), tmp_path, through=through)
+    assert not any(tmp_path.iterdir())
 
 
 # --------------------------------------------------------------- streaming
@@ -571,12 +604,12 @@ SHOT_OVERRIDES = dict(shots=64, noise=NoiseSpec(1e-3, 1e-2, 0.02, 0.04), mitigat
 def test_full_stream_equals_rescore(request, fixture, backend, tmp_path):
     config, d, _ = request.getfixturevalue(fixture)
     over = SHOT_OVERRIDES if backend == "shots" else {}
-    batch = harness.evaluate_bundle(d, backend=backend, **over)
+    execution = harness.bundle_execution(config, backend, **over)
+    batch = harness.evaluate_bundle(d, execution)
     n = datapipe.load_split(d / "preprocess").y_test.size
     assert n > harness.STREAM_BATCH
     streamed = harness.evaluate_streaming(
-        d, subset=np.arange(n), execution=harness.bundle_execution(config, backend, **over),
-        audit_path=tmp_path / "audit.csv",
+        d, subset=np.arange(n), execution=execution, audit_path=tmp_path / "audit.csv"
     )
     assert streamed["report"].as_dict() == batch["metrics"]
 
@@ -620,15 +653,15 @@ def test_qsvm_shot_rescore_matches_the_chunked_stream_oracle(qsvm_bundle):
         ])
         scores.extend(svm.sign * ((kernels - mu[None, :]) @ coef + svm.bias))
     want = metrics.report(split.y_test, np.array(scores), manifest["threshold"], config.beta)
-    got = harness.evaluate_bundle(d, backend="shots", **SHOT_OVERRIDES)
+    got = harness.evaluate_bundle(d, ex)
     assert got["metrics"] == want.as_dict()
 
 
 def test_shot_rescore_hashes_each_file_once_and_writes_nothing(qsvm_bundle, monkeypatch):
-    _, d, manifest = qsvm_bundle
+    config, d, manifest = qsvm_bundle
     before = {p: p.stat().st_mtime_ns for p in d.rglob("*")}
     hashed = _count_hashed_bytes(monkeypatch)
-    harness.evaluate_bundle(d, backend="shots", shots=32)
+    harness.evaluate_bundle(d, harness.bundle_execution(config, "shots", shots=32))
     assert hashed[0] == _manifest_bytes(d, manifest)
     assert {p: p.stat().st_mtime_ns for p in d.rglob("*")} == before
 
@@ -689,11 +722,13 @@ def test_shot_rescore_takes_noise_from_the_bundle(make_config, tmp_path):
         "shots", 64, config.noise(), True, config.seeds.sampling
     )
     # no overrides: the train-time shot evaluation, noise and mitigation included
-    rescored = harness.evaluate_bundle(tmp_path, backend="shots")
+    rescored = harness.evaluate_bundle(tmp_path, harness.bundle_execution(config, "shots"))
     assert rescored["metrics"] == manifest["shot_eval"]["mitigated"]
-    raw = harness.evaluate_bundle(tmp_path, backend="shots", mitigate=False)
+    raw = harness.evaluate_bundle(tmp_path, harness.bundle_execution(config, "shots", mitigate=False))
     assert raw["metrics"] == manifest["shot_eval"]["raw"]
-    noiseless = harness.evaluate_bundle(tmp_path, backend="shots", noise=NoiseSpec())
+    noiseless = harness.evaluate_bundle(
+        tmp_path, harness.bundle_execution(config, "shots", noise=NoiseSpec())
+    )
     assert noiseless["metrics"] != rescored["metrics"]
 
 
@@ -787,6 +822,76 @@ def _cli_common(nslkdd_dir):
         "--max-train",
         "160",
     ]
+
+
+_CLI_REQUIRED = ["--workdir", "w", "--dataset", "nslkdd", "--train-path", "a", "--test-path", "b"]
+
+# (flags, field, value): each pipeline flag with a value other than its default
+_CLI_FLAGS = [
+    (["--id", "run-1"], "experiment_id", "run-1"),
+    (["--train-path", "other"], "train_path", "other"),
+    (["--test-path", "other"], "test_path", "other"),
+    (["--corpus-path", "corpus"], "corpus_path", "corpus"),
+    (["--val-fraction", "0.3"], "val_fraction", 0.3),
+    (["--test-fraction", "0.1"], "test_fraction", 0.1),
+    (["--ngram-max", "2"], "ngram_max", 2),
+    (["--max-train", "500"], "max_train", 500),
+    (["--hidden", "8,4"], "hidden_sizes", (8, 4)),
+    (["--embed-dim", "6"], "embed_dim", 6),
+    (["--dropout", "0.3"], "dropout", 0.3),
+    (["--epochs", "3"], "epochs", 3),
+    (["--batch-size", "32"], "batch_size", 32),
+    (["--lr", "0.01"], "learning_rate", 0.01),
+    (["--weight-decay", "0.001"], "weight_decay", 0.001),
+    (["--patience", "2"], "patience", 2),
+    (["--qubits", "3"], "qubits", 3),
+    (["--reps", "3"], "reps", 3),
+    (["--vqc-reps", "3"], "reupload", 3),
+    (["--entanglement", "linear"], "entanglement", "linear"),
+    (["--convention", "product"], "second_order_coeff", "product"),
+    (["--backend", "shots"], "backend", "shots"),
+    (["--shots", "64"], "shots", 64),
+    (["--depol1", "0.01"], "depol_1q", 0.01),
+    (["--depol2", "0.02"], "depol_2q", 0.02),
+    (["--readout01", "0.03"], "readout_01", 0.03),
+    (["--readout10", "0.04"], "readout_10", 0.04),
+    (["--mitigate"], "mitigate", True),
+    (["--fine-tune"], "fine_tune", True),
+    (["--c-grid", "0.5,5"], "c_grid", (0.5, 5.0)),
+    (["--folds", "3"], "cv_folds", 3),
+    (["--beta", "1.0"], "beta", 1.0),
+    (["--seed", "3"], "seeds", Seeds(3, 3, 3)),
+    (["--data-seed", "4"], "seeds", Seeds(data=4)),
+    (["--encoder-seed", "5"], "seeds", Seeds(encoder=5)),
+    (["--sampling-seed", "6"], "seeds", Seeds(sampling=6)),
+    (["--seed", "3", "--data-seed", "4"], "seeds", Seeds(4, 3, 3)),
+]
+
+
+def _cli_config(command, *flags):
+    model = cli._STAGE_COMMANDS[command][0]
+    return cli._config_from(cli.build_parser().parse_args([command, *_CLI_REQUIRED, *flags]), model)
+
+
+@pytest.mark.parametrize("flags,field,value", _CLI_FLAGS, ids=[" ".join(f[0]) for f in _CLI_FLAGS])
+def test_each_pipeline_flag_sets_its_field_alone(flags, field, value):
+    config, defaults = _cli_config("train-qsvm", *flags), _cli_config("train-qsvm")
+    assert getattr(config, field) == value
+    assert replace(config, **{field: getattr(defaults, field)}) == defaults
+
+
+def test_every_config_field_has_a_pipeline_flag():
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"dataset", "model"}
+    assert {field for _, field, _ in _CLI_FLAGS} == fields
+
+
+@pytest.mark.parametrize("command", sorted(cli._STAGE_COMMANDS))
+def test_a_command_with_only_its_required_flags_builds_the_config_defaults(command):
+    # the CLI holds no default of its own, so none can drift from the config's
+    model = cli._STAGE_COMMANDS[command][0]
+    assert _cli_config(command) == ExperimentConfig(
+        experiment_id=f"nslkdd-{model}", dataset="nslkdd", model=model, train_path="a", test_path="b"
+    )
 
 
 def test_cli_full_qsvm_run_then_evaluate_and_stream(nslkdd_dir, tmp_path, capsys):

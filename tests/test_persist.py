@@ -54,7 +54,7 @@ def test_saves_return_hash_of_written_bytes(tmp_path):
     arr = np.arange(12.0).reshape(3, 4)
     sha = persist.save_array_f64(tmp_path / "sub" / "x.f64", arr)
     assert sha == persist.sha256_file(tmp_path / "sub" / "x.f64")
-    loaded = persist.load_verified_f64(tmp_path / "sub" / "x.f64", (3, 4), sha, "x.f64 tampered")
+    loaded = persist.load_verified_f64(tmp_path / "sub" / "x.f64", (3, 4), sha)
     assert np.array_equal(loaded, arr)
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["a.json", "sub", "x.f64"]
 
@@ -79,14 +79,14 @@ def test_save_array_f64_writes_contiguous_little_endian_bytes(tmp_path, arr):
 def test_verified_load_checks_the_bytes_it_parses(tmp_path):
     arr = np.arange(6.0).reshape(2, 3)
     sha = persist.save_array_f64(tmp_path / "a.f64", arr)
-    loaded = persist.load_verified_f64(tmp_path / "a.f64", (2, 3), sha, "a.f64 tampered")
+    loaded = persist.load_verified_f64(tmp_path / "a.f64", (2, 3), sha)
     assert np.array_equal(loaded, arr) and loaded.dtype == np.float64
     assert loaded.flags.writeable
     raw = bytearray((tmp_path / "a.f64").read_bytes())
     raw[0] ^= 1
     (tmp_path / "a.f64").write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="a.f64 tampered"):
-        persist.load_verified_f64(tmp_path / "a.f64", (2, 3), sha, "a.f64 tampered")
+    with pytest.raises(ValueError, match="a.f64 does not match its recorded sha256"):
+        persist.load_verified_f64(tmp_path / "a.f64", (2, 3), sha)
 
 
 def test_a_file_shorter_than_its_stat_is_rejected(tmp_path, monkeypatch):
@@ -99,7 +99,7 @@ def test_a_file_shorter_than_its_stat_is_rejected(tmp_path, monkeypatch):
 
     monkeypatch.setattr(persist.os, "fstat", lambda fd: _Grown(real_fstat(fd)))
     with pytest.raises(ValueError, match="changed size while it was read"):
-        persist.load_verified_f64(tmp_path / "a.f64", (4,), sha, "a.f64 tampered")
+        persist.load_verified_f64(tmp_path / "a.f64", (4,), sha)
 
 
 def test_loaded_encoder_params_are_writable_views_of_one_buffer(tmp_path):
@@ -114,12 +114,22 @@ def test_loaded_encoder_params_are_writable_views_of_one_buffer(tmp_path):
         np.testing.assert_array_equal(p, saved.params[name])
 
 
-@pytest.mark.parametrize("name", ["encoder.f64", "idf.f64", "doc_freq.f64"])
+@pytest.mark.parametrize(
+    "name", ["encoder.f64", "idf.f64", "doc_freq.f64", "vqc.f64", "gram/train.f64"]
+)
 def test_loaders_reject_a_flipped_byte(tmp_path, lingspam_dir, name):
     if name == "encoder.f64":
         config = encoder.EncoderConfig(input_dim=4, hidden_sizes=(3,), embed_dim=2, seed=0)
         encoder.save_encoder(encoder.init_encoder(config), tmp_path)
         load = encoder.load_encoder
+    elif name == "vqc.f64":
+        vqc.save_vqc(vqc.init_vqc(vqc.VqcSpec(2, 1), seed=0), tmp_path)
+        load = vqc.load_vqc
+    elif name == "gram/train.f64":
+        spec = featuremap.FeatureMapSpec(2, reps=1)
+        angles = [featuremap.AngleVector(a) for a in np.linspace(-1.0, 1.0, 6).reshape(3, 2)]
+        featuremap.save_gram_bundle(featuremap.build_gram(angles, spec), tmp_path / "gram", spec)
+        load = lambda d: featuremap.load_gram_bundle(d / "gram")
     else:
         datapipe.save_split(datapipe.load_lingspam(lingspam_dir, seed=0), tmp_path)
         load = datapipe.load_split
@@ -127,7 +137,8 @@ def test_loaders_reject_a_flipped_byte(tmp_path, lingspam_dir, name):
     raw = bytearray((tmp_path / name).read_bytes())
     raw[0] ^= 1
     (tmp_path / name).write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match=f"{name} does not match its recorded sha256"):
+    file_name = name.split("/")[-1]
+    with pytest.raises(ValueError, match=f"^{file_name} does not match its recorded sha256$"):
         load(tmp_path)
 
 

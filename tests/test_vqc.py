@@ -516,7 +516,7 @@ def test_frozen_encoder_embeds_each_split_once(monkeypatch):
                           weight_decay=0.0, patience=3)
 
     def angles(rows):
-        _, e, _ = forward_with_cache(enc, rows, training=False)
+        _, e, _ = forward_with_cache(enc, rows)
         return math.pi * scale_with_grad(e, scaler)[0][:, :2]
 
     def run(fine_tune):
