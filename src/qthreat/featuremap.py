@@ -36,6 +36,7 @@ from .qsim import (
 
 CONVENTIONS = ("pi_minus", "product")
 ENTANGLEMENTS = ("full", "linear")
+MAX_QUBITS = 6
 # rows per block (at least 2) of the blockwise Gram passes
 GRAM_BLOCK = 256
 
@@ -48,8 +49,8 @@ class FeatureMapSpec:
     second_order_coeff: str = "pi_minus"
 
     def __post_init__(self):
-        if not 2 <= self.num_qubits <= 6:
-            raise ValueError("num_qubits must be in [2, 6]")
+        if not 2 <= self.num_qubits <= MAX_QUBITS:
+            raise ValueError(f"num_qubits must be in [2, {MAX_QUBITS}]")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.entanglement not in ENTANGLEMENTS:

@@ -36,10 +36,9 @@ from .encoder import (
     forward_with_cache,
     scale_with_grad,
 )
-from .featuremap import CONVENTIONS, FeatureMapSpec, build_feature_map
+from .featuremap import FeatureMapSpec, build_feature_map
 from .qsim import CircuitProgram, GateOp, NoiseSpec, outcome_probabilities, shot_estimates, z_signs
 
-MAX_QUBITS = 6
 MAX_LAYERS = 4
 # Rows per stacked density evolution in shot mode: at q = 6 a block of
 # 64 x 64 x 64 complex densities is 4 MiB, so memory stays bounded.
@@ -53,12 +52,9 @@ class VqcSpec:
     second_order_coeff: str = "pi_minus"
 
     def __post_init__(self):
-        if not 2 <= self.num_qubits <= MAX_QUBITS:
-            raise ValueError(f"num_qubits must lie in [2, {MAX_QUBITS}]")
+        self.feature_spec()  # the feature map's spec owns the qubit range and conventions
         if not 1 <= self.reupload_layers <= MAX_LAYERS:
             raise ValueError(f"reupload_layers must lie in [1, {MAX_LAYERS}]")
-        if self.second_order_coeff not in CONVENTIONS:
-            raise ValueError(f"second_order_coeff must be one of {CONVENTIONS}")
 
     @property
     def num_params(self) -> int:

@@ -17,7 +17,7 @@ from qthreat.encoder import (
     init_encoder,
     scale_with_grad,
 )
-from qthreat.featuremap import AngleVector, build_feature_map
+from qthreat.featuremap import MAX_QUBITS, AngleVector, build_feature_map
 from qthreat.qsim import (
     CircuitProgram,
     GateOp,
@@ -29,7 +29,6 @@ from qthreat.qsim import (
 )
 from qthreat.vqc import (
     MAX_LAYERS,
-    MAX_QUBITS,
     Execution,
     VqcModel,
     VqcSpec,
