@@ -16,7 +16,6 @@ from pathlib import Path
 
 from . import featuremap, harness, persist, vqc
 from .harness import ExperimentConfig, PipelineError, Seeds
-from .qsim import NoiseSpec
 
 
 def _int_list(text: str):
@@ -110,26 +109,17 @@ def _config_from(args, model: str) -> ExperimentConfig:
     )
 
 
-_NOISE_FIELDS = {  # ExperimentConfig field -> NoiseSpec field
-    "depol_1q": "depol_1q", "depol_2q": "depol_2q",
-    "readout_01": "readout_flip_01", "readout_10": "readout_flip_10",
-}
-
-
 def _bundle_execution(args) -> vqc.Execution:
-    """The Execution `evaluate` and `stream-eval` score with: exact unless
-    --backend shots; in shot mode the bundle's settings, each replaced by
-    its flag when given (noise flags replace the noise when not all zero)."""
+    """The Execution `evaluate` and `stream-eval` score with: the bundle's
+    config with each given flag replacing its field, exact unless --backend
+    shots."""
     given = vars(args)
-    noise = NoiseSpec(**{_NOISE_FIELDS[k]: v for k, v in given.items() if k in _NOISE_FIELDS})
-    return harness.bundle_execution(
-        harness.load_bundle(args.workdir, verify=False).config,
-        given.get("backend", "exact"),
-        shots=given.get("shots"),
-        noise=noise if noise != NoiseSpec() else None,
-        mitigate=given.get("mitigate"),
-        sampling_seed=given.get("seeds.sampling"),
-    )
+    config = harness.load_bundle(args.workdir, verify=False).config
+    fields = {k: v for k, v in given.items() if k in _CONFIG_FIELDS}
+    fields.setdefault("backend", "exact")
+    if "seeds.sampling" in given:
+        fields["seeds"] = dataclasses.replace(config.seeds, sampling=given["seeds.sampling"])
+    return dataclasses.replace(config, **fields).execution()
 
 
 def _print_metrics(metrics_dict: dict):
@@ -158,13 +148,14 @@ def build_parser() -> argparse.ArgumentParser:
         argument_default=argparse.SUPPRESS,
     )
     ps.add_argument("--workdir", required=True)
-    ps.add_argument("--subset-size", type=int, default=100)
-    ps.add_argument("--full-test", action="store_true", default=False, help="stream every test row")
-    ps.add_argument("--audit", default=None, help="audit CSV path")
+    # each stream flag but --full-test is an evaluate_streaming keyword of
+    # the same name, which owns its default
+    ps.add_argument("--subset-size", type=int)
+    ps.add_argument("--full-test", action="store_true", help="stream every test row")
+    ps.add_argument("--audit", dest="audit_path", help="audit CSV path")
     ps.add_argument(
         "--reference-limit",
         type=int,
-        default=harness.REFERENCE_LIMIT,
         help="QSVM support vectors each row is compared with, shot mode only "
         "(exact mode scores through every support vector)",
     )
@@ -212,19 +203,15 @@ def _run_evaluate(args) -> int:
 def _run_stream(args) -> int:
     import numpy as np
 
-    subset = None
-    if args.full_test:
+    given = vars(args)
+    stream = {k: given[k] for k in ("subset_size", "audit_path", "reference_limit") if k in given}
+    if given.get("full_test"):
         # the row count from the split header alone: evaluate_streaming reads
         # the split once, hash-checked, and range-checks the subset against it
         header = persist.load_json(Path(args.workdir) / "preprocess" / "split.json")
-        subset = np.arange(header["arrays"]["y_test"]["shape"][0])
+        stream["subset"] = np.arange(header["arrays"]["y_test"]["shape"][0])
     result = harness.evaluate_streaming(
-        args.workdir,
-        subset=subset,
-        subset_size=args.subset_size,
-        execution=_bundle_execution(args),
-        audit_path=args.audit,
-        reference_limit=args.reference_limit,
+        args.workdir, execution=_bundle_execution(args), **stream
     )
     _print_metrics(result["report"].as_dict())
     print(f"audit lines: {len(result['lines'])} -> {result['audit_path']}")

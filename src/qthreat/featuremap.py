@@ -154,7 +154,7 @@ def compute_uncompute_program(theta_a, theta_b, spec: FeatureMapSpec) -> Circuit
 
 
 def kernel_shot_estimates(
-    theta_a, theta_b, spec: FeatureMapSpec, shots: int, noise: Optional[NoiseSpec], mitigate: bool, seeds
+    theta_a, theta_b, spec: FeatureMapSpec, shots: int, noise: NoiseSpec, mitigate: bool, seeds
 ) -> np.ndarray:
     """Shot estimates of k(a, b) for a stack of pairs, one seed per pair.
 
@@ -164,7 +164,6 @@ def kernel_shot_estimates(
     its sampled, readout-folded and optionally mitigated frequency of
     |0...0>. Estimator variance is k(1-k)/shots in the noiseless case.
     """
-    noise = noise or NoiseSpec()
     probs = outcome_probabilities(compute_uncompute_program(theta_a, theta_b, spec), noise)
     zeros = np.zeros(probs.shape[1])
     zeros[0] = 1.0
@@ -176,7 +175,7 @@ def fidelity_kernel_shots(
     theta_b: AngleVector,
     spec: FeatureMapSpec,
     shots: int,
-    noise: Optional[NoiseSpec] = None,
+    noise: NoiseSpec = NoiseSpec(),
     mitigate: bool = False,
     seed: int = 0,
 ) -> float:

@@ -227,14 +227,12 @@ class ExperimentConfig:
         )
 
     def execution(self) -> vqc.Execution:
-        """How this config's test rows are scored; a noiseless config gets
-        noise None."""
+        """How this config's test rows are scored. A rescore under other
+        settings scores with replace(config, backend=..., ...).execution()."""
         if self.backend == "exact":
             return vqc.Execution()
-        noise = self.noise()
         return vqc.Execution(
-            "shots", self.shots, noise if noise != NoiseSpec() else None, self.mitigate,
-            self.seeds.sampling,
+            "shots", self.shots, self.noise(), self.mitigate, self.seeds.sampling
         )
 
 
@@ -438,8 +436,9 @@ def _scorer(model: _Model, split, execution: vqc.Execution, reference_limit=REFE
     are encoded), pair (position, j) seeded with _pair_seed(seed, position, j),
     and combine them as sum_i coef_i (k(x, i) - mu_i) + b, the batch decision
     because the dual coefficients sum to zero. Shot VQC rows take the seed
-    SeedSequence(seed).generate_state(n)[position], as vqc.decision_logits
-    does. A row's score depends on its position, not on how rows are grouped.
+    SeedSequence(seed).generate_state(n)[position]. This is the only owner
+    of both seed rules: a row's score depends on its position, not on how
+    rows are grouped.
     """
     config = model.config
     shots = execution.mode == "shots"
@@ -466,8 +465,10 @@ def _scorer(model: _Model, split, execution: vqc.Execution, reference_limit=REFE
             svm, model.rows(split.x_train[svm.support]), model.row_means, fspec
         )
         return (lambda rows, positions: observable(rows)), svm.support
-    if reference_limit < 1 or reference_limit > svm.n_train:
-        raise ValueError("reference set larger than the stored Gram")
+    if not 1 <= reference_limit <= svm.n_train:
+        raise ValueError(
+            f"reference_limit must lie in [1, n_train] = [1, {svm.n_train}], got {reference_limit}"
+        )
     picked = datapipe.stratified_indices(
         split.y_train[svm.support], reference_limit, config.seeds.sampling
     )
@@ -567,8 +568,7 @@ def _stage_vqc(config: ExperimentConfig, root: Path, stages: Dict[str, str], spl
             scaler=scaler,
             fine_tune=config.fine_tune,
         )
-        enc_used = result.encoder if result.encoder is not None else enc_model
-        model = _with_threshold(_Model(config, enc_used, scaler, circuit=result.model), split)
+        model = _with_threshold(_Model(config, result.encoder, scaler, circuit=result.model), split)
         vqc.save_vqc(
             result.model,
             d,
@@ -580,7 +580,7 @@ def _stage_vqc(config: ExperimentConfig, root: Path, stages: Dict[str, str], spl
             },
         )
         if config.fine_tune:
-            save_encoder(enc_used, d / "encoder", scaler)
+            save_encoder(result.encoder, d / "encoder", scaler)
         return model
 
     return _stage(
@@ -802,39 +802,21 @@ def _open_complete(workdir):
     return bundle, split, model
 
 
-def bundle_execution(
-    config: ExperimentConfig,
-    backend: str,
-    shots: Optional[int] = None,
-    noise: Optional[NoiseSpec] = None,
-    mitigate: Optional[bool] = None,
-    sampling_seed: Optional[int] = None,
-) -> vqc.Execution:
-    """The Execution `config.execution()` gives for `backend`; in shot mode
-    each override that is not None replaces the config's shots, noise,
-    mitigation or sampling seed."""
-    execution = replace(config, backend=backend).execution()
-    if execution.mode == "exact":
-        return execution
-    given = {"shots": shots, "noise": noise, "mitigate": mitigate, "seed": sampling_seed}
-    return replace(execution, **{k: v for k, v in given.items() if v is not None})
-
-
 def evaluate_bundle(
-    workdir, execution: Optional[vqc.Execution] = None, reference_limit: int = REFERENCE_LIMIT
+    workdir, execution: vqc.Execution = vqc.Execution(), reference_limit: int = REFERENCE_LIMIT
 ) -> dict:
     """Re-evaluate a complete bundle's test split in one scorer call.
 
     With no execution (exact mode) this reproduces the manifest metrics
-    bit-exactly; bundle_execution gives the bundle's own shot settings, with
-    overrides. Test row i takes position i of the scorer's seed rule
-    (_scorer), so the result equals evaluate_streaming over every test row
-    with the same Execution. The stored validation threshold is applied
-    unchanged; nothing is written to the bundle.
+    bit-exactly; replace(config, backend="shots", ...).execution() gives
+    the bundle's own shot settings, each keyword replacing one. Test row i
+    takes position i of the scorer's seed rule (_scorer), so the result
+    equals evaluate_streaming over every test row with the same Execution.
+    The stored validation threshold is applied unchanged; nothing is
+    written to the bundle.
     """
     bundle, split, model = _open_complete(workdir)
     config = bundle.config
-    execution = execution or vqc.Execution()
     score, _ = _scorer(model, split, execution, reference_limit)
     scores = score(model.rows(split.x_test), np.arange(split.y_test.size))
     threshold = float(bundle.manifest["threshold"])
@@ -853,7 +835,7 @@ def evaluate_streaming(
     workdir,
     subset: Optional[np.ndarray] = None,
     subset_size: int = 100,
-    execution: Optional[vqc.Execution] = None,
+    execution: vqc.Execution = vqc.Execution(),
     audit_path=None,
     reference_limit: int = REFERENCE_LIMIT,
 ) -> dict:
@@ -878,7 +860,6 @@ def evaluate_streaming(
         raise ValueError("subset index out of range for the test split")
     if config.model not in ("qsvm", "vqc"):
         raise ValueError("streaming evaluation needs a quantum model bundle")
-    execution = execution or vqc.Execution()
     threshold = float(bundle.manifest["threshold"])
 
     score, refs = _scorer(model, split, execution, reference_limit)

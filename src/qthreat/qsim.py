@@ -385,7 +385,7 @@ def shot_estimates(
     observable: np.ndarray,
     shots: int,
     seeds: Sequence[int],
-    noise: Optional[NoiseSpec] = None,
+    noise: NoiseSpec = NoiseSpec(),
     mitigated: bool = False,
 ) -> np.ndarray:
     """Sample -> readout -> mitigate for each row of exact outcome
@@ -396,7 +396,6 @@ def shot_estimates(
     given as columns (2^q, k)."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    noise = noise or NoiseSpec()
     folded = fold_readout(np.atleast_2d(probs), noise)
     seeds = np.asarray(seeds).reshape(-1)
     if seeds.size != folded.shape[0]:

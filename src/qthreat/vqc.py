@@ -119,7 +119,7 @@ class Execution:
 
     mode: str = "exact"
     shots: int = 1024
-    noise: Optional[NoiseSpec] = None
+    noise: NoiseSpec = NoiseSpec()
     mitigate: bool = False
     seed: int = 0
 
@@ -167,37 +167,29 @@ def _shot_parities(
     """Shot estimates of <Z...Z> per row, one seed per row, simulated
     SHOT_BLOCK rows at a time; a row's estimate depends only on its angles
     and its seed."""
-    noise = execution.noise or NoiseSpec()
     parity = z_signs(model.spec.num_qubits)
     seeds = np.asarray(seeds).reshape(-1)
     out = np.empty(angle_rows.shape[0])
     for start in range(0, angle_rows.shape[0], SHOT_BLOCK):
         block = slice(start, start + SHOT_BLOCK)
-        probs = outcome_probabilities(build_vqc_circuit(angle_rows[block], model), noise)
+        probs = outcome_probabilities(build_vqc_circuit(angle_rows[block], model), execution.noise)
         out[block] = shot_estimates(
-            probs, parity, execution.shots, seeds[block], noise, execution.mitigate
+            probs, parity, execution.shots, seeds[block], execution.noise, execution.mitigate
         )
     return out
 
 
-def decision_logits(
-    angle_rows: np.ndarray, model: VqcModel, execution: Execution = Execution()
-) -> np.ndarray:
-    """Logits for a stack of angle rows. Exact mode is one vectorized
-    statevector pass; shot mode gives row i the seed
-    SeedSequence(execution.seed).generate_state(n)[i]."""
-    rows = np.atleast_2d(np.asarray(angle_rows, dtype=float))
-    if execution.mode == "exact":
-        return model.scale * _batch_expectations(rows, model) + model.bias
-    seeds = np.random.SeedSequence(execution.seed).generate_state(rows.shape[0])
-    return shot_logits(rows, model, execution, seeds)
+def decision_logits(angle_rows: np.ndarray, model: VqcModel) -> np.ndarray:
+    """Exact logits for a stack of angle rows, from one vectorized
+    statevector pass."""
+    return model.scale * _batch_expectations(angle_rows, model) + model.bias
 
 
 def shot_logits(
     angle_rows: np.ndarray, model: VqcModel, execution: Execution, seeds
 ) -> np.ndarray:
     """Shot-mode logits for a stack of angle rows, row i sampled with
-    seeds[i] (execution.seed is not read)."""
+    seeds[i]; execution.seed is not read, the caller picks the seeds."""
     rows = np.atleast_2d(np.asarray(angle_rows, dtype=float))
     return model.scale * _shot_parities(rows, model, execution, seeds) + model.bias
 
@@ -364,12 +356,13 @@ def train_vqc(
     rows pushed through the frozen encoder + scaler; a frozen encoder runs
     once per split, before the first epoch. Each step takes its logits and
     exact gradients from one forward and one adjoint sweep (_adjoint). With
-    fine_tune=True the encoder weights receive gradients through the data
-    angles of the same sweep and are updated alongside the circuit
+    fine_tune=True a copy of the encoder receives gradients through the
+    data angles of the same sweep and is updated alongside the circuit
     parameters, so each batch is embedded afresh; the classifier head and
     dropout stay off during fine-tuning. Validation loss picks the best
     checkpoint, restored at the end; patience counts consecutive epochs
-    without improvement.
+    without improvement. The result's encoder is the one its model
+    scores with: the given encoder, or its fine-tuned copy.
     """
     x_tr, y_tr = np.atleast_2d(np.asarray(train[0], dtype=float)), np.asarray(train[1], dtype=int)
     x_va, y_va = np.atleast_2d(np.asarray(val[0], dtype=float)), np.asarray(val[1], dtype=int)
@@ -394,12 +387,12 @@ def train_vqc(
     rng = np.random.default_rng(shuffle_seed)
     w = np.asarray(schedule.class_weights, dtype=float)
 
-    tuned: Optional[EncoderModel] = None
+    # only fine-tuning writes to the encoder, so only it works on a copy
+    tuned = encoder_model
     enc_adam: Optional[AdamState] = None
-    if use_encoder:
+    if fine_tune:
         tuned = EncoderModel(encoder_model.config, encoder_model.copy_params())
-        if fine_tune:
-            enc_adam = AdamState(tuned)
+        enc_adam = AdamState(tuned)
 
     def embed_angles(x: np.ndarray):
         """Angle rows of x, the encoder's backprop cache and the scaler's slopes."""
@@ -417,7 +410,7 @@ def train_vqc(
     adam = _FlatAdam(spec.num_params + 2)
     best = {"loss": math.inf, "epoch": -1, "theta": model.theta.copy(),
             "scale": model.scale, "bias": model.bias,
-            "encoder": tuned.copy_params() if (fine_tune and tuned) else None}
+            "encoder": tuned.copy_params() if fine_tune else None}
     history = {"epochs": [], "monitor": "val_loss"}
     bad_epochs = 0
     n = x_tr.shape[0]
@@ -468,7 +461,7 @@ def train_vqc(
             best.update(
                 loss=val_loss, epoch=epoch, theta=model.theta.copy(),
                 scale=model.scale, bias=model.bias,
-                encoder=tuned.copy_params() if (fine_tune and tuned) else None,
+                encoder=tuned.copy_params() if fine_tune else None,
             )
             bad_epochs = 0
         else:
@@ -477,7 +470,7 @@ def train_vqc(
                 break
 
     model = VqcModel(spec, best["theta"], best["scale"], best["bias"])
-    if fine_tune and tuned is not None and best["encoder"] is not None:
+    if fine_tune:
         tuned.load_params(best["encoder"])
     history["best_epoch"] = best["epoch"]
     history["best_val_loss"] = best["loss"]

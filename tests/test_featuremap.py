@@ -255,7 +255,7 @@ def test_stacked_kernel_estimates_match_one_pair_calls():
     refs = rng.uniform(-math.pi, math.pi, size=(5, 3))
     seeds = [101, 7, 7, 55, 3]
     for noise, mitigate in [
-        (None, False),
+        (NoiseSpec(), False),
         (NoiseSpec(depol_1q=1e-3, depol_2q=1e-2), False),
         (NoiseSpec(depol_1q=1e-3, depol_2q=1e-2, readout_flip_01=0.03, readout_flip_10=0.05), True),
     ]:

@@ -570,12 +570,22 @@ def test_vqc_consistency_compares_two_simulators(vqc_bundle, monkeypatch):
 def test_streaming_reference_limit_errors(qsvm_bundle):
     _, d, _ = qsvm_bundle
     shots = vqc.Execution("shots", 32)
-    with pytest.raises(ValueError, match="reference set"):
+    with pytest.raises(ValueError, match=r"reference_limit must lie in \[1, n_train\]"):
         harness.evaluate_streaming(d, subset_size=10, execution=shots, reference_limit=0)
-    with pytest.raises(ValueError, match="larger than the stored Gram"):
+    with pytest.raises(ValueError, match=r"reference_limit must lie in \[1, n_train\]"):
         harness.evaluate_streaming(d, subset_size=10, execution=shots, reference_limit=10**6)
     with pytest.raises(ValueError, match="out of range"):
         harness.evaluate_streaming(d, subset=np.array([10**9]))
+
+
+def test_shot_rescore_names_the_reference_limit_bound(qsvm_bundle):
+    # the shot scorer reads no Gram; the bound is the SVM's train row count
+    _, d, _ = qsvm_bundle
+    n_train = qsvm.load_svm(d / "svm" / "svm.json").n_train
+    bound = rf"reference_limit must lie in \[1, n_train\] = \[1, {n_train}\]"
+    for limit in (0, n_train + 1):
+        with pytest.raises(ValueError, match=bound):
+            harness.evaluate_bundle(d, vqc.Execution("shots", 32), reference_limit=limit)
 
 
 def test_exact_stream_of_a_qsvm_with_fewer_train_rows_than_the_reference_limit(
@@ -596,15 +606,18 @@ def test_streaming_vqc_matches_batch_logits(vqc_bundle):
     assert out["report"].accuracy == manifest["metrics"]["accuracy"]
 
 
-SHOT_OVERRIDES = dict(shots=64, noise=NoiseSpec(1e-3, 1e-2, 0.02, 0.04), mitigate=True, sampling_seed=3)
+SHOT_OVERRIDES = dict(
+    backend="shots", shots=64, depol_1q=1e-3, depol_2q=1e-2, readout_01=0.02, readout_10=0.04,
+    mitigate=True, seeds=Seeds(sampling=3),
+)
 
 
 @pytest.mark.parametrize("backend", ["exact", "shots"])
 @pytest.mark.parametrize("fixture", ["qsvm_bundle", "vqc_bundle"])
 def test_full_stream_equals_rescore(request, fixture, backend, tmp_path):
     config, d, _ = request.getfixturevalue(fixture)
-    over = SHOT_OVERRIDES if backend == "shots" else {}
-    execution = harness.bundle_execution(config, backend, **over)
+    over = SHOT_OVERRIDES if backend == "shots" else {"backend": backend}
+    execution = replace(config, **over).execution()
     batch = harness.evaluate_bundle(d, execution)
     n = datapipe.load_split(d / "preprocess").y_test.size
     assert n > harness.STREAM_BATCH
@@ -615,7 +628,7 @@ def test_full_stream_equals_rescore(request, fixture, backend, tmp_path):
 
 
 def test_vqc_shot_stream_seeds_rows_by_position(vqc_bundle, tmp_path):
-    # chunks of STREAM_BATCH rows take the seeds of one decision_logits call
+    # chunks of STREAM_BATCH rows take the seeds of one shot_logits call on every row
     config, d, _ = vqc_bundle
     ex = vqc.Execution("shots", 64, NoiseSpec(1e-3, 1e-2), seed=5)
     split = datapipe.load_split(d / "preprocess")
@@ -624,14 +637,15 @@ def test_vqc_shot_stream_seeds_rows_by_position(vqc_bundle, tmp_path):
     )
     enc, scaler = load_encoder(d / "encoder")
     angles = harness._angles(config, enc, scaler, split.x_test)
-    assert np.array_equal(out["scores"], vqc.decision_logits(angles, vqc.load_vqc(d / "vqc"), ex))
+    seeds = np.random.SeedSequence(ex.seed).generate_state(split.y_test.size)
+    assert np.array_equal(out["scores"], vqc.shot_logits(angles, vqc.load_vqc(d / "vqc"), ex, seeds))
 
 
 def test_qsvm_shot_rescore_matches_the_chunked_stream_oracle(qsvm_bundle):
     # the former route of a shot rescore: every train row encoded, then
     # STREAM_BATCH rows per stacked product with the reference coefficients
     config, d, manifest = qsvm_bundle
-    ex = harness.bundle_execution(config, "shots", **SHOT_OVERRIDES)
+    ex = replace(config, **SHOT_OVERRIDES).execution()
     split = datapipe.load_split(d / "preprocess")
     enc, scaler = load_encoder(d / "encoder")
     svm = qsvm.load_svm(d / "svm" / "svm.json")
@@ -661,7 +675,7 @@ def test_shot_rescore_hashes_each_file_once_and_writes_nothing(qsvm_bundle, monk
     config, d, manifest = qsvm_bundle
     before = {p: p.stat().st_mtime_ns for p in d.rglob("*")}
     hashed = _count_hashed_bytes(monkeypatch)
-    harness.evaluate_bundle(d, harness.bundle_execution(config, "shots", shots=32))
+    harness.evaluate_bundle(d, replace(config, backend="shots", shots=32).execution())
     assert hashed[0] == _manifest_bytes(d, manifest)
     assert {p: p.stat().st_mtime_ns for p in d.rglob("*")} == before
 
@@ -718,16 +732,16 @@ def test_shot_rescore_takes_noise_from_the_bundle(make_config, tmp_path):
         readout_01=0.2, readout_10=0.1, mitigate=True,
     )
     manifest = harness.run_experiment(config, tmp_path)
-    assert harness.bundle_execution(config, "shots") == vqc.Execution(
+    assert config.execution() == vqc.Execution(
         "shots", 64, config.noise(), True, config.seeds.sampling
     )
     # no overrides: the train-time shot evaluation, noise and mitigation included
-    rescored = harness.evaluate_bundle(tmp_path, harness.bundle_execution(config, "shots"))
+    rescored = harness.evaluate_bundle(tmp_path, config.execution())
     assert rescored["metrics"] == manifest["shot_eval"]["mitigated"]
-    raw = harness.evaluate_bundle(tmp_path, harness.bundle_execution(config, "shots", mitigate=False))
+    raw = harness.evaluate_bundle(tmp_path, replace(config, mitigate=False).execution())
     assert raw["metrics"] == manifest["shot_eval"]["raw"]
     noiseless = harness.evaluate_bundle(
-        tmp_path, harness.bundle_execution(config, "shots", noise=NoiseSpec())
+        tmp_path, replace(config, readout_01=0.0, readout_10=0.0).execution()
     )
     assert noiseless["metrics"] != rescored["metrics"]
 
@@ -928,14 +942,73 @@ def test_cli_shot_stream_uses_the_bundle_sampling_seed(nslkdd_dir, tmp_path, cap
     assert stream("--sampling-seed", "0") != evaluated
 
 
-def test_cli_shot_evaluate_keeps_the_bundle_shots(nslkdd_dir, tmp_path, capsys):
-    work = str(tmp_path / "cli-bundle-shots")
-    shots = ["--backend", "shots", "--shots", "64", "--readout01", "0.2", "--readout10", "0.1", "--mitigate"]
-    assert main(["train-vqc", "--workdir", work, *_cli_common(nslkdd_dir), "--vqc-reps", "1", *shots]) == 0
+@pytest.fixture(scope="module")
+def cli_readout_vqc_bundle(nslkdd_dir, tmp_path_factory):
+    """A VQC bundle trained through the CLI with shots, readout error and mitigation."""
+    work = tmp_path_factory.mktemp("cli-readout-vqc")
+    shots = [
+        "--backend", "shots", "--shots", "64", "--readout01", "0.2", "--readout10", "0.1", "--mitigate"
+    ]
+    train = ["train-vqc", "--workdir", str(work), *_cli_common(nslkdd_dir), "--vqc-reps", "1", *shots]
+    assert main(train) == 0
+    return work
+
+
+def test_cli_shot_evaluate_keeps_the_bundle_shots(cli_readout_vqc_bundle, capsys):
+    work = cli_readout_vqc_bundle
     capsys.readouterr()
-    manifest = persist.load_json(tmp_path / "cli-bundle-shots" / "manifest.json")
-    assert main(["evaluate", "--workdir", work, "--backend", "shots"]) == 0
+    manifest = persist.load_json(work / "manifest.json")
+    assert main(["evaluate", "--workdir", str(work), "--backend", "shots"]) == 0
     assert json.loads(capsys.readouterr().out) == manifest["shot_eval"]["mitigated"]
+
+
+@pytest.mark.parametrize(
+    "flags,fields,noise",
+    [
+        (["--depol1", "0.01"], {"depol_1q": 0.01}, NoiseSpec(0.01, 0.0, 0.2, 0.1)),
+        (
+            ["--readout01", "0", "--readout10", "0"],
+            {"readout_01": 0.0, "readout_10": 0.0},
+            NoiseSpec(),
+        ),
+    ],
+    ids=["depol1 keeps the readout error", "zero readout flags give noiseless shots"],
+)
+def test_cli_noise_flags_replace_only_their_own_fields(
+    cli_readout_vqc_bundle, capsys, flags, fields, noise
+):
+    work = cli_readout_vqc_bundle
+    evaluate = ["evaluate", "--workdir", str(work), "--backend", "shots", *flags]
+    config = harness.load_bundle(work).config
+    execution = cli._bundle_execution(cli.build_parser().parse_args(evaluate))
+    assert execution.noise == noise
+    assert execution == replace(config, backend="shots", **fields).execution()
+    capsys.readouterr()
+    assert main(evaluate) == 0
+    assert json.loads(capsys.readouterr().out) == harness.evaluate_bundle(work, execution)["metrics"]
+
+
+def test_stream_eval_passes_only_the_flags_given(qsvm_bundle, monkeypatch, capsys, tmp_path):
+    # evaluate_streaming owns the defaults of --subset-size and --reference-limit
+    _, d, _ = qsvm_bundle
+    calls, real = [], harness.evaluate_streaming
+
+    def spy(workdir, **kwargs):
+        calls.append(set(kwargs))
+        return real(workdir, **kwargs)
+
+    monkeypatch.setattr(harness, "evaluate_streaming", spy)
+    stream = ["stream-eval", "--workdir", str(d), "--audit", str(tmp_path / "audit.csv")]
+    assert main(stream) == 0
+    assert main([*stream, "--subset-size", "20", "--reference-limit", "8"]) == 0
+    assert main([*stream, "--full-test"]) == 0
+    assert calls == [
+        {"execution", "audit_path"},
+        {"execution", "audit_path", "subset_size", "reference_limit"},
+        {"execution", "audit_path", "subset"},
+    ]
+    out = capsys.readouterr().out
+    assert "audit lines: 100" in out and "audit lines: 20" in out
 
 
 def test_cli_stage_commands_share_a_workdir(nslkdd_dir, tmp_path, capsys):

@@ -47,7 +47,7 @@ def bell_state():
     return apply_circuit(zero_state(2), prog)
 
 
-def sampled(probs, shots, seed, noise=None, mitigated=False):
+def sampled(probs, shots, seed, noise=NoiseSpec(), mitigated=False):
     """Frequencies of every outcome of one distribution, from the one sampler."""
     p = np.asarray(probs, dtype=float)
     return shot_estimates(p[None], np.eye(p.size), shots, [seed], noise, mitigated)[0]

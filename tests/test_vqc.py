@@ -43,6 +43,7 @@ from qthreat.vqc import (
     load_vqc,
     parameter_shift_grad,
     save_vqc,
+    shot_logits,
     train_vqc,
 )
 
@@ -222,14 +223,16 @@ def test_shot_logits_do_not_depend_on_block_or_stack(monkeypatch):
     rows = np.random.default_rng(31).uniform(-np.pi, np.pi, (7, 3))
     noise = NoiseSpec(depol_1q=1e-3, depol_2q=1e-2, readout_flip_01=0.02, readout_flip_10=0.04)
     ex = Execution("shots", 256, noise, mitigate=True, seed=11)
-    whole = decision_logits(rows, model, ex)
+    seeds = np.random.SeedSequence(11).generate_state(7)
+    whole = shot_logits(rows, model, ex, seeds)
     for block in (1, 3, 64):
         monkeypatch.setattr(vqc, "SHOT_BLOCK", block)
-        np.testing.assert_array_equal(decision_logits(rows, model, ex), whole)
+        np.testing.assert_array_equal(shot_logits(rows, model, ex, seeds), whole)
     # a prefix keeps its rows' seeds, so it keeps their logits
-    np.testing.assert_array_equal(decision_logits(rows[:4], model, ex), whole[:4])
+    prefix = np.random.SeedSequence(11).generate_state(4)
+    np.testing.assert_array_equal(shot_logits(rows[:4], model, ex, prefix), whole[:4])
     # one row scored alone with the seed it had in the stack
-    seed = int(np.random.SeedSequence(11).generate_state(7)[5])
+    seed = int(seeds[5])
     assert forward_logit(AngleVector(rows[5]), model, replace(ex, seed=seed)) == whole[5]
 
 
@@ -561,6 +564,7 @@ def test_fine_tune_updates_encoder_and_helps():
     scaler = fit_scaler(e)
     sched = TrainSchedule(epochs=10, batch_size=16, learning_rate=0.05,
                           weight_decay=0.0, patience=10)
+    before = enc.copy_params()
     frozen = train_vqc(VqcSpec(2, 1), sched, (x[:32], y[:32]), (x[32:], y[32:]),
                        seed=2, encoder_model=enc, scaler=scaler)
     tuned = train_vqc(VqcSpec(2, 1), sched, (x[:32], y[:32]), (x[32:], y[32:]),
@@ -570,6 +574,10 @@ def test_fine_tune_updates_encoder_and_helps():
     )
     assert changed
     assert tuned.history["best_val_loss"] <= frozen.history["best_val_loss"] + 1e-9
+    # a frozen encoder is used as given; fine-tuning works on a copy
+    assert frozen.encoder is enc and tuned.encoder is not enc
+    for k, v in before.items():
+        np.testing.assert_array_equal(enc.params[k], v)
 
 
 # ----------------------------------------------------------- persistence
