@@ -490,8 +490,8 @@ def _scorer(model: _Model, split, execution: vqc.Execution, reference_limit=REFE
 
 def _stage_gram(config: ExperimentConfig, root: Path, stages: Dict[str, str], split, encoded):
     """A callable that gives the centred train GramBundle: the one just
-    built, or, when the stage resumes, a read of gram/ on the call, which
-    only a rebuilt svm stage makes."""
+    built, or, when the stage resumes, a rebuild from the train angles
+    stored in gram/ on the call, which only a rebuilt svm stage makes."""
     fspec = config.feature_spec()
 
     def build(d):

@@ -295,6 +295,57 @@ def test_resumed_qsvm_does_not_read_the_train_gram(qsvm_bundle, tmp_path, monkey
     assert rerun["metrics"] == manifest["metrics"]
 
 
+def test_qsvm_bundle_stores_the_train_angles_not_the_gram(qsvm_bundle, monkeypatch):
+    config, d, manifest = qsvm_bundle
+    header = json.loads((d / "gram" / "gram.json").read_text())
+    n = header["n_train"]
+    assert header["layout"] == "angles"
+    assert (d / "gram" / "train.f64").stat().st_size == n * config.qubits * 8
+    # an exact rescore hashes the whole bundle in fewer bytes than an n x n Gram
+    hashed = _count_hashed_bytes(monkeypatch)
+    harness.evaluate_bundle(d)
+    assert hashed[0] == _manifest_bytes(d, manifest) < n * n * 8
+
+
+def test_svm_rebuild_over_a_resumed_gram_matches_a_fresh_run(qsvm_bundle, tmp_path, monkeypatch):
+    config, d, manifest = qsvm_bundle
+    copy = tmp_path / "copy"
+    shutil.copytree(d, copy)
+    stamp = (copy / "gram" / "train.f64").stat().st_mtime_ns
+    loads = []
+    load = featuremap.load_gram_bundle
+    monkeypatch.setattr(featuremap, "load_gram_bundle", lambda path: loads.append(path) or load(path))
+    tweaked = replace(config, c_grid=(0.5, 5.0))
+    rerun = harness.run_experiment(tweaked, copy)
+    # the gram stage resumed and the svm stage rebuilt the Gram from its angles
+    assert rerun["stages"]["gram"] == manifest["stages"]["gram"]
+    assert rerun["stages"]["svm"] != manifest["stages"]["svm"]
+    assert loads == [copy / "gram"]
+    assert (copy / "gram" / "train.f64").stat().st_mtime_ns == stamp
+    fresh = harness.run_experiment(tweaked, tmp_path / "fresh")
+    svm_json = [(w / "svm" / "svm.json").read_bytes() for w in (copy, tmp_path / "fresh")]
+    assert svm_json[0] == svm_json[1]
+    assert rerun["metrics"] == fresh["metrics"]
+    assert rerun == fresh
+
+
+def test_svm_rebuild_over_a_dense_gram_asks_for_a_fresh_workdir(qsvm_bundle, tmp_path):
+    config, d, _ = qsvm_bundle
+    copy = tmp_path / "copy"
+    shutil.copytree(d, copy)
+    # rewrite gram/ in the dense layout: the n x n centred Gram, no layout entry
+    gram = featuremap.load_gram_bundle(copy / "gram")
+    header = json.loads((copy / "gram" / "gram.json").read_text())
+    del header["layout"]
+    header["train"] = {
+        "shape": list(gram.train_gram.shape),
+        "sha256": persist.save_array_f64(copy / "gram" / "train.f64", gram.train_gram),
+    }
+    persist.save_json(copy / "gram" / "gram.json", header)
+    with pytest.raises(PipelineError, match=r"gram\.json describes a dense train Gram.*fresh workdir"):
+        harness.run_experiment(replace(config, c_grid=(0.5, 5.0)), copy)
+
+
 def test_identical_configs_give_bit_identical_manifests(make_config, tmp_path):
     config = make_config(epochs=2, max_train=160)
     harness.run_experiment(config, tmp_path / "a")
