@@ -1,10 +1,10 @@
 """Command-line front end for the experiment pipelines.
 
 Subcommands map onto pipeline stages (preprocess, train-encoder,
-build-kernel, train-qsvm, train-vqc), bundle evaluation (evaluate,
-stream-eval), and the experiment matrix (matrix, report). Stage commands
-share a bundle workdir; finished stages are skipped by content key, so
-running train-qsvm after preprocess reuses the stored split.
+train-qsvm, train-vqc), bundle evaluation (evaluate, stream-eval), and the
+experiment matrix (matrix, report). Stage commands share a bundle workdir;
+finished stages are skipped by content key, so running train-qsvm after
+preprocess reuses the stored split.
 """
 from __future__ import annotations
 
@@ -132,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     _pipeline_parser(sub, "preprocess", "parse, split, and vectorize a dataset")
     _pipeline_parser(sub, "train-encoder", "train the MLP encoder on a prepared split")
-    _pipeline_parser(sub, "build-kernel", "build and center the fidelity-kernel Gram")
     _pipeline_parser(sub, "train-qsvm", "run the full kernel-SVM pipeline")
     _pipeline_parser(sub, "train-vqc", "run the full variational-classifier pipeline")
 
@@ -176,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
 _STAGE_COMMANDS = {
     "preprocess": ("qsvm", "preprocess"),
     "train-encoder": ("qsvm", "encoder"),
-    "build-kernel": ("qsvm", "gram"),
     "train-qsvm": ("qsvm", None),
     "train-vqc": ("vqc", None),
 }

@@ -17,12 +17,11 @@ readout error folded in), and k(a, b) is the sampled frequency of |0...0>.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import batched, persist
+from . import batched
 from .qsim import (
     CircuitProgram,
     GateOp,
@@ -189,10 +188,7 @@ def fidelity_kernel_shots(
 
 @dataclass(frozen=True)
 class GramBundle:
-    """A train Gram, uncentred or centred with its centring stats, and the
-    (n, q) train angle rows `build_gram` made it from (None for a Gram given
-    directly): those rows, not the n x n Gram, are what save_gram_bundle
-    stores."""
+    """A train Gram, uncentred or centred with its centring stats."""
 
     train_gram: np.ndarray
     # Out-of-sample rows are scored through the QSVM observable
@@ -202,7 +198,6 @@ class GramBundle:
     centering_row_means: Optional[np.ndarray] = None
     centering_grand_mean: Optional[float] = None
     centered: bool = False
-    train_angles: Optional[np.ndarray] = None
 
     def __post_init__(self):
         k = np.asarray(self.train_gram, dtype=float)
@@ -295,7 +290,7 @@ def build_gram(
     for start, stop in zip(cuts, cuts[1:]):
         k[start:stop] = gram_from_states(states[start:stop], states)
     np.clip(_symmetrize(k), 0.0, 1.0, out=k)
-    return GramBundle(k, train_angles=angles)
+    return GramBundle(k)
 
 
 def center_gram(bundle: GramBundle, out: Optional[np.ndarray] = None) -> GramBundle:
@@ -328,75 +323,4 @@ def center_gram(bundle: GramBundle, out: Optional[np.ndarray] = None) -> GramBun
         centering_row_means=col_means,
         centering_grand_mean=grand,
         centered=True,
-        train_angles=bundle.train_angles,
     )
-
-
-# ------------------------------------------------------------- persistence
-
-
-def save_gram_bundle(bundle: GramBundle, directory, spec: FeatureMapSpec) -> dict:
-    """Write what the Gram is made of: train.f64 holds the n x q train angle
-    rows (not the n x n Gram), and gram.json the spec, `"layout": "angles"`
-    and, for a centred bundle, the centring stats that scoring reads."""
-    if bundle.train_angles is None:
-        raise ValueError("a GramBundle without train_angles cannot be saved or rebuilt")
-    d = persist.ensure_dir(directory)
-    sha = persist.save_array_f64(d / "train.f64", bundle.train_angles)
-    header = {
-        "n_train": bundle.n_train,
-        "centered": bundle.centered,
-        "layout": "angles",
-        "train": {"shape": list(bundle.train_angles.shape), "sha256": sha},
-        "spec": spec.as_dict(),
-    }
-    if bundle.centered:
-        header["centering"] = {
-            "row_means": [float(x) for x in bundle.centering_row_means],
-            "grand_mean": bundle.centering_grand_mean,
-        }
-    persist.save_json(d / "gram.json", header)
-    return header
-
-
-def load_centering_means(directory, unverified=None) -> np.ndarray:
-    """The centred train Gram's column means from gram.json, without
-    reading the Gram itself."""
-    header = persist.load_json(Path(directory) / "gram.json", unverified)
-    return np.array(header["centering"]["row_means"])
-
-
-def load_gram_bundle(directory) -> GramBundle:
-    """Rebuild a saved bundle: read the train angles (hash-checked), then
-    build_gram and, for a centred bundle, center_gram in place, under the
-    spec in gram.json. On the machine that saved it the Gram has the saved
-    bundle's bits; elsewhere it is the host BLAS's. The rebuilt centring
-    stats must match gram.json's within 1e-12, so a feature map changed
-    under the same stage key raises ValueError instead of loading a
-    different Gram."""
-    d = Path(directory)
-    header = persist.load_json(d / "gram.json")
-    if header.get("layout") != "angles":
-        raise ValueError(
-            f"{d / 'gram.json'} describes a dense train Gram, which is no longer read; "
-            "rerun the experiment in a fresh workdir"
-        )
-    meta = header["train"]
-    angles = persist.load_verified_f64(d / "train.f64", tuple(meta["shape"]), meta["sha256"])
-    bundle = build_gram(
-        [AngleVector(a) for a in angles], FeatureMapSpec(**header["spec"]), max_train=len(angles)
-    )
-    if not header["centered"]:
-        return bundle
-    bundle = center_gram(bundle, out=bundle.train_gram)
-    stats = header["centering"]
-    gap = max(
-        np.max(np.abs(bundle.centering_row_means - np.array(stats["row_means"]))),
-        abs(bundle.centering_grand_mean - stats["grand_mean"]),
-    )
-    if not gap <= 1e-12:
-        raise ValueError(
-            f"the Gram rebuilt from {d / 'train.f64'} differs from gram.json's centring "
-            f"stats by {gap:.3g} > 1e-12; rerun the experiment in a fresh workdir"
-        )
-    return bundle

@@ -50,7 +50,7 @@ REFERENCE_LIMIT = 64
 STREAM_BATCH = 32
 
 # the stages run_experiment(through=...) can stop after, in dependency order
-EARLY_STOPS = ("preprocess", "encoder", "gram")
+EARLY_STOPS = ("preprocess", "encoder")
 
 
 class PipelineError(RuntimeError):
@@ -158,8 +158,8 @@ class ExperimentConfig:
         if self.dataset == "lingspam" and not self.corpus_path:
             raise ValueError("lingspam needs corpus_path")
         # the specs own the ranges of qubits, reps, reupload, entanglement,
-        # convention and noise, for every model
-        self.feature_spec(), self.vqc_spec(), self.noise()
+        # convention, noise, folds, C and beta, for every model
+        self.feature_spec(), self.vqc_spec(), self.noise(), self.cv_plan()
         if self.qubits > self.embed_dim:
             raise ValueError(
                 f"qubits {self.qubits} exceeds embed_dim {self.embed_dim}"
@@ -172,8 +172,6 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must lie in (0, 1)")
         if self.max_train < 1:
             raise ValueError("max_train must be >= 1")
-        if self.cv_folds < 2:
-            raise ValueError("cv_folds must be >= 2")
 
     def as_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -206,6 +204,9 @@ class ExperimentConfig:
 
     def vqc_spec(self) -> vqc.VqcSpec:
         return vqc.VqcSpec(self.qubits, self.reupload, self.second_order_coeff)
+
+    def cv_plan(self) -> qsvm.CvPlan:
+        return qsvm.CvPlan(self.cv_folds, self.c_grid, self.beta, self.seeds.data)
 
     def encoder_config(self, input_dim: int) -> EncoderConfig:
         return EncoderConfig(
@@ -392,9 +393,9 @@ class _Model:
 def _load_model(config: ExperimentConfig, root: Path, unverified=None) -> _Model:
     """A bundle's model files, each read once and, when `unverified` holds it,
     hash-checked on that read: encoder/ (vqc/encoder, saved with the same
-    scaler, for a fine-tuned VQC), then svm/svm.json and the centring means
-    in gram/gram.json, vqc/, or baseline/baseline.json. The threshold is the
-    one the model stage saved."""
+    scaler, for a fine-tuned VQC), then svm/svm.json (which holds the
+    centring means too), vqc/, or baseline/baseline.json. The threshold is
+    the one the model stage saved."""
     if config.model == "vqc":
         enc_dir = root / "vqc" / "encoder" if config.fine_tune else root / "encoder"
         circuit, extra = vqc.load_checkpoint(root / "vqc", unverified)
@@ -404,11 +405,9 @@ def _load_model(config: ExperimentConfig, root: Path, unverified=None) -> _Model
         )
     enc_model, scaler = load_encoder(root / "encoder", unverified)
     if config.model == "qsvm":
-        svm = qsvm.load_svm(root / "svm" / "svm.json", unverified)
+        svm, row_means = qsvm.load_svm(root / "svm" / "svm.json", unverified)
         return _Model(
-            config, enc_model, scaler, svm=svm,
-            row_means=featuremap.load_centering_means(root / "gram", unverified),
-            threshold=svm.threshold,
+            config, enc_model, scaler, svm=svm, row_means=row_means, threshold=svm.threshold
         )
     threshold = persist.load_json(root / "baseline" / "baseline.json", unverified)["threshold"]
     return _Model(config, enc_model, scaler, threshold=float(threshold))
@@ -488,32 +487,14 @@ def _scorer(model: _Model, split, execution: vqc.Execution, reference_limit=REFE
     return score, refs
 
 
-def _stage_gram(config: ExperimentConfig, root: Path, stages: Dict[str, str], split, encoded):
-    """A callable that gives the centred train GramBundle: the one just
-    built, or, when the stage resumes, a rebuild from the train angles
-    stored in gram/ on the call, which only a rebuilt svm stage makes."""
+def _stage_svm(config: ExperimentConfig, root: Path, stages: Dict[str, str], split, encoded):
+    """The QSVM train stage: the train angles, their fidelity Gram centred in
+    place (the stage holds one n x n array from here to the final fit), C
+    by cross-validation, the dual fit and its threshold. svm.json stores
+    the fit and the centring means; the Gram is not stored."""
     fspec = config.feature_spec()
-
-    def build(d):
-        train_angles = _angles(config, *encoded, split.x_train)
-        bundle = featuremap.build_gram(
-            [AngleVector(r) for r in train_angles], fspec, max_train=config.max_train
-        )
-        # in place: the stage holds one n x n array from here to the svm fit
-        bundle = featuremap.center_gram(bundle, out=bundle.train_gram)
-        featuremap.save_gram_bundle(bundle, d, fspec)
-        return lambda: bundle
-
-    return _stage(
-        root, stages, "gram", fspec.as_dict(), [stages["encoder"]], build,
-        lambda d: lambda: featuremap.load_gram_bundle(d),
-    )
-
-
-def _stage_svm(
-    config: ExperimentConfig, root: Path, stages: Dict[str, str], split, encoded, gram
-):
     slice_ = {
+        "feature_map": fspec.as_dict(),
         "c_grid": list(config.c_grid),
         "cv_folds": config.cv_folds,
         "beta": config.beta,
@@ -522,22 +503,26 @@ def _stage_svm(
     }
 
     def build(d):
-        bundle = gram()
-        plan = qsvm.CvPlan(
-            folds=config.cv_folds, c_grid=config.c_grid, beta=config.beta, seed=config.seeds.data
+        train_angles = _angles(config, *encoded, split.x_train)
+        bundle = featuremap.build_gram(
+            [AngleVector(r) for r in train_angles], fspec, max_train=config.max_train
         )
-        best_c, cv_table = qsvm.select_c(bundle.train_gram, split.y_train, plan)
+        bundle = featuremap.center_gram(bundle, out=bundle.train_gram)
+        best_c, cv_table = qsvm.select_c(bundle.train_gram, split.y_train, config.cv_plan())
         svm = qsvm.solve_dual(
             bundle.train_gram, split.y_train, best_c, class_weights=split.class_weights
         )
         model = _with_threshold(
             _Model(config, *encoded, svm=svm, row_means=bundle.centering_row_means), split
         )
-        qsvm.save_svm(model.svm, d / "svm.json", cv_table=cv_table, extra={"best_c": best_c})
+        qsvm.save_svm(
+            model.svm, d / "svm.json", model.row_means, cv_table=cv_table,
+            extra={"best_c": best_c},
+        )
         return model
 
     return _stage(
-        root, stages, "svm", slice_, [stages["gram"]], build, lambda d: _load_model(config, root)
+        root, stages, "svm", slice_, [stages["encoder"]], build, lambda d: _load_model(config, root)
     )
 
 
@@ -676,12 +661,7 @@ def run_experiment(config: ExperimentConfig, workdir, through: Optional[str] = N
             return _finish(manifest, mpath, root, stages, complete=False)
 
         if config.model == "qsvm":
-            gram = run_stage("gram", _stage_gram, split, encoded)
-        if through == "gram":
-            return _finish(manifest, mpath, root, stages, complete=False)
-
-        if config.model == "qsvm":
-            model = run_stage("svm", _stage_svm, split, encoded, gram)
+            model = run_stage("svm", _stage_svm, split, encoded)
         elif config.model == "vqc":
             model = run_stage("vqc", _stage_vqc, split, encoded)
         else:

@@ -126,23 +126,14 @@ def auprc(labels, scores) -> float:
         raise ValueError("AUPRC needs at least one positive")
     order = np.argsort(-s, kind="stable")
     s_sorted = s[order]
-    y_sorted = y[order]
-    area = 0.0
-    tp = 0
-    seen = 0
-    i = 0
-    n = y.size
-    while i < n:
-        j = i
-        while j < n and s_sorted[j] == s_sorted[i]:
-            j += 1
-        gained = int(y_sorted[i:j].sum())
-        tp += gained
-        seen = j
-        if gained:
-            precision = tp / seen
-            area += (gained / n_pos) * precision
-        i = j
+    # one term per group of tied scores that gains a positive: its recall step
+    # times its precision, from integer counts; cumsum adds the terms left to
+    # right (np.sum would add them pairwise, with other bits)
+    seen = np.r_[np.flatnonzero(s_sorted[1:] != s_sorted[:-1]) + 1, s.size]
+    tp = np.cumsum(y[order])[seen - 1]
+    gained = np.diff(tp, prepend=0)
+    keep = gained > 0
+    area = float(np.cumsum((gained[keep] / n_pos) * (tp[keep] / seen[keep]))[-1])
     # the exact value is <= 1; summation drift can land a hair above
     return min(1.0, area)
 

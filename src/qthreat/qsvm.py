@@ -9,6 +9,7 @@ through out-of-sample Gram rows.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -64,8 +65,17 @@ class CvPlan:
             raise ValueError("folds must be >= 2")
         if not self.c_grid:
             raise ValueError("C grid must be nonempty")
+        for c in self.c_grid:
+            _check_c(c)
         if self.beta <= 0:
             raise ValueError("beta must be positive")
+
+
+def _check_c(c: float):
+    """A C of zero or less, inf or NaN boxes no dual coefficient usefully:
+    the fit ends with no support vectors and every row scores the same."""
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"C must be finite and > 0, got {c!r}")
 
 
 def solve_dual(
@@ -81,6 +91,7 @@ def solve_dual(
     Box is per-sample: 0 <= a_i <= C * w_{y_i}. Deterministic: ties in pair
     selection resolve to the lowest index, and there is no randomness.
     """
+    _check_c(c)
     y01 = np.asarray(labels, dtype=int).reshape(-1)
     return _smo(_checked_gram(gram, y01.size), None, y01, c, class_weights, tol, max_iter)
 
@@ -311,7 +322,15 @@ def select_c(gram: np.ndarray, labels: np.ndarray, plan: CvPlan) -> Tuple[float,
 # ------------------------------------------------------------- persistence
 
 
-def save_svm(model: SvmModel, path, cv_table: Optional[list] = None, extra: Optional[dict] = None) -> dict:
+def save_svm(
+    model: SvmModel,
+    path,
+    row_means: np.ndarray,
+    cv_table: Optional[list] = None,
+    extra: Optional[dict] = None,
+) -> dict:
+    """Write the model and the n centring column means of the train Gram it
+    was fitted on, which `observable_scorer` and the shot scorer read."""
     header = {
         "support": [int(i) for i in model.support],
         "coef": [float(v) for v in model.coef],
@@ -321,6 +340,7 @@ def save_svm(model: SvmModel, path, cv_table: Optional[list] = None, extra: Opti
         "n_train": model.n_train,
         "sign": model.sign,
         "threshold": model.threshold,
+        "row_means": [float(x) for x in row_means],
         "cv_table": cv_table,
         "extra": extra or {},
     }
@@ -328,7 +348,8 @@ def save_svm(model: SvmModel, path, cv_table: Optional[list] = None, extra: Opti
     return header
 
 
-def load_svm(path, unverified=None) -> SvmModel:
+def load_svm(path, unverified=None) -> Tuple[SvmModel, np.ndarray]:
+    """(model, row_means) from one read of the file save_svm wrote."""
     h = persist.load_json(path, unverified)
     return SvmModel(
         support=np.array(h["support"], dtype=int),
@@ -339,4 +360,4 @@ def load_svm(path, unverified=None) -> SvmModel:
         n_train=h["n_train"],
         sign=h["sign"],
         threshold=h["threshold"],
-    )
+    ), np.array(h["row_means"])

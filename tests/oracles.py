@@ -173,6 +173,31 @@ def tune_threshold_loop(scores, labels, beta=2.0):
     return best_t
 
 
+def auprc_loop(labels, scores):
+    """Average precision walking the descending scores one tie group at a
+    time, adding (recall step) * precision per group that gains a positive."""
+    y = np.asarray(labels, dtype=int).reshape(-1)
+    s = np.asarray(scores, dtype=float).reshape(-1)
+    n_pos = int(y.sum())
+    order = np.argsort(-s, kind="stable")
+    s_sorted = s[order]
+    y_sorted = y[order]
+    area = 0.0
+    tp = 0
+    i = 0
+    n = y.size
+    while i < n:
+        j = i
+        while j < n and s_sorted[j] == s_sorted[i]:
+            j += 1
+        gained = int(y_sorted[i:j].sum())
+        tp += gained
+        if gained:
+            area += (gained / n_pos) * (tp / j)
+        i = j
+    return min(1.0, area)
+
+
 def stratified_limit(y, limit, seed):
     """The preprocess carve of the training rows down to `limit`."""
     y = np.asarray(y, dtype=int)

@@ -545,7 +545,6 @@ def test_criterion_09_determinism_and_leakage(nslkdd_dir, tmp_path):
         "preprocess/x_train.f64",
         "encoder/encoder.f64",
         "encoder/encoder.json",
-        "gram/train.f64",
         "svm/svm.json",
     ]
     fitted_stable = all(m_a["files"][f] == m_swap["files"][f] for f in fitted)

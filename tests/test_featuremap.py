@@ -1,8 +1,5 @@
-import json
 import math
-import tempfile
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,10 +22,7 @@ from qthreat.featuremap import (
     fidelity_kernel_shots,
     gram_from_states,
     kernel_shot_estimates,
-    load_centering_means,
-    load_gram_bundle,
     max_asymmetry,
-    save_gram_bundle,
 )
 from qthreat.qsim import CircuitProgram, GateOp, NoiseSpec, apply_circuit, zero_state
 
@@ -582,68 +576,3 @@ def test_center_row_rejects_bad_length():
         center_test_row(
             np.zeros(5), centered.centering_row_means, centered.centering_grand_mean
         )
-
-
-# ------------------------------------------------------------- persistence
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    n=st.integers(1, 64),
-    q=st.integers(2, MAX_QUBITS),
-    reps=st.integers(1, 3),
-    entanglement=st.sampled_from(featuremap.ENTANGLEMENTS),
-    convention=st.sampled_from(featuremap.CONVENTIONS),
-    centred=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_gram_roundtrip_bit_exact(n, q, reps, entanglement, convention, centred, seed):
-    spec = FeatureMapSpec(q, reps=reps, entanglement=entanglement, second_order_coeff=convention)
-    angles = np.random.default_rng(seed).uniform(-math.pi, math.pi, size=(n, q))
-    bundle = build_gram([AngleVector(a) for a in angles], spec)
-    if centred:
-        bundle = center_gram(bundle, out=bundle.train_gram)
-    with tempfile.TemporaryDirectory() as tmp:
-        d = Path(tmp)
-        save_gram_bundle(bundle, d, spec=spec)
-        assert sorted(p.name for p in d.iterdir()) == ["gram.json", "train.f64"]
-        # the n x q angle rows are stored, not the n x n Gram
-        assert (d / "train.f64").stat().st_size == n * q * 8
-        loaded = load_gram_bundle(d)
-        if centred:
-            assert np.array_equal(load_centering_means(d), bundle.centering_row_means)
-    assert np.array_equal(loaded.train_gram, bundle.train_gram)
-    assert np.array_equal(loaded.train_angles, angles)
-    assert loaded.val_block is None and loaded.test_block is None
-    assert loaded.centered == centred
-    if centred:
-        assert np.array_equal(loaded.centering_row_means, bundle.centering_row_means)
-        assert loaded.centering_grand_mean == bundle.centering_grand_mean
-    else:
-        assert loaded.centering_row_means is None and loaded.centering_grand_mean is None
-
-
-@pytest.mark.parametrize(
-    "edit",
-    [lambda h: h["spec"].update(reps=2),
-     lambda h: h["centering"]["row_means"].__setitem__(0, h["centering"]["row_means"][0] + 1e-9),
-     lambda h: h["centering"].update(grand_mean=h["centering"]["grand_mean"] + 1e-9)],
-    ids=["spec-reps", "row-mean", "grand-mean"],
-)
-def test_load_rejects_a_rebuild_that_misses_the_stored_centring(tmp_path, edit):
-    rng = np.random.default_rng(14)
-    bundle = center_gram(build_gram([random_angles(rng, 2) for _ in range(5)], SPEC2))
-    save_gram_bundle(bundle, tmp_path, spec=SPEC2)
-    load_gram_bundle(tmp_path)
-    # a changed feature map under the same header rebuilds another Gram
-    header = json.loads((tmp_path / "gram.json").read_text())
-    edit(header)
-    (tmp_path / "gram.json").write_text(json.dumps(header))
-    with pytest.raises(ValueError, match="centring stats by .* > 1e-12"):
-        load_gram_bundle(tmp_path)
-
-
-def test_save_rejects_a_bundle_without_angles(tmp_path):
-    with pytest.raises(ValueError, match="train_angles"):
-        save_gram_bundle(center_gram(GramBundle(np.eye(3))), tmp_path, spec=SPEC2)
-    assert not (tmp_path / "train.f64").exists()

@@ -165,7 +165,7 @@ def test_config_sha_tracks_content(make_config):
 def test_qsvm_pipeline_completes(qsvm_bundle):
     config, d, manifest = qsvm_bundle
     assert manifest["status"] == "complete"
-    assert set(manifest["stages"]) == {"preprocess", "encoder", "gram", "svm"}
+    assert set(manifest["stages"]) == {"preprocess", "encoder", "svm"}
     m = manifest["metrics"]
     for key in ("accuracy", "macro_f1", "f_beta", "auroc", "auprc", "confusion"):
         assert key in m
@@ -175,24 +175,27 @@ def test_qsvm_pipeline_completes(qsvm_bundle):
     # every recorded file hash verifies
     bundle = harness.load_bundle(d)
     assert bundle.complete and bundle.config == config
-    # no out-of-sample Gram blocks: val and test rows go through the observable
-    assert sorted(p.name for p in (d / "gram").iterdir()) == ["gram.json", "stage.json", "train.f64"]
+    # no Gram is stored: val and test rows go through the observable
+    assert not (d / "gram").exists()
+    assert sorted(p.name for p in (d / "svm").iterdir()) == ["stage.json", "svm.json"]
 
 
 def test_threshold_comes_from_validation(qsvm_bundle):
     config, d, manifest = qsvm_bundle
     split = datapipe.load_split(d / "preprocess")
-    gram = featuremap.load_gram_bundle(d / "gram")
-    svm = qsvm.load_svm(d / "svm" / "svm.json")
+    svm, row_means = qsvm.load_svm(d / "svm" / "svm.json")
     enc_model, scaler = load_encoder(d / "encoder")
 
     def angles(x):
         return vqc.angles_from_features(x, enc_model, scaler, config.qubits)
 
     spec = config.feature_spec()
-    score = qsvm.observable_scorer(
-        svm, angles(split.x_train[svm.support]), gram.centering_row_means, spec
-    )
+    # svm.json holds the centring means of the train Gram the fit was made on
+    gram = featuremap.center_gram(featuremap.build_gram(
+        [featuremap.AngleVector(a) for a in angles(split.x_train)], spec
+    ))
+    assert np.array_equal(row_means, gram.centering_row_means)
+    score = qsvm.observable_scorer(svm, angles(split.x_train[svm.support]), row_means, spec)
     val_scores = score(angles(split.x_val))
     assert qsvm.tune_threshold(val_scores, split.y_val, 2.0) == manifest["threshold"]
     assert svm.threshold == manifest["threshold"]
@@ -206,21 +209,22 @@ def test_threshold_comes_from_validation(qsvm_bundle):
 
 def test_rerun_is_memoized_and_stages_resume(qsvm_bundle, make_config, tmp_path):
     config, d, manifest = qsvm_bundle
-    gram_file = d / "gram" / "train.f64"
-    stamp = gram_file.stat().st_mtime_ns
+    svm_file = d / "svm" / "svm.json"
+    stamp = svm_file.stat().st_mtime_ns
     again = harness.run_experiment(config, d)
     assert again == manifest
-    assert gram_file.stat().st_mtime_ns == stamp
+    assert svm_file.stat().st_mtime_ns == stamp
 
-    # a downstream-only config change keeps the upstream stages on disk
-    copy = tmp_path / "tweak"
-    shutil.copytree(d, copy)
-    copy_stamp = (copy / "gram" / "train.f64").stat().st_mtime_ns
-    tweaked = make_config(c_grid=(0.5, 5.0))
-    redo = harness.run_experiment(tweaked, copy)
-    assert (copy / "gram" / "train.f64").stat().st_mtime_ns == copy_stamp
-    assert redo["stages"]["gram"] == manifest["stages"]["gram"]
-    assert redo["stages"]["svm"] != manifest["stages"]["svm"]
+    # a CV or feature-map change keeps the upstream stages on disk and
+    # rebuilds the svm stage
+    for field, value in (("c_grid", (0.5, 5.0)), ("reps", 2)):
+        copy = tmp_path / field
+        shutil.copytree(d, copy)
+        copy_stamp = (copy / "encoder" / "encoder.f64").stat().st_mtime_ns
+        redo = harness.run_experiment(make_config(**{field: value}), copy)
+        assert (copy / "encoder" / "encoder.f64").stat().st_mtime_ns == copy_stamp
+        assert redo["stages"]["encoder"] == manifest["stages"]["encoder"]
+        assert redo["stages"]["svm"] != manifest["stages"]["svm"]
 
 
 def test_failed_rebuild_leaves_no_stale_marker(make_config, tmp_path, monkeypatch):
@@ -280,70 +284,82 @@ def test_rerun_as_another_model_lists_the_files_of_a_fresh_run(make_config, tmp_
     assert not (tmp_path / "rerun" / "vqc" / "encoder").exists()
 
 
+def _count_gram_builds(monkeypatch):
+    """A list that gets one entry per featuremap.build_gram call from now on."""
+    calls, build = [], featuremap.build_gram
+    monkeypatch.setattr(
+        featuremap, "build_gram", lambda *a, **k: calls.append(1) or build(*a, **k)
+    )
+    return calls
+
+
 def test_resumed_qsvm_does_not_read_the_train_gram(qsvm_bundle, tmp_path, monkeypatch):
     config, d, manifest = qsvm_bundle
     copy = tmp_path / "copy"
     shutil.copytree(d, copy)
-
-    def no_gram(directory):
-        raise AssertionError("the train Gram was read")
-
-    monkeypatch.setattr(featuremap, "load_gram_bundle", no_gram)
+    builds = _count_gram_builds(monkeypatch)
     # backend lies outside every stage slice: every stage resumes
     rerun = harness.run_experiment(replace(config, backend="shots"), copy)
     assert rerun["stages"] == manifest["stages"]
     assert rerun["metrics"] == manifest["metrics"]
+    assert builds == []
 
 
-def test_qsvm_bundle_stores_the_train_angles_not_the_gram(qsvm_bundle, monkeypatch):
+def test_qsvm_bundle_stores_no_train_gram(qsvm_bundle, monkeypatch):
     config, d, manifest = qsvm_bundle
-    header = json.loads((d / "gram" / "gram.json").read_text())
-    n = header["n_train"]
-    assert header["layout"] == "angles"
-    assert (d / "gram" / "train.f64").stat().st_size == n * config.qubits * 8
+    n = qsvm.load_svm(d / "svm" / "svm.json")[0].n_train
+    assert not any(name.startswith("gram/") for name in manifest["files"])
+    assert len(json.loads((d / "svm" / "svm.json").read_text())["row_means"]) == n
     # an exact rescore hashes the whole bundle in fewer bytes than an n x n Gram
     hashed = _count_hashed_bytes(monkeypatch)
     harness.evaluate_bundle(d)
     assert hashed[0] == _manifest_bytes(d, manifest) < n * n * 8
 
 
-def test_svm_rebuild_over_a_resumed_gram_matches_a_fresh_run(qsvm_bundle, tmp_path, monkeypatch):
+def test_c_grid_change_builds_the_gram_once_and_matches_a_fresh_run(
+    qsvm_bundle, tmp_path, monkeypatch
+):
     config, d, manifest = qsvm_bundle
     copy = tmp_path / "copy"
     shutil.copytree(d, copy)
-    stamp = (copy / "gram" / "train.f64").stat().st_mtime_ns
-    loads = []
-    load = featuremap.load_gram_bundle
-    monkeypatch.setattr(featuremap, "load_gram_bundle", lambda path: loads.append(path) or load(path))
+    stamp = (copy / "encoder" / "encoder.f64").stat().st_mtime_ns
+    builds = _count_gram_builds(monkeypatch)
     tweaked = replace(config, c_grid=(0.5, 5.0))
     rerun = harness.run_experiment(tweaked, copy)
-    # the gram stage resumed and the svm stage rebuilt the Gram from its angles
-    assert rerun["stages"]["gram"] == manifest["stages"]["gram"]
+    # the encoder resumed and the svm stage built the Gram from its angles
+    assert rerun["stages"]["encoder"] == manifest["stages"]["encoder"]
     assert rerun["stages"]["svm"] != manifest["stages"]["svm"]
-    assert loads == [copy / "gram"]
-    assert (copy / "gram" / "train.f64").stat().st_mtime_ns == stamp
+    assert len(builds) == 1
+    assert (copy / "encoder" / "encoder.f64").stat().st_mtime_ns == stamp
     fresh = harness.run_experiment(tweaked, tmp_path / "fresh")
+    assert len(builds) == 2
     svm_json = [(w / "svm" / "svm.json").read_bytes() for w in (copy, tmp_path / "fresh")]
     assert svm_json[0] == svm_json[1]
     assert rerun["metrics"] == fresh["metrics"]
     assert rerun == fresh
 
 
-def test_svm_rebuild_over_a_dense_gram_asks_for_a_fresh_workdir(qsvm_bundle, tmp_path):
-    config, d, _ = qsvm_bundle
+def test_a_workdir_with_a_gram_stage_completes_without_it(qsvm_bundle, tmp_path, monkeypatch):
+    # a workdir from before the QSVM had one train stage: a gram/ stage
+    # holding the train angles, and an svm/ stage under another key whose
+    # svm.json has no centring means
+    config, d, manifest = qsvm_bundle
     copy = tmp_path / "copy"
     shutil.copytree(d, copy)
-    # rewrite gram/ in the dense layout: the n x n centred Gram, no layout entry
-    gram = featuremap.load_gram_bundle(copy / "gram")
-    header = json.loads((copy / "gram" / "gram.json").read_text())
-    del header["layout"]
-    header["train"] = {
-        "shape": list(gram.train_gram.shape),
-        "sha256": persist.save_array_f64(copy / "gram" / "train.f64", gram.train_gram),
-    }
-    persist.save_json(copy / "gram" / "gram.json", header)
-    with pytest.raises(PipelineError, match=r"gram\.json describes a dense train Gram.*fresh workdir"):
-        harness.run_experiment(replace(config, c_grid=(0.5, 5.0)), copy)
+    (copy / "gram").mkdir()
+    for name in ("gram.json", "stage.json", "train.f64"):
+        (copy / "gram" / name).write_bytes(b"{}")
+    persist.save_json(copy / "svm" / "stage.json", {"key": "0" * 64})
+    header = json.loads((copy / "svm" / "svm.json").read_text())
+    del header["row_means"]
+    persist.save_json(copy / "svm" / "svm.json", header)
+    (copy / "manifest.json").unlink()
+    builds = _count_gram_builds(monkeypatch)
+    rerun = harness.run_experiment(config, copy)
+    assert len(builds) == 1
+    assert not any(name.startswith("gram/") for name in rerun["files"])
+    assert rerun == manifest
+    assert harness.evaluate_bundle(copy)["metrics"] == manifest["metrics"]
 
 
 def test_identical_configs_give_bit_identical_manifests(make_config, tmp_path):
@@ -377,7 +393,6 @@ def test_replacing_test_rows_keeps_fitted_artifacts(make_config, tmp_path):
     fitted = [
         "encoder/encoder.f64",
         "encoder/encoder.json",
-        "gram/train.f64",
         "svm/svm.json",
         "preprocess/x_train.f64",
     ]
@@ -469,12 +484,20 @@ def test_qubits_over_embed_dim_rejected_before_compute():
         ({"reupload": vqc.MAX_LAYERS + 1}, "reupload_layers"),
         ({"depol_2q": 1.5}, "depol_2q"),
         ({"readout_10": float("nan")}, "readout_flip_10"),
+        ({"c_grid": ()}, "C grid must be nonempty"),
+        ({"c_grid": (0.0,)}, "C must be finite and > 0, got 0.0"),
+        ({"c_grid": (-1.0,)}, r"C must be finite and > 0, got -1\.0"),
+        ({"c_grid": (float("nan"),)}, "C must be finite and > 0, got nan"),
+        ({"beta": 0}, "beta must be positive"),
     ],
-    ids=["ring", "bogus-convention", "qubits-7", "reps-0", "reupload-max+1", "depol2-1.5", "readout10-nan"],
+    ids=[
+        "ring", "bogus-convention", "qubits-7", "reps-0", "reupload-max+1", "depol2-1.5",
+        "readout10-nan", "c-grid-empty", "c-0", "c-minus-1", "c-nan", "beta-0",
+    ],
 )
 def test_spec_settings_are_rejected_at_config_time_for_every_model(model, setting, message):
-    # the feature-map, VQC and noise specs own these ranges; the config
-    # builds all three, so a setting no stage of this model reads still fails
+    # the feature-map, VQC, noise and CV specs own these ranges; the config
+    # builds all four, so a setting no stage of this model reads still fails
     with pytest.raises(ValueError, match=message):
         ExperimentConfig(
             experiment_id="x", dataset="nslkdd", model=model, train_path="t", test_path="t",
@@ -496,7 +519,7 @@ def test_bundle_hash_check_rejects_tampering(qsvm_bundle, tmp_path):
     _, d, _ = qsvm_bundle
     copy = tmp_path / "copy"
     shutil.copytree(d, copy)
-    with open(copy / "gram" / "train.f64", "ab") as f:
+    with open(copy / "svm" / "svm.json", "ab") as f:
         f.write(b"\x00")
     with pytest.raises(ValueError, match="hash"):
         harness.load_bundle(copy)
@@ -512,7 +535,7 @@ def test_incomplete_bundle_rejected_for_evaluation(make_config, tmp_path):
         harness.evaluate_bundle(tmp_path)
 
 
-@pytest.mark.parametrize("through", ["model", "evaluate", "svm", "vqc"])
+@pytest.mark.parametrize("through", ["model", "evaluate", "gram", "svm", "vqc"])
 def test_run_experiment_stops_only_after_an_early_stage(make_config, tmp_path, through):
     with pytest.raises(ValueError, match="through must be"):
         harness.run_experiment(make_config(), tmp_path, through=through)
@@ -542,7 +565,7 @@ def test_streaming_subset_audit_and_reference_cap(qsvm_bundle):
     out = harness.evaluate_streaming(d, subset_size=50)
     assert len(out["lines"]) == 50
     # exact streaming folds every support vector into the observable
-    assert out["reference_size"] == qsvm.load_svm(d / "svm" / "svm.json").support.size
+    assert out["reference_size"] == qsvm.load_svm(d / "svm" / "svm.json")[0].support.size
     split = datapipe.load_split(d / "preprocess")
     cats = {split.test_categories[i] for i in out["indices"]}
     assert cats == set(split.test_categories)
@@ -583,12 +606,12 @@ def test_streaming_shot_scores_match_per_pair_kernels(qsvm_bundle):
     subset = np.concatenate([np.flatnonzero(split.y_test == c)[:2] for c in (1, 0)])
     out = harness.evaluate_streaming(d, subset=subset, execution=ex)
     enc, scaler = load_encoder(d / "encoder")
-    svm = qsvm.load_svm(d / "svm" / "svm.json")
+    svm, row_means = qsvm.load_svm(d / "svm" / "svm.json")
     picked = datapipe.stratified_indices(
         split.y_train[svm.support], harness.REFERENCE_LIMIT, config.seeds.sampling
     )
     refs, coef = svm.support[picked], svm.coef[picked]
-    mu = featuremap.load_centering_means(d / "gram")[refs]
+    mu = row_means[refs]
     train = harness._angles(config, enc, scaler, split.x_train)
     test = harness._angles(config, enc, scaler, split.x_test[subset])
     for i, row in enumerate(test):
@@ -632,7 +655,7 @@ def test_streaming_reference_limit_errors(qsvm_bundle):
 def test_shot_rescore_names_the_reference_limit_bound(qsvm_bundle):
     # the shot scorer reads no Gram; the bound is the SVM's train row count
     _, d, _ = qsvm_bundle
-    n_train = qsvm.load_svm(d / "svm" / "svm.json").n_train
+    n_train = qsvm.load_svm(d / "svm" / "svm.json")[0].n_train
     bound = rf"reference_limit must lie in \[1, n_train\] = \[1, {n_train}\]"
     for limit in (0, n_train + 1):
         with pytest.raises(ValueError, match=bound):
@@ -644,7 +667,7 @@ def test_exact_stream_of_a_qsvm_with_fewer_train_rows_than_the_reference_limit(
 ):
     # the reference limit bounds shot-mode reference sets only
     harness.run_experiment(make_config(epochs=2, max_train=40), tmp_path)
-    assert qsvm.load_svm(tmp_path / "svm" / "svm.json").n_train < harness.REFERENCE_LIMIT
+    assert qsvm.load_svm(tmp_path / "svm" / "svm.json")[0].n_train < harness.REFERENCE_LIMIT
     out = harness.evaluate_streaming(tmp_path, subset_size=20)
     assert len(out["lines"]) == 20
 
@@ -699,12 +722,12 @@ def test_qsvm_shot_rescore_matches_the_chunked_stream_oracle(qsvm_bundle):
     ex = replace(config, **SHOT_OVERRIDES).execution()
     split = datapipe.load_split(d / "preprocess")
     enc, scaler = load_encoder(d / "encoder")
-    svm = qsvm.load_svm(d / "svm" / "svm.json")
+    svm, row_means = qsvm.load_svm(d / "svm" / "svm.json")
     picked = datapipe.stratified_indices(
         split.y_train[svm.support], harness.REFERENCE_LIMIT, config.seeds.sampling
     )
     refs, coef = svm.support[picked], svm.coef[picked]
-    mu = featuremap.load_centering_means(d / "gram")[refs]
+    mu = row_means[refs]
     train = harness._angles(config, enc, scaler, split.x_train)[refs]
     test = harness._angles(config, enc, scaler, split.x_test)
     scores = []
@@ -1070,8 +1093,6 @@ def test_cli_stage_commands_share_a_workdir(nslkdd_dir, tmp_path, capsys):
     assert main(["train-encoder", "--workdir", work, *common]) == 0
     assert "encoder" in capsys.readouterr().out
     split_stamp = (tmp_path / "cli-stages" / "preprocess" / "stage.json").stat().st_mtime_ns
-    assert main(["build-kernel", "--workdir", work, *common]) == 0
-    capsys.readouterr()
     assert main(["train-qsvm", "--workdir", work, *common]) == 0
     json.loads(capsys.readouterr().out)
     after = (tmp_path / "cli-stages" / "preprocess" / "stage.json").stat().st_mtime_ns

@@ -19,6 +19,8 @@ from qthreat.metrics import (
     report,
 )
 
+from oracles import auprc_loop
+
 
 def pair_oracle_auroc(labels, scores):
     """O(n^2) enumeration over (positive, negative) pairs."""
@@ -220,6 +222,34 @@ def test_auprc_matches_sweep_oracle():
 def test_auprc_requires_positive():
     with pytest.raises(ValueError):
         auprc([0, 0], [0.1, 0.2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 300),
+    distinct=st.sampled_from([1, 2, 5, 1000]),
+    positives=st.sampled_from(["one", "random", "all"]),
+)
+def test_auprc_equals_the_group_loop_bit_for_bit(data, n, distinct, positives):
+    # heavy ties come from few distinct scores; distinct == 1 is all scores equal
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    s = rng.integers(0, distinct, size=n) * data.draw(st.floats(1e-3, 1e3)) - 0.5
+    if positives == "one":
+        y = np.zeros(n, dtype=int)
+        y[rng.integers(n)] = 1
+    elif positives == "all":
+        y = np.ones(n, dtype=int)
+    else:
+        y = rng.integers(0, 2, size=n)
+        y[rng.integers(n)] = 1
+    assert auprc(y, s) == auprc_loop(y, s)
+
+
+def test_report_of_a_nan_score_raises():
+    # midranks make AUROC NaN, which the report rejects; AUPRC must return first
+    with pytest.raises(ValueError, match="auroc"):
+        report([1, 0, 1], [np.nan, 0.5, 0.2], threshold=0.0)
 
 
 def test_auprc_monotone_invariance():

@@ -3,7 +3,7 @@ import builtins
 import numpy as np
 import pytest
 
-from qthreat import datapipe, encoder, featuremap, persist, vqc
+from qthreat import datapipe, encoder, persist, qsvm, vqc
 
 
 class _TornFile:
@@ -115,7 +115,7 @@ def test_loaded_encoder_params_are_writable_views_of_one_buffer(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name", ["encoder.f64", "idf.f64", "doc_freq.f64", "vqc.f64", "gram/train.f64"]
+    "name", ["encoder.f64", "idf.f64", "doc_freq.f64", "vqc.f64"]
 )
 def test_loaders_reject_a_flipped_byte(tmp_path, lingspam_dir, name):
     if name == "encoder.f64":
@@ -125,11 +125,6 @@ def test_loaders_reject_a_flipped_byte(tmp_path, lingspam_dir, name):
     elif name == "vqc.f64":
         vqc.save_vqc(vqc.init_vqc(vqc.VqcSpec(2, 1), seed=0), tmp_path)
         load = vqc.load_vqc
-    elif name == "gram/train.f64":
-        spec = featuremap.FeatureMapSpec(2, reps=1)
-        angles = [featuremap.AngleVector(a) for a in np.linspace(-1.0, 1.0, 6).reshape(3, 2)]
-        featuremap.save_gram_bundle(featuremap.build_gram(angles, spec), tmp_path / "gram", spec)
-        load = lambda d: featuremap.load_gram_bundle(d / "gram")
     else:
         datapipe.save_split(datapipe.load_lingspam(lingspam_dir, seed=0), tmp_path)
         load = datapipe.load_split
@@ -137,15 +132,13 @@ def test_loaders_reject_a_flipped_byte(tmp_path, lingspam_dir, name):
     raw = bytearray((tmp_path / name).read_bytes())
     raw[0] ^= 1
     (tmp_path / name).write_bytes(bytes(raw))
-    file_name = name.split("/")[-1]
-    with pytest.raises(ValueError, match=f"^{file_name} does not match its recorded sha256$"):
+    with pytest.raises(ValueError, match=f"^{name} does not match its recorded sha256$"):
         load(tmp_path)
 
 
 @pytest.mark.parametrize(
     "load",
-    [datapipe.load_split, encoder.load_encoder, vqc.load_vqc,
-     featuremap.load_gram_bundle, featuremap.load_centering_means],
+    [datapipe.load_split, encoder.load_encoder, vqc.load_vqc, qsvm.load_svm],
 )
 def test_loaders_do_not_create_missing_directories(tmp_path, load):
     missing = tmp_path / "bundle" / "stage"

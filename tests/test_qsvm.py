@@ -173,6 +173,13 @@ def test_solver_input_validation():
         solve_dual(np.eye(3), [0, 1], 1.0)  # shape mismatch
 
 
+@pytest.mark.parametrize("c", [-1.0, 0.0, math.nan, math.inf], ids=["minus-1", "0", "nan", "inf"])
+def test_solver_rejects_a_c_that_is_not_finite_and_positive(c):
+    # such a C fits no support vectors, so every row would score the same
+    with pytest.raises(ValueError, match=f"C must be finite and > 0, got {c!r}"):
+        solve_dual(np.eye(2), [0, 1], c)
+
+
 def test_solve_dual_allocates_no_matrix_sized_scratch():
     # the symmetry check runs block by block, so a fit's scratch is O(n)
     # vectors and one block, not the two n x n temporaries of |K - K^T|
@@ -526,6 +533,9 @@ def test_cv_plan_validation():
         CvPlan(c_grid=())
     with pytest.raises(ValueError):
         CvPlan(beta=0.0)
+    for c in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="C must be finite and > 0"):
+            CvPlan(c_grid=(1.0, c))
 
 
 # ------------------------------------------------------------- persistence
@@ -537,8 +547,10 @@ def test_svm_roundtrip(tmp_path):
     model = solve_dual(gram, y, c=10.0, class_weights=class_weights(y))
     model = replace(model, sign=align_sign(raw_decision_scores(model, gram), y), threshold=0.25)
     path = tmp_path / "svm.json"
-    save_svm(model, path, cv_table=[{"c": 10.0, "mean_f_beta": 1.0}])
-    loaded = load_svm(path)
+    row_means = gram.mean(axis=0)
+    save_svm(model, path, row_means, cv_table=[{"c": 10.0, "mean_f_beta": 1.0}])
+    loaded, loaded_means = load_svm(path)
+    np.testing.assert_array_equal(loaded_means, row_means)
     np.testing.assert_array_equal(loaded.support, model.support)
     np.testing.assert_array_equal(loaded.coef, model.coef)
     assert (loaded.bias, loaded.c, loaded.sign, loaded.threshold) == (
