@@ -1,4 +1,4 @@
-"""Angle encoding, ZZ feature maps, and fidelity-kernel Gram machinery.
+"""Angle encoding, ZZ feature maps, and the fidelity kernel.
 
 The feature map repeats [H on all qubits; RZ(2 theta_i); RZZ(2 phi_ij) on
 entangled pairs] `reps` times. The pair phase phi_ij follows a configurable
@@ -13,11 +13,14 @@ statevectors come from batched.evolve, and shot-mode kernels from
 compute-uncompute circuits U(b)^dagger U(a): a stack of pairs runs through
 the shot engine (qsim.evolve_density, then qsim.shot_estimates with
 readout error folded in), and k(a, b) is the sampled frequency of |0...0>.
+No Gram is built here: the QSVM reads its centred train kernel row by row
+from the train statevectors (qsvm.FidelityRows), and scores other rows
+through one observable (qsvm.observable_scorer).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -36,8 +39,6 @@ from .qsim import (
 CONVENTIONS = ("pi_minus", "product")
 ENTANGLEMENTS = ("full", "linear")
 MAX_QUBITS = 6
-# rows per block (at least 2) of the blockwise Gram passes
-GRAM_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -181,146 +182,3 @@ def fidelity_kernel_shots(
     """Shot-based kernel estimate of one pair via the compute-uncompute
     circuit (`kernel_shot_estimates` on one pair)."""
     return float(kernel_shot_estimates(theta_a, theta_b, spec, shots, noise, mitigate, [seed])[0])
-
-
-# ----------------------------------------------------------------- Gram
-
-
-@dataclass(frozen=True)
-class GramBundle:
-    """A train Gram, uncentred or centred with its centring stats."""
-
-    train_gram: np.ndarray
-    # Out-of-sample rows are scored through the QSVM observable
-    # (qsvm.observable_scorer), never as Gram blocks; these stay None.
-    val_block: Optional[np.ndarray] = None
-    test_block: Optional[np.ndarray] = None
-    centering_row_means: Optional[np.ndarray] = None
-    centering_grand_mean: Optional[float] = None
-    centered: bool = False
-
-    def __post_init__(self):
-        k = np.asarray(self.train_gram, dtype=float)
-        n = k.shape[0]
-        if k.shape != (n, n) or n == 0:
-            raise ValueError("train_gram must be square and nonempty")
-        if not max_asymmetry(k) <= 1e-10:  # NaN, or inf - inf, fails too
-            raise ValueError("train_gram not finite and symmetric within 1e-10")
-        if not self.centered:
-            if np.max(np.abs(np.diag(k) - 1.0)) > 1e-9:
-                raise ValueError("uncentered Gram diagonal must be 1 within 1e-9")
-            if k.min() < -1e-12 or k.max() > 1.0 + 1e-12:
-                raise ValueError("uncentered Gram entries must lie in [0, 1]")
-        else:
-            if self.centering_row_means is None or self.centering_grand_mean is None:
-                raise ValueError("centered bundle must carry centering stats")
-            means = np.abs(k.mean(axis=0))
-            if means.max() > 1e-9:
-                raise ValueError("centered Gram column means exceed 1e-9")
-
-    @property
-    def n_train(self) -> int:
-        return self.train_gram.shape[0]
-
-
-def gram_from_states(states_a: np.ndarray, states_b: Optional[np.ndarray] = None) -> np.ndarray:
-    """|<a_i|b_j>|^2 for stacks of statevectors."""
-    if states_b is None:
-        states_b = states_a
-    overlaps = states_a.conj() @ states_b.T
-    return np.abs(overlaps) ** 2
-
-
-def _block_pairs(k: np.ndarray):
-    """Views (k[I, J], k[J, I]) of each GRAM_BLOCK-square block pair I <= J."""
-    n, b = k.shape[0], GRAM_BLOCK
-    for i in range(0, n, b):
-        for j in range(i, n, b):
-            yield k[i:i + b, j:j + b], k[j:j + b, i:i + b]
-
-
-def max_asymmetry(k: np.ndarray) -> float:
-    """max |k - k.T| of a square matrix, one block pair at a time; NaN
-    propagates as in np.max."""
-    worst = 0.0
-    for upper, lower in _block_pairs(k):
-        worst = np.maximum(worst, np.abs(upper - lower.T).max())
-    return float(worst)
-
-
-def _symmetrize(k: np.ndarray) -> np.ndarray:
-    """k <- (k + k.T) / 2 in place, one block pair at a time: each entry is
-    (k_ij + k_ji) / 2 and IEEE addition commutes, so the bits equal the
-    whole-matrix expression's."""
-    for upper, lower in _block_pairs(k):
-        s = (upper + lower.T) / 2.0
-        upper[...] = s
-        lower[...] = s.T
-    return k
-
-
-def build_gram(
-    train_angles: Sequence[AngleVector],
-    spec: FeatureMapSpec,
-    max_train: int = 4000,
-) -> GramBundle:
-    """Uncentered kernel Gram over cached statevectors.
-
-    Caching every train statevector once replaces the n(n+1)/2 pairwise
-    circuit evaluations with a single conjugate inner-product product;
-    the results are identical entrywise. The Gram is PSD by construction:
-    k(a, b) = Tr(rho_a rho_b), so K = Phi Phi^T with Phi of width 4^q
-    (equivalently, K is the entrywise product of G and conj(G), with G the
-    PSD overlap matrix, and the Schur product theorem applies).
-
-    Memory: one n x n float64 array, filled GRAM_BLOCK rows at a time and
-    symmetrised and clipped in place (O(GRAM_BLOCK * n) scratch).
-    """
-    if not len(train_angles):
-        raise ValueError("train set must be nonempty")
-    if len(train_angles) > max_train:
-        raise ValueError(f"train set exceeds the n={max_train} memory cap")
-    angles = np.stack([v.angles for v in train_angles])
-    states = feature_statevectors(angles, spec)
-    n = states.shape[0]
-    k = np.empty((n, n))
-    # blocks start below n - 1, so none is one row: numpy sends a one-row
-    # product to gemv, whose bits differ from the whole matrix's gemm
-    cuts = list(range(0, max(n - 1, 1), GRAM_BLOCK)) + [n]
-    for start, stop in zip(cuts, cuts[1:]):
-        k[start:stop] = gram_from_states(states[start:stop], states)
-    np.clip(_symmetrize(k), 0.0, 1.0, out=k)
-    return GramBundle(k)
-
-
-def center_gram(bundle: GramBundle, out: Optional[np.ndarray] = None) -> GramBundle:
-    """Double-center the train Gram (HKH) into a new bundle.
-
-    The column means and grand mean are stored so out-of-sample rows can
-    be centred consistently: a row r becomes
-    r - colmeans(K) - rowmean(r) + grandmean(K).
-
-    Memory: by default one new n x n float64 array, and the input bundle's
-    Gram is left untouched. With `out` (numpy's idiom: an n x n float64
-    array, which may be bundle.train_gram itself) the centred Gram is
-    written there and no n x n array is allocated; centring into the
-    input's own Gram overwrites it, so that bundle must not be used
-    afterwards. Either way the centring and symmetrising run in place by
-    the whole-matrix expression's operations in order (same bits).
-    """
-    if bundle.centered:
-        raise ValueError("bundle already centered")
-    k = bundle.train_gram
-    if out is not None and (out.shape != k.shape or out.dtype != np.float64):
-        raise ValueError(f"out must be a {k.shape} float64 array")
-    col_means = k.mean(axis=0)
-    grand = float(k.mean())
-    centered_k = np.subtract(k, col_means[None, :], out=out, dtype=float)
-    centered_k -= col_means[:, None]
-    centered_k += grand
-    return GramBundle(
-        train_gram=_symmetrize(centered_k),
-        centering_row_means=col_means,
-        centering_grand_mean=grand,
-        centered=True,
-    )

@@ -13,9 +13,10 @@ its own files. A resumed model stage is read back by _load_model. The
 manifest embeds the full config, the hashes of config.json and of every file
 under the directories of the stages the run recorded, and the test metrics;
 it is written with status "incomplete" first and flipped to "complete" only
-after evaluation succeeds. Opening a complete bundle (_open_complete) hashes
-each of those files once: on the read that parses it, or in one streaming
-pass over the files nothing parses.
+after evaluation succeeds, when the run also removes the marked stage
+directories it did not record (_finish). Opening a complete bundle
+(_open_complete) hashes each of those files once: on the read that parses
+it, or in one streaming pass over the files nothing parses.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from .encoder import (
     save_encoder,
     train_encoder,
 )
-from .featuremap import AngleVector, FeatureMapSpec
+from .featuremap import FeatureMapSpec
 from .qsim import NoiseSpec
 from .stopwords import STOPWORDS_VERSION
 
@@ -51,6 +52,9 @@ STREAM_BATCH = 32
 
 # the stages run_experiment(through=...) can stop after, in dependency order
 EARLY_STOPS = ("preprocess", "encoder")
+# every stage directory name, with "gram": the QSVM kernel's own stage
+# before the svm stage took it over
+STAGE_DIRS = ("preprocess", "encoder", "svm", "vqc", "baseline", "gram")
 
 
 class PipelineError(RuntimeError):
@@ -372,7 +376,7 @@ def _angles(config: ExperimentConfig, enc_model, scaler, x: np.ndarray) -> np.nd
 class _Model:
     """A trained model as scoring reads it: the encoder it reads through
     (the fine-tuned copy for a fine-tuned VQC) and the scaler, plus the
-    SVM and the train Gram's centring means (qsvm) or the circuit (vqc),
+    SVM and the train kernel's centring means (qsvm) or the circuit (vqc),
     and the validation threshold its stage tuned (_with_threshold)."""
 
     config: ExperimentConfig
@@ -488,10 +492,12 @@ def _scorer(model: _Model, split, execution: vqc.Execution, reference_limit=REFE
 
 
 def _stage_svm(config: ExperimentConfig, root: Path, stages: Dict[str, str], split, encoded):
-    """The QSVM train stage: the train angles, their fidelity Gram centred in
-    place (the stage holds one n x n array from here to the final fit), C
-    by cross-validation, the dual fit and its threshold. svm.json stores
-    the fit and the centring means; the Gram is not stored."""
+    """The QSVM train stage: the train statevectors and their centred kernel
+    as a row source (qsvm.FidelityRows, which computes a row when the SMO
+    first reads it, so no n x n Gram is built), C by cross-validation over
+    that source, the final dual fit through the same row cache, and its
+    threshold. svm.json stores the fit, the centring means and the final
+    fit's solver record."""
     fspec = config.feature_spec()
     slice_ = {
         "feature_map": fspec.as_dict(),
@@ -503,21 +509,15 @@ def _stage_svm(config: ExperimentConfig, root: Path, stages: Dict[str, str], spl
     }
 
     def build(d):
-        train_angles = _angles(config, *encoded, split.x_train)
-        bundle = featuremap.build_gram(
-            [AngleVector(r) for r in train_angles], fspec, max_train=config.max_train
+        rows = qsvm.FidelityRows(
+            featuremap.feature_statevectors(_angles(config, *encoded, split.x_train), fspec)
         )
-        bundle = featuremap.center_gram(bundle, out=bundle.train_gram)
-        best_c, cv_table = qsvm.select_c(bundle.train_gram, split.y_train, config.cv_plan())
-        svm = qsvm.solve_dual(
-            bundle.train_gram, split.y_train, best_c, class_weights=split.class_weights
-        )
-        model = _with_threshold(
-            _Model(config, *encoded, svm=svm, row_means=bundle.centering_row_means), split
-        )
+        best_c, cv_table = qsvm.select_c(rows, split.y_train, config.cv_plan())
+        svm, record = qsvm.fit_rows(rows, split.y_train, best_c, split.class_weights)
+        model = _with_threshold(_Model(config, *encoded, svm=svm, row_means=rows.means), split)
         qsvm.save_svm(
             model.svm, d / "svm.json", model.row_means, cv_table=cv_table,
-            extra={"best_c": best_c},
+            extra={"best_c": best_c, "solver": record},
         )
         return model
 
@@ -709,6 +709,14 @@ def run_experiment(config: ExperimentConfig, workdir, through: Optional[str] = N
 
 
 def _finish(manifest, mpath, root, stages, complete: bool) -> dict:
+    """Write the manifest. A complete run first removes each stage directory
+    it did not record (another model's, or a legacy gram/): a top-level
+    STAGE_DIRS directory holding a stage.json. No other path is touched."""
+    if complete:
+        for name in STAGE_DIRS:
+            d = root / name
+            if name not in stages and not d.is_symlink() and (d / "stage.json").is_file():
+                shutil.rmtree(d)
     manifest["stages"] = stages
     manifest["status"] = "complete" if complete else "incomplete"
     manifest["files"] = persist.relative_file_map(root, _bundle_files(root, stages))

@@ -1,22 +1,25 @@
-"""Binary SVM on precomputed (centered) kernel matrices.
+"""Binary SVM on the centred fidelity kernel of the train statevectors.
 
 SMO-style dual solver with maximal-violating-pair working-set selection,
 per-class cost weighting, stratified k-fold selection of C by F_beta, sign
 alignment, and validation threshold tuning. Labels are 0/1 at the API
-boundary and -1/+1 inside the dual. A model fitted on the fidelity kernel
-scores new rows through one observable (`observable_scorer`), never
-through out-of-sample Gram rows.
+boundary and -1/+1 inside the dual. The QSVM trains from its n train
+statevectors through `FidelityRows`, which computes each centred kernel row
+when the solver first reads it, so no n x n Gram is built; `solve_dual` and
+`select_c` also take a dense precomputed Gram, checked for symmetry. A
+fitted model scores new rows through one observable (`observable_scorer`),
+never through out-of-sample Gram rows.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import datapipe, persist
-from .featuremap import FeatureMapSpec, feature_statevectors, max_asymmetry
+from .featuremap import FeatureMapSpec, feature_statevectors
 from .metrics import confusion, f_beta
 
 DUAL_TOL = 1e-3
@@ -78,6 +81,57 @@ def _check_c(c: float):
         raise ValueError(f"C must be finite and > 0, got {c!r}")
 
 
+class FidelityRows:
+    """The double-centred fidelity Gram of n train statevectors, read by row.
+
+    Row i of the uncentred Gram is k_i = |S psi_i^*|^2 for the n x 2^q
+    stack S, and its column means are m_i = <psi_i|rho|psi_i> with
+    rho = mean_j |psi_j><psi_j|, an O(n 4^q) computation. So the centred
+    entry is k_ij - (m_i + m_j) + grand, grand = mean(m), and no n x n array
+    is needed. A row is computed from S when it is first read and kept in
+    a dict keyed by train index, LIBSVM's kernel cache (Chang & Lin, ACM
+    TIST 2:27, 2011). The SMO reads a few hundred distinct rows on the
+    bench corpora, and at most all n.
+
+    Reads: k[i] (row i), k[i, cols] (entries cols of row i) and
+    k[np.ix_(a, b)] (a block, computed from S and not kept).
+    """
+
+    def __init__(self, states: np.ndarray):
+        s = np.asarray(states)
+        if s.ndim != 2 or s.shape[0] == 0:
+            raise ValueError("need a nonempty (n, 2^q) stack of statevectors")
+        rho = s.T @ s.conj() / s.shape[0]
+        self.states = s
+        self.means = ((s.conj() @ rho) * s).sum(axis=1).real
+        self.grand = float(self.means.mean())
+        if not math.isfinite(self.grand):
+            raise ValueError("statevectors must be finite")
+        self._rows: Dict[int, np.ndarray] = {}
+
+    @property
+    def n(self) -> int:
+        return self.states.shape[0]
+
+    def _block(self, a, b) -> np.ndarray:
+        """The centred entries of rows a by columns b, a fresh array."""
+        k = np.abs(self.states[a].conj() @ self.states[b].T) ** 2
+        k -= self.means[a][:, None] + self.means[b][None, :]
+        k += self.grand
+        return k
+
+    def __getitem__(self, key):
+        if isinstance(key, tuple) and np.ndim(key[0]) > 0:
+            return self._block(np.ravel(key[0]), np.ravel(key[1]))
+        i, cols = key if isinstance(key, tuple) else (key, None)
+        i = int(i)
+        row = self._rows.get(i)
+        if row is None:
+            row = self._rows[i] = self._block([i], slice(None))[0]
+            row.setflags(write=False)
+        return row if cols is None else row[cols]
+
+
 def solve_dual(
     gram: np.ndarray,
     labels: np.ndarray,
@@ -86,14 +140,43 @@ def solve_dual(
     tol: float = DUAL_TOL,
     max_iter: Optional[int] = None,
 ) -> SvmModel:
-    """Maximal-violating-pair SMO on max_a sum(a) - 0.5 a'YKYa.
+    """Maximal-violating-pair SMO on max_a sum(a) - 0.5 a'YKYa over a dense
+    n x n Gram; `fit_rows` is the same fit over a `FidelityRows`, with the
+    solver's record.
 
     Box is per-sample: 0 <= a_i <= C * w_{y_i}. Deterministic: ties in pair
     selection resolve to the lowest index, and there is no randomness.
     """
+    if isinstance(gram, FidelityRows):
+        raise TypeError("solve_dual takes a dense Gram; fit a FidelityRows with fit_rows")
+    return fit_rows(gram, labels, c, class_weights, tol, max_iter)[0]
+
+
+def fit_rows(
+    rows,
+    labels: np.ndarray,
+    c: float,
+    class_weights: Tuple[float, float] = (1.0, 1.0),
+    tol: float = DUAL_TOL,
+    max_iter: Optional[int] = None,
+) -> Tuple[SvmModel, dict]:
+    """(model, record): `solve_dual` over a FidelityRows (or a dense Gram,
+    checked as solve_dual checks it). The record holds the SMO's pair
+    updates ("iterations", at most "max_iter"), its final m_up - m_low
+    "gap" and "converged" (gap <= tol); a fit that stops at max_iter short
+    of tol records converged false."""
     _check_c(c)
     y01 = np.asarray(labels, dtype=int).reshape(-1)
-    return _smo(_checked_gram(gram, y01.size), None, y01, c, class_weights, tol, max_iter)
+    return _smo(_kernel(rows, y01.size), None, y01, c, class_weights, tol, max_iter)
+
+
+def _kernel(k, n: int):
+    """A FidelityRows of n rows as it is, or a dense Gram through _checked_gram."""
+    if isinstance(k, FidelityRows):
+        if k.n != n:
+            raise ValueError(f"kernel has {k.n} rows, {n} labels")
+        return k
+    return _checked_gram(k, n)
 
 
 def _checked_gram(gram: np.ndarray, n: int) -> np.ndarray:
@@ -108,20 +191,44 @@ def _checked_gram(gram: np.ndarray, n: int) -> np.ndarray:
     return k
 
 
+def _block_pairs(k: np.ndarray, block: int):
+    """Views (k[I, J], k[J, I]) of each block-square block pair I <= J."""
+    n = k.shape[0]
+    for i in range(0, n, block):
+        for j in range(i, n, block):
+            yield k[i:i + block, j:j + block], k[j:j + block, i:i + block]
+
+
+def max_asymmetry(k: np.ndarray, block: int = 256) -> float:
+    """max |k - k.T| of a square matrix, one block pair at a time (no n x n
+    temporary); NaN propagates as in np.max."""
+    worst = 0.0
+    for upper, lower in _block_pairs(k, block):
+        worst = np.maximum(worst, np.abs(upper - lower.T).max())
+    return float(worst)
+
+
+def _sets(y: np.ndarray, alpha: np.ndarray, box: np.ndarray):
+    """The SMO's (lower, upper) index masks, I_low and I_up."""
+    lower = ((y > 0) & (alpha < box - SUPPORT_EPS)) | ((y < 0) & (alpha > SUPPORT_EPS))
+    upper = ((y > 0) & (alpha > SUPPORT_EPS)) | ((y < 0) & (alpha < box - SUPPORT_EPS))
+    return lower, upper
+
+
 def _smo(
-    k: np.ndarray,
+    k,
     rows: Optional[np.ndarray],
     y01: np.ndarray,
     c: float,
     class_weights: Tuple[float, float],
     tol: float = DUAL_TOL,
     max_iter: Optional[int] = None,
-) -> SvmModel:
-    """`solve_dual` on the principal submatrix k[rows][:, rows] (all of k
-    when rows is None), never copied: each step reads two Gram rows, k[i]
-    or k[rows[i], rows]. k comes through `_checked_gram`; the stored Gram
-    is exactly symmetric, so a row has the bits of the column the SMO
-    update needs.
+) -> Tuple[SvmModel, dict]:
+    """(model, record) of the SMO on the principal submatrix
+    k[rows][:, rows] (all of k when rows is None), never copied: each step
+    reads two kernel rows, k[i] or k[rows[i], rows]. k is a FidelityRows or
+    a dense Gram from `_checked_gram`; a row stands in for the column the
+    update needs, since k is symmetric. The record is `fit_rows`'s.
     """
     n = y01.size
     if set(np.unique(y01)) != {0, 1}:
@@ -137,10 +244,10 @@ def _smo(
 
     alpha = np.zeros(n)
     f = np.zeros(n)  # F_i = sum_j alpha_j y_j K_ij
-    for _ in range(max_iter):
+    iterations = 0
+    while iterations < max_iter:
         v = y - f
-        lower = ((y > 0) & (alpha < box - SUPPORT_EPS)) | ((y < 0) & (alpha > SUPPORT_EPS))
-        upper = ((y > 0) & (alpha > SUPPORT_EPS)) | ((y < 0) & (alpha < box - SUPPORT_EPS))
+        lower, upper = _sets(y, alpha, box)
         if not lower.any() or not upper.any():
             break
         vi = np.where(lower, v, -np.inf)
@@ -165,21 +272,19 @@ def _smo(
         alpha[j] -= y[j] * t
         # delta(alpha_i y_i) = +t and delta(alpha_j y_j) = -t
         f += t * (k_i - k_j)
+        iterations += 1
 
     v = y - f
+    lower, upper = _sets(y, alpha, box)
+    lo = v[lower].max() if lower.any() else 0.0
+    hi = v[upper].min() if upper.any() else 0.0
+    gap = float(lo - hi) if lower.any() and upper.any() else 0.0
     free = (alpha > SUPPORT_EPS) & (alpha < box - SUPPORT_EPS)
-    if free.any():
-        bias = float(v[free].mean())
-    else:
-        lower = ((y > 0) & (alpha < box - SUPPORT_EPS)) | ((y < 0) & (alpha > SUPPORT_EPS))
-        upper = ((y > 0) & (alpha > SUPPORT_EPS)) | ((y < 0) & (alpha < box - SUPPORT_EPS))
-        lo = v[lower].max() if lower.any() else 0.0
-        hi = v[upper].min() if upper.any() else 0.0
-        bias = float((lo + hi) / 2.0)
+    bias = float(v[free].mean()) if free.any() else float((lo + hi) / 2.0)
 
     support = np.where(alpha > SUPPORT_EPS)[0]
     coef = alpha[support] * y[support]
-    return SvmModel(
+    model = SvmModel(
         support=support,
         coef=coef,
         bias=bias,
@@ -187,6 +292,8 @@ def _smo(
         class_weights=(float(class_weights[0]), float(class_weights[1])),
         n_train=n,
     )
+    record = {"iterations": iterations, "max_iter": max_iter, "gap": gap, "converged": gap <= tol}
+    return model, record
 
 
 def observable_scorer(
@@ -207,7 +314,7 @@ def observable_scorer(
     (Havlicek et al., Nature 567:209, 2019; Schuld, arXiv:2101.11020).
 
     `support_angles` are the angle rows of model.support in order and
-    `row_means` the stored centring means of the whole train Gram. The
+    `row_means` the train kernel's centring means (FidelityRows.means). The
     returned function maps (m, q) angle rows to model.sign times the value.
     """
     if len(support_angles) != model.support.size:
@@ -284,36 +391,41 @@ def stratified_folds(labels: np.ndarray, k: int, seed: int) -> List[np.ndarray]:
     return [np.sort(np.array(f, dtype=int)) for f in folds]
 
 
-def select_c(gram: np.ndarray, labels: np.ndarray, plan: CvPlan) -> Tuple[float, List[dict]]:
+def select_c(gram, labels: np.ndarray, plan: CvPlan) -> Tuple[float, List[dict]]:
     """Stratified k-fold CV over the C grid, scoring F_beta at threshold 0.
 
-    Fold models train on the train rows' principal submatrix and score
-    held-out rows against their support columns only. Ties break toward
-    the smaller C.
+    `gram` is a FidelityRows or a dense n x n Gram. Fold models train on
+    the train rows' principal submatrix and score held-out rows against
+    their support columns only. Ties break toward the smaller C. Each
+    table row records its folds' F_beta and whether each fold fit
+    converged (see `fit_rows`).
 
-    Memory: no submatrix is copied. The symmetry check covers every
-    fold's submatrix in one blockwise pass, fold fits read Gram rows
-    through the fold's index array (`_smo`), and scoring copies one
-    held-out x support block, so the scratch is O(n) vectors plus that
-    block, not the fold's n_train^2 submatrix.
+    Memory: no submatrix is copied. Fold fits read kernel rows through the
+    fold's index array (`_smo`), and scoring reads one held-out x support
+    block, so the scratch is O(n) vectors plus that block, not the fold's
+    n_train^2 submatrix. A FidelityRows shares its row cache across folds
+    and C values; a dense Gram's symmetry check covers every fold's
+    submatrix in one blockwise pass.
     """
     y = np.asarray(labels, dtype=int).reshape(-1)
-    k = _checked_gram(gram, y.size)
+    k = _kernel(gram, y.size)
     folds = stratified_folds(y, plan.folds, plan.seed)
     all_idx = np.arange(y.size)
     table = []
     best_c, best_v = None, -1.0
     for c in plan.c_grid:
-        fold_scores = []
+        fold_scores, converged = [], []
         for held in folds:
             train_idx = np.setdiff1d(all_idx, held)
             weights = datapipe.class_weights(y[train_idx])
-            model = _smo(k, train_idx, y[train_idx], c, weights)
+            model, record = _smo(k, train_idx, y[train_idx], c, weights)
             scores = k[np.ix_(held, train_idx[model.support])] @ model.coef + model.bias
             preds = (scores >= 0.0).astype(int)
             fold_scores.append(f_beta(confusion(y[held], preds), plan.beta))
+            converged.append(record["converged"])
         mean_v = float(np.mean(fold_scores))
-        table.append({"c": c, "mean_f_beta": mean_v, "fold_f_beta": fold_scores})
+        table.append({"c": c, "mean_f_beta": mean_v, "fold_f_beta": fold_scores,
+                      "fold_converged": converged})
         if mean_v > best_v + 1e-12:
             best_c, best_v = c, mean_v
     return best_c, table
@@ -329,8 +441,9 @@ def save_svm(
     cv_table: Optional[list] = None,
     extra: Optional[dict] = None,
 ) -> dict:
-    """Write the model and the n centring column means of the train Gram it
-    was fitted on, which `observable_scorer` and the shot scorer read."""
+    """Write the model and the n centring column means of the train kernel
+    it was fitted on (FidelityRows.means), which `observable_scorer` and the
+    shot scorer read."""
     header = {
         "support": [int(i) for i in model.support],
         "coef": [float(v) for v in model.coef],

@@ -4,16 +4,18 @@ reference is the straightforward form of a computation the package now
 does another way; none of them is used by the package itself.
 """
 import math
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.special import ndtr
 
 from qthreat import datapipe
 from qthreat.encoder import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LN_EPS
-from qthreat.featuremap import feature_statevectors, gram_from_states, max_asymmetry, pair_phases
+from qthreat.featuremap import feature_statevectors, pair_phases
 from qthreat.metrics import confusion, f_beta
 from qthreat.qsim import gate_matrix, z_signs
-from qthreat.qsvm import DUAL_TOL, SUPPORT_EPS, SvmModel, stratified_folds
+from qthreat.qsvm import DUAL_TOL, SUPPORT_EPS, SvmModel, max_asymmetry, stratified_folds
 
 _PAULIS = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -29,6 +31,35 @@ def center_test_row(row: np.ndarray, row_means: np.ndarray, grand_mean: float) -
     if r.size != row_means.size:
         raise ValueError(f"row length {r.size} != n {row_means.size}")
     return r - row_means - r.mean() + grand_mean
+
+
+def gram_from_states(states_a: np.ndarray, states_b: Optional[np.ndarray] = None) -> np.ndarray:
+    """|<a_i|b_j>|^2 for stacks of statevectors."""
+    if states_b is None:
+        states_b = states_a
+    overlaps = states_a.conj() @ states_b.T
+    return np.abs(overlaps) ** 2
+
+
+@dataclass(frozen=True)
+class WholeGram:
+    """A dense train Gram from the whole-matrix references below, with its
+    centring stats once centred."""
+
+    train_gram: np.ndarray
+    centering_row_means: Optional[np.ndarray] = None
+    centering_grand_mean: Optional[float] = None
+
+
+def build_gram(train_angles, spec):
+    """The uncentred train Gram of a list of AngleVectors (whole_gram)."""
+    return WholeGram(whole_gram(np.stack([v.angles for v in train_angles]), spec))
+
+
+def center_gram(gram):
+    """The double-centred Gram with its column means and grand mean
+    (whole_centering)."""
+    return WholeGram(*whole_centering(gram.train_gram))
 
 
 def whole_gram(angles, spec):
@@ -62,8 +93,8 @@ def raw_decision_scores(model, kernel_rows):
 
 
 def solve_dual_columns(gram, labels, c, class_weights=(1.0, 1.0), tol=DUAL_TOL, max_iter=None):
-    """qsvm.solve_dual with the update read from Gram columns k[:, i], as it
-    was before the solver read rows."""
+    """qsvm.fit_rows with the update read from Gram columns k[:, i], as it
+    was before the solver read rows: (model, solver record)."""
     k = np.asarray(gram, dtype=float)
     y01 = np.asarray(labels, dtype=int).reshape(-1)
     n = y01.size
@@ -85,6 +116,7 @@ def solve_dual_columns(gram, labels, c, class_weights=(1.0, 1.0), tol=DUAL_TOL, 
 
     alpha = np.zeros(n)
     f = np.zeros(n)
+    iterations = 0
     for _ in range(max_iter):
         v = y - f
         lower, upper = bounds(alpha)
@@ -106,19 +138,23 @@ def solve_dual_columns(gram, labels, c, class_weights=(1.0, 1.0), tol=DUAL_TOL, 
         alpha[i] += y[i] * t
         alpha[j] -= y[j] * t
         f += t * (k[:, i] - k[:, j])
+        iterations += 1
 
     v = y - f
+    lower, upper = bounds(alpha)
+    gap = float(v[lower].max() - v[upper].min()) if lower.any() and upper.any() else 0.0
     free = (alpha > SUPPORT_EPS) & (alpha < box - SUPPORT_EPS)
     if free.any():
         bias = float(v[free].mean())
     else:
-        lower, upper = bounds(alpha)
         lo = v[lower].max() if lower.any() else 0.0
         hi = v[upper].min() if upper.any() else 0.0
         bias = float((lo + hi) / 2.0)
     support = np.where(alpha > SUPPORT_EPS)[0]
-    return SvmModel(support=support, coef=alpha[support] * y[support], bias=bias, c=float(c),
-                    class_weights=(float(class_weights[0]), float(class_weights[1])), n_train=n)
+    model = SvmModel(support=support, coef=alpha[support] * y[support], bias=bias, c=float(c),
+                     class_weights=(float(class_weights[0]), float(class_weights[1])), n_train=n)
+    record = {"iterations": iterations, "max_iter": max_iter, "gap": gap, "converged": gap <= tol}
+    return model, record
 
 
 def select_c_copying(gram, labels, plan):
@@ -132,17 +168,19 @@ def select_c_copying(gram, labels, plan):
     table = []
     best_c, best_v = None, -1.0
     for c in plan.c_grid:
-        fold_scores = []
+        fold_scores, converged = [], []
         for held in folds:
             train_idx = np.setdiff1d(all_idx, held)
             sub = k[np.ix_(train_idx, train_idx)]
             weights = datapipe.class_weights(y[train_idx])
-            model = solve_dual_columns(sub, y[train_idx], c, weights)
+            model, record = solve_dual_columns(sub, y[train_idx], c, weights)
             rows = k[np.ix_(held, train_idx)]
             preds = (raw_decision_scores(model, rows) >= 0.0).astype(int)
             fold_scores.append(f_beta(confusion(y[held], preds), plan.beta))
+            converged.append(record["converged"])
         mean_v = float(np.mean(fold_scores))
-        table.append({"c": c, "mean_f_beta": mean_v, "fold_f_beta": fold_scores})
+        table.append({"c": c, "mean_f_beta": mean_v, "fold_f_beta": fold_scores,
+                      "fold_converged": converged})
         if mean_v > best_v + 1e-12:
             best_c, best_v = c, mean_v
     return best_c, table

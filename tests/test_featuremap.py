@@ -6,27 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qthreat import featuremap
 from qthreat.featuremap import (
     AngleVector,
     FeatureMapSpec,
     MAX_QUBITS,
-    GramBundle,
     build_feature_map,
-    build_gram,
-    center_gram,
     compute_uncompute_program,
     feature_state,
     feature_statevectors,
     fidelity_kernel,
     fidelity_kernel_shots,
-    gram_from_states,
     kernel_shot_estimates,
-    max_asymmetry,
 )
 from qthreat.qsim import CircuitProgram, GateOp, NoiseSpec, apply_circuit, zero_state
+from qthreat.qsvm import CvPlan, FidelityRows, max_asymmetry, select_c
 
-from oracles import center_test_row, whole_asymmetry, whole_centering, whole_gram
+from oracles import center_test_row, gram_from_states, whole_asymmetry, whole_gram
 
 SPEC2 = FeatureMapSpec(num_qubits=2, reps=1)
 
@@ -319,11 +314,28 @@ def test_mitigated_shot_kernel_tracks_exact():
 
 
 # ---------------------------------------------------------------- Gram
+# The train kernel is qsvm.FidelityRows: the centred fidelity Gram, one row
+# at a time from the statevectors. `dense` stacks its rows for whole-matrix
+# checks.
+
+
+def fidelity_rows(points, spec):
+    return FidelityRows(feature_statevectors(np.stack([p.angles for p in points]), spec))
+
+
+def dense(rows):
+    return np.stack([rows[i] for i in range(rows.n)])
+
+
+def uncentred(rows):
+    """k_ij from the centred rows: k_ij - (m_i + m_j) + grand, undone."""
+    return dense(rows) + (rows.means[:, None] + rows.means[None, :]) - rows.grand
 
 
 def test_gram_single_point():
-    bundle = build_gram([AngleVector(np.array([0.2, 0.4]))], SPEC2)
-    np.testing.assert_allclose(bundle.train_gram, [[1.0]], atol=1e-12)
+    rows = fidelity_rows([AngleVector(np.array([0.2, 0.4]))], SPEC2)
+    np.testing.assert_allclose(rows.means, [1.0], atol=1e-12)
+    np.testing.assert_allclose(rows[0], [0.0], atol=1e-12)
 
 
 def test_gram_matches_pairwise_kernel():
@@ -331,7 +343,7 @@ def test_gram_matches_pairwise_kernel():
     spec = FeatureMapSpec(3, reps=2)
     points = [random_angles(rng, 3) for _ in range(3)]
     others = [random_angles(rng, 3) for _ in range(2)]
-    bundle = build_gram(points, spec)
+    k = uncentred(fidelity_rows(points, spec))
     cross = gram_from_states(
         feature_statevectors(np.stack([p.angles for p in others]), spec),
         feature_statevectors(np.stack([p.angles for p in points]), spec),
@@ -339,7 +351,7 @@ def test_gram_matches_pairwise_kernel():
     for i in range(3):
         for j in range(3):
             want = fidelity_kernel(points[i], points[j], spec)
-            assert bundle.train_gram[i, j] == pytest.approx(want, abs=1e-10)
+            assert k[i, j] == pytest.approx(want, abs=1e-10)
     for i in range(2):
         for j in range(3):
             want = fidelity_kernel(others[i], points[j], spec)
@@ -349,11 +361,13 @@ def test_gram_matches_pairwise_kernel():
 def test_gram_psd_after_clamp():
     rng = np.random.default_rng(9)
     points = [random_angles(rng, 2) for _ in range(8)]
-    states = feature_statevectors(np.stack([p.angles for p in points]), SPEC2)
+    angles = np.stack([p.angles for p in points])
+    states = feature_statevectors(angles, SPEC2)
     raw = np.abs(states.conj() @ states.T) ** 2
     assert np.linalg.eigvalsh((raw + raw.T) / 2).min() >= -1e-8
-    bundle = build_gram(points, SPEC2)
-    assert np.linalg.eigvalsh(bundle.train_gram).min() >= -1e-10
+    assert np.linalg.eigvalsh(whole_gram(angles, SPEC2)).min() >= -1e-10
+    # the centred rows are HKH of a PSD Gram
+    assert np.linalg.eigvalsh(dense(FidelityRows(states))).min() >= -1e-10
 
 
 @settings(max_examples=25, deadline=None)
@@ -368,7 +382,8 @@ def test_gram_psd_after_clamp():
 )
 def test_gram_psd_by_construction(q, reps, entanglement, convention, n, seed, duplicates):
     # k(a, b) = Tr(rho_a rho_b) makes K = Phi Phi^T: after symmetrising and
-    # clipping to [0, 1], as build_gram does, it stays PSD within rounding
+    # clipping to [0, 1], as the whole-matrix oracle does, it stays PSD
+    # within rounding
     spec = FeatureMapSpec(q, reps, entanglement, convention)
     angles = np.random.default_rng(seed).uniform(-math.pi, math.pi, size=(n, q))
     if duplicates:
@@ -376,96 +391,30 @@ def test_gram_psd_by_construction(q, reps, entanglement, convention, n, seed, du
     assert np.linalg.eigvalsh(whole_gram(angles, spec)).min() >= -1e-10
 
 
-def same_bits(a, b):
-    a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
-BLOCK = 4
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    # one point, under a block, one block, one block plus one row, and
-    # sizes that are not a multiple of the block
-    n=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 3 * BLOCK - 1])
-    | st.integers(1, 30),
-    q=st.integers(2, 4),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_blockwise_gram_is_bit_identical_to_whole_matrix_oracle(n, q, seed):
-    spec = FeatureMapSpec(q, reps=2)
-    angles = np.random.default_rng(seed).uniform(-math.pi, math.pi, size=(n, q))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(featuremap, "GRAM_BLOCK", BLOCK)
-        bundle = build_gram([AngleVector(a) for a in angles], spec)
-        before = bundle.train_gram.copy()
-        centred = center_gram(bundle)
-        again = build_gram([AngleVector(a) for a in angles], spec)
-        in_place = center_gram(again, out=again.train_gram)
-    k = whole_gram(angles, spec)
-    assert same_bits(bundle.train_gram, k)
-    want, means, grand = whole_centering(k)
-    assert same_bits(centred.train_gram, want)
-    assert same_bits(centred.centering_row_means, means)
-    assert same_bits(centred.centering_grand_mean, grand)
-    # centring builds a new bundle and leaves its input untouched
-    assert same_bits(bundle.train_gram, before)
-    # unless it centres into the input's own buffer, with the same bits
-    assert in_place.train_gram is again.train_gram
-    assert same_bits(in_place.train_gram, want)
-    assert same_bits(in_place.centering_row_means, means)
-    assert same_bits(in_place.centering_grand_mean, grand)
-
-
-def test_center_gram_rejects_a_mismatched_out():
-    bundle = build_gram([AngleVector(np.array([0.2, 0.4])), AngleVector(np.zeros(2))], SPEC2)
-    for out in (np.empty((3, 3)), np.empty((2, 2), dtype=np.float32)):
-        with pytest.raises(ValueError):
-            center_gram(bundle, out=out)
-
-
 @pytest.mark.parametrize("n", [1, 3, 4, 5, 11])
-def test_max_asymmetry_matches_whole_matrix_oracle(monkeypatch, n):
-    monkeypatch.setattr(featuremap, "GRAM_BLOCK", 4)
+def test_max_asymmetry_matches_whole_matrix_oracle(n):
     k = np.random.default_rng(n).normal(size=(n, n))
-    assert max_asymmetry(k) == whole_asymmetry(k)
-    assert max_asymmetry((k + k.T) / 2.0) == 0.0
+    assert max_asymmetry(k, block=4) == whole_asymmetry(k)
+    assert max_asymmetry((k + k.T) / 2.0, block=4) == 0.0
     if n > 1:
         k[n - 1, 0] = np.nan
-        assert math.isnan(max_asymmetry(k)) and math.isnan(whole_asymmetry(k))
-
-
-def test_gram_and_centring_hold_two_matrices_plus_blocks():
-    # the uncentred and the centred Gram, plus O(GRAM_BLOCK * n) scratch;
-    # whole-matrix temporaries put this near 5 n^2 * 8 bytes
-    n = 1500
-    angles = np.random.default_rng(15).uniform(-math.pi, math.pi, size=(n, 4))
-    points = [AngleVector(a) for a in angles]
-    spec = FeatureMapSpec(4, reps=2)
-    tracemalloc.start()
-    try:
-        centred = center_gram(build_gram(points, spec))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert centred.n_train == n
-    assert peak <= 2.5 * n * n * 8, peak / (n * n * 8)
+        assert math.isnan(max_asymmetry(k, block=4)) and math.isnan(whole_asymmetry(k))
 
 
 def test_in_place_centring_allocates_no_matrix():
-    # centring into the uncentred Gram's own buffer needs the column means
-    # and O(GRAM_BLOCK^2) symmetrising scratch, no second n x n array
+    # the centring means cost O(n 4^q), and each row is centred in its own
+    # buffer: the scratch is the rows read plus O(n) vectors, no n x n array
     n = 1500
     angles = np.random.default_rng(15).uniform(-math.pi, math.pi, size=(n, 4))
-    bundle = build_gram([AngleVector(a) for a in angles], FeatureMapSpec(4, reps=2))
+    states = feature_statevectors(angles, FeatureMapSpec(4, reps=2))
     tracemalloc.start()
     try:
-        centred = center_gram(bundle, out=bundle.train_gram)
+        rows = FidelityRows(states)
+        read = [rows[i] for i in range(0, n, 100)]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert centred.n_train == n
+    assert len(read) == 15 and rows.means.shape == (n,)
     assert peak <= 0.1 * n * n * 8, peak / (n * n * 8)
 
 
@@ -473,24 +422,30 @@ def test_gram_permutation_equivariance():
     rng = np.random.default_rng(10)
     points = [random_angles(rng, 2) for _ in range(6)]
     perm = rng.permutation(6)
-    k1 = build_gram(points, SPEC2).train_gram
-    k2 = build_gram([points[i] for i in perm], SPEC2).train_gram
+    k1 = dense(fidelity_rows(points, SPEC2))
+    k2 = dense(fidelity_rows([points[i] for i in perm], SPEC2))
     np.testing.assert_allclose(k2, k1[np.ix_(perm, perm)], atol=1e-12)
 
 
-def test_gram_rejects_empty_and_oversize():
-    with pytest.raises(ValueError):
-        build_gram([], SPEC2)
-    pts = [AngleVector(np.zeros(2))] * 3
-    with pytest.raises(ValueError):
-        build_gram(pts, SPEC2, max_train=2)
+def test_fidelity_rows_reject_empty_and_non_finite_states():
+    for bad in (np.zeros((0, 4), dtype=complex), np.ones(4, dtype=complex)):
+        with pytest.raises(ValueError, match="nonempty"):
+            FidelityRows(bad)
+    states = feature_statevectors(np.zeros((3, 2)), SPEC2)
+    states[1, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        FidelityRows(states)
 
 
+# a dense train Gram handed to select_c (or solve_dual) is checked instead
 def test_bundle_validation():
-    with pytest.raises(ValueError):
-        GramBundle(np.array([[1.0, 0.2], [0.3, 1.0]]))  # asymmetric
-    with pytest.raises(ValueError):
-        GramBundle(np.array([[0.5, 0.0], [0.0, 1.0]]))  # bad diagonal
+    plan = CvPlan(folds=2, c_grid=(1.0,))
+    with pytest.raises(ValueError, match="symmetric"):
+        select_c(np.array([[1.0, 0.2], [0.3, 1.0]]), [0, 1], plan)  # asymmetric
+    with pytest.raises(ValueError, match="does not match"):
+        select_c(np.eye(3), [0, 1], plan)
+    with pytest.raises(ValueError, match="kernel has 3 rows, 2 labels"):
+        select_c(FidelityRows(np.eye(3, dtype=complex)), [0, 1], plan)
 
 
 @pytest.mark.parametrize(
@@ -501,78 +456,53 @@ def test_bundle_validation():
 )
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_bundle_rejects_non_finite_gram(bad):
-    for centered in (False, True):
-        with pytest.raises(ValueError, match="symmetric"):
-            GramBundle(
-                np.array(bad), centering_row_means=np.zeros(2), centering_grand_mean=0.0,
-                centered=centered,
-            )
+    with pytest.raises(ValueError, match="symmetric"):
+        select_c(np.array(bad), [0, 1], CvPlan(folds=2, c_grid=(1.0,)))
 
 
 # -------------------------------------------------------------- centering
 
 
 def test_centering_2x2_oracle():
-    bundle = GramBundle(np.array([[1.0, 0.5], [0.5, 1.0]]))
-    centered = center_gram(bundle)
+    # two states with overlap 1/2: K = [[1, .5], [.5, 1]]
+    states = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]], dtype=complex)
+    states[1] /= math.sqrt(2.0)
     np.testing.assert_allclose(
-        centered.train_gram, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-12
+        dense(FidelityRows(states)), [[0.25, -0.25], [-0.25, 0.25]], atol=1e-12
     )
 
 
 def test_centered_row_sums_vanish():
     rng = np.random.default_rng(11)
     points = [random_angles(rng, 2) for _ in range(7)]
-    centered = center_gram(build_gram(points, SPEC2))
-    assert np.max(np.abs(centered.train_gram.sum(axis=1))) < 1e-9
-    assert np.max(np.abs(centered.train_gram.mean(axis=0))) < 1e-9
+    k = dense(fidelity_rows(points, SPEC2))
+    assert np.max(np.abs(k.sum(axis=1))) < 1e-9
+    assert np.max(np.abs(k.mean(axis=0))) < 1e-9
 
 
 def test_out_of_sample_formula_matches_hkh():
     rng = np.random.default_rng(12)
     points = [random_angles(rng, 2) for _ in range(6)]
-    bundle = build_gram(points, SPEC2)
-    centered = center_gram(bundle)
+    rows = fidelity_rows(points, SPEC2)
+    raw = gram_from_states(rows.states)
     for i in range(6):
-        row = center_test_row(
-            bundle.train_gram[i],
-            centered.centering_row_means,
-            centered.centering_grand_mean,
-        )
-        np.testing.assert_allclose(row, centered.train_gram[i], atol=1e-10)
+        row = center_test_row(raw[i], rows.means, rows.grand)
+        np.testing.assert_allclose(row, rows[i], atol=1e-10)
 
 
 def test_center_constant_row_identity_gram():
-    bundle = GramBundle(np.eye(4))
-    centered = center_gram(bundle)
-    out = center_test_row(
-        np.full(4, 0.3),
-        centered.centering_row_means,
-        centered.centering_grand_mean,
-    )
+    rows = FidelityRows(np.eye(4, dtype=complex))  # K = I
+    out = center_test_row(np.full(4, 0.3), rows.means, rows.grand)
     np.testing.assert_allclose(out, np.zeros(4), atol=1e-12)
 
 
 def test_center_single_point_collapses():
-    bundle = build_gram([AngleVector(np.array([0.1, 0.2]))], SPEC2)
-    centered = center_gram(bundle)
-    out = center_test_row(
-        np.array([0.9]),
-        centered.centering_row_means,
-        centered.centering_grand_mean,
-    )
+    rows = fidelity_rows([AngleVector(np.array([0.1, 0.2]))], SPEC2)
+    out = center_test_row(np.array([0.9]), rows.means, rows.grand)
     assert out[0] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_center_rejects_double_centering():
-    bundle = center_gram(GramBundle(np.eye(3)))
-    with pytest.raises(ValueError):
-        center_gram(bundle)
-
-
 def test_center_row_rejects_bad_length():
-    centered = center_gram(GramBundle(np.eye(3)))
+    rows = FidelityRows(np.eye(3, dtype=complex))
     with pytest.raises(ValueError):
-        center_test_row(
-            np.zeros(5), centered.centering_row_means, centered.centering_grand_mean
-        )
+        center_test_row(np.zeros(5), rows.means, rows.grand)

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import shutil
+import tracemalloc
 import types
 from dataclasses import replace
 
@@ -18,7 +19,7 @@ from qthreat.harness import ExperimentConfig, PipelineError, Seeds
 from qthreat.qsim import NoiseSpec
 
 from conftest import write_nslkdd_pair
-from oracles import block_scores
+from oracles import block_scores, whole_centering, whole_gram
 
 
 def _cdict(c):
@@ -191,19 +192,14 @@ def test_threshold_comes_from_validation(qsvm_bundle):
 
     spec = config.feature_spec()
     # svm.json holds the centring means of the train Gram the fit was made on
-    gram = featuremap.center_gram(featuremap.build_gram(
-        [featuremap.AngleVector(a) for a in angles(split.x_train)], spec
-    ))
-    assert np.array_equal(row_means, gram.centering_row_means)
+    _, means, grand = whole_centering(whole_gram(angles(split.x_train), spec))
+    np.testing.assert_allclose(row_means, means, rtol=0.0, atol=1e-12)
     score = qsvm.observable_scorer(svm, angles(split.x_train[svm.support]), row_means, spec)
     val_scores = score(angles(split.x_val))
     assert qsvm.tune_threshold(val_scores, split.y_val, 2.0) == manifest["threshold"]
     assert svm.threshold == manifest["threshold"]
     # the observable reproduces scoring through centred Gram rows
-    oracle = block_scores(
-        svm, angles(split.x_train), angles(split.x_val), spec,
-        gram.centering_row_means, gram.centering_grand_mean,
-    )
+    oracle = block_scores(svm, angles(split.x_train), angles(split.x_val), spec, means, grand)
     np.testing.assert_allclose(val_scores, oracle, rtol=0.0, atol=1e-9)
 
 
@@ -285,11 +281,16 @@ def test_rerun_as_another_model_lists_the_files_of_a_fresh_run(make_config, tmp_
 
 
 def _count_gram_builds(monkeypatch):
-    """A list that gets one entry per featuremap.build_gram call from now on."""
-    calls, build = [], featuremap.build_gram
-    monkeypatch.setattr(
-        featuremap, "build_gram", lambda *a, **k: calls.append(1) or build(*a, **k)
-    )
+    """A list that gets each qsvm.FidelityRows (the train kernel's row
+    source) constructed from now on."""
+    calls = []
+
+    class Counted(qsvm.FidelityRows):
+        def __init__(self, states):
+            calls.append(self)
+            super().__init__(states)
+
+    monkeypatch.setattr(qsvm, "FidelityRows", Counted)
     return calls
 
 
@@ -358,8 +359,88 @@ def test_a_workdir_with_a_gram_stage_completes_without_it(qsvm_bundle, tmp_path,
     rerun = harness.run_experiment(config, copy)
     assert len(builds) == 1
     assert not any(name.startswith("gram/") for name in rerun["files"])
+    assert not (copy / "gram").exists()
     assert rerun == manifest
     assert harness.evaluate_bundle(copy)["metrics"] == manifest["metrics"]
+
+
+def test_svm_json_records_the_solver(qsvm_bundle):
+    config, d, _ = qsvm_bundle
+    header = json.loads((d / "svm" / "svm.json").read_text())
+    solver = header["extra"]["solver"]
+    assert sorted(solver) == ["converged", "gap", "iterations", "max_iter"]
+    assert solver["converged"] is True and 0.0 <= solver["gap"] <= qsvm.DUAL_TOL
+    assert 0 < solver["iterations"] < solver["max_iter"]
+    assert [row["c"] for row in header["cv_table"]] == list(config.c_grid)
+    for row in header["cv_table"]:
+        assert row["fold_converged"] == [True] * config.cv_folds
+
+
+def _stage_dir(root, name, marked=True, file="x.json"):
+    d = root / name
+    d.mkdir()
+    (d / file).write_text("{}")
+    if marked:
+        (d / "stage.json").write_text('{"key": "old"}')
+    return d
+
+
+def test_a_complete_run_removes_only_marked_stage_directories_it_did_not_record(
+    qsvm_bundle, tmp_path
+):
+    config, d, manifest = qsvm_bundle
+    copy = tmp_path / "copy"
+    shutil.copytree(d, copy)
+    (copy / "manifest.json").unlink()
+    legacy = _stage_dir(copy, "gram", file="train.f64")
+    other_model = _stage_dir(copy, "vqc")
+    user = _stage_dir(copy, "notes")           # not a stage name, marker or not
+    unmarked = _stage_dir(copy, "baseline", marked=False)
+    loose = copy / "svm.bak"
+    loose.write_text("{}")
+    assert harness.run_experiment(config, copy) == manifest
+    assert not legacy.exists() and not other_model.exists()
+    assert (user / "stage.json").exists() and (unmarked / "x.json").exists()
+    assert loose.exists() and (copy / "svm" / "svm.json").exists()
+
+
+def test_an_early_stop_removes_no_stage_directory(qsvm_bundle, tmp_path):
+    config, d, _ = qsvm_bundle
+    copy = tmp_path / "copy"
+    shutil.copytree(d, copy)
+    legacy = _stage_dir(copy, "gram")
+    before = sorted(p.relative_to(copy) for p in copy.rglob("*"))
+    harness.run_experiment(config, copy, through="encoder")
+    assert legacy.exists() and (copy / "svm" / "stage.json").exists()
+    assert sorted(p.relative_to(copy) for p in copy.rglob("*")) == before
+
+
+def test_svm_stage_allocates_no_n_by_n_array(make_config, tmp_path, monkeypatch):
+    # the stage's own work at n = 1000 from given angles (two clusters, so
+    # the fit has few support vectors, as on NSL-KDD): statevectors, the row
+    # source, C selection, the final fit, the threshold and svm.json. A
+    # dense Gram alone would be n^2 * 8 bytes; the row cache holds the rows
+    # the SMO read
+    n, q = 1000, 3
+    rng = np.random.default_rng(19)
+    y = (rng.random(n + 200) < 0.3).astype(int)
+    x = np.where(y[:, None] == 1, 0.6, -0.6) + 0.2 * rng.normal(size=(n + 200, q))
+    split = types.SimpleNamespace(
+        x_train=x[:n], y_train=y[:n], x_val=x[n:], y_val=y[n:],
+        class_weights=datapipe.class_weights(y[:n]),
+    )
+    monkeypatch.setattr(harness, "_angles", lambda config, enc, scaler, rows: rows)
+    sources = _count_gram_builds(monkeypatch)
+    config = make_config(qubits=q, c_grid=(1.0,), cv_folds=2)
+    tracemalloc.start()
+    try:
+        model = harness._stage_svm(config, tmp_path, {"encoder": "0" * 64}, split, (None, None))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.svm.n_train == n and (tmp_path / "svm" / "svm.json").exists()
+    assert len(sources) == 1 and len(sources[0]._rows) < n / 4
+    assert peak <= 0.5 * n * n * 8, peak / (n * n * 8)
 
 
 def test_identical_configs_give_bit_identical_manifests(make_config, tmp_path):

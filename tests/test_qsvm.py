@@ -8,19 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qthreat.datapipe import class_weights
-from qthreat.featuremap import (
-    AngleVector,
-    FeatureMapSpec,
-    build_gram,
-    center_gram,
-    feature_statevectors,
-    gram_from_states,
-)
+from qthreat.featuremap import AngleVector, FeatureMapSpec, feature_statevectors
 from qthreat.metrics import confusion, f_beta
 from qthreat.qsvm import (
+    DUAL_TOL,
     CvPlan,
+    FidelityRows,
     SvmModel,
     align_sign,
+    fit_rows,
     load_svm,
     observable_scorer,
     save_svm,
@@ -32,10 +28,13 @@ from qthreat.qsvm import (
 
 from oracles import (
     block_scores,
+    gram_from_states,
     raw_decision_scores,
     select_c_copying,
     solve_dual_columns,
     tune_threshold_loop,
+    whole_centering,
+    whole_gram,
 )
 
 SPEC2 = FeatureMapSpec(num_qubits=2, reps=1)
@@ -43,6 +42,14 @@ SPEC2 = FeatureMapSpec(num_qubits=2, reps=1)
 
 def linear_gram(x):
     return x @ x.T
+
+
+def fidelity_rows(angles, spec):
+    return FidelityRows(feature_statevectors(angles, spec))
+
+
+def dense(rows):
+    return np.stack([rows[i] for i in range(rows.n)])
 
 
 def separable_points(n, seed, margin=2.0):
@@ -130,10 +137,10 @@ def test_permutation_invariance():
     # tight tolerance: the converged dual optimum is unique, so scores are
     # order-independent; the default 1e-3 stop leaves visible solver slack
     def fit_and_score(order):
-        bundle = center_gram(build_gram([points[i] for i in order], SPEC2))
-        model = solve_dual(bundle.train_gram, labels[order], c=1.0, tol=1e-10)
+        rows = fidelity_rows(angles[order], SPEC2)
+        model, _ = fit_rows(rows, labels[order], c=1.0, tol=1e-10)
         support = angles[order][model.support]
-        score = observable_scorer(model, support, bundle.centering_row_means, SPEC2)
+        score = observable_scorer(model, support, rows.means, SPEC2)
         return score(np.stack([p.angles for p in others]))
 
     scores = fit_and_score(np.arange(20))
@@ -145,11 +152,12 @@ def test_kkt_on_centered_quantum_kernel():
     rng = np.random.default_rng(5)
     angles = rng.uniform(-math.pi, math.pi, size=(30, 2))
     labels = (np.sin(angles[:, 0]) + 0.3 * rng.normal(size=30) > 0).astype(int)
-    bundle = center_gram(build_gram([AngleVector(a) for a in angles], SPEC2))
+    rows = fidelity_rows(angles, SPEC2)
     weights = class_weights(labels)
     for c in (0.1, 1.0, 10.0):
-        model = solve_dual(bundle.train_gram, labels, c=c, class_weights=weights)
-        assert_kkt(model, bundle.train_gram, labels)
+        model, record = fit_rows(rows, labels, c=c, class_weights=weights)
+        assert record["converged"] and record["gap"] <= DUAL_TOL
+        assert_kkt(model, dense(rows), labels)
 
 
 @pytest.mark.parametrize(
@@ -224,7 +232,7 @@ def _quantum_cv_case(n, folds, positive_share, seed):
     positives = min(max(folds, int(positive_share * n)), n - folds)
     labels = np.zeros(n, dtype=int)
     labels[np.argsort(score)[n - positives:]] = 1
-    gram = center_gram(build_gram([AngleVector(a) for a in angles], SPEC2)).train_gram
+    gram = whole_centering(whole_gram(angles, SPEC2))[0]
     return gram, labels
 
 
@@ -270,7 +278,93 @@ def test_solve_dual_rows_equal_column_oracle(n, c, positive_share, quantum, seed
         labels[: max(1, int(positive_share * n))] = 1
     weights = class_weights(labels)
     model = solve_dual(gram, labels, c, weights)
-    assert _same_model(model, solve_dual_columns(gram, labels, c, weights))
+    fitted, record = fit_rows(gram, labels, c, weights)
+    want, want_record = solve_dual_columns(gram, labels, c, weights)
+    assert _same_model(model, want) and _same_model(fitted, want)
+    assert record == want_record
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.integers(2, 6),
+    reps=st.sampled_from([1, 2]),
+    entanglement=st.sampled_from(["full", "linear"]),
+    convention=st.sampled_from(["pi_minus", "product"]),
+    n=st.integers(1, 40),
+    duplicates=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fidelity_rows_match_whole_matrix_oracle(
+    q, reps, entanglement, convention, n, duplicates, seed
+):
+    spec = FeatureMapSpec(q, reps, entanglement, convention)
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(-math.pi, math.pi, size=(n, q))
+    if duplicates:
+        angles[n // 2:] = angles[: n - n // 2]
+    want, means, grand = whole_centering(whole_gram(angles, spec))
+    rows = fidelity_rows(angles, spec)
+    np.testing.assert_allclose(rows.means, means, rtol=0.0, atol=1e-12)
+    assert rows.grand == pytest.approx(grand, rel=0.0, abs=1e-12)
+    cols = np.sort(rng.choice(n, size=max(1, n // 2), replace=False))
+    held = np.setdiff1d(np.arange(n), cols)
+    block = rows[np.ix_(held, cols)]
+    assert not rows._rows  # a block is computed from S and not kept
+    np.testing.assert_allclose(block, want[np.ix_(held, cols)], rtol=0.0, atol=1e-12)
+    for i in range(n):
+        np.testing.assert_allclose(rows[i], want[i], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(rows[i, cols], want[i, cols], rtol=0.0, atol=1e-12)
+    # each row is computed once and kept
+    assert rows[0] is rows[0] and len(rows._rows) == n
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(12, 120),
+    folds=st.integers(2, 4),
+    c=st.sampled_from([0.1, 1.0, 10.0]),
+    positive_share=st.floats(0.1, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_row_source_fits_as_its_stacked_rows(n, folds, c, positive_share, seed):
+    # the SMO reads the same row bits from the source as from the matrix its
+    # rows stack into, so the fits agree bit for bit; CV agrees too (its
+    # held-out blocks come from S, within rounding of the stacked rows)
+    _, labels = _quantum_cv_case(n, folds, positive_share, seed)
+    # the angles _quantum_cv_case draws first from the same seed
+    angles = np.random.default_rng(seed).uniform(-math.pi, math.pi, size=(n, 2))
+    rows = fidelity_rows(angles, SPEC2)
+    k = dense(rows)
+    weights = class_weights(labels)
+    model, record = fit_rows(rows, labels, c, weights)
+    assert _same_model(model, solve_dual(k, labels, c, weights))
+    again, again_record = fit_rows(k, labels, c, weights)
+    assert _same_model(model, again) and record == again_record
+    plan = CvPlan(folds=folds, c_grid=(0.1, 1.0, 10.0), seed=seed % 97)
+    assert select_c(rows, labels, plan) == select_c(k, labels, plan)
+
+
+def test_a_fit_stopped_at_max_iter_records_it():
+    rng = np.random.default_rng(18)
+    angles = rng.uniform(-math.pi, math.pi, size=(40, 2))
+    labels = (np.sin(angles[:, 0]) + 0.3 * rng.normal(size=40) > 0).astype(int)
+    rows = fidelity_rows(angles, SPEC2)
+    _, stopped = fit_rows(rows, labels, 1.0, max_iter=1)
+    assert stopped["iterations"] == stopped["max_iter"] == 1
+    assert stopped["converged"] is False and stopped["gap"] > DUAL_TOL
+    _, done = fit_rows(rows, labels, 1.0)
+    assert done["converged"] is True and done["gap"] <= DUAL_TOL
+    assert 1 < done["iterations"] < done["max_iter"]
+    _, table = select_c(rows, labels, CvPlan(folds=2, c_grid=(1.0,)))
+    assert table[0]["fold_converged"] == [True, True]
+
+
+def test_solve_dual_takes_only_a_dense_gram():
+    rows = fidelity_rows(np.zeros((2, 2)), SPEC2)
+    with pytest.raises(TypeError, match="fit_rows"):
+        solve_dual(rows, [0, 1], 1.0)
+    with pytest.raises(ValueError, match="kernel has 2 rows, 3 labels"):
+        fit_rows(rows, [0, 1, 1], 1.0)
 
 
 def test_model_validation():
@@ -362,13 +456,11 @@ def test_observable_scorer_matches_centred_block_oracle(
     labels = rng.integers(0, 2, size=n)
     labels[:2] = [0, 1]
     probe = rng.uniform(-math.pi, math.pi, size=(m, q))
-    bundle = center_gram(build_gram([AngleVector(a) for a in train], spec))
-    model = solve_dual(bundle.train_gram, labels, c, class_weights(labels))
+    rows = fidelity_rows(train, spec)
+    model, _ = fit_rows(rows, labels, c, class_weights(labels))
     model = replace(model, sign=sign)
-    score = observable_scorer(model, train[model.support], bundle.centering_row_means, spec)
-    want = block_scores(
-        model, train, probe, spec, bundle.centering_row_means, bundle.centering_grand_mean
-    )
+    score = observable_scorer(model, train[model.support], rows.means, spec)
+    want = block_scores(model, train, probe, spec, rows.means, rows.grand)
     np.testing.assert_allclose(score(probe), want, rtol=0.0, atol=1e-9)
 
 
@@ -379,15 +471,15 @@ def test_observable_scorer_is_row_independent():
     spec = FeatureMapSpec(3, 2)
     train = rng.uniform(-math.pi, math.pi, size=(24, 3))
     labels = (train[:, 0] > 0).astype(int)
-    bundle = center_gram(build_gram([AngleVector(a) for a in train], spec))
-    model = solve_dual(bundle.train_gram, labels, 1.0)
-    score = observable_scorer(model, train[model.support], bundle.centering_row_means, spec)
+    rows = fidelity_rows(train, spec)
+    model, _ = fit_rows(rows, labels, 1.0)
+    score = observable_scorer(model, train[model.support], rows.means, spec)
     probe = rng.uniform(-math.pi, math.pi, size=(70, 3))
     whole = score(probe)
     chunked = np.concatenate([score(probe[i : i + 32]) for i in range(0, 70, 32)])
     assert np.array_equal(whole, chunked)
     with pytest.raises(ValueError, match="support vector"):
-        observable_scorer(model, train[:1], bundle.centering_row_means, spec)
+        observable_scorer(model, train[:1], rows.means, spec)
 
 
 # --------------------------------------------------------------- threshold
@@ -497,24 +589,28 @@ def test_single_value_grid():
 
 
 def test_fold_submatrix_bookkeeping():
-    # submatrices of a cached-statevector Gram equal freshly built fold Grams
+    # a fold's row reads and held-out blocks of the row source equal the
+    # centred whole-matrix Gram's submatrices
     rng = np.random.default_rng(12)
     angles = rng.uniform(-math.pi, math.pi, size=(15, 2))
-    points = [AngleVector(a) for a in angles]
-    full = build_gram(points, SPEC2).train_gram
+    rows = fidelity_rows(angles, SPEC2)
+    full = whole_centering(whole_gram(angles, SPEC2))[0]
     y = (angles[:, 1] > 0).astype(int)
     folds = stratified_folds(y, 3, seed=2)
     all_idx = np.arange(15)
     for held in folds:
         tr = np.setdiff1d(all_idx, held)
-        rebuilt = build_gram([points[i] for i in tr], SPEC2)
-        np.testing.assert_allclose(
-            full[np.ix_(tr, tr)], rebuilt.train_gram, atol=1e-12
-        )
+        for i in tr:
+            np.testing.assert_allclose(rows[i, tr], full[i, tr], atol=1e-12)
+        np.testing.assert_allclose(rows[np.ix_(held, tr)], full[np.ix_(held, tr)], atol=1e-12)
         cross = gram_from_states(
             feature_statevectors(angles[held], SPEC2), feature_statevectors(angles[tr], SPEC2)
         )
-        np.testing.assert_allclose(full[np.ix_(held, tr)], cross, atol=1e-12)
+        np.testing.assert_allclose(
+            rows[np.ix_(held, tr)],
+            cross - (rows.means[held][:, None] + rows.means[tr][None, :]) + rows.grand,
+            atol=1e-12,
+        )
 
 
 def test_select_c_prefers_smaller_on_tie():
