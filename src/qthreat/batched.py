@@ -7,8 +7,8 @@ register per row, shape (m, 2^q), qubit 0 the least significant bit of the
 column index; a gate angle is a float shared by every row or an (m,)
 array, one angle per row. `adjoint` is the reverse sweep of the adjoint
 method (Jones & Gacon, arXiv:2009.02823) over the same program. Tests pin
-`evolve` to the per-state reference, qsim.apply_circuit, and `adjoint` to
-central differences.
+`evolve` to the per-state reference, tests/oracles.apply_circuit, and
+`adjoint` to central differences.
 """
 from __future__ import annotations
 

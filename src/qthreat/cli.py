@@ -218,7 +218,10 @@ def _run_stream(args) -> int:
 
 def _run_matrix(args) -> int:
     raw = persist.load_json(args.config)
-    entries = raw["experiments"] if isinstance(raw, dict) else raw
+    entries = raw["experiments"] if isinstance(raw, dict) and set(raw) == {"experiments"} else raw
+    if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+        raise ValueError(f"{args.config}: need a list of config objects or "
+                         '{"experiments": [<config>, ...]}')
     configs = [ExperimentConfig.from_dict(e) for e in entries]
     result = harness.run_matrix(
         configs, args.workdir, repeats=args.repeats, workers=args.workers

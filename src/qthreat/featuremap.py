@@ -1,4 +1,4 @@
-"""Angle encoding, ZZ feature maps, and the fidelity kernel.
+"""Angle encoding, ZZ feature maps, and shot estimates of the fidelity kernel.
 
 The feature map repeats [H on all qubits; RZ(2 theta_i); RZZ(2 phi_ij) on
 entangled pairs] `reps` times. The pair phase phi_ij follows a configurable
@@ -15,7 +15,8 @@ the shot engine (qsim.evolve_density, then qsim.shot_estimates with
 readout error folded in), and k(a, b) is the sampled frequency of |0...0>.
 No Gram is built here: the QSVM reads its centred train kernel row by row
 from the train statevectors (qsvm.FidelityRows), and scores other rows
-through one observable (qsvm.observable_scorer).
+through one observable (qsvm.observable_scorer). The one-pair kernels the
+tests check these against, exact and shot, are in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -25,16 +26,7 @@ from typing import List, Tuple
 import numpy as np
 
 from . import batched
-from .qsim import (
-    CircuitProgram,
-    GateOp,
-    NoiseSpec,
-    PureState,
-    apply_circuit,
-    outcome_probabilities,
-    shot_estimates,
-    zero_state,
-)
+from .qsim import CircuitProgram, GateOp, NoiseSpec, outcome_probabilities, shot_estimates
 
 CONVENTIONS = ("pi_minus", "product")
 ENTANGLEMENTS = ("full", "linear")
@@ -121,22 +113,10 @@ def build_feature_map(theta, spec: FeatureMapSpec) -> CircuitProgram:
     return CircuitProgram(spec.num_qubits, rep * spec.reps)
 
 
-def feature_state(theta: AngleVector, spec: FeatureMapSpec) -> PureState:
-    return apply_circuit(zero_state(spec.num_qubits), build_feature_map(theta, spec))
-
-
 def feature_statevectors(angles: np.ndarray, spec: FeatureMapSpec) -> np.ndarray:
     """Statevectors for a stack of angle rows, shape (m, q) -> (m, 2^q): the
     feature map of the stack run by batched.evolve."""
     return batched.evolve(build_feature_map(np.atleast_2d(np.asarray(angles, dtype=float)), spec))
-
-
-def fidelity_kernel(theta_a: AngleVector, theta_b: AngleVector, spec: FeatureMapSpec) -> float:
-    """k(a, b) = |<phi(a)|phi(b)>|^2, clipped to [0, 1]."""
-    va = feature_state(theta_a, spec).amplitudes
-    vb = feature_state(theta_b, spec).amplitudes
-    k = abs(np.vdot(va, vb)) ** 2
-    return float(min(1.0, max(0.0, k)))
 
 
 def compute_uncompute_program(theta_a, theta_b, spec: FeatureMapSpec) -> CircuitProgram:
@@ -168,17 +148,3 @@ def kernel_shot_estimates(
     zeros = np.zeros(probs.shape[1])
     zeros[0] = 1.0
     return shot_estimates(probs, zeros, shots, seeds, noise, mitigate)
-
-
-def fidelity_kernel_shots(
-    theta_a: AngleVector,
-    theta_b: AngleVector,
-    spec: FeatureMapSpec,
-    shots: int,
-    noise: NoiseSpec = NoiseSpec(),
-    mitigate: bool = False,
-    seed: int = 0,
-) -> float:
-    """Shot-based kernel estimate of one pair via the compute-uncompute
-    circuit (`kernel_shot_estimates` on one pair)."""
-    return float(kernel_shot_estimates(theta_a, theta_b, spec, shots, noise, mitigate, [seed])[0])

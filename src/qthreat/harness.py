@@ -170,6 +170,7 @@ class ExperimentConfig:
             )
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
+        self.execution()  # a mitigated shot run needs an invertible readout confusion
         for name in ("val_fraction", "test_fraction"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:

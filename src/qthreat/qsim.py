@@ -10,13 +10,13 @@ when p = 0), for shots and noise. A program's gate angles are floats or
 samples the outcome distributions (sample -> readout -> mitigate). Readout
 error is folded into each distribution with the tensor-product confusion
 matrix, the same law as flipping each shot's bits, so one multinomial per
-row draws the measured counts. `apply_circuit` evolves a single pure state
-gate by gate: it is the per-state reference the engines are tested against.
+row draws the measured counts. The per-state references the engines are
+tested against (a single pure state or density taken gate by gate) are in
+tests/oracles.py.
 
 Conventions, used everywhere downstream:
   * qubit 0 is the least-significant bit of the basis index;
-  * bitstring keys read z_{q-1} ... z_0, i.e. format(index, "0{q}b");
-  * all operations are pure functions; states are immutable after
+  * all operations are pure functions; programs are immutable after
     construction, so parallel callers only need to partition seeds.
 """
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,10 +45,6 @@ _PHASE_SIGNS = {"RZ": np.array([1.0, -1.0]), "RZZ": np.array([1.0, -1.0, -1.0, 1
 # the generator G of each non-diagonal parametric gate, exp(-i angle G / 2);
 # a diagonal gate's generator is the diagonal _PHASE_SIGNS gives
 _GENERATORS = {"RY": np.array([[0, -1j], [1j, 0]])}
-
-
-def bitstring(index: int, num_qubits: int) -> str:
-    return format(index, f"0{num_qubits}b")
 
 
 @dataclass(frozen=True)
@@ -138,62 +134,6 @@ def gate_matrix(op: GateOp) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PureState:
-    num_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1).copy()
-        if amps.size != 1 << self.num_qubits:
-            raise ValueError(
-                f"expected {1 << self.num_qubits} amplitudes, got {amps.size}"
-            )
-        norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"state norm^2 = {norm}, not 1 within 1e-10")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-
-def zero_state(num_qubits: int) -> PureState:
-    amps = np.zeros(1 << num_qubits, dtype=complex)
-    amps[0] = 1.0
-    return PureState(num_qubits, amps)
-
-
-@dataclass(frozen=True)
-class DensityState:
-    num_qubits: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        dim = 1 << self.num_qubits
-        rho = np.asarray(self.matrix, dtype=complex).copy()
-        if rho.shape != (dim, dim):
-            raise ValueError(f"expected {dim}x{dim} matrix, got {rho.shape}")
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
-            raise ValueError("density matrix is not Hermitian within 1e-10")
-        tr = complex(np.trace(rho)).real
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"trace = {tr}, not 1 within 1e-10")
-        if float(np.min(np.linalg.eigvalsh(rho))) < -1e-9:
-            raise ValueError("density matrix has an eigenvalue below -1e-9")
-        rho.setflags(write=False)
-        object.__setattr__(self, "matrix", rho)
-
-    def diagonal_probabilities(self) -> np.ndarray:
-        return _diagonal_probabilities(self.matrix[None])[0]
-
-
-def density_from_pure(state: PureState) -> DensityState:
-    v = state.amplitudes
-    return DensityState(state.num_qubits, np.outer(v, v.conj()))
-
-
-@dataclass(frozen=True)
 class NoiseSpec:
     depol_1q: float = 0.0
     depol_2q: float = 0.0
@@ -207,6 +147,16 @@ class NoiseSpec:
             if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails too
                 raise ValueError(f"{name} = {v} outside [0, 1]")
 
+    def check_invertible(self):
+        """Raise unless each qubit's readout confusion matrix can be
+        inverted, as mitigation needs: p01 + p10 = 1 (within 1e-12) makes
+        it singular. Scalar flips stand for every qubit."""
+        p01, p10 = np.broadcast_arrays(np.atleast_1d(self.readout_flip_01),
+                                       np.atleast_1d(self.readout_flip_10))
+        singular = np.flatnonzero(np.abs(1.0 - p01 - p10) < 1e-12)
+        if singular.size:
+            raise ValueError(f"qubit {singular[0]} confusion matrix singular (p01 + p10 = 1)")
+
     def flips_for(self, num_qubits: int) -> Tuple[np.ndarray, np.ndarray]:
         p01 = np.broadcast_to(
             np.atleast_1d(np.asarray(self.readout_flip_01, dtype=float)), (num_qubits,)
@@ -215,15 +165,6 @@ class NoiseSpec:
             np.atleast_1d(np.asarray(self.readout_flip_10, dtype=float)), (num_qubits,)
         ).copy()
         return p01, p10
-
-
-def apply_circuit(state: PureState, program: CircuitProgram) -> PureState:
-    if state.num_qubits != program.num_qubits:
-        raise ValueError("state/program qubit counts differ")
-    amps = state.amplitudes[None, :, None]
-    for op in program.ops:
-        amps = _left(gate_matrix(op), amps, _target_rows(op.targets, program.num_qubits))
-    return PureState(program.num_qubits, amps[0, :, 0])
 
 
 def z_signs(num_qubits: int, qubits: Optional[Sequence[int]] = None) -> np.ndarray:
@@ -239,15 +180,6 @@ def z_signs(num_qubits: int, qubits: Optional[Sequence[int]] = None) -> np.ndarr
     for t in qubits:
         parity ^= (idx >> t) & 1
     return 1.0 - 2.0 * parity
-
-
-def required_shots(epsilon: float, delta: float) -> int:
-    """Hoeffding shot budget: ceil(ln(2/delta) / (2 eps^2)) for +-1 outcomes."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    return max(1, math.ceil(math.log(2.0 / delta) / (2.0 * epsilon * epsilon)))
 
 
 # ------------------------------------------------------ stacked densities
@@ -321,16 +253,6 @@ def evolve_density(rho: np.ndarray, program: CircuitProgram, noise: NoiseSpec) -
     return rho
 
 
-def apply_circuit_noisy(
-    state: DensityState, program: CircuitProgram, noise: NoiseSpec
-) -> DensityState:
-    """`evolve_density` on one state: unitary evolution with a depolarizing
-    channel after every gate."""
-    if state.num_qubits != program.num_qubits:
-        raise ValueError("state/program qubit counts differ")
-    return DensityState(state.num_qubits, evolve_density(state.matrix[None], program, noise)[0])
-
-
 def _diagonal_probabilities(rho: np.ndarray) -> np.ndarray:
     p = np.clip(np.real(np.diagonal(rho, axis1=-2, axis2=-1)), 0.0, None)
     return p / p.sum(axis=-1, keepdims=True)
@@ -357,17 +279,18 @@ def fold_readout(probs: np.ndarray, noise: NoiseSpec, invert: bool = False) -> n
     """Apply the tensor-product readout confusion matrix, or its inverse, to
     outcome distributions over the last axis, shape (..., 2^q).
 
-    Raises on inverting a singular per-qubit confusion matrix (p01 + p10 = 1).
+    Raises on inverting a singular per-qubit confusion matrix
+    (NoiseSpec.check_invertible).
     """
     p = np.asarray(probs, dtype=float)
     shape, dim = p.shape, p.shape[-1]
     q = dim.bit_length() - 1
     p01, p10 = noise.flips_for(q)
+    if invert:
+        noise.check_invertible()
     for j in range(q):
         c = confusion_matrix_1q(p01[j], p10[j])
         if invert:
-            if abs(1.0 - p01[j] - p10[j]) < 1e-12:
-                raise ValueError(f"qubit {j} confusion matrix singular (p01 + p10 = 1)")
             c = np.linalg.inv(c)
         p = np.matmul(c, p.reshape(-1, dim >> (j + 1), 2, 1 << j))
     return p.reshape(shape)
@@ -410,32 +333,3 @@ def shot_estimates(
         freq = mitigate(freq, noise)
     # einsum, not a BLAS product, so a row's estimate is the same in any stack
     return np.einsum("md,d...->m...", freq, observable)
-
-
-def _vector(frequencies: Dict[str, float], num_qubits: int) -> np.ndarray:
-    freq = np.zeros(1 << num_qubits)
-    for bits, c in frequencies.items():
-        freq[int(bits, 2)] = c
-    return freq
-
-
-def _as_dict(freq: np.ndarray, num_qubits: int) -> Dict[str, float]:
-    return {bitstring(i, num_qubits): float(v) for i, v in enumerate(freq)}
-
-
-def mitigate_frequencies(
-    frequencies: Dict[str, float], noise: NoiseSpec, num_qubits: int
-) -> Dict[str, float]:
-    """`mitigate` on a bitstring-keyed distribution.
-
-    Applied to an analytically corrupted exact distribution this recovers
-    the original to numerical precision.
-    """
-    return _as_dict(mitigate(_vector(frequencies, num_qubits), noise), num_qubits)
-
-
-def corrupt_frequencies(
-    frequencies: Dict[str, float], noise: NoiseSpec, num_qubits: int
-) -> Dict[str, float]:
-    """Forward application of the tensor-product readout confusion model."""
-    return _as_dict(fold_readout(_vector(frequencies, num_qubits), noise), num_qubits)

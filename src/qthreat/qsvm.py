@@ -5,10 +5,10 @@ per-class cost weighting, stratified k-fold selection of C by F_beta, sign
 alignment, and validation threshold tuning. Labels are 0/1 at the API
 boundary and -1/+1 inside the dual. The QSVM trains from its n train
 statevectors through `FidelityRows`, which computes each centred kernel row
-when the solver first reads it, so no n x n Gram is built; `solve_dual` and
-`select_c` also take a dense precomputed Gram, checked for symmetry. A
-fitted model scores new rows through one observable (`observable_scorer`),
-never through out-of-sample Gram rows.
+when the solver first reads it, so no n x n Gram is built. `fit_rows` and
+`select_c` read the kernel only by row, entry and block, which a dense
+array answers too. A fitted model scores new rows through one observable
+(`observable_scorer`), never through out-of-sample Gram rows.
 """
 from __future__ import annotations
 
@@ -93,8 +93,8 @@ class FidelityRows:
     TIST 2:27, 2011). The SMO reads a few hundred distinct rows on the
     bench corpora, and at most all n.
 
-    Reads: k[i] (row i), k[i, cols] (entries cols of row i) and
-    k[np.ix_(a, b)] (a block, computed from S and not kept).
+    Reads: len(k) (n), k[i] (row i), k[i, cols] (entries cols of row i)
+    and k[np.ix_(a, b)] (a block, computed from S and not kept).
     """
 
     def __init__(self, states: np.ndarray):
@@ -109,8 +109,7 @@ class FidelityRows:
             raise ValueError("statevectors must be finite")
         self._rows: Dict[int, np.ndarray] = {}
 
-    @property
-    def n(self) -> int:
+    def __len__(self) -> int:
         return self.states.shape[0]
 
     def _block(self, a, b) -> np.ndarray:
@@ -132,26 +131,6 @@ class FidelityRows:
         return row if cols is None else row[cols]
 
 
-def solve_dual(
-    gram: np.ndarray,
-    labels: np.ndarray,
-    c: float,
-    class_weights: Tuple[float, float] = (1.0, 1.0),
-    tol: float = DUAL_TOL,
-    max_iter: Optional[int] = None,
-) -> SvmModel:
-    """Maximal-violating-pair SMO on max_a sum(a) - 0.5 a'YKYa over a dense
-    n x n Gram; `fit_rows` is the same fit over a `FidelityRows`, with the
-    solver's record.
-
-    Box is per-sample: 0 <= a_i <= C * w_{y_i}. Deterministic: ties in pair
-    selection resolve to the lowest index, and there is no randomness.
-    """
-    if isinstance(gram, FidelityRows):
-        raise TypeError("solve_dual takes a dense Gram; fit a FidelityRows with fit_rows")
-    return fit_rows(gram, labels, c, class_weights, tol, max_iter)[0]
-
-
 def fit_rows(
     rows,
     labels: np.ndarray,
@@ -160,52 +139,25 @@ def fit_rows(
     tol: float = DUAL_TOL,
     max_iter: Optional[int] = None,
 ) -> Tuple[SvmModel, dict]:
-    """(model, record): `solve_dual` over a FidelityRows (or a dense Gram,
-    checked as solve_dual checks it). The record holds the SMO's pair
-    updates ("iterations", at most "max_iter"), its final m_up - m_low
-    "gap" and "converged" (gap <= tol); a fit that stops at max_iter short
-    of tol records converged false."""
+    """(model, record): maximal-violating-pair SMO on
+    max_a sum(a) - 0.5 a'YKYa over the symmetric kernel `rows`, read only
+    as len(rows) and rows[i]: a FidelityRows, or any array.
+
+    Box is per-sample: 0 <= a_i <= C * w_{y_i}. Deterministic: ties in pair
+    selection resolve to the lowest index, and there is no randomness. The
+    record holds the SMO's pair updates ("iterations", at most
+    "max_iter"), its final m_up - m_low "gap" and "converged"
+    (gap <= tol); a fit that stops at max_iter short of tol records
+    converged false."""
     _check_c(c)
     y01 = np.asarray(labels, dtype=int).reshape(-1)
-    return _smo(_kernel(rows, y01.size), None, y01, c, class_weights, tol, max_iter)
+    _check_len(rows, y01.size)
+    return _smo(rows, None, y01, c, class_weights, tol, max_iter)
 
 
-def _kernel(k, n: int):
-    """A FidelityRows of n rows as it is, or a dense Gram through _checked_gram."""
-    if isinstance(k, FidelityRows):
-        if k.n != n:
-            raise ValueError(f"kernel has {k.n} rows, {n} labels")
-        return k
-    return _checked_gram(k, n)
-
-
-def _checked_gram(gram: np.ndarray, n: int) -> np.ndarray:
-    """gram as a float array, checked to be n x n, finite and symmetric
-    within 1e-8; one blockwise pass, which covers every principal
-    submatrix."""
-    k = np.asarray(gram, dtype=float)
-    if k.shape != (n, n):
-        raise ValueError(f"gram shape {k.shape} does not match {n} labels")
-    if not max_asymmetry(k) <= 1e-8:  # NaN, or inf - inf, fails too
-        raise ValueError("gram matrix must be finite and symmetric")
-    return k
-
-
-def _block_pairs(k: np.ndarray, block: int):
-    """Views (k[I, J], k[J, I]) of each block-square block pair I <= J."""
-    n = k.shape[0]
-    for i in range(0, n, block):
-        for j in range(i, n, block):
-            yield k[i:i + block, j:j + block], k[j:j + block, i:i + block]
-
-
-def max_asymmetry(k: np.ndarray, block: int = 256) -> float:
-    """max |k - k.T| of a square matrix, one block pair at a time (no n x n
-    temporary); NaN propagates as in np.max."""
-    worst = 0.0
-    for upper, lower in _block_pairs(k, block):
-        worst = np.maximum(worst, np.abs(upper - lower.T).max())
-    return float(worst)
+def _check_len(k, n: int):
+    if len(k) != n:
+        raise ValueError(f"kernel has {len(k)} rows, {n} labels")
 
 
 def _sets(y: np.ndarray, alpha: np.ndarray, box: np.ndarray):
@@ -226,9 +178,9 @@ def _smo(
 ) -> Tuple[SvmModel, dict]:
     """(model, record) of the SMO on the principal submatrix
     k[rows][:, rows] (all of k when rows is None), never copied: each step
-    reads two kernel rows, k[i] or k[rows[i], rows]. k is a FidelityRows or
-    a dense Gram from `_checked_gram`; a row stands in for the column the
-    update needs, since k is symmetric. The record is `fit_rows`'s.
+    reads two kernel rows, k[i] or k[rows[i], rows]; a row stands in for
+    the column the update needs, since k is symmetric. The record is
+    `fit_rows`'s.
     """
     n = y01.size
     if set(np.unique(y01)) != {0, 1}:
@@ -391,24 +343,24 @@ def stratified_folds(labels: np.ndarray, k: int, seed: int) -> List[np.ndarray]:
     return [np.sort(np.array(f, dtype=int)) for f in folds]
 
 
-def select_c(gram, labels: np.ndarray, plan: CvPlan) -> Tuple[float, List[dict]]:
+def select_c(k, labels: np.ndarray, plan: CvPlan) -> Tuple[float, List[dict]]:
     """Stratified k-fold CV over the C grid, scoring F_beta at threshold 0.
 
-    `gram` is a FidelityRows or a dense n x n Gram. Fold models train on
-    the train rows' principal submatrix and score held-out rows against
-    their support columns only. Ties break toward the smaller C. Each
-    table row records its folds' F_beta and whether each fold fit
-    converged (see `fit_rows`).
+    `k` is the train kernel, read only as len(k), k[i, cols] and blocks
+    k[np.ix_(a, b)]: a FidelityRows, or any array. Fold models train on the
+    train rows' principal submatrix and score held-out rows against their
+    support columns only. Ties break toward the smaller C. Each table row
+    records its folds' F_beta and whether each fold fit converged (see
+    `fit_rows`).
 
     Memory: no submatrix is copied. Fold fits read kernel rows through the
     fold's index array (`_smo`), and scoring reads one held-out x support
     block, so the scratch is O(n) vectors plus that block, not the fold's
     n_train^2 submatrix. A FidelityRows shares its row cache across folds
-    and C values; a dense Gram's symmetry check covers every fold's
-    submatrix in one blockwise pass.
+    and C values.
     """
     y = np.asarray(labels, dtype=int).reshape(-1)
-    k = _kernel(gram, y.size)
+    _check_len(k, y.size)
     folds = stratified_folds(y, plan.folds, plan.seed)
     all_idx = np.arange(y.size)
     table = []

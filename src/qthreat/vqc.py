@@ -6,15 +6,15 @@ angles enter the state L times. Readout is the full-register parity
 expectation <Z...Z>, mapped to a logit by a trainable affine pair
 (scale, bias). The circuit is built once, by `build_vqc_circuit`, and run
 by either engine. Exact mode takes stacked statevectors through it
-(batched.evolve), and training takes its gradients from one forward and
-one adjoint sweep per step (_adjoint, on batched.adjoint); the
-parameter-shift rule (parameter_shift_grad) is the shot-mode protocol,
-where a circuit can only be sampled. Shot-mode evaluation goes through
-the shot engine the kernel estimator uses: the rows' circuits run
-SHOT_BLOCK at a time as one stacked density evolution with depolarizing
-noise (qsim.evolve_density), then each row's outcome distribution is
-sampled with readout error folded in and optionally mitigated
-(qsim.shot_estimates) and read out as its parity.
+(batched.evolve), and training takes its exact gradients from one forward
+and one adjoint sweep per step (_adjoint, on batched.adjoint); there is no
+shot-mode training. Shot-mode evaluation goes through the shot engine the
+kernel estimator uses: the rows' circuits run SHOT_BLOCK at a time as one
+stacked density evolution with depolarizing noise (qsim.evolve_density),
+then each row's outcome distribution is sampled with readout error folded
+in and optionally mitigated (qsim.shot_estimates) and read out as its
+parity. The parameter-shift gradient the adjoint sweep is tested against
+is in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -115,7 +115,8 @@ def init_vqc(spec: VqcSpec, seed: int = 0) -> VqcModel:
 
 @dataclass(frozen=True)
 class Execution:
-    """How to evaluate the circuit: exact expectation or sampled shots."""
+    """How to evaluate the circuit: exact expectation or sampled shots. A
+    mitigated shot execution needs an invertible readout confusion."""
 
     mode: str = "exact"
     shots: int = 1024
@@ -128,6 +129,8 @@ class Execution:
             raise ValueError(f"unknown execution mode {self.mode!r}")
         if self.mode == "shots" and self.shots < 1:
             raise ValueError("shots must be >= 1 in shot mode")
+        if self.mode == "shots" and self.mitigate:
+            self.noise.check_invertible()
 
 
 # ----------------------------------------------------------- circuit build
@@ -149,13 +152,8 @@ def build_vqc_circuit(angles, model: VqcModel) -> CircuitProgram:
     return CircuitProgram(q, ops)
 
 
-def _batch_expectations(
-    angle_rows: np.ndarray, model: VqcModel, theta: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """<Z...Z> per row, from one batched.evolve of the rows' circuit; theta
-    overrides the model parameters (for shift evaluations)."""
-    if theta is not None:
-        model = VqcModel(model.spec, theta, model.scale, model.bias)
+def _batch_expectations(angle_rows: np.ndarray, model: VqcModel) -> np.ndarray:
+    """<Z...Z> per row, from one batched.evolve of the rows' circuit."""
     rows = np.atleast_2d(np.asarray(angle_rows, dtype=float))
     psi = batched.evolve(build_vqc_circuit(rows, model))
     return (np.abs(psi) ** 2) @ z_signs(model.spec.num_qubits)
@@ -197,61 +195,15 @@ def shot_logits(
 # --------------------------------------------------------------- gradients
 
 
-def parameter_shift_grad(
-    angle_rows: np.ndarray,
-    model: VqcModel,
-    upstream,
-    execution: Execution = Execution(),
-) -> Dict[str, object]:
-    """Gradient of sum_i upstream_i * logit_i over (theta, scale, bias).
-
-    Each rotation angle gets the two-point rule (f(+pi/2) - f(-pi/2)) / 2;
-    scale and bias are analytic. Shot-mode evaluation is permitted but the
-    result is a stochastic estimate, flagged in the output.
-    """
-    rows = np.atleast_2d(np.asarray(angle_rows, dtype=float))
-    up = np.broadcast_to(np.asarray(upstream, dtype=float).reshape(-1), (rows.shape[0],))
-    stochastic = execution.mode == "shots"
-    out: Dict[str, object] = {
-        "theta": np.zeros(model.spec.num_params),
-        "scale": 0.0,
-        "bias": 0.0,
-        "stochastic": stochastic,
-    }
-    if not np.any(up):
-        return out
-
-    def evaluate(theta: np.ndarray) -> np.ndarray:
-        if not stochastic:
-            return _batch_expectations(rows, model, theta=theta)
-        shifted = VqcModel(model.spec, theta, model.scale, model.bias)
-        seeds = np.full(rows.shape[0], execution.seed)
-        return _shot_parities(rows, shifted, execution, seeds)
-
-    zhat = evaluate(model.theta)
-    grad_theta = np.empty(model.spec.num_params)
-    for j in range(model.spec.num_params):
-        plus = model.theta.copy()
-        minus = model.theta.copy()
-        plus[j] += 0.5 * math.pi
-        minus[j] -= 0.5 * math.pi
-        dz = 0.5 * (evaluate(plus) - evaluate(minus))
-        grad_theta[j] = float(np.dot(up, dz)) * model.scale
-    out["theta"] = grad_theta
-    out["scale"] = float(np.dot(up, zhat))
-    out["bias"] = float(up.sum())
-    return out
-
-
 def _adjoint(angle_rows: np.ndarray, model: VqcModel):
     """Exact <Z...Z> per row, and the backward sweep of the adjoint method
     (Jones & Gacon, arXiv:2009.02823) that differentiates it.
 
     Returns (zhat, backward). zhat comes from the forward pass
     _batch_expectations makes, so it has the same bits. backward(upstream)
-    returns the gradient of sum_i upstream_i * logit_i as a dict: "theta",
-    "scale", "bias" (as parameter_shift_grad gives them) and "angles", the
-    (m, q) data-angle gradient. upstream is taken after the forward pass
+    returns the gradient of sum_i upstream_i * logit_i as a dict: "theta"
+    (flat, as VqcModel.theta), "scale", "bias" and "angles", the (m, q)
+    data-angle gradient. upstream is taken after the forward pass
     because it depends on the logits.
 
     batched.adjoint sweeps the circuit back from |lambda_i> = upstream_i

@@ -12,10 +12,29 @@ from scipy.special import ndtr
 
 from qthreat import datapipe
 from qthreat.encoder import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LN_EPS
-from qthreat.featuremap import feature_statevectors, pair_phases
+from qthreat.featuremap import (
+    AngleVector,
+    FeatureMapSpec,
+    build_feature_map,
+    feature_statevectors,
+    kernel_shot_estimates,
+    pair_phases,
+)
 from qthreat.metrics import confusion, f_beta
-from qthreat.qsim import gate_matrix, z_signs
-from qthreat.qsvm import DUAL_TOL, SUPPORT_EPS, SvmModel, max_asymmetry, stratified_folds
+from qthreat.qsim import (
+    CircuitProgram,
+    NoiseSpec,
+    _diagonal_probabilities,
+    _left,
+    _target_rows,
+    evolve_density,
+    fold_readout,
+    gate_matrix,
+    mitigate,
+    z_signs,
+)
+from qthreat.qsvm import DUAL_TOL, SUPPORT_EPS, SvmModel, stratified_folds
+from qthreat.vqc import Execution, VqcModel, _batch_expectations, _shot_parities
 
 _PAULIS = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -100,7 +119,7 @@ def solve_dual_columns(gram, labels, c, class_weights=(1.0, 1.0), tol=DUAL_TOL, 
     n = y01.size
     if k.shape != (n, n):
         raise ValueError(f"gram shape {k.shape} does not match {n} labels")
-    if not max_asymmetry(k) <= 1e-8:
+    if not whole_asymmetry(k) <= 1e-8:
         raise ValueError("gram matrix must be finite and symmetric")
     if set(np.unique(y01)) != {0, 1}:
         raise ValueError("labels must contain both classes (0 and 1)")
@@ -341,6 +360,192 @@ def apply_readout_error(counts, noise, seed):
         flips = rng.random((counts[value], q)) < np.where(bitmat == 1, p10, p01)
         flipped = np.bitwise_xor(bitmat, flips.astype(np.int64)) @ (1 << np.arange(q))
         out += np.bincount(flipped, minlength=counts.size)
+    return out
+
+
+# ------------------------------------------------------- per-state circuits
+
+
+def bitstring(index: int, num_qubits: int) -> str:
+    """The key of a basis index: z_{q-1} ... z_0, format(index, "0{q}b")."""
+    return format(index, f"0{num_qubits}b")
+
+
+@dataclass(frozen=True)
+class PureState:
+    num_qubits: int
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1).copy()
+        if amps.size != 1 << self.num_qubits:
+            raise ValueError(
+                f"expected {1 << self.num_qubits} amplitudes, got {amps.size}"
+            )
+        norm = float(np.sum(np.abs(amps) ** 2))
+        if abs(norm - 1.0) > 1e-10:
+            raise ValueError(f"state norm^2 = {norm}, not 1 within 1e-10")
+        amps.setflags(write=False)
+        object.__setattr__(self, "amplitudes", amps)
+
+    def probabilities(self) -> np.ndarray:
+        return np.abs(self.amplitudes) ** 2
+
+
+def zero_state(num_qubits: int) -> PureState:
+    amps = np.zeros(1 << num_qubits, dtype=complex)
+    amps[0] = 1.0
+    return PureState(num_qubits, amps)
+
+
+@dataclass(frozen=True)
+class DensityState:
+    num_qubits: int
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        dim = 1 << self.num_qubits
+        rho = np.asarray(self.matrix, dtype=complex).copy()
+        if rho.shape != (dim, dim):
+            raise ValueError(f"expected {dim}x{dim} matrix, got {rho.shape}")
+        if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
+            raise ValueError("density matrix is not Hermitian within 1e-10")
+        tr = complex(np.trace(rho)).real
+        if abs(tr - 1.0) > 1e-10:
+            raise ValueError(f"trace = {tr}, not 1 within 1e-10")
+        if float(np.min(np.linalg.eigvalsh(rho))) < -1e-9:
+            raise ValueError("density matrix has an eigenvalue below -1e-9")
+        rho.setflags(write=False)
+        object.__setattr__(self, "matrix", rho)
+
+    def diagonal_probabilities(self) -> np.ndarray:
+        return _diagonal_probabilities(self.matrix[None])[0]
+
+
+def density_from_pure(state: PureState) -> DensityState:
+    v = state.amplitudes
+    return DensityState(state.num_qubits, np.outer(v, v.conj()))
+
+
+def apply_circuit(state: PureState, program: CircuitProgram) -> PureState:
+    """One pure state taken through the program gate by gate."""
+    if state.num_qubits != program.num_qubits:
+        raise ValueError("state/program qubit counts differ")
+    amps = state.amplitudes[None, :, None]
+    for op in program.ops:
+        amps = _left(gate_matrix(op), amps, _target_rows(op.targets, program.num_qubits))
+    return PureState(program.num_qubits, amps[0, :, 0])
+
+
+def apply_circuit_noisy(
+    state: DensityState, program: CircuitProgram, noise: NoiseSpec
+) -> DensityState:
+    """`qsim.evolve_density` on one state: unitary evolution with a
+    depolarizing channel after every gate."""
+    if state.num_qubits != program.num_qubits:
+        raise ValueError("state/program qubit counts differ")
+    return DensityState(state.num_qubits, evolve_density(state.matrix[None], program, noise)[0])
+
+
+def required_shots(epsilon: float, delta: float) -> int:
+    """Hoeffding shot budget: ceil(ln(2/delta) / (2 eps^2)) for +-1 outcomes."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    return max(1, math.ceil(math.log(2.0 / delta) / (2.0 * epsilon * epsilon)))
+
+
+def _vector(frequencies, num_qubits):
+    freq = np.zeros(1 << num_qubits)
+    for bits, c in frequencies.items():
+        freq[int(bits, 2)] = c
+    return freq
+
+
+def _as_dict(freq, num_qubits):
+    return {bitstring(i, num_qubits): float(v) for i, v in enumerate(freq)}
+
+
+def mitigate_frequencies(frequencies, noise, num_qubits):
+    """`qsim.mitigate` on a bitstring-keyed distribution.
+
+    Applied to an analytically corrupted exact distribution this recovers
+    the original to numerical precision.
+    """
+    return _as_dict(mitigate(_vector(frequencies, num_qubits), noise), num_qubits)
+
+
+def corrupt_frequencies(frequencies, noise, num_qubits):
+    """Forward application of the tensor-product readout confusion model."""
+    return _as_dict(fold_readout(_vector(frequencies, num_qubits), noise), num_qubits)
+
+
+def feature_state(theta: AngleVector, spec: FeatureMapSpec) -> PureState:
+    """The feature map of one AngleVector, run by `apply_circuit`."""
+    return apply_circuit(zero_state(spec.num_qubits), build_feature_map(theta, spec))
+
+
+def fidelity_kernel(theta_a: AngleVector, theta_b: AngleVector, spec: FeatureMapSpec) -> float:
+    """k(a, b) = |<phi(a)|phi(b)>|^2, clipped to [0, 1]."""
+    va = feature_state(theta_a, spec).amplitudes
+    vb = feature_state(theta_b, spec).amplitudes
+    k = abs(np.vdot(va, vb)) ** 2
+    return float(min(1.0, max(0.0, k)))
+
+
+def fidelity_kernel_shots(
+    theta_a: AngleVector,
+    theta_b: AngleVector,
+    spec: FeatureMapSpec,
+    shots: int,
+    noise: NoiseSpec = NoiseSpec(),
+    mitigate: bool = False,
+    seed: int = 0,
+) -> float:
+    """Shot-based kernel estimate of one pair via the compute-uncompute
+    circuit (`featuremap.kernel_shot_estimates` on one pair)."""
+    return float(kernel_shot_estimates(theta_a, theta_b, spec, shots, noise, mitigate, [seed])[0])
+
+
+def parameter_shift_grad(angle_rows, model, upstream, execution=Execution()):
+    """Gradient of sum_i upstream_i * logit_i over (theta, scale, bias).
+
+    Each rotation angle gets the two-point rule (f(+pi/2) - f(-pi/2)) / 2;
+    scale and bias are analytic. Shot-mode evaluation is permitted but the
+    result is a stochastic estimate, flagged in the output.
+    """
+    rows = np.atleast_2d(np.asarray(angle_rows, dtype=float))
+    up = np.broadcast_to(np.asarray(upstream, dtype=float).reshape(-1), (rows.shape[0],))
+    stochastic = execution.mode == "shots"
+    out = {
+        "theta": np.zeros(model.spec.num_params),
+        "scale": 0.0,
+        "bias": 0.0,
+        "stochastic": stochastic,
+    }
+    if not np.any(up):
+        return out
+
+    def evaluate(theta):
+        shifted = VqcModel(model.spec, theta, model.scale, model.bias)
+        if not stochastic:
+            return _batch_expectations(rows, shifted)
+        seeds = np.full(rows.shape[0], execution.seed)
+        return _shot_parities(rows, shifted, execution, seeds)
+
+    zhat = evaluate(model.theta)
+    grad_theta = np.empty(model.spec.num_params)
+    for j in range(model.spec.num_params):
+        plus = model.theta.copy()
+        minus = model.theta.copy()
+        plus[j] += 0.5 * math.pi
+        minus[j] -= 0.5 * math.pi
+        dz = 0.5 * (evaluate(plus) - evaluate(minus))
+        grad_theta[j] = float(np.dot(up, dz)) * model.scale
+    out["theta"] = grad_theta
+    out["scale"] = float(np.dot(up, zhat))
+    out["bias"] = float(up.sum())
     return out
 
 

@@ -27,12 +27,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qthreat import datapipe, featuremap, harness, metrics, persist, qsim, vqc
+from qthreat import datapipe, featuremap, harness, metrics, persist, vqc
 from qthreat.encoder import EncoderConfig, init_encoder, loss_and_gradients
 from qthreat.featuremap import AngleVector, FeatureMapSpec
 from qthreat.harness import ExperimentConfig, Seeds
 from qthreat.qsim import NoiseSpec
 
+import oracles
 from conftest import write_nslkdd_pair
 from oracles import build_gram, center_gram, center_test_row, gram_from_states
 
@@ -171,7 +172,7 @@ def test_criterion_03_four_qubits_not_worse_than_two(runner):
 
 
 def test_criterion_04_required_shots_formula():
-    value = qsim.required_shots(0.01, 0.05)
+    value = oracles.required_shots(0.01, 0.05)
     _verdict(
         4,
         value == 18445 and isinstance(value, int),
@@ -216,7 +217,7 @@ def _vqc_fd_worst_gap() -> float:
         rng = np.random.default_rng(100 * q + layers)
         rows = rng.uniform(-math.pi, math.pi, size=(3, q))
         upstream = rng.standard_normal(3)
-        grads = vqc.parameter_shift_grad(rows, model, upstream)
+        grads = oracles.parameter_shift_grad(rows, model, upstream)
 
         def objective(theta, scale, bias):
             m = vqc.VqcModel(spec, theta, scale, bias)
@@ -292,13 +293,13 @@ def test_criterion_06_kernel_property_suite():
         b = rng.uniform(-math.pi, math.pi, size=(200, q))
         for i in range(200):
             va, vb = AngleVector(a[i]), AngleVector(b[i])
-            k_ab = featuremap.fidelity_kernel(va, vb, spec)
-            k_ba = featuremap.fidelity_kernel(vb, va, spec)
+            k_ab = oracles.fidelity_kernel(va, vb, spec)
+            k_ba = oracles.fidelity_kernel(vb, va, spec)
             if abs(k_ab - k_ba) > 1e-12:
                 failures.append(f"symmetry {q=} {r=}")
             if not 0.0 <= k_ab <= 1.0:
                 failures.append(f"range {q=} {r=}")
-            if abs(featuremap.fidelity_kernel(va, va, spec) - 1.0) > 1e-12:
+            if abs(oracles.fidelity_kernel(va, va, spec) - 1.0) > 1e-12:
                 failures.append(f"diag {q=} {r=}")
         states = featuremap.feature_statevectors(a[:48], spec)
         raw = gram_from_states(states)
@@ -326,7 +327,7 @@ def test_criterion_06_kernel_property_suite():
     for _ in range(100):
         ta = rng.uniform(-math.pi, math.pi, size=2)
         tb = rng.uniform(-math.pi, math.pi, size=2)
-        got = featuremap.fidelity_kernel(AngleVector(ta), AngleVector(tb), spec)
+        got = oracles.fidelity_kernel(AngleVector(ta), AngleVector(tb), spec)
         want = _dense_kernel_oracle_2q(ta, tb)
         worst_oracle = max(worst_oracle, abs(got - want))
     if worst_oracle > 1e-10:
@@ -352,10 +353,10 @@ def test_criterion_07_shot_noise_realism():
     for pair in range(10):
         ta = AngleVector(rng.uniform(-math.pi, math.pi, size=4))
         tb = AngleVector(rng.uniform(-math.pi, math.pi, size=4))
-        k_exact = featuremap.fidelity_kernel(ta, tb, spec)
+        k_exact = oracles.fidelity_kernel(ta, tb, spec)
         prog = featuremap.compute_uncompute_program(ta, tb, spec)
-        rho = qsim.apply_circuit_noisy(
-            qsim.density_from_pure(qsim.zero_state(4)), prog, SHOT_NOISE
+        rho = oracles.apply_circuit_noisy(
+            oracles.density_from_pure(oracles.zero_state(4)), prog, SHOT_NOISE
         )
         p0 = float(rho.diagonal_probabilities()[0])
         bias = abs(p0 - k_exact)
@@ -364,7 +365,7 @@ def test_criterion_07_shot_noise_realism():
         # spread is p0(1-p0)/S; the bias term covers the systematic shift
         tol = 4.0 * math.sqrt(p0 * (1.0 - p0) / SHOT_BUDGET) + bias
         for t in range(100):
-            est = featuremap.fidelity_kernel_shots(
+            est = oracles.fidelity_kernel_shots(
                 ta, tb, spec, SHOT_BUDGET, noise=SHOT_NOISE, seed=9000 + 100 * pair + t
             )
             trials += 1
@@ -376,12 +377,12 @@ def test_criterion_07_shot_noise_realism():
     for q in (2, 3, 4):
         fspec = FeatureMapSpec(q, 1)
         angles = AngleVector(np.linspace(-2.0, 2.0, q))
-        state = featuremap.feature_state(angles, fspec)
+        state = oracles.feature_state(angles, fspec)
         exact = {
-            qsim.bitstring(i, q): float(p) for i, p in enumerate(state.probabilities())
+            oracles.bitstring(i, q): float(p) for i, p in enumerate(state.probabilities())
         }
-        corrupted = qsim.corrupt_frequencies(exact, readout, q)
-        recovered = qsim.mitigate_frequencies(corrupted, readout, q)
+        corrupted = oracles.corrupt_frequencies(exact, readout, q)
+        recovered = oracles.mitigate_frequencies(corrupted, readout, q)
         worst_recovery = max(
             worst_recovery, max(abs(recovered[b] - exact[b]) for b in exact)
         )
@@ -395,11 +396,11 @@ def test_criterion_07_shot_noise_realism():
     for seed in range(120):
         ta = AngleVector(rng.uniform(-math.pi, math.pi, size=2))
         tb = AngleVector(rng.uniform(-math.pi, math.pi, size=2))
-        k = featuremap.fidelity_kernel(ta, tb, fspec)
-        raw = featuremap.fidelity_kernel_shots(
+        k = oracles.fidelity_kernel(ta, tb, fspec)
+        raw = oracles.fidelity_kernel_shots(
             ta, tb, fspec, SHOT_BUDGET, noise=mixed, mitigate=False, seed=31000 + seed
         )
-        mit = featuremap.fidelity_kernel_shots(
+        mit = oracles.fidelity_kernel_shots(
             ta, tb, fspec, SHOT_BUDGET, noise=mixed, mitigate=True, seed=31000 + seed
         )
         err_raw.append(abs(raw - k))

@@ -1,5 +1,5 @@
 """The stacked-statevector engine pinned to the per-state reference
-(qsim.apply_circuit), to the shot engine's noiseless distributions, and its
+(oracles.apply_circuit), to the shot engine's noiseless distributions, and its
 adjoint sweep to central differences."""
 import math
 
@@ -8,15 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qthreat.batched import adjoint, evolve
-from qthreat.qsim import (
-    GATE_KINDS,
-    CircuitProgram,
-    GateOp,
-    NoiseSpec,
-    apply_circuit,
-    outcome_probabilities,
-    zero_state,
-)
+from qthreat.qsim import GATE_KINDS, CircuitProgram, GateOp, NoiseSpec, outcome_probabilities
+
+from oracles import apply_circuit, zero_state
 
 TWO_QUBIT = ("RZZ", "CX", "CZ")
 PARAMETRIC = ("RY", "RZ", "RZZ")

@@ -19,7 +19,7 @@ from qthreat.harness import ExperimentConfig, PipelineError, Seeds
 from qthreat.qsim import NoiseSpec
 
 from conftest import write_nslkdd_pair
-from oracles import block_scores, whole_centering, whole_gram
+from oracles import block_scores, fidelity_kernel_shots, whole_centering, whole_gram
 
 
 def _cdict(c):
@@ -570,20 +570,43 @@ def test_qubits_over_embed_dim_rejected_before_compute():
         ({"c_grid": (-1.0,)}, r"C must be finite and > 0, got -1\.0"),
         ({"c_grid": (float("nan"),)}, "C must be finite and > 0, got nan"),
         ({"beta": 0}, "beta must be positive"),
+        # p01 + p10 = 1 makes the readout confusion singular; a VQC shot run
+        # used to train the encoder and the VQC before mitigation raised
+        ({"backend": "shots", "mitigate": True, "readout_01": 0.5, "readout_10": 0.5},
+         "qubit 0 confusion matrix singular"),
     ],
     ids=[
         "ring", "bogus-convention", "qubits-7", "reps-0", "reupload-max+1", "depol2-1.5",
         "readout10-nan", "c-grid-empty", "c-0", "c-minus-1", "c-nan", "beta-0",
+        "singular-mitigation",
     ],
 )
 def test_spec_settings_are_rejected_at_config_time_for_every_model(model, setting, message):
-    # the feature-map, VQC, noise and CV specs own these ranges; the config
-    # builds all four, so a setting no stage of this model reads still fails
+    # the feature-map, VQC, noise, CV and execution specs own these ranges;
+    # the config builds all five, so a setting no stage of this model reads
+    # still fails
     with pytest.raises(ValueError, match=message):
         ExperimentConfig(
             experiment_id="x", dataset="nslkdd", model=model, train_path="t", test_path="t",
             **setting,
         )
+
+
+def test_cli_mitigating_an_uninvertible_readout_fails_before_scoring(
+    make_config, tmp_path, monkeypatch, capsys
+):
+    config = make_config(experiment_id="t-singular", model="classical-baseline", epochs=2,
+                         readout_01=0.5, readout_10=0.5)
+    harness.run_experiment(config, tmp_path)
+
+    def scored(*args, **kwargs):
+        raise AssertionError("evaluate scored the bundle")
+
+    monkeypatch.setattr(harness, "evaluate_bundle", scored)
+    capsys.readouterr()
+    evaluate = ["evaluate", "--workdir", str(tmp_path), "--backend", "shots", "--mitigate"]
+    assert main(evaluate) == 2
+    assert "confusion matrix singular" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- bundles
@@ -697,7 +720,7 @@ def test_streaming_shot_scores_match_per_pair_kernels(qsvm_bundle):
     test = harness._angles(config, enc, scaler, split.x_test[subset])
     for i, row in enumerate(test):
         k = np.array([
-            featuremap.fidelity_kernel_shots(
+            fidelity_kernel_shots(
                 featuremap.AngleVector(row), featuremap.AngleVector(train[t]),
                 config.feature_spec(), ex.shots, ex.noise, ex.mitigate,
                 seed=harness._pair_seed(ex.seed, i, j),
@@ -1207,6 +1230,16 @@ def test_cli_matrix_and_report(nslkdd_dir, tmp_path, capsys, make_config):
     assert "cli-b" in out
     lines = csv_path.read_text().strip().split("\n")
     assert len(lines) == 3  # header + two cells
+
+
+@pytest.mark.parametrize(
+    "spec", [{"foo": 1}, {"experiments": 5}, [5]], ids=["no-experiments", "experiments-int", "int-entry"]
+)
+def test_cli_matrix_rejects_a_malformed_config_file(spec, tmp_path, capsys):
+    path = tmp_path / "matrix.json.in"
+    persist.save_json(path, spec)
+    assert main(["matrix", "--config", str(path), "--workdir", str(tmp_path / "w")]) == 2
+    assert "list of config objects" in capsys.readouterr().err
 
 
 def test_cli_errors_exit_nonzero(tmp_path, capsys, nslkdd_dir):

@@ -10,33 +10,33 @@ from qthreat.batched import evolve
 from qthreat.featuremap import AngleVector, FeatureMapSpec, compute_uncompute_program
 from qthreat.qsim import (
     CircuitProgram,
-    DensityState,
     GateOp,
     NoiseSpec,
-    PureState,
-    apply_circuit,
-    apply_circuit_noisy,
     confusion_matrix_1q,
-    density_from_pure,
     evolve_density,
     fold_readout,
     gate_matrix,
     mitigate,
     outcome_probabilities,
-    required_shots,
     shot_estimates,
     z_signs,
-    zero_state,
 )
 from qthreat.vqc import VqcModel, VqcSpec, _adjoint, build_vqc_circuit, init_vqc
 
 from oracles import (
+    DensityState,
+    PureState,
+    apply_circuit,
+    apply_circuit_noisy,
     apply_readout_error,
     circuit_depth,
+    density_from_pure,
     expectation_pauli_z,
     expectation_pauli_z_density,
     gate_counts,
     noisy_density,
+    required_shots,
+    zero_state,
 )
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -637,6 +637,14 @@ def test_mitigation_rejects_singular_confusion():
         mitigate(np.array([1.0, 0.0]), noise)
     with pytest.raises(ValueError, match="singular"):
         sampled([1.0, 0.0], 10, 0, noise, mitigated=True)
+    per_qubit = NoiseSpec(readout_flip_01=[0.1, 0.5, 0.5], readout_flip_10=[0.2, 0.5, 0.5])
+    with pytest.raises(ValueError, match="qubit 1 confusion matrix singular"):
+        per_qubit.check_invertible()
+    with pytest.raises(ValueError, match="qubit 1 confusion matrix singular"):
+        fold_readout(np.full(8, 0.125), per_qubit, invert=True)
+    NoiseSpec(readout_flip_01=0.5, readout_flip_10=0.4).check_invertible()
+    # the forward fold is fine: a singular confusion is legal readout noise
+    assert fold_readout(np.full(8, 0.125), per_qubit).sum() == pytest.approx(1.0)
 
 
 def test_mitigated_output_is_distribution():

@@ -21,7 +21,6 @@ from qthreat.qsvm import (
     observable_scorer,
     save_svm,
     select_c,
-    solve_dual,
     stratified_folds,
     tune_threshold,
 )
@@ -49,7 +48,7 @@ def fidelity_rows(angles, spec):
 
 
 def dense(rows):
-    return np.stack([rows[i] for i in range(rows.n)])
+    return np.stack([rows[i] for i in range(len(rows))])
 
 
 def separable_points(n, seed, margin=2.0):
@@ -87,7 +86,7 @@ def assert_kkt(model, gram, labels, tol=2e-3):
 
 def test_two_point_closed_form():
     gram = np.eye(2)
-    model = solve_dual(gram, [1, 0], c=10.0)
+    model = fit_rows(gram, [1, 0], c=10.0)[0]
     assert set(model.support.tolist()) == {0, 1}
     alpha, _ = reconstruct_alpha_box(model)
     assert alpha[0] == pytest.approx(alpha[1], abs=1e-12)
@@ -99,7 +98,7 @@ def test_two_point_closed_form():
 
 def test_separable_linear_kernel():
     x, y = separable_points(40, seed=0)
-    model = solve_dual(linear_gram(x), y, c=10.0)
+    model = fit_rows(linear_gram(x), y, c=10.0)[0]
     preds = (raw_decision_scores(model, linear_gram(x)) >= 0).astype(int)
     assert np.array_equal(preds, y)
     assert_kkt(model, linear_gram(x), y)
@@ -108,7 +107,7 @@ def test_separable_linear_kernel():
 def test_dual_feasibility():
     x, y = separable_points(60, seed=1, margin=0.6)  # some overlap pressure
     weights = class_weights(y)
-    model = solve_dual(linear_gram(x), y, c=1.0, class_weights=weights)
+    model = fit_rows(linear_gram(x), y, c=1.0, class_weights=weights)[0]
     alpha, box = reconstruct_alpha_box(model)
     assert np.all(alpha >= 0)
     assert np.all(alpha <= box + 1e-8)
@@ -118,10 +117,10 @@ def test_dual_feasibility():
 def test_duplicate_point_keeps_decisions():
     x, y = separable_points(24, seed=2)
     gram = linear_gram(x)
-    model = solve_dual(gram, y, c=100.0)
+    model = fit_rows(gram, y, c=100.0)[0]
     x_dup = np.vstack([x, x[:1]])
     y_dup = np.concatenate([y, y[:1]])
-    model_dup = solve_dual(linear_gram(x_dup), y_dup, c=100.0)
+    model_dup = fit_rows(linear_gram(x_dup), y_dup, c=100.0)[0]
     probe = np.random.default_rng(3).normal(size=(10, 2))
     s1 = raw_decision_scores(model, probe @ x.T)
     s2 = raw_decision_scores(model_dup, probe @ x_dup.T)
@@ -160,37 +159,26 @@ def test_kkt_on_centered_quantum_kernel():
         assert_kkt(model, dense(rows), labels)
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [[[1.0, np.nan], [np.nan, 1.0]], [[np.nan, 0.0], [0.0, 1.0]],
-     [[1.0, np.inf], [np.inf, 1.0]], [[1.0, -np.inf], [-np.inf, 1.0]]],
-    ids=["nan", "nan-diagonal", "inf", "minus-inf"],
-)
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
-def test_solver_rejects_non_finite_gram(bad):
-    with pytest.raises(ValueError, match="symmetric"):
-        solve_dual(np.array(bad), [0, 1], 1.0)
-
-
 def test_solver_input_validation():
     with pytest.raises(ValueError):
-        solve_dual(np.array([[1.0, 0.5], [0.4, 1.0]]), [0, 1], 1.0)  # asymmetric
-    with pytest.raises(ValueError):
-        solve_dual(np.eye(2), [1, 1], 1.0)  # single class
-    with pytest.raises(ValueError):
-        solve_dual(np.eye(3), [0, 1], 1.0)  # shape mismatch
+        fit_rows(np.eye(2), [1, 1], 1.0)  # single class
+    with pytest.raises(ValueError, match="kernel has 3 rows, 2 labels"):
+        fit_rows(np.eye(3), [0, 1], 1.0)
+    rows = fidelity_rows(np.zeros((2, 2)), SPEC2)
+    with pytest.raises(ValueError, match="kernel has 2 rows, 3 labels"):
+        fit_rows(rows, [0, 1, 1], 1.0)
 
 
 @pytest.mark.parametrize("c", [-1.0, 0.0, math.nan, math.inf], ids=["minus-1", "0", "nan", "inf"])
 def test_solver_rejects_a_c_that_is_not_finite_and_positive(c):
     # such a C fits no support vectors, so every row would score the same
     with pytest.raises(ValueError, match=f"C must be finite and > 0, got {c!r}"):
-        solve_dual(np.eye(2), [0, 1], c)
+        fit_rows(np.eye(2), [0, 1], c)
 
 
 def test_solve_dual_allocates_no_matrix_sized_scratch():
-    # the symmetry check runs block by block, so a fit's scratch is O(n)
-    # vectors and one block, not the two n x n temporaries of |K - K^T|
+    # a fit on a dense Gram reads it row by row, so its scratch is O(n)
+    # vectors, not an n x n temporary
     n = 1500
     x = np.random.default_rng(16).normal(size=(n, 6))
     gram = linear_gram(x)
@@ -198,7 +186,7 @@ def test_solve_dual_allocates_no_matrix_sized_scratch():
     labels = (x[:, 0] > 0).astype(int)
     tracemalloc.start()
     try:
-        solve_dual(gram, labels, 1.0, max_iter=200)
+        fit_rows(gram, labels, 1.0, max_iter=200)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -277,10 +265,9 @@ def test_solve_dual_rows_equal_column_oracle(n, c, positive_share, quantum, seed
         labels = np.zeros(n, dtype=int)
         labels[: max(1, int(positive_share * n))] = 1
     weights = class_weights(labels)
-    model = solve_dual(gram, labels, c, weights)
     fitted, record = fit_rows(gram, labels, c, weights)
     want, want_record = solve_dual_columns(gram, labels, c, weights)
-    assert _same_model(model, want) and _same_model(fitted, want)
+    assert _same_model(fitted, want)
     assert record == want_record
 
 
@@ -337,7 +324,6 @@ def test_the_row_source_fits_as_its_stacked_rows(n, folds, c, positive_share, se
     k = dense(rows)
     weights = class_weights(labels)
     model, record = fit_rows(rows, labels, c, weights)
-    assert _same_model(model, solve_dual(k, labels, c, weights))
     again, again_record = fit_rows(k, labels, c, weights)
     assert _same_model(model, again) and record == again_record
     plan = CvPlan(folds=folds, c_grid=(0.1, 1.0, 10.0), seed=seed % 97)
@@ -357,14 +343,6 @@ def test_a_fit_stopped_at_max_iter_records_it():
     assert 1 < done["iterations"] < done["max_iter"]
     _, table = select_c(rows, labels, CvPlan(folds=2, c_grid=(1.0,)))
     assert table[0]["fold_converged"] == [True, True]
-
-
-def test_solve_dual_takes_only_a_dense_gram():
-    rows = fidelity_rows(np.zeros((2, 2)), SPEC2)
-    with pytest.raises(TypeError, match="fit_rows"):
-        solve_dual(rows, [0, 1], 1.0)
-    with pytest.raises(ValueError, match="kernel has 2 rows, 3 labels"):
-        fit_rows(rows, [0, 1, 1], 1.0)
 
 
 def test_model_validation():
@@ -394,7 +372,7 @@ def test_model_validation():
 def test_free_support_vectors_on_margin():
     x, y = separable_points(30, seed=6)
     gram = linear_gram(x)
-    model = solve_dual(gram, y, c=10.0)
+    model = fit_rows(gram, y, c=10.0)[0]
     alpha, box = reconstruct_alpha_box(model)
     scores = raw_decision_scores(model, gram[model.support])
     free = (alpha > 1e-8) & (alpha < box - 1e-8)
@@ -403,7 +381,7 @@ def test_free_support_vectors_on_margin():
 
 
 def test_zero_row_scores_bias():
-    model = solve_dual(np.eye(2), [1, 0], c=10.0)
+    model = fit_rows(np.eye(2), [1, 0], c=10.0)[0]
     row = np.zeros((1, 2))
     assert raw_decision_scores(model, row)[0] == pytest.approx(model.bias)
     sign = align_sign(raw_decision_scores(model, np.eye(2)), np.array([0, 1]))
@@ -412,7 +390,7 @@ def test_zero_row_scores_bias():
 
 
 def test_score_row_width_check():
-    model = solve_dual(np.eye(2), [1, 0], c=1.0)
+    model = fit_rows(np.eye(2), [1, 0], c=1.0)[0]
     with pytest.raises(ValueError):
         raw_decision_scores(model, np.zeros((1, 3)))
 
@@ -429,7 +407,7 @@ def test_sign_alignment():
 def test_aligned_scores_order_validation_means():
     x, y = separable_points(40, seed=7)
     gram = linear_gram(x)
-    model = solve_dual(gram, y, c=10.0)
+    model = fit_rows(gram, y, c=10.0)[0]
     raw = raw_decision_scores(model, gram)
     s = align_sign(raw, y) * raw
     assert s[y == 1].mean() >= s[y == 0].mean()
@@ -640,7 +618,7 @@ def test_cv_plan_validation():
 def test_svm_roundtrip(tmp_path):
     x, y = separable_points(26, seed=14)
     gram = linear_gram(x)
-    model = solve_dual(gram, y, c=10.0, class_weights=class_weights(y))
+    model = fit_rows(gram, y, c=10.0, class_weights=class_weights(y))[0]
     model = replace(model, sign=align_sign(raw_decision_scores(model, gram), y), threshold=0.25)
     path = tmp_path / "svm.json"
     row_means = gram.mean(axis=0)

@@ -18,15 +18,7 @@ from qthreat.encoder import (
     scale_with_grad,
 )
 from qthreat.featuremap import MAX_QUBITS, AngleVector, build_feature_map
-from qthreat.qsim import (
-    CircuitProgram,
-    GateOp,
-    NoiseSpec,
-    apply_circuit,
-    apply_circuit_noisy,
-    density_from_pure,
-    zero_state,
-)
+from qthreat.qsim import CircuitProgram, GateOp, NoiseSpec
 from qthreat.vqc import (
     MAX_LAYERS,
     Execution,
@@ -41,7 +33,6 @@ from qthreat.vqc import (
     decision_logits,
     init_vqc,
     load_vqc,
-    parameter_shift_grad,
     save_vqc,
     shot_logits,
     train_vqc,
@@ -49,10 +40,15 @@ from qthreat.vqc import (
 
 from oracles import (
     angle_gradients,
+    apply_circuit,
+    apply_circuit_noisy,
     circuit_depth,
+    density_from_pure,
     expectation_pauli_z,
     expectation_pauli_z_density,
     gate_counts,
+    parameter_shift_grad,
+    zero_state,
 )
 
 
@@ -186,6 +182,12 @@ def test_execution_validation():
         Execution(mode="analytic")
     with pytest.raises(ValueError):
         Execution(mode="shots", shots=0)
+    # mitigation inverts the readout confusion, which p01 + p10 = 1 makes singular
+    singular = NoiseSpec(readout_flip_01=0.5, readout_flip_10=0.5)
+    with pytest.raises(ValueError, match="confusion matrix singular"):
+        Execution("shots", noise=singular, mitigate=True)
+    Execution("shots", noise=singular)
+    Execution(noise=singular, mitigate=True)  # exact mode reads no readout error
     # exact mode ignores the shot count entirely
     model = random_model(2, 1, seed=8)
     ang = AngleVector(np.array([0.3, -0.9]))
@@ -277,8 +279,8 @@ def test_parameter_shift_matches_finite_difference(q, layers):
         tp[j] += h
         tm[j] -= h
         fd = model.scale * (
-            _batch_expectations(ang, model, theta=tp)[0]
-            - _batch_expectations(ang, model, theta=tm)[0]
+            _batch_expectations(ang, replace(model, theta=tp))[0]
+            - _batch_expectations(ang, replace(model, theta=tm))[0]
         ) / (2 * h)
         assert abs(fd - grads["theta"][j]) < 1e-6
 
