@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qthreat.datapipe import class_weights
 from qthreat.featuremap import AngleVector, FeatureMapSpec, feature_statevectors
+from qthreat import qsvm
 from qthreat.metrics import confusion, f_beta
 from qthreat.qsvm import (
     DUAL_TOL,
@@ -164,9 +165,6 @@ def test_solver_input_validation():
         fit_rows(np.eye(2), [1, 1], 1.0)  # single class
     with pytest.raises(ValueError, match="kernel has 3 rows, 2 labels"):
         fit_rows(np.eye(3), [0, 1], 1.0)
-    rows = fidelity_rows(np.zeros((2, 2)), SPEC2)
-    with pytest.raises(ValueError, match="kernel has 2 rows, 3 labels"):
-        fit_rows(rows, [0, 1, 1], 1.0)
 
 
 @pytest.mark.parametrize("c", [-1.0, 0.0, math.nan, math.inf], ids=["minus-1", "0", "nan", "inf"])
@@ -343,6 +341,15 @@ def test_a_fit_stopped_at_max_iter_records_it():
     assert 1 < done["iterations"] < done["max_iter"]
     _, table = select_c(rows, labels, CvPlan(folds=2, c_grid=(1.0,)))
     assert table[0]["fold_converged"] == [True, True]
+
+
+def test_solve_dual_takes_only_a_dense_gram():
+    # the dense-Gram entry is gone: fit_rows is the one SMO entry, and it
+    # checks a row source's length against the labels as it does a Gram's
+    assert not hasattr(qsvm, "solve_dual")
+    rows = fidelity_rows(np.zeros((2, 2)), SPEC2)
+    with pytest.raises(ValueError, match="kernel has 2 rows, 3 labels"):
+        fit_rows(rows, [0, 1, 1], 1.0)
 
 
 def test_model_validation():
