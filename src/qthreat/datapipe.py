@@ -399,18 +399,18 @@ def select_eval_subset(split: DatasetSplit, size: int = 100, seed: int = 0) -> n
     spam/ham for messages, so every attack family present in the test set
     lands in the subset.
     """
-    cats = list(split.test_categories)
-    if len(cats) < size:
-        raise ValueError(f"test set has {len(cats)} rows, need {size}")
-    counts: Dict[str, int] = {}
-    for c in cats:
-        counts[c] = counts.get(c, 0) + 1
-    alloc = apportion(counts, size)
+    # object dtype compares as Python str does: a fixed-width "U" array
+    # drops trailing NULs, so "a\x00" and "a" would be one category
+    cats = np.asarray(split.test_categories, dtype=object).reshape(-1)
+    if cats.size < size:
+        raise ValueError(f"test set has {cats.size} rows, need {size}")
+    names, inverse, counts = np.unique(cats, return_inverse=True, return_counts=True)
+    alloc = apportion(dict(zip(names, counts.tolist())), size)
     rng = np.random.default_rng(seed)
-    chosen: List[np.ndarray] = []
-    for name in sorted(alloc):
-        idx = np.flatnonzero(np.asarray([c == name for c in cats]))
-        chosen.append(rng.permutation(idx)[: alloc[name]])
+    chosen = [
+        rng.permutation(np.flatnonzero(inverse == k))[: alloc[name]]
+        for k, name in enumerate(names)
+    ]
     return np.sort(np.concatenate(chosen))
 
 

@@ -173,7 +173,6 @@ def _forward_batch(model: EncoderModel, x: np.ndarray, rng) -> Tuple[np.ndarray,
     v = a @ p["embed.W"].T + p["embed.b"]
     norms = np.maximum(np.linalg.norm(v, axis=-1, keepdims=True), 1e-12)
     e = v / norms
-    cache["v"] = v
     cache["e"] = e
     cache["norms"] = norms
     logits = e @ p["clf.W"].T + p["clf.b"]

@@ -1,5 +1,7 @@
-"""Experiment configuration, staged pipelines, one scorer shared by
-train-time evaluation, rescoring and streaming, and the run matrix.
+"""Experiment configuration, staged pipelines, one scoring function
+(_score) shared by train-time evaluation, rescoring and streaming, and the
+run matrix. Every caller scores its whole row stack in one _score call, and
+row i of a stack takes position i of the shot seed rules.
 
 A bundle directory is the unit of persistence. Each stage writes its
 artifacts plus a ``stage.json`` carrying a content key (hash of stage
@@ -48,7 +50,6 @@ DATASETS = ("nslkdd", "lingspam")
 MODELS = ("qsvm", "vqc", "classical-baseline")
 BACKENDS = ("exact", "shots")
 REFERENCE_LIMIT = 64
-STREAM_BATCH = 32
 
 # the stages run_experiment(through=...) can stop after, in dependency order
 EARLY_STOPS = ("preprocess", "encoder")
@@ -191,10 +192,7 @@ class ExperimentConfig:
         extra = set(d) - names
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
-        kwargs = dict(d)
-        if "seeds" in kwargs and isinstance(kwargs["seeds"], dict):
-            kwargs["seeds"] = Seeds.from_dict(kwargs["seeds"])
-        return cls(**kwargs)
+        return cls(**d)
 
     def config_sha(self) -> str:
         return persist.sha256_bytes(persist.canonical_json(self.as_dict()).encode())
@@ -389,7 +387,7 @@ class _Model:
     threshold: Optional[float] = None
 
     def rows(self, x: np.ndarray) -> np.ndarray:
-        """Feature rows as the scorer reads them: angles, or the features (baseline)."""
+        """Feature rows as _score reads them: angles, or the features (baseline)."""
         if self.config.model == "classical-baseline":
             return x
         return _angles(self.config, self.encoder, self.scaler, x)
@@ -419,30 +417,32 @@ def _load_model(config: ExperimentConfig, root: Path, unverified=None) -> _Model
 
 
 def _with_threshold(model: _Model, split) -> _Model:
-    """`model` with the F_beta-best threshold of _scorer's exact validation
-    scores. A QSVM first takes the sign under which positive rows score
+    """`model` with the F_beta-best threshold of its exact validation scores
+    (_score). A QSVM first takes the sign under which positive rows score
     higher; its SvmModel carries that sign and the threshold."""
-    score, _ = _scorer(model, split, vqc.Execution())
-    val = score(model.rows(split.x_val), np.arange(split.y_val.size))
+    val, _ = _score(model, split, vqc.Execution(), model.rows(split.x_val))
     sign = qsvm.align_sign(val, split.y_val) if model.svm is not None else 1
     threshold = qsvm.tune_threshold(sign * val, split.y_val, model.config.beta)
     svm = replace(model.svm, sign=sign, threshold=threshold) if model.svm is not None else None
     return replace(model, svm=svm, threshold=threshold)
 
 
-def _scorer(model: _Model, split, execution: vqc.Execution, reference_limit=REFERENCE_LIMIT):
-    """(score, refs): score(rows, positions) maps rows (model.rows of test
-    features) to decision values; refs are the train rows a QSVM compares with.
+def _score(
+    model: _Model, split, execution: vqc.Execution, rows: np.ndarray,
+    reference_limit: int = REFERENCE_LIMIT,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(scores, refs): the decision values of `rows` (model.rows of
+    validation or test features) and the train rows a QSVM compares them with.
 
     Exact QSVM rows go through the observable (qsvm.observable_scorer) over
     every support vector. Shot QSVM rows estimate their kernels against at
     most `reference_limit` stratified support vectors (only those train rows
-    are encoded), pair (position, j) seeded with _pair_seed(seed, position, j),
-    and combine them as sum_i coef_i (k(x, i) - mu_i) + b, the batch decision
-    because the dual coefficients sum to zero. Shot VQC rows take the seed
-    SeedSequence(seed).generate_state(n)[position]. This is the only owner
-    of both seed rules: a row's score depends on its position, not on how
-    rows are grouped.
+    are encoded), pair (i, j) seeded with _pair_seed(seed, i, j), and
+    combine them as sum_j coef_j (k(x, j) - mu_j) + b, the batch decision
+    because the dual coefficients sum to zero. Shot VQC row i takes the seed
+    SeedSequence(seed).generate_state(n)[i]. This is the only owner of both
+    seed rules: row i of `rows` takes position i, so a caller that scores
+    some rows in an order scores them as that order's positions.
     """
     config = model.config
     shots = execution.mode == "shots"
@@ -450,25 +450,18 @@ def _scorer(model: _Model, split, execution: vqc.Execution, reference_limit=REFE
     if config.model == "classical-baseline":
         if shots:
             raise ValueError("the classical baseline has no shot backend")
-        return (lambda x, positions: _classifier_margin(model.encoder, x)), no_refs
+        return _classifier_margin(model.encoder, rows), no_refs
     if config.model == "vqc":
-        circuit = model.circuit
         if not shots:
-            return (lambda rows, positions: vqc.decision_logits(rows, circuit)), no_refs
-
-        def score(rows, positions):
-            state = np.random.SeedSequence(execution.seed).generate_state(
-                int(np.max(positions, initial=-1)) + 1
-            )
-            return vqc.shot_logits(rows, circuit, execution, state[positions])
-
-        return score, no_refs
+            return vqc.decision_logits(rows, model.circuit), no_refs
+        seeds = np.random.SeedSequence(execution.seed).generate_state(len(rows))
+        return vqc.shot_logits(rows, model.circuit, execution, seeds), no_refs
     svm, fspec = model.svm, config.feature_spec()
     if not shots:
         observable = qsvm.observable_scorer(
             svm, model.rows(split.x_train[svm.support]), model.row_means, fspec
         )
-        return (lambda rows, positions: observable(rows)), svm.support
+        return observable(rows), svm.support
     if not 1 <= reference_limit <= svm.n_train:
         raise ValueError(
             f"reference_limit must lie in [1, n_train] = [1, {svm.n_train}], got {reference_limit}"
@@ -478,18 +471,14 @@ def _scorer(model: _Model, split, execution: vqc.Execution, reference_limit=REFE
     )
     refs, coef = svm.support[picked], svm.coef[picked]
     ref_angles, mu = model.rows(split.x_train[refs]), model.row_means[refs]
-
-    def score(rows, positions):
-        kernels = np.stack([
-            featuremap.kernel_shot_estimates(
-                row, ref_angles, fspec, execution.shots, execution.noise, execution.mitigate,
-                [_pair_seed(execution.seed, p, j) for j in range(refs.size)],
-            )
-            for row, p in zip(rows, positions)
-        ])
-        return svm.sign * ((kernels - mu[None, :]) @ coef + svm.bias)
-
-    return score, refs
+    kernels = np.stack([
+        featuremap.kernel_shot_estimates(
+            row, ref_angles, fspec, execution.shots, execution.noise, execution.mitigate,
+            [_pair_seed(execution.seed, i, j) for j in range(refs.size)],
+        )
+        for i, row in enumerate(rows)
+    ])
+    return svm.sign * ((kernels - mu[None, :]) @ coef + svm.bias), refs
 
 
 def _stage_svm(config: ExperimentConfig, root: Path, stages: Dict[str, str], split, encoded):
@@ -670,20 +659,26 @@ def run_experiment(config: ExperimentConfig, workdir, through: Optional[str] = N
 
         extras: dict = {}
         try:
-            rows, positions = model.rows(split.x_test), np.arange(split.y_test.size)
-            score, _ = _scorer(model, split, vqc.Execution())
-            scores = score(rows, positions)
+            rows = model.rows(split.x_test)
+            scores, _ = _score(model, split, vqc.Execution(), rows)
             rep = metrics.report(split.y_test, scores, model.threshold, config.beta)
             if config.model == "vqc":
                 extras["consistency"] = {
                     "exact_vs_analytic_max_abs": _vqc_consistency(rows, model.circuit)
                 }
             if config.model == "vqc" and config.backend == "shots":
+                arms = {"raw": False}
+                try:
+                    config.noise().check_invertible()
+                    arms["mitigated"] = True
+                except ValueError:
+                    pass  # a singular readout confusion has no mitigated report
                 extras["shot_eval"] = {}
-                for tag, mitigate in (("raw", False), ("mitigated", True)):
-                    shot, _ = _scorer(model, split, replace(config.execution(), mitigate=mitigate))
+                for tag, mitigate in arms.items():
+                    execution = replace(config.execution(), mitigate=mitigate)
                     extras["shot_eval"][tag] = metrics.report(
-                        split.y_test, shot(rows, positions), model.threshold, config.beta
+                        split.y_test, _score(model, split, execution, rows)[0],
+                        model.threshold, config.beta,
                     ).as_dict()
         except Exception as exc:
             raise PipelineError("evaluate", str(exc)) from exc
@@ -794,22 +789,20 @@ def _open_complete(workdir):
 def evaluate_bundle(
     workdir, execution: vqc.Execution = vqc.Execution(), reference_limit: int = REFERENCE_LIMIT
 ) -> dict:
-    """Re-evaluate a complete bundle's test split in one scorer call.
+    """Re-evaluate a complete bundle's test split in one scoring call (_score).
 
     With no execution (exact mode) this reproduces the manifest metrics
     bit-exactly; replace(config, backend="shots", ...).execution() gives
     the bundle's own shot settings, each keyword replacing one. Test row i
-    takes position i of the scorer's seed rule (_scorer), so the result
-    equals evaluate_streaming over every test row with the same Execution.
-    The stored validation threshold is applied unchanged; nothing is
-    written to the bundle.
+    takes position i of the seed rules, so the result equals
+    evaluate_streaming over every test row with the same Execution. The
+    threshold is the one the model stage saved (model.threshold, which the
+    manifest records), applied unchanged; nothing is written to the bundle.
     """
     bundle, split, model = _open_complete(workdir)
-    config = bundle.config
-    score, _ = _scorer(model, split, execution, reference_limit)
-    scores = score(model.rows(split.x_test), np.arange(split.y_test.size))
-    threshold = float(bundle.manifest["threshold"])
-    rep = metrics.report(split.y_test, scores, threshold, config.beta)
+    scores, _ = _score(model, split, execution, model.rows(split.x_test), reference_limit)
+    threshold = float(model.threshold)
+    rep = metrics.report(split.y_test, scores, threshold, bundle.config.beta)
     return {"metrics": rep.as_dict(), "threshold": threshold, "backend": execution.mode}
 
 
@@ -828,14 +821,15 @@ def evaluate_streaming(
     audit_path=None,
     reference_limit: int = REFERENCE_LIMIT,
 ) -> dict:
-    """Score test rows in groups of STREAM_BATCH, one scorer call per
-    group, emitting one audit line per sample.
+    """Score the subset's test rows in one scoring call (_score), then emit
+    one audit line per row in subset order.
 
-    The k-th row of `subset` takes position k of the scorer's seed rule
-    (_scorer), so streaming every test row in order gives the scores of
-    evaluate_bundle, in exact and in shot mode. QSVM rows are scored
-    through every support vector in exact mode and through a reference
-    set of at most `reference_limit` support vectors in shot mode.
+    The k-th row of `subset` takes position k of the seed rules, so
+    streaming every test row in order gives the scores of evaluate_bundle,
+    in exact and in shot mode. QSVM rows are scored through every support
+    vector in exact mode and through a reference set of at most
+    `reference_limit` support vectors in shot mode. Decisions use the
+    threshold the model stage saved (model.threshold).
     """
     bundle, split, model = _open_complete(workdir)
     config = bundle.config
@@ -849,19 +843,16 @@ def evaluate_streaming(
         raise ValueError("subset index out of range for the test split")
     if config.model not in ("qsvm", "vqc"):
         raise ValueError("streaming evaluation needs a quantum model bundle")
-    threshold = float(bundle.manifest["threshold"])
+    threshold = float(model.threshold)
 
-    score, refs = _scorer(model, split, execution, reference_limit)
-    rows, positions = model.rows(split.x_test[subset]), np.arange(subset.size)
+    scores, refs = _score(
+        model, split, execution, model.rows(split.x_test[subset]), reference_limit
+    )
     path = Path(audit_path) if audit_path is not None else bundle.root / "stream_audit.csv"
-    scores = np.empty(subset.size)
     with open(path, "w", encoding="utf-8") as sink:
         stream = metrics.StreamingConfusion(sink=sink)
-        for start in range(0, subset.size, STREAM_BATCH):
-            chunk = slice(start, start + STREAM_BATCH)
-            scores[chunk] = score(rows[chunk], positions[chunk])
-            for idx, s in zip(subset[chunk], scores[chunk]):
-                stream.update(int(split.y_test[idx]), int(s >= threshold))
+        for idx, s in zip(subset, scores):
+            stream.update(int(split.y_test[idx]), int(s >= threshold))
     rep = metrics.report(split.y_test[subset], scores, threshold, config.beta)
     return {
         "report": rep,

@@ -394,8 +394,8 @@ def save_svm(
     extra: Optional[dict] = None,
 ) -> dict:
     """Write the model and the n centring column means of the train kernel
-    it was fitted on (FidelityRows.means), which `observable_scorer` and the
-    shot scorer read."""
+    it was fitted on (FidelityRows.means), which `observable_scorer` and
+    shot-mode scoring read."""
     header = {
         "support": [int(i) for i in model.support],
         "coef": [float(v) for v in model.coef],

@@ -286,6 +286,24 @@ def reference_indices(support, y_train, limit, seed):
     return support[np.sort(np.concatenate(picked))]
 
 
+def select_eval_subset_loop(split, size=100, seed=0):
+    """The stratified test-set sample by category, scanning the category
+    list once per category."""
+    cats = list(split.test_categories)
+    if len(cats) < size:
+        raise ValueError(f"test set has {len(cats)} rows, need {size}")
+    counts = {}
+    for c in cats:
+        counts[c] = counts.get(c, 0) + 1
+    alloc = datapipe.apportion(counts, size)
+    rng = np.random.default_rng(seed)
+    chosen = []
+    for name in sorted(alloc):
+        idx = np.flatnonzero(np.asarray([c == name for c in cats]))
+        chosen.append(rng.permutation(idx)[: alloc[name]])
+    return np.sort(np.concatenate(chosen))
+
+
 def _apply_1q(u, arr, target, num_qubits):
     """Apply a 2x2 matrix on `target` along axis 0 of arr (dim 2^q first)."""
     tail = arr.shape[1:]

@@ -1,6 +1,8 @@
 import json
 import math
+import re
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +34,7 @@ from qthreat.datapipe import (
     transform_tfidf,
 )
 from conftest import make_record, write_nslkdd_pair
-from oracles import reference_indices, stratified_limit
+from oracles import reference_indices, select_eval_subset_loop, stratified_limit
 
 N_NUM = len(NUMERIC_COLUMNS)
 
@@ -335,6 +337,28 @@ def test_eval_subset_proportional_two_classes():
     idx = select_eval_subset(strut, size=100, seed=4)
     picked = [strut.test_categories[i] for i in idx]
     assert picked.count("ham") == 80 and picked.count("spam") == 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cats=st.lists(st.text(alphabet="ab\x00", max_size=2), min_size=1, max_size=60),
+    size=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(cats=["a", "a\x00", "a", "b"], size=3, seed=0)
+def test_eval_subset_matches_the_per_category_scan(cats, size, seed):
+    # categories that a fixed-width string array would merge ("a", "a\x00")
+    # stay apart; too few rows or too many categories fail alike
+    split = types.SimpleNamespace(test_categories=cats)
+    try:
+        want = select_eval_subset_loop(split, size, seed)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=re.escape(str(err))):
+            select_eval_subset(split, size, seed)
+        return
+    got = select_eval_subset(split, size, seed)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------- persistence

@@ -523,6 +523,20 @@ def test_vqc_shot_eval_reports_raw_and_mitigated(make_config, tmp_path):
     assert manifest["metrics"]["accuracy"] != shot["raw"].get("marker", -1)
 
 
+def test_vqc_shot_run_with_a_singular_readout_reports_only_raw_shots(make_config, tmp_path):
+    # p01 + p10 = 1 cannot be mitigated, but unmitigated scoring is valid:
+    # the run completes with the raw report and no mitigated one
+    config = make_config(
+        experiment_id="t-vqc-singular", model="vqc", epochs=2, backend="shots", shots=64,
+        readout_01=0.5, readout_10=0.5,
+    )
+    manifest = harness.run_experiment(config, tmp_path)
+    assert manifest["status"] == "complete"
+    assert set(manifest["shot_eval"]) == {"raw"}
+    raw = harness.evaluate_bundle(tmp_path, config.execution())
+    assert raw["metrics"] == manifest["shot_eval"]["raw"]
+
+
 def test_classical_baseline_pipeline(make_config, tmp_path):
     config = make_config(experiment_id="t-base", model="classical-baseline", epochs=3)
     manifest = harness.run_experiment(config, tmp_path)
@@ -784,6 +798,42 @@ def test_streaming_vqc_matches_batch_logits(vqc_bundle):
     assert out["report"].accuracy == manifest["metrics"]["accuracy"]
 
 
+def test_exact_qsvm_stream_maps_its_rows_in_one_call(qsvm_bundle, monkeypatch, tmp_path):
+    # one feature-map stack for the support vectors, one for every streamed row
+    _, d, _ = qsvm_bundle
+    n = datapipe.load_split(d / "preprocess").y_test.size
+    n_support = qsvm.load_svm(d / "svm" / "svm.json")[0].support.size
+    assert n > 32
+    stacks = []
+    real = featuremap.feature_statevectors
+
+    def counted(angles, spec):
+        stacks.append(len(np.atleast_2d(angles)))
+        return real(angles, spec)
+
+    monkeypatch.setattr(featuremap, "feature_statevectors", counted)
+    monkeypatch.setattr(qsvm, "feature_statevectors", counted)
+    harness.evaluate_streaming(d, subset=np.arange(n), audit_path=tmp_path / "a.csv")
+    assert stacks == [n_support, n]
+
+
+def test_exact_vqc_stream_scores_its_rows_in_one_call(vqc_bundle, monkeypatch, tmp_path):
+    _, d, _ = vqc_bundle
+    n = datapipe.load_split(d / "preprocess").y_test.size
+    assert n > 32
+    stacks = []
+    real = vqc.decision_logits
+
+    def counted(rows, model):
+        stacks.append(len(rows))
+        return real(rows, model)
+
+    monkeypatch.setattr(vqc, "decision_logits", counted)
+    out = harness.evaluate_streaming(d, subset=np.arange(n), audit_path=tmp_path / "a.csv")
+    assert stacks == [n]
+    assert len(out["lines"]) == n
+
+
 SHOT_OVERRIDES = dict(
     backend="shots", shots=64, depol_1q=1e-3, depol_2q=1e-2, readout_01=0.02, readout_10=0.04,
     mitigate=True, seeds=Seeds(sampling=3),
@@ -798,7 +848,6 @@ def test_full_stream_equals_rescore(request, fixture, backend, tmp_path):
     execution = replace(config, **over).execution()
     batch = harness.evaluate_bundle(d, execution)
     n = datapipe.load_split(d / "preprocess").y_test.size
-    assert n > harness.STREAM_BATCH
     streamed = harness.evaluate_streaming(
         d, subset=np.arange(n), execution=execution, audit_path=tmp_path / "audit.csv"
     )
@@ -806,7 +855,7 @@ def test_full_stream_equals_rescore(request, fixture, backend, tmp_path):
 
 
 def test_vqc_shot_stream_seeds_rows_by_position(vqc_bundle, tmp_path):
-    # chunks of STREAM_BATCH rows take the seeds of one shot_logits call on every row
+    # the k-th streamed row takes seed k of one shot_logits call on every row
     config, d, _ = vqc_bundle
     ex = vqc.Execution("shots", 64, NoiseSpec(1e-3, 1e-2), seed=5)
     split = datapipe.load_split(d / "preprocess")
@@ -821,7 +870,7 @@ def test_vqc_shot_stream_seeds_rows_by_position(vqc_bundle, tmp_path):
 
 def test_qsvm_shot_rescore_matches_the_chunked_stream_oracle(qsvm_bundle):
     # the former route of a shot rescore: every train row encoded, then
-    # STREAM_BATCH rows per stacked product with the reference coefficients
+    # 32 rows per stacked product with the reference coefficients
     config, d, manifest = qsvm_bundle
     ex = replace(config, **SHOT_OVERRIDES).execution()
     split = datapipe.load_split(d / "preprocess")
@@ -834,14 +883,14 @@ def test_qsvm_shot_rescore_matches_the_chunked_stream_oracle(qsvm_bundle):
     mu = row_means[refs]
     train = harness._angles(config, enc, scaler, split.x_train)[refs]
     test = harness._angles(config, enc, scaler, split.x_test)
-    scores = []
-    for start in range(0, len(test), harness.STREAM_BATCH):
+    scores, chunk = [], 32
+    for start in range(0, len(test), chunk):
         kernels = np.stack([
             featuremap.kernel_shot_estimates(
                 row, train, config.feature_spec(), ex.shots, ex.noise, ex.mitigate,
                 [harness._pair_seed(ex.seed, start + i, j) for j in range(refs.size)],
             )
-            for i, row in enumerate(test[start:start + harness.STREAM_BATCH])
+            for i, row in enumerate(test[start:start + chunk])
         ])
         scores.extend(svm.sign * ((kernels - mu[None, :]) @ coef + svm.bias))
     want = metrics.report(split.y_test, np.array(scores), manifest["threshold"], config.beta)
