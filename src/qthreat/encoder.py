@@ -3,13 +3,16 @@
 Blocks are Linear -> LayerNorm -> GELU -> Dropout; a projection head emits a
 unit-norm embedding and a 2-way linear classifier rides on it. Training is
 class-weighted softmax cross-entropy under Adam with decoupled weight decay
-and early stopping on validation macro-F1. Everything is float64 numpy; all
+and early stopping on validation macro-F1. The Adam (AdamState, over a dict
+of named arrays) and the epoch loop with early stopping (_fit_epochs) are
+the ones the VQC trains with too. The eval forward keeps no backprop cache;
+forward_with_cache and training build one. Everything is float64 numpy; all
 randomness flows through explicit seeds.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -78,16 +81,6 @@ class TrainSchedule:
         if min(self.class_weights) <= 0:
             raise ValueError("class weights must be positive")
 
-    def as_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "weight_decay": self.weight_decay,
-            "patience": self.patience,
-            "class_weights": list(self.class_weights),
-        }
-
 
 def layer_norm(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pre-scale normalized activations with cached (mean, inv_std)."""
@@ -145,56 +138,62 @@ def init_encoder(config: EncoderConfig) -> EncoderModel:
     return EncoderModel(config, params)
 
 
-def _forward_batch(model: EncoderModel, x: np.ndarray, rng) -> Tuple[np.ndarray, np.ndarray, dict]:
-    """Forward with backprop cache; dropout masks are drawn from `rng`, and
-    rng None is eval mode."""
+def _forward_batch(
+    model: EncoderModel, x: np.ndarray, rng, cache: Optional[dict]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Forward pass; dropout masks are drawn from `rng`, and rng None is
+    eval mode. The backprop cache is filled into `cache` when it is a dict;
+    with None the pass keeps no array past its last use."""
     cfg = model.config
     p = model.params
-    a = np.asarray(x, dtype=float)
-    cache = {"inputs": [], "xhat": [], "inv_std": [], "phi": [], "masks": []}
+    a = np.atleast_2d(np.asarray(x, dtype=float))
+    if a.shape[-1] != cfg.input_dim:
+        raise ValueError(f"expected {cfg.input_dim} features, got {a.shape[-1]}")
+    keep = cache is not None
+    if keep:
+        cache.update(inputs=[], xhat=[], inv_std=[], phi=[], masks=[])
     drop = cfg.dropout
     for i in range(model.num_blocks):
-        cache["inputs"].append(a)
-        z = a @ p[f"block{i}.W"].T + p[f"block{i}.b"]
-        xhat, _, inv_std = layer_norm(z)
-        cache["xhat"].append(xhat)
-        cache["inv_std"].append(inv_std)
-        a = p[f"block{i}.gamma"] * xhat + p[f"block{i}.beta"]  # h, the GELU input
-        phi = ndtr(a)
-        cache["phi"].append(phi)
-        a *= phi  # exact GELU, h * Phi(h); backward reuses Phi and recomputes h
+        xhat, _, inv_std = layer_norm(a @ p[f"block{i}.W"].T + p[f"block{i}.b"])
+        h = p[f"block{i}.gamma"] * xhat
+        h += p[f"block{i}.beta"]  # the GELU input
+        phi = ndtr(h)
+        mask = None
         if rng is not None and drop > 0.0:
-            mask = (rng.random(a.shape) >= drop).astype(float)
+            mask = (rng.random(h.shape) >= drop).astype(float)
+        if keep:
+            for key, value in (("inputs", a), ("xhat", xhat), ("inv_std", inv_std),
+                               ("phi", phi), ("masks", mask)):
+                cache[key].append(value)
+        del xhat  # uncached, a block's arrays die as soon as they are used
+        a = h
+        a *= phi  # exact GELU, h * Phi(h); backward reuses Phi and recomputes h
+        del phi
+        if mask is not None:
             a = a * mask / (1.0 - drop)
-            cache["masks"].append(mask)
-        else:
-            cache["masks"].append(None)
-    cache["embed_in"] = a
     v = a @ p["embed.W"].T + p["embed.b"]
     norms = np.maximum(np.linalg.norm(v, axis=-1, keepdims=True), 1e-12)
     e = v / norms
-    cache["e"] = e
-    cache["norms"] = norms
+    if keep:
+        cache.update(embed_in=a, e=e, norms=norms)
     logits = e @ p["clf.W"].T + p["clf.b"]
-    return logits, e, cache
+    return logits, e
 
 
 def forward_with_cache(model: EncoderModel, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, dict]:
     """Batched eval-mode forward (no dropout) that also returns the backprop
     cache; dropout runs only in loss_and_gradients."""
-    batch = np.atleast_2d(np.asarray(x, dtype=float))
-    if batch.shape[-1] != model.config.input_dim:
-        raise ValueError(
-            f"expected {model.config.input_dim} features, got {batch.shape[-1]}"
-        )
-    return _forward_batch(model, batch, None)
+    cache: dict = {}
+    logits, e = _forward_batch(model, x, None, cache)
+    return logits, e, cache
 
 
 def forward(model: EncoderModel, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Eval-mode (logits, unit-norm embedding) for one sample or a batch."""
+    """Eval-mode (logits, unit-norm embedding) for one sample or a batch; it
+    keeps no backprop cache."""
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
-    logits, e, _ = forward_with_cache(model, arr)
+    logits, e = _forward_batch(model, arr, None, None)
     if single:
         return logits[0], e[0]
     return logits, e
@@ -227,7 +226,8 @@ def loss_and_gradients(
         raise ValueError("labels must be 0/1")
     rng = np.random.default_rng(dropout_seed) if dropout_seed is not None else None
     p = model.params
-    logits, e, cache = _forward_batch(model, x, rng)
+    cache: dict = {}
+    logits, e = _forward_batch(model, x, rng, cache)
 
     w = np.asarray(class_weights, dtype=float)[y]
     wsum = w.sum()
@@ -297,27 +297,31 @@ def _flat_inplace(a: np.ndarray, name: str) -> np.ndarray:
 
 
 class AdamState:
-    """Adam with decoupled weight decay on the `.W` matrices.
+    """Adam over a dict of named parameter arrays, with decoupled weight
+    decay on the arrays whose name ends in `.W`.
 
-    `step` updates the moments m, v and the model's parameters in place,
-    through flat views, ADAM_CHUNK elements at a time, with two scratch
-    buffers allocated once here. Every value is computed by the same
-    operations in the same order as the textbook update, so steps are
-    bit-identical to it. Parameters, m and v must therefore be C-contiguous
-    and writable float64 arrays; `step` raises ValueError otherwise.
+    `params` is kept, not copied: `step` updates the moments m, v and the
+    arrays `params` holds at the time in place, through flat views,
+    ADAM_CHUNK elements at a time, with two scratch buffers allocated once
+    here. A step updates the names its gradient dict holds. Every value is
+    computed by the same operations in the same order as the textbook
+    update, so steps are bit-identical to it. Parameters, m and v must
+    therefore be C-contiguous and writable float64 arrays; `step` raises
+    ValueError otherwise.
     """
 
-    def __init__(self, model: EncoderModel):
-        self.m = {k: np.zeros_like(v) for k, v in model.params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in model.params.items()}
+    def __init__(self, params: Dict[str, np.ndarray]):
+        self.params = params
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
-        width = min(ADAM_CHUNK, max(v.size for v in model.params.values()))
+        width = min(ADAM_CHUNK, max(v.size for v in params.values()))
         self._scratch = np.empty((2, width))
 
-    def step(self, model: EncoderModel, grads, lr: float, weight_decay: float):
+    def step(self, grads: Dict[str, np.ndarray], lr: float, weight_decay: float):
         views = []  # every array is checked before any is written
         for k, g in grads.items():
-            p = _flat_inplace(model.params[k], f"parameter {k}")
+            p = _flat_inplace(self.params[k], f"parameter {k}")
             g = np.ravel(g)
             if g.size != p.size:
                 raise ValueError(f"gradient {k} has {g.size} elements, parameter has {p.size}")
@@ -353,13 +357,49 @@ class AdamState:
         p -= a
 
 
+def _fit_epochs(schedule: TrainSchedule, n: int, rng, step, validate, snapshot):
+    """The epoch loop both trainers run, with early stopping.
+
+    Each epoch draws one permutation of range(n) from `rng` and calls
+    step(idx) on its consecutive schedule.batch_size slices in order; step
+    updates the parameters and returns the batch loss. Then validate()
+    returns (value, record), larger values better. snapshot() is taken once
+    before the first epoch and again after each epoch whose value is
+    strictly greater than every earlier one (a tie or NaN is not). The loop
+    stops after schedule.epochs epochs, or once max(schedule.patience, 1)
+    consecutive epochs have not improved.
+
+    Returns (epochs, best_epoch, best_value, best): one
+    {"epoch", "train_loss", **record} dict per epoch run, train_loss the
+    mean of its batch losses; the last improving epoch and its value (-1
+    and -inf when none improved); and the snapshot taken after that epoch,
+    or before the first when none improved. The caller restores `best`.
+    """
+    epochs = []
+    best_value, best_epoch, best = -math.inf, -1, snapshot()
+    bad_epochs = 0
+    for epoch in range(schedule.epochs):
+        order = rng.permutation(n)
+        losses = [step(order[lo : lo + schedule.batch_size]) for lo in range(0, n, schedule.batch_size)]
+        value, record = validate()
+        epochs.append({"epoch": epoch, "train_loss": sum(losses) / len(losses), **record})
+        if value > best_value:
+            best_value, best_epoch, best = value, epoch, snapshot()
+            bad_epochs = 0
+        else:
+            bad_epochs += 1
+            if bad_epochs >= max(schedule.patience, 1):
+                break
+    return epochs, best_epoch, best_value, best
+
+
 def train_encoder(
     config: EncoderConfig,
     schedule: TrainSchedule,
     train: Tuple[np.ndarray, np.ndarray],
     val: Tuple[np.ndarray, np.ndarray],
 ) -> Tuple[EncoderModel, dict]:
-    """Adam training with early stopping on validation macro-F1.
+    """Adam training with early stopping on validation macro-F1 (_fit_epochs).
 
     Stops once `patience` consecutive epochs fail to improve the best value
     (patience=0 stops at the first non-improving epoch) and restores the
@@ -371,46 +411,26 @@ def train_encoder(
         raise ValueError("train and val splits must be nonempty")
 
     model = init_encoder(config)
-    opt = AdamState(model)
+    opt = AdamState(model.params)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).generate_state(1)[0])
-    best_value = -1.0
-    best_params = model.copy_params()
-    best_epoch = -1
-    bad_epochs = 0
-    history = {"epochs": [], "selection_metric": "macro_f1"}
 
-    for epoch in range(schedule.epochs):
-        order = rng.permutation(x_train.shape[0])
-        epoch_loss = 0.0
-        batches = 0
-        for start in range(0, order.size, schedule.batch_size):
-            idx = order[start : start + schedule.batch_size]
-            seed = int(rng.integers(0, 2**31 - 1)) if config.dropout > 0 else None
-            loss, grads = loss_and_gradients(
-                model, x_train[idx], y_train[idx], schedule.class_weights, seed
-            )
-            opt.step(model, grads, schedule.learning_rate, schedule.weight_decay)
-            epoch_loss += loss
-            batches += 1
+    def step(idx):
+        seed = int(rng.integers(0, 2**31 - 1)) if config.dropout > 0 else None
+        loss, grads = loss_and_gradients(model, x_train[idx], y_train[idx], schedule.class_weights, seed)
+        opt.step(grads, schedule.learning_rate, schedule.weight_decay)
+        return loss
+
+    def validate():
         logits, _ = forward(model, x_val)
-        preds = np.argmax(logits, axis=-1)
-        value = macro_f1(confusion(y_val, preds))
-        history["epochs"].append(
-            {"epoch": epoch, "train_loss": epoch_loss / batches, "val_metric": value}
-        )
-        if value > best_value:
-            best_value = value
-            best_params = model.copy_params()
-            best_epoch = epoch
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= max(schedule.patience, 1):
-                break
+        value = macro_f1(confusion(y_val, np.argmax(logits, axis=-1)))
+        return value, {"val_metric": value}
 
-    model.load_params(best_params)
-    history["best_epoch"] = best_epoch
-    history["best_value"] = best_value
+    epochs, best_epoch, best_value, best = _fit_epochs(
+        schedule, x_train.shape[0], rng, step, validate, model.copy_params
+    )
+    model.load_params(best)
+    history = {"epochs": epochs, "selection_metric": "macro_f1",
+               "best_epoch": best_epoch, "best_value": best_value}
     return model, history
 
 

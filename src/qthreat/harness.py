@@ -364,10 +364,6 @@ def _stage_encoder(config: ExperimentConfig, root: Path, stages: Dict[str, str],
     return _stage(root, stages, "encoder", slice_, [stages["preprocess"]], build, load_encoder)
 
 
-def _angles(config: ExperimentConfig, enc_model, scaler, x: np.ndarray) -> np.ndarray:
-    return vqc.angles_from_features(x, enc_model, scaler, config.qubits)
-
-
 # --------------------------------------------------------------- scoring
 
 
@@ -390,7 +386,7 @@ class _Model:
         """Feature rows as _score reads them: angles, or the features (baseline)."""
         if self.config.model == "classical-baseline":
             return x
-        return _angles(self.config, self.encoder, self.scaler, x)
+        return vqc.angles_from_features(x, self.encoder, self.scaler, self.config.qubits)
 
 
 def _load_model(config: ExperimentConfig, root: Path, unverified=None) -> _Model:
@@ -500,7 +496,9 @@ def _stage_svm(config: ExperimentConfig, root: Path, stages: Dict[str, str], spl
 
     def build(d):
         rows = qsvm.FidelityRows(
-            featuremap.feature_statevectors(_angles(config, *encoded, split.x_train), fspec)
+            featuremap.feature_statevectors(
+                vqc.angles_from_features(split.x_train, *encoded, config.qubits), fspec
+            )
         )
         best_c, cv_table = qsvm.select_c(rows, split.y_train, config.cv_plan())
         svm, record = qsvm.fit_rows(rows, split.y_train, best_c, split.class_weights)

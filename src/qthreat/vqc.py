@@ -8,13 +8,15 @@ expectation <Z...Z>, mapped to a logit by a trainable affine pair
 by either engine. Exact mode takes stacked statevectors through it
 (batched.evolve), and training takes its exact gradients from one forward
 and one adjoint sweep per step (_adjoint, on batched.adjoint); there is no
-shot-mode training. Shot-mode evaluation goes through the shot engine the
-kernel estimator uses: the rows' circuits run SHOT_BLOCK at a time as one
-stacked density evolution with depolarizing noise (qsim.evolve_density),
-then each row's outcome distribution is sampled with readout error folded
-in and optionally mitigated (qsim.shot_estimates) and read out as its
-parity. The parameter-shift gradient the adjoint sweep is tested against
-is in tests/oracles.py.
+shot-mode training. Training runs the encoder's epoch loop
+(encoder._fit_epochs) with one encoder.AdamState, which also holds the
+encoder copy that fine-tuning updates. Shot-mode evaluation goes through
+the shot engine the kernel estimator uses: the rows' circuits run
+SHOT_BLOCK at a time as one stacked density evolution with depolarizing
+noise (qsim.evolve_density), then each row's outcome distribution is
+sampled with readout error folded in and optionally mitigated
+(qsim.shot_estimates) and read out as its parity. The parameter-shift
+gradient the adjoint sweep is tested against is in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ from .encoder import (
     EmbeddingScaler,
     EncoderModel,
     TrainSchedule,
+    _fit_epochs,
     backward_from_embedding,
     forward,
     forward_with_cache,
@@ -277,21 +280,6 @@ class VqcTrainResult:
     encoder: Optional[EncoderModel] = None
 
 
-class _FlatAdam:
-    def __init__(self, size: int):
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
-        self.t = 0
-
-    def step(self, params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-        self.t += 1
-        self.m = 0.9 * self.m + 0.1 * grad
-        self.v = 0.999 * self.v + 0.001 * grad * grad
-        mhat = self.m / (1.0 - 0.9**self.t)
-        vhat = self.v / (1.0 - 0.999**self.t)
-        return params - lr * mhat / (np.sqrt(vhat) + 1e-8)
-
-
 def train_vqc(
     spec: VqcSpec,
     schedule: TrainSchedule,
@@ -309,12 +297,14 @@ def train_vqc(
     once per split, before the first epoch. Each step takes its logits and
     exact gradients from one forward and one adjoint sweep (_adjoint). With
     fine_tune=True a copy of the encoder receives gradients through the
-    data angles of the same sweep and is updated alongside the circuit
-    parameters, so each batch is embedded afresh; the classifier head and
-    dropout stay off during fine-tuning. Validation loss picks the best
-    checkpoint, restored at the end; patience counts consecutive epochs
-    without improvement. The result's encoder is the one its model
-    scores with: the given encoder, or its fine-tuned copy.
+    data angles of the same sweep, so each batch is embedded afresh; the
+    classifier head and dropout stay off during fine-tuning. One AdamState
+    holds theta, scale and bias as one flat array under "vqc", plus the
+    tuned copy's arrays under their own names, and steps once per batch;
+    weight decay reaches only the encoder's `.W` matrices. Validation loss
+    picks the best checkpoint (_fit_epochs), restored at the end. The
+    result's encoder is the one its model scores with: the given encoder,
+    or its fine-tuned copy.
     """
     x_tr, y_tr = np.atleast_2d(np.asarray(train[0], dtype=float)), np.asarray(train[1], dtype=int)
     x_va, y_va = np.atleast_2d(np.asarray(val[0], dtype=float)), np.asarray(val[1], dtype=int)
@@ -335,16 +325,20 @@ def train_vqc(
                 raise ValueError("angles must lie in [-pi, pi]")
 
     init_seed, shuffle_seed = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
-    model = init_vqc(spec, init_seed)
-    rng = np.random.default_rng(shuffle_seed)
+    init = init_vqc(spec, init_seed)
+    params = {"vqc": np.concatenate([init.theta, [init.scale, init.bias]])}
     w = np.asarray(schedule.class_weights, dtype=float)
 
     # only fine-tuning writes to the encoder, so only it works on a copy
     tuned = encoder_model
-    enc_adam: Optional[AdamState] = None
     if fine_tune:
         tuned = EncoderModel(encoder_model.config, encoder_model.copy_params())
-        enc_adam = AdamState(tuned)
+        params.update(tuned.params)
+    adam = AdamState(params)
+
+    def current() -> VqcModel:
+        flat = params["vqc"]
+        return VqcModel(spec, flat[:-2], float(flat[-2]), float(flat[-1]))
 
     def embed_angles(x: np.ndarray):
         """Angle rows of x, the encoder's backprop cache and the scaler's slopes."""
@@ -359,74 +353,43 @@ def train_vqc(
         ang_tr = embed_angles(x_tr)[0]
         ang_va = embed_angles(x_va)[0]
 
-    adam = _FlatAdam(spec.num_params + 2)
-    best = {"loss": math.inf, "epoch": -1, "theta": model.theta.copy(),
-            "scale": model.scale, "bias": model.bias,
-            "encoder": tuned.copy_params() if fine_tune else None}
-    history = {"epochs": [], "monitor": "val_loss"}
-    bad_epochs = 0
-    n = x_tr.shape[0]
-
-    for epoch in range(schedule.epochs):
-        perm = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, schedule.batch_size):
-            idx = perm[start : start + schedule.batch_size]
-            yb = y_tr[idx]
-            if fine_tune:
-                ang, cache, live = embed_angles(x_tr[idx])
-            else:
-                ang = ang_tr[idx]
-            zhat, backward = _adjoint(ang, model)
-            logits = model.scale * zhat + model.bias
-            wb = w[yb]
-            loss = bce_with_logits(logits, yb, wb)
-            epoch_loss += loss * idx.size
-            dlogit = wb * (1.0 / (1.0 + np.exp(-logits)) - yb) / idx.size
-
-            g = backward(dlogit)
-            flat = np.concatenate([model.theta, [model.scale, model.bias]])
-            gflat = np.concatenate([g["theta"], [g["scale"], g["bias"]]])
-            flat = adam.step(flat, gflat, schedule.learning_rate)
-            if fine_tune:
-                de = np.zeros((idx.size, tuned.config.embed_dim))
-                de[:, : spec.num_qubits] = g["angles"] * math.pi * live[:, : spec.num_qubits]
-                enc_grads = backward_from_embedding(tuned, cache, de)
-                enc_adam.step(tuned, enc_grads, schedule.learning_rate, schedule.weight_decay)
-            model = VqcModel(spec, flat[:-2], float(flat[-2]), float(flat[-1]))
-
+    def step(idx):
+        yb = y_tr[idx]
         if fine_tune:
-            ang_va = embed_angles(x_va)[0]
-        z_va = _batch_expectations(ang_va, model)
-        logits_va = model.scale * z_va + model.bias
-        val_loss = bce_with_logits(logits_va, y_va, w[y_va])
-        val_acc = float(np.mean((logits_va > 0).astype(int) == y_va))
-        history["epochs"].append(
-            {
-                "epoch": epoch,
-                "train_loss": epoch_loss / n,
-                "val_loss": val_loss,
-                "val_accuracy": val_acc,
-            }
-        )
-        if val_loss < best["loss"]:
-            best.update(
-                loss=val_loss, epoch=epoch, theta=model.theta.copy(),
-                scale=model.scale, bias=model.bias,
-                encoder=tuned.copy_params() if fine_tune else None,
-            )
-            bad_epochs = 0
+            ang, cache, live = embed_angles(x_tr[idx])
         else:
-            bad_epochs += 1
-            if bad_epochs >= max(schedule.patience, 1):
-                break
+            ang = ang_tr[idx]
+        model = current()
+        zhat, backward = _adjoint(ang, model)
+        logits = model.scale * zhat + model.bias
+        wb = w[yb]
+        dlogit = wb * (1.0 / (1.0 + np.exp(-logits)) - yb) / idx.size
+        g = backward(dlogit)
+        grads = {"vqc": np.concatenate([g["theta"], [g["scale"], g["bias"]]])}
+        if fine_tune:
+            de = np.zeros((idx.size, tuned.config.embed_dim))
+            de[:, : spec.num_qubits] = g["angles"] * math.pi * live[:, : spec.num_qubits]
+            grads.update(backward_from_embedding(tuned, cache, de))
+        adam.step(grads, schedule.learning_rate, schedule.weight_decay)
+        return bce_with_logits(logits, yb, wb)
 
-    model = VqcModel(spec, best["theta"], best["scale"], best["bias"])
-    if fine_tune:
-        tuned.load_params(best["encoder"])
-    history["best_epoch"] = best["epoch"]
-    history["best_val_loss"] = best["loss"]
-    return VqcTrainResult(model, history, tuned)
+    def validate():
+        model = current()
+        ang = embed_angles(x_va)[0] if fine_tune else ang_va
+        logits = model.scale * _batch_expectations(ang, model) + model.bias
+        val_loss = bce_with_logits(logits, y_va, w[y_va])
+        val_acc = float(np.mean((logits > 0).astype(int) == y_va))
+        return -val_loss, {"val_loss": val_loss, "val_accuracy": val_acc}
+
+    epochs, best_epoch, best_value, best = _fit_epochs(
+        schedule, x_tr.shape[0], np.random.default_rng(shuffle_seed), step, validate,
+        lambda: {k: v.copy() for k, v in params.items()},
+    )
+    for k, v in best.items():
+        np.copyto(params[k], v)
+    history = {"epochs": epochs, "monitor": "val_loss",
+               "best_epoch": best_epoch, "best_val_loss": -best_value}
+    return VqcTrainResult(current(), history, tuned)
 
 
 # ------------------------------------------------------------- persistence

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qthreat.encoder import (
     EncoderModel,
     EmbeddingScaler,
     TrainSchedule,
+    _fit_epochs,
     backward_from_embedding,
     fit_scaler,
     forward,
@@ -122,6 +124,32 @@ def test_forward_rejects_bad_width():
     model = init_encoder(TINY)
     with pytest.raises(ValueError):
         forward(model, np.zeros(6))
+
+
+@pytest.mark.parametrize("input_dim, hidden", [(64, (64,) * 8), (70, (256, 64))])
+def test_eval_forward_keeps_no_backprop_cache(input_dim, hidden):
+    # the eval forward holds one block's working set at a time: the block's
+    # input (the rows themselves for block 0, allocated before tracing) and
+    # three arrays of its width (layer_norm's input, the centred values and
+    # their squares), plus half a widest array of slack for the per-row
+    # vectors and the outputs. A backprop cache would hold each block's
+    # input, xhat and Phi(h) until the forward returns
+    n = 2000
+    model = init_encoder(EncoderConfig(input_dim=input_dim, hidden_sizes=hidden, embed_dim=4, seed=5))
+    x = np.random.default_rng(6).normal(size=(n, input_dim))
+    widths = (input_dim,) + hidden
+    working_set = max((widths[i] if i else 0) + 3 * widths[i + 1] for i in range(len(hidden)))
+    tracemalloc.start()
+    try:
+        logits, e = forward(model, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    expected_logits, expected_cache = encoder_forward(model, x, False, None)
+    np.testing.assert_array_equal(logits.view(np.uint64), expected_logits.view(np.uint64))
+    np.testing.assert_array_equal(e.view(np.uint64), expected_cache["e"].view(np.uint64))
+    widest = n * max(hidden) * 8
+    assert peak <= working_set * n * 8 + 0.5 * widest, peak / widest
 
 
 def test_embedding_scale_invariance():
@@ -294,14 +322,14 @@ def test_adam_step_matches_allocating_oracle_bit_for_bit(w_size, b_size, weight_
     params = {"layer.W": rng.normal(size=(w_size, 1)), "layer.b": rng.normal(size=b_size),
               "head.W": rng.normal(size=(2, 3))}
     model = EncoderModel(TINY, {k: v.copy() for k, v in params.items()})
-    adam = AdamState(model)
+    adam = AdamState(model.params)
     oracle = AllocatingAdam(params)
     for _ in range(steps):
         # gradients over eight decades, some exactly zero; head.W gets none
         grads = {k: rng.normal(size=v.shape) * 10.0 ** rng.uniform(-6, 2, v.shape)
                  * (rng.random(v.shape) > 0.1) for k, v in params.items()}
         grads["head.W"] = np.zeros((2, 3))
-        adam.step(model, grads, lr, weight_decay)
+        adam.step(grads, lr, weight_decay)
         oracle.step(params, grads, lr, weight_decay)
         _assert_same_arrays(model.params, params)
         _assert_same_arrays(adam.m, oracle.m)
@@ -312,14 +340,14 @@ def test_training_steps_match_oracles_bit_for_bit():
     model = _model((9, 5), 4, 0.2, 31)
     params = model.copy_params()
     oracle_model = EncoderModel(model.config, params)
-    adam, oracle = AdamState(model), AllocatingAdam(params)
+    adam, oracle = AdamState(model.params), AllocatingAdam(params)
     rng = np.random.default_rng(32)
     for step in range(6):
         x = rng.normal(size=(10, 7))
         y = rng.integers(0, 2, 10)
         _, grads = loss_and_gradients(model, x, y, (0.8, 1.3), dropout_seed=step)
         _, expected = encoder_loss_and_gradients(oracle_model, x, y, (0.8, 1.3), dropout_seed=step)
-        adam.step(model, grads, 1e-2, 1e-3)
+        adam.step(grads, 1e-2, 1e-3)
         oracle.step(params, expected, 1e-2, 1e-3)
     _assert_same_arrays(model.params, params)
 
@@ -327,7 +355,7 @@ def test_training_steps_match_oracles_bit_for_bit():
 @pytest.mark.parametrize("spoil", ["fortran", "strided", "read_only", "moment"])
 def test_adam_step_rejects_arrays_it_cannot_update_in_place(spoil):
     model = init_encoder(EncoderConfig(input_dim=5, hidden_sizes=(4,), embed_dim=3, seed=3))
-    adam = AdamState(model)
+    adam = AdamState(model.params)
     before = model.copy_params()
     w = model.params["block0.W"]
     if spoil == "fortran":
@@ -340,7 +368,7 @@ def test_adam_step_rejects_arrays_it_cannot_update_in_place(spoil):
         adam.m["block0.W"] = np.zeros((5, 4)).T
     grads = {k: np.ones_like(v) for k, v in before.items()}
     with pytest.raises(ValueError, match="C-contiguous"):
-        adam.step(model, grads, 1e-3, 1e-4)
+        adam.step(grads, 1e-3, 1e-4)
     # the refused step changed nothing
     assert adam.t == 0
     _assert_same_arrays(model.copy_params(), before)
@@ -353,7 +381,7 @@ def test_loaded_parameters_can_be_updated_in_place(tmp_path):
     loaded, _ = load_encoder(tmp_path)
     for m in (model, loaded):
         assert all(v.flags.c_contiguous and v.flags.writeable for v in m.params.values())
-        AdamState(m).step(m, {k: np.ones_like(v) for k, v in m.params.items()}, 1e-3, 1e-4)
+        AdamState(m.params).step({k: np.ones_like(v) for k, v in m.params.items()}, 1e-3, 1e-4)
 
 
 # --------------------------------------------------------------- training
@@ -413,6 +441,70 @@ def test_restored_model_matches_best_epoch():
     value = macro_f1(confusion(yv, np.argmax(logits, axis=-1)))
     assert value == pytest.approx(history["best_value"], abs=1e-12)
     assert all(rec["val_metric"] <= history["best_value"] for rec in history["epochs"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.sampled_from([0.0, 0.5, 1.0, -math.inf, math.nan]), min_size=1, max_size=8),
+    patience_share=st.floats(0.0, 1.0),
+    n=st.integers(1, 9),
+    batch_size=st.integers(1, 4),
+)
+def test_fit_epochs_follows_its_stopping_rule(values, patience_share, n, batch_size):
+    # validate() returns the scripted values in turn; ties, NaN and -inf
+    # never improve on the running best
+    epochs = len(values)
+    patience = int(round(patience_share * epochs))
+    schedule = TrainSchedule(epochs=epochs, batch_size=batch_size, patience=patience)
+    batches, snapshots, validated = [], [], []
+
+    def step(idx):
+        batches.append(idx)
+        return float(len(batches))
+
+    def validate():
+        validated.append(values[len(validated)])
+        return validated[-1], {"value": validated[-1]}
+
+    def snapshot():
+        snapshots.append(len(validated))
+        return len(validated)
+
+    records, best_epoch, best_value, best = _fit_epochs(
+        schedule, n, np.random.default_rng(7), step, validate, snapshot
+    )
+
+    # the rule, stated per epoch: an epoch improves when its value exceeds
+    # every earlier non-NaN value; the loop stops at the first epoch that
+    # ends max(patience, 1) epochs without an improvement
+    def running_best(e):
+        return max([v for v in values[:e] if not math.isnan(v)], default=-math.inf)
+
+    improved = [values[e] > running_best(e) for e in range(epochs)]
+    last_gain = [max([j for j in range(e + 1) if improved[j]], default=-1) for e in range(epochs)]
+    stops = [e for e in range(epochs) if e - last_gain[e] >= max(patience, 1)]
+    run = stops[0] + 1 if stops else epochs
+    assert len(records) == len(validated) == run
+    ran = [v for v in values[:run] if not math.isnan(v)]
+    want_best = values.index(max(ran)) if ran and max(ran) > -math.inf else -1
+    assert best_epoch == want_best
+    assert best_value == (values[want_best] if want_best >= 0 else -math.inf)
+    # one snapshot before the first epoch and one after each improving epoch;
+    # the best is the one taken after the best epoch's validation
+    assert snapshots == [0] + [e + 1 for e in range(run) if improved[e]]
+    assert best == want_best + 1
+    # each epoch steps through one permutation of range(n) drawn from rng,
+    # in batch_size slices, and records the mean of its batch losses
+    rng = np.random.default_rng(7)
+    per_epoch = -(-n // batch_size)
+    assert len(batches) == run * per_epoch
+    for e, rec in enumerate(records):
+        mine = batches[e * per_epoch : (e + 1) * per_epoch]
+        np.testing.assert_array_equal(np.concatenate(mine), rng.permutation(n))
+        assert [len(b) for b in mine[:-1]] == [batch_size] * (per_epoch - 1)
+        losses = range(e * per_epoch + 1, (e + 1) * per_epoch + 1)
+        assert rec["epoch"] == e and rec["train_loss"] == sum(losses) / per_epoch
+        assert rec["value"] is values[e] or rec["value"] == values[e]
 
 
 def test_training_rejects_empty_split():

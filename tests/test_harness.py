@@ -429,7 +429,7 @@ def test_svm_stage_allocates_no_n_by_n_array(make_config, tmp_path, monkeypatch)
         x_train=x[:n], y_train=y[:n], x_val=x[n:], y_val=y[n:],
         class_weights=datapipe.class_weights(y[:n]),
     )
-    monkeypatch.setattr(harness, "_angles", lambda config, enc, scaler, rows: rows)
+    monkeypatch.setattr(vqc, "angles_from_features", lambda rows, enc, scaler, q: rows)
     sources = _count_gram_builds(monkeypatch)
     config = make_config(qubits=q, c_grid=(1.0,), cv_folds=2)
     tracemalloc.start()
@@ -730,8 +730,8 @@ def test_streaming_shot_scores_match_per_pair_kernels(qsvm_bundle):
     )
     refs, coef = svm.support[picked], svm.coef[picked]
     mu = row_means[refs]
-    train = harness._angles(config, enc, scaler, split.x_train)
-    test = harness._angles(config, enc, scaler, split.x_test[subset])
+    train = vqc.angles_from_features(split.x_train, enc, scaler, config.qubits)
+    test = vqc.angles_from_features(split.x_test[subset], enc, scaler, config.qubits)
     for i, row in enumerate(test):
         k = np.array([
             fidelity_kernel_shots(
@@ -863,7 +863,7 @@ def test_vqc_shot_stream_seeds_rows_by_position(vqc_bundle, tmp_path):
         d, subset=np.arange(split.y_test.size), execution=ex, audit_path=tmp_path / "a.csv"
     )
     enc, scaler = load_encoder(d / "encoder")
-    angles = harness._angles(config, enc, scaler, split.x_test)
+    angles = vqc.angles_from_features(split.x_test, enc, scaler, config.qubits)
     seeds = np.random.SeedSequence(ex.seed).generate_state(split.y_test.size)
     assert np.array_equal(out["scores"], vqc.shot_logits(angles, vqc.load_vqc(d / "vqc"), ex, seeds))
 
@@ -881,8 +881,8 @@ def test_qsvm_shot_rescore_matches_the_chunked_stream_oracle(qsvm_bundle):
     )
     refs, coef = svm.support[picked], svm.coef[picked]
     mu = row_means[refs]
-    train = harness._angles(config, enc, scaler, split.x_train)[refs]
-    test = harness._angles(config, enc, scaler, split.x_test)
+    train = vqc.angles_from_features(split.x_train, enc, scaler, config.qubits)[refs]
+    test = vqc.angles_from_features(split.x_test, enc, scaler, config.qubits)
     scores, chunk = [], 32
     for start in range(0, len(test), chunk):
         kernels = np.stack([
