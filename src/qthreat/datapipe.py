@@ -10,6 +10,7 @@ nonzero), and load_split expands them back to the same dense float32.
 """
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -121,11 +122,15 @@ def _parse_nslkdd(path) -> Tuple[np.ndarray, Dict[str, List[str]], List[str]]:
                     f"{path}: line {lineno}: expected 43 fields, found {len(parts)}"
                 )
             try:
-                rows.append([float(parts[i]) for i in numeric_idx])
+                values = [float(parts[i]) for i in numeric_idx]
             except ValueError:
+                values = [math.nan]
+            # float() parses nan, inf and 1e400 too; each would NaN a column
+            if not all(map(math.isfinite, values)):
                 raise ValueError(
-                    f"{path}: line {lineno}: non-numeric value in a numeric field"
-                ) from None
+                    f"{path}: line {lineno}: non-numeric or non-finite value in a numeric field"
+                )
+            rows.append(values)
             for c, i in cat_idx.items():
                 cats[c].append(parts[i])
             labels.append(parts[41])  # parts[42] is the difficulty score, dropped

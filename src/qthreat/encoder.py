@@ -463,14 +463,10 @@ def fit_scaler(train_embeddings: np.ndarray) -> EmbeddingScaler:
     return EmbeddingScaler(np.quantile(e, q_low, axis=0), np.quantile(e, q_high, axis=0))
 
 
-def scale(embedding: np.ndarray, scaler: EmbeddingScaler) -> np.ndarray:
-    """Map [low, high] -> [-1, 1] per dimension, clip, zero the
-    degenerate dimensions."""
-    return scale_with_grad(embedding, scaler)[0]
-
-
 def scale_with_grad(embedding: np.ndarray, scaler: EmbeddingScaler):
-    """Scaled values plus d(scaled)/d(embedding) diagonal factors.
+    """Scaled values, [low, high] -> [-1, 1] per dimension, clipped, with
+    the degenerate dimensions zeroed, plus d(scaled)/d(embedding) diagonal
+    factors.
 
     The derivative is zero wherever the value was clipped or the dimension
     is degenerate, which is what a subgradient of clip gives.

@@ -370,15 +370,16 @@ def _stage_encoder(config: ExperimentConfig, root: Path, stages: Dict[str, str],
 @dataclass(frozen=True)
 class _Model:
     """A trained model as scoring reads it: the encoder it reads through
-    (the fine-tuned copy for a fine-tuned VQC) and the scaler, plus the
-    SVM and the train kernel's centring means (qsvm) or the circuit (vqc),
-    and the validation threshold its stage tuned (_with_threshold)."""
+    (the fine-tuned copy for a fine-tuned VQC) and the scaler, plus the SVM
+    and its support angles and means (qsvm) or the circuit (vqc), and the
+    validation threshold its stage tuned (_with_threshold)."""
 
     config: ExperimentConfig
     encoder: EncoderModel
     scaler: object
     svm: Optional[qsvm.SvmModel] = None
-    row_means: Optional[np.ndarray] = None
+    support_angles: Optional[np.ndarray] = None
+    support_means: Optional[np.ndarray] = None
     circuit: Optional[vqc.VqcModel] = None
     threshold: Optional[float] = None
 
@@ -392,8 +393,8 @@ class _Model:
 def _load_model(config: ExperimentConfig, root: Path, unverified=None) -> _Model:
     """A bundle's model files, each read once and, when `unverified` holds it,
     hash-checked on that read: encoder/ (vqc/encoder, saved with the same
-    scaler, for a fine-tuned VQC), then svm/svm.json (which holds the
-    centring means too), vqc/, or baseline/baseline.json. The threshold is
+    scaler, for a fine-tuned VQC), then svm/svm.json (with the support
+    angles and means), vqc/, or baseline/baseline.json. The threshold is
     the one the model stage saved."""
     if config.model == "vqc":
         enc_dir = root / "vqc" / "encoder" if config.fine_tune else root / "encoder"
@@ -404,9 +405,10 @@ def _load_model(config: ExperimentConfig, root: Path, unverified=None) -> _Model
         )
     enc_model, scaler = load_encoder(root / "encoder", unverified)
     if config.model == "qsvm":
-        svm, row_means = qsvm.load_svm(root / "svm" / "svm.json", unverified)
+        svm, angles, means = qsvm.load_svm(root / "svm" / "svm.json", unverified)
         return _Model(
-            config, enc_model, scaler, svm=svm, row_means=row_means, threshold=svm.threshold
+            config, enc_model, scaler, svm=svm, support_angles=angles, support_means=means,
+            threshold=svm.threshold,
         )
     threshold = persist.load_json(root / "baseline" / "baseline.json", unverified)["threshold"]
     return _Model(config, enc_model, scaler, threshold=float(threshold))
@@ -416,7 +418,7 @@ def _with_threshold(model: _Model, split) -> _Model:
     """`model` with the F_beta-best threshold of its exact validation scores
     (_score). A QSVM first takes the sign under which positive rows score
     higher; its SvmModel carries that sign and the threshold."""
-    val, _ = _score(model, split, vqc.Execution(), model.rows(split.x_val))
+    val, _ = _score(model, vqc.Execution(), model.rows(split.x_val))
     sign = qsvm.align_sign(val, split.y_val) if model.svm is not None else 1
     threshold = qsvm.tune_threshold(sign * val, split.y_val, model.config.beta)
     svm = replace(model.svm, sign=sign, threshold=threshold) if model.svm is not None else None
@@ -424,18 +426,19 @@ def _with_threshold(model: _Model, split) -> _Model:
 
 
 def _score(
-    model: _Model, split, execution: vqc.Execution, rows: np.ndarray,
+    model: _Model, execution: vqc.Execution, rows: np.ndarray,
     reference_limit: int = REFERENCE_LIMIT,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(scores, refs): the decision values of `rows` (model.rows of
     validation or test features) and the train rows a QSVM compares them with.
 
-    Exact QSVM rows go through the observable (qsvm.observable_scorer) over
-    every support vector. Shot QSVM rows estimate their kernels against at
-    most `reference_limit` stratified support vectors (only those train rows
-    are encoded), pair (i, j) seeded with _pair_seed(seed, i, j), and
-    combine them as sum_j coef_j (k(x, j) - mu_j) + b, the batch decision
-    because the dual coefficients sum to zero. Shot VQC row i takes the seed
+    A QSVM reads its stored support angles and means, no train row. Exact
+    QSVM rows go through the observable (qsvm.observable_scorer) over every
+    support vector. Shot QSVM rows estimate their kernels against at most
+    `reference_limit` support vectors, stratified by label (coef > 0),
+    pair (i, j) seeded with _pair_seed(seed, i, j), and combine them as
+    sum_j coef_j (k(x, j) - mu_j) + b, the batch decision because the dual
+    coefficients sum to zero. Shot VQC row i takes the seed
     SeedSequence(seed).generate_state(n)[i]. This is the only owner of both
     seed rules: row i of `rows` takes position i, so a caller that scores
     some rows in an order scores them as that order's positions.
@@ -446,7 +449,8 @@ def _score(
     if config.model == "classical-baseline":
         if shots:
             raise ValueError("the classical baseline has no shot backend")
-        return _classifier_margin(model.encoder, rows), no_refs
+        logits, _ = forward(model.encoder, rows)
+        return logits[:, 1] - logits[:, 0], no_refs
     if config.model == "vqc":
         if not shots:
             return vqc.decision_logits(rows, model.circuit), no_refs
@@ -454,19 +458,17 @@ def _score(
         return vqc.shot_logits(rows, model.circuit, execution, seeds), no_refs
     svm, fspec = model.svm, config.feature_spec()
     if not shots:
-        observable = qsvm.observable_scorer(
-            svm, model.rows(split.x_train[svm.support]), model.row_means, fspec
-        )
+        observable = qsvm.observable_scorer(svm, model.support_angles, model.support_means, fspec)
         return observable(rows), svm.support
     if not 1 <= reference_limit <= svm.n_train:
         raise ValueError(
             f"reference_limit must lie in [1, n_train] = [1, {svm.n_train}], got {reference_limit}"
         )
     picked = datapipe.stratified_indices(
-        split.y_train[svm.support], reference_limit, config.seeds.sampling
+        (svm.coef > 0).astype(int), reference_limit, config.seeds.sampling
     )
     refs, coef = svm.support[picked], svm.coef[picked]
-    ref_angles, mu = model.rows(split.x_train[refs]), model.row_means[refs]
+    ref_angles, mu = model.support_angles[picked], model.support_means[picked]
     kernels = np.stack([
         featuremap.kernel_shot_estimates(
             row, ref_angles, fspec, execution.shots, execution.noise, execution.mitigate,
@@ -482,10 +484,12 @@ def _stage_svm(config: ExperimentConfig, root: Path, stages: Dict[str, str], spl
     as a row source (qsvm.FidelityRows, which computes a row when the SMO
     first reads it, so no n x n Gram is built), C by cross-validation over
     that source, the final dual fit through the same row cache, and its
-    threshold. svm.json stores the fit, the centring means and the final
-    fit's solver record."""
+    threshold. svm.json stores the fit, the support rows' angles (those the
+    SMO fitted) and centring means, and the final fit's solver record; the
+    "svm_json" slice entry names that layout, so an older one is rebuilt."""
     fspec = config.feature_spec()
     slice_ = {
+        "svm_json": "support_angles",
         "feature_map": fspec.as_dict(),
         "c_grid": list(config.c_grid),
         "cv_folds": config.cv_folds,
@@ -495,17 +499,17 @@ def _stage_svm(config: ExperimentConfig, root: Path, stages: Dict[str, str], spl
     }
 
     def build(d):
-        rows = qsvm.FidelityRows(
-            featuremap.feature_statevectors(
-                vqc.angles_from_features(split.x_train, *encoded, config.qubits), fspec
-            )
-        )
+        angles = vqc.angles_from_features(split.x_train, *encoded, config.qubits)
+        rows = qsvm.FidelityRows(featuremap.feature_statevectors(angles, fspec))
         best_c, cv_table = qsvm.select_c(rows, split.y_train, config.cv_plan())
         svm, record = qsvm.fit_rows(rows, split.y_train, best_c, split.class_weights)
-        model = _with_threshold(_Model(config, *encoded, svm=svm, row_means=rows.means), split)
+        model = _with_threshold(_Model(
+            config, *encoded, svm=svm, support_angles=angles[svm.support],
+            support_means=rows.means[svm.support],
+        ), split)
         qsvm.save_svm(
-            model.svm, d / "svm.json", model.row_means, cv_table=cv_table,
-            extra={"best_c": best_c, "solver": record},
+            model.svm, d / "svm.json", model.support_angles, model.support_means,
+            cv_table=cv_table, extra={"best_c": best_c, "solver": record},
         )
         return model
 
@@ -560,11 +564,6 @@ def _stage_vqc(config: ExperimentConfig, root: Path, stages: Dict[str, str], spl
         root, stages, "vqc", slice_, [stages["encoder"]], build,
         lambda d: _load_model(config, root),
     )
-
-
-def _classifier_margin(enc_model: EncoderModel, x: np.ndarray) -> np.ndarray:
-    logits, _ = forward(enc_model, x)
-    return logits[:, 1] - logits[:, 0]
 
 
 def _stage_baseline(config: ExperimentConfig, root: Path, stages: Dict[str, str], split, encoded):
@@ -658,7 +657,7 @@ def run_experiment(config: ExperimentConfig, workdir, through: Optional[str] = N
         extras: dict = {}
         try:
             rows = model.rows(split.x_test)
-            scores, _ = _score(model, split, vqc.Execution(), rows)
+            scores, _ = _score(model, vqc.Execution(), rows)
             rep = metrics.report(split.y_test, scores, model.threshold, config.beta)
             if config.model == "vqc":
                 extras["consistency"] = {
@@ -675,7 +674,7 @@ def run_experiment(config: ExperimentConfig, workdir, through: Optional[str] = N
                 for tag, mitigate in arms.items():
                     execution = replace(config.execution(), mitigate=mitigate)
                     extras["shot_eval"][tag] = metrics.report(
-                        split.y_test, _score(model, split, execution, rows)[0],
+                        split.y_test, _score(model, execution, rows)[0],
                         model.threshold, config.beta,
                     ).as_dict()
         except Exception as exc:
@@ -771,14 +770,13 @@ def _open_complete(workdir):
     """(bundle, split, model) of a complete bundle, each manifest file
     hashed once: the split's and the model's files on the reads that parse
     them, where each hash must match the manifest's entry and the one its
-    header recorded, and every other file in one streaming pass."""
+    header recorded, and every other file in one streaming pass. Of the
+    split's feature matrices only x_test is parsed: scoring reads no other."""
     bundle = load_bundle(workdir, verify=False)
     if not bundle.complete:
         raise ValueError("bundle is incomplete; rerun the pipeline first")
     unverified = bundle.unverified()
-    # scoring reads x_test, and a QSVM the support rows of x_train
-    features = ("x_train", "x_test") if bundle.config.model == "qsvm" else ("x_test",)
-    split = datapipe.load_split(bundle.root / "preprocess", unverified, features)
+    split = datapipe.load_split(bundle.root / "preprocess", unverified, ("x_test",))
     model = _load_model(bundle.config, bundle.root, unverified)
     persist.check_files(unverified)
     return bundle, split, model
@@ -798,7 +796,7 @@ def evaluate_bundle(
     manifest records), applied unchanged; nothing is written to the bundle.
     """
     bundle, split, model = _open_complete(workdir)
-    scores, _ = _score(model, split, execution, model.rows(split.x_test), reference_limit)
+    scores, _ = _score(model, execution, model.rows(split.x_test), reference_limit)
     threshold = float(model.threshold)
     rep = metrics.report(split.y_test, scores, threshold, bundle.config.beta)
     return {"metrics": rep.as_dict(), "threshold": threshold, "backend": execution.mode}
@@ -834,18 +832,18 @@ def evaluate_streaming(
     n_test = split.y_test.size
     if subset is None:
         subset = datapipe.select_eval_subset(split, subset_size, seed=config.seeds.sampling)
-    subset = np.asarray(subset, dtype=int).reshape(-1)
+    subset = np.asarray(subset).reshape(-1)
     if subset.size == 0:
         raise ValueError("subset is empty")
+    if subset.dtype.kind not in "iu":
+        raise ValueError(f"subset must hold integer test indices, not {subset.dtype}")
     if subset.min() < 0 or subset.max() >= n_test:
         raise ValueError("subset index out of range for the test split")
     if config.model not in ("qsvm", "vqc"):
         raise ValueError("streaming evaluation needs a quantum model bundle")
     threshold = float(model.threshold)
 
-    scores, refs = _score(
-        model, split, execution, model.rows(split.x_test[subset]), reference_limit
-    )
+    scores, refs = _score(model, execution, model.rows(split.x_test[subset]), reference_limit)
     path = Path(audit_path) if audit_path is not None else bundle.root / "stream_audit.csv"
     with open(path, "w", encoding="utf-8") as sink:
         stream = metrics.StreamingConfusion(sink=sink)

@@ -6,13 +6,15 @@ alignment, and validation threshold tuning. Labels are 0/1 at the API
 boundary and -1/+1 inside the dual. The QSVM trains from its n train
 statevectors through `FidelityRows`, which computes each centred kernel row
 when the solver first reads it, so no n x n Gram is built. `fit_rows` and
-`select_c` read the kernel only by row, entry and block, which a dense
-array answers too. A fitted model scores new rows through one observable
-(`observable_scorer`), never through out-of-sample Gram rows.
+`select_c` read the kernel only by row and row entries, as a dense array
+answers too. Scores read support vectors alone: CV sums the support rows,
+and a fitted model scores new rows through one observable
+(`observable_scorer`) over their angle rows and centring means.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -53,6 +55,7 @@ class SvmModel:
         co.setflags(write=False)
         object.__setattr__(self, "support", sup)
         object.__setattr__(self, "coef", co)
+        object.__setattr__(self, "class_weights", tuple(float(w) for w in self.class_weights))
 
 
 @dataclass(frozen=True)
@@ -93,8 +96,8 @@ class FidelityRows:
     TIST 2:27, 2011). The SMO reads a few hundred distinct rows on the
     bench corpora, and at most all n.
 
-    Reads: len(k) (n), k[i] (row i), k[i, cols] (entries cols of row i)
-    and k[np.ix_(a, b)] (a block, computed from S and not kept).
+    Reads: len(k) (n), k[i] (row i) and k[i, cols] (entries cols of row i),
+    which a dense array answers too.
     """
 
     def __init__(self, states: np.ndarray):
@@ -112,21 +115,15 @@ class FidelityRows:
     def __len__(self) -> int:
         return self.states.shape[0]
 
-    def _block(self, a, b) -> np.ndarray:
-        """The centred entries of rows a by columns b, a fresh array."""
-        k = np.abs(self.states[a].conj() @ self.states[b].T) ** 2
-        k -= self.means[a][:, None] + self.means[b][None, :]
-        k += self.grand
-        return k
-
     def __getitem__(self, key):
-        if isinstance(key, tuple) and np.ndim(key[0]) > 0:
-            return self._block(np.ravel(key[0]), np.ravel(key[1]))
         i, cols = key if isinstance(key, tuple) else (key, None)
-        i = int(i)
+        i = operator.index(i)  # one row: an index array (a block read) is a TypeError
         row = self._rows.get(i)
         if row is None:
-            row = self._rows[i] = self._block([i], slice(None))[0]
+            s = self.states
+            row = self._rows[i] = np.abs(s[[i]].conj() @ s.T)[0] ** 2
+            row -= self.means[i] + self.means
+            row += self.grand
             row.setflags(write=False)
         return row if cols is None else row[cols]
 
@@ -241,7 +238,7 @@ def _smo(
         coef=coef,
         bias=bias,
         c=float(c),
-        class_weights=(float(class_weights[0]), float(class_weights[1])),
+        class_weights=class_weights,
         n_train=n,
     )
     record = {"iterations": iterations, "max_iter": max_iter, "gap": gap, "converged": gap <= tol}
@@ -251,7 +248,7 @@ def _smo(
 def observable_scorer(
     model: SvmModel,
     support_angles: np.ndarray,
-    row_means: np.ndarray,
+    support_means: np.ndarray,
     spec: FeatureMapSpec,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Exact decision function of a fidelity-kernel QSVM over angle rows.
@@ -266,14 +263,15 @@ def observable_scorer(
     (Havlicek et al., Nature 567:209, 2019; Schuld, arXiv:2101.11020).
 
     `support_angles` are the angle rows of model.support in order and
-    `row_means` the train kernel's centring means (FidelityRows.means). The
-    returned function maps (m, q) angle rows to model.sign times the value.
+    `support_means` their centring means mu_i (FidelityRows.means at
+    model.support), the support-vector data svm.json stores. The returned
+    function maps (m, q) angle rows to model.sign times the value.
     """
     if len(support_angles) != model.support.size:
         raise ValueError("need one angle row per support vector")
     states = feature_statevectors(support_angles, spec)
     w = (states.T * model.coef) @ states.conj()
-    offset = model.bias - float(model.coef @ np.asarray(row_means)[model.support])
+    offset = model.bias - float(model.coef @ support_means)
 
     def score(angles: np.ndarray) -> np.ndarray:
         psi = feature_statevectors(angles, spec)
@@ -346,18 +344,20 @@ def stratified_folds(labels: np.ndarray, k: int, seed: int) -> List[np.ndarray]:
 def select_c(k, labels: np.ndarray, plan: CvPlan) -> Tuple[float, List[dict]]:
     """Stratified k-fold CV over the C grid, scoring F_beta at threshold 0.
 
-    `k` is the train kernel, read only as len(k), k[i, cols] and blocks
-    k[np.ix_(a, b)]: a FidelityRows, or any array. Fold models train on the
-    train rows' principal submatrix and score held-out rows against their
-    support columns only. Ties break toward the smaller C. Each table row
-    records its folds' F_beta and whether each fold fit converged (see
-    `fit_rows`).
+    `k` is the train kernel, read only as len(k) and k[i, cols]: a
+    FidelityRows, or any array. Fold models train on the train rows'
+    principal submatrix, and score the held-out rows as
+    bias + sum_s coef_s k[s, held] over their support rows s, each a row
+    the fold's SMO read (every support vector was once a working-set
+    index), so a FidelityRows has it cached. Ties break toward the smaller
+    C. Each table row records its folds' F_beta and whether each fold fit
+    converged (see `fit_rows`).
 
-    Memory: no submatrix is copied. Fold fits read kernel rows through the
-    fold's index array (`_smo`), and scoring reads one held-out x support
-    block, so the scratch is O(n) vectors plus that block, not the fold's
-    n_train^2 submatrix. A FidelityRows shares its row cache across folds
-    and C values.
+    Memory: no submatrix or held-out x support block is built. Fold fits
+    read kernel rows through the fold's index array (`_smo`), and scoring
+    adds one |held| vector per support row, so the scratch is O(n) vectors.
+    A FidelityRows shares its row cache across folds and C values; that
+    cache holds at most n rows.
     """
     y = np.asarray(labels, dtype=int).reshape(-1)
     _check_len(k, y.size)
@@ -371,7 +371,9 @@ def select_c(k, labels: np.ndarray, plan: CvPlan) -> Tuple[float, List[dict]]:
             train_idx = np.setdiff1d(all_idx, held)
             weights = datapipe.class_weights(y[train_idx])
             model, record = _smo(k, train_idx, y[train_idx], c, weights)
-            scores = k[np.ix_(held, train_idx[model.support])] @ model.coef + model.bias
+            scores = np.full(held.size, model.bias)
+            for s, coef in zip(train_idx[model.support], model.coef):
+                scores += coef * k[s, held]
             preds = (scores >= 0.0).astype(int)
             fold_scores.append(f_beta(confusion(y[held], preds), plan.beta))
             converged.append(record["converged"])
@@ -386,43 +388,38 @@ def select_c(k, labels: np.ndarray, plan: CvPlan) -> Tuple[float, List[dict]]:
 # ------------------------------------------------------------- persistence
 
 
+# the SvmModel fields svm.json stores, each under its own name
+_SVM_FIELDS = ("support", "coef", "bias", "c", "class_weights", "n_train", "sign", "threshold")
+
+
 def save_svm(
     model: SvmModel,
     path,
-    row_means: np.ndarray,
+    support_angles: np.ndarray,
+    support_means: np.ndarray,
     cv_table: Optional[list] = None,
     extra: Optional[dict] = None,
 ) -> dict:
-    """Write the model and the n centring column means of the train kernel
-    it was fitted on (FidelityRows.means), which `observable_scorer` and
-    shot-mode scoring read."""
-    header = {
-        "support": [int(i) for i in model.support],
-        "coef": [float(v) for v in model.coef],
-        "bias": model.bias,
-        "c": model.c,
-        "class_weights": list(model.class_weights),
-        "n_train": model.n_train,
-        "sign": model.sign,
-        "threshold": model.threshold,
-        "row_means": [float(x) for x in row_means],
-        "cv_table": cv_table,
-        "extra": extra or {},
-    }
+    """Write the model with its support vectors' angle rows and centring
+    means (see `observable_scorer`), all the train data scoring reads."""
+    header = {name: np.asarray(getattr(model, name)).tolist() for name in _SVM_FIELDS}
+    header.update(
+        support_angles=np.asarray(support_angles, dtype=float).tolist(),
+        support_means=np.asarray(support_means, dtype=float).tolist(),
+        cv_table=cv_table,
+        extra=extra or {},
+    )
     persist.save_json(path, header)
     return header
 
 
-def load_svm(path, unverified=None) -> Tuple[SvmModel, np.ndarray]:
-    """(model, row_means) from one read of the file save_svm wrote."""
+def load_svm(path, unverified=None) -> Tuple[SvmModel, np.ndarray, np.ndarray]:
+    """(model, support_angles, support_means) from one read of the file
+    save_svm wrote; each array must have one row per support vector."""
     h = persist.load_json(path, unverified)
-    return SvmModel(
-        support=np.array(h["support"], dtype=int),
-        coef=np.array(h["coef"], dtype=float),
-        bias=h["bias"],
-        c=h["c"],
-        class_weights=(h["class_weights"][0], h["class_weights"][1]),
-        n_train=h["n_train"],
-        sign=h["sign"],
-        threshold=h["threshold"],
-    ), np.array(h["row_means"])
+    model = SvmModel(**{name: h[name] for name in _SVM_FIELDS})
+    angles = np.array(h.get("support_angles", ()), dtype=float)
+    means = np.array(h.get("support_means", ()), dtype=float)
+    if angles.ndim != 2 or len(angles) != model.support.size or means.shape != model.support.shape:
+        raise ValueError(f"{path}: need one angle row and one centring mean per support vector")
+    return model, angles, means

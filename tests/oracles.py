@@ -11,7 +11,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from qthreat import datapipe
-from qthreat.encoder import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LN_EPS
+from qthreat.encoder import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LN_EPS, scale_with_grad
 from qthreat.featuremap import (
     AngleVector,
     FeatureMapSpec,
@@ -692,6 +692,12 @@ def gelu_grad(t):
     """d/dt of t * Phi(t), with Phi evaluated afresh."""
     pdf = np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
     return ndtr(t) + t * pdf
+
+
+def scale(embedding, scaler):
+    """The scaler's values alone (encoder.scale_with_grad without the
+    derivative factors)."""
+    return scale_with_grad(embedding, scaler)[0]
 
 
 def encoder_forward(model, x, training, rng):

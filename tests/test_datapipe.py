@@ -70,11 +70,13 @@ def test_malformed_row_reports_line_number(tmp_path):
     path.write_text("\n".join([good, good, bad]) + "\n")
     with pytest.raises(ValueError, match="line 3"):
         _parse_nslkdd(path)
-    fields = good.split(",")
-    fields[0] = "oops"
-    path.write_text(",".join(fields) + "\n")
-    with pytest.raises(ValueError, match="line 1"):
-        _parse_nslkdd(path)
+    # float() parses the last four, so each must be rejected as non-finite
+    for value in ("oops", "nan", "inf", "-inf", "1e400"):
+        fields = good.split(",")
+        fields[0] = value
+        path.write_text(",".join(fields) + "\n")
+        with pytest.raises(ValueError, match="line 1: non-numeric or non-finite"):
+            _parse_nslkdd(path)
 
 
 def test_standardization_uses_train_statistics(nslkdd_dir, kdd_split):

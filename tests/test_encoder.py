@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import AllocatingAdam, encoder_backward, encoder_forward, encoder_loss_and_gradients, gelu
+from oracles import (
+    AllocatingAdam, encoder_backward, encoder_forward, encoder_loss_and_gradients, gelu, scale,
+)
 from qthreat.datapipe import class_weights
 from qthreat.encoder import (
     ADAM_CHUNK,
@@ -25,7 +27,6 @@ from qthreat.encoder import (
     load_encoder,
     loss_and_gradients,
     save_encoder,
-    scale,
     train_encoder,
 )
 

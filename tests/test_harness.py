@@ -7,6 +7,7 @@ import shutil
 import tracemalloc
 import types
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,17 +185,19 @@ def test_qsvm_pipeline_completes(qsvm_bundle):
 def test_threshold_comes_from_validation(qsvm_bundle):
     config, d, manifest = qsvm_bundle
     split = datapipe.load_split(d / "preprocess")
-    svm, row_means = qsvm.load_svm(d / "svm" / "svm.json")
+    svm, support_angles, support_means = qsvm.load_svm(d / "svm" / "svm.json")
     enc_model, scaler = load_encoder(d / "encoder")
 
     def angles(x):
         return vqc.angles_from_features(x, enc_model, scaler, config.qubits)
 
     spec = config.feature_spec()
-    # svm.json holds the centring means of the train Gram the fit was made on
+    # svm.json holds the support vectors' angle rows the fit was made on, and
+    # their centring means in the train Gram
+    np.testing.assert_array_equal(support_angles, angles(split.x_train)[svm.support])
     _, means, grand = whole_centering(whole_gram(angles(split.x_train), spec))
-    np.testing.assert_allclose(row_means, means, rtol=0.0, atol=1e-12)
-    score = qsvm.observable_scorer(svm, angles(split.x_train[svm.support]), row_means, spec)
+    np.testing.assert_allclose(support_means, means[svm.support], rtol=0.0, atol=1e-12)
+    score = qsvm.observable_scorer(svm, support_angles, support_means, spec)
     val_scores = score(angles(split.x_val))
     assert qsvm.tune_threshold(val_scores, split.y_val, 2.0) == manifest["threshold"]
     assert svm.threshold == manifest["threshold"]
@@ -310,7 +313,13 @@ def test_qsvm_bundle_stores_no_train_gram(qsvm_bundle, monkeypatch):
     config, d, manifest = qsvm_bundle
     n = qsvm.load_svm(d / "svm" / "svm.json")[0].n_train
     assert not any(name.startswith("gram/") for name in manifest["files"])
-    assert len(json.loads((d / "svm" / "svm.json").read_text())["row_means"]) == n
+    # every per-row list in svm.json has one entry per support vector
+    header = json.loads((d / "svm" / "svm.json").read_text())
+    s = len(header["support"])
+    lists = {k: len(v) for k, v in header.items() if isinstance(v, list) and k != "class_weights"}
+    del lists["cv_table"]
+    assert lists == {"support": s, "coef": s, "support_angles": s, "support_means": s}
+    assert s < n
     # an exact rescore hashes the whole bundle in fewer bytes than an n x n Gram
     hashed = _count_hashed_bytes(monkeypatch)
     harness.evaluate_bundle(d)
@@ -343,7 +352,7 @@ def test_c_grid_change_builds_the_gram_once_and_matches_a_fresh_run(
 def test_a_workdir_with_a_gram_stage_completes_without_it(qsvm_bundle, tmp_path, monkeypatch):
     # a workdir from before the QSVM had one train stage: a gram/ stage
     # holding the train angles, and an svm/ stage under another key whose
-    # svm.json has no centring means
+    # svm.json has no centring means or support angles
     config, d, manifest = qsvm_bundle
     copy = tmp_path / "copy"
     shutil.copytree(d, copy)
@@ -352,7 +361,7 @@ def test_a_workdir_with_a_gram_stage_completes_without_it(qsvm_bundle, tmp_path,
         (copy / "gram" / name).write_bytes(b"{}")
     persist.save_json(copy / "svm" / "stage.json", {"key": "0" * 64})
     header = json.loads((copy / "svm" / "svm.json").read_text())
-    del header["row_means"]
+    del header["support_angles"], header["support_means"]
     persist.save_json(copy / "svm" / "svm.json", header)
     (copy / "manifest.json").unlink()
     builds = _count_gram_builds(monkeypatch)
@@ -361,6 +370,33 @@ def test_a_workdir_with_a_gram_stage_completes_without_it(qsvm_bundle, tmp_path,
     assert not any(name.startswith("gram/") for name in rerun["files"])
     assert not (copy / "gram").exists()
     assert rerun == manifest
+    assert harness.evaluate_bundle(copy)["metrics"] == manifest["metrics"]
+
+
+def test_an_svm_stage_in_the_layout_before_support_angles_is_rebuilt(qsvm_bundle, tmp_path):
+    # svm.json used to hold the n train centring means and no angle rows,
+    # under a stage key whose slice had no "svm_json" entry: that stage is
+    # rebuilt, not loaded
+    config, d, manifest = qsvm_bundle
+    copy = tmp_path / "copy"
+    shutil.copytree(d, copy)
+    split = datapipe.load_split(d / "preprocess", features=())
+    old_slice = {
+        "feature_map": config.feature_spec().as_dict(), "c_grid": list(config.c_grid),
+        "cv_folds": config.cv_folds, "beta": config.beta, "seed": config.seeds.data,
+        "class_weights": list(split.class_weights),
+    }
+    inputs = [manifest["stages"]["encoder"]]
+    new_slice = {**old_slice, "svm_json": "support_angles"}
+    assert persist.stage_key("svm", new_slice, inputs) == manifest["stages"]["svm"]
+    header = json.loads((copy / "svm" / "svm.json").read_text())
+    del header["support_angles"], header["support_means"]
+    header["row_means"] = [0.5] * header["n_train"]
+    persist.save_json(copy / "svm" / "svm.json", header)
+    persist.save_json(copy / "svm" / "stage.json", {"key": persist.stage_key("svm", old_slice, inputs)})
+    (copy / "manifest.json").unlink()
+    assert harness.run_experiment(config, copy) == manifest
+    assert (copy / "svm" / "svm.json").read_bytes() == (d / "svm" / "svm.json").read_bytes()
     assert harness.evaluate_bundle(copy)["metrics"] == manifest["metrics"]
 
 
@@ -724,12 +760,12 @@ def test_streaming_shot_scores_match_per_pair_kernels(qsvm_bundle):
     subset = np.concatenate([np.flatnonzero(split.y_test == c)[:2] for c in (1, 0)])
     out = harness.evaluate_streaming(d, subset=subset, execution=ex)
     enc, scaler = load_encoder(d / "encoder")
-    svm, row_means = qsvm.load_svm(d / "svm" / "svm.json")
+    svm, _, support_means = qsvm.load_svm(d / "svm" / "svm.json")
     picked = datapipe.stratified_indices(
         split.y_train[svm.support], harness.REFERENCE_LIMIT, config.seeds.sampling
     )
     refs, coef = svm.support[picked], svm.coef[picked]
-    mu = row_means[refs]
+    mu = support_means[picked]
     train = vqc.angles_from_features(split.x_train, enc, scaler, config.qubits)
     test = vqc.angles_from_features(split.x_test[subset], enc, scaler, config.qubits)
     for i, row in enumerate(test):
@@ -757,6 +793,22 @@ def test_vqc_consistency_compares_two_simulators(vqc_bundle, monkeypatch):
     )
     with pytest.raises(ValueError, match="disagree"):
         harness._vqc_consistency(rows, model)
+
+
+def test_streaming_rejects_a_subset_that_is_not_integer(qsvm_bundle, tmp_path):
+    # a float subset used to be truncated to indices, and a boolean mask
+    # read as the indices 0 and 1
+    _, d, _ = qsvm_bundle
+    audit = tmp_path / "a.csv"
+    for subset in ([0.9, 2.7], [True, False, True], np.array([1.0])):
+        with pytest.raises(ValueError, match="subset must hold integer test indices"):
+            harness.evaluate_streaming(d, subset=subset, audit_path=audit)
+    for empty in ([], np.array([], dtype=int)):
+        with pytest.raises(ValueError, match="subset is empty"):
+            harness.evaluate_streaming(d, subset=empty, audit_path=audit)
+    subset = _two_class_subset(d)
+    out = harness.evaluate_streaming(d, subset=subset.astype(np.uint16), audit_path=audit)
+    assert out["indices"].tolist() == subset.tolist() and len(out["lines"]) == subset.size
 
 
 def test_streaming_reference_limit_errors(qsvm_bundle):
@@ -875,12 +927,12 @@ def test_qsvm_shot_rescore_matches_the_chunked_stream_oracle(qsvm_bundle):
     ex = replace(config, **SHOT_OVERRIDES).execution()
     split = datapipe.load_split(d / "preprocess")
     enc, scaler = load_encoder(d / "encoder")
-    svm, row_means = qsvm.load_svm(d / "svm" / "svm.json")
+    svm, _, support_means = qsvm.load_svm(d / "svm" / "svm.json")
     picked = datapipe.stratified_indices(
         split.y_train[svm.support], harness.REFERENCE_LIMIT, config.seeds.sampling
     )
     refs, coef = svm.support[picked], svm.coef[picked]
-    mu = row_means[refs]
+    mu = support_means[picked]
     train = vqc.angles_from_features(split.x_train, enc, scaler, config.qubits)[refs]
     test = vqc.angles_from_features(split.x_test, enc, scaler, config.qubits)
     scores, chunk = [], 32
@@ -905,6 +957,38 @@ def test_shot_rescore_hashes_each_file_once_and_writes_nothing(qsvm_bundle, monk
     harness.evaluate_bundle(d, replace(config, backend="shots", shots=32).execution())
     assert hashed[0] == _manifest_bytes(d, manifest)
     assert {p: p.stat().st_mtime_ns for p in d.rglob("*")} == before
+
+
+@pytest.mark.parametrize("backend", ["exact", "shots"])
+def test_qsvm_scoring_parses_no_train_features_and_encodes_no_train_row(
+    qsvm_bundle, backend, monkeypatch, tmp_path
+):
+    # a QSVM scores from its support vectors' stored angle rows: no x_train
+    # (or x_val) file is parsed, only the scored test rows are encoded, and
+    # every manifest file is still hashed once per call
+    config, d, manifest = qsvm_bundle
+    n_test = datapipe.load_split(d / "preprocess", features=()).y_test.size
+    subset = _two_class_subset(d)
+    execution = replace(config, backend=backend, shots=32).execution()
+    parsed, encoded = [], []
+    real_load, real_angles = persist.load_verified_f64, vqc.angles_from_features
+
+    def load(path, *args, **kwargs):
+        parsed.append(Path(path).name)
+        return real_load(path, *args, **kwargs)
+
+    def angles(x, *args, **kwargs):
+        encoded.append(len(x))
+        return real_angles(x, *args, **kwargs)
+
+    monkeypatch.setattr(persist, "load_verified_f64", load)
+    monkeypatch.setattr(vqc, "angles_from_features", angles)
+    hashed = _count_hashed_bytes(monkeypatch)
+    harness.evaluate_bundle(d, execution)
+    harness.evaluate_streaming(d, subset=subset, execution=execution, audit_path=tmp_path / "a.csv")
+    assert [name.split(".")[0] for name in parsed if name.startswith("x_")] == ["x_test"] * 2
+    assert encoded == [n_test, subset.size]
+    assert hashed[0] == 2 * _manifest_bytes(d, manifest)
 
 
 @pytest.mark.parametrize("fixture", ["qsvm_bundle", "spam_vqc_bundle"])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qthreat.datapipe import class_weights
 from qthreat.featuremap import AngleVector, FeatureMapSpec, feature_statevectors
-from qthreat import qsvm
+from qthreat import persist, qsvm
 from qthreat.metrics import confusion, f_beta
 from qthreat.qsvm import (
     DUAL_TOL,
@@ -140,7 +140,7 @@ def test_permutation_invariance():
         rows = fidelity_rows(angles[order], SPEC2)
         model, _ = fit_rows(rows, labels[order], c=1.0, tol=1e-10)
         support = angles[order][model.support]
-        score = observable_scorer(model, support, rows.means, SPEC2)
+        score = observable_scorer(model, support, rows.means[model.support], SPEC2)
         return score(np.stack([p.angles for p in others]))
 
     scores = fit_and_score(np.arange(20))
@@ -193,8 +193,9 @@ def test_solve_dual_allocates_no_matrix_sized_scratch():
 
 def test_select_c_allocates_no_fold_sized_copies():
     # fold fits read Gram rows through index arrays and held-out rows are
-    # scored against support columns only; np.ix_ copies of a fold's train
-    # block and held-out rows put this near 0.5 n^2 * 8 bytes for 2 folds
+    # scored from the support rows' held-out entries; np.ix_ copies of a
+    # fold's train block and held-out rows put this near 0.5 n^2 * 8 bytes
+    # for 2 folds
     n = 1500
     x, labels = separable_points(n, seed=17)
     gram = linear_gram(x)
@@ -293,9 +294,9 @@ def test_fidelity_rows_match_whole_matrix_oracle(
     assert rows.grand == pytest.approx(grand, rel=0.0, abs=1e-12)
     cols = np.sort(rng.choice(n, size=max(1, n // 2), replace=False))
     held = np.setdiff1d(np.arange(n), cols)
-    block = rows[np.ix_(held, cols)]
-    assert not rows._rows  # a block is computed from S and not kept
-    np.testing.assert_allclose(block, want[np.ix_(held, cols)], rtol=0.0, atol=1e-12)
+    with pytest.raises(TypeError):
+        rows[np.ix_(held, cols)]  # the source answers rows and row entries, no blocks
+    assert not rows._rows
     for i in range(n):
         np.testing.assert_allclose(rows[i], want[i], rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(rows[i, cols], want[i, cols], rtol=0.0, atol=1e-12)
@@ -312,9 +313,9 @@ def test_fidelity_rows_match_whole_matrix_oracle(
     seed=st.integers(0, 2**32 - 1),
 )
 def test_the_row_source_fits_as_its_stacked_rows(n, folds, c, positive_share, seed):
-    # the SMO reads the same row bits from the source as from the matrix its
-    # rows stack into, so the fits agree bit for bit; CV agrees too (its
-    # held-out blocks come from S, within rounding of the stacked rows)
+    # the SMO and CV scoring read the same row bits from the source as from
+    # the matrix its rows stack into, so the fits and the CV tables agree
+    # bit for bit
     _, labels = _quantum_cv_case(n, folds, positive_share, seed)
     # the angles _quantum_cv_case draws first from the same seed
     angles = np.random.default_rng(seed).uniform(-math.pi, math.pi, size=(n, 2))
@@ -444,7 +445,7 @@ def test_observable_scorer_matches_centred_block_oracle(
     rows = fidelity_rows(train, spec)
     model, _ = fit_rows(rows, labels, c, class_weights(labels))
     model = replace(model, sign=sign)
-    score = observable_scorer(model, train[model.support], rows.means, spec)
+    score = observable_scorer(model, train[model.support], rows.means[model.support], spec)
     want = block_scores(model, train, probe, spec, rows.means, rows.grand)
     np.testing.assert_allclose(score(probe), want, rtol=0.0, atol=1e-9)
 
@@ -458,13 +459,13 @@ def test_observable_scorer_is_row_independent():
     labels = (train[:, 0] > 0).astype(int)
     rows = fidelity_rows(train, spec)
     model, _ = fit_rows(rows, labels, 1.0)
-    score = observable_scorer(model, train[model.support], rows.means, spec)
+    score = observable_scorer(model, train[model.support], rows.means[model.support], spec)
     probe = rng.uniform(-math.pi, math.pi, size=(70, 3))
     whole = score(probe)
     chunked = np.concatenate([score(probe[i : i + 32]) for i in range(0, 70, 32)])
     assert np.array_equal(whole, chunked)
     with pytest.raises(ValueError, match="support vector"):
-        observable_scorer(model, train[:1], rows.means, spec)
+        observable_scorer(model, train[:1], rows.means[model.support], spec)
 
 
 # --------------------------------------------------------------- threshold
@@ -574,8 +575,8 @@ def test_single_value_grid():
 
 
 def test_fold_submatrix_bookkeeping():
-    # a fold's row reads and held-out blocks of the row source equal the
-    # centred whole-matrix Gram's submatrices
+    # a fold's row reads, and the held-out entries of its train rows that CV
+    # scoring reads, equal the centred whole-matrix Gram's submatrices
     rng = np.random.default_rng(12)
     angles = rng.uniform(-math.pi, math.pi, size=(15, 2))
     rows = fidelity_rows(angles, SPEC2)
@@ -587,13 +588,13 @@ def test_fold_submatrix_bookkeeping():
         tr = np.setdiff1d(all_idx, held)
         for i in tr:
             np.testing.assert_allclose(rows[i, tr], full[i, tr], atol=1e-12)
-        np.testing.assert_allclose(rows[np.ix_(held, tr)], full[np.ix_(held, tr)], atol=1e-12)
+            np.testing.assert_allclose(rows[i, held], full[i, held], atol=1e-12)
         cross = gram_from_states(
-            feature_statevectors(angles[held], SPEC2), feature_statevectors(angles[tr], SPEC2)
+            feature_statevectors(angles[tr], SPEC2), feature_statevectors(angles[held], SPEC2)
         )
         np.testing.assert_allclose(
-            rows[np.ix_(held, tr)],
-            cross - (rows.means[held][:, None] + rows.means[tr][None, :]) + rows.grand,
+            np.stack([rows[i, held] for i in tr]),
+            cross - (rows.means[tr][:, None] + rows.means[held][None, :]) + rows.grand,
             atol=1e-12,
         )
 
@@ -628,10 +629,11 @@ def test_svm_roundtrip(tmp_path):
     model = fit_rows(gram, y, c=10.0, class_weights=class_weights(y))[0]
     model = replace(model, sign=align_sign(raw_decision_scores(model, gram), y), threshold=0.25)
     path = tmp_path / "svm.json"
-    row_means = gram.mean(axis=0)
-    save_svm(model, path, row_means, cv_table=[{"c": 10.0, "mean_f_beta": 1.0}])
-    loaded, loaded_means = load_svm(path)
-    np.testing.assert_array_equal(loaded_means, row_means)
+    angles, means = x[model.support], gram.mean(axis=0)[model.support]
+    save_svm(model, path, angles, means, cv_table=[{"c": 10.0, "mean_f_beta": 1.0}])
+    loaded, loaded_angles, loaded_means = load_svm(path)
+    np.testing.assert_array_equal(loaded_angles, angles)
+    np.testing.assert_array_equal(loaded_means, means)
     np.testing.assert_array_equal(loaded.support, model.support)
     np.testing.assert_array_equal(loaded.coef, model.coef)
     assert (loaded.bias, loaded.c, loaded.sign, loaded.threshold) == (
@@ -644,3 +646,44 @@ def test_svm_roundtrip(tmp_path):
     np.testing.assert_array_equal(
         raw_decision_scores(loaded, gram), raw_decision_scores(model, gram)
     )
+
+
+def test_load_svm_needs_one_angle_row_and_mean_per_support_vector(tmp_path):
+    x, y = separable_points(26, seed=14)
+    gram = linear_gram(x)
+    model = fit_rows(gram, y, c=10.0, class_weights=class_weights(y))[0]
+    angles, means = x[model.support], gram.mean(axis=0)[model.support]
+    path = tmp_path / "svm.json"
+    for bad_angles, bad_means in (
+        (angles[:-1], means), (angles, means[:-1]), (np.vstack([angles, angles[:1]]), means),
+        (angles, np.append(means, 0.0)), (angles[:, 0], means),
+    ):
+        save_svm(model, path, bad_angles, bad_means)
+        with pytest.raises(ValueError, match="one angle row and one centring mean per support"):
+            load_svm(path)
+    # the layout before support angles: n centring means, no angle rows
+    header = save_svm(model, path, angles, means)
+    del header["support_angles"], header["support_means"]
+    header["row_means"] = gram.mean(axis=0).tolist()
+    persist.save_json(path, header)
+    with pytest.raises(ValueError, match="one angle row and one centring mean per support"):
+        load_svm(path)
+
+
+@pytest.mark.parametrize("n", [400, 600])
+def test_select_c_peak_is_the_row_cache(n):
+    # random angles and labels: most rows become support vectors, so the row
+    # cache fills to almost n rows (n^2 * 8 bytes). Scoring a fold adds
+    # O(n) vectors; a |held| x |support| kernel block would add ~n^2 * 8 more
+    rng = np.random.default_rng(n)
+    angles = rng.uniform(-math.pi, math.pi, size=(n, 2))
+    labels = rng.integers(0, 2, size=n)
+    rows, plan = fidelity_rows(angles, SPEC2), CvPlan(folds=2, c_grid=(1.0,), seed=0)
+    select_c(fidelity_rows(angles[:40], SPEC2), labels[:40], plan)  # one-time imports
+    tracemalloc.start()
+    try:
+        select_c(rows, labels, plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * n * n * 8, peak / (n * n * 8)
