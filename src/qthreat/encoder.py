@@ -5,9 +5,12 @@ unit-norm embedding and a 2-way linear classifier rides on it. Training is
 class-weighted softmax cross-entropy under Adam with decoupled weight decay
 and early stopping on validation macro-F1. The Adam (AdamState, over a dict
 of named arrays) and the epoch loop with early stopping (_fit_epochs) are
-the ones the VQC trains with too. The eval forward keeps no backprop cache;
-forward_with_cache and training build one. Everything is float64 numpy; all
-randomness flows through explicit seeds.
+the ones the VQC trains with too. One forward and one backward write every
+array into a workspace (_Workspace): training allocates one for a batch and
+every step reuses it; forward_with_cache allocates one that keeps the
+backprop cache; the eval forward keeps none and runs row blocks through
+one. Everything is float64 numpy; all randomness flows through explicit
+seeds.
 """
 from __future__ import annotations
 
@@ -28,6 +31,16 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # is 128 KiB, so the moments, parameter, gradient and both scratch buffers
 # stay in L2 through the dozen element-wise passes of one chunk.
 ADAM_CHUNK = 16384
+# Rows per block of the eval forward, which holds one block's working set at
+# a time. A block of M rows through an N-wide layer has the bits of the
+# whole-array product only when M * N is past OpenBLAS's small-product path
+# (on its Haswell kernel M * N <= 1200 gives other bits), so a block also
+# holds at least FORWARD_BLOCK_OUTPUTS outputs of the narrowest hidden layer,
+# and the last block takes the remainder rather than running short.
+FORWARD_BLOCK = 256
+FORWARD_BLOCK_OUTPUTS = 2048
+# bytes of input rows a training step gathers per pass, in their own dtype
+GATHER_BYTES = 1 << 20
 # the scaler maps these quantiles of the train embeddings to -1 and +1
 SCALER_QUANTILES = (0.05, 0.95)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -82,13 +95,22 @@ class TrainSchedule:
             raise ValueError("class weights must be positive")
 
 
-def layer_norm(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pre-scale normalized activations with cached (mean, inv_std)."""
-    mu = z.mean(axis=-1, keepdims=True)
-    centred = z - mu
-    var = (centred**2).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    return centred * inv_std, mu, inv_std
+def layer_norm(z: np.ndarray, mu=None, inv_std=None, scratch=None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalize the rows of z in place to pre-scale activations; returns
+    (z, mu, inv_std). mu and inv_std take one column, scratch z's shape (it
+    holds the squared deviations); each is allocated when not given."""
+    mu = np.empty(z.shape[:-1] + (1,)) if mu is None else mu
+    inv_std = np.empty(z.shape[:-1] + (1,)) if inv_std is None else inv_std
+    scratch = np.empty_like(z) if scratch is None else scratch
+    np.mean(z, axis=-1, keepdims=True, out=mu)
+    z -= mu
+    np.square(z, out=scratch)
+    np.mean(scratch, axis=-1, keepdims=True, out=inv_std)
+    inv_std += LN_EPS
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    z *= inv_std
+    return z, mu, inv_std
 
 
 class EncoderModel:
@@ -138,71 +160,189 @@ def init_encoder(config: EncoderConfig) -> EncoderModel:
     return EncoderModel(config, params)
 
 
-def _forward_batch(
-    model: EncoderModel, x: np.ndarray, rng, cache: Optional[dict]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Forward pass; dropout masks are drawn from `rng`, and rng None is
-    eval mode. The backprop cache is filled into `cache` when it is a dict;
-    with None the pass keeps no array past its last use."""
-    cfg = model.config
+def _rows(store: np.ndarray, m: int, width: int) -> np.ndarray:
+    """The (m, width) C-contiguous view of the first m * width elements of a
+    flat buffer."""
+    return store[: m * width].reshape(m, width)
+
+
+class _Workspace:
+    """The arrays one forward, and after it one backward, write into, for up
+    to `rows` rows; a pass over m <= rows rows uses their m-row prefixes.
+
+    With `cache` (training and forward_with_cache) every block keeps its own
+    LayerNorm output, 1/std, Phi(h) and output, plus its dropout mask when
+    `masks`, and the backward reads them. Its buffers and `grads`, one array
+    per parameter, are allocated by the first backward. Without `cache` (the
+    eval forward) the blocks share one set of arrays, alternate two output
+    buffers and write the last block's output where the caller says.
+    `x` and `y` are the input rows and labels: the given arrays, or buffers
+    allocated here for the caller to fill.
+    """
+
+    def __init__(self, model: EncoderModel, rows: int, cache: bool, masks: bool = False,
+                 x: Optional[np.ndarray] = None, y: Optional[np.ndarray] = None):
+        cfg = model.config
+        widths, blocks = cfg.hidden_sizes, model.num_blocks
+        self.model, self.rows, self.m, self.masked = model, rows, 0, False
+        self.x = np.empty((rows, cfg.input_dim)) if x is None else x
+        self.y = np.empty(rows, dtype=int) if y is None else y
+
+        def buf(width=1):
+            return np.empty(rows * width)
+
+        self.scratch, self.mu, self.sq = buf(max(widths)), buf(), buf(cfg.embed_dim)
+        if cache:
+            self.xhat = [buf(w) for w in widths]
+            self.inv_std = [buf() for _ in widths]
+            self.phi = [buf(w) for w in widths]
+            self.act = [buf(w) for w in widths]
+            self.masks = [buf(w) for w in widths] if masks else None
+            self.e, self.norms, self.logits = buf(cfg.embed_dim), buf(), buf(2)
+        else:
+            pair = [buf(max(widths)) for _ in range(min(2, blocks - 1))]
+            self.xhat, self.inv_std = [buf(max(widths))] * blocks, [buf()] * blocks
+            self.phi = [self.scratch] * blocks  # Phi(h) is written after the squares die
+            self.act = [pair[i % 2] for i in range(blocks - 1)] + [None]
+            self.masks = None
+        self.grads: Optional[Dict[str, np.ndarray]] = None
+
+    def backward_buffers(self):
+        if self.grads is None:
+            wide = max(self.model.config.hidden_sizes)
+            self.de = np.empty(self.rows * self.model.config.embed_dim)
+            self.da = (np.empty(self.rows * wide), np.empty(self.rows * wide))
+            self.scratch2, self.col = np.empty(self.rows * wide), np.empty(self.rows)
+            self.w, self.ce = np.empty(self.rows), np.empty(self.rows)
+            self.pick, self.base = np.empty(self.rows, dtype=np.intp), np.arange(0, 2 * self.rows, 2)
+            self.grads = {k: np.empty_like(v) for k, v in self.model.params.items()}
+
+
+def _block(model: EncoderModel, i: int, a: np.ndarray, ws: _Workspace, out: np.ndarray, rng):
+    """Block i over the rows of `a` into `out`: Linear, LayerNorm, exact GELU
+    and, when `rng` is given, dropout with a mask drawn from it."""
     p = model.params
-    a = np.atleast_2d(np.asarray(x, dtype=float))
-    if a.shape[-1] != cfg.input_dim:
-        raise ValueError(f"expected {cfg.input_dim} features, got {a.shape[-1]}")
-    keep = cache is not None
-    if keep:
-        cache.update(inputs=[], xhat=[], inv_std=[], phi=[], masks=[])
-    drop = cfg.dropout
-    for i in range(model.num_blocks):
-        xhat, _, inv_std = layer_norm(a @ p[f"block{i}.W"].T + p[f"block{i}.b"])
-        h = p[f"block{i}.gamma"] * xhat
-        h += p[f"block{i}.beta"]  # the GELU input
-        phi = ndtr(h)
-        mask = None
-        if rng is not None and drop > 0.0:
-            mask = (rng.random(h.shape) >= drop).astype(float)
-        if keep:
-            for key, value in (("inputs", a), ("xhat", xhat), ("inv_std", inv_std),
-                               ("phi", phi), ("masks", mask)):
-                cache[key].append(value)
-        del xhat  # uncached, a block's arrays die as soon as they are used
-        a = h
-        a *= phi  # exact GELU, h * Phi(h); backward reuses Phi and recomputes h
-        del phi
-        if mask is not None:
-            a = a * mask / (1.0 - drop)
-    v = a @ p["embed.W"].T + p["embed.b"]
-    norms = np.maximum(np.linalg.norm(v, axis=-1, keepdims=True), 1e-12)
-    e = v / norms
-    if keep:
-        cache.update(embed_in=a, e=e, norms=norms)
-    logits = e @ p["clf.W"].T + p["clf.b"]
+    m, width = out.shape
+    z = _rows(ws.xhat[i], m, width)
+    np.matmul(a, p[f"block{i}.W"].T, out=z)
+    z += p[f"block{i}.b"]
+    layer_norm(z, _rows(ws.mu, m, 1), _rows(ws.inv_std[i], m, 1), _rows(ws.scratch, m, width))
+    np.multiply(p[f"block{i}.gamma"], z, out=out)
+    out += p[f"block{i}.beta"]  # h, the GELU input
+    phi = _rows(ws.phi[i], m, width)
+    ndtr(out, out=phi)
+    out *= phi  # exact GELU, h * Phi(h); backward reuses Phi and recomputes h
+    if rng is not None:
+        mask = _rows(ws.masks[i], m, width)
+        rng.random(out=mask)
+        np.greater_equal(mask, model.config.dropout, out=mask)
+        out *= mask
+        out /= 1.0 - model.config.dropout
+    return out
+
+
+def _hidden(model: EncoderModel, ws: _Workspace, a: np.ndarray, rng, last=None) -> np.ndarray:
+    """The hidden blocks over the rows of `a`; block i writes ws.act[i], or
+    `last` for the last block when given."""
+    for i, width in enumerate(model.config.hidden_sizes):
+        out = last if last is not None and i == model.num_blocks - 1 else _rows(ws.act[i], a.shape[0], width)
+        a = _block(model, i, a, ws, out, rng)
+    return a
+
+
+def _embed(model: EncoderModel, a: np.ndarray, e: np.ndarray, norms: np.ndarray, sq: np.ndarray):
+    """The unit-norm embedding of the rows of `a` into `e`, their norms
+    (floored at 1e-12) into `norms`; the squares go through `sq`, its rows
+    at a time. These are np.linalg.norm's operations, row by row."""
+    p = model.params
+    np.matmul(a, p["embed.W"].T, out=e)
+    e += p["embed.b"]
+    step = max(sq.shape[0], 1)
+    for lo in range(0, e.shape[0], step):
+        v = e[lo : lo + step]
+        s = sq[: v.shape[0]]
+        np.multiply(v, v, out=s)
+        np.add.reduce(s, axis=-1, keepdims=True, out=norms[lo : lo + step])
+    np.sqrt(norms, out=norms)
+    np.maximum(norms, 1e-12, out=norms)
+    e /= norms
+
+
+def _classify(model: EncoderModel, e: np.ndarray, logits: np.ndarray):
+    np.matmul(e, model.params["clf.W"].T, out=logits)
+    logits += model.params["clf.b"]
+
+
+def _forward(model: EncoderModel, ws: _Workspace, m: int, rng) -> Tuple[np.ndarray, np.ndarray]:
+    """Forward over the first m rows of ws.x, keeping the backprop cache in
+    `ws`; dropout masks are drawn from `rng`, and rng None is eval mode.
+    Returns views of ws: (logits, unit-norm embedding)."""
+    cfg = model.config
+    ws.m, ws.masked = m, rng is not None and cfg.dropout > 0.0
+    a = _hidden(model, ws, ws.x[:m], rng if ws.masked else None)
+    e, norms = _rows(ws.e, m, cfg.embed_dim), _rows(ws.norms, m, 1)
+    _embed(model, a, e, norms, _rows(ws.sq, m, cfg.embed_dim))
+    logits = _rows(ws.logits, m, 2)
+    _classify(model, e, logits)
     return logits, e
 
 
-def forward_with_cache(model: EncoderModel, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, dict]:
+def _input_rows(model: EncoderModel, x) -> np.ndarray:
+    a = np.atleast_2d(np.asarray(x))
+    if a.shape[-1] != model.config.input_dim:
+        raise ValueError(f"expected {model.config.input_dim} features, got {a.shape[-1]}")
+    return a
+
+
+def forward_with_cache(model: EncoderModel, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, _Workspace]:
     """Batched eval-mode forward (no dropout) that also returns the backprop
-    cache; dropout runs only in loss_and_gradients."""
-    cache: dict = {}
-    logits, e = _forward_batch(model, x, None, cache)
-    return logits, e, cache
+    cache, a workspace over all of x's rows; dropout runs only in training."""
+    a = _input_rows(model, np.asarray(x, dtype=float))
+    ws = _Workspace(model, a.shape[0], cache=True, x=a)
+    logits, e = _forward(model, ws, a.shape[0], None)
+    return logits, e, ws
+
+
+def _block_rows(config: EncoderConfig) -> int:
+    return max(FORWARD_BLOCK, -(-FORWARD_BLOCK_OUTPUTS // min(config.hidden_sizes)))
 
 
 def forward(model: EncoderModel, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Eval-mode (logits, unit-norm embedding) for one sample or a batch; it
-    keeps no backprop cache."""
-    arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    logits, e = _forward_batch(model, arr, None, None)
-    if single:
+    """Eval-mode (logits, unit-norm embedding) for one sample or a batch.
+
+    The hidden blocks run over row blocks of _block_rows rows, the last
+    block taking the remainder, through one workspace and no backprop
+    cache; float32 rows are converted a block at a time. The heads then run
+    once over the stacked last-hidden rows. Beyond one block's working set,
+    memory grows by the last hidden, embedding and logit rows only.
+    """
+    arr = np.asarray(x)
+    a = _input_rows(model, arr)
+    cfg = model.config
+    n, rows = a.shape[0], _block_rows(cfg)
+    bounds = [k * rows for k in range(max(n // rows, 1))] + [n]
+    direct = a.dtype == np.float64 and a.flags.c_contiguous
+    ws = _Workspace(model, n - bounds[-2], cache=False, x=a if direct else None)
+    stacked = np.empty((n, cfg.hidden_sizes[-1]))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        block = a[lo:hi]
+        if not direct:
+            np.copyto(ws.x[: hi - lo], block)
+            block = ws.x[: hi - lo]
+        _hidden(model, ws, block, None, stacked[lo:hi])
+    e, norms = np.empty((n, cfg.embed_dim)), np.empty((n, 1))
+    _embed(model, stacked, e, norms, _rows(ws.sq, ws.rows, cfg.embed_dim))
+    del stacked, norms
+    logits = np.empty((n, 2))
+    _classify(model, e, logits)
+    if arr.ndim == 1:
         return logits[0], e[0]
     return logits, e
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=-1, keepdims=True)
+def _check_labels(y: np.ndarray):
+    if set(np.unique(y)) - {0, 1}:
+        raise ValueError("labels must be 0/1")
 
 
 def loss_and_gradients(
@@ -218,35 +358,57 @@ def loss_and_gradients(
     exactly equivalent to doubling its weight. Weight decay is applied in
     the optimizer step, never here.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = _input_rows(model, np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=int).reshape(-1)
     if x.shape[0] == 0:
         raise ValueError("empty batch")
-    if set(np.unique(y)) - {0, 1}:
-        raise ValueError("labels must be 0/1")
+    if y.size != x.shape[0]:
+        raise ValueError(f"{y.size} labels for {x.shape[0]} rows")
+    _check_labels(y)
     rng = np.random.default_rng(dropout_seed) if dropout_seed is not None else None
-    p = model.params
-    cache: dict = {}
-    logits, e = _forward_batch(model, x, rng, cache)
+    ws = _Workspace(model, x.shape[0], cache=True, masks=rng is not None and model.config.dropout > 0.0,
+                    x=x, y=y)
+    return _loss(model, ws, x.shape[0], np.asarray(class_weights, dtype=float), rng)
 
-    w = np.asarray(class_weights, dtype=float)[y]
+
+def _loss(model: EncoderModel, ws: _Workspace, m: int, class_weights: np.ndarray, rng):
+    """Loss and gradients over the first m rows of ws.x and ws.y, every
+    array written into ws; the gradients are ws.grads. Labels are 0/1."""
+    ws.backward_buffers()
+    p, g = model.params, ws.grads
+    logits, e = _forward(model, ws, m, rng)
+    y, w, ce, pick = ws.y[:m], ws.w[:m], ws.ce[:m], ws.pick[:m]
+    np.take(class_weights, y, out=w, mode="clip")
     wsum = w.sum()
-    probs = _softmax(logits)
-    ce = -np.log(np.maximum(probs[np.arange(y.size), y], 1e-300))
-    loss = float((w * ce).sum() / wsum)
+    col = _rows(ws.col, m, 1)
+    np.max(logits, axis=-1, keepdims=True, out=col)  # softmax in place: logits become probs
+    logits -= col
+    np.exp(logits, out=logits)
+    np.sum(logits, axis=-1, keepdims=True, out=col)
+    logits /= col
+    flat = logits.reshape(-1)
+    np.add(ws.base[:m], y, out=pick)  # flat index of each row's label probability
+    np.take(flat, pick, out=ce, mode="clip")
+    np.maximum(ce, 1e-300, out=ce)
+    np.log(ce, out=ce)
+    np.negative(ce, out=ce)
+    ce *= w
+    loss = float(ce.sum() / wsum)
 
-    dlogits = probs.copy()
-    dlogits[np.arange(y.size), y] -= 1.0
-    dlogits *= (w / wsum)[:, None]
+    np.take(flat, pick, out=ce, mode="clip")  # probs become dlogits
+    ce -= 1.0
+    np.put(flat, pick, ce, mode="clip")
+    w /= wsum
+    logits *= w[:, None]
 
-    de = dlogits @ p["clf.W"]
-    grads = backward_from_embedding(model, cache, de)
-    grads["clf.W"] = dlogits.T @ cache["e"]
-    grads["clf.b"] = dlogits.sum(axis=0)
-    return loss, grads
+    np.matmul(logits, p["clf.W"], out=_rows(ws.de, m, model.config.embed_dim))
+    _backward(model, ws)
+    np.matmul(logits.T, e, out=g["clf.W"])
+    np.sum(logits, axis=0, out=g["clf.b"])
+    return loss, g
 
 
-def backward_from_embedding(model: EncoderModel, cache: dict, de: np.ndarray) -> Dict[str, np.ndarray]:
+def backward_from_embedding(model: EncoderModel, cache: _Workspace, de: np.ndarray) -> Dict[str, np.ndarray]:
     """Backprop an upstream gradient on the unit-norm embedding.
 
     Returns gradients for every parameter; classifier entries are zero so
@@ -254,35 +416,74 @@ def backward_from_embedding(model: EncoderModel, cache: dict, de: np.ndarray) ->
     feed the result straight into the optimizer. `cache` must come from a
     forward pass with the current parameters: GELU's derivative reuses the
     Phi(h) it cached and recomputes h from the cached xhat. The gradient with
-    respect to the input rows is not formed, since no caller reads it.
+    respect to the input rows is not formed, since no caller reads it. The
+    arrays are the cache's own, so the next backward through it overwrites
+    them.
     """
-    p = model.params
-    grads = {"clf.W": np.zeros_like(p["clf.W"]), "clf.b": np.zeros_like(p["clf.b"])}
-    # through the normalization e = v / ||v||
-    dv = (de - (de * cache["e"]).sum(axis=-1, keepdims=True) * cache["e"]) / cache["norms"]
-    grads["embed.W"] = dv.T @ cache["embed_in"]
-    grads["embed.b"] = dv.sum(axis=0)
-    da = dv @ p["embed.W"]
+    cache.backward_buffers()
+    np.copyto(_rows(cache.de, cache.m, model.config.embed_dim), de)
+    _backward(model, cache)
+    return cache.grads
 
-    drop = model.config.dropout
+
+def _backward(model: EncoderModel, ws: _Workspace):
+    """Gradients of every parameter into ws.grads from the upstream gradient
+    on the embedding in ws.de, over the rows of ws's last forward; the
+    classifier's are zero."""
+    p, g, m = model.params, ws.grads, ws.m
+    widths, drop = model.config.hidden_sizes, model.config.dropout
+    g["clf.W"].fill(0.0)
+    g["clf.b"].fill(0.0)
+    e, norms = _rows(ws.e, m, model.config.embed_dim), _rows(ws.norms, m, 1)
+    dv, s, col = _rows(ws.de, m, e.shape[1]), _rows(ws.sq, m, e.shape[1]), _rows(ws.col, m, 1)
+    # through the normalization e = v / ||v||
+    np.multiply(dv, e, out=s)
+    np.sum(s, axis=-1, keepdims=True, out=col)
+    np.multiply(col, e, out=s)
+    dv -= s
+    dv /= norms
+    np.matmul(dv.T, _rows(ws.act[-1], m, widths[-1]), out=g["embed.W"])
+    np.sum(dv, axis=0, out=g["embed.b"])
+    cur = 0
+    da = _rows(ws.da[cur], m, widths[-1])
+    np.matmul(dv, p["embed.W"], out=da)
+
     for i in reversed(range(model.num_blocks)):
-        mask = cache["masks"][i]
-        if mask is not None:
-            da = da * mask / (1.0 - drop)
-        xhat = cache["xhat"][i]
-        h = p[f"block{i}.gamma"] * xhat + p[f"block{i}.beta"]  # forward's h, bit for bit
-        dh = da * (cache["phi"][i] + h * (np.exp(-0.5 * h * h) / SQRT_2PI))
-        grads[f"block{i}.gamma"] = (dh * xhat).sum(axis=0)
-        grads[f"block{i}.beta"] = dh.sum(axis=0)
-        dxhat = dh * p[f"block{i}.gamma"]
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dz = (dxhat - m1 - xhat * m2) * cache["inv_std"][i]
-        grads[f"block{i}.W"] = dz.T @ cache["inputs"][i]
-        grads[f"block{i}.b"] = dz.sum(axis=0)
+        width = widths[i]
+        if ws.masked:
+            da *= _rows(ws.masks[i], m, width)
+            da /= 1.0 - drop
+        xhat, t = _rows(ws.xhat[i], m, width), _rows(ws.scratch2, m, width)
+        h = _rows(ws.scratch, m, width)
+        np.multiply(p[f"block{i}.gamma"], xhat, out=h)
+        h += p[f"block{i}.beta"]  # forward's h, bit for bit
+        np.multiply(h, -0.5, out=t)  # GELU's derivative Phi(h) + h * pdf(h)
+        t *= h
+        np.exp(t, out=t)
+        t /= SQRT_2PI
+        t *= h
+        t += _rows(ws.phi[i], m, width)
+        da *= t  # dh
+        np.multiply(da, xhat, out=h)
+        np.sum(h, axis=0, out=g[f"block{i}.gamma"])
+        np.sum(da, axis=0, out=g[f"block{i}.beta"])
+        da *= p[f"block{i}.gamma"]  # dxhat
+        m1 = _rows(ws.mu, m, 1)
+        np.mean(da, axis=-1, keepdims=True, out=m1)
+        np.multiply(da, xhat, out=h)
+        np.mean(h, axis=-1, keepdims=True, out=col)
+        da -= m1
+        np.multiply(xhat, col, out=h)
+        da -= h
+        da *= _rows(ws.inv_std[i], m, 1)  # dz
+        block_in = _rows(ws.act[i - 1], m, widths[i - 1]) if i else ws.x[:m]
+        np.matmul(da.T, block_in, out=g[f"block{i}.W"])
+        np.sum(da, axis=0, out=g[f"block{i}.b"])
         if i:  # block 0's input gradient would be d loss / d x, which nothing reads
-            da = dz @ p[f"block{i}.W"]
-    return grads
+            cur = 1 - cur
+            nxt = _rows(ws.da[cur], m, widths[i - 1])
+            np.matmul(da, p[f"block{i}.W"], out=nxt)
+            da = nxt
 
 
 _DECAYED_SUFFIX = ".W"
@@ -402,21 +603,45 @@ def train_encoder(
     """Adam training with early stopping on validation macro-F1 (_fit_epochs).
 
     Stops once `patience` consecutive epochs fail to improve the best value
-    (patience=0 stops at the first non-improving epoch) and restores the
-    best checkpoint. Fixed seed gives a bit-identical history.
+    (patience=0 stops at the first non-improving epoch), and returns the
+    model of the best checkpoint. Fixed seed gives a bit-identical history.
     """
-    x_train, y_train = np.asarray(train[0], dtype=float), np.asarray(train[1], dtype=int)
-    x_val, y_val = np.asarray(val[0], dtype=float), np.asarray(val[1], dtype=int)
+    x_train, y_train = np.asarray(train[0]), np.asarray(train[1], dtype=int)
+    x_val, y_val = np.asarray(val[0]), np.asarray(val[1], dtype=int)
     if x_train.shape[0] == 0 or x_val.shape[0] == 0:
         raise ValueError("train and val splits must be nonempty")
+    _check_labels(y_train)
 
     model = init_encoder(config)
+    _input_rows(model, x_train)  # the width check
     opt = AdamState(model.params)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).generate_state(1)[0])
+    weights = np.asarray(schedule.class_weights, dtype=float)
+    # one workspace for every batch. A batch's rows are gathered from the
+    # split's own rows through a staging buffer of their dtype, GATHER_BYTES
+    # at a time, with mode="clip" since "raise" first gathers into a
+    # temporary of the output's size
+    ws = _Workspace(model, min(schedule.batch_size, x_train.shape[0]), cache=True,
+                    masks=config.dropout > 0.0)
+    chunk = min(ws.rows, max(1, GATHER_BYTES // max(x_train[:1].nbytes, 1)))
+    stage = np.empty((chunk, config.input_dim), x_train.dtype)
+    best = {k: np.empty_like(v) for k, v in model.params.items()}
+
+    def snapshot():  # one copy, overwritten by each improving epoch
+        for k, v in model.params.items():
+            np.copyto(best[k], v)
+        return best
 
     def step(idx):
         seed = int(rng.integers(0, 2**31 - 1)) if config.dropout > 0 else None
-        loss, grads = loss_and_gradients(model, x_train[idx], y_train[idx], schedule.class_weights, seed)
+        m = idx.size
+        for lo in range(0, m, chunk):
+            part = stage[: min(chunk, m - lo)]
+            np.take(x_train, idx[lo : lo + chunk], axis=0, out=part, mode="clip")
+            ws.x[lo : lo + part.shape[0]] = part
+        np.take(y_train, idx, out=ws.y[:m], mode="clip")
+        dropout_rng = np.random.default_rng(seed) if seed is not None else None
+        loss, grads = _loss(model, ws, m, weights, dropout_rng)
         opt.step(grads, schedule.learning_rate, schedule.weight_decay)
         return loss
 
@@ -426,12 +651,11 @@ def train_encoder(
         return value, {"val_metric": value}
 
     epochs, best_epoch, best_value, best = _fit_epochs(
-        schedule, x_train.shape[0], rng, step, validate, model.copy_params
+        schedule, x_train.shape[0], rng, step, validate, snapshot
     )
-    model.load_params(best)
     history = {"epochs": epochs, "selection_metric": "macro_f1",
                "best_epoch": best_epoch, "best_value": best_value}
-    return model, history
+    return EncoderModel(config, best), history
 
 
 # ------------------------------------------------------------------ scaler

@@ -608,18 +608,13 @@ def run_experiment(config: ExperimentConfig, workdir, through: Optional[str] = N
 
     `through` stops after an early stage (one of EARLY_STOPS) leaving the
     manifest incomplete; the default runs to test evaluation and writes a
-    complete manifest. A complete manifest whose config matches is returned
-    as-is without recomputing anything.
+    complete manifest. Every run walks its stages through _stage, which
+    loads a stage whose recorded key matches and rebuilds any other.
     """
     if through is not None and through not in EARLY_STOPS:
         raise ValueError(f"through must be None or one of {EARLY_STOPS}, not {through!r}")
     root = persist.ensure_dir(workdir)
     mpath = root / "manifest.json"
-    if through is None and mpath.exists():
-        existing = persist.load_json(mpath)
-        if existing.get("status") == "complete" and existing.get("config") == config.as_dict():
-            return existing
-
     persist.save_json(root / "config.json", config.as_dict())
     manifest: dict = {
         "config": config.as_dict(),
@@ -844,12 +839,12 @@ def evaluate_streaming(
     threshold = float(model.threshold)
 
     scores, refs = _score(model, execution, model.rows(split.x_test[subset]), reference_limit)
+    labels = split.y_test[subset]
     path = Path(audit_path) if audit_path is not None else bundle.root / "stream_audit.csv"
     with open(path, "w", encoding="utf-8") as sink:
         stream = metrics.StreamingConfusion(sink=sink)
-        for idx, s in zip(subset, scores):
-            stream.update(int(split.y_test[idx]), int(s >= threshold))
-    rep = metrics.report(split.y_test[subset], scores, threshold, config.beta)
+        stream.extend(labels, (scores >= threshold).astype(int))
+    rep = metrics.report(labels, scores, threshold, config.beta)
     return {
         "report": rep,
         "lines": stream.lines,

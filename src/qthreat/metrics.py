@@ -203,24 +203,31 @@ class StreamingConfusion:
         self.lines: List[str] = []
 
     def update(self, true_label: int, predicted_label: int) -> str:
-        if true_label not in (0, 1) or predicted_label not in (0, 1):
+        return self.extend([true_label], [predicted_label])[0]
+
+    def extend(self, true_labels, predicted_labels) -> List[str]:
+        """Tally samples in order, one audit line each, written to the sink
+        in one call; returns the new lines. The counts on each line are the
+        running totals through that sample."""
+        t = np.asarray(true_labels).reshape(-1)
+        p = np.asarray(predicted_labels).reshape(-1)
+        if t.shape != p.shape:
+            raise ValueError(f"{t.size} true labels for {p.size} predictions")
+        if not (np.isin(t, (0, 1)).all() and np.isin(p, (0, 1)).all()):
             raise ValueError("labels must be 0 or 1")
+        t, p = t.astype(int), p.astype(int)
         c = self.counts
-        if true_label == 1 and predicted_label == 1:
-            c = ConfusionCounts(c.tp + 1, c.tn, c.fp, c.fn)
-        elif true_label == 0 and predicted_label == 0:
-            c = ConfusionCounts(c.tp, c.tn + 1, c.fp, c.fn)
-        elif true_label == 0 and predicted_label == 1:
-            c = ConfusionCounts(c.tp, c.tn, c.fp + 1, c.fn)
-        else:
-            c = ConfusionCounts(c.tp, c.tn, c.fp, c.fn + 1)
-        self.counts = c
-        line = (
-            f"{self.index}, {true_label}, {predicted_label}, "
-            f"{c.tp}, {c.tn}, {c.fp}, {c.fn}"
-        )
-        self.index += 1
-        self.lines.append(line)
-        if self.sink is not None:
-            self.sink.write(line + "\n")
-        return line
+        tp = c.tp + np.cumsum(t & p)
+        tn = c.tn + np.cumsum((1 - t) & (1 - p))
+        fp = c.fp + np.cumsum((1 - t) & p)
+        fn = c.fn + np.cumsum(t & (1 - p))
+        table = np.column_stack([np.arange(self.index, self.index + t.size), t, p, tp, tn, fp, fn])
+        lines = [f"{i}, {a}, {b}, {n_tp}, {n_tn}, {n_fp}, {n_fn}"
+                 for i, a, b, n_tp, n_tn, n_fp, n_fn in table.tolist()]
+        if lines:
+            self.counts = ConfusionCounts(*table[-1, 3:].tolist())
+            self.index += len(lines)
+            self.lines.extend(lines)
+            if self.sink is not None:
+                self.sink.write("".join(line + "\n" for line in lines))
+        return lines

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (
     AllocatingAdam, encoder_backward, encoder_forward, encoder_loss_and_gradients, gelu, scale,
 )
+from qthreat import encoder
 from qthreat.datapipe import class_weights
 from qthreat.encoder import (
     ADAM_CHUNK,
@@ -151,6 +152,81 @@ def test_eval_forward_keeps_no_backprop_cache(input_dim, hidden):
     np.testing.assert_array_equal(e.view(np.uint64), expected_cache["e"].view(np.uint64))
     widest = n * max(hidden) * 8
     assert peak <= working_set * n * 8 + 0.5 * widest, peak / widest
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("input_dim, hidden, embed_dim",
+                         [(70, (256, 64), 12), (6740, (256, 64), 12), (64, (64,) * 8, 4), (7, (4,), 3)])
+def test_blocked_forward_matches_whole_array_oracle_bit_for_bit(input_dim, hidden, embed_dim, dtype):
+    # 511-513 rows straddle the first split into two row blocks; 5 * 256 + 80
+    # rows end in a block longer than the others
+    model = init_encoder(EncoderConfig(input_dim=input_dim, hidden_sizes=hidden, embed_dim=embed_dim, seed=8))
+    rng = np.random.default_rng(9)
+    for n in (511, 512, 513, 5 * 256 + 80):
+        x = rng.normal(size=(n, input_dim)).astype(dtype)
+        logits, e = forward(model, x)
+        expected_logits, expected_cache = encoder_forward(model, x, False, None)
+        np.testing.assert_array_equal(logits.view(np.uint64), expected_logits.view(np.uint64))
+        np.testing.assert_array_equal(e.view(np.uint64), expected_cache["e"].view(np.uint64))
+
+
+@pytest.mark.parametrize("input_dim, hidden, embed_dim", [(70, (256, 64), 12), (64, (64,) * 8, 4)])
+def test_eval_forward_memory_grows_by_its_output_rows(input_dim, hidden, embed_dim):
+    # beyond one row block's working set, the forward holds the stacked last
+    # hidden rows, the embedding and the logits: per extra row, at most
+    # (last hidden + embed_dim + 2) float64 values
+    model = init_encoder(EncoderConfig(input_dim=input_dim, hidden_sizes=hidden, embed_dim=embed_dim, seed=5))
+    peaks = {}
+    for n in (2000, 8000):
+        x = np.random.default_rng(6).normal(size=(n, input_dim))
+        tracemalloc.start()
+        try:
+            forward(model, x)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[8000] - peaks[2000] <= 6000 * (hidden[-1] + embed_dim + 2) * 8, peaks
+
+
+def _captured_step(monkeypatch, config, schedule, x, y):
+    """The step closure train_encoder hands to the epoch loop, after training."""
+    captured = {}
+    fit_epochs = encoder._fit_epochs
+
+    def spy(schedule, n, rng, step, validate, snapshot):
+        captured["step"] = step
+        return fit_epochs(schedule, n, rng, step, validate, snapshot)
+
+    monkeypatch.setattr(encoder, "_fit_epochs", spy)
+    train_encoder(config, schedule, (x, y), (x[:50], y[:50]))
+    return captured["step"]
+
+
+@pytest.mark.parametrize("rows", [256, 88])
+def test_training_step_allocates_no_batch_sized_arrays(monkeypatch, rows):
+    # 600 rows in batches of 256 end in a partial batch of 88; after the
+    # first step, a step (gather, loss, gradients and Adam) writes into the
+    # workspace train_encoder allocated and adds no array of a batch's size
+    config = EncoderConfig(input_dim=70, hidden_sizes=(256, 64), embed_dim=12, dropout=0.15, seed=1)
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(600, 70)).astype(np.float32)
+    y = rng.integers(0, 2, 600)
+    step = _captured_step(monkeypatch, config, TrainSchedule(epochs=1, patience=1), x, y)
+    idx = rng.permutation(600)[:rows]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        step(idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 256 * max(config.hidden_sizes) * 8, peak - before
+
+
+def test_training_rejects_labels_other_than_0_and_1():
+    x, y = toy_separable(40, seed=1)
+    with pytest.raises(ValueError, match="0/1"):
+        train_encoder(TINY, TrainSchedule(epochs=1, patience=1), (np.zeros((40, 5)), y + 1), (x, y))
 
 
 def test_embedding_scale_invariance():

@@ -226,6 +226,32 @@ def test_rerun_is_memoized_and_stages_resume(qsvm_bundle, make_config, tmp_path)
         assert redo["stages"]["svm"] != manifest["stages"]["svm"]
 
 
+def test_complete_bundle_of_an_older_svm_layout_is_rebuilt_and_rescored(qsvm_bundle, tmp_path):
+    # a complete manifest over an svm.json of the layout before support
+    # angles (n row means, no support rows) and that layout's stage key: the
+    # run rebuilds the svm stage instead of returning the manifest, and the
+    # bundle then rescores
+    config, d, manifest = qsvm_bundle
+    old = tmp_path / "old"
+    shutil.copytree(d, old)
+    header = json.loads((old / "svm" / "svm.json").read_text())
+    del header["support_angles"], header["support_means"]
+    header["row_means"] = [0.0] * datapipe.load_split(old / "preprocess").y_train.size
+    persist.save_json(old / "svm" / "svm.json", header)
+    older_key = "0" * 64
+    persist.save_json(old / "svm" / "stage.json", {"key": older_key})
+    persist.save_json(old / "manifest.json", {
+        **manifest, "stages": {**manifest["stages"], "svm": older_key},
+        "files": persist.relative_file_map(old, list(manifest["files"])),
+    })
+    with pytest.raises(ValueError, match="support vector"):
+        qsvm.load_svm(old / "svm" / "svm.json")
+
+    assert harness.run_experiment(config, old) == manifest
+    assert (old / "svm" / "svm.json").read_bytes() == (d / "svm" / "svm.json").read_bytes()
+    assert harness.evaluate_bundle(old)["metrics"] == manifest["metrics"]
+
+
 def test_failed_rebuild_leaves_no_stale_marker(make_config, tmp_path, monkeypatch):
     # a rebuild that dies before its marker is written must not leave the
     # previous key's marker over its own files

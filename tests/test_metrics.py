@@ -299,6 +299,29 @@ def test_streaming_sink_and_validation():
         sc.update(2, 0)
 
 
+@settings(max_examples=50, deadline=None)
+@given(pairs=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), max_size=40),
+       cuts=st.lists(st.integers(0, 40), max_size=4))
+def test_streaming_extend_writes_the_bytes_of_row_by_row_tallies(pairs, cuts):
+    # the audit lines of a row-by-row running tally, whatever runs the
+    # samples are passed in
+    expected, tp, tn, fp, fn = [], 0, 0, 0, 0
+    for i, (t, p) in enumerate(pairs):
+        tp, tn, fp, fn = tp + (t & p), tn + (1 - t & 1 - p), fp + (1 - t & p), fn + (t & 1 - p)
+        expected.append(f"{i}, {t}, {p}, {tp}, {tn}, {fp}, {fn}\n")
+    buf = io.StringIO()
+    sc = StreamingConfusion(sink=buf)
+    bounds = [0, *sorted(min(c, len(pairs)) for c in cuts), len(pairs)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        run = pairs[lo:hi]
+        sc.extend(np.array([t for t, _ in run], dtype=int), np.array([p for _, p in run], dtype=int))
+    assert buf.getvalue() == "".join(expected)
+    assert sc.lines == [line[:-1] for line in expected]
+    assert sc.counts == ConfusionCounts(tp, tn, fp, fn)
+    with pytest.raises(ValueError):
+        sc.extend([0, 1], [1])
+
+
 # ----------------------------------------------------------------- report
 
 
