@@ -11,7 +11,9 @@ nonzero), and load_split expands them back to the same dense float32.
 from __future__ import annotations
 
 import math
+import operator
 import re
+import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,6 +45,10 @@ RARE_MIN_COUNT = 50
 NORMAL_LABEL = "normal"
 
 assert len(FEATURE_NAMES) == 41
+_NUMERIC_FIELDS = operator.itemgetter(*(FEATURE_NAMES.index(n) for n in NUMERIC_COLUMNS))
+_CATEGORICAL_FIELDS = tuple((c, FEATURE_NAMES.index(c)) for c in CATEGORICAL_COLUMNS)
+# rows of float64 standardized values transform_tabular holds at a time
+TRANSFORM_ROWS = 4096
 
 
 # ---------------------------------------------------------------- tabular
@@ -89,29 +95,45 @@ def fit_tabular(
 def transform_tabular(
     tr: TabularTransformer, numeric: np.ndarray, cats: Mapping[str, Sequence[str]]
 ) -> np.ndarray:
+    """The rows as one float32 (n, tr.width) matrix: the numeric columns
+    standardized by the train means and stds (a constant column is 0), then
+    each categorical column one-hot in tr.levels order (an unseen level stays
+    all zeros). The matrix is allocated once. The standardized values are
+    computed in float64 blocks of TRANSFORM_ROWS rows and cast on assignment,
+    which rounds as .astype(np.float32) does, and the hot entries are set in
+    place."""
     x = np.asarray(numeric, dtype=float)
+    n, start = x.shape
+    out = np.zeros((n, tr.width), dtype=np.float32)
     safe = np.where(tr.stds > 0, tr.stds, 1.0)
-    z = (x - tr.means) / safe
-    z[:, tr.stds == 0] = 0.0  # constant columns carry no signal
-    blocks = [z]
+    for lo in range(0, n, TRANSFORM_ROWS):
+        z = (x[lo : lo + TRANSFORM_ROWS] - tr.means) / safe
+        z[:, tr.stds == 0] = 0.0  # constant columns carry no signal
+        out[lo : lo + TRANSFORM_ROWS, :start] = z
     for col in CATEGORICAL_COLUMNS:
-        hot = np.zeros((x.shape[0], len(tr.levels[col])))
         m = tr.mapping[col]
-        for r, v in enumerate(cats[col]):
-            idx = m.get(v)
-            if idx is not None:  # unseen level stays all-zeros
-                hot[r, idx] = 1.0
-        blocks.append(hot)
-    return np.concatenate(blocks, axis=1).astype(np.float32)
+        hot = np.fromiter((m.get(v, -1) for v in cats[col]), dtype=np.intp, count=n)
+        rows = np.flatnonzero(hot >= 0)  # an unseen level (-1) stays all zeros
+        out[rows, start + hot[rows]] = 1.0
+        start += len(tr.levels[col])
+    return out
 
 
 def _parse_nslkdd(path) -> Tuple[np.ndarray, Dict[str, List[str]], List[str]]:
-    numeric_idx = [i for i, n in enumerate(FEATURE_NAMES) if n not in CATEGORICAL_COLUMNS]
-    cat_idx = {c: FEATURE_NAMES.index(c) for c in CATEGORICAL_COLUMNS}
-    rows: List[List[float]] = []
+    """(numeric, categorical columns, labels) of the nonblank lines of an
+    NSL-KDD file: numeric is float64 (rows, 38), the rest are lists of
+    strings. A first pass counts the lines; the second writes each row into
+    one preallocated array, which is then sliced to the rows kept. The
+    categorical and label strings are interned, so a level is one object
+    however many rows carry it. A line without 43 fields, or with a numeric
+    field that float() rejects or reads as non-finite, raises ValueError
+    naming its line."""
     cats: Dict[str, List[str]] = {c: [] for c in CATEGORICAL_COLUMNS}
     labels: List[str] = []
     with open(path, "r", encoding="utf-8") as f:
+        numeric = np.empty((sum(1 for _ in f), len(NUMERIC_COLUMNS)))
+        f.seek(0)
+        rows = 0
         for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line:
@@ -122,7 +144,7 @@ def _parse_nslkdd(path) -> Tuple[np.ndarray, Dict[str, List[str]], List[str]]:
                     f"{path}: line {lineno}: expected 43 fields, found {len(parts)}"
                 )
             try:
-                values = [float(parts[i]) for i in numeric_idx]
+                values = list(map(float, _NUMERIC_FIELDS(parts)))
             except ValueError:
                 values = [math.nan]
             # float() parses nan, inf and 1e400 too; each would NaN a column
@@ -130,11 +152,12 @@ def _parse_nslkdd(path) -> Tuple[np.ndarray, Dict[str, List[str]], List[str]]:
                 raise ValueError(
                     f"{path}: line {lineno}: non-numeric or non-finite value in a numeric field"
                 )
-            rows.append(values)
-            for c, i in cat_idx.items():
-                cats[c].append(parts[i])
-            labels.append(parts[41])  # parts[42] is the difficulty score, dropped
-    return np.asarray(rows, dtype=float), cats, labels
+            numeric[rows] = values
+            rows += 1
+            for c, i in _CATEGORICAL_FIELDS:
+                cats[c].append(sys.intern(parts[i]))
+            labels.append(sys.intern(parts[41]))  # parts[42] is the difficulty score, dropped
+    return numeric[:rows], cats, labels
 
 
 # ------------------------------------------------------------------ text
@@ -269,13 +292,15 @@ def load_nslkdd(train_path, test_path, val_fraction: float = 0.2, seed: int = 0)
     te_num, te_cat, te_raw = _parse_nslkdd(test_path)
     y_all = np.array([0 if lab == NORMAL_LABEL else 1 for lab in tr_raw], dtype=int)
     keep, take = stratified_take(y_all, val_fraction, seed)
+    fit_num, val_num = tr_num[keep], tr_num[take]
+    del tr_num
 
     fit_cats = {c: [tr_cat[c][i] for i in keep] for c in CATEGORICAL_COLUMNS}
-    tr = fit_tabular(tr_num[keep], fit_cats)
+    tr = fit_tabular(fit_num, fit_cats)
     val_cats = {c: [tr_cat[c][i] for i in take] for c in CATEGORICAL_COLUMNS}
 
-    x_train = transform_tabular(tr, tr_num[keep], fit_cats)
-    x_val = transform_tabular(tr, tr_num[take], val_cats)
+    x_train = transform_tabular(tr, fit_num, fit_cats)
+    x_val = transform_tabular(tr, val_num, val_cats)
     x_test = transform_tabular(tr, te_num, te_cat)
     y_train, y_val = y_all[keep], y_all[take]
     y_test = np.array([0 if lab == NORMAL_LABEL else 1 for lab in te_raw], dtype=int)

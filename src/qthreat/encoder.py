@@ -39,6 +39,10 @@ ADAM_CHUNK = 16384
 # and the last block takes the remainder rather than running short.
 FORWARD_BLOCK = 256
 FORWARD_BLOCK_OUTPUTS = 2048
+# Bytes of float64 first-layer input the eval forward converts and multiplies
+# at a time, so a wide float32 input is cut into row parts; each part still
+# holds FORWARD_BLOCK_OUTPUTS outputs of the first layer, by the rule above.
+FORWARD_INPUT_BYTES = 4 << 20
 # bytes of input rows a training step gathers per pass, in their own dtype
 GATHER_BYTES = 1 << 20
 # the scaler maps these quantiles of the train embeddings to -1 and +1
@@ -218,13 +222,15 @@ class _Workspace:
             self.grads = {k: np.empty_like(v) for k, v in self.model.params.items()}
 
 
-def _block(model: EncoderModel, i: int, a: np.ndarray, ws: _Workspace, out: np.ndarray, rng):
+def _block(model: EncoderModel, i: int, a: Optional[np.ndarray], ws: _Workspace, out: np.ndarray, rng):
     """Block i over the rows of `a` into `out`: Linear, LayerNorm, exact GELU
-    and, when `rng` is given, dropout with a mask drawn from it."""
+    and, when `rng` is given, dropout with a mask drawn from it. With `a`
+    None, ws.xhat[i]'s rows already hold the product a @ W.T."""
     p = model.params
     m, width = out.shape
     z = _rows(ws.xhat[i], m, width)
-    np.matmul(a, p[f"block{i}.W"].T, out=z)
+    if a is not None:
+        np.matmul(a, p[f"block{i}.W"].T, out=z)
     z += p[f"block{i}.b"]
     layer_norm(z, _rows(ws.mu, m, 1), _rows(ws.inv_std[i], m, 1), _rows(ws.scratch, m, width))
     np.multiply(p[f"block{i}.gamma"], z, out=out)
@@ -241,11 +247,13 @@ def _block(model: EncoderModel, i: int, a: np.ndarray, ws: _Workspace, out: np.n
     return out
 
 
-def _hidden(model: EncoderModel, ws: _Workspace, a: np.ndarray, rng, last=None) -> np.ndarray:
+def _hidden(model: EncoderModel, ws: _Workspace, a: Optional[np.ndarray], rng, last=None, m=None) -> np.ndarray:
     """The hidden blocks over the rows of `a`; block i writes ws.act[i], or
-    `last` for the last block when given."""
+    `last` for the last block when given. With `a` None, block 0's product
+    of m rows is already in ws.xhat[0]."""
+    m = a.shape[0] if a is not None else m
     for i, width in enumerate(model.config.hidden_sizes):
-        out = last if last is not None and i == model.num_blocks - 1 else _rows(ws.act[i], a.shape[0], width)
+        out = last if last is not None and i == model.num_blocks - 1 else _rows(ws.act[i], m, width)
         a = _block(model, i, a, ws, out, rng)
     return a
 
@@ -312,24 +320,41 @@ def forward(model: EncoderModel, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
 
     The hidden blocks run over row blocks of _block_rows rows, the last
     block taking the remainder, through one workspace and no backprop
-    cache; float32 rows are converted a block at a time. The heads then run
-    once over the stacked last-hidden rows. Beyond one block's working set,
-    memory grows by the last hidden, embedding and logit rows only.
+    cache. Rows that are not C-contiguous float64 (float32 features) are
+    converted a part of a block at a time, each part's float64 copy within
+    FORWARD_INPUT_BYTES, and the first-layer product is taken part by part.
+    The heads then run once over the stacked last-hidden rows. Beyond one
+    block's working set and one part's copy, memory grows by the last
+    hidden, embedding and logit rows only.
     """
     arr = np.asarray(x)
     a = _input_rows(model, arr)
     cfg = model.config
-    n, rows = a.shape[0], _block_rows(cfg)
-    bounds = [k * rows for k in range(max(n // rows, 1))] + [n]
+    n, width = a.shape[0], cfg.hidden_sizes[0]
+    step = _block_rows(cfg)
+    bounds = [k * step for k in range(max(n // step, 1))] + [n]
+    rows = n - bounds[-2]
     direct = a.dtype == np.float64 and a.flags.c_contiguous
-    ws = _Workspace(model, n - bounds[-2], cache=False, x=a if direct else None)
+    # rows per first-layer product: a float64 block whole, other rows
+    # converted within FORWARD_INPUT_BYTES. A block is split evenly into
+    # parts of at most `sub` rows, so each part has more than sub / 2 rows
+    sub = rows if direct else max(2 * -(-FORWARD_BLOCK_OUTPUTS // width),
+                                  FORWARD_INPUT_BYTES // (8 * cfg.input_dim))
+    ws = _Workspace(model, rows, cache=False,
+                    x=a if direct else np.empty((min(rows, sub), cfg.input_dim)))
+    w = model.params["block0.W"].T
     stacked = np.empty((n, cfg.hidden_sizes[-1]))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        block = a[lo:hi]
-        if not direct:
-            np.copyto(ws.x[: hi - lo], block)
-            block = ws.x[: hi - lo]
-        _hidden(model, ws, block, None, stacked[lo:hi])
+        z = _rows(ws.xhat[0], hi - lo, width)
+        parts = -(-(hi - lo) // sub)
+        edges = [(hi - lo) * j // parts for j in range(parts + 1)]
+        for s, t in zip(edges[:-1], edges[1:]):
+            block = a[lo + s : lo + t]
+            if not direct:
+                np.copyto(ws.x[: t - s], block)
+                block = ws.x[: t - s]
+            np.matmul(block, w, out=z[s:t])
+        _hidden(model, ws, None, None, stacked[lo:hi], hi - lo)
     e, norms = np.empty((n, cfg.embed_dim)), np.empty((n, 1))
     _embed(model, stacked, e, norms, _rows(ws.sq, ws.rows, cfg.embed_dim))
     del stacked, norms

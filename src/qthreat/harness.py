@@ -482,11 +482,12 @@ def _score(
 def _stage_svm(config: ExperimentConfig, root: Path, stages: Dict[str, str], split, encoded):
     """The QSVM train stage: the train statevectors and their centred kernel
     as a row source (qsvm.FidelityRows, which computes a row when the SMO
-    first reads it, so no n x n Gram is built), C by cross-validation over
-    that source, the final dual fit through the same row cache, and its
-    threshold. svm.json stores the fit, the support rows' angles (those the
-    SMO fitted) and centring means, and the final fit's solver record; the
-    "svm_json" slice entry names that layout, so an older one is rebuilt."""
+    reads it and keeps at most qsvm.ROW_CACHE_BYTES of rows, so no n x n
+    Gram is built), C by cross-validation over that source, the final dual
+    fit through the same row cache, and its threshold. svm.json stores the
+    fit, the support rows' angles (those the SMO fitted) and centring means,
+    and the final fit's solver record; the "svm_json" slice entry names that
+    layout, so an older one is rebuilt."""
     fspec = config.feature_spec()
     slice_ = {
         "svm_json": "support_angles",

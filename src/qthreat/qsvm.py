@@ -5,18 +5,20 @@ per-class cost weighting, stratified k-fold selection of C by F_beta, sign
 alignment, and validation threshold tuning. Labels are 0/1 at the API
 boundary and -1/+1 inside the dual. The QSVM trains from its n train
 statevectors through `FidelityRows`, which computes each centred kernel row
-when the solver first reads it, so no n x n Gram is built. `fit_rows` and
-`select_c` read the kernel only by row and row entries, as a dense array
-answers too. Scores read support vectors alone: CV sums the support rows,
-and a fitted model scores new rows through one observable
-(`observable_scorer`) over their angle rows and centring means.
+when the solver reads it and keeps a byte-budgeted cache of them, so no
+n x n Gram is built. `fit_rows` and `select_c` read the kernel only by row
+and row entries, as a dense array answers too. Scores read support vectors
+alone: CV sums the support rows, and a fitted model scores new rows through
+one observable (`observable_scorer`) over their angle rows and centring
+means.
 """
 from __future__ import annotations
 
 import math
 import operator
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -26,6 +28,8 @@ from .metrics import confusion, f_beta
 
 DUAL_TOL = 1e-3
 SUPPORT_EPS = 1e-10
+# bytes of centred kernel rows a FidelityRows keeps (n * 8 bytes a row)
+ROW_CACHE_BYTES = 256 << 20
 
 
 @dataclass(frozen=True)
@@ -91,9 +95,13 @@ class FidelityRows:
     stack S, and its column means are m_i = <psi_i|rho|psi_i> with
     rho = mean_j |psi_j><psi_j|, an O(n 4^q) computation. So the centred
     entry is k_ij - (m_i + m_j) + grand, grand = mean(m), and no n x n array
-    is needed. A row is computed from S when it is first read and kept in
-    a dict keyed by train index, LIBSVM's kernel cache (Chang & Lin, ACM
-    TIST 2:27, 2011). The SMO reads a few hundred distinct rows on the
+    is needed. A row is computed from S when it is read and not cached,
+    and kept in least-recently-used order under a budget of
+    ROW_CACHE_BYTES, LIBSVM's kernel cache (Chang & Lin, ACM TIST 2:27,
+    2011, §5): after each insert the oldest rows are evicted until the
+    cache fits, though it always keeps the row just read. A row read again
+    after its eviction is recomputed with the same bits, so a fit does not
+    depend on the budget. The SMO reads a few hundred distinct rows on the
     bench corpora, and at most all n.
 
     Reads: len(k) (n), k[i] (row i) and k[i, cols] (entries cols of row i),
@@ -110,7 +118,7 @@ class FidelityRows:
         self.grand = float(self.means.mean())
         if not math.isfinite(self.grand):
             raise ValueError("statevectors must be finite")
-        self._rows: Dict[int, np.ndarray] = {}
+        self._rows: "OrderedDict[int, np.ndarray]" = OrderedDict()
 
     def __len__(self) -> int:
         return self.states.shape[0]
@@ -119,12 +127,16 @@ class FidelityRows:
         i, cols = key if isinstance(key, tuple) else (key, None)
         i = operator.index(i)  # one row: an index array (a block read) is a TypeError
         row = self._rows.get(i)
-        if row is None:
+        if row is not None:
+            self._rows.move_to_end(i)
+        else:
             s = self.states
             row = self._rows[i] = np.abs(s[[i]].conj() @ s.T)[0] ** 2
             row -= self.means[i] + self.means
             row += self.grand
             row.setflags(write=False)
+            while len(self._rows) > 1 and len(self._rows) * row.nbytes > ROW_CACHE_BYTES:
+                self._rows.popitem(last=False)
         return row if cols is None else row[cols]
 
 
@@ -349,15 +361,16 @@ def select_c(k, labels: np.ndarray, plan: CvPlan) -> Tuple[float, List[dict]]:
     principal submatrix, and score the held-out rows as
     bias + sum_s coef_s k[s, held] over their support rows s, each a row
     the fold's SMO read (every support vector was once a working-set
-    index), so a FidelityRows has it cached. Ties break toward the smaller
-    C. Each table row records its folds' F_beta and whether each fold fit
-    converged (see `fit_rows`).
+    index), so a FidelityRows has it cached or may recompute it, with the
+    same bits. Ties break toward the smaller C. Each table row records its
+    folds' F_beta and whether each fold fit converged (see `fit_rows`).
 
     Memory: no submatrix or held-out x support block is built. Fold fits
     read kernel rows through the fold's index array (`_smo`), and scoring
     adds one |held| vector per support row, so the scratch is O(n) vectors.
     A FidelityRows shares its row cache across folds and C values; that
-    cache holds at most n rows.
+    cache holds at most n rows and at most ROW_CACHE_BYTES of them (one row
+    when a row alone is larger).
     """
     y = np.asarray(labels, dtype=int).reshape(-1)
     _check_len(k, y.size)

@@ -304,6 +304,54 @@ def select_eval_subset_loop(split, size=100, seed=0):
     return np.sort(np.concatenate(chosen))
 
 
+def parse_nslkdd_lists(path):
+    """NSL-KDD rows parsed into one list per row, stacked at the end:
+    (numeric (n, 38), categorical columns, labels)."""
+    numeric_idx = [i for i, n in enumerate(datapipe.FEATURE_NAMES) if n not in datapipe.CATEGORICAL_COLUMNS]
+    cat_idx = {c: datapipe.FEATURE_NAMES.index(c) for c in datapipe.CATEGORICAL_COLUMNS}
+    rows, labels = [], []
+    cats = {c: [] for c in datapipe.CATEGORICAL_COLUMNS}
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 43:
+                raise ValueError(f"{path}: line {lineno}: expected 43 fields, found {len(parts)}")
+            try:
+                values = [float(parts[i]) for i in numeric_idx]
+            except ValueError:
+                values = [math.nan]
+            if not all(map(math.isfinite, values)):
+                raise ValueError(
+                    f"{path}: line {lineno}: non-numeric or non-finite value in a numeric field"
+                )
+            rows.append(values)
+            for c, i in cat_idx.items():
+                cats[c].append(parts[i])
+            labels.append(parts[41])
+    return np.asarray(rows, dtype=float), cats, labels
+
+
+def transform_tabular_concat(tr, numeric, cats):
+    """transform_tabular as float64 blocks, one per column group, joined and
+    then cast to float32."""
+    x = np.asarray(numeric, dtype=float)
+    safe = np.where(tr.stds > 0, tr.stds, 1.0)
+    z = (x - tr.means) / safe
+    z[:, tr.stds == 0] = 0.0
+    blocks = [z]
+    for col in datapipe.CATEGORICAL_COLUMNS:
+        hot = np.zeros((x.shape[0], len(tr.levels[col])))
+        for r, v in enumerate(cats[col]):
+            idx = tr.mapping[col].get(v)
+            if idx is not None:
+                hot[r, idx] = 1.0
+        blocks.append(hot)
+    return np.concatenate(blocks, axis=1).astype(np.float32)
+
+
 def _apply_1q(u, arr, target, num_qubits):
     """Apply a 2x2 matrix on `target` along axis 0 of arr (dim 2^q first)."""
     tail = arr.shape[1:]

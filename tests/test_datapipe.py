@@ -2,8 +2,10 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 import types
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qthreat import persist
+from qthreat import datapipe, persist
 from qthreat.datapipe import (
     CATEGORICAL_COLUMNS,
     FEATURE_NAMES,
@@ -22,6 +24,7 @@ from qthreat.datapipe import (
     _parse_nslkdd,
     apportion,
     class_weights,
+    fit_tabular,
     fit_tfidf,
     load_lingspam,
     load_nslkdd,
@@ -31,10 +34,14 @@ from qthreat.datapipe import (
     stratified_indices,
     stratified_take,
     tokenize,
+    transform_tabular,
     transform_tfidf,
 )
 from conftest import make_record, write_nslkdd_pair
-from oracles import reference_indices, select_eval_subset_loop, stratified_limit
+from oracles import (
+    parse_nslkdd_lists, reference_indices, select_eval_subset_loop, stratified_limit,
+    transform_tabular_concat,
+)
 
 N_NUM = len(NUMERIC_COLUMNS)
 
@@ -77,6 +84,100 @@ def test_malformed_row_reports_line_number(tmp_path):
         path.write_text(",".join(fields) + "\n")
         with pytest.raises(ValueError, match="line 1: non-numeric or non-finite"):
             _parse_nslkdd(path)
+
+
+def _kdd_lines(rng, rows, services, constant):
+    """`rows` NSL-KDD records whose services are drawn from `services`, a
+    skewed list, and whose `constant` numeric columns read one value
+    throughout, in a mix of integer, decimal and exponent notation."""
+    lines = []
+    for _ in range(rows):
+        fields = make_record(rng, str(rng.choice(["normal", "neptune", "smurf", "guess_passwd"])),
+                             service=str(rng.choice(services))).split(",")
+        for name in NUMERIC_COLUMNS:
+            i = FEATURE_NAMES.index(name)
+            if name in constant:
+                fields[i] = "7"
+            elif rng.random() < 0.2:
+                fields[i] = rng.choice([f"{rng.normal() * 1e3:.6e}", f"-{rng.random():.3f}", f" {rng.integers(9)} "])
+        lines.append(",".join(fields))
+    return lines
+
+
+def _kdd_text(lines, blanks, blank, newline):
+    """The records joined by `newline`, with the line `blank` inserted
+    before each index in `blanks`."""
+    out = []
+    for k, line in enumerate(lines):
+        out += [blank] * blanks.count(k) + [line]
+    return newline.join(out + [blank] * blanks.count(len(lines))) + newline
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    train_rows=st.sampled_from([1, 2, 60, 400]),
+    test_rows=st.integers(1, 40),
+    blanks=st.lists(st.integers(0, 60), max_size=4),
+    blank=st.sampled_from(["", "   ", "\t", " \t "]),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    constant=st.lists(st.sampled_from(NUMERIC_COLUMNS), max_size=3),
+    rare_threshold=st.integers(1, 60),
+    block=st.sampled_from([1, 7, 64, datapipe.TRANSFORM_ROWS]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_parse_and_transform_match_the_list_oracles(
+    train_rows, test_rows, blanks, blank, newline, constant, rare_threshold, block, seed
+):
+    # rare levels through the skewed service list and the threshold, unseen
+    # ones through the test file's extra level, constant columns by choice
+    # and in a one-row file; the transform's row blocks of any size
+    rng = np.random.default_rng(seed)
+    services = ["http"] * 12 + ["smtp"] * 4 + ["ftp_data", "ssh"]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / "train.txt", Path(tmp) / "test.txt"]
+        texts = (
+            _kdd_text(_kdd_lines(rng, train_rows, services, constant), blanks, blank, newline),
+            _kdd_text(_kdd_lines(rng, test_rows, services + ["aol"], constant), blanks, blank, newline),
+        )
+        for path, text in zip(paths, texts):
+            path.write_bytes(text.encode("utf-8"))
+        parsed = [_parse_nslkdd(p) for p in paths]
+        expected = [parse_nslkdd_lists(p) for p in paths]
+    for (num, cats, labels), (want_num, want_cats, want_labels) in zip(parsed, expected):
+        assert num.dtype == np.float64
+        np.testing.assert_array_equal(num.view(np.uint64), want_num.view(np.uint64))
+        assert cats == want_cats and labels == want_labels
+    tr = fit_tabular(parsed[0][0], parsed[0][1], rare_threshold)
+    for num, cats, _ in parsed:
+        with mock.patch.object(datapipe, "TRANSFORM_ROWS", block):
+            x = transform_tabular(tr, num, cats)
+        assert x.dtype == np.float32 and x.shape == (num.shape[0], tr.width)
+        np.testing.assert_array_equal(x.view(np.uint32), transform_tabular_concat(tr, num, cats).view(np.uint32))
+
+
+def test_load_nslkdd_memory_grows_by_its_rows(tmp_path):
+    # the traced peak of a load grows with the train rows by the parsed
+    # float64 values, the float32 features and the per-row list entries,
+    # not by a float object per value or a float64 copy of the one-hot
+    # blocks. Both corpora keep every level of the three categorical columns
+    # (no rare bucket), so the feature width is the same at both sizes
+    rng = np.random.default_rng(4)
+    records = [make_record(rng, lab) for lab in ["normal", "neptune"] * 200]
+    test = tmp_path / "test.txt"
+    test.write_text("\n".join(records[:200]) + "\n")
+    peaks, widths = {}, {}
+    for n in (2000, 8000):
+        train = tmp_path / f"train{n}.txt"
+        train.write_text("\n".join(records * (n // len(records))) + "\n")
+        load_nslkdd(train, test, seed=0)  # one-time imports
+        tracemalloc.start()
+        try:
+            widths[n] = load_nslkdd(train, test, seed=0).x_train.shape[1]
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert widths[2000] == widths[8000]
+    assert (peaks[8000] - peaks[2000]) / 6000 <= 1400, peaks
 
 
 def test_standardization_uses_train_statistics(nslkdd_dir, kdd_split):

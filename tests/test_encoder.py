@@ -188,6 +188,27 @@ def test_eval_forward_memory_grows_by_its_output_rows(input_dim, hidden, embed_d
     assert peaks[8000] - peaks[2000] <= 6000 * (hidden[-1] + embed_dim + 2) * 8, peaks
 
 
+def test_wide_eval_forward_converts_its_input_within_the_byte_cap():
+    # 511 float32 rows of tf-idf width are one row block; its first-layer
+    # input is converted to float64 a sub-block at a time, so the forward
+    # holds at most FORWARD_INPUT_BYTES of input, the block's hidden working
+    # set (four arrays of the widest layer, counted generously) and the
+    # stacked outputs, not a float64 copy of all 511 rows (27 MB)
+    n, input_dim, hidden, embed_dim = 511, 6740, (256, 64), 12
+    model = init_encoder(EncoderConfig(input_dim=input_dim, hidden_sizes=hidden, embed_dim=embed_dim, seed=5))
+    x = np.random.default_rng(6).normal(size=(n, input_dim)).astype(np.float32)
+    forward(model, x[:300])  # one-time imports
+    tracemalloc.start()
+    try:
+        forward(model, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    working_set = n * (4 * max(hidden) + embed_dim + 2) * 8
+    outputs = n * (hidden[-1] + embed_dim + 1 + 2) * 8
+    assert peak <= encoder.FORWARD_INPUT_BYTES + working_set + outputs, peak
+
+
 def _captured_step(monkeypatch, config, schedule, x, y):
     """The step closure train_encoder hands to the epoch loop, after training."""
     captured = {}

@@ -1,10 +1,11 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qthreat.datapipe import class_weights
@@ -327,6 +328,61 @@ def test_the_row_source_fits_as_its_stacked_rows(n, folds, c, positive_share, se
     assert _same_model(model, again) and record == again_record
     plan = CvPlan(folds=folds, c_grid=(0.1, 1.0, 10.0), seed=seed % 97)
     assert select_c(rows, labels, plan) == select_c(k, labels, plan)
+
+
+class _CheckedRows(FidelityRows):
+    """A FidelityRows that checks, after every read, that its cache holds at
+    most `cap` rows and that the row read has the bits of its first read;
+    `recomputed` counts the rows read again after their eviction."""
+
+    def __init__(self, states, cap):
+        super().__init__(states)
+        self.cap, self.first, self.recomputed = cap, {}, 0
+
+    def __getitem__(self, key):
+        i = key[0] if isinstance(key, tuple) else key
+        cached = i in self._rows
+        value = super().__getitem__(key)
+        assert len(self._rows) <= self.cap
+        row = self._rows[i]
+        if i in self.first:
+            np.testing.assert_array_equal(row.view(np.uint64), self.first[i].view(np.uint64))
+            self.recomputed += not cached
+        else:
+            self.first[i] = row.copy()
+        return value
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(12, 80),
+    budget_share=st.floats(0.0, 1.0),
+    folds=st.integers(2, 4),
+    c=st.sampled_from([0.1, 1.0, 10.0]),
+    positive_share=st.floats(0.1, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=40, budget_share=0.0, folds=3, c=1.0, positive_share=0.3, seed=5)
+def test_a_budgeted_row_cache_fits_the_same_model(n, budget_share, folds, c, positive_share, seed):
+    # a budget of one row's bytes up to n rows': the cache evicts its least
+    # recently read rows and recomputes them with the same bits, so the fit,
+    # its record and the CV table are those of the unbounded cache
+    _, labels = _quantum_cv_case(n, folds, positive_share, seed)
+    angles = np.random.default_rng(seed).uniform(-math.pi, math.pi, size=(n, 2))
+    states = feature_statevectors(angles, SPEC2)
+    weights = class_weights(labels)
+    plan = CvPlan(folds=folds, c_grid=(0.1, 1.0, 10.0), seed=seed % 97)
+    free = FidelityRows(states)
+    want_model, want_record = fit_rows(free, labels, c, weights)
+    want_cv = select_c(free, labels, plan)
+    budget = n * 8 + int(budget_share * (n - 1)) * n * 8
+    cap = budget // (n * 8)
+    with mock.patch.object(qsvm, "ROW_CACHE_BYTES", budget):
+        rows = _CheckedRows(states, cap)
+        model, record = fit_rows(rows, labels, c, weights)
+        assert select_c(rows, labels, plan) == want_cv
+    assert _same_model(model, want_model) and record == want_record
+    assert cap > 1 or rows.recomputed > 0
 
 
 def test_a_fit_stopped_at_max_iter_records_it():
