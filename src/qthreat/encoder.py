@@ -6,11 +6,12 @@ class-weighted softmax cross-entropy under Adam with decoupled weight decay
 and early stopping on validation macro-F1. The Adam (AdamState, over a dict
 of named arrays) and the epoch loop with early stopping (_fit_epochs) are
 the ones the VQC trains with too. One forward and one backward write every
-array into a workspace (_Workspace): training allocates one for a batch and
-every step reuses it; forward_with_cache allocates one that keeps the
-backprop cache; the eval forward keeps none and runs row blocks through
-one. Everything is float64 numpy; all randomness flows through explicit
-seeds.
+array into a workspace (_Workspace). A trainer allocates one for a batch,
+with the backprop cache, and every step gathers its rows into it
+(_gather_rows) and reuses it: train_encoder does so, and so does the VQC
+when it fine-tunes the encoder. The eval forward keeps no cache and runs
+row blocks through one. Everything is float64 numpy; all randomness flows
+through explicit seeds.
 """
 from __future__ import annotations
 
@@ -138,10 +139,6 @@ class EncoderModel:
     def copy_params(self) -> Dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.params.items()}
 
-    def load_params(self, params: Dict[str, np.ndarray]):
-        for k in self.params:
-            self.params[k] = params[k].copy()
-
 
 def init_encoder(config: EncoderConfig) -> EncoderModel:
     """Fan-in-scaled uniform init for linear layers; gamma=1, beta=0."""
@@ -174,12 +171,12 @@ class _Workspace:
     """The arrays one forward, and after it one backward, write into, for up
     to `rows` rows; a pass over m <= rows rows uses their m-row prefixes.
 
-    With `cache` (training and forward_with_cache) every block keeps its own
-    LayerNorm output, 1/std, Phi(h) and output, plus its dropout mask when
-    `masks`, and the backward reads them. Its buffers and `grads`, one array
-    per parameter, are allocated by the first backward. Without `cache` (the
-    eval forward) the blocks share one set of arrays, alternate two output
-    buffers and write the last block's output where the caller says.
+    With `cache` (training) every block keeps its own LayerNorm output,
+    1/std, Phi(h) and output, plus its dropout mask when `masks`, and the
+    backward reads them; its buffers and `grads`, one array per parameter,
+    are allocated here too. Without `cache` (the eval forward) the blocks
+    share one set of arrays, alternate two output buffers and write the
+    last block's output where the caller says.
     `x` and `y` are the input rows and labels: the given arrays, or buffers
     allocated here for the caller to fill.
     """
@@ -203,23 +200,16 @@ class _Workspace:
             self.act = [buf(w) for w in widths]
             self.masks = [buf(w) for w in widths] if masks else None
             self.e, self.norms, self.logits = buf(cfg.embed_dim), buf(), buf(2)
+            self.de, self.da = buf(cfg.embed_dim), (buf(max(widths)), buf(max(widths)))
+            self.scratch2, self.col, self.w, self.ce = buf(max(widths)), buf(), buf(), buf()
+            self.pick, self.base = np.empty(rows, dtype=np.intp), np.arange(0, 2 * rows, 2)
+            self.grads = {k: np.empty_like(v) for k, v in model.params.items()}
         else:
             pair = [buf(max(widths)) for _ in range(min(2, blocks - 1))]
             self.xhat, self.inv_std = [buf(max(widths))] * blocks, [buf()] * blocks
             self.phi = [self.scratch] * blocks  # Phi(h) is written after the squares die
             self.act = [pair[i % 2] for i in range(blocks - 1)] + [None]
             self.masks = None
-        self.grads: Optional[Dict[str, np.ndarray]] = None
-
-    def backward_buffers(self):
-        if self.grads is None:
-            wide = max(self.model.config.hidden_sizes)
-            self.de = np.empty(self.rows * self.model.config.embed_dim)
-            self.da = (np.empty(self.rows * wide), np.empty(self.rows * wide))
-            self.scratch2, self.col = np.empty(self.rows * wide), np.empty(self.rows)
-            self.w, self.ce = np.empty(self.rows), np.empty(self.rows)
-            self.pick, self.base = np.empty(self.rows, dtype=np.intp), np.arange(0, 2 * self.rows, 2)
-            self.grads = {k: np.empty_like(v) for k, v in self.model.params.items()}
 
 
 def _block(model: EncoderModel, i: int, a: Optional[np.ndarray], ws: _Workspace, out: np.ndarray, rng):
@@ -300,15 +290,6 @@ def _input_rows(model: EncoderModel, x) -> np.ndarray:
     if a.shape[-1] != model.config.input_dim:
         raise ValueError(f"expected {model.config.input_dim} features, got {a.shape[-1]}")
     return a
-
-
-def forward_with_cache(model: EncoderModel, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, _Workspace]:
-    """Batched eval-mode forward (no dropout) that also returns the backprop
-    cache, a workspace over all of x's rows; dropout runs only in training."""
-    a = _input_rows(model, np.asarray(x, dtype=float))
-    ws = _Workspace(model, a.shape[0], cache=True, x=a)
-    logits, e = _forward(model, ws, a.shape[0], None)
-    return logits, e, ws
 
 
 def _block_rows(config: EncoderConfig) -> int:
@@ -399,7 +380,6 @@ def loss_and_gradients(
 def _loss(model: EncoderModel, ws: _Workspace, m: int, class_weights: np.ndarray, rng):
     """Loss and gradients over the first m rows of ws.x and ws.y, every
     array written into ws; the gradients are ws.grads. Labels are 0/1."""
-    ws.backward_buffers()
     p, g = model.params, ws.grads
     logits, e = _forward(model, ws, m, rng)
     y, w, ce, pick = ws.y[:m], ws.w[:m], ws.ce[:m], ws.pick[:m]
@@ -433,28 +413,14 @@ def _loss(model: EncoderModel, ws: _Workspace, m: int, class_weights: np.ndarray
     return loss, g
 
 
-def backward_from_embedding(model: EncoderModel, cache: _Workspace, de: np.ndarray) -> Dict[str, np.ndarray]:
-    """Backprop an upstream gradient on the unit-norm embedding.
-
-    Returns gradients for every parameter; classifier entries are zero so
-    callers that bypass the logit head (kernel or variational pipelines) can
-    feed the result straight into the optimizer. `cache` must come from a
-    forward pass with the current parameters: GELU's derivative reuses the
-    Phi(h) it cached and recomputes h from the cached xhat. The gradient with
-    respect to the input rows is not formed, since no caller reads it. The
-    arrays are the cache's own, so the next backward through it overwrites
-    them.
-    """
-    cache.backward_buffers()
-    np.copyto(_rows(cache.de, cache.m, model.config.embed_dim), de)
-    _backward(model, cache)
-    return cache.grads
-
-
 def _backward(model: EncoderModel, ws: _Workspace):
     """Gradients of every parameter into ws.grads from the upstream gradient
-    on the embedding in ws.de, over the rows of ws's last forward; the
-    classifier's are zero."""
+    on the embedding in ws.de, over the rows of ws's last forward, which ran
+    with the current parameters; the classifier's are zero, so a caller that
+    bypasses the logit head can hand ws.grads to the optimizer. GELU's
+    derivative reuses the Phi(h) the forward kept and recomputes h from its
+    xhat. The gradient with respect to the input rows is not formed, since
+    nothing reads it."""
     p, g, m = model.params, ws.grads, ws.m
     widths, drop = model.config.hidden_sizes, model.config.dropout
     g["clf.W"].fill(0.0)
@@ -619,6 +585,24 @@ def _fit_epochs(schedule: TrainSchedule, n: int, rng, step, validate, snapshot):
     return epochs, best_epoch, best_value, best
 
 
+def _gather_rows(x: np.ndarray, ws: _Workspace):
+    """gather(idx), which writes the rows x[idx] into the first idx.size rows
+    of ws.x. They are taken from x's own rows, after a width check, through
+    a staging buffer of x's dtype, GATHER_BYTES at a time, with mode="clip"
+    since "raise" first gathers into a temporary of the output's size."""
+    x = _input_rows(ws.model, x)
+    chunk = min(ws.rows, max(1, GATHER_BYTES // max(x[:1].nbytes, 1)))
+    stage = np.empty((chunk, x.shape[1]), x.dtype)
+
+    def gather(idx):
+        for lo in range(0, idx.size, chunk):
+            part = stage[: min(chunk, idx.size - lo)]
+            np.take(x, idx[lo : lo + chunk], axis=0, out=part, mode="clip")
+            ws.x[lo : lo + part.shape[0]] = part
+
+    return gather
+
+
 def train_encoder(
     config: EncoderConfig,
     schedule: TrainSchedule,
@@ -638,18 +622,13 @@ def train_encoder(
     _check_labels(y_train)
 
     model = init_encoder(config)
-    _input_rows(model, x_train)  # the width check
     opt = AdamState(model.params)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).generate_state(1)[0])
     weights = np.asarray(schedule.class_weights, dtype=float)
-    # one workspace for every batch. A batch's rows are gathered from the
-    # split's own rows through a staging buffer of their dtype, GATHER_BYTES
-    # at a time, with mode="clip" since "raise" first gathers into a
-    # temporary of the output's size
+    # one workspace for every batch
     ws = _Workspace(model, min(schedule.batch_size, x_train.shape[0]), cache=True,
                     masks=config.dropout > 0.0)
-    chunk = min(ws.rows, max(1, GATHER_BYTES // max(x_train[:1].nbytes, 1)))
-    stage = np.empty((chunk, config.input_dim), x_train.dtype)
+    gather = _gather_rows(x_train, ws)
     best = {k: np.empty_like(v) for k, v in model.params.items()}
 
     def snapshot():  # one copy, overwritten by each improving epoch
@@ -660,10 +639,7 @@ def train_encoder(
     def step(idx):
         seed = int(rng.integers(0, 2**31 - 1)) if config.dropout > 0 else None
         m = idx.size
-        for lo in range(0, m, chunk):
-            part = stage[: min(chunk, m - lo)]
-            np.take(x_train, idx[lo : lo + chunk], axis=0, out=part, mode="clip")
-            ws.x[lo : lo + part.shape[0]] = part
+        gather(idx)
         np.take(y_train, idx, out=ws.y[:m], mode="clip")
         dropout_rng = np.random.default_rng(seed) if seed is not None else None
         loss, grads = _loss(model, ws, m, weights, dropout_rng)

@@ -10,7 +10,11 @@ by either engine. Exact mode takes stacked statevectors through it
 and one adjoint sweep per step (_adjoint, on batched.adjoint); there is no
 shot-mode training. Training runs the encoder's epoch loop
 (encoder._fit_epochs) with one encoder.AdamState, which also holds the
-encoder copy that fine-tuning updates. Shot-mode evaluation goes through
+encoder copy that fine-tuning updates. A frozen encoder maps each split to
+angles once, through angles_from_features, the function scoring uses;
+fine-tuning steps the copy through one training workspace, as
+encoder.train_encoder does (encoder._Workspace, _gather_rows, _forward and
+_backward). Shot-mode evaluation goes through
 the shot engine the kernel estimator uses: the rows' circuits run
 SHOT_BLOCK at a time as one stacked density evolution with depolarizing
 noise (qsim.evolve_density), then each row's outcome distribution is
@@ -33,10 +37,13 @@ from .encoder import (
     EmbeddingScaler,
     EncoderModel,
     TrainSchedule,
+    _backward,
     _fit_epochs,
-    backward_from_embedding,
+    _forward,
+    _gather_rows,
+    _rows,
+    _Workspace,
     forward,
-    forward_with_cache,
     scale_with_grad,
 )
 from .featuremap import FeatureMapSpec, build_feature_map
@@ -293,35 +300,38 @@ def train_vqc(
     """Minimize weighted BCE-with-logits by Adam over (theta, scale, bias).
 
     Inputs are angle rows when no encoder is given, otherwise raw feature
-    rows pushed through the frozen encoder + scaler; a frozen encoder runs
-    once per split, before the first epoch. Each step takes its logits and
-    exact gradients from one forward and one adjoint sweep (_adjoint). With
-    fine_tune=True a copy of the encoder receives gradients through the
-    data angles of the same sweep, so each batch is embedded afresh; the
-    classifier head and dropout stay off during fine-tuning. One AdamState
-    holds theta, scale and bias as one flat array under "vqc", plus the
-    tuned copy's arrays under their own names, and steps once per batch;
-    weight decay reaches only the encoder's `.W` matrices. Validation loss
-    picks the best checkpoint (_fit_epochs), restored at the end. The
-    result's encoder is the one its model scores with: the given encoder,
-    or its fine-tuned copy.
+    rows pushed through the encoder + scaler; a frozen encoder maps each
+    split to angles once, before the first epoch (angles_from_features).
+    Each step takes its logits and exact gradients from one forward and one
+    adjoint sweep (_adjoint). With fine_tune=True a copy of the encoder
+    receives gradients through the data angles of the same sweep, so each
+    batch is embedded afresh: its rows are gathered into one encoder
+    workspace, allocated once, whose eval-mode forward and backward every
+    step reuses; the classifier head and dropout stay off during
+    fine-tuning. One AdamState holds theta, scale and bias as one flat array
+    under "vqc", plus the tuned copy's arrays under their own names, and
+    steps once per batch; weight decay reaches only the encoder's `.W`
+    matrices. Validation loss picks the best checkpoint (_fit_epochs),
+    restored at the end. The result's encoder is the one its model scores
+    with: the given encoder, or its fine-tuned copy.
     """
-    x_tr, y_tr = np.atleast_2d(np.asarray(train[0], dtype=float)), np.asarray(train[1], dtype=int)
-    x_va, y_va = np.atleast_2d(np.asarray(val[0], dtype=float)), np.asarray(val[1], dtype=int)
+    x_tr, y_tr = np.atleast_2d(np.asarray(train[0])), np.asarray(train[1], dtype=int)
+    x_va, y_va = np.atleast_2d(np.asarray(val[0])), np.asarray(val[1], dtype=int)
     if x_tr.shape[0] == 0 or x_va.shape[0] == 0:
         raise ValueError("empty split")
     if set(np.unique(np.concatenate([y_tr, y_va]))) - {0, 1}:
         raise ValueError("labels must be 0/1")
     if fine_tune and (encoder_model is None or scaler is None):
         raise ValueError("fine_tune requires an encoder and a scaler")
-    use_encoder = encoder_model is not None
-    if use_encoder and scaler is None:
+    if encoder_model is not None and scaler is None:
         raise ValueError("an encoder requires a scaler")
-    if not use_encoder:
+    q = spec.num_qubits
+    if encoder_model is None:
+        x_tr, x_va = (np.asarray(x, dtype=float) for x in (x_tr, x_va))
         for arr in (x_tr, x_va):
-            if arr.shape[1] < spec.num_qubits:
+            if arr.shape[1] < q:
                 raise ValueError("angle rows narrower than num_qubits")
-            if np.abs(arr[:, : spec.num_qubits]).max() > math.pi + 1e-9:
+            if np.abs(arr[:, :q]).max() > math.pi + 1e-9:
                 raise ValueError("angles must lie in [-pi, pi]")
 
     init_seed, shuffle_seed = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
@@ -334,49 +344,46 @@ def train_vqc(
     if fine_tune:
         tuned = EncoderModel(encoder_model.config, encoder_model.copy_params())
         params.update(tuned.params)
+        ws = _Workspace(tuned, min(schedule.batch_size, x_tr.shape[0]), cache=True)
+        gather = _gather_rows(x_tr, ws)
+    elif encoder_model is not None:  # fixed angles: each split once, rows indexed per batch
+        ang_tr, ang_va = (angles_from_features(x, tuned, scaler, q) for x in (x_tr, x_va))
+    else:
+        ang_tr, ang_va = x_tr[:, :q], x_va[:, :q]
     adam = AdamState(params)
 
     def current() -> VqcModel:
         flat = params["vqc"]
         return VqcModel(spec, flat[:-2], float(flat[-2]), float(flat[-1]))
 
-    def embed_angles(x: np.ndarray):
-        """Angle rows of x, the encoder's backprop cache and the scaler's slopes."""
-        if not use_encoder:
-            return x[:, : spec.num_qubits], None, None
-        _, e, cache = forward_with_cache(tuned, x)
-        scaled, live = scale_with_grad(e, scaler)
-        return math.pi * scaled[:, : spec.num_qubits], cache, live
-
-    if not fine_tune:
-        # fixed angles: embed each split once and index the rows per batch
-        ang_tr = embed_angles(x_tr)[0]
-        ang_va = embed_angles(x_va)[0]
-
     def step(idx):
-        yb = y_tr[idx]
+        yb, m = y_tr[idx], idx.size
         if fine_tune:
-            ang, cache, live = embed_angles(x_tr[idx])
+            gather(idx)
+            scaled, live = scale_with_grad(_forward(tuned, ws, m, None)[1], scaler)
+            ang = math.pi * scaled[:, :q]
         else:
             ang = ang_tr[idx]
         model = current()
         zhat, backward = _adjoint(ang, model)
         logits = model.scale * zhat + model.bias
         wb = w[yb]
-        dlogit = wb * (1.0 / (1.0 + np.exp(-logits)) - yb) / idx.size
+        dlogit = wb * (1.0 / (1.0 + np.exp(-logits)) - yb) / m
         g = backward(dlogit)
         grads = {"vqc": np.concatenate([g["theta"], [g["scale"], g["bias"]]])}
         if fine_tune:
-            de = np.zeros((idx.size, tuned.config.embed_dim))
-            de[:, : spec.num_qubits] = g["angles"] * math.pi * live[:, : spec.num_qubits]
-            grads.update(backward_from_embedding(tuned, cache, de))
+            de = _rows(ws.de, m, tuned.config.embed_dim)
+            de.fill(0.0)
+            de[:, :q] = g["angles"] * math.pi * live[:, :q]
+            _backward(tuned, ws)
+            grads.update(ws.grads)
         adam.step(grads, schedule.learning_rate, schedule.weight_decay)
         return bce_with_logits(logits, yb, wb)
 
     def validate():
         model = current()
-        ang = embed_angles(x_va)[0] if fine_tune else ang_va
-        logits = model.scale * _batch_expectations(ang, model) + model.bias
+        ang = angles_from_features(x_va, tuned, scaler, q) if fine_tune else ang_va
+        logits = decision_logits(ang, model)
         val_loss = bce_with_logits(logits, y_va, w[y_va])
         val_acc = float(np.mean((logits > 0).astype(int) == y_va))
         return -val_loss, {"val_loss": val_loss, "val_accuracy": val_acc}

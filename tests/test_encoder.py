@@ -18,11 +18,13 @@ from qthreat.encoder import (
     EncoderModel,
     EmbeddingScaler,
     TrainSchedule,
+    _backward,
     _fit_epochs,
-    backward_from_embedding,
+    _forward,
+    _rows,
+    _Workspace,
     fit_scaler,
     forward,
-    forward_with_cache,
     init_encoder,
     layer_norm,
     load_encoder,
@@ -389,18 +391,26 @@ def test_loss_and_gradients_match_oracle_bit_for_bit(hidden, embed_dim, dropout,
     seed=st.integers(0, 2**16),
 )
 def test_backward_from_embedding_matches_oracle_bit_for_bit(hidden, embed_dim, rows, seed):
+    # the VQC fine-tuning path: an eval-mode forward over the first rows of a
+    # 12-row cache workspace, then a backward from an upstream gradient on
+    # the embedding written into ws.de. A pass over other rows runs first,
+    # so the checked one reuses every buffer
     model = _model(hidden, embed_dim, 0.0, seed)
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(rows, 7))
     de = rng.normal(size=(rows, embed_dim))
-    logits, e, cache = forward_with_cache(model, x)
+    ws = _Workspace(model, 12, cache=True)
+    for batch, upstream in ((rng.normal(size=(12, 7)), rng.normal(size=(12, embed_dim))), (x, de)):
+        ws.x[:rows] = batch[:rows]
+        logits, e = _forward(model, ws, rows, None)
+        _rows(ws.de, rows, embed_dim)[:] = upstream[:rows]
+        _backward(model, ws)
     expected_logits, expected_cache = encoder_forward(model, x, False, None)
     np.testing.assert_array_equal(logits, expected_logits)
     np.testing.assert_array_equal(e, expected_cache["e"])
-    grads = backward_from_embedding(model, cache, de)
     expected, _ = encoder_backward(model, expected_cache, de)
-    _assert_same_arrays(grads, expected)
-    assert not grads["clf.W"].any() and not grads["clf.b"].any()
+    _assert_same_arrays(ws.grads, expected)
+    assert not ws.grads["clf.W"].any() and not ws.grads["clf.b"].any()
 
 
 _ADAM_SIZES = st.sampled_from([1, 7, ADAM_CHUNK - 1, ADAM_CHUNK, ADAM_CHUNK + 1, 2 * ADAM_CHUNK + 37])
@@ -474,7 +484,8 @@ def test_adam_step_rejects_arrays_it_cannot_update_in_place(spoil):
 
 def test_loaded_parameters_can_be_updated_in_place(tmp_path):
     model = init_encoder(TINY)
-    model.load_params({k: np.asfortranarray(v) for k, v in model.params.items()})
+    # a copy of a Fortran-ordered array is C-ordered
+    model.params.update({k: np.asfortranarray(v).copy() for k, v in model.params.items()})
     save_encoder(model, tmp_path)
     loaded, _ = load_encoder(tmp_path)
     for m in (model, loaded):

@@ -265,8 +265,11 @@ def test_solve_dual_rows_equal_column_oracle(n, c, positive_share, quantum, seed
         labels = np.zeros(n, dtype=int)
         labels[: max(1, int(positive_share * n))] = 1
     weights = class_weights(labels)
-    fitted, record = fit_rows(gram, labels, c, weights)
-    want, want_record = solve_dual_columns(gram, labels, c, weights)
+    # C = 100 on a rank-3 linear Gram takes 65 000 - 162 000 SMO steps to
+    # converge; one cap on both solvers keeps the draw short, and a capped
+    # draw checks that both stop at the same step with converged false
+    fitted, record = fit_rows(gram, labels, c, weights, max_iter=20_000)
+    want, want_record = solve_dual_columns(gram, labels, c, weights, max_iter=20_000)
     assert _same_model(fitted, want)
     assert record == want_record
 

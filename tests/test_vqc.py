@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,8 +13,11 @@ from qthreat.encoder import (
     EmbeddingScaler,
     EncoderConfig,
     TrainSchedule,
-    backward_from_embedding,
-    forward_with_cache,
+    _backward,
+    _forward,
+    _rows,
+    _Workspace,
+    forward,
     init_encoder,
     scale_with_grad,
 )
@@ -349,21 +353,26 @@ def test_fine_tune_chain_matches_finite_difference():
     w = np.ones(6)
 
     def total_loss():
-        _, e, _ = forward_with_cache(enc, x)
+        _, e = forward(enc, x)
         sc, _ = scale_with_grad(e, scaler)
         z = _batch_expectations(math.pi * sc[:, :q], vm)
         return bce_with_logits(vm.scale * z + vm.bias, y, w)
 
-    _, e, cache = forward_with_cache(enc, x)
+    # the fine-tuning step's chain: a cache workspace's eval-mode forward,
+    # the adjoint sweep, the embedding gradient in ws.de and a backward
+    ws = _Workspace(enc, 6, cache=True, x=x)
+    _, e = _forward(enc, ws, 6, None)
     sc, live = scale_with_grad(e, scaler)
     ang = math.pi * sc[:, :q]
     zhat, backward = _adjoint(ang, vm)
     logits = vm.scale * zhat + vm.bias
     dlogit = w * (1.0 / (1.0 + np.exp(-logits)) - y) / 6
     dang = backward(dlogit)["angles"]
-    de = np.zeros((6, 3))
+    de = _rows(ws.de, 6, 3)
+    de.fill(0.0)
     de[:, :q] = dang * math.pi * live[:, :q]
-    grads = backward_from_embedding(enc, cache, de)
+    _backward(enc, ws)
+    grads = {k: v.copy() for k, v in ws.grads.items()}
 
     h = 1e-6
     for key in ("block0.W", "block0.gamma", "embed.W", "embed.b"):
@@ -492,7 +501,7 @@ def test_training_through_frozen_encoder():
     enc = init_encoder(cfg)
     rng = np.random.default_rng(3)
     x = rng.normal(size=(40, 6))
-    from qthreat.encoder import fit_scaler, forward
+    from qthreat.encoder import fit_scaler
 
     _, e = forward(enc, x)
     scaler = fit_scaler(e)
@@ -520,22 +529,28 @@ def test_frozen_encoder_embeds_each_split_once(monkeypatch):
                           weight_decay=0.0, patience=3)
 
     def angles(rows):
-        _, e, _ = forward_with_cache(enc, rows)
-        return math.pi * scale_with_grad(e, scaler)[0][:, :2]
+        return angles_from_features(rows, enc, scaler, 2)
 
     def run(fine_tune):
+        # rows through the eval forward (angles_from_features) and through
+        # the fine-tuning step's forward, in call order
         forwards, batches = [], []
-        adjoint = vqc._adjoint
+        adjoint, step_forward = vqc._adjoint, vqc._forward
 
-        def counting_forward(model, rows, *args, **kwargs):
+        def counting_angles(rows, *args, **kwargs):
             forwards.append(rows.shape[0])
-            return forward_with_cache(model, rows, *args, **kwargs)
+            return angles_from_features(rows, *args, **kwargs)
+
+        def counting_step_forward(model, ws, m, rng):
+            forwards.append(m)
+            return step_forward(model, ws, m, rng)
 
         def recording_adjoint(rows, model):
             batches.append(np.array(rows))
             return adjoint(rows, model)
 
-        monkeypatch.setattr(vqc, "forward_with_cache", counting_forward)
+        monkeypatch.setattr(vqc, "angles_from_features", counting_angles)
+        monkeypatch.setattr(vqc, "_forward", counting_step_forward)
         monkeypatch.setattr(vqc, "_adjoint", recording_adjoint)
         train_vqc(VqcSpec(2, 1), sched, (x[:30], y[:30]), (x[30:], y[30:]),
                   seed=1, encoder_model=enc, scaler=scaler, fine_tune=fine_tune)
@@ -560,7 +575,7 @@ def test_fine_tune_updates_encoder_and_helps():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(48, 5))
     y = (x[:, 0] + 0.5 * x[:, 1] > 0).astype(int)
-    from qthreat.encoder import fit_scaler, forward
+    from qthreat.encoder import fit_scaler
 
     _, e = forward(enc, x)
     scaler = fit_scaler(e)
@@ -580,6 +595,40 @@ def test_fine_tune_updates_encoder_and_helps():
     assert frozen.encoder is enc and tuned.encoder is not enc
     for k, v in before.items():
         np.testing.assert_array_equal(enc.params[k], v)
+
+
+@pytest.mark.parametrize("rows", [64, 24])
+def test_fine_tune_step_allocates_no_encoder_sized_arrays(monkeypatch, rows):
+    # 280 rows in batches of 64 end in a partial batch of 24; after the
+    # first step, a fine-tuning step (gather, encoder forward, adjoint,
+    # encoder backward and Adam) writes into the workspace train_vqc
+    # allocated and adds no array of the first layer's weight size
+    cfg = EncoderConfig(input_dim=200, hidden_sizes=(256, 64), embed_dim=12, dropout=0.0, seed=1)
+    enc = init_encoder(cfg)
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(280, 200)).astype(np.float32)
+    y = rng.integers(0, 2, 280)
+    scaler = EmbeddingScaler(np.full(12, -0.6), np.full(12, 0.6))
+    captured = {}
+    fit_epochs = vqc._fit_epochs
+
+    def spy(schedule, n, shuffle, step, validate, snapshot):
+        captured["step"] = step
+        return fit_epochs(schedule, n, shuffle, step, validate, snapshot)
+
+    monkeypatch.setattr(vqc, "_fit_epochs", spy)
+    sched = TrainSchedule(epochs=1, batch_size=64, patience=1)
+    train_vqc(VqcSpec(2, 1), sched, (x, y), (x[:20], y[:20]), seed=1,
+              encoder_model=enc, scaler=scaler, fine_tune=True)
+    idx = rng.permutation(280)[:rows]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        captured["step"](idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < enc.params["block0.W"].nbytes, peak - before
 
 
 # ----------------------------------------------------------- persistence
