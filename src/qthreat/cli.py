@@ -164,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--config", required=True, help="JSON file with an experiments list")
     pm.add_argument("--workdir", required=True)
     pm.add_argument("--repeats", type=int, default=1)
-    pm.add_argument("--workers", type=int, default=1)
 
     pr = sub.add_parser("report", help="print a finished matrix and export plot CSV")
     pr.add_argument("--workdir", required=True)
@@ -223,9 +222,7 @@ def _run_matrix(args) -> int:
         raise ValueError(f"{args.config}: need a list of config objects or "
                          '{"experiments": [<config>, ...]}')
     configs = [ExperimentConfig.from_dict(e) for e in entries]
-    result = harness.run_matrix(
-        configs, args.workdir, repeats=args.repeats, workers=args.workers
-    )
+    result = harness.run_matrix(configs, args.workdir, repeats=args.repeats)
     print(result["table"])
     errors = [r for r in result["rows"] if "error" in r]
     if errors:

@@ -502,7 +502,7 @@ def save_split(split: DatasetSplit, directory) -> dict:
         else:
             manifest[name] = {
                 "shape": list(arr.shape),
-                "sha256": persist.save_array_f64(d / f"{name}.f64", np.asarray(arr, dtype=float)),
+                "sha256": persist.save_array_f64(d / f"{name}.f64", arr),
             }
     tr = split.transformer
     if isinstance(tr, TabularTransformer):

@@ -22,7 +22,6 @@ it, or in one streaming pass over the files nothing parses.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import shutil
 from dataclasses import dataclass, field, replace
@@ -876,12 +875,10 @@ _ROW_CONFIG_FIELDS = (
 _METRIC_FIELDS = ("accuracy", "macro_f1", "auroc", "auprc")
 
 
-def run_matrix(
-    configs: Sequence[ExperimentConfig], workdir, repeats: int = 1, workers: int = 1
-) -> dict:
-    """Run every (config, repeat) cell, collecting failures instead of
-    aborting. Repeat r shifts all three seeds by r. Emits matrix.json and
-    an aligned matrix.txt under workdir."""
+def run_matrix(configs: Sequence[ExperimentConfig], workdir, repeats: int = 1) -> dict:
+    """Run every (config, repeat) cell in order, in the calling thread, collecting
+    failures instead of aborting. Repeat r shifts all three seeds by r; its cell is
+    run_experiment's bundle in workdir/<id>/seed<r>. Emits matrix.json and matrix.txt."""
     configs = list(configs)
     if not configs:
         raise ValueError("need at least one config")
@@ -892,10 +889,7 @@ def run_matrix(
         raise ValueError("repeats must be >= 1")
     root = persist.ensure_dir(workdir)
 
-    cells = [(c, r) for c in configs for r in range(repeats)]
-
-    def run_cell(cell):
-        config, r = cell
+    def run_cell(config, r):
         cell_config = replace(config, seeds=config.seeds.shifted(r))
         cell_dir = root / config.experiment_id / f"seed{r}"
         row = {"id": config.experiment_id, "repeat": r}
@@ -910,11 +904,7 @@ def run_matrix(
         row["threshold"] = manifest["threshold"]
         return row
 
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_cell, cells))
-    else:
-        rows = [run_cell(cell) for cell in cells]
+    rows = [run_cell(c, r) for c in configs for r in range(repeats)]
 
     means = []
     for config in configs:

@@ -47,16 +47,17 @@ def stage_key(stage: str, config_slice, input_hashes) -> str:
     return sha256_bytes(payload.encode("utf-8"))
 
 
-def _write_atomic(path, data) -> None:
-    """Write `data` to a temp file beside `path`, then rename it over
-    `path`: readers see the old file or the new one, never a torn write.
-    A failed write removes its temp file."""
+def _write_atomic(path, blocks) -> None:
+    """Write the bytes-like `blocks`, in order, to a temp file beside
+    `path`, then rename it over `path`: readers see the old file or the new
+    one, never a torn write. A failed write removes its temp file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
         with open(tmp, "xb") as f:
-            f.write(data)
+            for block in blocks:
+                f.write(block)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -64,14 +65,26 @@ def _write_atomic(path, data) -> None:
 
 
 def save_array_f64(path, arr: np.ndarray) -> str:
-    """Write a float64 array as raw little-endian bytes; returns its sha256.
+    """Write an array as row-major little-endian float64 bytes; returns their sha256.
 
-    Memory: the bytes are hashed and written from a view of the array, so
-    a C-contiguous `<f8` array (such as a Gram) is never copied.
-    """
-    data = memoryview(np.ascontiguousarray(arr, dtype="<f8").reshape(-1).view(np.uint8))
-    _write_atomic(path, data)
-    return sha256_bytes(data)
+    Memory: a C-contiguous `<f8` array is hashed and written from a view. Any
+    other (a float32 feature matrix, say) is cast into one reused 1 MiB float64
+    buffer, the chunk sha256_file reads, and hashed and written a block at a time."""
+    flat = np.ascontiguousarray(arr).reshape(-1)
+    buf = flat if flat.dtype == np.dtype("<f8") else np.empty(min(flat.size, 1 << 17), "<f8")
+    h = hashlib.sha256()
+
+    def blocks():
+        for i in range(0, flat.size, max(buf.size, 1)):
+            part = buf[:flat.size - i]
+            if buf is not flat:
+                part[...] = flat[i:i + buf.size]
+            data = memoryview(part.view(np.uint8))
+            h.update(data)
+            yield data
+
+    _write_atomic(path, blocks())
+    return h.hexdigest()
 
 
 def _read_file(path, unverified: Optional[Dict[Path, str]] = None,
@@ -122,7 +135,7 @@ def load_verified_f64(path, shape, sha256: str,
 
 def save_json(path, obj) -> str:
     data = (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
-    _write_atomic(path, data)
+    _write_atomic(path, (data,))
     return sha256_bytes(data)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -477,6 +478,30 @@ def test_split_roundtrip_tabular(tmp_path, kdd_split):
     np.testing.assert_array_equal(back.transformer.means, kdd_split.transformer.means)
     assert back.transformer.mapping == kdd_split.transformer.mapping
     assert back.meta["source_sha256"] == kdd_split.meta["source_sha256"]
+
+
+def test_save_split_writes_dense_features_a_block_at_a_time(tmp_path, kdd_split):
+    # an 8 000 x 70 float32 x_train is 2.1 MiB, 4.3 MiB as float64. Its file
+    # is converted, hashed and written 1 MiB of float64 at a time, so the
+    # traced peak of the save stays within about one block (plus the small
+    # label arrays and the header) above what the split already holds
+    rng = np.random.default_rng(5)
+    x = {n: rng.standard_normal((rows, 70)).astype(np.float32)
+         for n, rows in (("x_train", 8000), ("x_val", 2000), ("x_test", 2000))}
+    y = {f"y{n[1:]}": rng.integers(0, 2, v.shape[0]) for n, v in x.items()}
+    split = dataclasses.replace(kdd_split, **x, **y, test_categories=["normal"] * 2000)
+    save_split(split, tmp_path / "warm")  # one-time imports and caches
+    tracemalloc.start()
+    try:
+        header = save_split(split, tmp_path / "split")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (1 << 20) + (256 << 10), peak
+    for name, arr in {**x, **y}.items():
+        data = (tmp_path / "split" / f"{name}.f64").read_bytes()
+        assert data == np.ascontiguousarray(arr, "<f8").tobytes()
+        assert header["arrays"][name]["sha256"] == persist.sha256_bytes(data)
 
 
 def test_split_roundtrip_text(tmp_path, spam_split):

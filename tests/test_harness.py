@@ -1111,6 +1111,27 @@ def test_run_matrix_bookkeeping_and_resume(make_config, tmp_path):
     assert (tmp_path / "matrix.json").read_bytes() == before
 
 
+def _tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_matrix_cell_equals_a_standalone_run(make_config, tmp_path):
+    # a cell is run_experiment's bundle for its seed-shifted config: every
+    # file, manifest.json included, byte for byte
+    configs = [
+        make_config(experiment_id="c-qsvm", epochs=2, max_train=160),
+        make_config(experiment_id="c-base", model="classical-baseline", epochs=2, max_train=160),
+    ]
+    harness.run_matrix(configs, tmp_path / "matrix", repeats=2)
+    for config in configs:
+        for r in range(2):
+            alone = tmp_path / "alone" / config.experiment_id / f"seed{r}"
+            harness.run_experiment(replace(config, seeds=config.seeds.shifted(r)), alone)
+            cell = _tree_bytes(tmp_path / "matrix" / config.experiment_id / f"seed{r}")
+            assert Path("manifest.json") in cell
+            assert cell == _tree_bytes(alone)
+
+
 def test_run_matrix_collects_errors(make_config, tmp_path):
     configs = [
         make_config(experiment_id="ok", epochs=2, max_train=160),
