@@ -10,8 +10,8 @@ array into a workspace (_Workspace). A trainer allocates one for a batch,
 with the backprop cache, and every step gathers its rows into it
 (_gather_rows) and reuses it: train_encoder does so, and so does the VQC
 when it fine-tunes the encoder. The eval forward keeps no cache and runs
-row blocks through one. Everything is float64 numpy; all randomness flows
-through explicit seeds.
+evenly split row blocks through one. Everything is float64 numpy; all
+randomness flows through explicit seeds.
 """
 from __future__ import annotations
 
@@ -32,17 +32,17 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # is 128 KiB, so the moments, parameter, gradient and both scratch buffers
 # stay in L2 through the dozen element-wise passes of one chunk.
 ADAM_CHUNK = 16384
-# Rows per block of the eval forward, which holds one block's working set at
-# a time. A block of M rows through an N-wide layer has the bits of the
-# whole-array product only when M * N is past OpenBLAS's small-product path
-# (on its Haswell kernel M * N <= 1200 gives other bits), so a block also
-# holds at least FORWARD_BLOCK_OUTPUTS outputs of the narrowest hidden layer,
-# and the last block takes the remainder rather than running short.
+# Most rows per block of the eval forward, which holds one block's working
+# set at a time. A block of M rows through an N-wide layer has the bits of
+# the whole-array product only when M * N is past OpenBLAS's small-product
+# path (on its Haswell kernel M * N <= 1200 gives other bits), so a block
+# also holds at least FORWARD_BLOCK_OUTPUTS outputs of the narrowest hidden
+# layer, even where that takes more rows.
 FORWARD_BLOCK = 256
 FORWARD_BLOCK_OUTPUTS = 2048
-# Bytes of float64 first-layer input the eval forward converts and multiplies
-# at a time, so a wide float32 input is cut into row parts; each part still
-# holds FORWARD_BLOCK_OUTPUTS outputs of the first layer, by the rule above.
+# Most bytes of float64 input in a block the eval forward casts (rows that
+# are not C-contiguous float64, such as float32 features), unless the rule
+# above needs more rows.
 FORWARD_INPUT_BYTES = 4 << 20
 # bytes of input rows a training step gathers per pass, in their own dtype
 GATHER_BYTES = 1 << 20
@@ -65,8 +65,8 @@ class EncoderConfig:
             raise ValueError("input_dim must be >= 1")
         if self.embed_dim < 2:
             raise ValueError("embed_dim must be >= 2")
-        if any(h < 1 for h in self.hidden_sizes):
-            raise ValueError("hidden sizes must be >= 1")
+        if not self.hidden_sizes or min(self.hidden_sizes) < 1:
+            raise ValueError("hidden_sizes must be nonempty, each >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
 
@@ -173,27 +173,24 @@ class _Workspace:
 
     With `cache` (training) every block keeps its own LayerNorm output,
     1/std, Phi(h) and output, plus its dropout mask when `masks`, and the
-    backward reads them; its buffers and `grads`, one array per parameter,
-    are allocated here too. Without `cache` (the eval forward) the blocks
-    share one set of arrays, alternate two output buffers and write the
-    last block's output where the caller says.
-    `x` and `y` are the input rows and labels: the given arrays, or buffers
-    allocated here for the caller to fill.
+    backward reads them; its buffers, `grads` (one array per parameter) and
+    the input rows `x` and labels `y` the caller fills are allocated here
+    too. Without `cache` (the eval forward) the blocks share one set of
+    arrays, alternate two output buffers and write the last block's output
+    where the caller says; the caller holds the input rows.
     """
 
-    def __init__(self, model: EncoderModel, rows: int, cache: bool, masks: bool = False,
-                 x: Optional[np.ndarray] = None, y: Optional[np.ndarray] = None):
+    def __init__(self, model: EncoderModel, rows: int, cache: bool, masks: bool = False):
         cfg = model.config
         widths, blocks = cfg.hidden_sizes, model.num_blocks
         self.model, self.rows, self.m, self.masked = model, rows, 0, False
-        self.x = np.empty((rows, cfg.input_dim)) if x is None else x
-        self.y = np.empty(rows, dtype=int) if y is None else y
 
         def buf(width=1):
             return np.empty(rows * width)
 
         self.scratch, self.mu, self.sq = buf(max(widths)), buf(), buf(cfg.embed_dim)
         if cache:
+            self.x, self.y = np.empty((rows, cfg.input_dim)), np.empty(rows, dtype=int)
             self.xhat = [buf(w) for w in widths]
             self.inv_std = [buf() for _ in widths]
             self.phi = [buf(w) for w in widths]
@@ -212,15 +209,13 @@ class _Workspace:
             self.masks = None
 
 
-def _block(model: EncoderModel, i: int, a: Optional[np.ndarray], ws: _Workspace, out: np.ndarray, rng):
+def _block(model: EncoderModel, i: int, a: np.ndarray, ws: _Workspace, out: np.ndarray, rng):
     """Block i over the rows of `a` into `out`: Linear, LayerNorm, exact GELU
-    and, when `rng` is given, dropout with a mask drawn from it. With `a`
-    None, ws.xhat[i]'s rows already hold the product a @ W.T."""
+    and, when `rng` is given, dropout with a mask drawn from it."""
     p = model.params
     m, width = out.shape
     z = _rows(ws.xhat[i], m, width)
-    if a is not None:
-        np.matmul(a, p[f"block{i}.W"].T, out=z)
+    np.matmul(a, p[f"block{i}.W"].T, out=z)
     z += p[f"block{i}.b"]
     layer_norm(z, _rows(ws.mu, m, 1), _rows(ws.inv_std[i], m, 1), _rows(ws.scratch, m, width))
     np.multiply(p[f"block{i}.gamma"], z, out=out)
@@ -237,11 +232,10 @@ def _block(model: EncoderModel, i: int, a: Optional[np.ndarray], ws: _Workspace,
     return out
 
 
-def _hidden(model: EncoderModel, ws: _Workspace, a: Optional[np.ndarray], rng, last=None, m=None) -> np.ndarray:
+def _hidden(model: EncoderModel, ws: _Workspace, a: np.ndarray, rng, last=None) -> np.ndarray:
     """The hidden blocks over the rows of `a`; block i writes ws.act[i], or
-    `last` for the last block when given. With `a` None, block 0's product
-    of m rows is already in ws.xhat[0]."""
-    m = a.shape[0] if a is not None else m
+    `last` for the last block when given."""
+    m = a.shape[0]
     for i, width in enumerate(model.config.hidden_sizes):
         out = last if last is not None and i == model.num_blocks - 1 else _rows(ws.act[i], m, width)
         a = _block(model, i, a, ws, out, rng)
@@ -292,50 +286,39 @@ def _input_rows(model: EncoderModel, x) -> np.ndarray:
     return a
 
 
-def _block_rows(config: EncoderConfig) -> int:
-    return max(FORWARD_BLOCK, -(-FORWARD_BLOCK_OUTPUTS // min(config.hidden_sizes)))
-
-
 def forward(model: EncoderModel, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Eval-mode (logits, unit-norm embedding) for one sample or a batch.
 
-    The hidden blocks run over row blocks of _block_rows rows, the last
-    block taking the remainder, through one workspace and no backprop
-    cache. Rows that are not C-contiguous float64 (float32 features) are
-    converted a part of a block at a time, each part's float64 copy within
-    FORWARD_INPUT_BYTES, and the first-layer product is taken part by part.
+    The rows are split evenly into blocks of at most FORWARD_BLOCK rows,
+    and each block runs through the hidden layers in one workspace with no
+    backprop cache. C-contiguous float64 rows are read in place; other rows
+    (float32 features) are cast into one staging buffer a block at a time,
+    so their blocks also hold at most FORWARD_INPUT_BYTES of float64 input.
     The heads then run once over the stacked last-hidden rows. Beyond one
-    block's working set and one part's copy, memory grows by the last
+    block's working set and staging buffer, memory grows by the last
     hidden, embedding and logit rows only.
     """
     arr = np.asarray(x)
     a = _input_rows(model, arr)
     cfg = model.config
-    n, width = a.shape[0], cfg.hidden_sizes[0]
-    step = _block_rows(cfg)
-    bounds = [k * step for k in range(max(n // step, 1))] + [n]
-    rows = n - bounds[-2]
+    n = a.shape[0]
     direct = a.dtype == np.float64 and a.flags.c_contiguous
-    # rows per first-layer product: a float64 block whole, other rows
-    # converted within FORWARD_INPUT_BYTES. A block is split evenly into
-    # parts of at most `sub` rows, so each part has more than sub / 2 rows
-    sub = rows if direct else max(2 * -(-FORWARD_BLOCK_OUTPUTS // width),
-                                  FORWARD_INPUT_BYTES // (8 * cfg.input_dim))
-    ws = _Workspace(model, rows, cache=False,
-                    x=a if direct else np.empty((min(rows, sub), cfg.input_dim)))
-    w = model.params["block0.W"].T
+    cap = FORWARD_BLOCK if direct else min(FORWARD_BLOCK, FORWARD_INPUT_BYTES // (8 * cfg.input_dim))
+    # an even split leaves each block more than cap / 2 rows, so a cap of twice
+    # the floor keeps FORWARD_BLOCK_OUTPUTS outputs in each
+    cap = max(cap, 2 * -(-FORWARD_BLOCK_OUTPUTS // min(cfg.hidden_sizes)))
+    blocks = max(-(-n // cap), 1)
+    edges = [n * j // blocks for j in range(blocks + 1)]
+    rows = -(-n // blocks)
+    ws = _Workspace(model, rows, cache=False)
+    stage = None if direct else np.empty((rows, cfg.input_dim))
     stacked = np.empty((n, cfg.hidden_sizes[-1]))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        z = _rows(ws.xhat[0], hi - lo, width)
-        parts = -(-(hi - lo) // sub)
-        edges = [(hi - lo) * j // parts for j in range(parts + 1)]
-        for s, t in zip(edges[:-1], edges[1:]):
-            block = a[lo + s : lo + t]
-            if not direct:
-                np.copyto(ws.x[: t - s], block)
-                block = ws.x[: t - s]
-            np.matmul(block, w, out=z[s:t])
-        _hidden(model, ws, None, None, stacked[lo:hi], hi - lo)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        block = a[lo:hi]
+        if not direct:
+            block = stage[: hi - lo]
+            np.copyto(block, a[lo:hi])
+        _hidden(model, ws, block, None, stacked[lo:hi])
     e, norms = np.empty((n, cfg.embed_dim)), np.empty((n, 1))
     _embed(model, stacked, e, norms, _rows(ws.sq, ws.rows, cfg.embed_dim))
     del stacked, norms
@@ -372,8 +355,8 @@ def loss_and_gradients(
         raise ValueError(f"{y.size} labels for {x.shape[0]} rows")
     _check_labels(y)
     rng = np.random.default_rng(dropout_seed) if dropout_seed is not None else None
-    ws = _Workspace(model, x.shape[0], cache=True, masks=rng is not None and model.config.dropout > 0.0,
-                    x=x, y=y)
+    ws = _Workspace(model, x.shape[0], cache=True, masks=rng is not None and model.config.dropout > 0.0)
+    ws.x[:], ws.y[:] = x, y
     return _loss(model, ws, x.shape[0], np.asarray(class_weights, dtype=float), rng)
 
 

@@ -162,8 +162,10 @@ class ExperimentConfig:
         if self.dataset == "lingspam" and not self.corpus_path:
             raise ValueError("lingspam needs corpus_path")
         # the specs own the ranges of qubits, reps, reupload, entanglement,
-        # convention, noise, folds, C and beta, for every model
+        # convention, noise, folds, C and beta, and the encoder config and
+        # schedule those of the encoder and training settings, for every model
         self.feature_spec(), self.vqc_spec(), self.noise(), self.cv_plan()
+        self.encoder_config(1), self.schedule((1.0, 1.0))
         if self.qubits > self.embed_dim:
             raise ValueError(
                 f"qubits {self.qubits} exceeds embed_dim {self.embed_dim}"

@@ -275,6 +275,8 @@ def angles_from_features(
     num_qubits: int,
 ) -> np.ndarray:
     """Feature rows -> embedding -> robust scaling -> first q dims as angles."""
+    # the float64 cast buys forward's in-place path: a 120-row tf-idf split is
+    # one first-layer product, not two cast blocks
     _, e = forward(encoder_model, np.atleast_2d(np.asarray(x, dtype=float)))
     scaled, _ = scale_with_grad(e, scaler)
     return math.pi * scaled[:, :num_qubits]

@@ -130,6 +130,13 @@ def test_forward_rejects_bad_width():
         forward(model, np.zeros(6))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_of_zero_rows_is_empty(dtype):
+    model = init_encoder(TINY)
+    logits, e = forward(model, np.zeros((0, TINY.input_dim), dtype))
+    assert logits.shape == (0, 2) and e.shape == (0, TINY.embed_dim)
+
+
 @pytest.mark.parametrize("input_dim, hidden", [(64, (64,) * 8), (70, (256, 64))])
 def test_eval_forward_keeps_no_backprop_cache(input_dim, hidden):
     # the eval forward holds one block's working set at a time: the block's
@@ -160,11 +167,13 @@ def test_eval_forward_keeps_no_backprop_cache(input_dim, hidden):
 @pytest.mark.parametrize("input_dim, hidden, embed_dim",
                          [(70, (256, 64), 12), (6740, (256, 64), 12), (64, (64,) * 8, 4), (7, (4,), 3)])
 def test_blocked_forward_matches_whole_array_oracle_bit_for_bit(input_dim, hidden, embed_dim, dtype):
-    # 511-513 rows straddle the first split into two row blocks; 5 * 256 + 80
-    # rows end in a block longer than the others
+    # the even split's smallest blocks: 78 float32 rows of 6 740 columns make
+    # two blocks of 39 rows, 257 rows make 128 + 129 and 1 025 rows of the
+    # (7, (4,), 3) shape make 512 + 513; 511-513 rows straddle a split into
+    # two blocks of at most 256 rows, and 5 * 256 + 80 rows make six of them
     model = init_encoder(EncoderConfig(input_dim=input_dim, hidden_sizes=hidden, embed_dim=embed_dim, seed=8))
     rng = np.random.default_rng(9)
-    for n in (511, 512, 513, 5 * 256 + 80):
+    for n in (78, 257, 511, 512, 513, 1025, 5 * 256 + 80):
         x = rng.normal(size=(n, input_dim)).astype(dtype)
         logits, e = forward(model, x)
         expected_logits, expected_cache = encoder_forward(model, x, False, None)
@@ -191,11 +200,11 @@ def test_eval_forward_memory_grows_by_its_output_rows(input_dim, hidden, embed_d
 
 
 def test_wide_eval_forward_converts_its_input_within_the_byte_cap():
-    # 511 float32 rows of tf-idf width are one row block; its first-layer
-    # input is converted to float64 a sub-block at a time, so the forward
-    # holds at most FORWARD_INPUT_BYTES of input, the block's hidden working
-    # set (four arrays of the widest layer, counted generously) and the
-    # stacked outputs, not a float64 copy of all 511 rows (27 MB)
+    # 511 float32 rows of tf-idf width are cast to float64 a row block at a
+    # time, so the forward holds at most FORWARD_INPUT_BYTES of input, one
+    # block's hidden working set (four arrays of the widest layer, counted
+    # generously for all 511 rows) and the stacked outputs, not a float64
+    # copy of all 511 rows (27 MB)
     n, input_dim, hidden, embed_dim = 511, 6740, (256, 64), 12
     model = init_encoder(EncoderConfig(input_dim=input_dim, hidden_sizes=hidden, embed_dim=embed_dim, seed=5))
     x = np.random.default_rng(6).normal(size=(n, input_dim)).astype(np.float32)
@@ -634,6 +643,8 @@ def test_config_validation():
         EncoderConfig(input_dim=4, dropout=1.0)
     with pytest.raises(ValueError):
         EncoderConfig(input_dim=0)
+    with pytest.raises(ValueError, match="hidden_sizes"):
+        EncoderConfig(input_dim=4, hidden_sizes=())
     with pytest.raises(ValueError):
         TrainSchedule(patience=30, epochs=25)
     with pytest.raises(ValueError):

@@ -646,6 +646,14 @@ def test_qubits_over_embed_dim_rejected_before_compute():
         ({"c_grid": (-1.0,)}, r"C must be finite and > 0, got -1\.0"),
         ({"c_grid": (float("nan"),)}, "C must be finite and > 0, got nan"),
         ({"beta": 0}, "beta must be positive"),
+        ({"epochs": 0}, "epochs and batch_size must be >= 1"),
+        ({"batch_size": 0}, "epochs and batch_size must be >= 1"),
+        ({"learning_rate": -1.0}, "learning_rate must be > 0"),
+        ({"weight_decay": -1.0}, "weight_decay >= 0"),
+        ({"patience": 99}, "patience must lie in"),
+        ({"dropout": 1.5}, "dropout must lie in"),
+        ({"hidden_sizes": (0,)}, "hidden_sizes must be nonempty"),
+        ({"hidden_sizes": ()}, "hidden_sizes must be nonempty"),
         # p01 + p10 = 1 makes the readout confusion singular; a VQC shot run
         # used to train the encoder and the VQC before mitigation raised
         ({"backend": "shots", "mitigate": True, "readout_01": 0.5, "readout_10": 0.5},
@@ -654,13 +662,15 @@ def test_qubits_over_embed_dim_rejected_before_compute():
     ids=[
         "ring", "bogus-convention", "qubits-7", "reps-0", "reupload-max+1", "depol2-1.5",
         "readout10-nan", "c-grid-empty", "c-0", "c-minus-1", "c-nan", "beta-0",
-        "singular-mitigation",
+        "epochs-0", "batch-size-0", "lr-minus-1", "weight-decay-minus-1", "patience-99",
+        "dropout-1.5", "hidden-0", "hidden-empty", "singular-mitigation",
     ],
 )
 def test_spec_settings_are_rejected_at_config_time_for_every_model(model, setting, message):
-    # the feature-map, VQC, noise, CV and execution specs own these ranges;
-    # the config builds all five, so a setting no stage of this model reads
-    # still fails
+    # the feature-map, VQC, noise, CV and execution specs, the encoder config
+    # and the training schedule own these ranges; the config builds all seven,
+    # so a setting no stage of this model reads, or one only a later stage
+    # reads, fails before any stage runs
     with pytest.raises(ValueError, match=message):
         ExperimentConfig(
             experiment_id="x", dataset="nslkdd", model=model, train_path="t", test_path="t",
@@ -1211,7 +1221,7 @@ _CLI_FLAGS = [
     (["--hidden", "8,4"], "hidden_sizes", (8, 4)),
     (["--embed-dim", "6"], "embed_dim", 6),
     (["--dropout", "0.3"], "dropout", 0.3),
-    (["--epochs", "3"], "epochs", 3),
+    (["--epochs", "30"], "epochs", 30),
     (["--batch-size", "32"], "batch_size", 32),
     (["--lr", "0.01"], "learning_rate", 0.01),
     (["--weight-decay", "0.001"], "weight_decay", 0.001),
@@ -1438,3 +1448,8 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys, nslkdd_dir):
     ]
     assert main(bad) == 2
     assert "preprocess" in capsys.readouterr().err
+    # a schedule that can never run fails at config time, before preprocess
+    work = tmp_path / "epochs-0"
+    assert main(["train-qsvm", "--workdir", str(work), *_cli_common(nslkdd_dir), "--epochs", "0"]) == 2
+    assert "epochs" in capsys.readouterr().err
+    assert not (work / "preprocess").exists()

@@ -360,7 +360,8 @@ def test_fine_tune_chain_matches_finite_difference():
 
     # the fine-tuning step's chain: a cache workspace's eval-mode forward,
     # the adjoint sweep, the embedding gradient in ws.de and a backward
-    ws = _Workspace(enc, 6, cache=True, x=x)
+    ws = _Workspace(enc, 6, cache=True)
+    ws.x[:] = x
     _, e = _forward(enc, ws, 6, None)
     sc, live = scale_with_grad(e, scaler)
     ang = math.pi * sc[:, :q]
