@@ -3,10 +3,11 @@
 Tabular connection records (41 features, three categorical columns) and a
 spam/ham message tree share the same contract: every transformer is fitted
 on training rows only, splits are stratified and seeded, and the resulting
-bundles carry source-file hashes for audit. Feature matrices are dense
-float32; numerical kernels promote to float64 where it matters. On disk a
-tf-idf split's feature matrices are CSR (about 2% of their entries are
-nonzero), and load_split expands them back to the same dense float32.
+bundles carry source-file hashes for audit. A tabular split's feature
+matrices are dense float32. A tf-idf split's are CSR (CsrMatrix, float32
+values), in memory and on disk, since under 1% of their entries are
+nonzero; the encoder densifies their rows only into its own float64
+buffers. Numerical kernels promote to float64 where it matters.
 """
 from __future__ import annotations
 
@@ -49,6 +50,8 @@ _NUMERIC_FIELDS = operator.itemgetter(*(FEATURE_NAMES.index(n) for n in NUMERIC_
 _CATEGORICAL_FIELDS = tuple((c, FEATURE_NAMES.index(c)) for c in CATEGORICAL_COLUMNS)
 # rows of float64 standardized values transform_tabular holds at a time
 TRANSFORM_ROWS = 4096
+# bytes of dense float64 tf-idf rows transform_tfidf holds at a time
+TFIDF_BLOCK_BYTES = 1 << 20
 
 
 # ---------------------------------------------------------------- tabular
@@ -213,25 +216,89 @@ def fit_tfidf(
     return TfidfModel(vocab, idf, freq, n, min_df, max_df, ngram_max)
 
 
-def transform_tfidf(model: TfidfModel, docs: Sequence[str]) -> np.ndarray:
-    out = np.zeros((len(docs), len(model.vocabulary)))
-    for r, doc in enumerate(docs):
-        for term in tokenize(doc, model.ngram_max):
-            i = model.vocabulary.get(term)
-            if i is not None:
-                out[r, i] += 1.0
-    out *= model.idf[None, :]
-    norms = np.linalg.norm(out, axis=1, keepdims=True)
-    out /= np.where(norms > 0, norms, 1.0)
-    return out.astype(np.float32)
+def transform_tfidf(model: TfidfModel, docs: Sequence[str]) -> CsrMatrix:
+    """The documents' l2-normalized tf-idf rows as a float32 CsrMatrix.
+    Rows are computed in dense float64 blocks of at most TFIDF_BLOCK_BYTES
+    by the whole-matrix recipe's operations (counts, times idf, divided by
+    the row's np.linalg.norm, cast to float32), so every value has that
+    recipe's bits; a block keeps only its nonzero entries."""
+    n, d = len(docs), len(model.vocabulary)
+    step = max(1, TFIDF_BLOCK_BYTES // (8 * max(d, 1)))
+    block = np.zeros((min(n, step), d))
+    counts, indices, data = [np.zeros(0, np.int64)], [np.zeros(0, np.int32)], [np.zeros(0, np.float32)]
+    for lo in range(0, n, step):
+        rows = block[: min(step, n - lo)]
+        for r, doc in enumerate(docs[lo : lo + step]):
+            for term in tokenize(doc, model.ngram_max):
+                i = model.vocabulary.get(term)
+                if i is not None:
+                    rows[r, i] += 1.0
+        rows *= model.idf[None, :]
+        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        rows /= np.where(norms > 0, norms, 1.0)
+        values = rows.astype(np.float32)
+        r, c = np.nonzero(values)  # tf-idf values are >= 0, so no -0.0 is dropped
+        counts.append(np.bincount(r, minlength=rows.shape[0]))
+        indices.append(c.astype(np.int32))
+        data.append(values[r, c])
+        rows.fill(0.0)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    return CsrMatrix(indptr, np.concatenate(indices), np.concatenate(data), (n, d))
 
 
 # ----------------------------------------------------------------- splits
 
 
+@dataclass(frozen=True, eq=False)
+class CsrMatrix:
+    """A float32 matrix in compressed sparse row form (Saad, Iterative
+    Methods for Sparse Linear Systems, 2nd ed., section 3.4): row r stores
+    data[indptr[r]:indptr[r + 1]] in the columns indices[indptr[r]:indptr[r
+    + 1]], increasing. Every entry but +0.0 is stored. A tf-idf split holds
+    its feature matrices this way; the encoder writes their rows into its
+    own float64 buffers (cells, densify)."""
+
+    indptr: np.ndarray   # int64, n + 1 offsets from 0 to nnz
+    indices: np.ndarray  # int32, nnz
+    data: np.ndarray     # float32, nnz
+    shape: Tuple[int, int]
+
+    def __getitem__(self, rows) -> "CsrMatrix":
+        """Row take: the rows a slice or a 1-D index array picks, in its order."""
+        idx = np.arange(self.shape[0])[rows]
+        if idx.ndim != 1:
+            raise IndexError("a CsrMatrix takes rows by a slice or a 1-D index array")
+        starts = self.indptr[idx]
+        counts = self.indptr[idx + 1] - starts
+        indptr = np.zeros(idx.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        src = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
+        return CsrMatrix(indptr, self.indices[src], self.data[src], (idx.size, self.shape[1]))
+
+    def cells(self) -> np.ndarray:
+        """The flat index of each stored entry in the row-major dense matrix."""
+        n, d = self.shape
+        return np.repeat(np.arange(n, dtype=np.int64) * d, np.diff(self.indptr)) + self.indices
+
+    def densify(self, out: np.ndarray) -> np.ndarray:
+        """The matrix written into `out`, a C-contiguous float64 array of its
+        shape, with +0.0 in every cell it does not store; returns `out`."""
+        out.fill(0.0)
+        out.reshape(-1)[self.cells()] = self.data
+        return out
+
+
+def feature_rows(x):
+    """x as a stack of feature rows: a CsrMatrix as it is, anything else as
+    an array of at least two dimensions."""
+    return x if isinstance(x, CsrMatrix) else np.atleast_2d(np.asarray(x))
+
+
 @dataclass
 class DatasetSplit:
-    # load_split leaves a feature matrix it was not asked for as None
+    # x_* are dense float32 arrays, or CsrMatrix for a tf-idf split; load_split
+    # leaves a feature matrix it was not asked for as None
     x_train: np.ndarray
     y_train: np.ndarray
     x_val: np.ndarray
@@ -447,20 +514,11 @@ def select_eval_subset(split: DatasetSplit, size: int = 100, seed: int = 0) -> n
 # ------------------------------------------------------------ persistence
 
 
-def _csr_f64(x: np.ndarray) -> np.ndarray:
-    """A 2-D matrix as one float64 vector: indptr (n+1) || column indices
-    (nnz) || values (nnz), rows in order and columns increasing in each row.
-    Every entry but +0.0 is stored, so the values come back bit for bit."""
-    stored = (x != 0) | np.signbit(x)
-    rows, cols = np.nonzero(stored)
-    indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=1))])
-    return np.concatenate([indptr, cols, x[rows, cols]], dtype=np.float64)
-
-
-def _dense_from_csr(flat: np.ndarray, shape, nnz: int, name: str) -> np.ndarray:
-    """The float32 matrix of a _csr_f64 vector; ValueError unless indptr
-    holds integers that start at 0, never decrease and end at nnz, and the
-    column indices are integers in [0, d), strictly increasing in each row."""
+def _csr_from_f64(flat: np.ndarray, shape, nnz: int, name: str) -> CsrMatrix:
+    """The CsrMatrix of a save_split CSR vector (indptr || column indices ||
+    values, as float64); ValueError unless indptr holds integers that start
+    at 0, never decrease and end at nnz, and the column indices are integers
+    in [0, d), strictly increasing in each row."""
     n, d = shape
     indptr, cols, values = flat[: n + 1], flat[n + 1 : n + 1 + nnz], flat[n + 1 + nnz :]
     steps = np.diff(indptr)
@@ -469,17 +527,16 @@ def _dense_from_csr(flat: np.ndarray, shape, nnz: int, name: str) -> np.ndarray:
         raise ValueError(f"{name}: indptr must be integers from 0 to nnz that never decrease")
     if not (np.array_equal(cols, np.trunc(cols)) and np.all((cols >= 0) & (cols < d))):
         raise ValueError(f"{name}: column indices must be integers in [0, {d})")
-    cells = np.repeat(np.arange(n, dtype=np.int64) * d, steps.astype(np.int64)) + cols.astype(np.int64)
-    if np.any(np.diff(cells) <= 0):
+    x = CsrMatrix(indptr.astype(np.int64), cols.astype(np.int32), values.astype(np.float32), (n, d))
+    if np.any(np.diff(x.cells()) <= 0):
         raise ValueError(f"{name}: column indices must increase strictly within each row")
-    out = np.zeros(n * d, dtype=np.float32)
-    out[cells] = values
-    return out.reshape(n, d)
+    return x
 
 
 def save_split(split: DatasetSplit, directory) -> dict:
     """Write the split under `directory`: split.json plus one float64 file
-    per array. A tf-idf split's x_* files are CSR (x_*.csr.f64, _csr_f64),
+    per array. A CsrMatrix (a tf-idf split's x_*) is written as
+    name.csr.f64, its indptr, column indices and values one after another;
     every other array is dense (name.f64)."""
     d = persist.ensure_dir(directory)
     arrays = {
@@ -487,19 +544,19 @@ def save_split(split: DatasetSplit, directory) -> dict:
         "x_val": split.x_val, "y_val": split.y_val,
         "x_test": split.x_test, "y_test": split.y_test,
     }
-    sparse = isinstance(split.transformer, TfidfModel)
     manifest = {}
     for name, arr in arrays.items():
-        arr = np.asarray(arr)
-        if sparse and name.startswith("x_"):
-            flat = _csr_f64(arr)
+        if isinstance(arr, CsrMatrix):
             manifest[name] = {
                 "shape": list(arr.shape),
-                "nnz": (flat.size - arr.shape[0] - 1) // 2,
+                "nnz": int(arr.data.size),
                 "layout": "csr",
-                "sha256": persist.save_array_f64(d / f"{name}.csr.f64", flat),
+                "sha256": persist.save_arrays_f64(
+                    d / f"{name}.csr.f64", (arr.indptr, arr.indices, arr.data)
+                ),
             }
         else:
+            arr = np.asarray(arr)
             manifest[name] = {
                 "shape": list(arr.shape),
                 "sha256": persist.save_array_f64(d / f"{name}.f64", arr),
@@ -542,9 +599,10 @@ def save_split(split: DatasetSplit, directory) -> dict:
 def load_split(directory, unverified=None, features=("x_train", "x_val", "x_test")) -> DatasetSplit:
     """The split save_split wrote; each file is hash-checked on its read
     (persist.load_json, persist.load_verified_f64), and a CSR entry is
-    checked for structure (_dense_from_csr). Only the feature matrices
-    named in `features` are read; the others are None, and their files
-    stay in `unverified` for the caller's persist.check_files."""
+    checked for structure (_csr_from_f64) and comes back as a CsrMatrix. A
+    dense x_* comes back float32, cast as its file is read. Only the feature
+    matrices named in `features` are read; the others are None, and their
+    files stay in `unverified` for the caller's persist.check_files."""
     d = Path(directory)
     header = persist.load_json(d / "split.json", unverified)
     arrays = {}
@@ -552,16 +610,17 @@ def load_split(directory, unverified=None, features=("x_train", "x_val", "x_test
         if name.startswith("x_") and name not in features:
             continue
         shape = tuple(meta["shape"])
-        csr = meta.get("layout") == "csr"
-        fname = f"{name}.csr.f64" if csr else f"{name}.f64"
-        flat = persist.load_verified_f64(
-            d / fname, (shape[0] + 1 + 2 * meta["nnz"],) if csr else shape, meta["sha256"],
-            unverified,
-        )
-        if csr:
-            arrays[name] = _dense_from_csr(flat, shape, meta["nnz"], fname)
+        if meta.get("layout") == "csr":
+            fname = f"{name}.csr.f64"
+            flat = persist.load_verified_f64(
+                d / fname, (shape[0] + 1 + 2 * meta["nnz"],), meta["sha256"], unverified
+            )
+            arrays[name] = _csr_from_f64(flat, shape, meta["nnz"], fname)
         else:
-            arrays[name] = flat.astype(np.float32) if name.startswith("x_") else flat
+            arrays[name] = persist.load_verified_f64(
+                d / f"{name}.f64", shape, meta["sha256"], unverified,
+                np.float32 if name.startswith("x_") else np.float64,
+            )
     t = header["transformer"]
     if t["kind"] == "tabular":
         transformer: object = TabularTransformer(

@@ -10,20 +10,22 @@ array into a workspace (_Workspace). A trainer allocates one for a batch,
 with the backprop cache, and every step gathers its rows into it
 (_gather_rows) and reuses it: train_encoder does so, and so does the VQC
 when it fine-tunes the encoder. The eval forward keeps no cache and runs
-evenly split row blocks through one. Everything is float64 numpy; all
-randomness flows through explicit seeds.
+evenly split row blocks through one. Input rows may be dense or a
+datapipe.CsrMatrix, whose rows are densified only into those buffers.
+Everything is float64 numpy; all randomness flows through explicit seeds.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.special import ndtr
 
 from . import persist
+from .datapipe import CsrMatrix, feature_rows
 from .metrics import confusion, macro_f1
 
 LN_EPS = 1e-12  # keeps the pre-scale output variance 1 within 1e-6
@@ -41,8 +43,8 @@ ADAM_CHUNK = 16384
 FORWARD_BLOCK = 256
 FORWARD_BLOCK_OUTPUTS = 2048
 # Most bytes of float64 input in a block the eval forward casts (rows that
-# are not C-contiguous float64, such as float32 features), unless the rule
-# above needs more rows.
+# are not C-contiguous float64, such as float32 features or a CsrMatrix's
+# rows), unless the rule above needs more rows.
 FORWARD_INPUT_BYTES = 4 << 20
 # bytes of input rows a training step gathers per pass, in their own dtype
 GATHER_BYTES = 1 << 20
@@ -279,30 +281,30 @@ def _forward(model: EncoderModel, ws: _Workspace, m: int, rng) -> Tuple[np.ndarr
     return logits, e
 
 
-def _input_rows(model: EncoderModel, x) -> np.ndarray:
-    a = np.atleast_2d(np.asarray(x))
+def _input_rows(model: EncoderModel, x):
+    a = feature_rows(x)
     if a.shape[-1] != model.config.input_dim:
         raise ValueError(f"expected {model.config.input_dim} features, got {a.shape[-1]}")
     return a
 
 
-def forward(model: EncoderModel, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def forward(model: EncoderModel, x) -> Tuple[np.ndarray, np.ndarray]:
     """Eval-mode (logits, unit-norm embedding) for one sample or a batch.
 
     The rows are split evenly into blocks of at most FORWARD_BLOCK rows,
     and each block runs through the hidden layers in one workspace with no
     backprop cache. C-contiguous float64 rows are read in place; other rows
-    (float32 features) are cast into one staging buffer a block at a time,
-    so their blocks also hold at most FORWARD_INPUT_BYTES of float64 input.
-    The heads then run once over the stacked last-hidden rows. Beyond one
-    block's working set and staging buffer, memory grows by the last
-    hidden, embedding and logit rows only.
+    (float32 features, or a CsrMatrix's rows, densified) are cast into one
+    staging buffer a block at a time, so their blocks also hold at most
+    FORWARD_INPUT_BYTES of float64 input. The heads then run once over the
+    stacked last-hidden rows. Beyond one block's working set and staging
+    buffer, memory grows by the last hidden, embedding and logit rows only.
     """
-    arr = np.asarray(x)
-    a = _input_rows(model, arr)
+    a = _input_rows(model, x)
+    sparse = isinstance(a, CsrMatrix)
     cfg = model.config
     n = a.shape[0]
-    direct = a.dtype == np.float64 and a.flags.c_contiguous
+    direct = not sparse and a.dtype == np.float64 and a.flags.c_contiguous
     cap = FORWARD_BLOCK if direct else min(FORWARD_BLOCK, FORWARD_INPUT_BYTES // (8 * cfg.input_dim))
     # an even split leaves each block more than cap / 2 rows, so a cap of twice
     # the floor keeps FORWARD_BLOCK_OUTPUTS outputs in each
@@ -315,7 +317,9 @@ def forward(model: EncoderModel, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
     stacked = np.empty((n, cfg.hidden_sizes[-1]))
     for lo, hi in zip(edges[:-1], edges[1:]):
         block = a[lo:hi]
-        if not direct:
+        if sparse:
+            block = block.densify(stage[: hi - lo])
+        elif not direct:
             block = stage[: hi - lo]
             np.copyto(block, a[lo:hi])
         _hidden(model, ws, block, None, stacked[lo:hi])
@@ -324,7 +328,7 @@ def forward(model: EncoderModel, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
     del stacked, norms
     logits = np.empty((n, 2))
     _classify(model, e, logits)
-    if arr.ndim == 1:
+    if not sparse and np.ndim(x) == 1:
         return logits[0], e[0]
     return logits, e
 
@@ -332,32 +336,6 @@ def forward(model: EncoderModel, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
 def _check_labels(y: np.ndarray):
     if set(np.unique(y)) - {0, 1}:
         raise ValueError("labels must be 0/1")
-
-
-def loss_and_gradients(
-    model: EncoderModel,
-    x: np.ndarray,
-    y: np.ndarray,
-    class_weights: Sequence[float] = (1.0, 1.0),
-    dropout_seed: Optional[int] = None,
-) -> Tuple[float, Dict[str, np.ndarray]]:
-    """Weighted softmax cross-entropy and full backpropagation.
-
-    The loss is sum(w_i * ce_i) / sum(w_i), so duplicating a sample is
-    exactly equivalent to doubling its weight. Weight decay is applied in
-    the optimizer step, never here.
-    """
-    x = _input_rows(model, np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=int).reshape(-1)
-    if x.shape[0] == 0:
-        raise ValueError("empty batch")
-    if y.size != x.shape[0]:
-        raise ValueError(f"{y.size} labels for {x.shape[0]} rows")
-    _check_labels(y)
-    rng = np.random.default_rng(dropout_seed) if dropout_seed is not None else None
-    ws = _Workspace(model, x.shape[0], cache=True, masks=rng is not None and model.config.dropout > 0.0)
-    ws.x[:], ws.y[:] = x, y
-    return _loss(model, ws, x.shape[0], np.asarray(class_weights, dtype=float), rng)
 
 
 def _loss(model: EncoderModel, ws: _Workspace, m: int, class_weights: np.ndarray, rng):
@@ -568,12 +546,28 @@ def _fit_epochs(schedule: TrainSchedule, n: int, rng, step, validate, snapshot):
     return epochs, best_epoch, best_value, best
 
 
-def _gather_rows(x: np.ndarray, ws: _Workspace):
+def _gather_rows(x, ws: _Workspace):
     """gather(idx), which writes the rows x[idx] into the first idx.size rows
-    of ws.x. They are taken from x's own rows, after a width check, through
-    a staging buffer of x's dtype, GATHER_BYTES at a time, with mode="clip"
-    since "raise" first gathers into a temporary of the output's size."""
+    of ws.x, after a width check. Dense rows are taken from x's own rows
+    through a staging buffer of x's dtype, GATHER_BYTES at a time, with
+    mode="clip" since "raise" first gathers into a temporary of the output's
+    size. A CsrMatrix's rows are taken with their stored entries only and
+    scattered into ws.x, zeroed once here: each gather first clears the
+    cells the one before it wrote."""
     x = _input_rows(ws.model, x)
+    if isinstance(x, CsrMatrix):
+        flat = ws.x.reshape(-1)
+        flat.fill(0.0)
+        written = np.zeros(0, dtype=np.int64)
+
+        def scatter(idx):
+            nonlocal written
+            flat[written] = 0.0
+            rows = x[idx]
+            written = rows.cells()
+            flat[written] = rows.data
+
+        return scatter
     chunk = min(ws.rows, max(1, GATHER_BYTES // max(x[:1].nbytes, 1)))
     stage = np.empty((chunk, x.shape[1]), x.dtype)
 
@@ -598,8 +592,8 @@ def train_encoder(
     (patience=0 stops at the first non-improving epoch), and returns the
     model of the best checkpoint. Fixed seed gives a bit-identical history.
     """
-    x_train, y_train = np.asarray(train[0]), np.asarray(train[1], dtype=int)
-    x_val, y_val = np.asarray(val[0]), np.asarray(val[1], dtype=int)
+    x_train, y_train = feature_rows(train[0]), np.asarray(train[1], dtype=int)
+    x_val, y_val = feature_rows(val[0]), np.asarray(val[1], dtype=int)
     if x_train.shape[0] == 0 or x_val.shape[0] == 0:
         raise ValueError("train and val splits must be nonempty")
     _check_labels(y_train)

@@ -249,22 +249,23 @@ def _stage(root: Path, stages: Dict[str, str], name: str, slice_, inputs, build,
 
     The key hashes `name`, the config slice and `inputs` (upstream stage keys,
     or source file hashes). When root/name/stage.json holds this key, load(d)
-    reads the stage back. Otherwise the marker is removed and the directory
-    emptied before build(d) writes anything, and the marker is saved only
-    after it returns, so a stage that fails mid-build leaves no marker over
-    its files, and a rebuilt stage keeps no file of an earlier key. The key
-    is recorded in `stages` once the stage has its result.
+    reads the stage back. Otherwise, or when that read fails its hash or
+    structure checks (ValueError) or cannot open a file (OSError), the marker
+    is removed and the directory emptied before build(d) writes anything,
+    and the marker is saved only after it returns, so a stage that fails
+    mid-build leaves no marker over its files, and a rebuilt stage keeps no
+    file of an earlier key. The key is recorded in `stages` once the stage
+    has its result.
     """
     key = persist.stage_key(name, slice_, inputs)
     d = root / name
     marker = d / "stage.json"
     try:
         fresh = persist.load_json(marker).get("key") == key
+        result = load(d) if fresh else None
     except (OSError, ValueError):
         fresh = False
-    if fresh:
-        result = load(d)
-    else:
+    if not fresh:
         marker.unlink(missing_ok=True)
         if d.exists():
             shutil.rmtree(d)
@@ -616,6 +617,7 @@ def run_experiment(config: ExperimentConfig, workdir, through: Optional[str] = N
     if through is not None and through not in EARLY_STOPS:
         raise ValueError(f"through must be None or one of {EARLY_STOPS}, not {through!r}")
     root = persist.ensure_dir(workdir)
+    persist.remove_temp_files(root)  # a killed run's partial config or manifest
     mpath = root / "manifest.json"
     persist.save_json(root / "config.json", config.as_dict())
     manifest: dict = {

@@ -32,6 +32,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import batched, persist
+from .datapipe import feature_rows
 from .encoder import (
     AdamState,
     EmbeddingScaler,
@@ -275,9 +276,9 @@ def angles_from_features(
     num_qubits: int,
 ) -> np.ndarray:
     """Feature rows -> embedding -> robust scaling -> first q dims as angles."""
-    # the float64 cast buys forward's in-place path: a 120-row tf-idf split is
-    # one first-layer product, not two cast blocks
-    _, e = forward(encoder_model, np.atleast_2d(np.asarray(x, dtype=float)))
+    # float32 and CsrMatrix rows go to forward as they are: it casts or
+    # densifies them a block at a time, so no float64 copy of the split is made
+    _, e = forward(encoder_model, feature_rows(x))
     scaled, _ = scale_with_grad(e, scaler)
     return math.pi * scaled[:, :num_qubits]
 
@@ -317,8 +318,8 @@ def train_vqc(
     restored at the end. The result's encoder is the one its model scores
     with: the given encoder, or its fine-tuned copy.
     """
-    x_tr, y_tr = np.atleast_2d(np.asarray(train[0])), np.asarray(train[1], dtype=int)
-    x_va, y_va = np.atleast_2d(np.asarray(val[0])), np.asarray(val[1], dtype=int)
+    x_tr, y_tr = feature_rows(train[0]), np.asarray(train[1], dtype=int)
+    x_va, y_va = feature_rows(val[0]), np.asarray(val[1], dtype=int)
     if x_tr.shape[0] == 0 or x_va.shape[0] == 0:
         raise ValueError("empty split")
     if set(np.unique(np.concatenate([y_tr, y_va]))) - {0, 1}:

@@ -10,7 +10,7 @@ document-frequency filtering).
 import numpy as np
 import pytest
 
-from qthreat.datapipe import CATEGORICAL_COLUMNS, FEATURE_NAMES
+from qthreat.datapipe import CATEGORICAL_COLUMNS, FEATURE_NAMES, CsrMatrix
 
 SERVICES = ["http", "smtp", "ftp_data"]
 FLAGS = ["SF", "S0", "REJ"]
@@ -75,6 +75,17 @@ SPAM_WORDS = ["free", "offer", "money", "winner", "credit", "cash",
               "guarantee", "click", "buy", "cheap"]
 HAM_WORDS = ["meeting", "linguistics", "paper", "review", "students",
              "semantics", "corpus", "grammar", "syntax", "workshop"]
+
+
+def random_csr(n, d, nnz, seed):
+    """An n x d float32 CsrMatrix with about nnz entries in (0, 1) at
+    uniformly drawn cells."""
+    rng = np.random.default_rng(seed)
+    cells = np.unique(rng.integers(0, n * d, size=nnz))
+    rows, cols = np.divmod(cells, d)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return CsrMatrix(indptr, cols.astype(np.int32), rng.random(cells.size, dtype=np.float32), (n, d))
 
 
 def make_message(rng, spam, uniq):

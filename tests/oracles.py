@@ -1,5 +1,5 @@
 """Slow reference implementations that the fast paths in qthreat are
-checked against, and small circuit helpers that only the tests call. Each
+checked against, and small helpers that only the tests call. Each
 reference is the straightforward form of a computation the package now
 does another way; none of them is used by the package itself.
 """
@@ -11,7 +11,10 @@ import numpy as np
 from scipy.special import ndtr
 
 from qthreat import datapipe
-from qthreat.encoder import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LN_EPS, scale_with_grad
+from qthreat.encoder import (
+    ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LN_EPS, _check_labels, _input_rows, _loss, _Workspace,
+    scale_with_grad,
+)
 from qthreat.featuremap import (
     AngleVector,
     FeatureMapSpec,
@@ -350,6 +353,46 @@ def transform_tabular_concat(tr, numeric, cats):
                 hot[r, idx] = 1.0
         blocks.append(hot)
     return np.concatenate(blocks, axis=1).astype(np.float32)
+
+
+def transform_tfidf_dense(model, docs):
+    """transform_tfidf as one dense float64 matrix, normalized row by row
+    and cast to dense float32."""
+    out = np.zeros((len(docs), len(model.vocabulary)))
+    for r, doc in enumerate(docs):
+        for term in datapipe.tokenize(doc, model.ngram_max):
+            i = model.vocabulary.get(term)
+            if i is not None:
+                out[r, i] += 1.0
+    out *= model.idf[None, :]
+    norms = np.linalg.norm(out, axis=1, keepdims=True)
+    out /= np.where(norms > 0, norms, 1.0)
+    return out.astype(np.float32)
+
+
+def csr_from_dense(x):
+    """The CsrMatrix of a dense matrix: every entry but +0.0, row by row."""
+    x = np.asarray(x, dtype=np.float32)
+    stored = (x != 0) | np.signbit(x)
+    rows, cols = np.nonzero(stored)
+    indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=1))]).astype(np.int64)
+    return datapipe.CsrMatrix(indptr, cols.astype(np.int32), x[rows, cols], x.shape)
+
+
+def csr_f64_vector(x):
+    """The float64 vector a CSR split file holds for a dense matrix: indptr
+    (n+1) || column indices (nnz) || values (nnz) of csr_from_dense."""
+    c = csr_from_dense(x)
+    return np.concatenate([c.indptr, c.indices, c.data], dtype=np.float64)
+
+
+def dense_from_csr(x):
+    """A CsrMatrix as a dense float32 matrix, entry by entry."""
+    out = np.zeros(x.shape, dtype=np.float32)
+    for r in range(x.shape[0]):
+        for k in range(x.indptr[r], x.indptr[r + 1]):
+            out[r, x.indices[k]] = x.data[k]
+    return out
 
 
 def _apply_1q(u, arr, target, num_qubits):
@@ -831,6 +874,27 @@ def encoder_loss_and_gradients(model, x, y, class_weights=(1.0, 1.0), dropout_se
     grads["clf.W"] = dlogits.T @ cache["e"]
     grads["clf.b"] = dlogits.sum(axis=0)
     return loss, grads
+
+
+def loss_and_gradients(model, x, y, class_weights=(1.0, 1.0), dropout_seed=None):
+    """Weighted softmax cross-entropy and full backpropagation through the
+    package's training step (encoder._loss) over one workspace of x's rows.
+
+    The loss is sum(w_i * ce_i) / sum(w_i), so duplicating a sample is
+    exactly equivalent to doubling its weight. Weight decay is applied in
+    the optimizer step, never here.
+    """
+    x = _input_rows(model, np.asarray(x, dtype=float))
+    y = np.asarray(y, dtype=int).reshape(-1)
+    if x.shape[0] == 0:
+        raise ValueError("empty batch")
+    if y.size != x.shape[0]:
+        raise ValueError(f"{y.size} labels for {x.shape[0]} rows")
+    _check_labels(y)
+    rng = np.random.default_rng(dropout_seed) if dropout_seed is not None else None
+    ws = _Workspace(model, x.shape[0], cache=True, masks=rng is not None and model.config.dropout > 0.0)
+    ws.x[:], ws.y[:] = x, y
+    return _loss(model, ws, x.shape[0], np.asarray(class_weights, dtype=float), rng)
 
 
 class AllocatingAdam:

@@ -28,14 +28,14 @@ import numpy as np
 import pytest
 
 from qthreat import datapipe, featuremap, harness, metrics, persist, vqc
-from qthreat.encoder import EncoderConfig, init_encoder, loss_and_gradients
+from qthreat.encoder import EncoderConfig, init_encoder
 from qthreat.featuremap import AngleVector, FeatureMapSpec
 from qthreat.harness import ExperimentConfig, Seeds
 from qthreat.qsim import NoiseSpec
 
 import oracles
 from conftest import write_nslkdd_pair
-from oracles import build_gram, center_gram, center_test_row, gram_from_states
+from oracles import build_gram, center_gram, center_test_row, gram_from_states, loss_and_gradients
 
 NSLKDD_ENV = "QTHREAT_NSLKDD_DIR"
 LINGSPAM_ENV = "QTHREAT_LINGSPAM_DIR"

@@ -17,6 +17,7 @@ from hypothesis.extra.numpy import arrays
 from qthreat import datapipe, persist
 from qthreat.datapipe import (
     CATEGORICAL_COLUMNS,
+    CsrMatrix,
     FEATURE_NAMES,
     NUMERIC_COLUMNS,
     RARE_TOKEN,
@@ -38,10 +39,10 @@ from qthreat.datapipe import (
     transform_tabular,
     transform_tfidf,
 )
-from conftest import make_record, write_nslkdd_pair
+from conftest import make_record, random_csr, write_nslkdd_pair
 from oracles import (
-    parse_nslkdd_lists, reference_indices, select_eval_subset_loop, stratified_limit,
-    transform_tabular_concat,
+    csr_f64_vector, csr_from_dense, dense_from_csr, parse_nslkdd_lists, transform_tfidf_dense, reference_indices, select_eval_subset_loop,
+    stratified_limit, transform_tabular_concat,
 )
 
 N_NUM = len(NUMERIC_COLUMNS)
@@ -347,7 +348,7 @@ def test_tfidf_formula_oracle():
     docs = ["free money offer", "money meeting", "meeting paper review",
             "offer offer free"]
     model = fit_tfidf(docs, min_df=1, max_df=1.0)
-    got = transform_tfidf(model, docs)
+    got = dense_from_csr(transform_tfidf(model, docs))
     # independent recomputation from the stated formula
     n = 4
     df = {"free": 2, "money": 2, "offer": 2, "meeting": 2, "paper": 1, "review": 1}
@@ -361,6 +362,54 @@ def test_tfidf_formula_oracle():
         vec /= np.linalg.norm(vec)
         np.testing.assert_allclose(got[r], vec, atol=1e-7)
     np.testing.assert_allclose(np.linalg.norm(got, axis=1), 1.0, atol=1e-6)
+
+
+_WORDS = ("free", "money", "offer", "meeting", "paper", "review", "cash", "winner")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    docs=st.lists(st.lists(st.sampled_from(_WORDS), max_size=12).map(" ".join), min_size=1,
+                  max_size=14),
+    block_rows=st.integers(1, 5),
+)
+@example(docs=["free money", "", "winner winner", "review"], block_rows=3)
+def test_csr_tfidf_matches_the_dense_recipe_bit_for_bit(docs, block_rows):
+    # rows are computed in blocks of block_rows (a partial last block, empty
+    # documents and the last vocabulary column included) and keep the bits
+    # of the one dense float64 matrix the recipe describes
+    model = fit_tfidf(docs, min_df=1, max_df=1.0)
+    d = len(model.vocabulary)
+    with mock.patch.object(datapipe, "TFIDF_BLOCK_BYTES", 8 * max(d, 1) * block_rows):
+        got = transform_tfidf(model, docs)
+    want = csr_from_dense(transform_tfidf_dense(model, docs))
+    assert got.shape == want.shape == (len(docs), d)
+    assert (got.indptr.dtype, got.indices.dtype, got.data.dtype) == (np.int64, np.int32, np.float32)
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    np.testing.assert_array_equal(got.data.view(np.uint32), want.data.view(np.uint32))
+
+
+def test_transform_tfidf_holds_one_dense_row_block():
+    # 2 000 documents over a 20 000-term vocabulary: the dense float64
+    # matrix would be 320 MB. The transform holds one TFIDF_BLOCK_BYTES
+    # block (and its float32 cast) plus the stored entries, which it joins
+    # once at the end
+    rng = np.random.default_rng(4)
+    d = 20_000
+    words = np.array([f"w{i}" for i in range(d)])
+    model = TfidfModel({w: i for i, w in enumerate(words)}, 1.0 + rng.random(d), np.ones(d), 2000)
+    docs = [" ".join(words[rng.integers(0, d, 50)]) for _ in range(2000)]
+    transform_tfidf(model, docs[:10])  # one-time imports
+    tracemalloc.start()
+    try:
+        x = transform_tfidf(model, docs)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nnz = x.data.size
+    assert peak - held <= 2 * datapipe.TFIDF_BLOCK_BYTES + 16 * nnz, (peak, held, nnz)
+    assert peak <= 0.02 * 2000 * d * 8, peak
 
 
 def test_tokenizer_rules():
@@ -504,12 +553,62 @@ def test_save_split_writes_dense_features_a_block_at_a_time(tmp_path, kdd_split)
         assert header["arrays"][name]["sha256"] == persist.sha256_bytes(data)
 
 
+def test_load_split_casts_dense_features_a_block_at_a_time(tmp_path, kdd_split):
+    # the 8 000 x 70 split above: each x_*.f64 is read, hashed and cast to
+    # float32 1 MiB of float64 at a time, so the traced peak stays within
+    # about one block (plus the float64 labels and the header) above what the
+    # loaded split holds, not a float64 copy of x_train (4.5 MB) above it
+    rng = np.random.default_rng(5)
+    x = {n: rng.standard_normal((rows, 70)).astype(np.float32)
+         for n, rows in (("x_train", 8000), ("x_val", 2000), ("x_test", 2000))}
+    y = {f"y{n[1:]}": rng.integers(0, 2, v.shape[0]) for n, v in x.items()}
+    save_split(dataclasses.replace(kdd_split, **x, **y, test_categories=["normal"] * 2000), tmp_path)
+    load_split(tmp_path)  # one-time imports and caches
+    tracemalloc.start()
+    try:
+        back = load_split(tmp_path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held <= (1 << 20) + (256 << 10), (peak, held)
+    for name, arr in x.items():
+        got = getattr(back, name)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got.view(np.uint32), arr.view(np.uint32))
+
+
+def test_load_split_memory_grows_with_nnz_not_with_rows_times_columns(tmp_path):
+    # two tf-idf splits of 30 000 columns and 20 000 stored entries, one of
+    # 500 train rows and one of 8 000: dense float32, the second's x_train
+    # alone would be 900 MB more. load_split's peak grows by a few int64 and
+    # float64 values per added row
+    d, peaks = 30_000, {}
+    for n in (500, 8000):
+        split = _tfidf_split(np.zeros((1, d), np.float32), np.zeros((1, d), np.float32),
+                             np.zeros((1, d), np.float32))
+        split = dataclasses.replace(split, x_train=random_csr(n, d, 20_000, 7), y_train=np.zeros(n, int))
+        save_split(split, tmp_path / str(n))
+        load_split(tmp_path / str(n))  # one-time imports and caches
+        tracemalloc.start()
+        try:
+            back = load_split(tmp_path / str(n))
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        got = back.x_train
+        assert isinstance(got, CsrMatrix) and got.shape == (n, d)
+        for field in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(split.x_train, field))
+    assert peaks[8000] - peaks[500] <= 7500 * 96, peaks
+    assert peaks[8000] <= 0.01 * 8000 * d * 4, peaks
+
+
 def test_split_roundtrip_text(tmp_path, spam_split):
     save_split(spam_split, tmp_path)
     back = load_split(tmp_path)
     assert back.transformer.vocabulary == spam_split.transformer.vocabulary
     np.testing.assert_array_equal(back.transformer.idf, spam_split.transformer.idf)
-    np.testing.assert_array_equal(back.x_test, spam_split.x_test)
+    np.testing.assert_array_equal(dense_from_csr(back.x_test), dense_from_csr(spam_split.x_test))
 
 
 def test_split_rejects_tampering(tmp_path, spam_split):
@@ -521,7 +620,9 @@ def test_split_rejects_tampering(tmp_path, spam_split):
 
 
 def _tfidf_split(x_train, x_val, x_test):
-    """A split whose transformer is tf-idf, so save_split writes CSR."""
+    """A split whose transformer is tf-idf and whose x_* are the CSR forms
+    of the dense matrices given, so save_split writes CSR."""
+    x_train, x_val, x_test = (csr_from_dense(x) for x in (x_train, x_val, x_test))
     d = x_train.shape[1]
     model = TfidfModel({f"t{i}": i for i in range(d)}, np.ones(d), np.ones(d), x_train.shape[0])
     ys = [np.zeros(x.shape[0], dtype=int) for x in (x_train, x_val, x_test)]
@@ -536,7 +637,7 @@ def _save_dense_x(split, directory):
     header = json.loads((d / "split.json").read_text())
     for name in ("x_train", "x_val", "x_test"):
         (d / f"{name}.csr.f64").unlink()
-        x = getattr(split, name)
+        x = dense_from_csr(getattr(split, name))
         header["arrays"][name] = {
             "shape": list(x.shape),
             "sha256": persist.save_array_f64(d / f"{name}.f64", np.asarray(x, dtype=float)),
@@ -575,14 +676,17 @@ def test_csr_split_roundtrip_is_bit_exact(xs):
         header = save_split(split, tmp)
         back = load_split(tmp)
         names = sorted(p.name for p in Path(tmp).iterdir())
+        blobs = {p.name.split(".")[0]: p.read_bytes() for p in Path(tmp).glob("*.csr.f64")}
     for name, x in zip(("x_train", "x_val", "x_test"), xs):
         entry = header["arrays"][name]
         assert f"{name}.csr.f64" in names and f"{name}.f64" not in names
         assert entry["layout"] == "csr"
         assert entry["nnz"] == int(np.count_nonzero((x != 0) | np.signbit(x)))
+        assert blobs[name] == csr_f64_vector(x).astype("<f8").tobytes()
         got = getattr(back, name)
-        assert got.dtype == np.float32 and got.shape == x.shape
-        assert np.array_equal(got.view(np.uint32), x.view(np.uint32))
+        assert isinstance(got, CsrMatrix) and got.shape == x.shape
+        assert got.data.dtype == np.float32
+        assert np.array_equal(dense_from_csr(got).view(np.uint32), x.view(np.uint32))
 
 
 def _corrupt(flat, n, d, nnz, kind):
@@ -636,7 +740,7 @@ def test_dense_layout_tfidf_split_still_loads(tmp_path, spam_split):
     for name in ("x_train", "x_val", "x_test"):
         got = getattr(back, name)
         assert got.dtype == np.float32
-        np.testing.assert_array_equal(got, getattr(spam_split, name))
+        np.testing.assert_array_equal(got, dense_from_csr(getattr(spam_split, name)))
 
 
 @pytest.mark.parametrize("fixture", ["kdd_split", "spam_split"])
@@ -646,8 +750,12 @@ def test_load_split_reads_only_the_named_feature_matrices(request, fixture, tmp_
     unverified = {p: persist.sha256_file(p) for p in tmp_path.iterdir()}
     back = load_split(tmp_path, unverified, features=("x_test",))
     assert back.x_train is None and back.x_val is None
-    assert back.x_test.dtype == np.float32
-    np.testing.assert_array_equal(back.x_test, split.x_test)
+    got, want = back.x_test, split.x_test
+    if fixture == "spam_split":  # a tf-idf split's x_* are CSR; compare them densified
+        assert isinstance(got, CsrMatrix)
+        got, want = dense_from_csr(got), dense_from_csr(want)
+    assert got.dtype == np.float32
+    np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(back.y_train, split.y_train)
     # the skipped matrices' files are left for the caller's check_files
     assert sorted(p.name.split(".")[0] for p in unverified) == ["x_train", "x_val"]

@@ -3,11 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import (
-    AllocatingAdam, encoder_backward, encoder_forward, encoder_loss_and_gradients, gelu, scale,
+    AllocatingAdam, csr_from_dense, dense_from_csr, encoder_backward, encoder_forward,
+    encoder_loss_and_gradients, gelu, loss_and_gradients, scale,
 )
 from qthreat import encoder
 from qthreat.datapipe import class_weights
@@ -21,6 +23,7 @@ from qthreat.encoder import (
     _backward,
     _fit_epochs,
     _forward,
+    _gather_rows,
     _rows,
     _Workspace,
     fit_scaler,
@@ -28,7 +31,6 @@ from qthreat.encoder import (
     init_encoder,
     layer_norm,
     load_encoder,
-    loss_and_gradients,
     save_encoder,
     train_encoder,
 )
@@ -163,19 +165,23 @@ def test_eval_forward_keeps_no_backprop_cache(input_dim, hidden):
     assert peak <= working_set * n * 8 + 0.5 * widest, peak / widest
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, "csr"])
 @pytest.mark.parametrize("input_dim, hidden, embed_dim",
                          [(70, (256, 64), 12), (6740, (256, 64), 12), (64, (64,) * 8, 4), (7, (4,), 3)])
 def test_blocked_forward_matches_whole_array_oracle_bit_for_bit(input_dim, hidden, embed_dim, dtype):
     # the even split's smallest blocks: 78 float32 rows of 6 740 columns make
     # two blocks of 39 rows, 257 rows make 128 + 129 and 1 025 rows of the
     # (7, (4,), 3) shape make 512 + 513; 511-513 rows straddle a split into
-    # two blocks of at most 256 rows, and 5 * 256 + 80 rows make six of them
+    # two blocks of at most 256 rows, and 5 * 256 + 80 rows make six of them.
+    # CSR rows (5% of float32 entries kept) take the float32 rows' blocks
     model = init_encoder(EncoderConfig(input_dim=input_dim, hidden_sizes=hidden, embed_dim=embed_dim, seed=8))
     rng = np.random.default_rng(9)
     for n in (78, 257, 511, 512, 513, 1025, 5 * 256 + 80):
-        x = rng.normal(size=(n, input_dim)).astype(dtype)
-        logits, e = forward(model, x)
+        x = rows = rng.normal(size=(n, input_dim)).astype(np.float32 if dtype == "csr" else dtype)
+        if dtype == "csr":
+            x = np.where(rng.random(x.shape) < 0.05, x, np.float32(0.0))
+            rows = csr_from_dense(x)
+        logits, e = forward(model, rows)
         expected_logits, expected_cache = encoder_forward(model, x, False, None)
         np.testing.assert_array_equal(logits.view(np.uint64), expected_logits.view(np.uint64))
         np.testing.assert_array_equal(e.view(np.uint64), expected_cache["e"].view(np.uint64))
@@ -218,6 +224,53 @@ def test_wide_eval_forward_converts_its_input_within_the_byte_cap():
     working_set = n * (4 * max(hidden) + embed_dim + 2) * 8
     outputs = n * (hidden[-1] + embed_dim + 1 + 2) * 8
     assert peak <= encoder.FORWARD_INPUT_BYTES + working_set + outputs, peak
+
+
+@st.composite
+def _sparse_rows(draw):
+    """A float32 matrix whose entries are +0.0 or drawn from [-4, 4], -0.0
+    included, and two batches of row indices (repeats allowed) for a
+    workspace of `cap` rows."""
+    n, d = draw(st.integers(1, 30)), draw(st.integers(1, 12))
+    keep = draw(arrays(bool, (n, d)))
+    values = draw(arrays(np.float32, (n, d), elements=st.floats(-4.0, 4.0, width=32)))
+    x = np.where(keep, values, np.float32(0.0))
+    cap = draw(st.integers(1, 16))
+    batches = [draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=cap)) for _ in range(2)]
+    return x, cap, [np.array(b) for b in batches]
+
+
+_NEG_ZERO_LAST_COLUMN = np.array(
+    [[0.0, 0.0, 0.0], [0.0, -0.0, 2.5], [0.0, 0.0, 0.0], [1.0, 0.0, -3.0]], dtype=np.float32
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sparse_rows())
+@example((_NEG_ZERO_LAST_COLUMN, 4, [np.array([1, 3, 0, 2]), np.array([2, 0])]))
+@example((_NEG_ZERO_LAST_COLUMN, 3, [np.array([3]), np.array([0, 1, 1])]))
+def test_csr_rows_match_their_dense_form_bit_for_bit(case):
+    # row take, the training gather (twice, so the second clears what the
+    # first wrote) and the eval forward see a CsrMatrix as they see its dense
+    # float32 form, the forward as the whole-array oracle does: -0.0, empty
+    # rows and the last column included
+    x, cap, batches = case
+    csr = csr_from_dense(x)
+    for idx in batches:
+        assert np.array_equal(dense_from_csr(csr[idx]).view(np.uint32), x[idx].view(np.uint32))
+    model = init_encoder(EncoderConfig(input_dim=x.shape[1], hidden_sizes=(5,), embed_dim=3, seed=4))
+    ws, dense_ws = _Workspace(model, cap, cache=True), _Workspace(model, cap, cache=True)
+    gather, dense_gather = _gather_rows(csr, ws), _gather_rows(x, dense_ws)
+    for idx in batches:
+        gather(idx)
+        dense_gather(idx)
+        m = idx.size
+        assert np.array_equal(ws.x[:m].view(np.uint64), dense_ws.x[:m].view(np.uint64))
+        assert np.array_equal(ws.x[:m].view(np.uint64), x[idx].astype(np.float64).view(np.uint64))
+    logits, e = forward(model, csr)
+    expected_logits, expected_cache = encoder_forward(model, x, False, None)
+    np.testing.assert_array_equal(logits.view(np.uint64), expected_logits.view(np.uint64))
+    np.testing.assert_array_equal(e.view(np.uint64), expected_cache["e"].view(np.uint64))
 
 
 def _captured_step(monkeypatch, config, schedule, x, y):

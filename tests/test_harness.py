@@ -6,6 +6,7 @@ import json
 import shutil
 import tracemalloc
 import types
+import uuid
 from dataclasses import replace
 from pathlib import Path
 
@@ -475,6 +476,60 @@ def test_an_early_stop_removes_no_stage_directory(qsvm_bundle, tmp_path):
     harness.run_experiment(config, copy, through="encoder")
     assert legacy.exists() and (copy / "svm" / "stage.json").exists()
     assert sorted(p.relative_to(copy) for p in copy.rglob("*")) == before
+
+
+def _tree(root):
+    """Every file under root: relative path -> bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_a_rerun_removes_the_temp_files_a_killed_write_left(make_config, tmp_path):
+    # a process killed inside persist._write_atomic leaves .<name>.<32 hex>.tmp
+    # beside its target; at the workdir root nothing else cleans it up. A
+    # rerun removes exactly those names, so the tree is a fresh run's, and
+    # keeps files that only look like them
+    config = make_config(epochs=2, max_train=160)
+    fresh = harness.run_experiment(config, tmp_path / "fresh")
+    work = tmp_path / "work"
+    shutil.copytree(tmp_path / "fresh", work)
+    for name in ("config.json", "manifest.json"):
+        (work / f".{name}.{uuid.uuid4().hex}.tmp").write_text('{"partial')
+    lookalikes = {
+        ".manifest.json.tmp": "no hex part",
+        f".manifest.json.{uuid.uuid4().hex[:31]}.tmp": "31 hex digits",
+        f".manifest.json.{uuid.uuid4().hex.upper()}.tmp": "upper-case hex",
+        f"manifest.json.{uuid.uuid4().hex}.tmp": "no leading dot",
+        f".manifest.json.{uuid.uuid4().hex}.tmp.bak": "another suffix",
+    }
+    for name, text in lookalikes.items():
+        (work / name).write_text(text)
+    assert harness.run_experiment(config, work) == fresh
+    tree = _tree(work)
+    assert {name: tree.pop(name).decode() for name in lookalikes} == lookalikes
+    assert tree == _tree(tmp_path / "fresh")
+
+
+@pytest.mark.parametrize("name,damage", [
+    ("encoder/encoder.f64", "truncate"), ("encoder/encoder.f64", "flip"),
+    ("preprocess/x_train.f64", "flip"),
+])
+def test_a_damaged_stage_file_under_a_valid_marker_is_rebuilt(make_config, tmp_path, name, damage):
+    # the stage's load fails its hash check, so the run rebuilds the stage as
+    # if its key had changed; rescoring the damaged bundle still fails
+    config = make_config(epochs=2, max_train=160)
+    fresh = harness.run_experiment(config, tmp_path / "fresh")
+    work = tmp_path / "work"
+    shutil.copytree(tmp_path / "fresh", work)
+    blob = bytearray((work / name).read_bytes())
+    if damage == "truncate":
+        del blob[-8:]
+    else:
+        blob[len(blob) // 2] ^= 1
+    (work / name).write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="fails its hash check"):
+        harness.evaluate_bundle(work)
+    assert harness.run_experiment(config, work) == fresh
+    assert _tree(work) == _tree(tmp_path / "fresh")
 
 
 def test_svm_stage_allocates_no_n_by_n_array(make_config, tmp_path, monkeypatch):

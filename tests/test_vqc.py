@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qthreat import vqc
+from conftest import random_csr
+from oracles import dense_from_csr
 
 from qthreat.encoder import (
     EmbeddingScaler,
@@ -568,6 +570,57 @@ def test_frozen_encoder_embeds_each_split_once(monkeypatch):
         np.testing.assert_array_equal(rows.view(np.uint64), angles(x[idx]).view(np.uint64))
     forwards, _ = run(fine_tune=True)
     assert forwards == [12, 12, 6, 10] * 3  # every batch, then val, each epoch
+
+
+@pytest.mark.parametrize("fine_tune", [False, True])
+def test_csr_features_train_the_vqc_their_dense_form_trains(fine_tune):
+    # a tf-idf split's CsrMatrix rows go through the frozen encoder's
+    # forward, or the fine-tuning gather, and give the bits of their float32
+    # form: circuit, tuned encoder and angles
+    x = random_csr(60, 300, 900, 5)
+    dense = dense_from_csr(x)
+    y = np.arange(60) % 2
+    enc = init_encoder(EncoderConfig(input_dim=300, hidden_sizes=(16,), embed_dim=4, dropout=0.0, seed=6))
+    scaler = EmbeddingScaler(np.full(4, -0.6), np.full(4, 0.6))
+    sched = TrainSchedule(epochs=2, batch_size=16, learning_rate=0.05, weight_decay=1e-3, patience=2)
+    idx = np.arange(40, 60)
+    results = [
+        train_vqc(VqcSpec(2, 1), sched, (rows[:40], y[:40]), (rows[idx], y[40:]), seed=3,
+                  encoder_model=enc, scaler=scaler, fine_tune=fine_tune)
+        for rows in (x, dense)
+    ]
+    got, want = results
+    np.testing.assert_array_equal(got.model.theta.view(np.uint64), want.model.theta.view(np.uint64))
+    for k, v in want.encoder.params.items():
+        np.testing.assert_array_equal(got.encoder.params[k].view(np.uint64), v.view(np.uint64))
+    np.testing.assert_array_equal(
+        angles_from_features(x, got.encoder, scaler, 2).view(np.uint64),
+        angles_from_features(dense, want.encoder, scaler, 2).view(np.uint64),
+    )
+
+
+def test_angles_from_csr_features_grow_with_the_rows_not_their_width():
+    # 1 000 and then 4 000 CSR rows of 10 000 columns: as dense float32 the
+    # extra rows alone would be 120 MB, as float64 240 MB. The forward
+    # densifies one row block at a time into its staging buffer, so the peak
+    # grows only by the per-row outputs (last hidden layer, embedding,
+    # logits, scaled angles and their temporaries), well under 256 float64
+    # values per row
+    enc = init_encoder(EncoderConfig(input_dim=10_000, hidden_sizes=(64, 32), embed_dim=12, seed=2))
+    scaler = EmbeddingScaler(np.full(12, -0.6), np.full(12, 0.6))
+    peaks = {}
+    for n in (1000, 4000):
+        x = random_csr(n, 10_000, 40 * n, 9)
+        angles_from_features(x[:300], enc, scaler, 4)  # one-time imports
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ang = angles_from_features(x, enc, scaler, 4)
+            peaks[n] = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert ang.shape == (n, 4)
+    assert peaks[4000] - peaks[1000] <= 3000 * 256 * 8, peaks
 
 
 def test_fine_tune_updates_encoder_and_helps():
