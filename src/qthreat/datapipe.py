@@ -6,8 +6,8 @@ on training rows only, splits are stratified and seeded, and the resulting
 bundles carry source-file hashes for audit. A tabular split's feature
 matrices are dense float32. A tf-idf split's are CSR (CsrMatrix, float32
 values), in memory and on disk, since under 1% of their entries are
-nonzero; the encoder densifies their rows only into its own float64
-buffers. Numerical kernels promote to float64 where it matters.
+nonzero; the encoder scatters their rows only into its own float64
+workspaces. Numerical kernels promote to float64 where it matters.
 """
 from __future__ import annotations
 
@@ -256,8 +256,8 @@ class CsrMatrix:
     Methods for Sparse Linear Systems, 2nd ed., section 3.4): row r stores
     data[indptr[r]:indptr[r + 1]] in the columns indices[indptr[r]:indptr[r
     + 1]], increasing. Every entry but +0.0 is stored. A tf-idf split holds
-    its feature matrices this way; the encoder writes their rows into its
-    own float64 buffers (cells, densify)."""
+    its feature matrices this way; the encoder scatters their rows into its
+    own float64 workspaces (row take, then cells)."""
 
     indptr: np.ndarray   # int64, n + 1 offsets from 0 to nnz
     indices: np.ndarray  # int32, nnz
@@ -280,13 +280,6 @@ class CsrMatrix:
         """The flat index of each stored entry in the row-major dense matrix."""
         n, d = self.shape
         return np.repeat(np.arange(n, dtype=np.int64) * d, np.diff(self.indptr)) + self.indices
-
-    def densify(self, out: np.ndarray) -> np.ndarray:
-        """The matrix written into `out`, a C-contiguous float64 array of its
-        shape, with +0.0 in every cell it does not store; returns `out`."""
-        out.fill(0.0)
-        out.reshape(-1)[self.cells()] = self.data
-        return out
 
 
 def feature_rows(x):

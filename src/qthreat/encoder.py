@@ -6,13 +6,14 @@ class-weighted softmax cross-entropy under Adam with decoupled weight decay
 and early stopping on validation macro-F1. The Adam (AdamState, over a dict
 of named arrays) and the epoch loop with early stopping (_fit_epochs) are
 the ones the VQC trains with too. One forward and one backward write every
-array into a workspace (_Workspace). A trainer allocates one for a batch,
-with the backprop cache, and every step gathers its rows into it
-(_gather_rows) and reuses it: train_encoder does so, and so does the VQC
-when it fine-tunes the encoder. The eval forward keeps no cache and runs
-evenly split row blocks through one. Input rows may be dense or a
-datapipe.CsrMatrix, whose rows are densified only into those buffers.
-Everything is float64 numpy; all randomness flows through explicit seeds.
+array into a workspace (_Workspace), whose input rows only _gather_rows
+writes. A trainer allocates one for a batch, with the backprop cache, and
+every step gathers its rows into it and reuses it: train_encoder does so,
+and so does the VQC when it fine-tunes the encoder. The eval forward keeps
+no cache and gathers evenly split row blocks into one. Input rows may be
+dense of any float dtype or a datapipe.CsrMatrix; each is cast or
+densified only into a workspace. Everything is float64 numpy; all
+randomness flows through explicit seeds.
 """
 from __future__ import annotations
 
@@ -42,11 +43,10 @@ ADAM_CHUNK = 16384
 # layer, even where that takes more rows.
 FORWARD_BLOCK = 256
 FORWARD_BLOCK_OUTPUTS = 2048
-# Most bytes of float64 input in a block the eval forward casts (rows that
-# are not C-contiguous float64, such as float32 features or a CsrMatrix's
-# rows), unless the rule above needs more rows.
+# Most bytes of float64 input rows in a block of the eval forward, unless
+# the rule above needs more rows.
 FORWARD_INPUT_BYTES = 4 << 20
-# bytes of input rows a training step gathers per pass, in their own dtype
+# bytes of input rows a gather by index takes per pass, in their own dtype
 GATHER_BYTES = 1 << 20
 # the scaler maps these quantiles of the train embeddings to -1 and +1
 SCALER_QUANTILES = (0.05, 0.95)
@@ -173,13 +173,14 @@ class _Workspace:
     """The arrays one forward, and after it one backward, write into, for up
     to `rows` rows; a pass over m <= rows rows uses their m-row prefixes.
 
-    With `cache` (training) every block keeps its own LayerNorm output,
-    1/std, Phi(h) and output, plus its dropout mask when `masks`, and the
-    backward reads them; its buffers, `grads` (one array per parameter) and
-    the input rows `x` and labels `y` the caller fills are allocated here
-    too. Without `cache` (the eval forward) the blocks share one set of
-    arrays, alternate two output buffers and write the last block's output
-    where the caller says; the caller holds the input rows.
+    Every workspace holds the float64 input rows `x`, which _gather_rows
+    fills. With `cache` (training) every block keeps its own LayerNorm
+    output, 1/std, Phi(h) and output, plus its dropout mask when `masks`,
+    and the backward reads them; its buffers, `grads` (one array per
+    parameter) and the labels `y` the caller fills are allocated here too.
+    Without `cache` (the eval forward) the blocks share one set of arrays,
+    alternate two output buffers and write the last block's output where
+    the caller says.
     """
 
     def __init__(self, model: EncoderModel, rows: int, cache: bool, masks: bool = False):
@@ -190,9 +191,10 @@ class _Workspace:
         def buf(width=1):
             return np.empty(rows * width)
 
+        self.x = np.empty((rows, cfg.input_dim))
         self.scratch, self.mu, self.sq = buf(max(widths)), buf(), buf(cfg.embed_dim)
         if cache:
-            self.x, self.y = np.empty((rows, cfg.input_dim)), np.empty(rows, dtype=int)
+            self.y = np.empty(rows, dtype=int)
             self.xhat = [buf(w) for w in widths]
             self.inv_std = [buf() for _ in widths]
             self.phi = [buf(w) for w in widths]
@@ -281,54 +283,37 @@ def _forward(model: EncoderModel, ws: _Workspace, m: int, rng) -> Tuple[np.ndarr
     return logits, e
 
 
-def _input_rows(model: EncoderModel, x):
-    a = feature_rows(x)
-    if a.shape[-1] != model.config.input_dim:
-        raise ValueError(f"expected {model.config.input_dim} features, got {a.shape[-1]}")
-    return a
-
-
 def forward(model: EncoderModel, x) -> Tuple[np.ndarray, np.ndarray]:
     """Eval-mode (logits, unit-norm embedding) for one sample or a batch.
 
-    The rows are split evenly into blocks of at most FORWARD_BLOCK rows,
-    and each block runs through the hidden layers in one workspace with no
-    backprop cache. C-contiguous float64 rows are read in place; other rows
-    (float32 features, or a CsrMatrix's rows, densified) are cast into one
-    staging buffer a block at a time, so their blocks also hold at most
-    FORWARD_INPUT_BYTES of float64 input. The heads then run once over the
-    stacked last-hidden rows. Beyond one block's working set and staging
-    buffer, memory grows by the last hidden, embedding and logit rows only.
+    The rows are split evenly into blocks of at most FORWARD_BLOCK rows and
+    FORWARD_INPUT_BYTES of float64 input each. Each block is gathered into
+    one workspace with no backprop cache (_gather_rows) and runs through
+    the hidden layers there. The heads then run once over the stacked
+    last-hidden rows. Beyond one block's workspace, memory grows by the
+    last hidden, embedding and logit rows only.
     """
-    a = _input_rows(model, x)
-    sparse = isinstance(a, CsrMatrix)
+    a = feature_rows(x)
     cfg = model.config
     n = a.shape[0]
-    direct = not sparse and a.dtype == np.float64 and a.flags.c_contiguous
-    cap = FORWARD_BLOCK if direct else min(FORWARD_BLOCK, FORWARD_INPUT_BYTES // (8 * cfg.input_dim))
+    cap = min(FORWARD_BLOCK, FORWARD_INPUT_BYTES // (8 * cfg.input_dim))
     # an even split leaves each block more than cap / 2 rows, so a cap of twice
     # the floor keeps FORWARD_BLOCK_OUTPUTS outputs in each
     cap = max(cap, 2 * -(-FORWARD_BLOCK_OUTPUTS // min(cfg.hidden_sizes)))
     blocks = max(-(-n // cap), 1)
     edges = [n * j // blocks for j in range(blocks + 1)]
-    rows = -(-n // blocks)
-    ws = _Workspace(model, rows, cache=False)
-    stage = None if direct else np.empty((rows, cfg.input_dim))
+    ws = _Workspace(model, -(-n // blocks), cache=False)
+    gather = _gather_rows(a, ws)
     stacked = np.empty((n, cfg.hidden_sizes[-1]))
     for lo, hi in zip(edges[:-1], edges[1:]):
-        block = a[lo:hi]
-        if sparse:
-            block = block.densify(stage[: hi - lo])
-        elif not direct:
-            block = stage[: hi - lo]
-            np.copyto(block, a[lo:hi])
-        _hidden(model, ws, block, None, stacked[lo:hi])
+        gather(slice(lo, hi))
+        _hidden(model, ws, ws.x[: hi - lo], None, stacked[lo:hi])
     e, norms = np.empty((n, cfg.embed_dim)), np.empty((n, 1))
     _embed(model, stacked, e, norms, _rows(ws.sq, ws.rows, cfg.embed_dim))
     del stacked, norms
     logits = np.empty((n, 2))
     _classify(model, e, logits)
-    if not sparse and np.ndim(x) == 1:
+    if np.ndim(x) == 1:
         return logits[0], e[0]
     return logits, e
 
@@ -547,14 +532,18 @@ def _fit_epochs(schedule: TrainSchedule, n: int, rng, step, validate, snapshot):
 
 
 def _gather_rows(x, ws: _Workspace):
-    """gather(idx), which writes the rows x[idx] into the first idx.size rows
-    of ws.x, after a width check. Dense rows are taken from x's own rows
-    through a staging buffer of x's dtype, GATHER_BYTES at a time, with
-    mode="clip" since "raise" first gathers into a temporary of the output's
-    size. A CsrMatrix's rows are taken with their stored entries only and
-    scattered into ws.x, zeroed once here: each gather first clears the
-    cells the one before it wrote."""
-    x = _input_rows(ws.model, x)
+    """gather(idx), which writes the rows x[idx] into the first rows of ws.x,
+    for a slice or a 1-D index array `idx`, after a width check. This is
+    the only way feature rows enter a workspace. Dense rows of a slice are
+    a view of x, cast straight into ws.x. Dense rows of an index array are
+    taken through a staging buffer of x's dtype, allocated at the first
+    such gather, GATHER_BYTES at a time, with mode="clip" since "raise"
+    first gathers into a temporary of the output's size. A CsrMatrix's rows are taken with their stored entries
+    only and scattered into ws.x, zeroed once here: each gather first
+    clears the cells the one before it wrote."""
+    x = feature_rows(x)
+    if x.shape[-1] != ws.model.config.input_dim:
+        raise ValueError(f"expected {ws.model.config.input_dim} features, got {x.shape[-1]}")
     if isinstance(x, CsrMatrix):
         flat = ws.x.reshape(-1)
         flat.fill(0.0)
@@ -569,9 +558,16 @@ def _gather_rows(x, ws: _Workspace):
 
         return scatter
     chunk = min(ws.rows, max(1, GATHER_BYTES // max(x[:1].nbytes, 1)))
-    stage = np.empty((chunk, x.shape[1]), x.dtype)
+    stage = None
 
     def gather(idx):
+        nonlocal stage
+        if isinstance(idx, slice):
+            rows = x[idx]
+            ws.x[: rows.shape[0]] = rows
+            return
+        if stage is None:
+            stage = np.empty((chunk, x.shape[1]), x.dtype)
         for lo in range(0, idx.size, chunk):
             part = stage[: min(chunk, idx.size - lo)]
             np.take(x, idx[lo : lo + chunk], axis=0, out=part, mode="clip")

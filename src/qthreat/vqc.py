@@ -276,9 +276,7 @@ def angles_from_features(
     num_qubits: int,
 ) -> np.ndarray:
     """Feature rows -> embedding -> robust scaling -> first q dims as angles."""
-    # float32 and CsrMatrix rows go to forward as they are: it casts or
-    # densifies them a block at a time, so no float64 copy of the split is made
-    _, e = forward(encoder_model, feature_rows(x))
+    _, e = forward(encoder_model, x)
     scaled, _ = scale_with_grad(e, scaler)
     return math.pi * scaled[:, :num_qubits]
 

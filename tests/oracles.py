@@ -12,7 +12,7 @@ from scipy.special import ndtr
 
 from qthreat import datapipe
 from qthreat.encoder import (
-    ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LN_EPS, _check_labels, _input_rows, _loss, _Workspace,
+    ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LN_EPS, _check_labels, _gather_rows, _loss, _Workspace,
     scale_with_grad,
 )
 from qthreat.featuremap import (
@@ -884,7 +884,7 @@ def loss_and_gradients(model, x, y, class_weights=(1.0, 1.0), dropout_seed=None)
     exactly equivalent to doubling its weight. Weight decay is applied in
     the optimizer step, never here.
     """
-    x = _input_rows(model, np.asarray(x, dtype=float))
+    x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=int).reshape(-1)
     if x.shape[0] == 0:
         raise ValueError("empty batch")
@@ -893,7 +893,8 @@ def loss_and_gradients(model, x, y, class_weights=(1.0, 1.0), dropout_seed=None)
     _check_labels(y)
     rng = np.random.default_rng(dropout_seed) if dropout_seed is not None else None
     ws = _Workspace(model, x.shape[0], cache=True, masks=rng is not None and model.config.dropout > 0.0)
-    ws.x[:], ws.y[:] = x, y
+    _gather_rows(x, ws)(slice(0, x.shape[0]))
+    ws.y[:] = y
     return _loss(model, ws, x.shape[0], np.asarray(class_weights, dtype=float), rng)
 
 

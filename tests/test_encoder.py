@@ -165,22 +165,27 @@ def test_eval_forward_keeps_no_backprop_cache(input_dim, hidden):
     assert peak <= working_set * n * 8 + 0.5 * widest, peak / widest
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64, "csr"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, "csr", "fortran"])
 @pytest.mark.parametrize("input_dim, hidden, embed_dim",
                          [(70, (256, 64), 12), (6740, (256, 64), 12), (64, (64,) * 8, 4), (7, (4,), 3)])
 def test_blocked_forward_matches_whole_array_oracle_bit_for_bit(input_dim, hidden, embed_dim, dtype):
-    # the even split's smallest blocks: 78 float32 rows of 6 740 columns make
-    # two blocks of 39 rows, 257 rows make 128 + 129 and 1 025 rows of the
+    # the even split's smallest blocks: 78 rows of 6 740 columns make two
+    # blocks of 39 rows, 257 rows make 128 + 129 and 1 025 rows of the
     # (7, (4,), 3) shape make 512 + 513; 511-513 rows straddle a split into
     # two blocks of at most 256 rows, and 5 * 256 + 80 rows make six of them.
-    # CSR rows (5% of float32 entries kept) take the float32 rows' blocks
+    # Every input kind takes the same blocks: float32, C-contiguous float64,
+    # CSR (5% of float32 entries kept) and column-major float64 rows
     model = init_encoder(EncoderConfig(input_dim=input_dim, hidden_sizes=hidden, embed_dim=embed_dim, seed=8))
     rng = np.random.default_rng(9)
     for n in (78, 257, 511, 512, 513, 1025, 5 * 256 + 80):
-        x = rows = rng.normal(size=(n, input_dim)).astype(np.float32 if dtype == "csr" else dtype)
+        dense = {"csr": np.float32, "fortran": np.float64}.get(dtype, dtype)
+        x = rows = rng.normal(size=(n, input_dim)).astype(dense)
         if dtype == "csr":
             x = np.where(rng.random(x.shape) < 0.05, x, np.float32(0.0))
             rows = csr_from_dense(x)
+        if dtype == "fortran":
+            rows = np.asfortranarray(x)
+            assert not rows.flags.c_contiguous
         logits, e = forward(model, rows)
         expected_logits, expected_cache = encoder_forward(model, x, False, None)
         np.testing.assert_array_equal(logits.view(np.uint64), expected_logits.view(np.uint64))
@@ -205,15 +210,19 @@ def test_eval_forward_memory_grows_by_its_output_rows(input_dim, hidden, embed_d
     assert peaks[8000] - peaks[2000] <= 6000 * (hidden[-1] + embed_dim + 2) * 8, peaks
 
 
-def test_wide_eval_forward_converts_its_input_within_the_byte_cap():
-    # 511 float32 rows of tf-idf width are cast to float64 a row block at a
-    # time, so the forward holds at most FORWARD_INPUT_BYTES of input, one
-    # block's hidden working set (four arrays of the widest layer, counted
-    # generously for all 511 rows) and the stacked outputs, not a float64
-    # copy of all 511 rows (27 MB)
+def _assert_wide_forward_within_the_byte_cap(kind):
+    # 511 rows of tf-idf width are gathered into the workspace as float64 a
+    # row block at a time, so the forward holds at most FORWARD_INPUT_BYTES
+    # of input, one block's hidden working set (four arrays of the widest
+    # layer, counted generously for all 511 rows) and the stacked outputs,
+    # not a float64 copy of all 511 rows (27 MB). CSR rows keep 5% of the
+    # float32 entries
     n, input_dim, hidden, embed_dim = 511, 6740, (256, 64), 12
     model = init_encoder(EncoderConfig(input_dim=input_dim, hidden_sizes=hidden, embed_dim=embed_dim, seed=5))
-    x = np.random.default_rng(6).normal(size=(n, input_dim)).astype(np.float32)
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(n, input_dim)).astype(np.float64 if kind == "float64" else np.float32)
+    if kind == "csr":
+        x = csr_from_dense(np.where(rng.random(x.shape) < 0.05, x, np.float32(0.0)))
     forward(model, x[:300])  # one-time imports
     tracemalloc.start()
     try:
@@ -224,6 +233,17 @@ def test_wide_eval_forward_converts_its_input_within_the_byte_cap():
     working_set = n * (4 * max(hidden) + embed_dim + 2) * 8
     outputs = n * (hidden[-1] + embed_dim + 1 + 2) * 8
     assert peak <= encoder.FORWARD_INPUT_BYTES + working_set + outputs, peak
+
+
+def test_wide_eval_forward_converts_its_input_within_the_byte_cap():
+    _assert_wide_forward_within_the_byte_cap("float32")
+
+
+@pytest.mark.parametrize("kind", ["float64", "csr"])
+def test_wide_eval_forward_gathers_every_input_kind_within_the_byte_cap(kind):
+    # C-contiguous float64 rows and CSR rows take the float32 rows' blocks,
+    # so the same cap holds for them
+    _assert_wide_forward_within_the_byte_cap(kind)
 
 
 @st.composite
@@ -251,9 +271,10 @@ _NEG_ZERO_LAST_COLUMN = np.array(
 @example((_NEG_ZERO_LAST_COLUMN, 3, [np.array([3]), np.array([0, 1, 1])]))
 def test_csr_rows_match_their_dense_form_bit_for_bit(case):
     # row take, the training gather (twice, so the second clears what the
-    # first wrote) and the eval forward see a CsrMatrix as they see its dense
-    # float32 form, the forward as the whole-array oracle does: -0.0, empty
-    # rows and the last column included
+    # first wrote), the gather of a slice and of its index array, and the
+    # eval forward see a CsrMatrix as they see its dense float32 form, the
+    # forward as the whole-array oracle does: -0.0, empty rows and the last
+    # column included
     x, cap, batches = case
     csr = csr_from_dense(x)
     for idx in batches:
@@ -267,6 +288,15 @@ def test_csr_rows_match_their_dense_form_bit_for_bit(case):
         m = idx.size
         assert np.array_equal(ws.x[:m].view(np.uint64), dense_ws.x[:m].view(np.uint64))
         assert np.array_equal(ws.x[:m].view(np.uint64), x[idx].astype(np.float64).view(np.uint64))
+    for idx in batches:
+        lo = int(idx.min())
+        hi = min(lo + cap, x.shape[0])
+        want = x[lo:hi].astype(np.float64).view(np.uint64)
+        for w, g in ((ws, gather), (dense_ws, dense_gather)):
+            g(slice(lo, hi))
+            assert np.array_equal(w.x[: hi - lo].view(np.uint64), want)
+            g(np.arange(lo, hi))
+            assert np.array_equal(w.x[: hi - lo].view(np.uint64), want)
     logits, e = forward(model, csr)
     expected_logits, expected_cache = encoder_forward(model, x, False, None)
     np.testing.assert_array_equal(logits.view(np.uint64), expected_logits.view(np.uint64))

@@ -602,7 +602,7 @@ def test_csr_features_train_the_vqc_their_dense_form_trains(fine_tune):
 def test_angles_from_csr_features_grow_with_the_rows_not_their_width():
     # 1 000 and then 4 000 CSR rows of 10 000 columns: as dense float32 the
     # extra rows alone would be 120 MB, as float64 240 MB. The forward
-    # densifies one row block at a time into its staging buffer, so the peak
+    # densifies one row block at a time into its workspace, so the peak
     # grows only by the per-row outputs (last hidden layer, embedding,
     # logits, scaled angles and their temporaries), well under 256 float64
     # values per row
