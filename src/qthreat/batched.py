@@ -2,10 +2,13 @@
 
 Each circuit is built once, by featuremap.build_feature_map or
 vqc.build_vqc_circuit, and run by either engine: `evolve` here for exact
-states, or qsim.evolve_density for shots and noise. Arrays hold one
-register per row, shape (m, 2^q), qubit 0 the least significant bit of the
-column index; a gate angle is a float shared by every row or an (m,)
-array, one angle per row. `adjoint` is the reverse sweep of the adjoint
+states, or qsim.evolve_density for shots and noise. The ZZ feature map's
+exact states skip `evolve`: featuremap.feature_statevectors reads one
+repetition's diagonal from `_steps` and applies the Hadamard layers as
+matrix products, with `evolve` on the same circuit as its test oracle.
+Arrays hold one register per row, shape (m, 2^q), qubit 0 the least
+significant bit of the column index; a gate angle is a float shared by
+every row or an (m,) array, one angle per row. `adjoint` is the reverse sweep of the adjoint
 method (Jones & Gacon, arXiv:2009.02823) over the same program. Tests pin
 `evolve` to the per-state reference, tests/oracles.apply_circuit, and
 `adjoint` to central differences.

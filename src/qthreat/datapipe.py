@@ -489,18 +489,20 @@ def select_eval_subset(split: DatasetSplit, size: int = 100, seed: int = 0) -> n
     spam/ham for messages, so every attack family present in the test set
     lands in the subset.
     """
-    # object dtype compares as Python str does: a fixed-width "U" array
-    # drops trailing NULs, so "a\x00" and "a" would be one category
-    cats = np.asarray(split.test_categories, dtype=object).reshape(-1)
-    if cats.size < size:
-        raise ValueError(f"test set has {cats.size} rows, need {size}")
-    names, inverse, counts = np.unique(cats, return_inverse=True, return_counts=True)
+    # grouped as Python str compares, never through a fixed-width "U"
+    # array, which drops trailing NULs and would merge "a\x00" with "a"
+    cats = list(split.test_categories)
+    if len(cats) < size:
+        raise ValueError(f"test set has {len(cats)} rows, need {size}")
+    names = sorted(set(cats))
+    index = {name: k for k, name in enumerate(names)}
+    codes = np.fromiter(map(index.__getitem__, cats), dtype=np.intp, count=len(cats))
+    counts = np.bincount(codes, minlength=len(names))
     alloc = apportion(dict(zip(names, counts.tolist())), size)
     rng = np.random.default_rng(seed)
-    chosen = [
-        rng.permutation(np.flatnonzero(inverse == k))[: alloc[name]]
-        for k, name in enumerate(names)
-    ]
+    # a stable sort keeps each category's rows in ascending order
+    groups = np.split(np.argsort(codes, kind="stable"), np.cumsum(counts)[:-1])
+    chosen = [rng.permutation(rows)[: alloc[name]] for name, rows in zip(names, groups)]
     return np.sort(np.concatenate(chosen))
 
 

@@ -8,11 +8,14 @@ convention because published variants differ:
   product   phi_ij = theta_i * theta_j
 
 The convention tag travels with every persisted artifact. The circuit is
-built once, by `build_feature_map`, and run by either engine: exact
-statevectors come from batched.evolve, and shot-mode kernels from
-compute-uncompute circuits U(b)^dagger U(a): a stack of pairs runs through
-the shot engine (qsim.evolve_density, then qsim.shot_estimates with
-readout error folded in), and k(a, b) is the sampled frequency of |0...0>.
+built once, by `build_feature_map`. Exact statevectors are its closed form,
+(D(x) H^(x)q)^reps |0...0> (Havlicek et al., Nature 567:209, 2019), with
+the diagonal D(x) of one repetition taken from batched's compiled steps;
+batched.evolve runs the same circuit gate by gate, the tests' oracle.
+Shot-mode kernels come from compute-uncompute circuits U(b)^dagger U(a):
+a stack of pairs runs through the shot engine (qsim.evolve_density, then
+qsim.shot_estimates with readout error folded in), and k(a, b) is the
+sampled frequency of |0...0>.
 No Gram is built here: the QSVM reads its centred train kernel row by row
 from the train statevectors (qsvm.FidelityRows), and scores other rows
 through one observable (qsvm.observable_scorer). The one-pair kernels the
@@ -20,7 +23,8 @@ tests check these against, exact and shot, are in tests/oracles.py.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import List, Tuple
 
 import numpy as np
@@ -113,10 +117,34 @@ def build_feature_map(theta, spec: FeatureMapSpec) -> CircuitProgram:
     return CircuitProgram(spec.num_qubits, rep * spec.reps)
 
 
+@lru_cache(maxsize=None)
+def _hadamard(num_qubits: int) -> np.ndarray:
+    """H^(x)q as one read-only (2^q, 2^q) matrix: the Sylvester-Hadamard
+    matrix, entries (-1)^popcount(a & b), times 2^(-q/2)."""
+    h = np.ones((1, 1))
+    for _ in range(num_qubits):
+        h = np.block([[h, h], [h, -h]])
+    h *= 2.0 ** (-0.5 * num_qubits)
+    h.setflags(write=False)
+    return h
+
+
 def feature_statevectors(angles: np.ndarray, spec: FeatureMapSpec) -> np.ndarray:
-    """Statevectors for a stack of angle rows, shape (m, q) -> (m, 2^q): the
-    feature map of the stack run by batched.evolve."""
-    return batched.evolve(build_feature_map(np.atleast_2d(np.asarray(angles, dtype=float)), spec))
+    """Statevectors for a stack of angle rows, shape (m, q) -> (m, 2^q).
+
+    The map is (D(x) H^(x)q)^reps |0...0>, with D(x) the diagonal of one
+    repetition's RZ/RZZ run, taken from the compiled one-rep circuit
+    (batched._steps). H^(x)q|0...0> is the uniform vector, so the first
+    repetition is D 2^(-q/2) and each further one is one product with the
+    Hadamard matrix and one multiply by D; no gate is applied one by one.
+    """
+    t = np.atleast_2d(np.asarray(angles, dtype=float))
+    one_rep = build_feature_map(t, replace(spec, reps=1))
+    (d,) = [u for op, u, _ in batched._steps(one_rep) if op is None]
+    psi = d * 2.0 ** (-0.5 * spec.num_qubits)
+    for _ in range(spec.reps - 1):
+        psi = (psi @ _hadamard(spec.num_qubits)) * d
+    return psi
 
 
 def compute_uncompute_program(theta_a, theta_b, spec: FeatureMapSpec) -> CircuitProgram:

@@ -838,12 +838,15 @@ def evaluate_streaming(
         raise ValueError(f"subset must hold integer test indices, not {subset.dtype}")
     if subset.min() < 0 or subset.max() >= n_test:
         raise ValueError("subset index out of range for the test split")
+    labels = split.y_test[subset]
+    for cls in (0, 1):
+        if not np.any(labels == cls):
+            raise ValueError(f"subset holds no test row of class {cls}; the report needs both classes")
     if config.model not in ("qsvm", "vqc"):
         raise ValueError("streaming evaluation needs a quantum model bundle")
     threshold = float(model.threshold)
 
     scores, refs = _score(model, execution, model.rows(split.x_test[subset]), reference_limit)
-    labels = split.y_test[subset]
     path = Path(audit_path) if audit_path is not None else bundle.root / "stream_audit.csv"
     with open(path, "w", encoding="utf-8") as sink:
         stream = metrics.StreamingConfusion(sink=sink)

@@ -277,7 +277,10 @@ def observable_scorer(
     `support_angles` are the angle rows of model.support in order and
     `support_means` their centring means mu_i (FidelityRows.means at
     model.support), the support-vector data svm.json stores. The returned
-    function maps (m, q) angle rows to model.sign times the value.
+    function maps (m, q) angle rows to model.sign times the value, taking
+    <phi|W|phi> of all m rows as one (m, 2^q) x (2^q, 2^q) product. A row's
+    score does not depend on the other rows of a batch of two or more; a
+    one-row batch takes BLAS's vector path, so its last bits can differ.
     """
     if len(support_angles) != model.support.size:
         raise ValueError("need one angle row per support vector")
@@ -287,7 +290,7 @@ def observable_scorer(
 
     def score(angles: np.ndarray) -> np.ndarray:
         psi = feature_statevectors(angles, spec)
-        return model.sign * (np.einsum("ma,ab,mb->m", psi.conj(), w, psi).real + offset)
+        return model.sign * (((psi.conj() @ w) * psi).sum(axis=1).real + offset)
 
     return score
 

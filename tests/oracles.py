@@ -307,6 +307,22 @@ def select_eval_subset_loop(split, size=100, seed=0):
     return np.sort(np.concatenate(chosen))
 
 
+def select_eval_subset_unique(split, size=100, seed=0):
+    """The stratified test-set sample by category through np.unique over an
+    object array, then one scan of its inverse per category."""
+    cats = np.asarray(split.test_categories, dtype=object).reshape(-1)
+    if cats.size < size:
+        raise ValueError(f"test set has {cats.size} rows, need {size}")
+    names, inverse, counts = np.unique(cats, return_inverse=True, return_counts=True)
+    alloc = datapipe.apportion(dict(zip(names, counts.tolist())), size)
+    rng = np.random.default_rng(seed)
+    chosen = [
+        rng.permutation(np.flatnonzero(inverse == k))[: alloc[name]]
+        for k, name in enumerate(names)
+    ]
+    return np.sort(np.concatenate(chosen))
+
+
 def parse_nslkdd_lists(path):
     """NSL-KDD rows parsed into one list per row, stacked at the end:
     (numeric (n, 38), categorical columns, labels)."""

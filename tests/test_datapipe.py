@@ -42,6 +42,7 @@ from qthreat.datapipe import (
 from conftest import make_record, random_csr, write_nslkdd_pair
 from oracles import (
     csr_f64_vector, csr_from_dense, dense_from_csr, parse_nslkdd_lists, transform_tfidf_dense, reference_indices, select_eval_subset_loop,
+    select_eval_subset_unique,
     stratified_limit, transform_tabular_concat,
 )
 
@@ -500,18 +501,21 @@ def test_eval_subset_proportional_two_classes():
 )
 @example(cats=["a", "a\x00", "a", "b"], size=3, seed=0)
 def test_eval_subset_matches_the_per_category_scan(cats, size, seed):
-    # categories that a fixed-width string array would merge ("a", "a\x00")
-    # stay apart; too few rows or too many categories fail alike
+    # the one-pass grouping against both the per-category list scan and the
+    # np.unique scan it replaced: categories that a fixed-width string array
+    # would merge ("a", "a\x00") stay apart; too few rows or too many
+    # categories fail alike
     split = types.SimpleNamespace(test_categories=cats)
-    try:
-        want = select_eval_subset_loop(split, size, seed)
-    except ValueError as err:
-        with pytest.raises(ValueError, match=re.escape(str(err))):
-            select_eval_subset(split, size, seed)
-        return
-    got = select_eval_subset(split, size, seed)
-    assert got.dtype == want.dtype
-    assert np.array_equal(got, want)
+    for oracle in (select_eval_subset_loop, select_eval_subset_unique):
+        try:
+            want = oracle(split, size, seed)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                select_eval_subset(split, size, seed)
+            continue
+        got = select_eval_subset(split, size, seed)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------- persistence

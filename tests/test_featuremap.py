@@ -15,6 +15,7 @@ from qthreat.featuremap import (
     feature_statevectors,
     kernel_shot_estimates,
 )
+from qthreat import batched
 from qthreat.qsim import CircuitProgram, GateOp, NoiseSpec
 from qthreat.qsvm import CvPlan, FidelityRows, select_c
 
@@ -224,6 +225,47 @@ def test_batched_states_match_sequential():
             for i in range(6):
                 single = feature_state(AngleVector(rows[i]), spec).amplitudes
                 np.testing.assert_allclose(batch[i], single, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.integers(2, MAX_QUBITS),
+    reps=st.integers(1, 3),
+    entanglement=st.sampled_from(["full", "linear"]),
+    convention=st.sampled_from(["pi_minus", "product"]),
+    m=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closed_form_states_match_the_gate_program(q, reps, entanglement, convention, m, seed):
+    # (D(x) H^q)^reps |0> against the same circuit run gate by gate
+    spec = FeatureMapSpec(q, reps, entanglement, convention)
+    rows = np.random.default_rng(seed).uniform(-math.pi, math.pi, size=(m, q))
+    got = feature_statevectors(rows, spec)
+    want = batched.evolve(build_feature_map(rows, spec))
+    assert got.shape == want.shape == (m, 1 << q)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(np.linalg.norm(got, axis=1), 1.0, rtol=0.0, atol=1e-13)
+
+
+def test_feature_states_are_row_independent_and_apply_no_gate(monkeypatch):
+    # streaming maps rows in chunks: in any batch of two or more rows, a
+    # row's state must not depend on the others (a one-row batch takes
+    # BLAS's vector path, so it may differ in the last bits)
+    def no_gate(*args):
+        raise AssertionError("feature_statevectors applied a gate")
+
+    monkeypatch.setattr(batched, "_apply", no_gate)
+    rng = np.random.default_rng(16)
+    for q in range(2, MAX_QUBITS + 1):
+        for reps in (1, 2, 3):
+            spec = FeatureMapSpec(q, reps)
+            rows = rng.uniform(-math.pi, math.pi, size=(150, q))
+            whole = feature_statevectors(rows, spec)
+            for chunk in (2, 3, 5, 16, 75):
+                parts = [feature_statevectors(rows[i : i + chunk], spec)
+                         for i in range(0, 150 - chunk + 1, chunk)]
+                stacked = np.concatenate(parts)
+                assert np.array_equal(stacked, whole[: len(stacked)]), (q, reps, chunk)
 
 
 # ------------------------------------------------------------ shot kernels

@@ -902,6 +902,19 @@ def test_streaming_rejects_a_subset_that_is_not_integer(qsvm_bundle, tmp_path):
     assert out["indices"].tolist() == subset.tolist() and len(out["lines"]) == subset.size
 
 
+def test_streaming_rejects_a_one_class_subset_before_scoring(qsvm_bundle, tmp_path):
+    # the report needs both classes; the subset is checked before any row is
+    # scored, so an existing audit file is left as it was
+    _, d, _ = qsvm_bundle
+    y = datapipe.load_split(d / "preprocess").y_test
+    audit = tmp_path / "a.csv"
+    audit.write_text("kept\n")
+    for cls in (0, 1):
+        with pytest.raises(ValueError, match=f"no test row of class {1 - cls}"):
+            harness.evaluate_streaming(d, subset=np.flatnonzero(y == cls)[:5], audit_path=audit)
+    assert audit.read_text() == "kept\n"
+
+
 def test_streaming_reference_limit_errors(qsvm_bundle):
     _, d, _ = qsvm_bundle
     shots = vqc.Execution("shots", 32)

@@ -511,18 +511,20 @@ def test_observable_scorer_matches_centred_block_oracle(
 
 def test_observable_scorer_is_row_independent():
     # streaming scores rows in chunks; each row's score must not depend on
-    # which other rows share its batch
+    # which other rows share its batch of two or more
     rng = np.random.default_rng(15)
-    spec = FeatureMapSpec(3, 2)
-    train = rng.uniform(-math.pi, math.pi, size=(24, 3))
-    labels = (train[:, 0] > 0).astype(int)
-    rows = fidelity_rows(train, spec)
-    model, _ = fit_rows(rows, labels, 1.0)
-    score = observable_scorer(model, train[model.support], rows.means[model.support], spec)
-    probe = rng.uniform(-math.pi, math.pi, size=(70, 3))
-    whole = score(probe)
-    chunked = np.concatenate([score(probe[i : i + 32]) for i in range(0, 70, 32)])
-    assert np.array_equal(whole, chunked)
+    for q in (3, 4):
+        spec = FeatureMapSpec(q, 2)
+        train = rng.uniform(-math.pi, math.pi, size=(24, q))
+        labels = (train[:, 0] > 0).astype(int)
+        rows = fidelity_rows(train, spec)
+        model, _ = fit_rows(rows, labels, 1.0)
+        score = observable_scorer(model, train[model.support], rows.means[model.support], spec)
+        probe = rng.uniform(-math.pi, math.pi, size=(70, q))
+        whole = score(probe)
+        for chunk in (2, 32):
+            chunked = np.concatenate([score(probe[i : i + chunk]) for i in range(0, 70, chunk)])
+            assert np.array_equal(whole, chunked), (q, chunk)
     with pytest.raises(ValueError, match="support vector"):
         observable_scorer(model, train[:1], rows.means[model.support], spec)
 
