@@ -378,6 +378,15 @@ def load_nslkdd(train_path, test_path, val_fraction: float = 0.2, seed: int = 0)
     )
 
 
+def lingspam_files(root_path) -> Tuple[Path, List[Path]]:
+    """(base, files): a Ling-Spam corpus's message tree (its bare/
+    subdirectory when present, else the root) and every file under it, sorted."""
+    base = Path(root_path)
+    if (base / "bare").is_dir():
+        base = base / "bare"
+    return base, sorted(p for p in base.rglob("*") if p.is_file())
+
+
 def load_lingspam(
     root_path,
     test_fraction: float = 0.2,
@@ -385,14 +394,10 @@ def load_lingspam(
     seed: int = 0,
     ngram_max: int = 1,
 ) -> DatasetSplit:
-    """Message tree (its bare/ subdirectory when present): filenames
-    starting with "spmsg" are spam. TF-IDF is fitted on the training
-    documents only; val_fraction applies to what remains after the test
-    carve."""
-    base = Path(root_path)
-    if (base / "bare").is_dir():
-        base = base / "bare"
-    files = sorted(p for p in base.rglob("*") if p.is_file())
+    """The message tree's files (lingspam_files): filenames starting with
+    "spmsg" are spam. TF-IDF is fitted on the training documents only;
+    val_fraction applies to what remains after the test carve."""
+    base, files = lingspam_files(root_path)
     docs: List[str] = []
     labels: List[int] = []
     skipped = 0

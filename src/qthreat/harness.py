@@ -184,8 +184,7 @@ class ExperimentConfig:
         d = dataclasses.asdict(self)
         d["hidden_sizes"] = list(self.hidden_sizes)
         d["c_grid"] = list(self.c_grid)
-        d["seeds"] = self.seeds.as_dict()
-        return d
+        return d  # asdict gives seeds as Seeds.as_dict does
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -276,17 +275,16 @@ def _stage(root: Path, stages: Dict[str, str], name: str, slice_, inputs, build,
 
 
 def _source_hashes(config: ExperimentConfig) -> List[str]:
-    """Content hashes of the raw inputs, so a changed source file
-    invalidates the preprocess stage even at an unchanged path."""
+    """Content hashes of the raw inputs, so a changed source file invalidates
+    the preprocess stage even at an unchanged path: the two NSL-KDD files, or
+    the Ling-Spam files load_lingspam reads, keyed relative to the corpus root."""
     if config.dataset == "nslkdd":
         return [persist.sha256_file(config.train_path), persist.sha256_file(config.test_path)]
     root = Path(config.corpus_path)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus root {root} is not a directory")
-    entries = []
-    for p in sorted(root.rglob("*")):
-        if p.is_file():
-            entries.append([p.relative_to(root).as_posix(), persist.sha256_file(p)])
+    files = datapipe.lingspam_files(root)[1]
+    entries = [[p.relative_to(root).as_posix(), persist.sha256_file(p)] for p in files]
     return [persist.sha256_bytes(persist.canonical_json(entries).encode())]
 
 
@@ -596,16 +594,6 @@ def _bundle_files(root: Path, stages: Dict[str, str]) -> List[str]:
     return names
 
 
-def _conventions(config: ExperimentConfig) -> dict:
-    return {
-        "second_order_coeff": config.second_order_coeff,
-        "entanglement": config.entanglement,
-        "angle_scale": "pi_times_scaled_embedding",
-        "positive_class": 1,
-        "qubit_order": "lsb_first",
-    }
-
-
 def run_experiment(config: ExperimentConfig, workdir, through: Optional[str] = None) -> dict:
     """Run the pipeline for one config, resuming finished stages.
 
@@ -684,19 +672,19 @@ def run_experiment(config: ExperimentConfig, workdir, through: Optional[str] = N
         persist.save_json(mpath, manifest)
         raise
 
-    manifest.update(
-        {
-            "versions": {
-                "package": __version__,
-                "rng": RNG_KIND,
-                "stopwords": STOPWORDS_VERSION,
-            },
-            "conventions": _conventions(config),
-            "threshold": float(model.threshold),
-            "metrics": rep.as_dict(),
-            **extras,
-        }
-    )
+    manifest.update({
+        "versions": {"package": __version__, "rng": RNG_KIND, "stopwords": STOPWORDS_VERSION},
+        "conventions": {
+            "second_order_coeff": config.second_order_coeff,
+            "entanglement": config.entanglement,
+            "angle_scale": "pi_times_scaled_embedding",
+            "positive_class": 1,
+            "qubit_order": "lsb_first",
+        },
+        "threshold": float(model.threshold),
+        "metrics": rep.as_dict(),
+        **extras,
+    })
     return _finish(manifest, mpath, root, stages, complete=True)
 
 
@@ -848,9 +836,10 @@ def evaluate_streaming(
 
     scores, refs = _score(model, execution, model.rows(split.x_test[subset]), reference_limit)
     path = Path(audit_path) if audit_path is not None else bundle.root / "stream_audit.csv"
-    with open(path, "w", encoding="utf-8") as sink:
-        stream = metrics.StreamingConfusion(sink=sink)
-        stream.extend(labels, (scores >= threshold).astype(int))
+    stream = metrics.StreamingConfusion()
+    stream.extend(labels, (scores >= threshold).astype(int))
+    persist.remove_temp_files(bundle.root)  # a killed stream's partial audit
+    persist.save_text(path, "".join(line + "\n" for line in stream.lines))
     rep = metrics.report(labels, scores, threshold, config.beta)
     return {
         "report": rep,
@@ -895,6 +884,7 @@ def run_matrix(configs: Sequence[ExperimentConfig], workdir, repeats: int = 1) -
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     root = persist.ensure_dir(workdir)
+    persist.remove_temp_files(root)  # a killed matrix's partial matrix.json or matrix.txt
 
     def run_cell(config, r):
         cell_config = replace(config, seeds=config.seeds.shifted(r))
@@ -926,8 +916,7 @@ def run_matrix(configs: Sequence[ExperimentConfig], workdir, repeats: int = 1) -
 
     table = format_matrix(rows, means)
     persist.save_json(root / "matrix.json", {"rows": rows, "means": means})
-    with open(root / "matrix.txt", "w", encoding="utf-8") as f:
-        f.write(table + "\n")
+    persist.save_text(root / "matrix.txt", table + "\n")
     return {"rows": rows, "means": means, "table": table}
 
 

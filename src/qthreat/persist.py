@@ -1,4 +1,9 @@
-"""Artifact persistence: JSON headers, raw float64 array files, content hashes.
+"""Artifact persistence: JSON headers, raw float64 array files, text, content hashes.
+
+Every file the package writes is renamed into place by _write_atomic: a killed
+process leaves the old file or the new one, plus at most a .<name>.<32 hex>.tmp
+file that remove_temp_files removes. Nothing is fsynced: a write is not
+promised to survive a power loss.
 
 All array files are little-endian float64, row-major, no header; shapes live
 in the accompanying JSON. JSON floats are written with Python's repr, which
@@ -33,10 +38,12 @@ def sha256_bytes(data) -> str:
 
 
 def sha256_file(path) -> str:
+    """sha256 of a file, read into one reused buffer of at most 1 MiB."""
     h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
+    with open(path, "rb", buffering=0) as f:
+        buf = memoryview(bytearray(min(max(os.fstat(f.fileno()).st_size, 1), 1 << 20)))
+        while n := f.readinto(buf):
+            h.update(buf[:n])
     return h.hexdigest()
 
 
@@ -179,6 +186,11 @@ def load_verified_f64(path, shape, sha256: str,
     if tail or out.size != expected:
         raise ValueError(f"{path}: expected {expected} float64 values, found {size / 8:g}")
     return out.reshape(shape)
+
+
+def save_text(path, text: str) -> None:
+    """Write `text` as UTF-8; unlike save_json it hashes nothing, as no reader checks its hash."""
+    _write_atomic(path, (text.encode("utf-8"),))
 
 
 def save_json(path, obj) -> str:

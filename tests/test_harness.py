@@ -600,6 +600,45 @@ def test_replacing_test_rows_keeps_fitted_artifacts(make_config, tmp_path):
     assert m1["files"]["preprocess/x_test.f64"] != m2["files"]["preprocess/x_test.f64"]
 
 
+def test_lingspam_preprocess_is_keyed_by_the_files_it_reads(make_config, lingspam_dir, tmp_path):
+    # a corpus with a bare/ tree is read from bare/ alone, as the public
+    # archive's bare, lemm, lemm_stop and stop variants are: a file added or
+    # changed outside bare/ leaves preprocess fresh, one changed inside it
+    # rebuilds preprocess
+    corpus = tmp_path / "corpus"
+    shutil.copytree(lingspam_dir, corpus)
+    config = make_config(dataset="lingspam", corpus_path=str(corpus), model="vqc")
+    # a corpus whose files all sit under bare/ keeps the key of every file
+    # under the root, keyed relative to it
+    every_file = [
+        [p.relative_to(corpus).as_posix(), persist.sha256_file(p)]
+        for p in sorted(corpus.rglob("*")) if p.is_file()
+    ]
+    assert harness._source_hashes(config) == [
+        persist.sha256_bytes(persist.canonical_json(every_file).encode())
+    ]
+    stop = corpus / "stop" / "part1"
+    stop.mkdir(parents=True)
+    (stop / "spmsg100.txt").write_text("free offer", encoding="utf-8")
+    work = tmp_path / "work"
+    key = harness.run_experiment(config, work, through="preprocess")["stages"]["preprocess"]
+    split_json = (work / "preprocess" / "split.json").read_bytes()
+
+    (stop / "spmsg100.txt").write_text("free offer now", encoding="utf-8")
+    (corpus / "lemm").mkdir()
+    (corpus / "lemm" / "3-001msg.txt").write_text("meeting", encoding="utf-8")
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(datapipe, "load_lingspam", lambda *a, **k: pytest.fail("preprocess rebuilt"))
+        again = harness.run_experiment(config, work, through="preprocess")
+    assert again["stages"]["preprocess"] == key
+    assert (work / "preprocess" / "split.json").read_bytes() == split_json
+
+    message = sorted((corpus / "bare").rglob("*.txt"))[0]
+    message.write_text(message.read_text(encoding="utf-8") + " extra", encoding="utf-8")
+    rebuilt = harness.run_experiment(config, work, through="preprocess")
+    assert rebuilt["stages"]["preprocess"] != key
+
+
 def test_vqc_pipeline_completes(vqc_bundle):
     config, d, manifest = vqc_bundle
     assert manifest["status"] == "complete"
@@ -828,6 +867,24 @@ def test_streaming_is_deterministic(qsvm_bundle, tmp_path):
     b = harness.evaluate_streaming(d, subset_size=40, audit_path=tmp_path / "b.csv")
     assert a["lines"] == b["lines"]
     assert np.array_equal(a["scores"], b["scores"])
+
+
+def _renames(monkeypatch):
+    """The targets persist renames files onto from now on."""
+    targets, real = [], persist.os.replace
+    monkeypatch.setattr(persist.os, "replace", lambda a, b: targets.append(Path(b)) or real(a, b))
+    return targets
+
+
+def test_streaming_renames_its_audit_into_place_in_missing_directories(
+    qsvm_bundle, tmp_path, monkeypatch
+):
+    _, d, _ = qsvm_bundle
+    audit = tmp_path / "new" / "dir" / "audit.csv"
+    renames = _renames(monkeypatch)
+    out = harness.evaluate_streaming(d, subset_size=20, audit_path=audit)
+    assert renames == [audit]
+    assert audit.read_text(encoding="utf-8") == "".join(line + "\n" for line in out["lines"])
 
 
 def test_streaming_shot_mode_tracks_exact(qsvm_bundle):
@@ -1467,6 +1524,19 @@ def test_cli_train_vqc(nslkdd_dir, tmp_path, capsys):
     assert main(args) == 0
     printed = json.loads(capsys.readouterr().out)
     assert "macro_f1" in printed
+
+
+def test_cli_report_renames_its_csv_into_place_in_missing_directories(
+    tmp_path, capsys, monkeypatch
+):
+    row = {"id": "a", "repeat": 0, "error": {"stage": "svm", "message": "x"}}
+    persist.save_json(tmp_path / "matrix.json", {"rows": [row], "means": []})
+    csv_path = tmp_path / "new" / "dir" / "cells.csv"
+    renames = _renames(monkeypatch)
+    assert main(["report", "--workdir", str(tmp_path), "--csv", str(csv_path)]) == 0
+    assert "error in stage svm" in capsys.readouterr().out
+    assert renames == [csv_path]
+    assert csv_path.read_text(encoding="utf-8") == harness.matrix_csv({"rows": [row]})
 
 
 def test_cli_matrix_and_report(nslkdd_dir, tmp_path, capsys, make_config):

@@ -1,4 +1,7 @@
+import ast
 import builtins
+import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ class _TornFile:
     [
         (persist.save_json, {"status": "complete"}, {"status": "incomplete", "pad": "x" * 4096}),
         (persist.save_array_f64, np.arange(6.0), np.linspace(0.0, 1.0, 5000)),
+        (persist.save_text, "0, 1, 1, 1, 0, 0, 0\n", "x" * 4096),
     ],
 )
 def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, save, first, second):
@@ -57,6 +61,76 @@ def test_saves_return_hash_of_written_bytes(tmp_path):
     loaded = persist.load_verified_f64(tmp_path / "sub" / "x.f64", (3, 4), sha)
     assert np.array_equal(loaded, arr)
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["a.json", "sub", "x.f64"]
+
+
+def test_save_text_writes_utf8_through_a_rename_and_creates_missing_parents(
+    tmp_path, monkeypatch
+):
+    path = tmp_path / "new" / "dir" / "audit.csv"
+    renames = []
+    real = persist.os.replace
+    monkeypatch.setattr(persist.os, "replace", lambda a, b: renames.append(b) or real(a, b))
+    persist.save_text(path, "0, 1, 1\nµ\n")
+    assert path.read_bytes() == "0, 1, 1\nµ\n".encode("utf-8") and renames == [path]
+    assert [p.name for p in path.parent.iterdir()] == ["audit.csv"]
+
+
+@pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, (5 << 19) + 3])
+def test_sha256_file_hashes_every_block(tmp_path, size):
+    # files shorter than, equal to and longer than the 1 MiB read buffer
+    data = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+    (tmp_path / "f").write_bytes(data)
+    assert persist.sha256_file(tmp_path / "f") == hashlib.sha256(data).hexdigest()
+
+
+_WRITE_CALLS = {"write_text", "write_bytes", "tofile"}
+_NUMPY_SAVES = {"save", "savez", "savez_compressed", "savetxt"}
+
+
+def _writes_outside_persist(source: str):
+    """(line, call) of each write in `source`: an open whose mode may write
+    (w, a, x or +, or a mode that is not a string literal, as os.open's
+    flags are not), a Path.write_text or write_bytes, an ndarray.tofile or
+    a numpy save."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        owner = getattr(getattr(func, "value", None), "id", None)  # the x of x.name(...)
+        if name == "open":
+            # open(file, mode), io.open and os.open; a method such as Path.open(mode)
+            pos = 1 if isinstance(func, ast.Name) or owner in ("io", "os") else 0
+            mode = node.args[pos] if len(node.args) > pos else next(
+                (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r")
+            )
+            literal = isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+            if not literal or set(mode.value) & set("wax+"):
+                found.append((node.lineno, ast.unparse(node)))
+        elif name in _WRITE_CALLS or (name in _NUMPY_SAVES and owner in ("np", "numpy")):
+            found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+def test_only_persist_writes_files():
+    # every file the package writes goes through persist._write_atomic's
+    # temp-and-rename, so no other module opens a file to write it
+    src = Path(persist.__file__).parent
+    writes = {
+        p.name: _writes_outside_persist(p.read_text(encoding="utf-8"))
+        for p in sorted(src.glob("*.py")) if p.name != "persist.py"
+    }
+    assert {name: w for name, w in writes.items() if w} == {}
+    # the scan sees each kind of write it forbids
+    probe = (
+        'open(p, "w"); open(p, mode="ab"); open(p, "r+"); open(p, m); Path(p).open("x")\n'
+        'p.write_text(t); p.write_bytes(b); a.tofile(p); np.save(p, a); numpy.savetxt(p, a)\n'
+        'io.open(p, "w"); os.open(p, flags)\n'
+        'open(p); open(p, "rb"); open(p, mode="r"); Path(p).open(); io.open(p, "rb")\n'
+        'p.read_text(); p.read_bytes(); np.load(p); np.fromfile(p)\n'
+    )
+    assert sorted(line for line, _ in _writes_outside_persist(probe)) == [1] * 5 + [2] * 5 + [3] * 2
 
 
 @pytest.mark.parametrize(
