@@ -239,18 +239,22 @@ def _run_report(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    **dict.fromkeys(_STAGE_COMMANDS, _run_stage_command),
-    "evaluate": _run_evaluate, "stream-eval": _run_stream, "matrix": _run_matrix,
-    "report": _run_report,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except (PipelineError, OSError, ValueError) as err:
+        if args.command in _STAGE_COMMANDS:
+            return _run_stage_command(args)
+        if args.command == "evaluate":
+            return _run_evaluate(args)
+        if args.command == "stream-eval":
+            return _run_stream(args)
+        if args.command == "matrix":
+            return _run_matrix(args)
+        return _run_report(args)
+    except PipelineError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -184,7 +184,8 @@ class ExperimentConfig:
         d = dataclasses.asdict(self)
         d["hidden_sizes"] = list(self.hidden_sizes)
         d["c_grid"] = list(self.c_grid)
-        return d  # asdict gives seeds as Seeds.as_dict does
+        d["seeds"] = self.seeds.as_dict()
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -249,8 +250,8 @@ def _stage(root: Path, stages: Dict[str, str], name: str, slice_, inputs, build,
     The key hashes `name`, the config slice and `inputs` (upstream stage keys,
     or source file hashes). When root/name/stage.json holds this key, load(d)
     reads the stage back. Otherwise, or when that read fails its hash or
-    structure checks (ValueError) or cannot open a file (OSError), the marker
-    is removed and the directory emptied before build(d) writes anything,
+    structure checks (ValueError) or cannot open a file (OSError), the
+    directory is removed (_remove_stage_dir) before build(d) writes anything,
     and the marker is saved only after it returns, so a stage that fails
     mid-build leaves no marker over its files, and a rebuilt stage keeps no
     file of an earlier key. The key is recorded in `stages` once the stage
@@ -265,13 +266,28 @@ def _stage(root: Path, stages: Dict[str, str], name: str, slice_, inputs, build,
     except (OSError, ValueError):
         fresh = False
     if not fresh:
-        marker.unlink(missing_ok=True)
         if d.exists():
-            shutil.rmtree(d)
+            _remove_stage_dir(d)
         result = build(d)
         persist.save_json(marker, {"key": key})
     stages[name] = key
     return result
+
+
+def _remove_stage_dir(d: Path) -> None:
+    """Remove a stage directory, its stage.json marker last: a process killed
+    part-way leaves the marker over what is left, so the next run removes it
+    again (a stale or damaged stage, or another model's)."""
+    if d.is_symlink():
+        raise OSError(f"stage directory {d} is a symbolic link")
+    marker = d / "stage.json"
+    for p in d.iterdir():
+        if p.is_dir() and not p.is_symlink():
+            shutil.rmtree(p)
+        elif p != marker:
+            p.unlink()
+    marker.unlink(missing_ok=True)
+    d.rmdir()
 
 
 def _source_hashes(config: ExperimentConfig) -> List[str]:
@@ -594,6 +610,16 @@ def _bundle_files(root: Path, stages: Dict[str, str]) -> List[str]:
     return names
 
 
+def _conventions(config: ExperimentConfig) -> dict:
+    return {
+        "second_order_coeff": config.second_order_coeff,
+        "entanglement": config.entanglement,
+        "angle_scale": "pi_times_scaled_embedding",
+        "positive_class": 1,
+        "qubit_order": "lsb_first",
+    }
+
+
 def run_experiment(config: ExperimentConfig, workdir, through: Optional[str] = None) -> dict:
     """Run the pipeline for one config, resuming finished stages.
 
@@ -605,7 +631,6 @@ def run_experiment(config: ExperimentConfig, workdir, through: Optional[str] = N
     if through is not None and through not in EARLY_STOPS:
         raise ValueError(f"through must be None or one of {EARLY_STOPS}, not {through!r}")
     root = persist.ensure_dir(workdir)
-    persist.remove_temp_files(root)  # a killed run's partial config or manifest
     mpath = root / "manifest.json"
     persist.save_json(root / "config.json", config.as_dict())
     manifest: dict = {
@@ -672,31 +697,33 @@ def run_experiment(config: ExperimentConfig, workdir, through: Optional[str] = N
         persist.save_json(mpath, manifest)
         raise
 
-    manifest.update({
-        "versions": {"package": __version__, "rng": RNG_KIND, "stopwords": STOPWORDS_VERSION},
-        "conventions": {
-            "second_order_coeff": config.second_order_coeff,
-            "entanglement": config.entanglement,
-            "angle_scale": "pi_times_scaled_embedding",
-            "positive_class": 1,
-            "qubit_order": "lsb_first",
-        },
-        "threshold": float(model.threshold),
-        "metrics": rep.as_dict(),
-        **extras,
-    })
+    manifest.update(
+        {
+            "versions": {
+                "package": __version__,
+                "rng": RNG_KIND,
+                "stopwords": STOPWORDS_VERSION,
+            },
+            "conventions": _conventions(config),
+            "threshold": float(model.threshold),
+            "metrics": rep.as_dict(),
+            **extras,
+        }
+    )
     return _finish(manifest, mpath, root, stages, complete=True)
 
 
 def _finish(manifest, mpath, root, stages, complete: bool) -> dict:
     """Write the manifest. A complete run first removes each stage directory
     it did not record (another model's, or a legacy gram/): a top-level
-    STAGE_DIRS directory holding a stage.json. No other path is touched."""
+    STAGE_DIRS directory holding a stage.json, or an empty one (what a removal
+    killed before its rmdir leaves). No other path is touched."""
     if complete:
         for name in STAGE_DIRS:
             d = root / name
-            if name not in stages and not d.is_symlink() and (d / "stage.json").is_file():
-                shutil.rmtree(d)
+            if (name not in stages and d.is_dir() and not d.is_symlink()
+                    and ((d / "stage.json").is_file() or not any(d.iterdir()))):
+                _remove_stage_dir(d)
     manifest["stages"] = stages
     manifest["status"] = "complete" if complete else "incomplete"
     manifest["files"] = persist.relative_file_map(root, _bundle_files(root, stages))
@@ -838,7 +865,6 @@ def evaluate_streaming(
     path = Path(audit_path) if audit_path is not None else bundle.root / "stream_audit.csv"
     stream = metrics.StreamingConfusion()
     stream.extend(labels, (scores >= threshold).astype(int))
-    persist.remove_temp_files(bundle.root)  # a killed stream's partial audit
     persist.save_text(path, "".join(line + "\n" for line in stream.lines))
     rep = metrics.report(labels, scores, threshold, config.beta)
     return {
@@ -884,7 +910,6 @@ def run_matrix(configs: Sequence[ExperimentConfig], workdir, repeats: int = 1) -
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     root = persist.ensure_dir(workdir)
-    persist.remove_temp_files(root)  # a killed matrix's partial matrix.json or matrix.txt
 
     def run_cell(config, r):
         cell_config = replace(config, seeds=config.seeds.shifted(r))

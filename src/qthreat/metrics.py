@@ -9,7 +9,7 @@ with no interpolation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -196,19 +196,18 @@ class StreamingConfusion:
     Line format: "idx, true_label, pred_label, TP, TN, FP, FN".
     """
 
-    def __init__(self, sink: Optional[IO[str]] = None):
+    def __init__(self):
         self.counts = ConfusionCounts()
         self.index = 0
-        self.sink = sink
         self.lines: List[str] = []
 
     def update(self, true_label: int, predicted_label: int) -> str:
         return self.extend([true_label], [predicted_label])[0]
 
     def extend(self, true_labels, predicted_labels) -> List[str]:
-        """Tally samples in order, one audit line each, written to the sink
-        in one call; returns the new lines. The counts on each line are the
-        running totals through that sample."""
+        """Tally samples in order, one audit line each, kept in `lines`;
+        returns the new lines. The counts on each line are the running
+        totals through that sample."""
         t = np.asarray(true_labels).reshape(-1)
         p = np.asarray(predicted_labels).reshape(-1)
         if t.shape != p.shape:
@@ -228,6 +227,4 @@ class StreamingConfusion:
             self.counts = ConfusionCounts(*table[-1, 3:].tolist())
             self.index += len(lines)
             self.lines.extend(lines)
-            if self.sink is not None:
-                self.sink.write("".join(line + "\n" for line in lines))
         return lines

@@ -2,8 +2,8 @@
 
 Every file the package writes is renamed into place by _write_atomic: a killed
 process leaves the old file or the new one, plus at most a .<name>.<32 hex>.tmp
-file that remove_temp_files removes. Nothing is fsynced: a write is not
-promised to survive a power loss.
+file that the next write of the same name removes. Nothing is fsynced: a write
+is not promised to survive a power loss.
 
 All array files are little-endian float64, row-major, no header; shapes live
 in the accompanying JSON. JSON floats are written with Python's repr, which
@@ -55,16 +55,18 @@ def stage_key(stage: str, config_slice, input_hashes) -> str:
     return sha256_bytes(payload.encode("utf-8"))
 
 
-# the name of _write_atomic's temp file: "." + target name + "." + 32 hex + ".tmp"
-_TEMP_NAME = re.compile(r"\..+\.[0-9a-f]{32}\.tmp")
-
-
 def _write_atomic(path, blocks) -> None:
     """Write the bytes-like `blocks`, in order, to a temp file beside
-    `path`, then rename it over `path`: readers see the old file or the new
-    one, never a torn write. A failed write removes its temp file."""
+    `path`, .<name>.<32 hex>.tmp, then rename it over `path`: readers see
+    the old file or the new one, never a torn write. A failed write removes
+    its temp file; one killed mid-write leaves it, and the next write of
+    `path` removes it first (no other file's temp file)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    stale = re.compile(re.escape(f".{path.name}.") + r"[0-9a-f]{32}\.tmp")
+    for p in path.parent.iterdir():
+        if stale.fullmatch(p.name) and p.is_file():
+            p.unlink(missing_ok=True)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
         with open(tmp, "xb") as f:
@@ -74,14 +76,6 @@ def _write_atomic(path, blocks) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def remove_temp_files(directory) -> None:
-    """Remove the files in `directory` (not below it) named as _write_atomic
-    names its temp files, which a process killed mid-write leaves behind."""
-    for p in Path(directory).iterdir():
-        if _TEMP_NAME.fullmatch(p.name) and p.is_file():
-            p.unlink()
 
 
 def save_array_f64(path, arr: np.ndarray) -> str:

@@ -2,9 +2,9 @@
 
 A forked child runs a case and os._exits at its k-th write event, for
 k = 1, 2, ... until a child finishes first. The events are each block
-persist._write_atomic writes, each os.replace, and each Path.unlink and
-shutil.rmtree (the stage markers and directories _stage and _finish remove,
-and the temp files a run clears). After each kill the parent checks what a
+persist._write_atomic writes, each os.replace, and each Path.unlink,
+Path.rmdir and shutil.rmtree (each entry of a stage directory _stage or
+_finish removes, the directory itself, and a killed write's temp file). After each kill the parent checks what a
 reader may see at once, reruns the case once, and compares every path under
 the workdir, hidden ones included, with a fresh run's. This is ALICE's
 enumeration of persistence points (Pillai et al., "All File Systems Are Not
@@ -46,6 +46,7 @@ def _die_at(k):
     persist._write_atomic = lambda path, blocks: write(path, (b for b in blocks if event() is None))
     os.replace = before(os.replace)
     Path.unlink = before(Path.unlink)
+    Path.rmdir = before(Path.rmdir)
     shutil.rmtree = before(shutil.rmtree)
 
 
@@ -130,17 +131,17 @@ def qsvm_template(kill_config, tmp_path_factory):
     return d
 
 
-# Kill points of a run from an empty workdir: per stage one marker unlink,
-# then a block and a rename per file and for the marker; config.json and
-# two manifest writes. The QSVM's are 16 renames, 16 blocks and 3 unlinks;
-# the Ling-Spam VQC's CSR files take a block per array. The baseline run
-# starts in the QSVM bundle: its preprocess and encoder stages resume, and
-# _finish removes svm/.
+# Kill points of a run from an empty workdir: a block and a rename per file
+# and per stage marker, config.json and two manifest writes. The QSVM's are
+# 16 blocks and 16 renames; the Ling-Spam VQC's CSR files take a block per
+# array. The baseline run starts in the QSVM bundle: its preprocess and
+# encoder stages resume, and _finish removes svm/ in three events
+# (svm.json, then stage.json, then the directory).
 @pytest.mark.parametrize("model,dataset,start,points", [
-    ("qsvm", "nslkdd", "empty", 35),
-    ("vqc", "lingspam", "empty", 47),
-    ("classical-baseline", "nslkdd", "qsvm bundle", 12),
-])
+    ("qsvm", "nslkdd", "empty", 32),
+    ("vqc", "lingspam", "empty", 44),
+    ("classical-baseline", "nslkdd", "qsvm bundle", 13),
+], ids=["qsvm", "vqc", "baseline-in-a-qsvm-bundle"])
 def test_a_run_killed_at_any_write_is_repaired_by_one_rerun(
     kill_config, qsvm_template, tmp_path, model, dataset, start, points
 ):
@@ -161,7 +162,7 @@ def test_a_matrix_killed_at_any_write_is_repaired_by_one_rerun(kill_config, tmp_
     points = _every_kill_is_repaired(
         tmp_path / "empty", lambda w: harness.run_matrix(configs, w), tmp_path / "work"
     )
-    assert points == 35 + 35 + 4  # the two cells, then matrix.json and matrix.txt
+    assert points == 32 + 32 + 4  # the two cells, then matrix.json and matrix.txt
 
 
 def test_a_stream_killed_at_any_write_leaves_the_old_audit_or_the_new_one(

@@ -1,4 +1,3 @@
-import io
 
 import numpy as np
 import pytest
@@ -289,12 +288,10 @@ def test_streaming_matches_batch():
 
 
 def test_streaming_sink_and_validation():
-    buf = io.StringIO()
-    sc = StreamingConfusion(sink=buf)
-    sc.update(0, 1)
+    sc = StreamingConfusion()
+    assert sc.update(0, 1) == "0, 0, 1, 0, 0, 1, 0"
     sc.update(1, 0)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines == ["0, 0, 1, 0, 0, 1, 0", "1, 1, 0, 0, 0, 1, 1"]
+    assert sc.lines == ["0, 0, 1, 0, 0, 1, 0", "1, 1, 0, 0, 0, 1, 1"]
     with pytest.raises(ValueError):
         sc.update(2, 0)
 
@@ -308,15 +305,14 @@ def test_streaming_extend_writes_the_bytes_of_row_by_row_tallies(pairs, cuts):
     expected, tp, tn, fp, fn = [], 0, 0, 0, 0
     for i, (t, p) in enumerate(pairs):
         tp, tn, fp, fn = tp + (t & p), tn + (1 - t & 1 - p), fp + (1 - t & p), fn + (t & 1 - p)
-        expected.append(f"{i}, {t}, {p}, {tp}, {tn}, {fp}, {fn}\n")
-    buf = io.StringIO()
-    sc = StreamingConfusion(sink=buf)
+        expected.append(f"{i}, {t}, {p}, {tp}, {tn}, {fp}, {fn}")
+    sc = StreamingConfusion()
     bounds = [0, *sorted(min(c, len(pairs)) for c in cuts), len(pairs)]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         run = pairs[lo:hi]
-        sc.extend(np.array([t for t, _ in run], dtype=int), np.array([p for _, p in run], dtype=int))
-    assert buf.getvalue() == "".join(expected)
-    assert sc.lines == [line[:-1] for line in expected]
+        new = sc.extend(np.array([t for t, _ in run], dtype=int), np.array([p for _, p in run], dtype=int))
+        assert new == expected[lo:hi]
+    assert sc.lines == expected
     assert sc.counts == ConfusionCounts(tp, tn, fp, fn)
     with pytest.raises(ValueError):
         sc.extend([0, 1], [1])

@@ -1,6 +1,7 @@
 import ast
 import builtins
 import hashlib
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,22 @@ def test_save_text_writes_utf8_through_a_rename_and_creates_missing_parents(
     persist.save_text(path, "0, 1, 1\nµ\n")
     assert path.read_bytes() == "0, 1, 1\nµ\n".encode("utf-8") and renames == [path]
     assert [p.name for p in path.parent.iterdir()] == ["audit.csv"]
+
+
+def test_a_write_removes_only_its_own_paths_stale_temp_files(tmp_path):
+    # a process killed inside _write_atomic leaves .<name>.<32 hex>.tmp beside
+    # its target; the next write of that path removes it, and keeps another
+    # path's temp files and names that only look like one of its own
+    h = uuid.uuid4().hex
+    stale = [f".audit.csv.{h}.tmp", f".audit.csv.{uuid.uuid4().hex}.tmp"]
+    kept = [
+        f".other.csv.{h}.tmp", f".x.audit.csv.{h}.tmp", f".audit.csv.{h[:31]}.tmp",
+        f".audit.csv.{h.upper()}.tmp", f"audit.csv.{h}.tmp", f".audit.csv.{h}.tmp.bak",
+    ]
+    for name in stale + kept:
+        (tmp_path / name).write_text("partial")
+    persist.save_text(tmp_path / "audit.csv", "0, 1, 1\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(kept + ["audit.csv"])
 
 
 @pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, (5 << 19) + 3])
