@@ -17,8 +17,9 @@ import re
 import sys
 import warnings
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -202,13 +203,19 @@ class TfidfModel:
 def fit_tfidf(
     docs: Sequence[str], min_df: int = 2, max_df: float = 0.95, ngram_max: int = 1
 ) -> TfidfModel:
-    if not docs:
+    terms = (tokenize(doc, ngram_max) for doc in docs)
+    return _fit_terms(terms, len(docs), min_df, max_df, ngram_max)
+
+
+def _fit_terms(terms: Iterable[List[str]], n: int, min_df: int, max_df: float,
+               ngram_max: int) -> TfidfModel:
+    """fit_tfidf on the term lists (tokenize) of n documents."""
+    if not n:
         raise ValueError("empty corpus")
     df: Dict[str, int] = {}
-    for doc in docs:
-        for term in set(tokenize(doc, ngram_max)):
+    for doc_terms in terms:
+        for term in set(doc_terms):
             df[term] = df.get(term, 0) + 1
-    n = len(docs)
     kept = sorted(t for t, c in df.items() if c >= min_df and c <= max_df * n)
     vocab = {t: i for i, t in enumerate(kept)}
     freq = np.array([df[t] for t in kept], dtype=float)
@@ -222,14 +229,21 @@ def transform_tfidf(model: TfidfModel, docs: Sequence[str]) -> CsrMatrix:
     by the whole-matrix recipe's operations (counts, times idf, divided by
     the row's np.linalg.norm, cast to float32), so every value has that
     recipe's bits; a block keeps only its nonzero entries."""
-    n, d = len(docs), len(model.vocabulary)
+    return _tfidf_rows(model, (tokenize(doc, model.ngram_max) for doc in docs), len(docs))
+
+
+def _tfidf_rows(model: TfidfModel, terms: Iterable[List[str]], n: int) -> CsrMatrix:
+    """transform_tfidf on the term lists (tokenize) of n documents, read
+    one row block at a time."""
+    terms = iter(terms)
+    d = len(model.vocabulary)
     step = max(1, TFIDF_BLOCK_BYTES // (8 * max(d, 1)))
     block = np.zeros((min(n, step), d))
     counts, indices, data = [np.zeros(0, np.int64)], [np.zeros(0, np.int32)], [np.zeros(0, np.float32)]
     for lo in range(0, n, step):
         rows = block[: min(step, n - lo)]
-        for r, doc in enumerate(docs[lo : lo + step]):
-            for term in tokenize(doc, model.ngram_max):
+        for r, doc_terms in enumerate(islice(terms, rows.shape[0])):
+            for term in doc_terms:
                 i = model.vocabulary.get(term)
                 if i is not None:
                     rows[r, i] += 1.0
@@ -419,10 +433,14 @@ def load_lingspam(
     keep_rel, take_rel = stratified_take(y[rest], val_fraction, int(s_val))
     train_idx, val_idx = rest[keep_rel], rest[take_rel]
 
-    model = fit_tfidf(
-        [docs[i] for i in train_idx], min_df=2, max_df=0.95, ngram_max=ngram_max
-    )
-    x_train = transform_tfidf(model, [docs[i] for i in train_idx])
+    # each train message is tokenized once, for the fit and for its rows;
+    # the held term lists share one string per distinct term, so they cost
+    # about a pointer per token
+    shared: Dict[str, str] = {}
+    train_terms = [[shared.setdefault(t, t) for t in tokenize(docs[i], ngram_max)]
+                   for i in train_idx]
+    model = _fit_terms(train_terms, len(train_terms), min_df=2, max_df=0.95, ngram_max=ngram_max)
+    x_train = _tfidf_rows(model, train_terms, len(train_terms))
     x_val = transform_tfidf(model, [docs[i] for i in val_idx])
     x_test = transform_tfidf(model, [docs[i] for i in test_idx])
     y_train, y_val, y_test = y[train_idx], y[val_idx], y[test_idx]

@@ -8,10 +8,12 @@ convention because published variants differ:
   product   phi_ij = theta_i * theta_j
 
 The convention tag travels with every persisted artifact. The circuit is
-built once, by `build_feature_map`. Exact statevectors are its closed form,
-(D(x) H^(x)q)^reps |0...0> (Havlicek et al., Nature 567:209, 2019), with
-the diagonal D(x) of one repetition taken from batched's compiled steps;
-batched.evolve runs the same circuit gate by gate, the tests' oracle.
+built once, by `build_feature_map`, for the shot engine. Exact statevectors
+are its closed form, (D(x) H^(x)q)^reps |0...0> (Havlicek et al., Nature
+567:209, 2019), with D(x) the diagonal of one repetition's RZ/RZZ gates
+computed from the pair phases and the phase-sign table (`_data_diagonal`);
+no GateOp is built for them, and the tests run the same circuit gate by
+gate as their oracle.
 Shot-mode kernels come from compute-uncompute circuits U(b)^dagger U(a):
 a stack of pairs runs through the shot engine (qsim.evolve_density, then
 qsim.shot_estimates with readout error folded in), and k(a, b) is the
@@ -23,14 +25,14 @@ tests check these against, exact and shot, are in tests/oracles.py.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Tuple
 
 import numpy as np
 
-from . import batched
-from .qsim import CircuitProgram, GateOp, NoiseSpec, outcome_probabilities, shot_estimates
+from .qsim import (_PHASE_SIGNS, CircuitProgram, GateOp, NoiseSpec, _target_value,
+                   outcome_probabilities, shot_estimates)
 
 CONVENTIONS = ("pi_minus", "product")
 ENTANGLEMENTS = ("full", "linear")
@@ -103,8 +105,7 @@ def pair_phases(theta: np.ndarray, spec: FeatureMapSpec) -> np.ndarray:
 def build_feature_map(theta, spec: FeatureMapSpec) -> CircuitProgram:
     """The feature-map circuit of one AngleVector (float angles), or of a
     stack of m angle rows (m, q), whose parametric gates then carry (m,)
-    angle arrays. Every rep is the same GateOp objects, so batched.evolve
-    computes their diagonal once."""
+    angle arrays. Every rep is the same GateOp objects."""
     t = theta.angles if isinstance(theta, AngleVector) else np.asarray(theta, dtype=float)
     if t.shape[-1] != spec.num_qubits:
         raise ValueError(
@@ -129,18 +130,40 @@ def _hadamard(num_qubits: int) -> np.ndarray:
     return h
 
 
+@lru_cache(maxsize=None)
+def _phase_signs(spec: FeatureMapSpec) -> np.ndarray:
+    """(q + #pairs, 2^q), read-only: per basis index, the phase sign
+    (qsim._PHASE_SIGNS) of each of one repetition's diagonal gates, RZ on
+    every qubit, then RZZ on every entangled pair."""
+    q = spec.num_qubits
+    gates = [("RZ", (t,)) for t in range(q)] + [("RZZ", pair) for pair in spec.pairs]
+    signs = np.stack([_PHASE_SIGNS[kind][_target_value(targets, q)] for kind, targets in gates])
+    signs.setflags(write=False)
+    return signs
+
+
+def _data_diagonal(t: np.ndarray, spec: FeatureMapSpec) -> np.ndarray:
+    """D(x), the (m, 2^q) diagonal of one repetition's RZ(2 theta) and
+    RZZ(2 phi) gates for angle rows t (m, q): one exp of the summed phases."""
+    if t.shape[-1] != spec.num_qubits:
+        raise ValueError(f"angle vector length {t.shape[-1]} != num_qubits {spec.num_qubits}")
+    gate_angles = np.concatenate([2.0 * t, 2.0 * pair_phases(t, spec)], axis=1)
+    dim = 1 << spec.num_qubits
+    # "zeros +" and "ones *" keep the gate-level run's bits, signed zeros too
+    return np.ones(dim) * np.exp(-1j * (np.zeros(dim) + 0.5 * (gate_angles @ _phase_signs(spec))))
+
+
 def feature_statevectors(angles: np.ndarray, spec: FeatureMapSpec) -> np.ndarray:
     """Statevectors for a stack of angle rows, shape (m, q) -> (m, 2^q).
 
     The map is (D(x) H^(x)q)^reps |0...0>, with D(x) the diagonal of one
-    repetition's RZ/RZZ run, taken from the compiled one-rep circuit
-    (batched._steps). H^(x)q|0...0> is the uniform vector, so the first
-    repetition is D 2^(-q/2) and each further one is one product with the
-    Hadamard matrix and one multiply by D; no gate is applied one by one.
+    repetition's RZ/RZZ gates (`_data_diagonal`). H^(x)q|0...0> is the
+    uniform vector, so the first repetition is D 2^(-q/2) and each further
+    one is one product with the Hadamard matrix and one multiply by D; no
+    gate is built or applied.
     """
     t = np.atleast_2d(np.asarray(angles, dtype=float))
-    one_rep = build_feature_map(t, replace(spec, reps=1))
-    (d,) = [u for op, u, _ in batched._steps(one_rep) if op is None]
+    d = _data_diagonal(t, spec)
     psi = d * 2.0 ** (-0.5 * spec.num_qubits)
     for _ in range(spec.reps - 1):
         psi = (psi @ _hadamard(spec.num_qubits)) * d

@@ -732,9 +732,10 @@ def _finish(manifest, mpath, root, stages, complete: bool) -> dict:
 
 
 def _vqc_consistency(angle_rows: np.ndarray, model: vqc.VqcModel, cap: int = 16) -> float:
-    """Max gap, on a prefix of rows, between the exact statevector logits and
-    the parity of the shot engine's noiseless outcome distributions (the
-    stacked density evolution); the two must agree to 1e-9."""
+    """Max gap, on a prefix of rows, between the closed-form exact logits
+    (batched) and the parity of the gate-level program's noiseless outcome
+    distributions (the shot engine's stacked density evolution); the two
+    must agree to 1e-9."""
     rows = angle_rows[:cap]
     if not rows.shape[0]:
         return 0.0

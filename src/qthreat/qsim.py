@@ -1,17 +1,18 @@
 """Exact simulation of small qubit registers.
 
-Each circuit is one `CircuitProgram`, built once and run by either of two
-engines: `batched.evolve` takes stacked statevectors through it (exact
-mode), and `evolve_density` here takes a stack of m densities
-(m, 2^q, 2^q) through it with the depolarizing channel
+Each circuit of the shot engine is one `CircuitProgram`, a gate list built
+once: `evolve_density` takes a stack of m densities (m, 2^q, 2^q) through
+it with the depolarizing channel
 rho -> (1 - 4p/3) rho + (4p/3) (I/2 (x) Tr_t rho) after every gate (skipped
-when p = 0), for shots and noise. A program's gate angles are floats or
-(m,) arrays, one angle per circuit of a stack of m. `shot_estimates`
-samples the outcome distributions (sample -> readout -> mitigate). Readout
-error is folded into each distribution with the tensor-product confusion
-matrix, the same law as flipping each shot's bits, so one multinomial per
-row draws the measured counts. The per-state references the engines are
-tested against (a single pure state or density taken gate by gate) are in
+when p = 0), for shots and noise. Exact statevectors take no program: they
+are computed in closed form (featuremap.feature_statevectors, batched). A
+program's gate angles are floats or (m,) arrays, one angle per circuit of
+a stack of m. `shot_estimates` samples the outcome distributions (sample
+-> readout -> mitigate). Readout error is folded into each distribution
+with the tensor-product confusion matrix, the same law as flipping each
+shot's bits, so one multinomial per row draws the measured counts. The
+references the engines are tested against (a single pure state or
+density, or stacked statevectors, taken gate by gate) are in
 tests/oracles.py.
 
 Conventions, used everywhere downstream:
@@ -42,9 +43,6 @@ _FIXED = {
 # diagonal gates: fixed diagonals, and the signs s of the phases exp(-i angle s / 2)
 _FIXED_DIAGONAL = {"Z": np.array([1, -1], dtype=complex), "CZ": np.array([1, 1, 1, -1], dtype=complex)}
 _PHASE_SIGNS = {"RZ": np.array([1.0, -1.0]), "RZZ": np.array([1.0, -1.0, -1.0, 1.0])}
-# the generator G of each non-diagonal parametric gate, exp(-i angle G / 2);
-# a diagonal gate's generator is the diagonal _PHASE_SIGNS gives
-_GENERATORS = {"RY": np.array([[0, -1j], [1j, 0]])}
 
 
 @dataclass(frozen=True)
@@ -88,9 +86,6 @@ class CircuitProgram:
     num_qubits: int
     ops: Tuple[GateOp, ...] = ()
     m: int = field(init=False, repr=False, compare=False)
-    # the exact engine's compiled steps, made by batched on first use; the
-    # program is immutable, so every batched call on it shares them
-    steps: Optional[list] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))

@@ -4,23 +4,23 @@ The circuit interleaves L copies of a single-rep, linearly entangled
 feature layer with trainable RY/RZ rotations and a CZ chain, so the input
 angles enter the state L times. Readout is the full-register parity
 expectation <Z...Z>, mapped to a logit by a trainable affine pair
-(scale, bias). The circuit is built once, by `build_vqc_circuit`, and run
-by either engine. Exact mode takes stacked statevectors through it
-(batched.evolve), and training takes its exact gradients from one forward
-and one adjoint sweep per step (_adjoint, on batched.adjoint); there is no
-shot-mode training. Training runs the encoder's epoch loop
+(scale, bias). Exact mode runs the circuit in closed form (batched): its
+statevectors, and for training its exact gradients from one forward and
+one adjoint sweep per step (_adjoint); no GateOp is built on either path,
+and there is no shot-mode training. Training runs the encoder's epoch loop
 (encoder._fit_epochs) with one encoder.AdamState, which also holds the
 encoder copy that fine-tuning updates. A frozen encoder maps each split to
 angles once, through angles_from_features, the function scoring uses;
 fine-tuning steps the copy through one training workspace, as
 encoder.train_encoder does (encoder._Workspace, _gather_rows, _forward and
-_backward). Shot-mode evaluation goes through
-the shot engine the kernel estimator uses: the rows' circuits run
-SHOT_BLOCK at a time as one stacked density evolution with depolarizing
-noise (qsim.evolve_density), then each row's outcome distribution is
-sampled with readout error folded in and optionally mitigated
-(qsim.shot_estimates) and read out as its parity. The parameter-shift
-gradient the adjoint sweep is tested against is in tests/oracles.py.
+_backward). Shot-mode evaluation runs the gate list `build_vqc_circuit`
+builds through the shot engine the kernel estimator uses: the rows'
+circuits run SHOT_BLOCK at a time as one stacked density evolution with
+depolarizing noise (qsim.evolve_density), then each row's outcome
+distribution is sampled with readout error folded in and optionally
+mitigated (qsim.shot_estimates) and read out as its parity. The gate-level
+engine and the parameter-shift gradient the closed form is tested against
+are in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -148,8 +148,8 @@ class Execution:
 
 
 def build_vqc_circuit(angles, model: VqcModel) -> CircuitProgram:
-    """The circuit of one AngleVector, or of a stack of angle rows (m, q)
-    whose data gates then carry (m,) angle arrays."""
+    """The gate list of one AngleVector, or of a stack of angle rows (m, q)
+    whose data gates then carry (m,) angle arrays, for the shot engine."""
     spec = model.spec
     q = spec.num_qubits
     fm_ops = build_feature_map(angles, spec.feature_spec()).ops
@@ -164,10 +164,10 @@ def build_vqc_circuit(angles, model: VqcModel) -> CircuitProgram:
 
 
 def _batch_expectations(angle_rows: np.ndarray, model: VqcModel) -> np.ndarray:
-    """<Z...Z> per row, from one batched.evolve of the rows' circuit."""
-    rows = np.atleast_2d(np.asarray(angle_rows, dtype=float))
-    psi = batched.evolve(build_vqc_circuit(rows, model))
-    return (np.abs(psi) ** 2) @ z_signs(model.spec.num_qubits)
+    """<Z...Z> per row, from the rows' closed-form statevectors."""
+    spec = model.spec
+    psi = batched.evolve(batched.circuit(angle_rows, model.theta_blocks(), spec.feature_spec()))
+    return (np.abs(psi) ** 2) @ z_signs(spec.num_qubits)
 
 
 def _shot_parities(
@@ -218,39 +218,29 @@ def _adjoint(angle_rows: np.ndarray, model: VqcModel):
     because it depends on the logits.
 
     batched.adjoint sweeps the circuit back from |lambda_i> = upstream_i
-    Z...Z|psi_i> and gives each parametric gate's derivative per row. The
-    float-angle gates are theta in program order, summed over rows; the
-    (m,) data gates RZ(2 alpha_t) and RZZ(2 phi_ij) chain to the data
-    angles through the pair phases phi_ij(alpha).
+    Z...Z|psi_i>; its derivatives by the data gates' angles, RZ(2 alpha_t)
+    and RZZ(2 phi_ij), chain to the data angles through the pair phases
+    phi_ij(alpha).
     """
     spec = model.spec
     rows = np.atleast_2d(np.asarray(angle_rows, dtype=float))
-    program = build_vqc_circuit(rows, model)
-    psi = batched.evolve(program)
+    c = batched.circuit(rows, model.theta_blocks(), spec.feature_spec())
+    psi = batched.evolve(c)
     parity = z_signs(spec.num_qubits)
     zhat = (np.abs(psi) ** 2) @ parity
 
     def backward(upstream) -> Dict[str, object]:
         up = np.broadcast_to(np.asarray(upstream, dtype=float).reshape(-1), (rows.shape[0],))
-        grads = batched.adjoint(program, psi, (up[:, None] * parity) * psi)
-        gates = [op for op in program.ops if op.angle is not None]
-        shared = np.array([isinstance(op.angle, float) for op in gates])
-        data = {}  # data gate targets -> derivative by its angle, summed over layers
-        for op, g, is_shared in zip(gates, grads, shared):
-            if not is_shared:
-                data[op.targets] = data.get(op.targets, 0.0) + g
+        dtheta, dgates = batched.adjoint(c, psi, (up[:, None] * parity) * psi)
         # d phi_ij / d alpha_i: -(pi - alpha_j) for pi_minus, alpha_j for product
         slope = rows - math.pi if spec.second_order_coeff == "pi_minus" else rows
-        dangles = np.zeros_like(rows)
-        for targets, g in data.items():
-            if len(targets) == 1:  # RZ(2 alpha_t)
-                dangles[:, targets[0]] += 2.0 * g
-            else:  # RZZ(2 phi_ij)
-                i, j = targets
-                dangles[:, i] += 2.0 * g * slope[:, j]
-                dangles[:, j] += 2.0 * g * slope[:, i]
+        q = spec.num_qubits
+        dangles = 2.0 * dgates[:, :q]  # RZ(2 alpha_t)
+        for p, (i, j) in enumerate(c.spec.pairs):  # RZZ(2 phi_ij)
+            dangles[:, i] += 2.0 * dgates[:, q + p] * slope[:, j]
+            dangles[:, j] += 2.0 * dgates[:, q + p] * slope[:, i]
         return {
-            "theta": model.scale * grads[shared].sum(axis=1),
+            "theta": model.scale * dtheta.reshape(-1),
             "scale": float(np.dot(up, zhat)),
             "bias": float(up.sum()),
             "angles": model.scale * dangles,

@@ -25,11 +25,15 @@ from qthreat.featuremap import (
 )
 from qthreat.metrics import confusion, f_beta
 from qthreat.qsim import (
+    _DIAGONAL,
+    _FIXED_DIAGONAL,
+    _PHASE_SIGNS,
     CircuitProgram,
     NoiseSpec,
     _diagonal_probabilities,
     _left,
     _target_rows,
+    _target_value,
     evolve_density,
     fold_readout,
     gate_matrix,
@@ -37,7 +41,7 @@ from qthreat.qsim import (
     z_signs,
 )
 from qthreat.qsvm import DUAL_TOL, SUPPORT_EPS, SvmModel, stratified_folds
-from qthreat.vqc import Execution, VqcModel, _batch_expectations, _shot_parities
+from qthreat.vqc import Execution, VqcModel, _batch_expectations, _shot_parities, build_vqc_circuit
 
 _PAULIS = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -672,6 +676,162 @@ def parameter_shift_grad(angle_rows, model, upstream, execution=Execution()):
     out["scale"] = float(np.dot(up, zhat))
     out["bias"] = float(up.sum())
     return out
+
+
+# ------------------------------------------------ gate-level statevectors
+
+# the generator G of each non-diagonal parametric gate, exp(-i angle G / 2);
+# a diagonal gate's generator is the diagonal _PHASE_SIGNS gives
+_GENERATORS = {"RY": np.array([[0, -1j], [1j, 0]])}
+
+
+def _run_phase(run, num_qubits):
+    """The diagonal of a run of diagonal gates, (2^q,) or (m, 2^q): the fixed
+    gates' signs times one exp of the summed phase arguments; and the
+    (k, 2^q) generator diagonals of its k parametric gates."""
+    sign = np.ones(1 << num_qubits)
+    arg = np.zeros(1 << num_qubits)
+    signs, stacked, stacked_signs = [], [], []
+    for op in run:
+        value = _target_value(op.targets, num_qubits)
+        if op.kind in _FIXED_DIAGONAL:
+            sign = sign * _FIXED_DIAGONAL[op.kind].real[value]
+            continue
+        s = _PHASE_SIGNS[op.kind][value]
+        signs.append(s)
+        if isinstance(op.angle, float):
+            arg = arg + (0.5 * op.angle) * s
+        else:
+            stacked.append(op.angle)
+            stacked_signs.append(s)
+    if stacked:
+        arg = arg + 0.5 * (np.stack(stacked, axis=1) @ np.stack(stacked_signs))
+    return sign * np.exp(-1j * arg), np.array(signs).reshape(-1, 1 << num_qubits)
+
+
+def _compile(program):
+    """The program as steps (op, matrix, signs): (None, diagonal, signs) from
+    `_run_phase` for each run of consecutive diagonal gates, (op,
+    gate_matrix(op), None) for every other gate. A run made of the same
+    GateOp objects as an earlier one reuses its diagonal."""
+    steps, run, phases = [], [], {}
+    for op in program.ops + (None,):
+        if op is not None and op.kind in _DIAGONAL:
+            run.append(op)
+            continue
+        if run:
+            key = tuple(map(id, run))
+            if key not in phases:
+                phases[key] = _run_phase(run, program.num_qubits)
+            steps.append((None,) + phases[key])
+            run = []
+        if op is not None:
+            steps.append((op, gate_matrix(op), None))
+    return steps
+
+
+def _apply(op, u, psi):
+    """The non-diagonal gate matrix u on op's targets of stacked registers
+    (..., m, 2^q); a one-qubit u may be one matrix per row, (m, 2, 2)."""
+    shape = psi.shape
+    if len(op.targets) == 2:
+        rows = _target_rows(op.targets, shape[-1].bit_length() - 1)
+        return _left(u, psi.reshape(-1, shape[-1], 1), rows).reshape(shape)
+    t = op.targets[0]
+    a = psi.reshape(shape[:-1] + (shape[-1] >> (t + 1), 2, 1 << t))
+    if u.ndim == 3:
+        u = u[:, None, None]  # u[..., i, j] is then (m, 1, 1), one entry per row
+    out = np.empty_like(a)
+    out[..., 0, :] = u[..., 0, 0] * a[..., 0, :] + u[..., 0, 1] * a[..., 1, :]
+    out[..., 1, :] = u[..., 1, 0] * a[..., 0, :] + u[..., 1, 1] * a[..., 1, :]
+    return out.reshape(shape)
+
+
+def evolve(program):
+    """Statevectors (m, 2^q) of the program's m circuits run from |0...0>,
+    gate by gate: row i sees the i-th angle of each (m,) angle array. Each
+    run of consecutive diagonal gates is one multiply by one exp."""
+    psi = np.zeros((program.m, 1 << program.num_qubits), dtype=complex)
+    psi[:, 0] = 1.0
+    for op, u, _ in _compile(program):
+        psi = psi * u if op is None else _apply(op, u, psi)
+    return psi
+
+
+def adjoint(program, psi, lam):
+    """The reverse sweep of the adjoint method (Jones & Gacon,
+    arXiv:2009.02823) over `program`, gate by gate.
+
+    psi is `evolve(program)` (m, 2^q) and lam the adjoint states, for an
+    objective sum_i <psi_i|O_i|psi_i> weighted by upstream u_i the rows
+    lam_i = u_i O_i psi_i. The sweep un-applies each gate to the stacked
+    pair (phi, lam), starting from (psi, lam), and returns a (p, m) array:
+    row j holds, per register, Im<lam|G_j|phi> just after the j-th
+    parametric gate (program order) with generator G_j, the derivative of
+    the objective by that gate's angle on that row. Diagonal gates commute,
+    so each run of them is read once, before it is un-applied; the sweep
+    stops at the first parametric gate.
+    """
+    pair = np.array([psi, lam], dtype=complex)  # (2, m, 2^q)
+    j = sum(op.angle is not None for op in program.ops)
+    out = np.empty((j, pair.shape[1]))
+    for op, u, signs in reversed(_compile(program)):
+        if not j:
+            break
+        if op is None:
+            if signs.shape[0]:
+                out[j - signs.shape[0]:j] = signs @ np.imag(pair[1].conj() * pair[0]).T
+                j -= signs.shape[0]
+            pair *= u.conj()
+            continue
+        if op.angle is not None:
+            j -= 1
+            out[j] = np.einsum("md,md->m", pair[1].conj(),
+                               _apply(op, _GENERATORS[op.kind], pair[0])).imag
+        pair = _apply(op, np.conj(np.swapaxes(u, -1, -2)), pair)
+    return out
+
+
+def vqc_gate_adjoint(angle_rows, model):
+    """vqc._adjoint on the gate list `build_vqc_circuit` builds: the states
+    and <Z...Z> per row from `evolve`, and backward(upstream), the gradient
+    dict of sum_i upstream_i * logit_i from `adjoint`. The float-angle
+    gates are theta in program order, summed over rows; the (m,) data gates
+    RZ(2 alpha_t) and RZZ(2 phi_ij) chain to the data angles through the
+    pair phases phi_ij(alpha). Returns (psi, zhat, backward)."""
+    spec = model.spec
+    rows = np.atleast_2d(np.asarray(angle_rows, dtype=float))
+    program = build_vqc_circuit(rows, model)
+    psi = evolve(program)
+    parity = z_signs(spec.num_qubits)
+    zhat = (np.abs(psi) ** 2) @ parity
+
+    def backward(upstream):
+        up = np.broadcast_to(np.asarray(upstream, dtype=float).reshape(-1), (rows.shape[0],))
+        grads = adjoint(program, psi, (up[:, None] * parity) * psi)
+        gates = [op for op in program.ops if op.angle is not None]
+        shared = np.array([isinstance(op.angle, float) for op in gates])
+        data = {}  # data gate targets -> derivative by its angle, summed over layers
+        for op, g, is_shared in zip(gates, grads, shared):
+            if not is_shared:
+                data[op.targets] = data.get(op.targets, 0.0) + g
+        slope = rows - math.pi if spec.second_order_coeff == "pi_minus" else rows
+        dangles = np.zeros_like(rows)
+        for targets, g in data.items():
+            if len(targets) == 1:  # RZ(2 alpha_t)
+                dangles[:, targets[0]] += 2.0 * g
+            else:  # RZZ(2 phi_ij)
+                i, j = targets
+                dangles[:, i] += 2.0 * g * slope[:, j]
+                dangles[:, j] += 2.0 * g * slope[:, i]
+        return {
+            "theta": model.scale * grads[shared].sum(axis=1),
+            "scale": float(np.dot(up, zhat)),
+            "bias": float(up.sum()),
+            "angles": model.scale * dangles,
+        }
+
+    return psi, zhat, backward
 
 
 # ---------------------------------------------------------------- circuits

@@ -1,16 +1,19 @@
-"""The stacked-statevector engine pinned to the per-state reference
-(oracles.apply_circuit), to the shot engine's noiseless distributions, and its
-adjoint sweep to central differences."""
+"""The closed-form VQC engine (qthreat.batched) pinned to the gate-level
+statevector engine of tests/oracles.py, and that engine pinned to the
+per-state reference (oracles.apply_circuit), to the shot engine's noiseless
+distributions, and its adjoint sweep to central differences."""
 import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qthreat.batched import adjoint, evolve
+from qthreat import batched
+from qthreat.featuremap import MAX_QUBITS
 from qthreat.qsim import GATE_KINDS, CircuitProgram, GateOp, NoiseSpec, outcome_probabilities
+from qthreat.vqc import MAX_LAYERS, VqcModel, VqcSpec, _adjoint, decision_logits
 
-from oracles import apply_circuit, zero_state
+from oracles import adjoint, apply_circuit, evolve, vqc_gate_adjoint, zero_state
 
 TWO_QUBIT = ("RZZ", "CX", "CZ")
 PARAMETRIC = ("RY", "RZ", "RZZ")
@@ -98,3 +101,29 @@ def test_repeated_diagonal_runs_match_fresh_ones():
     fresh = [GateOp(op.kind, op.targets, op.angle) for op in rep]
     np.testing.assert_array_equal(evolve(CircuitProgram(2, rep * 2)),
                                   evolve(CircuitProgram(2, rep + fresh)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    q=st.integers(2, MAX_QUBITS),
+    layers=st.integers(1, MAX_LAYERS),
+    conv=st.sampled_from(["pi_minus", "product"]),
+    m=st.sampled_from([1, 2, 17]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closed_form_vqc_matches_the_gate_level_oracle(q, layers, conv, m, seed):
+    # states and logits to 1e-12, theta and data-angle gradients to 1e-10
+    rng = np.random.default_rng(seed)
+    spec = VqcSpec(q, layers, conv)
+    model = VqcModel(spec, rng.uniform(-math.pi, math.pi, spec.num_params),
+                     rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0))
+    rows = rng.uniform(-math.pi, math.pi, (m, q))
+    psi, zhat, backward = vqc_gate_adjoint(rows, model)
+    states = batched.evolve(batched.circuit(rows, model.theta_blocks(), spec.feature_spec()))
+    np.testing.assert_allclose(states, psi, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(decision_logits(rows, model), model.scale * zhat + model.bias,
+                               rtol=0, atol=1e-12)
+    up = rng.normal(size=m)
+    got, want = _adjoint(rows, model)[1](up), backward(up)
+    np.testing.assert_allclose(got["theta"], want["theta"], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(got["angles"], want["angles"], rtol=0, atol=1e-10)

@@ -15,15 +15,16 @@ from qthreat.featuremap import (
     feature_statevectors,
     kernel_shot_estimates,
 )
-from qthreat import batched
 from qthreat.qsim import CircuitProgram, GateOp, NoiseSpec
 from qthreat.qsvm import CvPlan, FidelityRows, select_c
+from qthreat.vqc import VqcSpec, _adjoint, decision_logits, init_vqc
 
 from oracles import (
     apply_circuit,
     apply_circuit_noisy,
     center_test_row,
     density_from_pure,
+    evolve,
     feature_state,
     fidelity_kernel,
     fidelity_kernel_shots,
@@ -241,7 +242,7 @@ def test_closed_form_states_match_the_gate_program(q, reps, entanglement, conven
     spec = FeatureMapSpec(q, reps, entanglement, convention)
     rows = np.random.default_rng(seed).uniform(-math.pi, math.pi, size=(m, q))
     got = feature_statevectors(rows, spec)
-    want = batched.evolve(build_feature_map(rows, spec))
+    want = evolve(build_feature_map(rows, spec))
     assert got.shape == want.shape == (m, 1 << q)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(np.linalg.norm(got, axis=1), 1.0, rtol=0.0, atol=1e-13)
@@ -250,11 +251,12 @@ def test_closed_form_states_match_the_gate_program(q, reps, entanglement, conven
 def test_feature_states_are_row_independent_and_apply_no_gate(monkeypatch):
     # streaming maps rows in chunks: in any batch of two or more rows, a
     # row's state must not depend on the others (a one-row batch takes
-    # BLAS's vector path, so it may differ in the last bits)
-    def no_gate(*args):
-        raise AssertionError("feature_statevectors applied a gate")
-
-    monkeypatch.setattr(batched, "_apply", no_gate)
+    # BLAS's vector path, so it may differ in the last bits). No exact path
+    # builds a GateOp: the feature states, the VQC's logits and its adjoint
+    # sweep are all closed forms
+    built = []
+    post_init = GateOp.__post_init__
+    monkeypatch.setattr(GateOp, "__post_init__", lambda op: built.append(op) or post_init(op))
     rng = np.random.default_rng(16)
     for q in range(2, MAX_QUBITS + 1):
         for reps in (1, 2, 3):
@@ -266,6 +268,12 @@ def test_feature_states_are_row_independent_and_apply_no_gate(monkeypatch):
                          for i in range(0, 150 - chunk + 1, chunk)]
                 stacked = np.concatenate(parts)
                 assert np.array_equal(stacked, whole[: len(stacked)]), (q, reps, chunk)
+        model = init_vqc(VqcSpec(q, 2), seed=q)
+        decision_logits(rows, model)
+        _adjoint(rows, model)[1](np.ones(len(rows)))
+    assert not built
+    GateOp("H", (0,))
+    assert len(built) == 1  # the count sees a construction
 
 
 # ------------------------------------------------------------ shot kernels

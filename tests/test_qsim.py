@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qthreat import batched
-from qthreat.batched import evolve
 from qthreat.featuremap import AngleVector, FeatureMapSpec, compute_uncompute_program
 from qthreat.qsim import (
     CircuitProgram,
@@ -21,7 +19,7 @@ from qthreat.qsim import (
     shot_estimates,
     z_signs,
 )
-from qthreat.vqc import VqcModel, VqcSpec, _adjoint, build_vqc_circuit, init_vqc
+from qthreat.vqc import VqcModel, VqcSpec, build_vqc_circuit
 
 from oracles import (
     DensityState,
@@ -31,6 +29,7 @@ from oracles import (
     apply_readout_error,
     circuit_depth,
     density_from_pure,
+    evolve,
     expectation_pauli_z,
     expectation_pauli_z_density,
     gate_counts,
@@ -180,18 +179,6 @@ def test_program_checks_its_stack_size():
     start = density_from_pure(zero_state(2)).matrix[None]
     assert evolve_density(start, prog, NoiseSpec()).shape == (3, 4, 4)
     assert evolve(prog).shape == (3, 4)
-
-
-def test_a_vqc_step_compiles_its_program_once(monkeypatch):
-    # the forward pass and the adjoint sweep of one step share the
-    # program's compiled steps
-    compiled = []
-    compile_ = batched._compile
-    monkeypatch.setattr(batched, "_compile", lambda p: compiled.append(p) or compile_(p))
-    rows = np.random.default_rng(3).uniform(-1.0, 1.0, size=(5, 3))
-    zhat, backward = _adjoint(rows, init_vqc(VqcSpec(3, 2)))
-    backward(np.ones(5))
-    assert len(compiled) == 1
 
 
 # ------------------------------------------------------------ expectations
