@@ -8,6 +8,10 @@ matrices are dense float32. A tf-idf split's are CSR (CsrMatrix, float32
 values), in memory and on disk, since under 1% of their entries are
 nonzero; the encoder scatters their rows only into its own float64
 workspaces. Numerical kernels promote to float64 where it matters.
+
+A saved split stores each array in its own dtype, so nothing is cast on
+save or load: x_*.f32 and y_*.i64 files, or one x_*.csr file of a CSR
+matrix's int64 indptr, int32 column indices and float32 values.
 """
 from __future__ import annotations
 
@@ -201,15 +205,12 @@ class TfidfModel:
 
 
 def fit_tfidf(
-    docs: Sequence[str], min_df: int = 2, max_df: float = 0.95, ngram_max: int = 1
+    terms: Sequence[List[str]], min_df: int = 2, max_df: float = 0.95, ngram_max: int = 1
 ) -> TfidfModel:
-    terms = (tokenize(doc, ngram_max) for doc in docs)
-    return _fit_terms(terms, len(docs), min_df, max_df, ngram_max)
-
-
-def _fit_terms(terms: Iterable[List[str]], n: int, min_df: int, max_df: float,
-               ngram_max: int) -> TfidfModel:
-    """fit_tfidf on the term lists (tokenize) of n documents."""
+    """The tf-idf model of the documents whose term lists (tokenize, at
+    ngram_max) are given: the terms found in at least min_df and at most
+    max_df of them, in lexicographic order, with smoothed idf."""
+    n = len(terms)
     if not n:
         raise ValueError("empty corpus")
     df: Dict[str, int] = {}
@@ -223,42 +224,43 @@ def _fit_terms(terms: Iterable[List[str]], n: int, min_df: int, max_df: float,
     return TfidfModel(vocab, idf, freq, n, min_df, max_df, ngram_max)
 
 
-def transform_tfidf(model: TfidfModel, docs: Sequence[str]) -> CsrMatrix:
-    """The documents' l2-normalized tf-idf rows as a float32 CsrMatrix.
-    Rows are computed in dense float64 blocks of at most TFIDF_BLOCK_BYTES
-    by the whole-matrix recipe's operations (counts, times idf, divided by
-    the row's np.linalg.norm, cast to float32), so every value has that
-    recipe's bits; a block keeps only its nonzero entries."""
-    return _tfidf_rows(model, (tokenize(doc, model.ngram_max) for doc in docs), len(docs))
-
-
-def _tfidf_rows(model: TfidfModel, terms: Iterable[List[str]], n: int) -> CsrMatrix:
-    """transform_tfidf on the term lists (tokenize) of n documents, read
-    one row block at a time."""
+def transform_tfidf(model: TfidfModel, terms: Iterable[List[str]]) -> CsrMatrix:
+    """The l2-normalized tf-idf rows of the documents whose term lists
+    (tokenize) are given, as a float32 CsrMatrix; the lists are read one row
+    block at a time, so a generator of them is never held whole. Rows are
+    computed in dense float64 blocks of at most TFIDF_BLOCK_BYTES by the
+    whole-matrix recipe's operations (counts, times idf, divided by the
+    row's np.linalg.norm, cast to float32), so every value has that recipe's
+    bits; a block keeps only its nonzero entries."""
     terms = iter(terms)
     d = len(model.vocabulary)
     step = max(1, TFIDF_BLOCK_BYTES // (8 * max(d, 1)))
-    block = np.zeros((min(n, step), d))
+    block = np.zeros((step, d))
     counts, indices, data = [np.zeros(0, np.int64)], [np.zeros(0, np.int32)], [np.zeros(0, np.float32)]
-    for lo in range(0, n, step):
-        rows = block[: min(step, n - lo)]
-        for r, doc_terms in enumerate(islice(terms, rows.shape[0])):
+    while True:
+        m = 0
+        for doc_terms in islice(terms, step):
             for term in doc_terms:
                 i = model.vocabulary.get(term)
                 if i is not None:
-                    rows[r, i] += 1.0
+                    block[m, i] += 1.0
+            m += 1
+        if not m:
+            break
+        rows = block[:m]
         rows *= model.idf[None, :]
         norms = np.linalg.norm(rows, axis=1, keepdims=True)
         rows /= np.where(norms > 0, norms, 1.0)
         values = rows.astype(np.float32)
         r, c = np.nonzero(values)  # tf-idf values are >= 0, so no -0.0 is dropped
-        counts.append(np.bincount(r, minlength=rows.shape[0]))
+        counts.append(np.bincount(r, minlength=m))
         indices.append(c.astype(np.int32))
         data.append(values[r, c])
         rows.fill(0.0)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.concatenate(counts), out=indptr[1:])
-    return CsrMatrix(indptr, np.concatenate(indices), np.concatenate(data), (n, d))
+    row_counts = np.concatenate(counts)
+    indptr = np.zeros(row_counts.size + 1, dtype=np.int64)
+    np.cumsum(row_counts, out=indptr[1:])
+    return CsrMatrix(indptr, np.concatenate(indices), np.concatenate(data), (row_counts.size, d))
 
 
 # ----------------------------------------------------------------- splits
@@ -439,10 +441,10 @@ def load_lingspam(
     shared: Dict[str, str] = {}
     train_terms = [[shared.setdefault(t, t) for t in tokenize(docs[i], ngram_max)]
                    for i in train_idx]
-    model = _fit_terms(train_terms, len(train_terms), min_df=2, max_df=0.95, ngram_max=ngram_max)
-    x_train = _tfidf_rows(model, train_terms, len(train_terms))
-    x_val = transform_tfidf(model, [docs[i] for i in val_idx])
-    x_test = transform_tfidf(model, [docs[i] for i in test_idx])
+    model = fit_tfidf(train_terms, min_df=2, max_df=0.95, ngram_max=ngram_max)
+    x_train = transform_tfidf(model, train_terms)
+    x_val = transform_tfidf(model, (tokenize(docs[i], ngram_max) for i in val_idx))
+    x_test = transform_tfidf(model, (tokenize(docs[i], ngram_max) for i in test_idx))
     y_train, y_val, y_test = y[train_idx], y[val_idx], y[test_idx]
     return DatasetSplit(
         x_train, y_train, x_val, y_val, x_test, y_test,
@@ -532,31 +534,40 @@ def select_eval_subset(split: DatasetSplit, size: int = 100, seed: int = 0) -> n
 # ------------------------------------------------------------ persistence
 
 
-def _csr_from_f64(flat: np.ndarray, shape, nnz: int, name: str) -> CsrMatrix:
-    """The CsrMatrix of a save_split CSR vector (indptr || column indices ||
-    values, as float64); ValueError unless indptr holds integers that start
-    at 0, never decrease and end at nnz, and the column indices are integers
-    in [0, d), strictly increasing in each row."""
+def _array_file(name: str, meta: dict):
+    """(file name, [(dtype, shape)] of its arrays) of a save_split array: a
+    CSR matrix's int64 indptr, int32 column indices and float32 values, one
+    after another in name.csr; else a dense float32 x_* (name.f32) or an
+    int64 label vector (name.i64)."""
+    shape = tuple(meta["shape"])
+    if meta.get("layout") == "csr":
+        nnz = meta["nnz"]
+        return f"{name}.csr", [("<i8", (shape[0] + 1,)), ("<i4", (nnz,)), ("<f4", (nnz,))]
+    if name.startswith("x_"):
+        return f"{name}.f32", [("<f4", shape)]
+    return f"{name}.i64", [("<i8", shape)]
+
+
+def _checked_csr(indptr, indices, data, shape, name: str) -> CsrMatrix:
+    """The CsrMatrix of a save_split CSR file's arrays; ValueError unless
+    indptr starts at 0, never decreases and ends at nnz, and the column
+    indices lie in [0, d), strictly increasing in each row."""
     n, d = shape
-    indptr, cols, values = flat[: n + 1], flat[n + 1 : n + 1 + nnz], flat[n + 1 + nnz :]
-    steps = np.diff(indptr)
-    if not (np.array_equal(indptr, np.trunc(indptr)) and indptr[0] == 0
-            and indptr[-1] == nnz and np.all(steps >= 0)):
+    if not (indptr[0] == 0 and indptr[-1] == indices.size and np.all(np.diff(indptr) >= 0)):
         raise ValueError(f"{name}: indptr must be integers from 0 to nnz that never decrease")
-    if not (np.array_equal(cols, np.trunc(cols)) and np.all((cols >= 0) & (cols < d))):
+    if not np.all((indices >= 0) & (indices < d)):
         raise ValueError(f"{name}: column indices must be integers in [0, {d})")
-    x = CsrMatrix(indptr.astype(np.int64), cols.astype(np.int32), values.astype(np.float32), (n, d))
+    x = CsrMatrix(indptr, indices, data, (n, d))
     if np.any(np.diff(x.cells()) <= 0):
         raise ValueError(f"{name}: column indices must increase strictly within each row")
     return x
 
 
 def save_split(split: DatasetSplit, directory) -> dict:
-    """Write the split under `directory`: split.json plus one float64 file
-    per array. A CsrMatrix (a tf-idf split's x_*) is written as
-    name.csr.f64, its indptr, column indices and values one after another;
-    every other array is dense (name.f64)."""
-    d = persist.ensure_dir(directory)
+    """Write the split under `directory`: split.json plus one file per array
+    in its own dtype (_array_file). A CsrMatrix (a tf-idf split's x_*) is
+    written as name.csr; every other array is dense."""
+    d = Path(directory)
     arrays = {
         "x_train": split.x_train, "y_train": split.y_train,
         "x_val": split.x_val, "y_val": split.y_val,
@@ -565,20 +576,16 @@ def save_split(split: DatasetSplit, directory) -> dict:
     manifest = {}
     for name, arr in arrays.items():
         if isinstance(arr, CsrMatrix):
-            manifest[name] = {
-                "shape": list(arr.shape),
-                "nnz": int(arr.data.size),
-                "layout": "csr",
-                "sha256": persist.save_arrays_f64(
-                    d / f"{name}.csr.f64", (arr.indptr, arr.indices, arr.data)
-                ),
-            }
+            meta = {"shape": list(arr.shape), "nnz": int(arr.data.size), "layout": "csr"}
+            parts = (arr.indptr, arr.indices, arr.data)
         else:
             arr = np.asarray(arr)
-            manifest[name] = {
-                "shape": list(arr.shape),
-                "sha256": persist.save_array_f64(d / f"{name}.f64", arr),
-            }
+            meta, parts = {"shape": list(arr.shape)}, (arr,)
+        fname, layout = _array_file(name, meta)
+        meta["sha256"] = persist.save_arrays(
+            d / fname, [np.asarray(a, dtype) for a, (dtype, _) in zip(parts, layout)]
+        )
+        manifest[name] = meta
     tr = split.transformer
     if isinstance(tr, TabularTransformer):
         transformer = {
@@ -593,8 +600,8 @@ def save_split(split: DatasetSplit, directory) -> dict:
         transformer = {
             "kind": "tfidf",
             "terms": tr.terms(),
-            "idf_sha256": persist.save_array_f64(d / "idf.f64", tr.idf),
-            "doc_freq_sha256": persist.save_array_f64(d / "doc_freq.f64", tr.doc_freq),
+            "idf_sha256": persist.save_arrays(d / "idf.f64", (tr.idf,)),
+            "doc_freq_sha256": persist.save_arrays(d / "doc_freq.f64", (tr.doc_freq,)),
             "num_train_docs": tr.num_train_docs,
             "min_df": tr.min_df,
             "max_df": tr.max_df,
@@ -616,9 +623,9 @@ def save_split(split: DatasetSplit, directory) -> dict:
 
 def load_split(directory, unverified=None, features=("x_train", "x_val", "x_test")) -> DatasetSplit:
     """The split save_split wrote; each file is hash-checked on its read
-    (persist.load_json, persist.load_verified_f64), and a CSR entry is
-    checked for structure (_csr_from_f64) and comes back as a CsrMatrix. A
-    dense x_* comes back float32, cast as its file is read. Only the feature
+    (persist.load_json, persist.load_arrays) and its arrays come back in
+    their own dtypes, as views of the bytes read. A CSR entry is checked for
+    structure (_checked_csr) and comes back as a CsrMatrix. Only the feature
     matrices named in `features` are read; the others are None, and their
     files stay in `unverified` for the caller's persist.check_files."""
     d = Path(directory)
@@ -627,18 +634,12 @@ def load_split(directory, unverified=None, features=("x_train", "x_val", "x_test
     for name, meta in header["arrays"].items():
         if name.startswith("x_") and name not in features:
             continue
-        shape = tuple(meta["shape"])
+        fname, layout = _array_file(name, meta)
+        parts = persist.load_arrays(d / fname, layout, meta["sha256"], unverified)
         if meta.get("layout") == "csr":
-            fname = f"{name}.csr.f64"
-            flat = persist.load_verified_f64(
-                d / fname, (shape[0] + 1 + 2 * meta["nnz"],), meta["sha256"], unverified
-            )
-            arrays[name] = _csr_from_f64(flat, shape, meta["nnz"], fname)
+            arrays[name] = _checked_csr(*parts, tuple(meta["shape"]), fname)
         else:
-            arrays[name] = persist.load_verified_f64(
-                d / f"{name}.f64", shape, meta["sha256"], unverified,
-                np.float32 if name.startswith("x_") else np.float64,
-            )
+            arrays[name] = parts[0]
     t = header["transformer"]
     if t["kind"] == "tabular":
         transformer: object = TabularTransformer(
@@ -650,21 +651,23 @@ def load_split(directory, unverified=None, features=("x_train", "x_val", "x_test
         )
     else:
         terms = t["terms"]
+        [idf] = persist.load_arrays(d / "idf.f64", [("<f8", (len(terms),))], t["idf_sha256"], unverified)
+        [doc_freq] = persist.load_arrays(
+            d / "doc_freq.f64", [("<f8", (len(terms),))], t["doc_freq_sha256"], unverified
+        )
         transformer = TfidfModel(
             {term: i for i, term in enumerate(terms)},
-            persist.load_verified_f64(d / "idf.f64", (len(terms),), t["idf_sha256"], unverified),
-            persist.load_verified_f64(
-                d / "doc_freq.f64", (len(terms),), t["doc_freq_sha256"], unverified
-            ),
+            idf,
+            doc_freq,
             int(t["num_train_docs"]),
             int(t["min_df"]),
             float(t["max_df"]),
             int(t["ngram_max"]),
         )
     return DatasetSplit(
-        arrays.get("x_train"), arrays["y_train"].astype(int),
-        arrays.get("x_val"), arrays["y_val"].astype(int),
-        arrays.get("x_test"), arrays["y_test"].astype(int),
+        arrays.get("x_train"), arrays["y_train"],
+        arrays.get("x_val"), arrays["y_val"],
+        arrays.get("x_test"), arrays["y_test"],
         tuple(header["class_weights"]), int(header["seed"]),
         transformer, list(header["test_categories"]), dict(header["meta"]),
     )

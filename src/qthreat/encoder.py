@@ -688,10 +688,10 @@ def save_encoder(
     scaler: Optional[EmbeddingScaler] = None,
     extra: Optional[dict] = None,
 ) -> dict:
-    d = persist.ensure_dir(directory)
+    d = Path(directory)
     names = model.parameter_names()
     flat = np.concatenate([model.params[k].reshape(-1) for k in names])
-    sha = persist.save_array_f64(d / "encoder.f64", flat)
+    sha = persist.save_arrays(d / "encoder.f64", (flat,))
     header = {
         "config": model.config.as_dict(),
         "param_order": names,
@@ -715,7 +715,7 @@ def save_encoder(
 def load_encoder(directory, unverified=None) -> Tuple[EncoderModel, Optional[EmbeddingScaler]]:
     """The model and scaler save_encoder wrote; encoder.json and encoder.f64
     are each hash-checked on their read when `unverified` holds them
-    (persist.load_json, persist.load_verified_f64). The parameters are
+    (persist.load_json, persist.load_arrays). The parameters are
     views of the one buffer encoder.f64 was read into."""
     d = Path(directory)
     header = persist.load_json(d / "encoder.json", unverified)
@@ -727,8 +727,8 @@ def load_encoder(directory, unverified=None) -> Tuple[EncoderModel, Optional[Emb
         seed=header["config"]["seed"],
     )
     total = sum(int(np.prod(s)) for s in header["param_shapes"].values())
-    flat = persist.load_verified_f64(
-        d / "encoder.f64", (total,), header["params_sha256"], unverified
+    [flat] = persist.load_arrays(
+        d / "encoder.f64", [("<f8", (total,))], header["params_sha256"], unverified
     )
     params = {}
     pos = 0

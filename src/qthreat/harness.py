@@ -626,45 +626,49 @@ def run_experiment(config: ExperimentConfig, workdir, through: Optional[str] = N
     `through` stops after an early stage (one of EARLY_STOPS) leaving the
     manifest incomplete; the default runs to test evaluation and writes a
     complete manifest. Every run walks its stages through _stage, which
-    loads a stage whose recorded key matches and rebuilds any other.
+    loads a stage whose recorded key matches and rebuilds any other. A
+    failed step raises PipelineError naming it: "workdir" (config.json and
+    the first manifest write), a stage, "evaluate" or "manifest".
     """
     if through is not None and through not in EARLY_STOPS:
         raise ValueError(f"through must be None or one of {EARLY_STOPS}, not {through!r}")
-    root = persist.ensure_dir(workdir)
+    root = Path(workdir)
     mpath = root / "manifest.json"
-    persist.save_json(root / "config.json", config.as_dict())
     manifest: dict = {
         "config": config.as_dict(),
         "config_sha256": config.config_sha(),
         "status": "incomplete",
         "stages": {},
     }
-    persist.save_json(mpath, manifest)
     stages: Dict[str, str] = {}
 
-    def run_stage(name, fn, *args):
+    def step(name, fn, *args, **kwargs):
+        """fn(...), with any failure but a PipelineError raised as PipelineError(name)."""
         try:
-            return fn(config, root, stages, *args)
+            return fn(*args, **kwargs)
         except PipelineError:
             raise
         except Exception as exc:
             raise PipelineError(name, str(exc)) from exc
 
+    # save_json creates the workdir and its missing parents
+    step("workdir", persist.save_json, root / "config.json", config.as_dict())
+    step("workdir", persist.save_json, mpath, manifest)
     try:
-        split = run_stage("preprocess", _stage_preprocess)
+        split = step("preprocess", _stage_preprocess, config, root, stages)
         if through == "preprocess":
-            return _finish(manifest, mpath, root, stages, complete=False)
+            return step("manifest", _finish, manifest, mpath, root, stages, complete=False)
 
-        encoded = run_stage("encoder", _stage_encoder, split)
+        encoded = step("encoder", _stage_encoder, config, root, stages, split)
         if through == "encoder":
-            return _finish(manifest, mpath, root, stages, complete=False)
+            return step("manifest", _finish, manifest, mpath, root, stages, complete=False)
 
         if config.model == "qsvm":
-            model = run_stage("svm", _stage_svm, split, encoded)
+            model = step("svm", _stage_svm, config, root, stages, split, encoded)
         elif config.model == "vqc":
-            model = run_stage("vqc", _stage_vqc, split, encoded)
+            model = step("vqc", _stage_vqc, config, root, stages, split, encoded)
         else:
-            model = run_stage("baseline", _stage_baseline, split, encoded)
+            model = step("baseline", _stage_baseline, config, root, stages, split, encoded)
 
         extras: dict = {}
         try:
@@ -694,7 +698,7 @@ def run_experiment(config: ExperimentConfig, workdir, through: Optional[str] = N
     except PipelineError as err:
         manifest["stages"] = stages
         manifest["error"] = {"stage": err.stage, "message": str(err)}
-        persist.save_json(mpath, manifest)
+        step("manifest", persist.save_json, mpath, manifest)
         raise
 
     manifest.update(
@@ -710,7 +714,7 @@ def run_experiment(config: ExperimentConfig, workdir, through: Optional[str] = N
             **extras,
         }
     )
-    return _finish(manifest, mpath, root, stages, complete=True)
+    return step("manifest", _finish, manifest, mpath, root, stages, complete=True)
 
 
 def _finish(manifest, mpath, root, stages, complete: bool) -> dict:
@@ -791,7 +795,11 @@ def _open_complete(workdir):
     if not bundle.complete:
         raise ValueError("bundle is incomplete; rerun the pipeline first")
     unverified = bundle.unverified()
-    split = datapipe.load_split(bundle.root / "preprocess", unverified, ("x_test",))
+    try:
+        split = datapipe.load_split(bundle.root / "preprocess", unverified, ("x_test",))
+    except FileNotFoundError as exc:
+        # a bundle written before its split's file layout, or one that lost a file
+        raise ValueError(f"{exc}; rerun the bundle's config to rebuild it") from exc
     model = _load_model(bundle.config, bundle.root, unverified)
     persist.check_files(unverified)
     return bundle, split, model
@@ -910,7 +918,7 @@ def run_matrix(configs: Sequence[ExperimentConfig], workdir, repeats: int = 1) -
         raise ValueError("experiment ids must be unique")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    root = persist.ensure_dir(workdir)
+    root = Path(workdir)
 
     def run_cell(config, r):
         cell_config = replace(config, seeds=config.seeds.shifted(r))

@@ -56,19 +56,22 @@ def accuracy(counts: ConfusionCounts) -> float:
     return (counts.tp + counts.tn) / counts.total
 
 
-def precision_recall(counts: ConfusionCounts) -> Tuple[float, float]:
-    p = counts.tp / (counts.tp + counts.fp) if counts.tp + counts.fp else 0.0
-    r = counts.tp / (counts.tp + counts.fn) if counts.tp + counts.fn else 0.0
-    return p, r
+def f_beta_counts(tp, predicted, positives, beta: float = 2.0) -> np.ndarray:
+    """(1 + beta^2) P R / (beta^2 P + R) of arrays of true positive,
+    predicted positive and positive counts, element by element: P = tp /
+    predicted and R = tp / positives are 0 where their denominator is, and
+    so is F_beta where beta^2 P + R is."""
+    tp, predicted, positives = np.broadcast_arrays(tp, predicted, positives)
+    p = np.divide(tp, predicted, out=np.zeros(tp.shape), where=predicted > 0)
+    r = np.divide(tp, positives, out=np.zeros(tp.shape), where=positives > 0)
+    bb = beta * beta
+    denom = bb * p + r
+    return np.divide((1 + bb) * p * r, denom, out=np.zeros(tp.shape), where=denom != 0.0)
 
 
 def f_beta(counts: ConfusionCounts, beta: float = 2.0) -> float:
-    """(1 + beta^2) P R / (beta^2 P + R); 0 when the denominator vanishes."""
-    p, r = precision_recall(counts)
-    denom = beta * beta * p + r
-    if denom == 0.0:
-        return 0.0
-    return (1 + beta * beta) * p * r / denom
+    """f_beta_counts of one confusion."""
+    return float(f_beta_counts(counts.tp, counts.tp + counts.fp, counts.tp + counts.fn, beta))
 
 
 def _f1_per_class(counts: ConfusionCounts) -> Tuple[float, float]:

@@ -1,13 +1,16 @@
-"""Artifact persistence: JSON headers, raw float64 array files, text, content hashes.
+"""Artifact persistence: JSON headers, raw array files, text, content hashes.
 
 Every file the package writes is renamed into place by _write_atomic: a killed
 process leaves the old file or the new one, plus at most a .<name>.<32 hex>.tmp
 file that the next write of the same name removes. Nothing is fsynced: a write
 is not promised to survive a power loss.
 
-All array files are little-endian float64, row-major, no header; shapes live
-in the accompanying JSON. JSON floats are written with Python's repr, which
-round-trips float64 bit-exactly.
+An array file holds its arrays' own little-endian bytes, each row-major, one
+after another, with no header: save_arrays writes them as they are and
+load_arrays returns typed views of the bytes read, so no value is cast on
+either side. Dtypes and shapes live in the accompanying JSON or in the
+caller (a .f64 file is float64). JSON floats are written with Python's repr,
+which round-trips float64 bit-exactly.
 
 Readers take an optional `unverified` map (path -> sha256) of bundle files
 whose manifest hashes are still unchecked. A read of a file in that map
@@ -23,7 +26,7 @@ import os
 import re
 import uuid
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -57,10 +60,11 @@ def stage_key(stage: str, config_slice, input_hashes) -> str:
 
 def _write_atomic(path, blocks) -> None:
     """Write the bytes-like `blocks`, in order, to a temp file beside
-    `path`, .<name>.<32 hex>.tmp, then rename it over `path`: readers see
-    the old file or the new one, never a torn write. A failed write removes
-    its temp file; one killed mid-write leaves it, and the next write of
-    `path` removes it first (no other file's temp file)."""
+    `path`, .<name>.<32 hex>.tmp (creating missing parent directories
+    first), then rename it over `path`: readers see the old file or the new
+    one, never a torn write. A failed write removes its temp file; one
+    killed mid-write leaves it, and the next write of `path` removes it
+    first (no other file's temp file)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     stale = re.compile(re.escape(f".{path.name}.") + r"[0-9a-f]{32}\.tmp")
@@ -78,64 +82,39 @@ def _write_atomic(path, blocks) -> None:
         raise
 
 
-def save_array_f64(path, arr: np.ndarray) -> str:
-    """Write an array as row-major little-endian float64 bytes; returns their
-    sha256 (save_arrays_f64 of the one array)."""
-    return save_arrays_f64(path, (arr,))
-
-
-def save_arrays_f64(path, arrays) -> str:
-    """Write the arrays, each flattened row-major, one after another as
-    little-endian float64 bytes; returns the sha256 of the file.
-
-    Memory: a C-contiguous `<f8` array is hashed and written from a view. Any
-    other (a float32 feature matrix, say) is cast into one reused 1 MiB float64
-    buffer, the chunk sha256_file reads, and hashed and written a block at a time."""
-    flats = [np.ascontiguousarray(a).reshape(-1) for a in arrays]
-    cast = max((f.size for f in flats if f.dtype != np.dtype("<f8")), default=0)
-    cast = np.empty(min(cast, 1 << 17), "<f8")
+def save_arrays(path, arrays) -> str:
+    """Write each array's own bytes, row-major and little-endian, one array
+    after another; returns the sha256 of the file. A C-contiguous
+    little-endian array is hashed and written from a view; any other is
+    first copied into that layout, in its own dtype."""
+    views = []
+    for a in arrays:
+        a = np.asarray(a)
+        a = np.ascontiguousarray(a, a.dtype.newbyteorder("<"))
+        views.append(memoryview(a.reshape(-1).view(np.uint8)))
+    _write_atomic(path, views)
     h = hashlib.sha256()
-
-    def blocks():
-        for flat in flats:
-            buf = flat if flat.dtype == np.dtype("<f8") else cast
-            for i in range(0, flat.size, max(buf.size, 1)):
-                part = buf[:flat.size - i]
-                if buf is not flat:
-                    part[...] = flat[i:i + buf.size]
-                data = memoryview(part.view(np.uint8))
-                h.update(data)
-                yield data
-
-    _write_atomic(path, blocks())
+    for view in views:
+        h.update(view)
     return h.hexdigest()
 
 
-def _check_hash(path, digest: str, entry: Optional[str], sha256: Optional[str]) -> None:
-    """ValueError unless `digest` matches the bundle manifest's `entry` and the
-    `sha256` a header recorded, each when given; the manifest's is checked first."""
-    if entry is not None and digest != entry:
-        raise ValueError(f"bundle file {path} fails its hash check")
-    if sha256 is not None and digest != sha256:
-        raise ValueError(f"{Path(path).name} does not match its recorded sha256")
-
-
-def _pop(unverified: Optional[Dict[Path, str]], path) -> Optional[str]:
-    return unverified.pop(Path(path), None) if unverified is not None else None
-
-
-def _read_file(path, unverified: Optional[Dict[Path, str]] = None) -> np.ndarray:
+def _read_file(path, unverified: Optional[Dict[Path, str]] = None,
+               sha256: Optional[str] = None) -> np.ndarray:
     """The bytes of a file as uint8, read once into one buffer (not
     zero-filled first) and hashed at most once. When `unverified` holds
-    `path`, its entry is taken out and the bytes must hash to it, else
-    ValueError."""
+    `path`, its entry is taken out and the bytes must hash to it, and then
+    to `sha256` when given, else ValueError."""
     with open(path, "rb") as f:
         data = np.empty(os.fstat(f.fileno()).st_size, dtype=np.uint8)
         if f.readinto(data) != data.size:
             raise ValueError(f"{path} changed size while it was read")
-    entry = _pop(unverified, path)
-    if entry is not None:
-        _check_hash(path, sha256_bytes(data), entry, None)
+    entry = unverified.pop(Path(path), None) if unverified is not None else None
+    digest = sha256_bytes(data) if entry is not None or sha256 is not None else None
+    if entry is not None and digest != entry:
+        raise ValueError(f"bundle file {path} fails its hash check")
+    if sha256 is not None and digest != sha256:
+        raise ValueError(f"{Path(path).name} does not match its recorded sha256")
     return data
 
 
@@ -147,39 +126,21 @@ def check_files(unverified: Dict[Path, str]) -> None:
             raise ValueError(f"bundle file {path} fails its hash check")
 
 
-def load_verified_f64(path, shape, sha256: str,
-                      unverified: Optional[Dict[Path, str]] = None, dtype=np.float64) -> np.ndarray:
-    """The array of a float64 file whose bytes must have this sha256, else
-    ValueError("<name> does not match its recorded sha256"); when
-    `unverified` holds the file, its entry is taken out and the bytes must
-    hash to it first, else ValueError. The file is read and hashed once.
-
-    A float64 result is read into in place. A float32 one (a float32
-    matrix's file read back) takes its values cast from one reused 1 MiB
-    float64 buffer, the block that is read and hashed, so no float64 copy of
-    the file is held. A file written from float32 values casts back bit for
-    bit; values of a damaged file may overflow the cast, and its hash check
-    fails after the read."""
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        out = np.empty(size // 8, dtype)
-        buf = out if out.dtype == np.dtype("<f8") else np.empty(min(out.size, 1 << 17), "<f8")
-        for i in range(0, out.size, max(buf.size, 1)):
-            part = buf[:out.size - i]
-            if f.readinto(part.view(np.uint8)) != part.nbytes:
-                raise ValueError(f"{path} changed size while it was read")
-            h.update(part.view(np.uint8))
-            if buf is not out:
-                with np.errstate(over="ignore"):
-                    out[i:i + part.size] = part
-        tail = f.read(size % 8)
-        h.update(tail)
-    _check_hash(path, h.hexdigest(), _pop(unverified, path), sha256)
-    expected = int(np.prod(shape)) if shape else out.size
-    if tail or out.size != expected:
-        raise ValueError(f"{path}: expected {expected} float64 values, found {size / 8:g}")
-    return out.reshape(shape)
+def load_arrays(path, layout, sha256: str,
+                unverified: Optional[Dict[Path, str]] = None) -> List[np.ndarray]:
+    """The arrays save_arrays wrote to `path`, as writable typed views of the
+    one buffer the file is read into; `layout` gives each array's (dtype,
+    shape) in file order, with little-endian dtypes. The bytes are hashed
+    once and must match the manifest entry `unverified` holds for the file
+    and `sha256`, the digest its header recorded, and the file must hold
+    exactly the layout's bytes, else ValueError."""
+    data = _read_file(path, unverified, sha256)
+    layout = [(np.dtype(dtype), tuple(shape)) for dtype, shape in layout]
+    sizes = [int(np.prod(shape)) * dtype.itemsize for dtype, shape in layout]
+    if data.size != sum(sizes):
+        raise ValueError(f"{path}: expected {sum(sizes)} bytes, found {data.size}")
+    parts = np.split(data, np.cumsum(sizes)[:-1])
+    return [part.view(dtype).reshape(shape) for part, (dtype, shape) in zip(parts, layout)]
 
 
 def save_text(path, text: str) -> None:
@@ -196,12 +157,6 @@ def save_json(path, obj) -> str:
 def load_json(path, unverified: Optional[Dict[Path, str]] = None):
     """A JSON file, hash-checked on this read when `unverified` holds it."""
     return json.loads(_read_file(path, unverified).tobytes())
-
-
-def ensure_dir(path) -> Path:
-    p = Path(path)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
 
 
 def relative_file_map(root, names):

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import datapipe, persist
 from .featuremap import FeatureMapSpec, feature_statevectors
-from .metrics import confusion, f_beta
+from .metrics import confusion, f_beta, f_beta_counts
 
 DUAL_TOL = 1e-3
 SUPPORT_EPS = 1e-10
@@ -309,8 +309,8 @@ def tune_threshold(scores: np.ndarray, labels: np.ndarray, beta: float = 2.0) ->
     scores; ties resolve to the smallest candidate.
 
     One sort plus binary searches give every candidate's TP and predicted
-    positive counts, so the cost is O(n log n); the F_beta arithmetic is
-    metrics.f_beta's, element for element.
+    positive counts, so the cost is O(n log n); F_beta is
+    metrics.f_beta_counts of those counts, the function metrics.f_beta calls.
     """
     s = np.asarray(scores, dtype=float).reshape(-1)
     y = np.asarray(labels, dtype=int).reshape(-1)
@@ -325,13 +325,7 @@ def tune_threshold(scores: np.ndarray, labels: np.ndarray, beta: float = 2.0) ->
     positives = np.sort(s[y == 1])
     predicted = s.size - np.searchsorted(np.sort(s), candidates, side="left")
     tp = positives.size - np.searchsorted(positives, candidates, side="left")
-    bb = beta * beta
-    precision = np.zeros(candidates.size)
-    np.divide(tp, predicted, out=precision, where=predicted > 0)
-    recall = tp / positives.size
-    denom = bb * precision + recall
-    values = np.zeros(candidates.size)
-    np.divide((1 + bb) * precision * recall, denom, out=values, where=denom != 0.0)
+    values = f_beta_counts(tp, predicted, positives.size, beta)
     # a running-best scan, not argmax, to keep the 1e-15 tie margin exact
     best_t, best_v = float(candidates[0]), -1.0
     for t, v in zip(candidates.tolist(), values.tolist()):

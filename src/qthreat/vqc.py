@@ -394,9 +394,9 @@ def train_vqc(
 
 
 def save_vqc(model: VqcModel, directory, extra: Optional[dict] = None) -> dict:
-    d = persist.ensure_dir(directory)
+    d = Path(directory)
     packed = np.concatenate([model.theta, [model.scale, model.bias]])
-    sha = persist.save_array_f64(d / "vqc.f64", packed)
+    sha = persist.save_arrays(d / "vqc.f64", (packed,))
     header = {
         "spec": model.spec.as_dict(),
         "num_params": model.spec.num_params,
@@ -412,12 +412,12 @@ def save_vqc(model: VqcModel, directory, extra: Optional[dict] = None) -> dict:
 def load_checkpoint(directory, unverified=None) -> Tuple[VqcModel, dict]:
     """The model save_vqc wrote and the `extra` its header carries; vqc.json
     and vqc.f64 are each hash-checked on their read when `unverified` holds
-    them (persist.load_json, persist.load_verified_f64)."""
+    them (persist.load_json, persist.load_arrays)."""
     d = Path(directory)
     header = persist.load_json(d / "vqc.json", unverified)
     spec = VqcSpec(**header["spec"])
-    packed = persist.load_verified_f64(
-        d / "vqc.f64", (header["packed_length"],), header["params_sha256"], unverified
+    [packed] = persist.load_arrays(
+        d / "vqc.f64", [("<f8", (header["packed_length"],))], header["params_sha256"], unverified
     )
     return VqcModel(spec, packed[:-2], float(packed[-2]), float(packed[-1])), header.get("extra", {})
 

@@ -399,11 +399,13 @@ def csr_from_dense(x):
     return datapipe.CsrMatrix(indptr, cols.astype(np.int32), x[rows, cols], x.shape)
 
 
-def csr_f64_vector(x):
-    """The float64 vector a CSR split file holds for a dense matrix: indptr
-    (n+1) || column indices (nnz) || values (nnz) of csr_from_dense."""
+def csr_file_bytes(x):
+    """The bytes a CSR split file holds for a dense matrix: the int64 indptr
+    (n+1), int32 column indices (nnz) and float32 values (nnz) of
+    csr_from_dense, each little-endian, one after another."""
     c = csr_from_dense(x)
-    return np.concatenate([c.indptr, c.indices, c.data], dtype=np.float64)
+    parts = zip((c.indptr, c.indices, c.data), ("<i8", "<i4", "<f4"))
+    return b"".join(np.asarray(a, t).tobytes() for a, t in parts)
 
 
 def dense_from_csr(x):

@@ -543,7 +543,7 @@ def test_criterion_09_determinism_and_leakage(nslkdd_dir, tmp_path):
         tmp_path / "swap",
     )
     fitted = [
-        "preprocess/x_train.f64",
+        "preprocess/x_train.f32",
         "encoder/encoder.f64",
         "encoder/encoder.json",
         "svm/svm.json",
@@ -551,7 +551,7 @@ def test_criterion_09_determinism_and_leakage(nslkdd_dir, tmp_path):
     fitted_stable = all(m_a["files"][f] == m_swap["files"][f] for f in fitted)
     threshold_stable = m_a["threshold"] == m_swap["threshold"]
     test_changed = (
-        m_a["files"]["preprocess/x_test.f64"] != m_swap["files"]["preprocess/x_test.f64"]
+        m_a["files"]["preprocess/x_test.f32"] != m_swap["files"]["preprocess/x_test.f32"]
     )
 
     _verdict(

@@ -41,7 +41,7 @@ from qthreat.datapipe import (
 )
 from conftest import make_record, random_csr, write_nslkdd_pair
 from oracles import (
-    csr_f64_vector, csr_from_dense, dense_from_csr, parse_nslkdd_lists, transform_tfidf_dense, reference_indices, select_eval_subset_loop,
+    csr_file_bytes, csr_from_dense, dense_from_csr, parse_nslkdd_lists, transform_tfidf_dense, reference_indices, select_eval_subset_loop,
     select_eval_subset_unique,
     stratified_limit, transform_tabular_concat,
 )
@@ -340,7 +340,7 @@ def test_tfidf_fitted_on_train_docs_only(lingspam_dir, spam_split):
     s_test, s_val = np.random.SeedSequence(0).generate_state(2)
     rest, _ = stratified_take(y, 0.2, int(s_test))
     keep_rel, _ = stratified_take(y[rest], 0.2, int(s_val))
-    refit = fit_tfidf([docs[i] for i in rest[keep_rel]])
+    refit = fit_tfidf([tokenize(docs[i]) for i in rest[keep_rel]])
     assert refit.vocabulary == spam_split.transformer.vocabulary
     np.testing.assert_array_equal(refit.idf, spam_split.transformer.idf)
 
@@ -348,8 +348,9 @@ def test_tfidf_fitted_on_train_docs_only(lingspam_dir, spam_split):
 def test_tfidf_formula_oracle():
     docs = ["free money offer", "money meeting", "meeting paper review",
             "offer offer free"]
-    model = fit_tfidf(docs, min_df=1, max_df=1.0)
-    got = dense_from_csr(transform_tfidf(model, docs))
+    terms = [tokenize(doc) for doc in docs]
+    model = fit_tfidf(terms, min_df=1, max_df=1.0)
+    got = dense_from_csr(transform_tfidf(model, terms))
     # independent recomputation from the stated formula
     n = 4
     df = {"free": 2, "money": 2, "offer": 2, "meeting": 2, "paper": 1, "review": 1}
@@ -379,10 +380,11 @@ def test_csr_tfidf_matches_the_dense_recipe_bit_for_bit(docs, block_rows):
     # rows are computed in blocks of block_rows (a partial last block, empty
     # documents and the last vocabulary column included) and keep the bits
     # of the one dense float64 matrix the recipe describes
-    model = fit_tfidf(docs, min_df=1, max_df=1.0)
+    terms = [tokenize(doc) for doc in docs]
+    model = fit_tfidf(terms, min_df=1, max_df=1.0)
     d = len(model.vocabulary)
     with mock.patch.object(datapipe, "TFIDF_BLOCK_BYTES", 8 * max(d, 1) * block_rows):
-        got = transform_tfidf(model, docs)
+        got = transform_tfidf(model, iter(terms))
     want = csr_from_dense(transform_tfidf_dense(model, docs))
     assert got.shape == want.shape == (len(docs), d)
     assert (got.indptr.dtype, got.indices.dtype, got.data.dtype) == (np.int64, np.int32, np.float32)
@@ -401,10 +403,11 @@ def test_transform_tfidf_holds_one_dense_row_block():
     words = np.array([f"w{i}" for i in range(d)])
     model = TfidfModel({w: i for i, w in enumerate(words)}, 1.0 + rng.random(d), np.ones(d), 2000)
     docs = [" ".join(words[rng.integers(0, d, 50)]) for _ in range(2000)]
-    transform_tfidf(model, docs[:10])  # one-time imports
+    terms = [tokenize(doc) for doc in docs]
+    transform_tfidf(model, terms[:10])  # one-time imports
     tracemalloc.start()
     try:
-        x = transform_tfidf(model, docs)
+        x = transform_tfidf(model, terms)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -534,10 +537,10 @@ def test_split_roundtrip_tabular(tmp_path, kdd_split):
 
 
 def test_save_split_writes_dense_features_a_block_at_a_time(tmp_path, kdd_split):
-    # an 8 000 x 70 float32 x_train is 2.1 MiB, 4.3 MiB as float64. Its file
-    # is converted, hashed and written 1 MiB of float64 at a time, so the
-    # traced peak of the save stays within about one block (plus the small
-    # label arrays and the header) above what the split already holds
+    # an 8 000 x 70 float32 x_train is 2.1 MiB. Its file holds the matrix's
+    # own float32 bytes, hashed and written from a view of it, so the traced
+    # peak of the save stays within 1.25 MiB (the header and small
+    # temporaries) above what the split already holds
     rng = np.random.default_rng(5)
     x = {n: rng.standard_normal((rows, 70)).astype(np.float32)
          for n, rows in (("x_train", 8000), ("x_val", 2000), ("x_test", 2000))}
@@ -552,16 +555,16 @@ def test_save_split_writes_dense_features_a_block_at_a_time(tmp_path, kdd_split)
         tracemalloc.stop()
     assert peak <= (1 << 20) + (256 << 10), peak
     for name, arr in {**x, **y}.items():
-        data = (tmp_path / "split" / f"{name}.f64").read_bytes()
-        assert data == np.ascontiguousarray(arr, "<f8").tobytes()
+        data = (tmp_path / "split" / f"{name}.{'f32' if name[0] == 'x' else 'i64'}").read_bytes()
+        assert data == arr.tobytes()
         assert header["arrays"][name]["sha256"] == persist.sha256_bytes(data)
 
 
 def test_load_split_casts_dense_features_a_block_at_a_time(tmp_path, kdd_split):
-    # the 8 000 x 70 split above: each x_*.f64 is read, hashed and cast to
-    # float32 1 MiB of float64 at a time, so the traced peak stays within
-    # about one block (plus the float64 labels and the header) above what the
-    # loaded split holds, not a float64 copy of x_train (4.5 MB) above it
+    # the 8 000 x 70 split above: each x_*.f32 is read into one buffer,
+    # hashed, and returned as a float32 view of it, so the traced peak stays
+    # within 1.25 MiB (the header and small temporaries) above what the
+    # loaded split holds, not a second copy of x_train (2.2 MB) above it
     rng = np.random.default_rng(5)
     x = {n: rng.standard_normal((rows, 70)).astype(np.float32)
          for n, rows in (("x_train", 8000), ("x_val", 2000), ("x_test", 2000))}
@@ -617,8 +620,8 @@ def test_split_roundtrip_text(tmp_path, spam_split):
 
 def test_split_rejects_tampering(tmp_path, spam_split):
     save_split(spam_split, tmp_path)
-    blob = (tmp_path / "x_test.csr.f64").read_bytes()
-    (tmp_path / "x_test.csr.f64").write_bytes(blob[:-1] + bytes([blob[-1] ^ 1]))
+    blob = (tmp_path / "x_test.csr").read_bytes()
+    (tmp_path / "x_test.csr").write_bytes(blob[:-1] + bytes([blob[-1] ^ 1]))
     with pytest.raises(ValueError, match="sha256"):
         load_split(tmp_path)
 
@@ -636,15 +639,15 @@ def _tfidf_split(x_train, x_val, x_test):
 
 def _save_dense_x(split, directory):
     """Rewrite a saved tf-idf split's x_* arrays in the dense layout
-    (name.f64, {"shape", "sha256"}) of bundles written before CSR."""
+    (name.f32, {"shape", "sha256"}) a tabular split's take."""
     d = Path(directory)
     header = json.loads((d / "split.json").read_text())
     for name in ("x_train", "x_val", "x_test"):
-        (d / f"{name}.csr.f64").unlink()
+        (d / f"{name}.csr").unlink()
         x = dense_from_csr(getattr(split, name))
         header["arrays"][name] = {
             "shape": list(x.shape),
-            "sha256": persist.save_array_f64(d / f"{name}.f64", np.asarray(x, dtype=float)),
+            "sha256": persist.save_arrays(d / f"{name}.f32", (x,)),
         }
     persist.save_json(d / "split.json", header)
 
@@ -680,21 +683,21 @@ def test_csr_split_roundtrip_is_bit_exact(xs):
         header = save_split(split, tmp)
         back = load_split(tmp)
         names = sorted(p.name for p in Path(tmp).iterdir())
-        blobs = {p.name.split(".")[0]: p.read_bytes() for p in Path(tmp).glob("*.csr.f64")}
+        blobs = {p.name.split(".")[0]: p.read_bytes() for p in Path(tmp).glob("*.csr")}
     for name, x in zip(("x_train", "x_val", "x_test"), xs):
         entry = header["arrays"][name]
-        assert f"{name}.csr.f64" in names and f"{name}.f64" not in names
+        assert f"{name}.csr" in names and f"{name}.f32" not in names
         assert entry["layout"] == "csr"
         assert entry["nnz"] == int(np.count_nonzero((x != 0) | np.signbit(x)))
-        assert blobs[name] == csr_f64_vector(x).astype("<f8").tobytes()
+        assert blobs[name] == csr_file_bytes(x)
         got = getattr(back, name)
         assert isinstance(got, CsrMatrix) and got.shape == x.shape
         assert got.data.dtype == np.float32
         assert np.array_equal(dense_from_csr(got).view(np.uint32), x.view(np.uint32))
 
 
-def _corrupt(flat, n, d, nnz, kind):
-    indptr, cols = flat[: n + 1], flat[n + 1 : n + 1 + nnz]
+def _corrupt(indptr, cols, d, kind):
+    nnz = cols.size
     if kind == "indptr starts above 0":
         indptr[0] = 1
     elif kind == "indptr ends below nnz":
@@ -702,14 +705,10 @@ def _corrupt(flat, n, d, nnz, kind):
     elif kind == "indptr decreases":
         r = int(np.flatnonzero(np.diff(indptr) > 0)[0])
         indptr[r + 1] = indptr[r] - 1
-    elif kind == "fractional indptr":
-        indptr[1] += 0.5
     elif kind == "column index d":
         cols[0] = d
     elif kind == "negative column index":
         cols[0] = -1
-    elif kind == "fractional column index":
-        cols[0] += 0.5
     else:  # two columns of one row swapped
         r = int(np.flatnonzero(np.diff(indptr) >= 2)[0])
         a = int(indptr[r])
@@ -718,28 +717,29 @@ def _corrupt(flat, n, d, nnz, kind):
 
 @pytest.mark.parametrize("kind,message", [
     ("indptr starts above 0", "indptr"), ("indptr ends below nnz", "indptr"),
-    ("indptr decreases", "indptr"), ("fractional indptr", "indptr"),
+    ("indptr decreases", "indptr"),
     ("column index d", "column indices must be integers"),
     ("negative column index", "column indices must be integers"),
-    ("fractional column index", "column indices must be integers"),
     ("columns out of order", "increase strictly"),
 ])
 def test_structurally_bad_csr_with_a_correct_hash_is_rejected(tmp_path, spam_split, kind, message):
     header = save_split(spam_split, tmp_path)
     entry = header["arrays"]["x_train"]
-    path = tmp_path / "x_train.csr.f64"
-    flat = np.frombuffer(path.read_bytes(), dtype="<f8").copy()
-    _corrupt(flat, *entry["shape"], entry["nnz"], kind)
-    entry["sha256"] = persist.save_array_f64(path, flat)
+    path = tmp_path / "x_train.csr"
+    indptr, cols, values = persist.load_arrays(
+        path, datapipe._array_file("x_train", entry)[1], entry["sha256"]
+    )
+    _corrupt(indptr, cols, entry["shape"][1], kind)
+    entry["sha256"] = persist.save_arrays(path, (indptr, cols, values))
     persist.save_json(tmp_path / "split.json", header)
-    with pytest.raises(ValueError, match=f"x_train.csr.f64: .*{message}"):
+    with pytest.raises(ValueError, match=f"x_train.csr: .*{message}"):
         load_split(tmp_path)
 
 
 def test_dense_layout_tfidf_split_still_loads(tmp_path, spam_split):
     save_split(spam_split, tmp_path)
     _save_dense_x(spam_split, tmp_path)
-    assert not list(tmp_path.glob("*.csr.f64"))
+    assert not list(tmp_path.glob("*.csr"))
     back = load_split(tmp_path)
     for name in ("x_train", "x_val", "x_test"):
         got = getattr(back, name)

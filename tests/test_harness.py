@@ -253,6 +253,40 @@ def test_complete_bundle_of_an_older_svm_layout_is_rebuilt_and_rescored(qsvm_bun
     assert harness.evaluate_bundle(old)["metrics"] == manifest["metrics"]
 
 
+def test_a_workdir_of_the_float64_split_layout_rebuilds_only_its_preprocess_stage(
+    qsvm_bundle, tmp_path, capsys
+):
+    # the split layout before each array file took its array's own dtype:
+    # every split array as float64 bytes in name.f64. A complete bundle of it
+    # does not rescore and says to rerun its config; the rerun rebuilds
+    # preprocess under the same key and resumes the encoder and svm stages,
+    # whose files it leaves untouched
+    config, d, manifest = qsvm_bundle
+    old = tmp_path / "old"
+    shutil.copytree(d, old)
+    pre = old / "preprocess"
+    header = json.loads((pre / "split.json").read_text())
+    split = datapipe.load_split(pre)
+    for name, meta in header["arrays"].items():
+        data = np.ascontiguousarray(getattr(split, name), "<f8").tobytes()
+        (pre / f"{name}.f64").write_bytes(data)
+        (pre / f"{name}.{'f32' if name.startswith('x_') else 'i64'}").unlink()
+        meta["sha256"] = hashlib.sha256(data).hexdigest()
+    (pre / "split.json").write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
+    files = {name: sha for name, sha in manifest["files"].items() if not name.startswith("preprocess/")}
+    files.update(persist.relative_file_map(old, [f"preprocess/{p.name}" for p in pre.iterdir()]))
+    (old / "manifest.json").write_text(json.dumps({**manifest, "files": files}))
+    assert sorted(p.name for p in pre.glob("*.f64")) == sorted(f"{n}.f64" for n in header["arrays"])
+    stamps = {name: (old / name).stat().st_mtime_ns for name in ("encoder/encoder.f64", "svm/svm.json")}
+
+    assert main(["evaluate", "--workdir", str(old)]) == 2
+    assert "rerun the bundle's config to rebuild it" in capsys.readouterr().err
+    assert harness.run_experiment(config, old) == manifest
+    assert {name: (old / name).stat().st_mtime_ns for name in stamps} == stamps
+    assert not list(pre.glob("*.f64"))
+    assert harness.evaluate_bundle(old)["metrics"] == manifest["metrics"]
+
+
 def test_failed_rebuild_leaves_no_stale_marker(make_config, tmp_path, monkeypatch):
     # a rebuild that dies before its marker is written must not leave the
     # previous key's marker over its own files
@@ -511,7 +545,7 @@ def test_a_rerun_removes_the_temp_files_a_killed_write_left(make_config, tmp_pat
 
 @pytest.mark.parametrize("name,damage", [
     ("encoder/encoder.f64", "truncate"), ("encoder/encoder.f64", "flip"),
-    ("preprocess/x_train.f64", "flip"),
+    ("preprocess/x_train.f32", "flip"),
 ])
 def test_a_damaged_stage_file_under_a_valid_marker_is_rebuilt(make_config, tmp_path, name, damage):
     # the stage's load fails its hash check, so the run rebuilds the stage as
@@ -592,12 +626,12 @@ def test_replacing_test_rows_keeps_fitted_artifacts(make_config, tmp_path):
         "encoder/encoder.f64",
         "encoder/encoder.json",
         "svm/svm.json",
-        "preprocess/x_train.f64",
+        "preprocess/x_train.f32",
     ]
     for name in fitted:
         assert m1["files"][name] == m2["files"][name], name
     assert m1["threshold"] == m2["threshold"]
-    assert m1["files"]["preprocess/x_test.f64"] != m2["files"]["preprocess/x_test.f64"]
+    assert m1["files"]["preprocess/x_test.f32"] != m2["files"]["preprocess/x_test.f32"]
 
 
 def test_lingspam_preprocess_is_keyed_by_the_files_it_reads(make_config, lingspam_dir, tmp_path):
@@ -1132,7 +1166,7 @@ def test_qsvm_scoring_parses_no_train_features_and_encodes_no_train_row(
     subset = _two_class_subset(d)
     execution = replace(config, backend=backend, shots=32).execution()
     parsed, encoded = [], []
-    real_load, real_angles = persist.load_verified_f64, vqc.angles_from_features
+    real_load, real_angles = persist.load_arrays, vqc.angles_from_features
 
     def load(path, *args, **kwargs):
         parsed.append(Path(path).name)
@@ -1142,7 +1176,7 @@ def test_qsvm_scoring_parses_no_train_features_and_encodes_no_train_row(
         encoded.append(len(x))
         return real_angles(x, *args, **kwargs)
 
-    monkeypatch.setattr(persist, "load_verified_f64", load)
+    monkeypatch.setattr(persist, "load_arrays", load)
     monkeypatch.setattr(vqc, "angles_from_features", angles)
     hashed = _count_hashed_bytes(monkeypatch)
     harness.evaluate_bundle(d, execution)
@@ -1278,6 +1312,34 @@ def test_run_matrix_collects_errors(make_config, tmp_path):
     assert by_id["broken"]["error"]["stage"] == "preprocess"
     assert [m["id"] for m in result["means"]] == ["ok"]
     assert "error in stage preprocess" in result["table"]
+
+
+@pytest.mark.parametrize("step", ["workdir", "manifest"])
+def test_a_cell_that_fails_outside_its_stages_is_a_failed_row(make_config, tmp_path, monkeypatch, step):
+    # cell b fails in no stage: its directory cannot be created, as
+    # <workdir>/b is a regular file, or its manifest's file hashes cannot be
+    # taken. It is a failed row naming that step, and the matrix keeps cell
+    # a's result and still writes matrix.json
+    configs = [make_config(experiment_id=i, model="classical-baseline", epochs=2, max_train=160)
+               for i in ("a", "b")]
+    if step == "workdir":
+        (tmp_path / "b").write_text("not a directory")
+    else:
+        real = persist.relative_file_map
+
+        def relative_file_map(root, names):
+            if Path(root).parent.name == "b":
+                raise OSError("hash read failed")
+            return real(root, names)
+
+        monkeypatch.setattr(persist, "relative_file_map", relative_file_map)
+    result = harness.run_matrix(configs, tmp_path)
+    by_id = {r["id"]: r for r in result["rows"]}
+    assert "error" not in by_id["a"] and "accuracy" in by_id["a"]
+    assert by_id["b"]["error"]["stage"] == step
+    assert [m["id"] for m in result["means"]] == ["a"]
+    assert persist.load_json(tmp_path / "matrix.json")["rows"] == result["rows"]
+    assert f"error in stage {step}" in result["table"]
 
 
 def test_matrix_duplicate_ids_rejected(make_config, tmp_path):

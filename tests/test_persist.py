@@ -1,11 +1,15 @@
 import ast
 import builtins
 import hashlib
+import tempfile
 import uuid
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from qthreat import datapipe, encoder, persist, qsvm, vqc
 
@@ -32,7 +36,7 @@ class _TornFile:
     "save, first, second",
     [
         (persist.save_json, {"status": "complete"}, {"status": "incomplete", "pad": "x" * 4096}),
-        (persist.save_array_f64, np.arange(6.0), np.linspace(0.0, 1.0, 5000)),
+        (persist.save_arrays, [np.arange(6.0)], [np.linspace(0.0, 1.0, 5000)]),
         (persist.save_text, "0, 1, 1, 1, 0, 0, 0\n", "x" * 4096),
     ],
 )
@@ -57,9 +61,9 @@ def test_saves_return_hash_of_written_bytes(tmp_path):
     assert sha == persist.sha256_file(tmp_path / "a.json")
     assert persist.load_json(tmp_path / "a.json") == {"b": [1, 2.5]}
     arr = np.arange(12.0).reshape(3, 4)
-    sha = persist.save_array_f64(tmp_path / "sub" / "x.f64", arr)
+    sha = persist.save_arrays(tmp_path / "sub" / "x.f64", (arr,))
     assert sha == persist.sha256_file(tmp_path / "sub" / "x.f64")
-    loaded = persist.load_verified_f64(tmp_path / "sub" / "x.f64", (3, 4), sha)
+    [loaded] = persist.load_arrays(tmp_path / "sub" / "x.f64", [("<f8", (3, 4))], sha)
     assert np.array_equal(loaded, arr)
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["a.json", "sub", "x.f64"]
 
@@ -162,26 +166,72 @@ def test_only_persist_writes_files():
     ids=["float32", "fortran", "big-endian", "strided", "empty"],
 )
 def test_save_array_f64_writes_contiguous_little_endian_bytes(tmp_path, arr):
-    sha = persist.save_array_f64(tmp_path / "a.f64", arr)
-    assert (tmp_path / "a.f64").read_bytes() == np.ascontiguousarray(arr, "<f8").tobytes()
+    sha = persist.save_arrays(tmp_path / "a.f64", (arr,))
+    want = np.ascontiguousarray(arr, arr.dtype.newbyteorder("<")).tobytes()
+    assert (tmp_path / "a.f64").read_bytes() == want
     assert sha == persist.sha256_file(tmp_path / "a.f64")
+
+
+# the unsigned type of each dtype the pipeline writes, drawn for every bit pattern
+_BITS = {"<f8": "<u8", "<f4": "<u4", "<i8": "<u8", "<i4": "<u4"}
+
+
+@st.composite
+def _array_files(draw):
+    """The arrays of one file, each of any bits: a float64, float32 or int64
+    array of up to two dimensions, or a CSR triple (int64 indptr, int32
+    column indices, float32 values); empty arrays included."""
+    n, nnz = draw(st.integers(0, 5)), draw(st.integers(0, 8))
+    layout = draw(st.one_of(
+        st.tuples(st.sampled_from(["<f8", "<f4", "<i8"]),
+                  array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5)).map(lambda ts: [ts]),
+        st.just([("<i8", (n + 1,)), ("<i4", (nnz,)), ("<f4", (nnz,))]),
+    ))
+    return [draw(arrays(_BITS[dtype], shape)).view(dtype) for dtype, shape in layout]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_array_files())
+@example([np.array([0.0, -0.0, np.nan, -np.inf], "<f8"),
+          np.array([0x7FF0000000000001, 0xFFF8000000000ABC], "<u8").view("<f8")])
+@example([np.array([-0.0, np.nan], "<f4"), np.array([0x7F800001, 0xFFC00ABC], "<u4").view("<f4")])
+@example([np.zeros(1, "<i8"), np.zeros(0, "<i4"), np.zeros(0, "<f4")])
+@example([np.zeros((0, 3), "<f8")])
+def test_every_array_dtype_reads_back_bit_for_bit(arrays_):
+    # each array comes back in its own dtype and shape with its own bits
+    # (-0.0 and NaN payloads too); a file one byte short or long fails its
+    # size check even under its own hash, and its hash check under the saved one
+    layout = [(a.dtype.str, a.shape) for a in arrays_]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a"
+        sha = persist.save_arrays(path, arrays_)
+        for got, want in zip(persist.load_arrays(path, layout, sha), arrays_):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+        blob = path.read_bytes()
+        for damaged in ([blob[:-1]] if blob else []) + [blob + b"\0"]:
+            path.write_bytes(damaged)
+            with pytest.raises(ValueError, match="expected"):
+                persist.load_arrays(path, layout, persist.sha256_bytes(damaged))
+            with pytest.raises(ValueError, match="does not match its recorded sha256"):
+                persist.load_arrays(path, layout, sha)
 
 
 def test_verified_load_checks_the_bytes_it_parses(tmp_path):
     arr = np.arange(6.0).reshape(2, 3)
-    sha = persist.save_array_f64(tmp_path / "a.f64", arr)
-    loaded = persist.load_verified_f64(tmp_path / "a.f64", (2, 3), sha)
+    sha = persist.save_arrays(tmp_path / "a.f64", (arr,))
+    [loaded] = persist.load_arrays(tmp_path / "a.f64", [("<f8", (2, 3))], sha)
     assert np.array_equal(loaded, arr) and loaded.dtype == np.float64
     assert loaded.flags.writeable
     raw = bytearray((tmp_path / "a.f64").read_bytes())
     raw[0] ^= 1
     (tmp_path / "a.f64").write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="a.f64 does not match its recorded sha256"):
-        persist.load_verified_f64(tmp_path / "a.f64", (2, 3), sha)
+        persist.load_arrays(tmp_path / "a.f64", [("<f8", (2, 3))], sha)
 
 
 def test_a_file_shorter_than_its_stat_is_rejected(tmp_path, monkeypatch):
-    sha = persist.save_array_f64(tmp_path / "a.f64", np.arange(4.0))
+    sha = persist.save_arrays(tmp_path / "a.f64", (np.arange(4.0),))
     real_fstat = persist.os.fstat
 
     class _Grown:
@@ -190,7 +240,7 @@ def test_a_file_shorter_than_its_stat_is_rejected(tmp_path, monkeypatch):
 
     monkeypatch.setattr(persist.os, "fstat", lambda fd: _Grown(real_fstat(fd)))
     with pytest.raises(ValueError, match="changed size while it was read"):
-        persist.load_verified_f64(tmp_path / "a.f64", (4,), sha)
+        persist.load_arrays(tmp_path / "a.f64", [("<f8", (4,))], sha)
 
 
 def test_loaded_encoder_params_are_writable_views_of_one_buffer(tmp_path):
