@@ -11,7 +11,9 @@ workspaces. Numerical kernels promote to float64 where it matters.
 
 A saved split stores each array in its own dtype, so nothing is cast on
 save or load: x_*.f32 and y_*.i64 files, or one x_*.csr file of a CSR
-matrix's int64 indptr, int32 column indices and float32 values.
+matrix's int64 indptr, int32 column indices and float32 values. split.json
+holds no digest of them: the stage marker records every file's hash
+(harness._stage).
 """
 from __future__ import annotations
 
@@ -582,7 +584,7 @@ def save_split(split: DatasetSplit, directory) -> dict:
             arr = np.asarray(arr)
             meta, parts = {"shape": list(arr.shape)}, (arr,)
         fname, layout = _array_file(name, meta)
-        meta["sha256"] = persist.save_arrays(
+        persist.save_arrays(
             d / fname, [np.asarray(a, dtype) for a, (dtype, _) in zip(parts, layout)]
         )
         manifest[name] = meta
@@ -597,11 +599,11 @@ def save_split(split: DatasetSplit, directory) -> dict:
             "rare_threshold": tr.rare_threshold,
         }
     elif isinstance(tr, TfidfModel):
+        persist.save_arrays(d / "idf.f64", (tr.idf,))
+        persist.save_arrays(d / "doc_freq.f64", (tr.doc_freq,))
         transformer = {
             "kind": "tfidf",
             "terms": tr.terms(),
-            "idf_sha256": persist.save_arrays(d / "idf.f64", (tr.idf,)),
-            "doc_freq_sha256": persist.save_arrays(d / "doc_freq.f64", (tr.doc_freq,)),
             "num_train_docs": tr.num_train_docs,
             "min_df": tr.min_df,
             "max_df": tr.max_df,
@@ -622,12 +624,13 @@ def save_split(split: DatasetSplit, directory) -> dict:
 
 
 def load_split(directory, unverified=None, features=("x_train", "x_val", "x_test")) -> DatasetSplit:
-    """The split save_split wrote; each file is hash-checked on its read
-    (persist.load_json, persist.load_arrays) and its arrays come back in
-    their own dtypes, as views of the bytes read. A CSR entry is checked for
-    structure (_checked_csr) and comes back as a CsrMatrix. Only the feature
-    matrices named in `features` are read; the others are None, and their
-    files stay in `unverified` for the caller's persist.check_files."""
+    """The split save_split wrote; each file `unverified` holds is
+    hash-checked on its read (persist.load_json, persist.load_arrays) and
+    its arrays come back in their own dtypes, as views of the bytes read. A
+    CSR entry is checked for structure (_checked_csr) and comes back as a
+    CsrMatrix. Only the feature matrices named in `features` are read; the
+    others are None, and their files stay in `unverified` for the caller's
+    persist.check_files."""
     d = Path(directory)
     header = persist.load_json(d / "split.json", unverified)
     arrays = {}
@@ -635,7 +638,7 @@ def load_split(directory, unverified=None, features=("x_train", "x_val", "x_test
         if name.startswith("x_") and name not in features:
             continue
         fname, layout = _array_file(name, meta)
-        parts = persist.load_arrays(d / fname, layout, meta["sha256"], unverified)
+        parts = persist.load_arrays(d / fname, layout, unverified)
         if meta.get("layout") == "csr":
             arrays[name] = _checked_csr(*parts, tuple(meta["shape"]), fname)
         else:
@@ -651,10 +654,8 @@ def load_split(directory, unverified=None, features=("x_train", "x_val", "x_test
         )
     else:
         terms = t["terms"]
-        [idf] = persist.load_arrays(d / "idf.f64", [("<f8", (len(terms),))], t["idf_sha256"], unverified)
-        [doc_freq] = persist.load_arrays(
-            d / "doc_freq.f64", [("<f8", (len(terms),))], t["doc_freq_sha256"], unverified
-        )
+        [idf] = persist.load_arrays(d / "idf.f64", [("<f8", (len(terms),))], unverified)
+        [doc_freq] = persist.load_arrays(d / "doc_freq.f64", [("<f8", (len(terms),))], unverified)
         transformer = TfidfModel(
             {term: i for i, term in enumerate(terms)},
             idf,

@@ -4,21 +4,24 @@ run matrix. Every caller scores its whole row stack in one _score call, and
 row i of a stack takes position i of the shot seed rules.
 
 A bundle directory is the unit of persistence. Each stage writes its
-artifacts plus a ``stage.json`` carrying a content key (hash of stage
-name, the config slice it depends on, and the upstream stage keys), so
-reruns skip finished work and any upstream change invalidates everything
-downstream. One function (_stage) runs this protocol for every stage: the
-marker is removed and the stage directory emptied before a stage writes
-anything, and the marker is saved after its files are written, so an
-interrupted stage is rebuilt, never resumed, and a rebuilt stage holds only
-its own files. A resumed model stage is read back by _load_model. The
-manifest embeds the full config, the hashes of config.json and of every file
-under the directories of the stages the run recorded, and the test metrics;
-it is written with status "incomplete" first and flipped to "complete" only
-after evaluation succeeds, when the run also removes the marked stage
-directories it did not record (_finish). Opening a complete bundle
-(_open_complete) hashes each of those files once: on the read that parses
-it, or in one streaming pass over the files nothing parses.
+artifacts plus a ``stage.json`` marker carrying a content key (hash of stage
+name, the config slice it depends on, and the upstream stage keys) and the
+sha256 of each of its files, so reruns skip finished work, any upstream
+change invalidates everything downstream, and a resumed stage's every file
+is checked against the marker. The markers are the one record of a stage
+file's hash; no file header carries a digest. One function (_stage) runs
+this protocol for every stage: the marker is removed and the stage
+directory emptied before a stage writes anything, and the marker is saved
+after its files are written, so an interrupted stage is rebuilt, never
+resumed, and a rebuilt stage holds only its own files. A resumed model
+stage is read back by _load_model. The manifest embeds the full config, the
+hashes of config.json, of each recorded stage's marker and of the files the
+markers list, and the test metrics; it is written with status "incomplete"
+first and flipped to "complete" only after evaluation succeeds, when the
+run also removes the marked stage directories it did not record (_finish).
+Opening a complete bundle (_open_complete) hashes each of those files once:
+on the read that parses it, or in one streaming pass over the files nothing
+parses.
 """
 from __future__ import annotations
 
@@ -52,9 +55,7 @@ REFERENCE_LIMIT = 64
 
 # the stages run_experiment(through=...) can stop after, in dependency order
 EARLY_STOPS = ("preprocess", "encoder")
-# every stage directory name, with "gram": the QSVM kernel's own stage
-# before the svm stage took it over
-STAGE_DIRS = ("preprocess", "encoder", "svm", "vqc", "baseline", "gram")
+STAGE_DIRS = ("preprocess", "encoder", "svm", "vqc", "baseline")
 
 
 class PipelineError(RuntimeError):
@@ -248,11 +249,16 @@ def _stage(root: Path, stages: Dict[str, str], name: str, slice_, inputs, build,
     """The resume-by-hash protocol every stage shares; returns the stage's result.
 
     The key hashes `name`, the config slice and `inputs` (upstream stage keys,
-    or source file hashes). When root/name/stage.json holds this key, load(d)
-    reads the stage back. Otherwise, or when that read fails its hash or
-    structure checks (ValueError) or cannot open a file (OSError), the
-    directory is removed (_remove_stage_dir) before build(d) writes anything,
-    and the marker is saved only after it returns, so a stage that fails
+    or source file hashes). The marker root/name/stage.json is the one record
+    of the stage's files: {"key": key, "files": {name relative to the stage
+    directory: sha256}}. When it holds this key, load(d, unverified) reads
+    the stage back, each file of the map hash-checked on its read, and
+    persist.check_files hashes the listed files it did not read. A marker
+    that is not such an object, or holds another key, or a read that fails
+    a hash or structure check (ValueError) or cannot open a file (OSError),
+    makes the stage stale: the directory is removed (_remove_stage_dir)
+    before build(d) writes anything, and the marker, with the hash of every
+    file build wrote, is saved only after it returns, so a stage that fails
     mid-build leaves no marker over its files, and a rebuilt stage keeps no
     file of an earlier key. The key is recorded in `stages` once the stage
     has its result.
@@ -261,15 +267,22 @@ def _stage(root: Path, stages: Dict[str, str], name: str, slice_, inputs, build,
     d = root / name
     marker = d / "stage.json"
     try:
-        fresh = persist.load_json(marker).get("key") == key
-        result = load(d) if fresh else None
+        record = persist.load_json(marker)
+        fresh = (isinstance(record, dict) and record.get("key") == key
+                 and isinstance(record.get("files"), dict))
+        if fresh:
+            unverified = {d / rel: sha for rel, sha in record["files"].items()}
+            result = load(d, unverified)
+            persist.check_files(unverified)
     except (OSError, ValueError):
         fresh = False
     if not fresh:
         if d.exists():
             _remove_stage_dir(d)
         result = build(d)
-        persist.save_json(marker, {"key": key})
+        files = {p.relative_to(d).as_posix(): persist.sha256_file(p)
+                 for p in sorted(d.rglob("*")) if p.is_file()}
+        persist.save_json(marker, {"key": key, "files": files})
     stages[name] = key
     return result
 
@@ -411,7 +424,8 @@ def _load_model(config: ExperimentConfig, root: Path, unverified=None) -> _Model
     hash-checked on that read: encoder/ (vqc/encoder, saved with the same
     scaler, for a fine-tuned VQC), then svm/svm.json (with the support
     angles and means), vqc/, or baseline/baseline.json. The threshold is
-    the one the model stage saved."""
+    the one the model stage saved. A model stage resumes with its marker's
+    map, which lists no encoder/ file: the encoder stage checked those."""
     if config.model == "vqc":
         enc_dir = root / "vqc" / "encoder" if config.fine_tune else root / "encoder"
         circuit, extra = vqc.load_checkpoint(root / "vqc", unverified)
@@ -531,7 +545,8 @@ def _stage_svm(config: ExperimentConfig, root: Path, stages: Dict[str, str], spl
         return model
 
     return _stage(
-        root, stages, "svm", slice_, [stages["encoder"]], build, lambda d: _load_model(config, root)
+        root, stages, "svm", slice_, [stages["encoder"]], build,
+        lambda d, unverified: _load_model(config, root, unverified),
     )
 
 
@@ -579,7 +594,7 @@ def _stage_vqc(config: ExperimentConfig, root: Path, stages: Dict[str, str], spl
 
     return _stage(
         root, stages, "vqc", slice_, [stages["encoder"]], build,
-        lambda d: _load_model(config, root),
+        lambda d, unverified: _load_model(config, root, unverified),
     )
 
 
@@ -593,21 +608,11 @@ def _stage_baseline(config: ExperimentConfig, root: Path, stages: Dict[str, str]
 
     return _stage(
         root, stages, "baseline", {"beta": config.beta}, [stages["encoder"]], build,
-        lambda d: _load_model(config, root),
+        lambda d, unverified: _load_model(config, root, unverified),
     )
 
 
 # ------------------------------------------------------------ run pipeline
-
-
-def _bundle_files(root: Path, stages: Dict[str, str]) -> List[str]:
-    """config.json and every file under the directories of `stages`."""
-    names = ["config.json"]
-    for stage in stages:
-        names.extend(
-            p.relative_to(root).as_posix() for p in sorted((root / stage).rglob("*")) if p.is_file()
-        )
-    return names
 
 
 def _conventions(config: ExperimentConfig) -> dict:
@@ -718,10 +723,12 @@ def run_experiment(config: ExperimentConfig, workdir, through: Optional[str] = N
 
 
 def _finish(manifest, mpath, root, stages, complete: bool) -> dict:
-    """Write the manifest. A complete run first removes each stage directory
-    it did not record (another model's, or a legacy gram/): a top-level
-    STAGE_DIRS directory holding a stage.json, or an empty one (what a removal
-    killed before its rmdir leaves). No other path is touched."""
+    """Write the manifest, whose `files` are the hashes of config.json and of
+    each recorded stage's marker, and the file hashes each marker lists: no
+    other stage file is read. A complete run first removes each stage
+    directory it did not record (another model's): a top-level STAGE_DIRS
+    directory holding a stage.json, or an empty one (what a removal killed
+    before its rmdir leaves). No other path is touched."""
     if complete:
         for name in STAGE_DIRS:
             d = root / name
@@ -730,7 +737,13 @@ def _finish(manifest, mpath, root, stages, complete: bool) -> dict:
                 _remove_stage_dir(d)
     manifest["stages"] = stages
     manifest["status"] = "complete" if complete else "incomplete"
-    manifest["files"] = persist.relative_file_map(root, _bundle_files(root, stages))
+    files = {"config.json": persist.sha256_file(root / "config.json")}
+    for name in stages:
+        marker = root / name / "stage.json"
+        files[f"{name}/stage.json"] = persist.sha256_file(marker)
+        listed = persist.load_json(marker)["files"]
+        files.update((f"{name}/{rel}", sha) for rel, sha in listed.items())
+    manifest["files"] = files
     persist.save_json(mpath, manifest)
     return manifest
 
@@ -788,8 +801,8 @@ def load_bundle(workdir, verify: bool = True) -> ArtifactBundle:
 def _open_complete(workdir):
     """(bundle, split, model) of a complete bundle, each manifest file
     hashed once: the split's and the model's files on the reads that parse
-    them, where each hash must match the manifest's entry and the one its
-    header recorded, and every other file in one streaming pass. Of the
+    them, where each hash must match the manifest's entry, and every other
+    file in one streaming pass. Of the
     split's feature matrices only x_test is parsed: scoring reads no other."""
     bundle = load_bundle(workdir, verify=False)
     if not bundle.complete:

@@ -12,11 +12,13 @@ either side. Dtypes and shapes live in the accompanying JSON or in the
 caller (a .f64 file is float64). JSON floats are written with Python's repr,
 which round-trips float64 bit-exactly.
 
-Readers take an optional `unverified` map (path -> sha256) of bundle files
-whose manifest hashes are still unchecked. A read of a file in that map
-hashes the bytes it parses against the entry and takes the entry out, so a
-caller that opens a bundle hashes each file once: on its loader's read, or
-in `check_files` for what no loader read.
+No file carries its own digest: the stage markers and the manifest record
+every file's sha256 (harness). Readers take an optional `unverified` map
+(path -> sha256) of files whose recorded hashes are still unchecked. A read
+of a file in that map hashes the bytes it parses against the entry and takes
+the entry out, so a caller that resumes a stage or opens a bundle hashes each
+file once: on its loader's read, or in `check_files` for what no loader read.
+A read of a file outside the map checks nothing.
 """
 from __future__ import annotations
 
@@ -82,39 +84,29 @@ def _write_atomic(path, blocks) -> None:
         raise
 
 
-def save_arrays(path, arrays) -> str:
+def save_arrays(path, arrays) -> None:
     """Write each array's own bytes, row-major and little-endian, one array
-    after another; returns the sha256 of the file. A C-contiguous
-    little-endian array is hashed and written from a view; any other is
-    first copied into that layout, in its own dtype."""
+    after another. A C-contiguous little-endian array is written from a
+    view; any other is first copied into that layout, in its own dtype."""
     views = []
     for a in arrays:
         a = np.asarray(a)
         a = np.ascontiguousarray(a, a.dtype.newbyteorder("<"))
         views.append(memoryview(a.reshape(-1).view(np.uint8)))
     _write_atomic(path, views)
-    h = hashlib.sha256()
-    for view in views:
-        h.update(view)
-    return h.hexdigest()
 
 
-def _read_file(path, unverified: Optional[Dict[Path, str]] = None,
-               sha256: Optional[str] = None) -> np.ndarray:
+def _read_file(path, unverified: Optional[Dict[Path, str]] = None) -> np.ndarray:
     """The bytes of a file as uint8, read once into one buffer (not
-    zero-filled first) and hashed at most once. When `unverified` holds
-    `path`, its entry is taken out and the bytes must hash to it, and then
-    to `sha256` when given, else ValueError."""
+    zero-filled first). When `unverified` holds `path`, its entry is taken
+    out and the bytes must hash to it, else ValueError."""
     with open(path, "rb") as f:
         data = np.empty(os.fstat(f.fileno()).st_size, dtype=np.uint8)
         if f.readinto(data) != data.size:
             raise ValueError(f"{path} changed size while it was read")
     entry = unverified.pop(Path(path), None) if unverified is not None else None
-    digest = sha256_bytes(data) if entry is not None or sha256 is not None else None
-    if entry is not None and digest != entry:
+    if entry is not None and sha256_bytes(data) != entry:
         raise ValueError(f"bundle file {path} fails its hash check")
-    if sha256 is not None and digest != sha256:
-        raise ValueError(f"{Path(path).name} does not match its recorded sha256")
     return data
 
 
@@ -126,15 +118,13 @@ def check_files(unverified: Dict[Path, str]) -> None:
             raise ValueError(f"bundle file {path} fails its hash check")
 
 
-def load_arrays(path, layout, sha256: str,
-                unverified: Optional[Dict[Path, str]] = None) -> List[np.ndarray]:
+def load_arrays(path, layout, unverified: Optional[Dict[Path, str]] = None) -> List[np.ndarray]:
     """The arrays save_arrays wrote to `path`, as writable typed views of the
     one buffer the file is read into; `layout` gives each array's (dtype,
-    shape) in file order, with little-endian dtypes. The bytes are hashed
-    once and must match the manifest entry `unverified` holds for the file
-    and `sha256`, the digest its header recorded, and the file must hold
-    exactly the layout's bytes, else ValueError."""
-    data = _read_file(path, unverified, sha256)
+    shape) in file order, with little-endian dtypes. The bytes must match
+    the entry `unverified` holds for the file, when it holds one, and the
+    layout's size, else ValueError."""
+    data = _read_file(path, unverified)
     layout = [(np.dtype(dtype), tuple(shape)) for dtype, shape in layout]
     sizes = [int(np.prod(shape)) * dtype.itemsize for dtype, shape in layout]
     if data.size != sum(sizes):
@@ -158,8 +148,3 @@ def load_json(path, unverified: Optional[Dict[Path, str]] = None):
     """A JSON file, hash-checked on this read when `unverified` holds it."""
     return json.loads(_read_file(path, unverified).tobytes())
 
-
-def relative_file_map(root, names):
-    """sha256 of each named file under root, keyed by name."""
-    root = Path(root)
-    return {name: sha256_file(root / name) for name in names if os.path.exists(root / name)}

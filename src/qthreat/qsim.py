@@ -197,11 +197,12 @@ def _target_rows(targets: Tuple[int, ...], num_qubits: int) -> np.ndarray:
 
 def _left(u: np.ndarray, arr: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """U (k x k, or one per row) on the target bits of axis 1 of an (m, d, n)
-    stack of registers or densities; `rows` from `_target_rows`."""
-    m, d = arr.shape[:2]
-    k = rows.shape[0]
-    out = np.empty(arr.shape, dtype=complex)
-    out[:, rows] = np.matmul(u, arr[:, rows].reshape(m, k, -1)).reshape(m, k, d // k, -1)
+    stack of registers or densities; `rows` from `_target_rows`. A stack of
+    one (m = 1) under m matrices gives m rows."""
+    k, d = rows.shape[0], arr.shape[1]
+    prod = np.matmul(u, arr[:, rows].reshape(arr.shape[0], k, -1))
+    out = np.empty(prod.shape[:1] + arr.shape[1:], dtype=complex)
+    out[:, rows] = prod.reshape(prod.shape[0], k, d // k, -1)
     return out
 
 
@@ -222,7 +223,8 @@ def evolve_density(rho: np.ndarray, program: CircuitProgram, noise: NoiseSpec) -
 
     Each gate acts as rho -> U rho U^dagger, with U one matrix or one per row
     when the gate's angle is an (m,) array; a single starting state (m = 1)
-    is broadcast over the program's rows. After each gate every target gets
+    is broadcast over the program's rows at the first such gate, so the
+    gates before it run once for all rows. After each gate every target gets
     the depolarizing channel at rate depol_1q (one-qubit gates) or depol_2q
     (two-qubit gates, independently on each target); a zero rate skips it.
     """
@@ -230,8 +232,6 @@ def evolve_density(rho: np.ndarray, program: CircuitProgram, noise: NoiseSpec) -
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 3 or rho.shape[1:] != (1 << q, 1 << q):
         raise ValueError(f"expected an (m, {1 << q}, {1 << q}) stack, got {rho.shape}")
-    m = max(rho.shape[0], program.m)
-    rho = np.broadcast_to(rho, (m,) + rho.shape[1:])
     for op in program.ops:
         if op.kind in _DIAGONAL:
             phase = _diagonal(op)[..., _target_value(op.targets, q)]

@@ -538,7 +538,7 @@ def test_split_roundtrip_tabular(tmp_path, kdd_split):
 
 def test_save_split_writes_dense_features_a_block_at_a_time(tmp_path, kdd_split):
     # an 8 000 x 70 float32 x_train is 2.1 MiB. Its file holds the matrix's
-    # own float32 bytes, hashed and written from a view of it, so the traced
+    # own float32 bytes, written from a view of it, so the traced
     # peak of the save stays within 1.25 MiB (the header and small
     # temporaries) above what the split already holds
     rng = np.random.default_rng(5)
@@ -557,7 +557,7 @@ def test_save_split_writes_dense_features_a_block_at_a_time(tmp_path, kdd_split)
     for name, arr in {**x, **y}.items():
         data = (tmp_path / "split" / f"{name}.{'f32' if name[0] == 'x' else 'i64'}").read_bytes()
         assert data == arr.tobytes()
-        assert header["arrays"][name]["sha256"] == persist.sha256_bytes(data)
+        assert header["arrays"][name] == {"shape": list(arr.shape)}
 
 
 def test_load_split_casts_dense_features_a_block_at_a_time(tmp_path, kdd_split):
@@ -620,10 +620,11 @@ def test_split_roundtrip_text(tmp_path, spam_split):
 
 def test_split_rejects_tampering(tmp_path, spam_split):
     save_split(spam_split, tmp_path)
+    unverified = {p: persist.sha256_file(p) for p in tmp_path.iterdir()}
     blob = (tmp_path / "x_test.csr").read_bytes()
     (tmp_path / "x_test.csr").write_bytes(blob[:-1] + bytes([blob[-1] ^ 1]))
-    with pytest.raises(ValueError, match="sha256"):
-        load_split(tmp_path)
+    with pytest.raises(ValueError, match="x_test.csr fails its hash check"):
+        load_split(tmp_path, unverified)
 
 
 def _tfidf_split(x_train, x_val, x_test):
@@ -639,16 +640,14 @@ def _tfidf_split(x_train, x_val, x_test):
 
 def _save_dense_x(split, directory):
     """Rewrite a saved tf-idf split's x_* arrays in the dense layout
-    (name.f32, {"shape", "sha256"}) a tabular split's take."""
+    (name.f32, {"shape"}) a tabular split's take."""
     d = Path(directory)
     header = json.loads((d / "split.json").read_text())
     for name in ("x_train", "x_val", "x_test"):
         (d / f"{name}.csr").unlink()
         x = dense_from_csr(getattr(split, name))
-        header["arrays"][name] = {
-            "shape": list(x.shape),
-            "sha256": persist.save_arrays(d / f"{name}.f32", (x,)),
-        }
+        persist.save_arrays(d / f"{name}.f32", (x,))
+        header["arrays"][name] = {"shape": list(x.shape)}
     persist.save_json(d / "split.json", header)
 
 
@@ -726,14 +725,12 @@ def test_structurally_bad_csr_with_a_correct_hash_is_rejected(tmp_path, spam_spl
     header = save_split(spam_split, tmp_path)
     entry = header["arrays"]["x_train"]
     path = tmp_path / "x_train.csr"
-    indptr, cols, values = persist.load_arrays(
-        path, datapipe._array_file("x_train", entry)[1], entry["sha256"]
-    )
+    indptr, cols, values = persist.load_arrays(path, datapipe._array_file("x_train", entry)[1])
     _corrupt(indptr, cols, entry["shape"][1], kind)
-    entry["sha256"] = persist.save_arrays(path, (indptr, cols, values))
-    persist.save_json(tmp_path / "split.json", header)
+    persist.save_arrays(path, (indptr, cols, values))
+    unverified = {p: persist.sha256_file(p) for p in tmp_path.iterdir()}
     with pytest.raises(ValueError, match=f"x_train.csr: .*{message}"):
-        load_split(tmp_path)
+        load_split(tmp_path, unverified)
 
 
 def test_dense_layout_tfidf_split_still_loads(tmp_path, spam_split):

@@ -243,7 +243,7 @@ def test_complete_bundle_of_an_older_svm_layout_is_rebuilt_and_rescored(qsvm_bun
     persist.save_json(old / "svm" / "stage.json", {"key": older_key})
     persist.save_json(old / "manifest.json", {
         **manifest, "stages": {**manifest["stages"], "svm": older_key},
-        "files": persist.relative_file_map(old, list(manifest["files"])),
+        "files": {name: persist.sha256_file(old / name) for name in manifest["files"]},
     })
     with pytest.raises(ValueError, match="support vector"):
         qsvm.load_svm(old / "svm" / "svm.json")
@@ -274,7 +274,7 @@ def test_a_workdir_of_the_float64_split_layout_rebuilds_only_its_preprocess_stag
         meta["sha256"] = hashlib.sha256(data).hexdigest()
     (pre / "split.json").write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
     files = {name: sha for name, sha in manifest["files"].items() if not name.startswith("preprocess/")}
-    files.update(persist.relative_file_map(old, [f"preprocess/{p.name}" for p in pre.iterdir()]))
+    files.update({f"preprocess/{p.name}": persist.sha256_file(p) for p in pre.iterdir()})
     (old / "manifest.json").write_text(json.dumps({**manifest, "files": files}))
     assert sorted(p.name for p in pre.glob("*.f64")) == sorted(f"{n}.f64" for n in header["arrays"])
     stamps = {name: (old / name).stat().st_mtime_ns for name in ("encoder/encoder.f64", "svm/svm.json")}
@@ -429,7 +429,8 @@ def test_a_workdir_with_a_gram_stage_completes_without_it(qsvm_bundle, tmp_path,
     rerun = harness.run_experiment(config, copy)
     assert len(builds) == 1
     assert not any(name.startswith("gram/") for name in rerun["files"])
-    assert not (copy / "gram").exists()
+    # gram is no stage's name, so the run leaves that directory as it is
+    assert (copy / "gram" / "train.f64").read_bytes() == b"{}"
     assert rerun == manifest
     assert harness.evaluate_bundle(copy)["metrics"] == manifest["metrics"]
 
@@ -489,14 +490,15 @@ def test_a_complete_run_removes_only_marked_stage_directories_it_did_not_record(
     copy = tmp_path / "copy"
     shutil.copytree(d, copy)
     (copy / "manifest.json").unlink()
-    legacy = _stage_dir(copy, "gram", file="train.f64")
+    legacy = _stage_dir(copy, "gram", file="train.f64")  # no stage's name any longer
     other_model = _stage_dir(copy, "vqc")
     user = _stage_dir(copy, "notes")           # not a stage name, marker or not
     unmarked = _stage_dir(copy, "baseline", marked=False)
     loose = copy / "svm.bak"
     loose.write_text("{}")
     assert harness.run_experiment(config, copy) == manifest
-    assert not legacy.exists() and not other_model.exists()
+    assert not other_model.exists()
+    assert (legacy / "stage.json").exists() and (legacy / "train.f64").exists()
     assert (user / "stage.json").exists() and (unmarked / "x.json").exists()
     assert loose.exists() and (copy / "svm" / "svm.json").exists()
 
@@ -505,10 +507,10 @@ def test_an_early_stop_removes_no_stage_directory(qsvm_bundle, tmp_path):
     config, d, _ = qsvm_bundle
     copy = tmp_path / "copy"
     shutil.copytree(d, copy)
-    legacy = _stage_dir(copy, "gram")
+    other_model = _stage_dir(copy, "vqc")
     before = sorted(p.relative_to(copy) for p in copy.rglob("*"))
     harness.run_experiment(config, copy, through="encoder")
-    assert legacy.exists() and (copy / "svm" / "stage.json").exists()
+    assert other_model.exists() and (copy / "svm" / "stage.json").exists()
     assert sorted(p.relative_to(copy) for p in copy.rglob("*")) == before
 
 
@@ -543,27 +545,79 @@ def test_a_rerun_removes_the_temp_files_a_killed_write_left(make_config, tmp_pat
     assert tree == _tree(tmp_path / "fresh")
 
 
+# a JSON stage file's damage that leaves it valid JSON: the key path of one
+# number, which is shifted by 0.3
+_SHIFTED = {
+    "svm/svm.json": ("bias",), "encoder/encoder.json": ("scaler", "low", 0),
+    "vqc/vqc.json": ("extra", "threshold"), "baseline/baseline.json": ("threshold",),
+    "preprocess/split.json": ("class_weights", 0),
+}
+
+
 @pytest.mark.parametrize("name,damage", [
     ("encoder/encoder.f64", "truncate"), ("encoder/encoder.f64", "flip"),
     ("preprocess/x_train.f32", "flip"),
+    *((name, "shift") for name in _SHIFTED),
 ])
 def test_a_damaged_stage_file_under_a_valid_marker_is_rebuilt(make_config, tmp_path, name, damage):
-    # the stage's load fails its hash check, so the run rebuilds the stage as
-    # if its key had changed; rescoring the damaged bundle still fails
-    config = make_config(epochs=2, max_train=160)
+    # the stage's load fails its hash check against the marker's entry, so
+    # the run rebuilds the stage as if its key had changed; rescoring the
+    # damaged bundle still fails
+    model = {"vqc": "vqc", "baseline": "classical-baseline"}.get(name.split("/")[0], "qsvm")
+    config = make_config(model=model, epochs=2, max_train=160)
     fresh = harness.run_experiment(config, tmp_path / "fresh")
     work = tmp_path / "work"
     shutil.copytree(tmp_path / "fresh", work)
     blob = bytearray((work / name).read_bytes())
     if damage == "truncate":
         del blob[-8:]
-    else:
+    elif damage == "flip":
         blob[len(blob) // 2] ^= 1
+    else:
+        header = node = json.loads(blob)
+        *path, last = _SHIFTED[name]
+        for key in path:
+            node = node[key]
+        node[last] += 0.3
+        blob = (json.dumps(header, indent=2, sort_keys=True) + "\n").encode()
     (work / name).write_bytes(bytes(blob))
     with pytest.raises(ValueError, match="fails its hash check"):
         harness.evaluate_bundle(work)
     assert harness.run_experiment(config, work) == fresh
     assert _tree(work) == _tree(tmp_path / "fresh")
+
+
+@pytest.mark.parametrize("marker", ["[]", "null", '"stage"', "key only", "files list"])
+def test_a_marker_that_is_no_key_and_files_object_is_stale(make_config, tmp_path, marker):
+    # a marker of another shape, a marker without a files map (the layout
+    # before markers listed their files) included, is stale: the stage is
+    # rebuilt, not failed or resumed unchecked
+    config = make_config(model="classical-baseline", epochs=2, max_train=160)
+    fresh = harness.run_experiment(config, tmp_path / "fresh")
+    work = tmp_path / "work"
+    shutil.copytree(tmp_path / "fresh", work)
+    key = fresh["stages"]["baseline"]
+    text = {"key only": {"key": key}, "files list": {"key": key, "files": []}}
+    (work / "baseline" / "stage.json").write_text(json.dumps(text[marker]) if marker in text else marker)
+    assert harness.run_experiment(config, work) == fresh
+    assert _tree(work) == _tree(tmp_path / "fresh")
+
+
+@pytest.mark.parametrize("model,fine_tune", [("qsvm", False), ("vqc", True)])
+def test_manifest_files_are_the_hashes_of_every_recorded_stage_file(
+    make_config, tmp_path, model, fine_tune
+):
+    # the manifest is built from the markers, and still lists config.json and
+    # every file under the recorded stage directories with its own hash, on a
+    # fresh run and on one that resumes every stage
+    config = make_config(model=model, fine_tune=fine_tune, epochs=2, max_train=160)
+    for _ in ("fresh", "resumed"):
+        manifest = harness.run_experiment(config, tmp_path)
+        want = {"config.json": persist.sha256_file(tmp_path / "config.json")}
+        for stage in manifest["stages"]:
+            want.update({p.relative_to(tmp_path).as_posix(): persist.sha256_file(p)
+                         for p in (tmp_path / stage).rglob("*") if p.is_file()})
+        assert manifest["files"] == want
 
 
 def test_svm_stage_allocates_no_n_by_n_array(make_config, tmp_path, monkeypatch):
@@ -1317,22 +1371,22 @@ def test_run_matrix_collects_errors(make_config, tmp_path):
 @pytest.mark.parametrize("step", ["workdir", "manifest"])
 def test_a_cell_that_fails_outside_its_stages_is_a_failed_row(make_config, tmp_path, monkeypatch, step):
     # cell b fails in no stage: its directory cannot be created, as
-    # <workdir>/b is a regular file, or its manifest's file hashes cannot be
-    # taken. It is a failed row naming that step, and the matrix keeps cell
-    # a's result and still writes matrix.json
+    # <workdir>/b is a regular file, or its manifest's hash of config.json
+    # cannot be taken. It is a failed row naming that step, and the matrix
+    # keeps cell a's result and still writes matrix.json
     configs = [make_config(experiment_id=i, model="classical-baseline", epochs=2, max_train=160)
                for i in ("a", "b")]
     if step == "workdir":
         (tmp_path / "b").write_text("not a directory")
     else:
-        real = persist.relative_file_map
+        real = persist.sha256_file
 
-        def relative_file_map(root, names):
-            if Path(root).parent.name == "b":
+        def sha256_file(path):
+            if Path(path).name == "config.json" and Path(path).parent.parent.name == "b":
                 raise OSError("hash read failed")
-            return real(root, names)
+            return real(path)
 
-        monkeypatch.setattr(persist, "relative_file_map", relative_file_map)
+        monkeypatch.setattr(persist, "sha256_file", sha256_file)
     result = harness.run_matrix(configs, tmp_path)
     by_id = {r["id"]: r for r in result["rows"]}
     assert "error" not in by_id["a"] and "accuracy" in by_id["a"]

@@ -1,6 +1,7 @@
 import ast
 import builtins
 import hashlib
+import re
 import tempfile
 import uuid
 from pathlib import Path
@@ -61,9 +62,8 @@ def test_saves_return_hash_of_written_bytes(tmp_path):
     assert sha == persist.sha256_file(tmp_path / "a.json")
     assert persist.load_json(tmp_path / "a.json") == {"b": [1, 2.5]}
     arr = np.arange(12.0).reshape(3, 4)
-    sha = persist.save_arrays(tmp_path / "sub" / "x.f64", (arr,))
-    assert sha == persist.sha256_file(tmp_path / "sub" / "x.f64")
-    [loaded] = persist.load_arrays(tmp_path / "sub" / "x.f64", [("<f8", (3, 4))], sha)
+    persist.save_arrays(tmp_path / "sub" / "x.f64", (arr,))
+    [loaded] = persist.load_arrays(tmp_path / "sub" / "x.f64", [("<f8", (3, 4))])
     assert np.array_equal(loaded, arr)
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["a.json", "sub", "x.f64"]
 
@@ -166,10 +166,9 @@ def test_only_persist_writes_files():
     ids=["float32", "fortran", "big-endian", "strided", "empty"],
 )
 def test_save_array_f64_writes_contiguous_little_endian_bytes(tmp_path, arr):
-    sha = persist.save_arrays(tmp_path / "a.f64", (arr,))
+    persist.save_arrays(tmp_path / "a.f64", (arr,))
     want = np.ascontiguousarray(arr, arr.dtype.newbyteorder("<")).tobytes()
     assert (tmp_path / "a.f64").read_bytes() == want
-    assert sha == persist.sha256_file(tmp_path / "a.f64")
 
 
 # the unsigned type of each dtype the pipeline writes, drawn for every bit pattern
@@ -204,34 +203,38 @@ def test_every_array_dtype_reads_back_bit_for_bit(arrays_):
     layout = [(a.dtype.str, a.shape) for a in arrays_]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "a"
-        sha = persist.save_arrays(path, arrays_)
-        for got, want in zip(persist.load_arrays(path, layout, sha), arrays_):
+        persist.save_arrays(path, arrays_)
+        sha = persist.sha256_file(path)
+        for got, want in zip(persist.load_arrays(path, layout, {path: sha}), arrays_):
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
             assert got.tobytes() == want.tobytes()
         blob = path.read_bytes()
         for damaged in ([blob[:-1]] if blob else []) + [blob + b"\0"]:
             path.write_bytes(damaged)
             with pytest.raises(ValueError, match="expected"):
-                persist.load_arrays(path, layout, persist.sha256_bytes(damaged))
-            with pytest.raises(ValueError, match="does not match its recorded sha256"):
-                persist.load_arrays(path, layout, sha)
+                persist.load_arrays(path, layout, {path: persist.sha256_bytes(damaged)})
+            with pytest.raises(ValueError, match="fails its hash check"):
+                persist.load_arrays(path, layout, {path: sha})
 
 
 def test_verified_load_checks_the_bytes_it_parses(tmp_path):
     arr = np.arange(6.0).reshape(2, 3)
-    sha = persist.save_arrays(tmp_path / "a.f64", (arr,))
-    [loaded] = persist.load_arrays(tmp_path / "a.f64", [("<f8", (2, 3))], sha)
+    path = tmp_path / "a.f64"
+    persist.save_arrays(path, (arr,))
+    sha = persist.sha256_file(path)
+    unverified = {path: sha}
+    [loaded] = persist.load_arrays(path, [("<f8", (2, 3))], unverified)
     assert np.array_equal(loaded, arr) and loaded.dtype == np.float64
-    assert loaded.flags.writeable
-    raw = bytearray((tmp_path / "a.f64").read_bytes())
+    assert loaded.flags.writeable and unverified == {}
+    raw = bytearray(path.read_bytes())
     raw[0] ^= 1
-    (tmp_path / "a.f64").write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="a.f64 does not match its recorded sha256"):
-        persist.load_arrays(tmp_path / "a.f64", [("<f8", (2, 3))], sha)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="a.f64 fails its hash check"):
+        persist.load_arrays(path, [("<f8", (2, 3))], {path: sha})
 
 
 def test_a_file_shorter_than_its_stat_is_rejected(tmp_path, monkeypatch):
-    sha = persist.save_arrays(tmp_path / "a.f64", (np.arange(4.0),))
+    persist.save_arrays(tmp_path / "a.f64", (np.arange(4.0),))
     real_fstat = persist.os.fstat
 
     class _Grown:
@@ -240,7 +243,7 @@ def test_a_file_shorter_than_its_stat_is_rejected(tmp_path, monkeypatch):
 
     monkeypatch.setattr(persist.os, "fstat", lambda fd: _Grown(real_fstat(fd)))
     with pytest.raises(ValueError, match="changed size while it was read"):
-        persist.load_arrays(tmp_path / "a.f64", [("<f8", (4,))], sha)
+        persist.load_arrays(tmp_path / "a.f64", [("<f8", (4,))])
 
 
 def test_loaded_encoder_params_are_writable_views_of_one_buffer(tmp_path):
@@ -259,22 +262,27 @@ def test_loaded_encoder_params_are_writable_views_of_one_buffer(tmp_path):
     "name", ["encoder.f64", "idf.f64", "doc_freq.f64", "vqc.f64"]
 )
 def test_loaders_reject_a_flipped_byte(tmp_path, lingspam_dir, name):
+    # each loader checks a file against the entry of the unverified map it is
+    # given (a stage marker's or a manifest's), on the read that parses it
     if name == "encoder.f64":
         config = encoder.EncoderConfig(input_dim=4, hidden_sizes=(3,), embed_dim=2, seed=0)
         encoder.save_encoder(encoder.init_encoder(config), tmp_path)
         load = encoder.load_encoder
     elif name == "vqc.f64":
         vqc.save_vqc(vqc.init_vqc(vqc.VqcSpec(2, 1), seed=0), tmp_path)
-        load = vqc.load_vqc
+        load = vqc.load_checkpoint
     else:
         datapipe.save_split(datapipe.load_lingspam(lingspam_dir, seed=0), tmp_path)
         load = datapipe.load_split
-    load(tmp_path)
+    hashes = {p: persist.sha256_file(p) for p in tmp_path.iterdir()}
+    unverified = dict(hashes)
+    load(tmp_path, unverified)
+    assert unverified == {}
     raw = bytearray((tmp_path / name).read_bytes())
     raw[0] ^= 1
     (tmp_path / name).write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match=f"^{name} does not match its recorded sha256$"):
-        load(tmp_path)
+    with pytest.raises(ValueError, match=f"^bundle file {re.escape(str(tmp_path / name))} fails its hash check$"):
+        load(tmp_path, dict(hashes))
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qthreat import vqc
+from qthreat import persist, vqc
 from conftest import random_csr
 from oracles import dense_from_csr
 
@@ -701,7 +701,8 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
 def test_checkpoint_rejects_tampering(tmp_path):
     model = random_model(2, 1, seed=22)
     save_vqc(model, tmp_path)
+    unverified = {p: persist.sha256_file(p) for p in tmp_path.iterdir()}
     blob = (tmp_path / "vqc.f64").read_bytes()
     (tmp_path / "vqc.f64").write_bytes(blob[:-1] + bytes([blob[-1] ^ 1]))
-    with pytest.raises(ValueError):
-        load_vqc(tmp_path)
+    with pytest.raises(ValueError, match="fails its hash check"):
+        vqc.load_checkpoint(tmp_path, unverified)
