@@ -198,15 +198,10 @@ def _run_evaluate(args) -> int:
 
 
 def _run_stream(args) -> int:
-    import numpy as np
-
     given = vars(args)
     stream = {k: given[k] for k in ("subset_size", "audit_path", "reference_limit") if k in given}
     if given.get("full_test"):
-        # the row count from the split header alone: evaluate_streaming reads
-        # the split once, hash-checked, and range-checks the subset against it
-        header = persist.load_json(Path(args.workdir) / "preprocess" / "split.json")
-        stream["subset"] = np.arange(header["arrays"]["y_test"]["shape"][0])
+        stream["subset_size"] = None  # every test row, in order
     result = harness.evaluate_streaming(
         args.workdir, execution=_bundle_execution(args), **stream
     )

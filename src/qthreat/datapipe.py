@@ -388,10 +388,6 @@ def load_nslkdd(train_path, test_path, val_fraction: float = 0.2, seed: int = 0)
         meta={
             "dataset": "nslkdd",
             "val_fraction": val_fraction,
-            "source_sha256": {
-                str(train_path): persist.sha256_file(train_path),
-                str(test_path): persist.sha256_file(test_path),
-            },
         },
     )
 
@@ -461,9 +457,6 @@ def load_lingspam(
             "skipped_files": skipped,
             "stopwords_version": STOPWORDS_VERSION,
             "tfidf": "tf=count, idf=ln((1+N)/(1+df))+1, l2 rows",
-            "source_sha256": {
-                str(p.relative_to(base)): persist.sha256_file(p) for p in files
-            },
         },
     )
 

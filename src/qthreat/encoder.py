@@ -1,20 +1,23 @@
 """Classical MLP front end and the embedding-to-angle scaler.
 
-Blocks are Linear -> LayerNorm -> GELU -> Dropout; a projection head emits a
-unit-norm embedding and a 2-way linear classifier rides on it. Training is
-class-weighted softmax cross-entropy under Adam with decoupled weight decay
-and early stopping on validation macro-F1. The Adam (AdamState, over a dict
-of named arrays) and the epoch loop with early stopping (_fit_epochs) are
-the ones the VQC trains with too. One forward and one backward write every
-array into a workspace (_Workspace), whose input rows only _gather_rows
-writes. A trainer allocates one for a batch, with the backprop cache, and
-every step gathers its rows into it and reuses it: train_encoder does so,
-and so does the VQC when it fine-tunes the encoder. The eval forward keeps
-no cache and gathers evenly split row blocks into one. Input rows may be
-dense of any float dtype or a datapipe.CsrMatrix; each is cast or
-densified only into a workspace. Everything is float64 numpy; all
-randomness flows through explicit seeds. encoder.json carries no digest of
-encoder.f64: the stage marker records both files' hashes (harness._stage).
+Blocks are Linear -> LayerNorm -> GELU -> Dropout; a projection head emits
+a unit-norm embedding and a 2-way linear classifier rides on it. Training
+is class-weighted softmax cross-entropy under Adam with decoupled weight
+decay and early stopping on validation macro-F1. The Adam (AdamState, over
+a dict of named arrays) and the epoch loop with early stopping
+(_fit_epochs) are the ones the VQC trains with too; the loop owns the one
+best-epoch copy of the parameters and restores them from it. One forward
+and one backward write the network's arrays into a workspace (_Workspace),
+whose input rows only _gather_rows writes; the loss over the m x 2 logits
+takes the batch labels and m-row temporaries. A trainer allocates one
+workspace for a batch, with the backprop cache, and every step gathers its
+rows into it and reuses it: train_encoder does so, and so does the VQC when
+it fine-tunes the encoder. The eval forward keeps no cache and gathers
+evenly split row blocks into one. Input rows may be dense of any float
+dtype or a datapipe.CsrMatrix; each is cast or densified only into a
+workspace. Everything is float64 numpy; all randomness flows through
+explicit seeds. encoder.json carries no digest of encoder.f64: the stage
+marker records both files' hashes (harness._stage).
 """
 from __future__ import annotations
 
@@ -177,8 +180,9 @@ class _Workspace:
     Every workspace holds the float64 input rows `x`, which _gather_rows
     fills. With `cache` (training) every block keeps its own LayerNorm
     output, 1/std, Phi(h) and output, plus its dropout mask when `masks`,
-    and the backward reads them; its buffers, `grads` (one array per
-    parameter) and the labels `y` the caller fills are allocated here too.
+    and the backward reads them; the embedding, its norms, the logits, the
+    backward's buffers and `grads` (one array per parameter) are allocated
+    here too. Labels are no part of it: the loss takes them (_loss).
     Without `cache` (the eval forward) the blocks share one set of arrays,
     alternate two output buffers and write the last block's output where
     the caller says.
@@ -195,7 +199,6 @@ class _Workspace:
         self.x = np.empty((rows, cfg.input_dim))
         self.scratch, self.mu, self.sq = buf(max(widths)), buf(), buf(cfg.embed_dim)
         if cache:
-            self.y = np.empty(rows, dtype=int)
             self.xhat = [buf(w) for w in widths]
             self.inv_std = [buf() for _ in widths]
             self.phi = [buf(w) for w in widths]
@@ -203,8 +206,7 @@ class _Workspace:
             self.masks = [buf(w) for w in widths] if masks else None
             self.e, self.norms, self.logits = buf(cfg.embed_dim), buf(), buf(2)
             self.de, self.da = buf(cfg.embed_dim), (buf(max(widths)), buf(max(widths)))
-            self.scratch2, self.col, self.w, self.ce = buf(max(widths)), buf(), buf(), buf()
-            self.pick, self.base = np.empty(rows, dtype=np.intp), np.arange(0, 2 * rows, 2)
+            self.scratch2 = buf(max(widths))
             self.grads = {k: np.empty_like(v) for k, v in model.params.items()}
         else:
             pair = [buf(max(widths)) for _ in range(min(2, blocks - 1))]
@@ -324,34 +326,21 @@ def _check_labels(y: np.ndarray):
         raise ValueError("labels must be 0/1")
 
 
-def _loss(model: EncoderModel, ws: _Workspace, m: int, class_weights: np.ndarray, rng):
-    """Loss and gradients over the first m rows of ws.x and ws.y, every
-    array written into ws; the gradients are ws.grads. Labels are 0/1."""
+def _loss(model: EncoderModel, ws: _Workspace, m: int, y: np.ndarray, class_weights: np.ndarray, rng):
+    """Loss and gradients over the first m rows of ws.x, whose 0/1 labels
+    are `y`; the network's arrays are written into ws, the gradients are
+    ws.grads, and the loss takes m-row temporaries."""
     p, g = model.params, ws.grads
     logits, e = _forward(model, ws, m, rng)
-    y, w, ce, pick = ws.y[:m], ws.w[:m], ws.ce[:m], ws.pick[:m]
-    np.take(class_weights, y, out=w, mode="clip")
+    w = class_weights[y]
     wsum = w.sum()
-    col = _rows(ws.col, m, 1)
-    np.max(logits, axis=-1, keepdims=True, out=col)  # softmax in place: logits become probs
-    logits -= col
+    logits -= logits.max(axis=-1, keepdims=True)  # softmax in place: logits become probs
     np.exp(logits, out=logits)
-    np.sum(logits, axis=-1, keepdims=True, out=col)
-    logits /= col
-    flat = logits.reshape(-1)
-    np.add(ws.base[:m], y, out=pick)  # flat index of each row's label probability
-    np.take(flat, pick, out=ce, mode="clip")
-    np.maximum(ce, 1e-300, out=ce)
-    np.log(ce, out=ce)
-    np.negative(ce, out=ce)
-    ce *= w
-    loss = float(ce.sum() / wsum)
-
-    np.take(flat, pick, out=ce, mode="clip")  # probs become dlogits
-    ce -= 1.0
-    np.put(flat, pick, ce, mode="clip")
-    w /= wsum
-    logits *= w[:, None]
+    logits /= logits.sum(axis=-1, keepdims=True)
+    label = (np.arange(m), y)
+    loss = float((-np.log(np.maximum(logits[label], 1e-300)) * w).sum() / wsum)
+    logits[label] -= 1.0  # probs become dlogits
+    logits *= (w / wsum)[:, None]
 
     np.matmul(logits, p["clf.W"], out=_rows(ws.de, m, model.config.embed_dim))
     _backward(model, ws)
@@ -373,12 +362,10 @@ def _backward(model: EncoderModel, ws: _Workspace):
     g["clf.W"].fill(0.0)
     g["clf.b"].fill(0.0)
     e, norms = _rows(ws.e, m, model.config.embed_dim), _rows(ws.norms, m, 1)
-    dv, s, col = _rows(ws.de, m, e.shape[1]), _rows(ws.sq, m, e.shape[1]), _rows(ws.col, m, 1)
+    dv = _rows(ws.de, m, e.shape[1])
     # through the normalization e = v / ||v||
-    np.multiply(dv, e, out=s)
-    np.sum(s, axis=-1, keepdims=True, out=col)
-    np.multiply(col, e, out=s)
-    dv -= s
+    col = np.sum(dv * e, axis=-1, keepdims=True)
+    dv -= col * e
     dv /= norms
     np.matmul(dv.T, _rows(ws.act[-1], m, widths[-1]), out=g["embed.W"])
     np.sum(dv, axis=0, out=g["embed.b"])
@@ -496,26 +483,29 @@ class AdamState:
         p -= a
 
 
-def _fit_epochs(schedule: TrainSchedule, n: int, rng, step, validate, snapshot):
-    """The epoch loop both trainers run, with early stopping.
+def _fit_epochs(schedule: TrainSchedule, n: int, rng, step, validate, params: Dict[str, np.ndarray]):
+    """The epoch loop both trainers run, with early stopping; it owns the one
+    best-epoch checkpoint of `params`, the arrays step updates in place.
 
     Each epoch draws one permutation of range(n) from `rng` and calls
     step(idx) on its consecutive schedule.batch_size slices in order; step
     updates the parameters and returns the batch loss. Then validate()
-    returns (value, record), larger values better. snapshot() is taken once
-    before the first epoch and again after each epoch whose value is
-    strictly greater than every earlier one (a tie or NaN is not). The loop
-    stops after schedule.epochs epochs, or once max(schedule.patience, 1)
-    consecutive epochs have not improved.
+    returns (value, record), larger values better. One copy of `params` is
+    allocated before the first epoch and overwritten after each epoch whose
+    value is strictly greater than every earlier one (a tie or NaN is not).
+    The loop stops after schedule.epochs epochs, or once
+    max(schedule.patience, 1) consecutive epochs have not improved; then
+    `params` is restored from the copy in place.
 
-    Returns (epochs, best_epoch, best_value, best): one
+    Returns (epochs, best_epoch, best_value): one
     {"epoch", "train_loss", **record} dict per epoch run, train_loss the
-    mean of its batch losses; the last improving epoch and its value (-1
-    and -inf when none improved); and the snapshot taken after that epoch,
-    or before the first when none improved. The caller restores `best`.
+    mean of its batch losses; and the last improving epoch and its value
+    (-1 and -inf when none improved, which leaves `params` as they were
+    before the first epoch).
     """
     epochs = []
-    best_value, best_epoch, best = -math.inf, -1, snapshot()
+    best_value, best_epoch = -math.inf, -1
+    best = {k: v.copy() for k, v in params.items()}
     bad_epochs = 0
     for epoch in range(schedule.epochs):
         order = rng.permutation(n)
@@ -523,13 +513,17 @@ def _fit_epochs(schedule: TrainSchedule, n: int, rng, step, validate, snapshot):
         value, record = validate()
         epochs.append({"epoch": epoch, "train_loss": sum(losses) / len(losses), **record})
         if value > best_value:
-            best_value, best_epoch, best = value, epoch, snapshot()
+            best_value, best_epoch = value, epoch
+            for k, v in params.items():
+                np.copyto(best[k], v)
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs >= max(schedule.patience, 1):
                 break
-    return epochs, best_epoch, best_value, best
+    for k, v in best.items():
+        np.copyto(params[k], v)
+    return epochs, best_epoch, best_value
 
 
 def _gather_rows(x, ws: _Workspace):
@@ -603,20 +597,12 @@ def train_encoder(
     ws = _Workspace(model, min(schedule.batch_size, x_train.shape[0]), cache=True,
                     masks=config.dropout > 0.0)
     gather = _gather_rows(x_train, ws)
-    best = {k: np.empty_like(v) for k, v in model.params.items()}
-
-    def snapshot():  # one copy, overwritten by each improving epoch
-        for k, v in model.params.items():
-            np.copyto(best[k], v)
-        return best
 
     def step(idx):
         seed = int(rng.integers(0, 2**31 - 1)) if config.dropout > 0 else None
-        m = idx.size
         gather(idx)
-        np.take(y_train, idx, out=ws.y[:m], mode="clip")
         dropout_rng = np.random.default_rng(seed) if seed is not None else None
-        loss, grads = _loss(model, ws, m, weights, dropout_rng)
+        loss, grads = _loss(model, ws, idx.size, y_train[idx], weights, dropout_rng)
         opt.step(grads, schedule.learning_rate, schedule.weight_decay)
         return loss
 
@@ -625,12 +611,12 @@ def train_encoder(
         value = macro_f1(confusion(y_val, np.argmax(logits, axis=-1)))
         return value, {"val_metric": value}
 
-    epochs, best_epoch, best_value, best = _fit_epochs(
-        schedule, x_train.shape[0], rng, step, validate, snapshot
+    epochs, best_epoch, best_value = _fit_epochs(
+        schedule, x_train.shape[0], rng, step, validate, model.params
     )
     history = {"epochs": epochs, "selection_metric": "macro_f1",
                "best_epoch": best_epoch, "best_value": best_value}
-    return EncoderModel(config, best), history
+    return model, history
 
 
 # ------------------------------------------------------------------ scaler
@@ -719,13 +705,7 @@ def load_encoder(directory, unverified=None) -> Tuple[EncoderModel, Optional[Emb
     views of the one buffer encoder.f64 was read into."""
     d = Path(directory)
     header = persist.load_json(d / "encoder.json", unverified)
-    config = EncoderConfig(
-        input_dim=header["config"]["input_dim"],
-        hidden_sizes=tuple(header["config"]["hidden_sizes"]),
-        embed_dim=header["config"]["embed_dim"],
-        dropout=header["config"]["dropout"],
-        seed=header["config"]["seed"],
-    )
+    config = EncoderConfig(**header["config"])
     total = sum(int(np.prod(s)) for s in header["param_shapes"].values())
     [flat] = persist.load_arrays(d / "encoder.f64", [("<f8", (total,))], unverified)
     params = {}

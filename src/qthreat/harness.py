@@ -303,18 +303,23 @@ def _remove_stage_dir(d: Path) -> None:
     d.rmdir()
 
 
-def _source_hashes(config: ExperimentConfig) -> List[str]:
-    """Content hashes of the raw inputs, so a changed source file invalidates
-    the preprocess stage even at an unchanged path: the two NSL-KDD files, or
-    the Ling-Spam files load_lingspam reads, keyed relative to the corpus root."""
+def _source_hashes(config: ExperimentConfig) -> Tuple[List[str], Dict[str, str]]:
+    """(key inputs, the split's meta["source_sha256"]) from one hash of each
+    raw input, so a changed source file invalidates the preprocess stage
+    even at an unchanged path: the two NSL-KDD files, named by their config
+    paths, or the Ling-Spam files load_lingspam reads, keyed relative to the
+    corpus root and named relative to its message tree."""
     if config.dataset == "nslkdd":
-        return [persist.sha256_file(config.train_path), persist.sha256_file(config.test_path)]
+        digests = {p: persist.sha256_file(p) for p in (config.train_path, config.test_path)}
+        return [digests[config.train_path], digests[config.test_path]], digests
     root = Path(config.corpus_path)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus root {root} is not a directory")
-    files = datapipe.lingspam_files(root)[1]
-    entries = [[p.relative_to(root).as_posix(), persist.sha256_file(p)] for p in files]
-    return [persist.sha256_bytes(persist.canonical_json(entries).encode())]
+    base, files = datapipe.lingspam_files(root)
+    digests = [persist.sha256_file(p) for p in files]
+    entries = [[p.relative_to(root).as_posix(), h] for p, h in zip(files, digests)]
+    named = {str(p.relative_to(base)): h for p, h in zip(files, digests)}
+    return [persist.sha256_bytes(persist.canonical_json(entries).encode())], named
 
 
 def _stage_preprocess(config: ExperimentConfig, root: Path, stages: Dict[str, str]):
@@ -329,6 +334,8 @@ def _stage_preprocess(config: ExperimentConfig, root: Path, stages: Dict[str, st
         "max_train": config.max_train,
         "seed": config.seeds.data,
     }
+
+    key_inputs, sources = _source_hashes(config)
 
     def build(d):
         if config.dataset == "nslkdd":
@@ -346,6 +353,7 @@ def _stage_preprocess(config: ExperimentConfig, root: Path, stages: Dict[str, st
                 seed=config.seeds.data,
                 ngram_max=config.ngram_max,
             )
+        split.meta["source_sha256"] = sources
         n = split.x_train.shape[0]
         if n > config.max_train:
             # transformer statistics stay fitted on the full pre-carve train set;
@@ -362,7 +370,7 @@ def _stage_preprocess(config: ExperimentConfig, root: Path, stages: Dict[str, st
         return split
 
     return _stage(
-        root, stages, "preprocess", slice_, _source_hashes(config), build, datapipe.load_split
+        root, stages, "preprocess", slice_, key_inputs, build, datapipe.load_split
     )
 
 
@@ -848,13 +856,15 @@ def _pair_seed(base: int, sample: int, ref: int) -> int:
 def evaluate_streaming(
     workdir,
     subset: Optional[np.ndarray] = None,
-    subset_size: int = 100,
+    subset_size: Optional[int] = 100,
     execution: vqc.Execution = vqc.Execution(),
     audit_path=None,
     reference_limit: int = REFERENCE_LIMIT,
 ) -> dict:
     """Score the subset's test rows in one scoring call (_score), then emit
-    one audit line per row in subset order.
+    one audit line per row in subset order. Without `subset`, the subset is
+    a stratified draw of `subset_size` rows, or every test row in order
+    when subset_size is None.
 
     The k-th row of `subset` takes position k of the seed rules, so
     streaming every test row in order gives the scores of evaluate_bundle,
@@ -866,7 +876,9 @@ def evaluate_streaming(
     bundle, split, model = _open_complete(workdir)
     config = bundle.config
     n_test = split.y_test.size
-    if subset is None:
+    if subset is None and subset_size is None:
+        subset = np.arange(n_test)
+    elif subset is None:
         subset = datapipe.select_eval_subset(split, subset_size, seed=config.seeds.sampling)
     subset = np.asarray(subset).reshape(-1)
     if subset.size == 0:

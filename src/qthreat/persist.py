@@ -134,14 +134,13 @@ def load_arrays(path, layout, unverified: Optional[Dict[Path, str]] = None) -> L
 
 
 def save_text(path, text: str) -> None:
-    """Write `text` as UTF-8; unlike save_json it hashes nothing, as no reader checks its hash."""
+    """Write `text` as UTF-8."""
     _write_atomic(path, (text.encode("utf-8"),))
 
 
-def save_json(path, obj) -> str:
+def save_json(path, obj) -> None:
     data = (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
     _write_atomic(path, (data,))
-    return sha256_bytes(data)
 
 
 def load_json(path, unverified: Optional[Dict[Path, str]] = None):

@@ -9,13 +9,15 @@ statevectors, and for training its exact gradients from one forward and
 one adjoint sweep per step (_adjoint); no GateOp is built on either path,
 and there is no shot-mode training. Training runs the encoder's epoch loop
 (encoder._fit_epochs) with one encoder.AdamState, which also holds the
-encoder copy that fine-tuning updates. A frozen encoder maps each split to
-angles once, through angles_from_features, the function scoring uses;
-fine-tuning steps the copy through one training workspace, as
-encoder.train_encoder does (encoder._Workspace, _gather_rows, _forward and
-_backward). Shot-mode evaluation runs the gate list `build_vqc_circuit`
-builds through the shot engine the kernel estimator uses: the rows'
-circuits run SHOT_BLOCK at a time as one stacked density evolution with
+encoder copy that fine-tuning updates; the loop checkpoints and restores
+all of them. A frozen encoder maps each split to angles once, through
+angles_from_features, the function scoring uses; fine-tuning steps the
+copy through one training workspace, as encoder.train_encoder does
+(encoder._Workspace, _gather_rows, _forward and _backward), which holds
+the network's arrays and no labels: the VQC's loss is its own.
+Shot-mode evaluation runs the gate list `build_vqc_circuit` builds
+through the shot engine the kernel estimator uses: the rows' circuits run
+SHOT_BLOCK at a time as one stacked density evolution with
 depolarizing noise (qsim.evolve_density), then each row's outcome
 distribution is sampled with readout error folded in and optionally
 mitigated (qsim.shot_estimates) and read out as its parity. The gate-level
@@ -303,9 +305,10 @@ def train_vqc(
     fine-tuning. One AdamState holds theta, scale and bias as one flat array
     under "vqc", plus the tuned copy's arrays under their own names, and
     steps once per batch; weight decay reaches only the encoder's `.W`
-    matrices. Validation loss picks the best checkpoint (_fit_epochs),
-    restored at the end. The result's encoder is the one its model scores
-    with: the given encoder, or its fine-tuned copy.
+    matrices. Validation loss picks the best epoch: _fit_epochs keeps one
+    copy of every array Adam steps, the tuned encoder's included, and
+    restores them from it at the end. The result's encoder is the one its
+    model scores with: the given encoder, or its fine-tuned copy.
     """
     x_tr, y_tr = feature_rows(train[0]), np.asarray(train[1], dtype=int)
     x_va, y_va = feature_rows(val[0]), np.asarray(val[1], dtype=int)
@@ -380,12 +383,9 @@ def train_vqc(
         val_acc = float(np.mean((logits > 0).astype(int) == y_va))
         return -val_loss, {"val_loss": val_loss, "val_accuracy": val_acc}
 
-    epochs, best_epoch, best_value, best = _fit_epochs(
-        schedule, x_tr.shape[0], np.random.default_rng(shuffle_seed), step, validate,
-        lambda: {k: v.copy() for k, v in params.items()},
+    epochs, best_epoch, best_value = _fit_epochs(
+        schedule, x_tr.shape[0], np.random.default_rng(shuffle_seed), step, validate, params
     )
-    for k, v in best.items():
-        np.copyto(params[k], v)
     history = {"epochs": epochs, "monitor": "val_loss",
                "best_epoch": best_epoch, "best_val_loss": -best_value}
     return VqcTrainResult(current(), history, tuned)

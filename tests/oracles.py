@@ -1072,8 +1072,7 @@ def loss_and_gradients(model, x, y, class_weights=(1.0, 1.0), dropout_seed=None)
     rng = np.random.default_rng(dropout_seed) if dropout_seed is not None else None
     ws = _Workspace(model, x.shape[0], cache=True, masks=rng is not None and model.config.dropout > 0.0)
     _gather_rows(x, ws)(slice(0, x.shape[0]))
-    ws.y[:] = y
-    return _loss(model, ws, x.shape[0], np.asarray(class_weights, dtype=float), rng)
+    return _loss(model, ws, x.shape[0], y, np.asarray(class_weights, dtype=float), rng)
 
 
 class AllocatingAdam:

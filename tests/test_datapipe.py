@@ -533,7 +533,7 @@ def test_split_roundtrip_tabular(tmp_path, kdd_split):
     assert back.test_categories == kdd_split.test_categories
     np.testing.assert_array_equal(back.transformer.means, kdd_split.transformer.means)
     assert back.transformer.mapping == kdd_split.transformer.mapping
-    assert back.meta["source_sha256"] == kdd_split.meta["source_sha256"]
+    assert back.meta == kdd_split.meta
 
 
 def test_save_split_writes_dense_features_a_block_at_a_time(tmp_path, kdd_split):

@@ -657,22 +657,20 @@ def test_fit_epochs_follows_its_stopping_rule(values, patience_share, n, batch_s
     epochs = len(values)
     patience = int(round(patience_share * epochs))
     schedule = TrainSchedule(epochs=epochs, batch_size=batch_size, patience=patience)
-    batches, snapshots, validated = [], [], []
+    batches, validated = [], []
+    params = {"p": np.zeros(1)}
 
-    def step(idx):
+    def step(idx):  # epoch e's steps leave params["p"] at e + 1
         batches.append(idx)
+        params["p"][0] = len(validated) + 1
         return float(len(batches))
 
     def validate():
         validated.append(values[len(validated)])
         return validated[-1], {"value": validated[-1]}
 
-    def snapshot():
-        snapshots.append(len(validated))
-        return len(validated)
-
-    records, best_epoch, best_value, best = _fit_epochs(
-        schedule, n, np.random.default_rng(7), step, validate, snapshot
+    records, best_epoch, best_value = _fit_epochs(
+        schedule, n, np.random.default_rng(7), step, validate, params
     )
 
     # the rule, stated per epoch: an epoch improves when its value exceeds
@@ -690,10 +688,9 @@ def test_fit_epochs_follows_its_stopping_rule(values, patience_share, n, batch_s
     want_best = values.index(max(ran)) if ran and max(ran) > -math.inf else -1
     assert best_epoch == want_best
     assert best_value == (values[want_best] if want_best >= 0 else -math.inf)
-    # one snapshot before the first epoch and one after each improving epoch;
-    # the best is the one taken after the best epoch's validation
-    assert snapshots == [0] + [e + 1 for e in range(run) if improved[e]]
-    assert best == want_best + 1
+    # params end as the best epoch left them, or as they were before the
+    # first epoch when none improved
+    assert params["p"][0] == want_best + 1
     # each epoch steps through one permutation of range(n) drawn from rng,
     # in batch_size slices, and records the mean of its batch losses
     rng = np.random.default_rng(7)
@@ -706,6 +703,33 @@ def test_fit_epochs_follows_its_stopping_rule(values, patience_share, n, batch_s
         losses = range(e * per_epoch + 1, (e + 1) * per_epoch + 1)
         assert rec["epoch"] == e and rec["train_loss"] == sum(losses) / per_epoch
         assert rec["value"] is values[e] or rec["value"] == values[e]
+
+
+def test_fit_epochs_allocates_its_checkpoint_once():
+    # a 1 MiB parameter array and a validate that improves every epoch: the
+    # loop holds one copy of it, overwritten in place at each improvement,
+    # and params end as the best (last) epoch left them
+    params, validated = {"w": np.zeros(1 << 17)}, []
+
+    def step(idx):
+        params["w"] += 1.0
+        return 0.0
+
+    def validate():
+        validated.append(len(validated))
+        return float(len(validated)), {}
+
+    schedule = TrainSchedule(epochs=5, batch_size=2, patience=1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _, best_epoch, _ = _fit_epochs(schedule, 4, np.random.default_rng(0), step, validate, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 1.5 * params["w"].nbytes, peak - before
+    assert best_epoch == 4
+    np.testing.assert_array_equal(params["w"], np.full(1 << 17, 10.0))
 
 
 def test_training_rejects_empty_split():

@@ -688,6 +688,25 @@ def test_replacing_test_rows_keeps_fitted_artifacts(make_config, tmp_path):
     assert m1["files"]["preprocess/x_test.f32"] != m2["files"]["preprocess/x_test.f32"]
 
 
+@pytest.mark.parametrize("dataset", ["nslkdd", "lingspam"])
+def test_preprocess_build_hashes_each_source_file_once(make_config, lingspam_dir, tmp_path, monkeypatch, dataset):
+    # the stage key and the split's source_sha256 record come from one
+    # digest per source file; the loaders hash nothing
+    if dataset == "nslkdd":
+        config = make_config()
+        base, files = None, [Path(config.train_path), Path(config.test_path)]
+    else:
+        config = make_config(dataset="lingspam", corpus_path=str(lingspam_dir), model="vqc")
+        base, files = datapipe.lingspam_files(lingspam_dir)
+    hashed, real = [], persist.sha256_file
+    monkeypatch.setattr(persist, "sha256_file", lambda p: hashed.append(Path(p)) or real(p))
+    harness.run_experiment(config, tmp_path, through="preprocess")
+    assert sorted(p for p in hashed if p in files) == sorted(files)
+    names = [str(p) if base is None else str(p.relative_to(base)) for p in files]
+    recorded = datapipe.load_split(tmp_path / "preprocess", features=()).meta["source_sha256"]
+    assert recorded == {name: real(p) for name, p in zip(names, files)}
+
+
 def test_lingspam_preprocess_is_keyed_by_the_files_it_reads(make_config, lingspam_dir, tmp_path):
     # a corpus with a bare/ tree is read from bare/ alone, as the public
     # archive's bare, lemm, lemm_stop and stop variants are: a file added or
@@ -702,7 +721,7 @@ def test_lingspam_preprocess_is_keyed_by_the_files_it_reads(make_config, lingspa
         [p.relative_to(corpus).as_posix(), persist.sha256_file(p)]
         for p in sorted(corpus.rglob("*")) if p.is_file()
     ]
-    assert harness._source_hashes(config) == [
+    assert harness._source_hashes(config)[0] == [
         persist.sha256_bytes(persist.canonical_json(every_file).encode())
     ]
     stop = corpus / "stop" / "part1"
@@ -930,6 +949,8 @@ def test_streaming_full_test_matches_batch(qsvm_bundle):
     assert abs(rep.auroc - batch["auroc"]) < 1e-12
     assert abs(rep.auprc - batch["auprc"]) < 1e-12
     assert len(out["lines"]) == n
+    # subset_size=None streams the same rows, every test row in order
+    np.testing.assert_array_equal(harness.evaluate_streaming(d, subset_size=None)["scores"], out["scores"])
 
 
 def test_streaming_subset_audit_and_reference_cap(qsvm_bundle):
@@ -1265,6 +1286,26 @@ def test_cli_full_test_stream_hashes_each_manifest_byte_once(request, fixture, m
     assert hashed[0] == _manifest_bytes(d, manifest)
     n_test = datapipe.load_split(d / "preprocess", features=()).y_test.size
     assert f"audit lines: {n_test}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fixture", ["qsvm_bundle", "spam_vqc_bundle"])
+def test_cli_full_test_stream_parses_every_workdir_file_under_its_hash_check(
+    request, fixture, monkeypatch, tmp_path
+):
+    # but for manifest.json, which holds the hashes, each workdir file the
+    # stream parses is read with the map of unverified entries, so its
+    # bytes are checked on that read; none is parsed a second time unchecked
+    _, d, _ = request.getfixturevalue(fixture)
+    real, root = persist._read_file, Path(d).resolve()
+
+    def read(path, unverified=None):
+        path = Path(path).resolve()
+        if unverified is None and path.is_relative_to(root) and path != root / "manifest.json":
+            pytest.fail(f"{path} read with no unverified map")
+        return real(path, unverified)
+
+    monkeypatch.setattr(persist, "_read_file", read)
+    assert main(["stream-eval", "--workdir", str(d), "--full-test", "--audit", str(tmp_path / "a.csv")]) == 0
 
 
 @pytest.mark.parametrize("fixture", ["qsvm_bundle", "spam_vqc_bundle"])
@@ -1614,7 +1655,7 @@ def test_stream_eval_passes_only_the_flags_given(qsvm_bundle, monkeypatch, capsy
     assert calls == [
         {"execution", "audit_path"},
         {"execution", "audit_path", "subset_size", "reference_limit"},
-        {"execution", "audit_path", "subset"},
+        {"execution", "audit_path", "subset_size"},  # subset_size=None: every test row
     ]
     out = capsys.readouterr().out
     assert "audit lines: 100" in out and "audit lines: 20" in out
