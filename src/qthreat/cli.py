@@ -100,7 +100,7 @@ def _config_from(args, model: str) -> ExperimentConfig:
     --seed sets all three seeds, and each --<name>-seed then replaces one."""
     given = vars(args)
     seeds = {
-        n: given.get(f"seeds.{n}", given.get("seeds")) for n in ("data", "encoder", "sampling")
+        f.name: given.get(f"seeds.{f.name}", given.get("seeds")) for f in dataclasses.fields(Seeds)
     }
     fields = {k: v for k, v in given.items() if k in _CONFIG_FIELDS}
     fields["experiment_id"] = fields.get("experiment_id") or f"{args.dataset}-{model}"

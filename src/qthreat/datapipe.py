@@ -22,7 +22,7 @@ import operator
 import re
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import islice
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
@@ -66,13 +66,18 @@ TFIDF_BLOCK_BYTES = 1 << 20
 
 @dataclass
 class TabularTransformer:
-    """Train-fitted standardization plus rare-bucketed one-hot encoding."""
+    """Train-fitted standardization plus rare-bucketed one-hot encoding.
+    split.json records its fields; the constructor makes means and stds float arrays."""
 
     means: np.ndarray
     stds: np.ndarray
     levels: Dict[str, List[str]]          # one-hot order per column
     mapping: Dict[str, Dict[str, int]]    # raw level -> hot index
     rare_threshold: int = RARE_MIN_COUNT
+
+    def __post_init__(self):
+        self.means = np.asarray(self.means, dtype=float)
+        self.stds = np.asarray(self.stds, dtype=float)
 
     @property
     def width(self) -> int:
@@ -396,22 +401,24 @@ def lingspam_files(root_path) -> Tuple[Path, List[Path]]:
     """(base, files): a Ling-Spam corpus's message tree (its bare/
     subdirectory when present, else the root) and every file under it, sorted."""
     base = Path(root_path)
+    if not base.is_dir():
+        raise FileNotFoundError(f"corpus root {base} is not a directory")
     if (base / "bare").is_dir():
         base = base / "bare"
     return base, sorted(p for p in base.rglob("*") if p.is_file())
 
 
 def load_lingspam(
-    root_path,
+    listing: Tuple[Path, List[Path]],
     test_fraction: float = 0.2,
     val_fraction: float = 0.2,
     seed: int = 0,
     ngram_max: int = 1,
 ) -> DatasetSplit:
-    """The message tree's files (lingspam_files): filenames starting with
-    "spmsg" are spam. TF-IDF is fitted on the training documents only;
-    val_fraction applies to what remains after the test carve."""
-    base, files = lingspam_files(root_path)
+    """The files of one lingspam_files listing, the very files a caller hashed:
+    filenames starting with "spmsg" are spam. TF-IDF is fitted on the training
+    documents only; val_fraction applies to what remains after the test carve."""
+    base, files = listing
     docs: List[str] = []
     labels: List[int] = []
     skipped = 0
@@ -561,7 +568,8 @@ def _checked_csr(indptr, indices, data, shape, name: str) -> CsrMatrix:
 def save_split(split: DatasetSplit, directory) -> dict:
     """Write the split under `directory`: split.json plus one file per array
     in its own dtype (_array_file). A CsrMatrix (a tf-idf split's x_*) is
-    written as name.csr; every other array is dense."""
+    written as name.csr; every other array is dense. A TabularTransformer is
+    recorded by its fields, a TfidfModel by its terms, counts and .f64 arrays."""
     d = Path(directory)
     arrays = {
         "x_train": split.x_train, "y_train": split.y_train,
@@ -583,14 +591,8 @@ def save_split(split: DatasetSplit, directory) -> dict:
         manifest[name] = meta
     tr = split.transformer
     if isinstance(tr, TabularTransformer):
-        transformer = {
-            "kind": "tabular",
-            "means": tr.means.tolist(),
-            "stds": tr.stds.tolist(),
-            "levels": tr.levels,
-            "mapping": tr.mapping,
-            "rare_threshold": tr.rare_threshold,
-        }
+        transformer = {f.name: np.asarray(getattr(tr, f.name)).tolist() for f in fields(tr)}
+        transformer["kind"] = "tabular"
     elif isinstance(tr, TfidfModel):
         persist.save_arrays(d / "idf.f64", (tr.idf,))
         persist.save_arrays(d / "doc_freq.f64", (tr.doc_freq,))
@@ -621,8 +623,9 @@ def load_split(directory, unverified=None, features=("x_train", "x_val", "x_test
     hash-checked on its read (persist.load_json, persist.load_arrays) and
     its arrays come back in their own dtypes, as views of the bytes read. A
     CSR entry is checked for structure (_checked_csr) and comes back as a
-    CsrMatrix. Only the feature matrices named in `features` are read; the
-    others are None, and their files stay in `unverified` for the caller's
+    CsrMatrix; a tabular transformer is TabularTransformer(**its record).
+    Only the feature matrices named in `features` are read; the others are
+    None, and their files stay in `unverified` for the caller's
     persist.check_files."""
     d = Path(directory)
     header = persist.load_json(d / "split.json", unverified)
@@ -636,15 +639,9 @@ def load_split(directory, unverified=None, features=("x_train", "x_val", "x_test
             arrays[name] = _checked_csr(*parts, tuple(meta["shape"]), fname)
         else:
             arrays[name] = parts[0]
-    t = header["transformer"]
-    if t["kind"] == "tabular":
-        transformer: object = TabularTransformer(
-            np.asarray(t["means"], dtype=float),
-            np.asarray(t["stds"], dtype=float),
-            {k: list(v) for k, v in t["levels"].items()},
-            {k: {kk: int(vv) for kk, vv in v.items()} for k, v in t["mapping"].items()},
-            int(t["rare_threshold"]),
-        )
+    t = dict(header["transformer"])
+    if t.pop("kind") == "tabular":
+        transformer: object = TabularTransformer(**t)
     else:
         terms = t["terms"]
         [idf] = persist.load_arrays(d / "idf.f64", [("<f8", (len(terms),))], unverified)

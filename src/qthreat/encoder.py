@@ -22,7 +22,7 @@ marker records both files' hashes (harness._stage).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -77,13 +77,7 @@ class EncoderConfig:
             raise ValueError("dropout must lie in [0, 1)")
 
     def as_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden_sizes": list(self.hidden_sizes),
-            "embed_dim": self.embed_dim,
-            "dropout": self.dropout,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "hidden_sizes": list(self.hidden_sizes)}
 
 
 @dataclass(frozen=True)

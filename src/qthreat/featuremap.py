@@ -25,7 +25,7 @@ tests check these against, exact and shot, are in tests/oracles.py.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import List, Tuple
 
@@ -65,12 +65,7 @@ class FeatureMapSpec:
         return [(i, i + 1) for i in range(q - 1)]
 
     def as_dict(self) -> dict:
-        return {
-            "num_qubits": self.num_qubits,
-            "reps": self.reps,
-            "entanglement": self.entanglement,
-            "second_order_coeff": self.second_order_coeff,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

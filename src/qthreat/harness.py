@@ -71,33 +71,35 @@ class PipelineError(RuntimeError):
 
 @dataclass(frozen=True)
 class Seeds:
-    """Every random decision in a run draws from one of these."""
+    """Every random decision in a run draws from one of these. The methods
+    read the fields from the class: an added seed is checked, recorded and shifted."""
 
     data: int = 0
     encoder: int = 0
     sampling: int = 0
 
     def __post_init__(self):
-        for name in ("data", "encoder", "sampling"):
-            v = getattr(self, name)
+        for name, v in self.as_dict().items():
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise ValueError(f"seed {name!r} must be a nonnegative integer")
 
     def as_dict(self) -> dict:
-        return {"data": self.data, "encoder": self.encoder, "sampling": self.sampling}
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Seeds":
-        extra = set(d) - {"data", "encoder", "sampling"}
+        extra = set(d) - {f.name for f in dataclasses.fields(cls)}
         if extra:
             raise ValueError(f"unknown seed keys: {sorted(extra)}")
         return cls(**d)
 
     def shifted(self, offset: int) -> "Seeds":
-        return Seeds(self.data + offset, self.encoder + offset, self.sampling + offset)
+        return Seeds(**{name: v + offset for name, v in self.as_dict().items()})
 
 
 _ID_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-")
+# the JSON value types a config file may give a field of each scalar type
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
 
 
 @dataclass(frozen=True)
@@ -150,6 +152,8 @@ class ExperimentConfig:
         object.__setattr__(self, "c_grid", tuple(float(c) for c in self.c_grid))
         if isinstance(self.seeds, dict):
             object.__setattr__(self, "seeds", Seeds.from_dict(self.seeds))
+        elif not isinstance(self.seeds, Seeds):
+            raise ValueError("seeds must be a Seeds or a dict of seeds")
         if not self.experiment_id or set(self.experiment_id) - _ID_OK:
             raise ValueError("experiment_id must be nonempty [A-Za-z0-9._-]")
         if self.dataset not in DATASETS:
@@ -185,16 +189,23 @@ class ExperimentConfig:
         d = dataclasses.asdict(self)
         d["hidden_sizes"] = list(self.hidden_sizes)
         d["c_grid"] = list(self.c_grid)
-        d["seeds"] = self.seeds.as_dict()
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        names = {f.name for f in dataclasses.fields(cls)}
-        extra = set(d) - names
+        """The config of a JSON object (a matrix config entry, a manifest's
+        config): an unknown key or a wrongly typed value is a ValueError."""
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        extra = set(d) - set(types)
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
-        return cls(**d)
+        for name, v in d.items():
+            if type(v) not in _JSON_TYPES.get(types[name], (type(v),)):
+                raise ValueError(f"config field {name!r} must be {types[name]}, not {type(v).__name__}")
+        try:
+            return cls(**d)
+        except TypeError as err:  # a missing field, or a tuple field that is no list
+            raise ValueError(f"config: {err}") from err
 
     def config_sha(self) -> str:
         return persist.sha256_bytes(persist.canonical_json(self.as_dict()).encode())
@@ -303,23 +314,22 @@ def _remove_stage_dir(d: Path) -> None:
     d.rmdir()
 
 
-def _source_hashes(config: ExperimentConfig) -> Tuple[List[str], Dict[str, str]]:
-    """(key inputs, the split's meta["source_sha256"]) from one hash of each
-    raw input, so a changed source file invalidates the preprocess stage
-    even at an unchanged path: the two NSL-KDD files, named by their config
-    paths, or the Ling-Spam files load_lingspam reads, keyed relative to the
-    corpus root and named relative to its message tree."""
+def _source_hashes(config: ExperimentConfig):
+    """(key inputs, the split's meta["source_sha256"], the Ling-Spam
+    listing) from one hash of each raw input, so a changed source file
+    invalidates the preprocess stage even at an unchanged path: the two
+    NSL-KDD files, named by their config paths (listing None), or the files
+    of the one lingspam_files listing load_lingspam is given, keyed relative
+    to the corpus root and named relative to its message tree."""
     if config.dataset == "nslkdd":
         digests = {p: persist.sha256_file(p) for p in (config.train_path, config.test_path)}
-        return [digests[config.train_path], digests[config.test_path]], digests
+        return [digests[config.train_path], digests[config.test_path]], digests, None
     root = Path(config.corpus_path)
-    if not root.is_dir():
-        raise FileNotFoundError(f"corpus root {root} is not a directory")
-    base, files = datapipe.lingspam_files(root)
+    base, files = listing = datapipe.lingspam_files(root)
     digests = [persist.sha256_file(p) for p in files]
     entries = [[p.relative_to(root).as_posix(), h] for p, h in zip(files, digests)]
     named = {str(p.relative_to(base)): h for p, h in zip(files, digests)}
-    return [persist.sha256_bytes(persist.canonical_json(entries).encode())], named
+    return [persist.sha256_bytes(persist.canonical_json(entries).encode())], named, listing
 
 
 def _stage_preprocess(config: ExperimentConfig, root: Path, stages: Dict[str, str]):
@@ -335,7 +345,7 @@ def _stage_preprocess(config: ExperimentConfig, root: Path, stages: Dict[str, st
         "seed": config.seeds.data,
     }
 
-    key_inputs, sources = _source_hashes(config)
+    key_inputs, sources, listing = _source_hashes(config)
 
     def build(d):
         if config.dataset == "nslkdd":
@@ -347,7 +357,7 @@ def _stage_preprocess(config: ExperimentConfig, root: Path, stages: Dict[str, st
             )
         else:
             split = datapipe.load_lingspam(
-                config.corpus_path,
+                listing,
                 test_fraction=config.test_fraction,
                 val_fraction=config.val_fraction,
                 seed=config.seeds.data,

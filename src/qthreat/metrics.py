@@ -8,7 +8,7 @@ with no interpolation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -159,21 +159,7 @@ class MetricsReport:
                 raise ValueError(f"{name} = {v} outside [0, 1]")
 
     def as_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "macro_f1": self.macro_f1,
-            "f_beta": self.f_beta,
-            "beta": self.beta,
-            "auroc": self.auroc,
-            "auprc": self.auprc,
-            "threshold": self.threshold,
-            "confusion": {
-                "tp": self.confusion.tp,
-                "tn": self.confusion.tn,
-                "fp": self.confusion.fp,
-                "fn": self.confusion.fn,
-            },
-        }
+        return asdict(self)
 
 
 def report(labels, scores, threshold: float, beta: float = 2.0) -> MetricsReport:

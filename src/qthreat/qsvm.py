@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -398,8 +398,8 @@ def select_c(k, labels: np.ndarray, plan: CvPlan) -> Tuple[float, List[dict]]:
 # ------------------------------------------------------------- persistence
 
 
-# the SvmModel fields svm.json stores, each under its own name
-_SVM_FIELDS = ("support", "coef", "bias", "c", "class_weights", "n_train", "sign", "threshold")
+# svm.json stores every SvmModel field under its own name, beside the scoring data
+_SVM_FIELDS = tuple(f.name for f in fields(SvmModel))
 
 
 def save_svm(
@@ -410,8 +410,8 @@ def save_svm(
     cv_table: Optional[list] = None,
     extra: Optional[dict] = None,
 ) -> dict:
-    """Write the model with its support vectors' angle rows and centring
-    means (see `observable_scorer`), all the train data scoring reads."""
+    """Write the model's fields (_SVM_FIELDS) with its support vectors' angle
+    rows and centring means (`observable_scorer`), all the train data scoring reads."""
     header = {name: np.asarray(getattr(model, name)).tolist() for name in _SVM_FIELDS}
     header.update(
         support_angles=np.asarray(support_angles, dtype=float).tolist(),
@@ -424,8 +424,8 @@ def save_svm(
 
 
 def load_svm(path, unverified=None) -> Tuple[SvmModel, np.ndarray, np.ndarray]:
-    """(model, support_angles, support_means) from one read of the file
-    save_svm wrote; each array must have one row per support vector."""
+    """(SvmModel(**its fields' entries), support_angles, support_means) from
+    one read of save_svm's file; each array must have one row per support vector."""
     h = persist.load_json(path, unverified)
     model = SvmModel(**{name: h[name] for name in _SVM_FIELDS})
     angles = np.array(h.get("support_angles", ()), dtype=float)

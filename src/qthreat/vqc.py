@@ -28,7 +28,7 @@ marker records both files' hashes (harness._stage).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -83,11 +83,7 @@ class VqcSpec:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "num_qubits": self.num_qubits,
-            "reupload_layers": self.reupload_layers,
-            "second_order_coeff": self.second_order_coeff,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

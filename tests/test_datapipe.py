@@ -28,6 +28,7 @@ from qthreat.datapipe import (
     class_weights,
     fit_tabular,
     fit_tfidf,
+    lingspam_files,
     load_lingspam,
     load_nslkdd,
     load_split,
@@ -57,7 +58,7 @@ def kdd_split(nslkdd_dir):
 
 @pytest.fixture(scope="module")
 def spam_split(lingspam_dir):
-    return load_lingspam(lingspam_dir, seed=0)
+    return load_lingspam(lingspam_files(lingspam_dir), seed=0)
 
 
 def test_schema_constants():
@@ -426,7 +427,7 @@ def test_tokenizer_rules():
 
 
 def test_bigram_vocabulary(lingspam_dir):
-    split = load_lingspam(lingspam_dir, seed=0, ngram_max=2)
+    split = load_lingspam(lingspam_files(lingspam_dir), seed=0, ngram_max=2)
     assert any(" " in t for t in split.transformer.terms())
     assert split.meta["ngram_max"] == 2
 
@@ -440,7 +441,7 @@ def test_unreadable_file_skipped(tmp_path):
         (d / f"{k}msg.txt").write_text(f"meeting paper review corpus h{k}")
     (d / "0broken.txt").write_bytes(b"\xff\xfe\x00 not text \xff")
     with pytest.warns(UserWarning, match="0broken"):
-        split = load_lingspam(tmp_path, seed=0)
+        split = load_lingspam(lingspam_files(tmp_path), seed=0)
     assert split.meta["skipped_files"] == 1
     assert split.y_train.size + split.y_val.size + split.y_test.size == 12
 
@@ -448,7 +449,7 @@ def test_unreadable_file_skipped(tmp_path):
 def test_empty_corpus_raises(tmp_path):
     (tmp_path / "bare").mkdir()
     with pytest.raises(ValueError):
-        load_lingspam(tmp_path)
+        load_lingspam(lingspam_files(tmp_path))
 
 
 # -------------------------------------------------------------- subsets

@@ -3,7 +3,10 @@ synthetic corpora from conftest."""
 import dataclasses
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tracemalloc
 import types
 import uuid
@@ -705,6 +708,20 @@ def test_preprocess_build_hashes_each_source_file_once(make_config, lingspam_dir
     names = [str(p) if base is None else str(p.relative_to(base)) for p in files]
     recorded = datapipe.load_split(tmp_path / "preprocess", features=()).meta["source_sha256"]
     assert recorded == {name: real(p) for name, p in zip(names, files)}
+
+
+def test_lingspam_preprocess_lists_the_corpus_tree_once(make_config, lingspam_dir, tmp_path, monkeypatch):
+    # the listing the stage key and source_sha256 are hashed from is the one
+    # load_lingspam reads, so no file can come or go between the two
+    listings, real = [], datapipe.lingspam_files
+    monkeypatch.setattr(datapipe, "lingspam_files", lambda root: listings.append(root) or real(root))
+    config = make_config(dataset="lingspam", corpus_path=str(lingspam_dir), model="vqc")
+    harness.run_experiment(config, tmp_path / "work", through="preprocess")
+    assert len(listings) == 1
+    missing = replace(config, corpus_path=str(tmp_path / "no-corpus"))
+    with pytest.raises(PipelineError, match="preprocess") as err:
+        harness.run_experiment(missing, tmp_path / "missing", through="preprocess")
+    assert isinstance(err.value.__cause__, FileNotFoundError)
 
 
 def test_lingspam_preprocess_is_keyed_by_the_files_it_reads(make_config, lingspam_dir, tmp_path):
@@ -1725,6 +1742,31 @@ def test_cli_matrix_rejects_a_malformed_config_file(spec, tmp_path, capsys):
     persist.save_json(path, spec)
     assert main(["matrix", "--config", str(path), "--workdir", str(tmp_path / "w")]) == 2
     assert "list of config objects" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, value", [("seeds", [1, 2, 3]), ("qubits", "4"), ("hidden_sizes", 5), ("mitigate", "no")],
+    ids=["seeds-list", "qubits-str", "hidden-sizes-int", "mitigate-str"],
+)
+def test_cli_matrix_rejects_a_mistyped_config_field(make_config, tmp_path, capsys, name, value):
+    # a field of the wrong type is a config error, reported before any cell runs
+    path = tmp_path / "matrix.json.in"
+    persist.save_json(path, [{**make_config().as_dict(), name: value}])
+    work = tmp_path / "w"
+    assert main(["matrix", "--config", str(path), "--workdir", str(work)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not work.exists()
+
+
+def test_importing_the_cli_loads_no_heavy_scipy_subpackage():
+    # scipy.stats alone once took most of the bench's setup_s; the package
+    # needs only scipy.special (the encoder's GELU)
+    code = "import json, sys, qthreat.cli; print(json.dumps([m for m in sys.modules if m.startswith('scipy.')]))"
+    src = str(Path(harness.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    loaded = {m.split(".")[1] for m in json.loads(out)}
+    assert not loaded & {"stats", "sparse", "optimize"}, loaded
 
 
 def test_cli_errors_exit_nonzero(tmp_path, capsys, nslkdd_dir):

@@ -1,5 +1,6 @@
 import ast
 import builtins
+import dataclasses
 import hashlib
 import re
 import tempfile
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from qthreat import datapipe, encoder, persist, qsvm, vqc
+from qthreat import datapipe, encoder, featuremap, harness, metrics, persist, qsvm, vqc
 
 
 class _TornFile:
@@ -55,6 +56,27 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, save, first, se
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+
+_RECORDS = {
+    "FeatureMapSpec": (featuremap.FeatureMapSpec, {"num_qubits": 4}),
+    "VqcSpec": (vqc.VqcSpec, {"num_qubits": 4}),
+    "EncoderConfig": (encoder.EncoderConfig, {"input_dim": 8}),
+    "Seeds": (harness.Seeds, {}),
+    "MetricsReport": (metrics.MetricsReport, dict(
+        accuracy=0.5, macro_f1=0.5, f_beta=0.5, auroc=0.5, auprc=0.5,
+        confusion=metrics.ConfusionCounts(1, 1, 1, 1), threshold=0.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+def test_a_records_every_field_reaches_its_dict(name):
+    # each record is written from its dataclass's fields, so a field added to
+    # the class is recorded without a second list to update
+    cls, args = _RECORDS[name]
+    extended = dataclasses.make_dataclass(
+        "Extended", [("added", int, dataclasses.field(default=7))], bases=(cls,), frozen=True)
+    assert extended(**args).as_dict()["added"] == 7
 
 
 def test_saves_round_trip_through_their_loaders(tmp_path):
@@ -271,7 +293,7 @@ def test_loaders_reject_a_flipped_byte(tmp_path, lingspam_dir, name):
         vqc.save_vqc(vqc.init_vqc(vqc.VqcSpec(2, 1), seed=0), tmp_path)
         load = vqc.load_checkpoint
     else:
-        datapipe.save_split(datapipe.load_lingspam(lingspam_dir, seed=0), tmp_path)
+        datapipe.save_split(datapipe.load_lingspam(datapipe.lingspam_files(lingspam_dir), seed=0), tmp_path)
         load = datapipe.load_split
     hashes = {p: persist.sha256_file(p) for p in tmp_path.iterdir()}
     unverified = dict(hashes)
