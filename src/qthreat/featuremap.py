@@ -184,11 +184,12 @@ def kernel_shot_estimates(
 ) -> np.ndarray:
     """Shot estimates of k(a, b) for a stack of pairs, one seed per pair.
 
-    The compute-uncompute circuits of every pair (either side a single
-    AngleVector or a stack of rows) run as one stacked density evolution,
-    with depolarizing noise when `noise` has it; each pair's estimate is
-    its sampled, readout-folded and optionally mitigated frequency of
-    |0...0>. Estimator variance is k(1-k)/shots in the noiseless case.
+    The compute-uncompute circuits of the pairs (either side a single
+    AngleVector or a stack of rows) run qsim.SHOT_BLOCK at a time as stacked
+    density evolutions, with depolarizing noise when `noise` has it; each
+    pair's estimate is its sampled, readout-folded and optionally mitigated
+    frequency of |0...0>. Estimator variance is k(1-k)/shots in the
+    noiseless case.
     """
     probs = outcome_probabilities(compute_uncompute_program(theta_a, theta_b, spec), noise)
     zeros = np.zeros(probs.shape[1])

@@ -5,23 +5,23 @@ row i of a stack takes position i of the shot seed rules.
 
 A bundle directory is the unit of persistence. Each stage writes its
 artifacts plus a ``stage.json`` marker carrying a content key (hash of stage
-name, the config slice it depends on, and the upstream stage keys) and the
-sha256 of each of its files, so reruns skip finished work, any upstream
-change invalidates everything downstream, and a resumed stage's every file
-is checked against the marker. The markers are the one record of a stage
-file's hash; no file header carries a digest. One function (_stage) runs
-this protocol for every stage: the marker is removed and the stage
+name, the config slice its build reads, for a trained stage the dicts of the
+spec objects it is handed, and the upstream stage keys or source file
+hashes) and the sha256 of each of its files, so reruns skip finished work,
+any upstream change invalidates everything downstream, and a resumed stage's
+every file is checked against the marker. The markers are the one record of
+a stage file's hash; no file header carries a digest. One function (_stage)
+runs this protocol for every stage: the marker is removed and the stage
 directory emptied before a stage writes anything, and the marker is saved
 after its files are written, so an interrupted stage is rebuilt, never
-resumed, and a rebuilt stage holds only its own files. A resumed model
-stage is read back by _load_model. The manifest embeds the full config, the
-hashes of config.json, of each recorded stage's marker and of the files the
-markers list, and the test metrics; it is written with status "incomplete"
-first and flipped to "complete" only after evaluation succeeds, when the
-run also removes the marked stage directories it did not record (_finish).
-Opening a complete bundle (_open_complete) hashes each of those files once:
-on the read that parses it, or in one streaming pass over the files nothing
-parses.
+resumed, and a rebuilt stage holds only its own files. A resumed model stage
+is read back by _load_model. The manifest embeds the full config, the hashes
+of config.json, of each recorded stage's marker and of the files the markers
+list, and the test metrics; it is written with status "incomplete" first and
+flipped to "complete" only after evaluation succeeds, when the run also
+removes the marked stage directories it did not record (_finish). Opening a
+complete bundle (_open_complete) hashes each of those files once: on the
+read that parses it, or in one streaming pass over the files nothing parses.
 """
 from __future__ import annotations
 
@@ -98,8 +98,10 @@ class Seeds:
 
 
 _ID_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-")
-# the JSON value types a config file may give a field of each scalar type
-_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+# the JSON value types a config file may give a field of each scalar or tuple
+# type; each element of a tuple field's list is checked as its element type
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,),
+               "Tuple[int, ...]": (list,), "Tuple[float, ...]": (list,)}
 
 
 @dataclass(frozen=True)
@@ -200,11 +202,15 @@ class ExperimentConfig:
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
         for name, v in d.items():
-            if type(v) not in _JSON_TYPES.get(types[name], (type(v),)):
-                raise ValueError(f"config field {name!r} must be {types[name]}, not {type(v).__name__}")
+            checks = [(types[name], v)]
+            if types[name].startswith("Tuple[") and type(v) is list:
+                checks += [(types[name][len("Tuple["):-len(", ...]")], x) for x in v]
+            for want, x in checks:
+                if type(x) not in _JSON_TYPES.get(want, (type(x),)):
+                    raise ValueError(f"config field {name!r} must be {types[name]}, not {v!r}")
         try:
             return cls(**d)
-        except TypeError as err:  # a missing field, or a tuple field that is no list
+        except TypeError as err:  # a missing field
             raise ValueError(f"config: {err}") from err
 
     def config_sha(self) -> str:
@@ -259,20 +265,21 @@ class ExperimentConfig:
 def _stage(root: Path, stages: Dict[str, str], name: str, slice_, inputs, build, load):
     """The resume-by-hash protocol every stage shares; returns the stage's result.
 
-    The key hashes `name`, the config slice and `inputs` (upstream stage keys,
-    or source file hashes). The marker root/name/stage.json is the one record
-    of the stage's files: {"key": key, "files": {name relative to the stage
-    directory: sha256}}. When it holds this key, load(d, unverified) reads
-    the stage back, each file of the map hash-checked on its read, and
-    persist.check_files hashes the listed files it did not read. A marker
-    that is not such an object, or holds another key, or a read that fails
-    a hash or structure check (ValueError) or cannot open a file (OSError),
-    makes the stage stale: the directory is removed (_remove_stage_dir)
-    before build(d) writes anything, and the marker, with the hash of every
-    file build wrote, is saved only after it returns, so a stage that fails
-    mid-build leaves no marker over its files, and a rebuilt stage keeps no
-    file of an earlier key. The key is recorded in `stages` once the stage
-    has its result.
+    The key hashes `name`, `slice_` and `inputs` (upstream stage keys, or
+    source file hashes). A trained stage's slice holds the dicts of the very
+    spec objects its build reads, so no setting is listed twice. The marker
+    root/name/stage.json is the one record of the stage's files: {"key": key,
+    "files": {name relative to the stage directory: sha256}}. When it holds
+    this key, load(d, unverified) reads the stage back, each file of the map
+    hash-checked on its read, and persist.check_files hashes the listed files
+    it did not read. A marker that is not such an object, or holds another
+    key, or a read that fails a hash or structure check (ValueError) or cannot
+    open a file (OSError), makes the stage stale: the directory is removed
+    (_remove_stage_dir) before build(d) writes anything, and the marker, with
+    the hash of every file build wrote, is saved only after it returns, so a
+    stage that fails mid-build leaves no marker over its files, and a rebuilt
+    stage keeps no file of an earlier key. The key is recorded in `stages`
+    once the stage has its result.
     """
     key = persist.stage_key(name, slice_, inputs)
     d = root / name
@@ -385,21 +392,11 @@ def _stage_preprocess(config: ExperimentConfig, root: Path, stages: Dict[str, st
 
 
 def _stage_encoder(config: ExperimentConfig, root: Path, stages: Dict[str, str], split):
-    slice_ = {
-        "hidden_sizes": list(config.hidden_sizes),
-        "embed_dim": config.embed_dim,
-        "dropout": config.dropout,
-        "epochs": config.epochs,
-        "batch_size": config.batch_size,
-        "learning_rate": config.learning_rate,
-        "weight_decay": config.weight_decay,
-        "patience": config.patience,
-        "seed": config.seeds.encoder,
-    }
+    enc_cfg = config.encoder_config(split.x_train.shape[1])
+    sched = config.schedule(split.class_weights)
+    slice_ = {"encoder": enc_cfg.as_dict(), "schedule": dataclasses.asdict(sched)}
 
     def build(d):
-        enc_cfg = config.encoder_config(split.x_train.shape[1])
-        sched = config.schedule(split.class_weights)
         model, history = train_encoder(
             enc_cfg, sched, (split.x_train, split.y_train), (split.x_val, split.y_val)
         )
@@ -536,21 +533,18 @@ def _stage_svm(config: ExperimentConfig, root: Path, stages: Dict[str, str], spl
     fit, the support rows' angles (those the SMO fitted) and centring means,
     and the final fit's solver record; the "svm_json" slice entry names that
     layout, so an older one is rebuilt."""
-    fspec = config.feature_spec()
+    fspec, plan = config.feature_spec(), config.cv_plan()
     slice_ = {
         "svm_json": "support_angles",
         "feature_map": fspec.as_dict(),
-        "c_grid": list(config.c_grid),
-        "cv_folds": config.cv_folds,
-        "beta": config.beta,
-        "seed": config.seeds.data,
+        "cv_plan": dataclasses.asdict(plan),
         "class_weights": list(split.class_weights),
     }
 
     def build(d):
-        angles = vqc.angles_from_features(split.x_train, *encoded, config.qubits)
+        angles = vqc.angles_from_features(split.x_train, *encoded, fspec.num_qubits)
         rows = qsvm.FidelityRows(featuremap.feature_statevectors(angles, fspec))
-        best_c, cv_table = qsvm.select_c(rows, split.y_train, config.cv_plan())
+        best_c, cv_table = qsvm.select_c(rows, split.y_train, plan)
         svm, record = qsvm.fit_rows(rows, split.y_train, best_c, split.class_weights)
         model = _with_threshold(_Model(
             config, *encoded, svm=svm, support_angles=angles[svm.support],
@@ -569,15 +563,10 @@ def _stage_svm(config: ExperimentConfig, root: Path, stages: Dict[str, str], spl
 
 
 def _stage_vqc(config: ExperimentConfig, root: Path, stages: Dict[str, str], split, encoded):
+    spec, sched = config.vqc_spec(), config.schedule(split.class_weights)
     slice_ = {
-        "qubits": config.qubits,
-        "reupload": config.reupload,
-        "second_order_coeff": config.second_order_coeff,
-        "epochs": config.epochs,
-        "batch_size": config.batch_size,
-        "learning_rate": config.learning_rate,
-        "weight_decay": config.weight_decay,
-        "patience": config.patience,
+        "vqc": spec.as_dict(),
+        "schedule": dataclasses.asdict(sched),
         "fine_tune": config.fine_tune,
         "beta": config.beta,
         "seed": config.seeds.encoder,
@@ -586,8 +575,8 @@ def _stage_vqc(config: ExperimentConfig, root: Path, stages: Dict[str, str], spl
     def build(d):
         enc_model, scaler = encoded
         result = vqc.train_vqc(
-            config.vqc_spec(),
-            config.schedule(split.class_weights),
+            spec,
+            sched,
             (split.x_train, split.y_train),
             (split.x_val, split.y_val),
             seed=config.seeds.encoder,

@@ -7,7 +7,8 @@ rho -> (1 - 4p/3) rho + (4p/3) (I/2 (x) Tr_t rho) after every gate (skipped
 when p = 0), for shots and noise. Exact statevectors take no program: they
 are computed in closed form (featuremap.feature_statevectors, batched). A
 program's gate angles are floats or (m,) arrays, one angle per circuit of
-a stack of m. `shot_estimates` samples the outcome distributions (sample
+a stack of m, which `outcome_probabilities` evolves SHOT_BLOCK circuits
+at a time. `shot_estimates` samples the outcome distributions (sample
 -> readout -> mitigate). Readout error is folded into each distribution
 with the tensor-product confusion matrix, the same law as flipping each
 shot's bits, so one multinomial per row draws the measured counts. The
@@ -33,6 +34,10 @@ GATE_KINDS = ("H", "X", "Z", "RY", "RZ", "RZZ", "CX", "CZ")
 _PARAMETRIC = ("RY", "RZ", "RZZ")
 _TWO_QUBIT = ("RZZ", "CX", "CZ")
 _DIAGONAL = ("Z", "RZ", "RZZ", "CZ")
+
+# Circuits per stacked density evolution (outcome_probabilities): at q = 6 a
+# block of 64 x 64 x 64 complex densities is 4 MiB, so memory stays bounded.
+SHOT_BLOCK = 64
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 _FIXED = {
@@ -255,11 +260,20 @@ def _diagonal_probabilities(rho: np.ndarray) -> np.ndarray:
 
 def outcome_probabilities(program: CircuitProgram, noise: NoiseSpec) -> np.ndarray:
     """Exact outcome distributions (m, 2^q) of the program's m circuits run
-    from |0...0> through `evolve_density`."""
+    from |0...0> through `evolve_density`, SHOT_BLOCK circuits at a time; a
+    circuit's distribution depends only on its own angles."""
     dim = 1 << program.num_qubits
     rho = np.zeros((1, dim, dim), dtype=complex)
     rho[0, 0, 0] = 1.0
-    return _diagonal_probabilities(evolve_density(rho, program, noise))
+    out = np.empty((program.m, dim))
+    for start in range(0, program.m, SHOT_BLOCK):
+        block = slice(start, start + SHOT_BLOCK)
+        part = CircuitProgram(program.num_qubits, [
+            GateOp(op.kind, op.targets, op.angle[block]) if isinstance(op.angle, np.ndarray) else op
+            for op in program.ops
+        ])
+        out[block] = _diagonal_probabilities(evolve_density(rho, part, noise))
+    return out
 
 
 # ---------------------------------------------------------------- readout

@@ -17,8 +17,8 @@ copy through one training workspace, as encoder.train_encoder does
 the network's arrays and no labels: the VQC's loss is its own.
 Shot-mode evaluation runs the gate list `build_vqc_circuit` builds
 through the shot engine the kernel estimator uses: the rows' circuits run
-SHOT_BLOCK at a time as one stacked density evolution with
-depolarizing noise (qsim.evolve_density), then each row's outcome
+as stacked density evolutions of at most qsim.SHOT_BLOCK circuits, with
+depolarizing noise (qsim.outcome_probabilities), then each row's outcome
 distribution is sampled with readout error folded in and optionally
 mitigated (qsim.shot_estimates) and read out as its parity. The gate-level
 engine and the parameter-shift gradient the closed form is tested against
@@ -54,9 +54,6 @@ from .featuremap import FeatureMapSpec, build_feature_map
 from .qsim import CircuitProgram, GateOp, NoiseSpec, outcome_probabilities, shot_estimates, z_signs
 
 MAX_LAYERS = 4
-# Rows per stacked density evolution in shot mode: at q = 6 a block of
-# 64 x 64 x 64 complex densities is 4 MiB, so memory stays bounded.
-SHOT_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -172,19 +169,13 @@ def _batch_expectations(angle_rows: np.ndarray, model: VqcModel) -> np.ndarray:
 def _shot_parities(
     angle_rows: np.ndarray, model: VqcModel, execution: Execution, seeds
 ) -> np.ndarray:
-    """Shot estimates of <Z...Z> per row, one seed per row, simulated
-    SHOT_BLOCK rows at a time; a row's estimate depends only on its angles
-    and its seed."""
-    parity = z_signs(model.spec.num_qubits)
-    seeds = np.asarray(seeds).reshape(-1)
-    out = np.empty(angle_rows.shape[0])
-    for start in range(0, angle_rows.shape[0], SHOT_BLOCK):
-        block = slice(start, start + SHOT_BLOCK)
-        probs = outcome_probabilities(build_vqc_circuit(angle_rows[block], model), execution.noise)
-        out[block] = shot_estimates(
-            probs, parity, execution.shots, seeds[block], execution.noise, execution.mitigate
-        )
-    return out
+    """Shot estimates of <Z...Z> per row, one seed per row; a row's estimate
+    depends only on its angles and its seed."""
+    probs = outcome_probabilities(build_vqc_circuit(angle_rows, model), execution.noise)
+    return shot_estimates(
+        probs, z_signs(model.spec.num_qubits), execution.shots, seeds, execution.noise,
+        execution.mitigate,
+    )
 
 
 def decision_logits(angle_rows: np.ndarray, model: VqcModel) -> np.ndarray:

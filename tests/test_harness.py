@@ -230,6 +230,72 @@ def test_rerun_is_memoized_and_stages_resume(qsvm_bundle, make_config, tmp_path)
         assert redo["stages"]["svm"] != manifest["stages"]["svm"]
 
 
+# Each config field and seed, and the stages whose key slice it enters: a
+# missing entry would resume a stale stage, an extra one rebuild a stage for
+# nothing (the encoder is most of a run). `model` picks the stage a run
+# walks and keys none.
+_STAGE_DEPENDENCIES = {
+    "preprocess": {"dataset", "train_path", "test_path", "corpus_path", "val_fraction",
+                   "test_fraction", "ngram_max", "max_train", "seeds.data"},
+    "encoder": {"hidden_sizes", "embed_dim", "dropout", "epochs", "batch_size",
+                "learning_rate", "weight_decay", "patience", "seeds.encoder"},
+    "svm": {"qubits", "reps", "entanglement", "second_order_coeff", "c_grid", "cv_folds",
+            "beta", "seeds.data"},
+    "vqc": {"qubits", "reupload", "second_order_coeff", "epochs", "batch_size",
+            "learning_rate", "weight_decay", "patience", "fine_tune", "beta", "seeds.encoder"},
+    "baseline": {"beta"},
+}
+# another valid value of each field of the test's base config
+_OTHER_VALUES = {
+    "experiment_id": "t-other", "dataset": "lingspam", "model": "vqc",
+    "train_path": "other-train.txt", "test_path": "other-test.txt", "corpus_path": "other-corpus",
+    "qubits": 3, "reps": 1, "reupload": 1, "entanglement": "linear",
+    "second_order_coeff": "product", "backend": "shots", "shots": 512, "depol_1q": 0.01,
+    "depol_2q": 0.02, "readout_01": 0.01, "readout_10": 0.02, "mitigate": True,
+    "fine_tune": True, "max_train": 100, "val_fraction": 0.3, "test_fraction": 0.3,
+    "ngram_max": 2, "hidden_sizes": (32,), "embed_dim": 8, "dropout": 0.1, "epochs": 10,
+    "batch_size": 64, "learning_rate": 1e-2, "weight_decay": 0.0, "patience": 3,
+    "c_grid": (1.0,), "cv_folds": 3, "beta": 1.0,
+}
+
+
+def test_each_config_field_keys_exactly_the_stages_that_read_it(tmp_path, monkeypatch):
+    slices = {}
+
+    def spy(root, stages, name, slice_, inputs, build, load):  # builds nothing
+        slices[name] = persist.canonical_json(slice_)
+        stages[name] = name
+
+    monkeypatch.setattr(harness, "_stage", spy)
+    monkeypatch.setattr(harness, "_source_hashes", lambda config: ([], {}, None))
+    split = types.SimpleNamespace(x_train=np.zeros((4, 7)), class_weights=(1.0, 3.0))
+
+    def stage_slices(config):
+        stages = {}
+        harness._stage_preprocess(config, tmp_path, stages)
+        harness._stage_encoder(config, tmp_path, stages, split)
+        for stage in (harness._stage_svm, harness._stage_vqc, harness._stage_baseline):
+            stage(config, tmp_path, stages, split, None)
+        return dict(slices)
+
+    base = ExperimentConfig(experiment_id="t-keys", dataset="nslkdd", model="qsvm",
+                            train_path="train.txt", test_path="test.txt", corpus_path="corpus")
+    assert set(_OTHER_VALUES) == {f.name for f in dataclasses.fields(ExperimentConfig)} - {"seeds"}
+    changed = {name: replace(base, **{name: v}) for name, v in _OTHER_VALUES.items()}
+    for f in dataclasses.fields(Seeds):
+        changed[f"seeds.{f.name}"] = replace(base, seeds=replace(base.seeds, **{f.name: 7}))
+    before = stage_slices(base)
+    assert set(before) == set(_STAGE_DEPENDENCIES)
+    wrong = {}
+    for name, config in changed.items():
+        after = stage_slices(config)
+        got = {stage for stage in before if after[stage] != before[stage]}
+        want = {stage for stage, fields in _STAGE_DEPENDENCIES.items() if name in fields}
+        if got != want:
+            wrong[name] = {"changed": sorted(got), "expected": sorted(want)}
+    assert not wrong, wrong
+
+
 def test_complete_bundle_of_an_older_svm_layout_is_rebuilt_and_rescored(qsvm_bundle, tmp_path):
     # a complete manifest over an svm.json of the layout before support
     # angles (n row means, no support rows) and that layout's stage key: the
@@ -452,7 +518,10 @@ def test_an_svm_stage_in_the_layout_before_support_angles_is_rebuilt(qsvm_bundle
         "class_weights": list(split.class_weights),
     }
     inputs = [manifest["stages"]["encoder"]]
-    new_slice = {**old_slice, "svm_json": "support_angles"}
+    new_slice = {
+        "svm_json": "support_angles", "feature_map": config.feature_spec().as_dict(),
+        "cv_plan": dataclasses.asdict(config.cv_plan()), "class_weights": list(split.class_weights),
+    }
     assert persist.stage_key("svm", new_slice, inputs) == manifest["stages"]["svm"]
     header = json.loads((copy / "svm" / "svm.json").read_text())
     del header["support_angles"], header["support_means"]
@@ -1745,8 +1814,12 @@ def test_cli_matrix_rejects_a_malformed_config_file(spec, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "name, value", [("seeds", [1, 2, 3]), ("qubits", "4"), ("hidden_sizes", 5), ("mitigate", "no")],
-    ids=["seeds-list", "qubits-str", "hidden-sizes-int", "mitigate-str"],
+    "name, value", [
+        ("seeds", [1, 2, 3]), ("qubits", "4"), ("hidden_sizes", 5), ("mitigate", "no"),
+        ("hidden_sizes", [2.7, 64]), ("hidden_sizes", [True, 64]), ("c_grid", ["1", 10]),
+    ],
+    ids=["seeds-list", "qubits-str", "hidden-sizes-int", "mitigate-str",
+         "hidden-sizes-float-element", "hidden-sizes-bool-element", "c-grid-str-element"],
 )
 def test_cli_matrix_rejects_a_mistyped_config_field(make_config, tmp_path, capsys, name, value):
     # a field of the wrong type is a config error, reported before any cell runs

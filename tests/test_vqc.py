@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qthreat import persist, vqc
+from qthreat import persist, qsim, vqc
 from conftest import random_csr
 from oracles import dense_from_csr
 
@@ -234,7 +234,7 @@ def test_shot_logits_do_not_depend_on_block_or_stack(monkeypatch):
     seeds = np.random.SeedSequence(11).generate_state(7)
     whole = shot_logits(rows, model, ex, seeds)
     for block in (1, 3, 64):
-        monkeypatch.setattr(vqc, "SHOT_BLOCK", block)
+        monkeypatch.setattr(qsim, "SHOT_BLOCK", block)
         np.testing.assert_array_equal(shot_logits(rows, model, ex, seeds), whole)
     # a prefix keeps its rows' seeds, so it keeps their logits
     prefix = np.random.SeedSequence(11).generate_state(4)
